@@ -399,9 +399,7 @@ def cmd_inspect(args):
     out = {
         "n": doc.n,
         "valid": True,
-        "gamma_symmetry_residual": sysd.conn.symmetry_residual(pts)
-        if not isinstance(sysd, SamplerSystem)
-        else 0.0,
+        "gamma_symmetry_residual": sysd.conn.symmetry_residual(pts),
         "det_A_min_abs": float(np.min(np.abs(np.linalg.det(a_vals)))),
         "sample_count": len(pts),
     }

@@ -1,14 +1,17 @@
 """Scalar expression trees over chart coordinates y1..yn.
 
 Expressions are immutable ASTs supporting exact symbolic partial
-differentiation (closed under d/dy^i to any order), checked pointwise
-evaluation, and compiled vectorized evaluation over arrays of points.
-They are the scalar substrate for tensor components, connection
-coefficients and Pfaff right-hand sides.
+differentiation (closed under d/dy^i to any order) and two evaluators:
+``eval_expr``, checked and pointwise, which raises DomainError instead of
+returning inf or nan; and ``eval_many_shared``, unchecked (IEEE) and
+vectorized over arrays of points, which evaluates a whole set of roots in one
+walk of their shared DAG.  They are the scalar substrate for tensor
+components, connection coefficients and Pfaff right-hand sides.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -163,7 +166,13 @@ def _is_const(e, v=None):
 
 
 def const(v):
-    v = float(v)
+    """Constant node; non-finite or out-of-range values raise ExprError."""
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ExprError("constant out of floating-point range") from None
+    if not math.isfinite(v):
+        raise ExprError(f"non-finite constant {v!r}")
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return Expr("const", value=v)
@@ -249,7 +258,10 @@ def powi(a, k):
     if _is_const(a) and isinstance(k, int):
         if a.value == 0.0 and k < 0:
             return Expr("pow", (a,), value=k)  # defer the domain error to eval
-        return const(a.value**k)
+        try:
+            return const(a.value**k)
+        except OverflowError:
+            raise ExprError("constant power out of floating-point range") from None
     return Expr("pow", (a,), value=k)
 
 
@@ -267,7 +279,8 @@ def func(name, a):
 
 def _apply_func(name, x):
     if name == "exp":
-        return float(np.exp(x))
+        with np.errstate(over="ignore"):  # callers reject the inf
+            return float(np.exp(x))
     if name == "ln":
         if x <= 0.0:
             raise ValueError("ln of nonpositive argument")
@@ -352,8 +365,10 @@ def _diff_raw(e, i):
 def eval_expr(e, point):
     """Evaluate at a point (sequence of floats), checking the real domain.
 
-    Raises DomainError on division by zero, ln/sqrt of invalid arguments or
-    0 raised to a negative power, naming the offending subexpression.
+    Raises DomainError on division by zero, ln/sqrt of invalid arguments,
+    0 raised to a negative power, or any subexpression whose value is not
+    finite (overflow, or a non-finite coordinate), naming the offending
+    subexpression.
     """
     op = e.op
     if op == "const":
@@ -363,21 +378,21 @@ def eval_expr(e, point):
             raise ExprError(
                 f"coordinate y{e.index} out of range for a point of dimension {len(point)}"
             )
-        return float(point[e.index - 1])
-    if op == "add":
-        return eval_expr(e.args[0], point) + eval_expr(e.args[1], point)
-    if op == "sub":
-        return eval_expr(e.args[0], point) - eval_expr(e.args[1], point)
-    if op == "neg":
-        return -eval_expr(e.args[0], point)
-    if op == "mul":
-        return eval_expr(e.args[0], point) * eval_expr(e.args[1], point)
-    if op == "div":
+        v = float(point[e.index - 1])
+    elif op == "add":
+        v = eval_expr(e.args[0], point) + eval_expr(e.args[1], point)
+    elif op == "sub":
+        v = eval_expr(e.args[0], point) - eval_expr(e.args[1], point)
+    elif op == "neg":
+        v = -eval_expr(e.args[0], point)
+    elif op == "mul":
+        v = eval_expr(e.args[0], point) * eval_expr(e.args[1], point)
+    elif op == "div":
         d = eval_expr(e.args[1], point)
         if d == 0.0:
             raise DomainError("division by zero", e)
-        return eval_expr(e.args[0], point) / d
-    if op == "pow":
+        v = eval_expr(e.args[0], point) / d
+    elif op == "pow":
         b = eval_expr(e.args[0], point)
         k = e.value
         if b == 0.0 and k < 0:
@@ -385,90 +400,106 @@ def eval_expr(e, point):
         if isinstance(k, Fraction):
             if b < 0.0:
                 raise DomainError("negative base with fractional exponent", e)
-            return float(b) ** float(k)
-        return float(b) ** k
-    x = eval_expr(e.args[0], point)
-    if op == "ln" and x <= 0.0:
-        raise DomainError("ln of nonpositive argument", e)
-    if op == "sqrt" and x < 0.0:
-        raise DomainError("sqrt of negative argument", e)
-    try:
-        return _apply_func(op, x)
-    except (ValueError, OverflowError) as exc:  # pragma: no cover - guarded above
-        raise DomainError(str(exc), e) from None
+            k = float(k)
+        try:
+            v = float(b) ** k
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+    else:
+        x = eval_expr(e.args[0], point)
+        if op == "ln" and x <= 0.0:
+            raise DomainError("ln of nonpositive argument", e)
+        if op == "sqrt" and x < 0.0:
+            raise DomainError("sqrt of negative argument", e)
+        v = _apply_func(op, x)
+    if not math.isfinite(v):
+        raise DomainError("non-finite value", e)
+    return v
 
 
 _VEC_FUNCS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
 
 
-def _eval_into_cache(e, pts, cache):
-    """Iterative postorder evaluation with subtree sharing by node identity."""
-    if id(e) in cache:
-        return cache[id(e)]
-    stack = [e]
+def _postorder(roots):
+    """Distinct nodes (by identity) reachable from ``roots``, children before
+    parents, and each node's use count: the argument slots of its parents
+    plus its occurrences among the roots."""
+    order, uses, seen = [], {}, set()
+    stack = []
+    for root in roots:
+        uses[id(root)] = uses.get(id(root), 0) + 1
+        stack.append((root, False))
     while stack:
-        node = stack[-1]
-        nid = id(node)
-        if nid in cache:
-            stack.pop()
-            continue
-        op = node.op
-        if op == "const":
-            cache[nid] = np.full(pts.shape[0], node.value)
-            stack.pop()
-            continue
-        if op == "coord":
-            cache[nid] = pts[:, node.index - 1]
-            stack.pop()
-            continue
-        pending = [a for a in node.args if id(a) not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        vals = [cache[id(a)] for a in node.args]
-        if op == "add":
-            out = vals[0] + vals[1]
-        elif op == "sub":
-            out = vals[0] - vals[1]
-        elif op == "mul":
-            out = vals[0] * vals[1]
-        elif op == "div":
-            out = vals[0] / vals[1]
-        elif op == "neg":
-            out = -vals[0]
-        elif op == "pow":
-            k = float(node.value) if isinstance(node.value, Fraction) else node.value
-            out = vals[0] ** k
-        else:
-            out = _VEC_FUNCS[op](vals[0])
-        cache[nid] = out
-        stack.pop()
-    return cache[id(e)]
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if not node.args:
+                order.append(node)
+                continue
+            stack.append((node, True))
+            # a child already seen is finished: a node seen but unfinished is
+            # an ancestor of this one, and a DAG has no path back to it
+            for a in node.args:
+                uses[id(a)] = uses.get(id(a), 0) + 1
+                if id(a) not in seen:
+                    stack.append((a, False))
+    return order, uses
 
 
 def eval_many(e, points):
-    """Vectorized evaluation over an array of points with shape (P, n).
+    """Vectorized evaluation of one expression; see eval_many_shared."""
+    return eval_many_shared([e], points)[0]
+
+
+def eval_many_shared(exprs, points):
+    """Evaluate a flat sequence of expressions at points of shape (P, n) (or
+    one point of shape (n,)); returns a list of (P,) arrays in input order.
 
     Unchecked: out-of-domain inputs yield inf/nan per IEEE semantics (callers
-    probing residuals assert finiteness instead).  Shared subtrees are
-    evaluated once.
+    probing residuals assert finiteness instead).  Each node shared by
+    identity, within one root or across roots, is evaluated once, and its
+    array is dropped as soon as its last parent has used it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    order, uses = _postorder(exprs)
+    vals = {}
     with np.errstate(all="ignore"):
-        return _eval_into_cache(e, pts, {})
-
-
-def eval_many_shared(exprs, points):
-    """Evaluate a collection of expressions at shared points with one common
-    subtree cache; returns a list of (P,) arrays in input order."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    cache = {}
-    with np.errstate(all="ignore"):
-        return [_eval_into_cache(e, pts, cache) for e in exprs]
+        for node in order:
+            op = node.op
+            if not node.args:
+                vals[id(node)] = (
+                    np.full(pts.shape[0], node.value) if op == "const" else pts[:, node.index - 1]
+                )
+                continue
+            ids = [id(a) for a in node.args]
+            x = vals[ids[0]]
+            if op == "mul":
+                out = x * vals[ids[1]]
+            elif op == "add":
+                out = x + vals[ids[1]]
+            elif op == "sub":
+                out = x - vals[ids[1]]
+            elif op == "div":
+                out = x / vals[ids[1]]
+            elif op == "neg":
+                out = -x
+            elif op == "pow":
+                k = node.value
+                out = x ** (float(k) if isinstance(k, Fraction) else k)
+            else:
+                out = _VEC_FUNCS[op](x)
+            for i in ids:
+                left = uses[i] - 1
+                if left:
+                    uses[i] = left
+                else:
+                    del vals[i]
+            vals[id(node)] = out
+    return [vals[id(e)] for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -479,45 +510,47 @@ def eval_many_shared(exprs, points):
 def subst(e, mapping):
     """Replace coordinate y^i by mapping[i] (an Expr) throughout.
 
-    Indices missing from the mapping are left untouched.
+    ``e`` is an Expr or an object array of them; an array comes back with
+    the same shape.  Indices missing from the mapping are left untouched.
+    Substitution is memoized by node identity across the whole call, so
+    subtrees shared in the input stay shared in the result.
     """
-    op = e.op
-    if op == "const":
-        return e
-    if op == "coord":
-        return mapping.get(e.index, e)
-    args = tuple(subst(a, mapping) for a in e.args)
-    if op == "add":
-        return add(*args)
-    if op == "sub":
-        return sub(*args)
-    if op == "mul":
-        return mul(*args)
-    if op == "div":
-        return div(*args)
-    if op == "neg":
-        return neg(args[0])
-    if op == "pow":
-        return powi(args[0], e.value)
-    return func(op, args[0])
+    memo = {}
 
+    def go(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
+        op = node.op
+        if op == "const":
+            out = node
+        elif op == "coord":
+            out = mapping.get(node.index, node)
+        else:
+            args = [go(a) for a in node.args]
+            if op == "add":
+                out = add(*args)
+            elif op == "sub":
+                out = sub(*args)
+            elif op == "mul":
+                out = mul(*args)
+            elif op == "div":
+                out = div(*args)
+            elif op == "neg":
+                out = neg(args[0])
+            elif op == "pow":
+                out = powi(args[0], node.value)
+            else:
+                out = func(op, args[0])
+        memo[id(node)] = out
+        return out
 
-def shift_coords(e, offset):
-    """Shift every coordinate index by ``offset`` (embeds y-space exprs into
-    a larger variable block, e.g. the (U, y) space of a Pfaff system)."""
-    op = e.op
-    if op == "const":
-        return e
-    if op == "coord":
-        return coord(e.index + offset)
-    args = tuple(shift_coords(a, offset) for a in e.args)
-    if op == "pow":
-        return powi(args[0], e.value)
-    if op in _BINOPS:
-        return {"add": add, "sub": sub, "mul": mul, "div": div}[op](*args)
-    if op == "neg":
-        return neg(args[0])
-    return func(op, args[0])
+    if isinstance(e, np.ndarray):
+        out = np.empty(e.shape, dtype=object)
+        for idx in np.ndindex(*e.shape):
+            out[idx] = go(e[idx])
+        return out
+    return go(e)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +645,14 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def fold(self, offset, build, *args):
+        """Apply a smart constructor; a constant it cannot represent (a
+        non-finite literal, or overflow while folding) is a parse error."""
+        try:
+            return build(*args)
+        except ExprError as exc:
+            self.error(str(exc), offset)
+
     def expect(self, ch):
         if self.peek() != ch:
             self.error(f"expected {ch!r}")
@@ -627,35 +668,35 @@ class _Parser:
     def expr(self):
         e = self.term()
         while True:
-            c = self.peek()
+            c, at = self.peek(), self.pos
             if c == "+":
                 self.pos += 1
-                e = add(e, self.term())
+                e = self.fold(at, add, e, self.term())
             elif c == "-":
                 self.pos += 1
-                e = sub(e, self.term())
+                e = self.fold(at, sub, e, self.term())
             else:
                 return e
 
     def term(self):
         e = self.factor()
         while True:
-            c = self.peek()
+            c, at = self.peek(), self.pos
             if c == "*":
                 self.pos += 1
-                e = mul(e, self.factor())
+                e = self.fold(at, mul, e, self.factor())
             elif c == "/":
                 self.pos += 1
-                e = div(e, self.factor())
+                e = self.fold(at, div, e, self.factor())
             else:
                 return e
 
     def factor(self):
         e = self.atom()
         if self.peek() == "^":
+            at = self.pos
             self.pos += 1
-            k = self.integer()
-            e = powi(e, k)
+            e = self.fold(at, powi, e, self.integer())
         return e
 
     def atom(self):
@@ -688,7 +729,7 @@ class _Parser:
                 self.expect("(")
                 e = self.expr()
                 self.expect(")")
-                return func(name, e)
+                return self.fold(start, func, name, e)
             self.error(f"unknown identifier {name!r}", start)
         self.error(f"unexpected character {c!r}")
 
@@ -724,7 +765,7 @@ class _Parser:
                     self.pos += 1
             else:
                 self.pos = mark  # 'e' belonged to something else; reject later
-        return const(float(t[start : self.pos]))
+        return self.fold(start, const, float(t[start : self.pos]))
 
 
 def parse_expr(text, n):

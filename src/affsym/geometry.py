@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, ZERO, add, const, diff_expr, eval_many, mul, parse_expr, sub
+from .expr import Expr, ZERO, add, const, diff_expr, mul, sub
 from .tensor import TensorField, pushforward, sym_matrix_inverse
 from .util import max_report, sample_points
 
@@ -45,54 +45,33 @@ class Connection:
     """Symmetric affine connection: n^3 coefficient fields Gamma^k_rs.
 
     Not a tensor; transforms with an inhomogeneous term (see
-    transform_connection).  gamma[k, r, s] must be symmetric in (r, s).
+    transform_connection).  The coefficients are stored as one (1,2)
+    TensorField, ``field``, for storage and evaluation only; gamma[k, r, s]
+    must be symmetric in (r, s).
     """
 
     def __init__(self, n, gamma):
-        self.n = int(n)
-        if isinstance(gamma, np.ndarray) and gamma.dtype == object and gamma.shape == (n, n, n):
-            self.gamma = gamma
-        else:
-            arr = np.empty((n, n, n), dtype=object)
-            src = np.asarray(gamma, dtype=object)
-            if src.shape != (n, n, n):
-                raise ValueError(f"gamma shape {src.shape} != {(n, n, n)}")
-            for idx in np.ndindex(n, n, n):
-                v = src[idx]
-                arr[idx] = v if isinstance(v, Expr) else const(v)
-            self.gamma = arr
+        self.field = TensorField(n, 1, 2, gamma)
+
+    @property
+    def n(self):
+        return self.field.n
+
+    @property
+    def gamma(self):
+        return self.field.comps
 
     @classmethod
     def zeros(cls, n):
-        arr = np.empty((n, n, n), dtype=object)
-        arr[...] = ZERO
-        return cls(n, arr)
+        return cls(n, TensorField.zeros(n, 1, 2).comps)
 
     @classmethod
     def from_strings(cls, n, entries):
         """entries[k][r][s] are expression strings for Gamma^k_rs."""
-        src = np.asarray(entries, dtype=object)
-        arr = np.empty((n, n, n), dtype=object)
-        for idx in np.ndindex(n, n, n):
-            t = src[idx]
-            arr[idx] = parse_expr(t, n) if isinstance(t, str) else (
-                t if isinstance(t, Expr) else const(t)
-            )
-        return cls(n, arr)
-
-    def as_tensor_slots(self):
-        """The coefficient array as a (1,2) TensorField (storage only; the
-        object does not transform tensorially)."""
-        return TensorField(self.n, 1, 2, self.gamma)
+        return cls(n, TensorField.from_strings(n, 1, 2, entries).comps)
 
     def evaluate_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        out = np.empty((pts.shape[0], self.n, self.n, self.n), dtype=float)
-        for idx in np.ndindex(self.n, self.n, self.n):
-            out[(slice(None),) + idx] = eval_many(self.gamma[idx], pts)
-        return out
+        return self.field.evaluate_many(points)
 
     def symmetry_residual(self, pts=None):
         """max |Gamma^k_rs - Gamma^k_sr| over sample points."""
@@ -374,16 +353,10 @@ def transform_connection(conn, pmap):
     """
     pmap.require_inverse()
     n = conn.n
-    T = pmap.jac_forward()
-    Tbar = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            Tbar[i, j] = pmap.substitute_inverse(T[i, j])
+    Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()
     Gbar = np.empty((n, n, n), dtype=object)
-    Gsub = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(n, n, n):
-        Gsub[idx] = pmap.substitute_inverse(conn.gamma[idx])
+    Gsub = pmap.substitute_inverse(conn.gamma)
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -405,11 +378,7 @@ def transform_system(sys, pmap, check_points=None):
     pmap.require_inverse()
     n = sys.n
     pts = check_points if check_points is not None else sample_points(n, 20)
-    jac = np.empty((len(pts), n, n), dtype=float)
-    T = pmap.jac_forward()
-    for i in range(n):
-        for j in range(n):
-            jac[:, i, j] = eval_many(T[i, j], pts)
+    jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate_many(pts)
     if np.min(np.abs(np.linalg.det(jac))) < 1e-12:
         raise ValueError("map Jacobian is singular at a probe point")
     a_new = pushforward(sys.A, pmap)

@@ -21,12 +21,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, ZERO, add, const, diff_expr, eval_many, mul, parse_expr, sub
-from .tensor import TensorField, alternate, exterior_derivative, tensor_product
+from .expr import ZERO, add, const, diff_expr, mul, sub
+from .tensor import (
+    TensorField,
+    alternate,
+    exterior_derivative,
+    partial_differential,
+    tensor_product,
+)
 
 __all__ = [
     "VectorField",
-    "as_vector_field",
     "vf_commutator",
     "lie_derivative",
     "fn_bracket",
@@ -35,18 +40,15 @@ __all__ = [
 ]
 
 
-class VectorField:
-    """Vector field on the chart, n Expr components."""
+class VectorField(TensorField):
+    """Vector field on the chart: a (1,0) TensorField of n Expr components."""
 
     def __init__(self, n, comps):
-        self.n = int(n)
-        self.comps = [c if isinstance(c, Expr) else const(c) for c in comps]
-        if len(self.comps) != self.n:
-            raise ValueError(f"expected {n} components, got {len(self.comps)}")
+        super().__init__(n, 1, 0, comps)
 
     @classmethod
     def from_strings(cls, n, texts):
-        return cls(n, [parse_expr(t, n) for t in texts])
+        return cls(n, TensorField.from_strings(n, 1, 0, texts).comps)
 
     @classmethod
     def basis(cls, n, i):
@@ -54,33 +56,7 @@ class VectorField:
         return cls(n, [1.0 if k == i - 1 else 0.0 for k in range(n)])
 
     def to_tensor(self):
-        arr = np.empty((self.n,), dtype=object)
-        arr[:] = self.comps
-        return TensorField(self.n, 1, 0, arr)
-
-    def evaluate(self, point):
-        from .expr import eval_expr
-
-        return np.array([eval_expr(c, point) for c in self.comps])
-
-    def evaluate_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        return np.stack([eval_many(c, pts) for c in self.comps], axis=-1)
-
-    def __repr__(self):
-        return "VectorField(" + ", ".join(str(c) for c in self.comps) + ")"
-
-
-def as_vector_field(obj, n=None):
-    if isinstance(obj, VectorField):
-        return obj
-    if isinstance(obj, TensorField):
-        if obj.valence != (1, 0):
-            raise ValueError("expected a (1,0) field")
-        return VectorField(obj.n, list(obj.comps))
-    return VectorField(n, obj)
+        return TensorField(self.n, 1, 0, self.comps)
 
 
 def vf_commutator(x, y):
@@ -99,14 +75,14 @@ def vf_commutator(x, y):
 
 
 def lie_derivative(eta, w):
-    """Coordinate Lie derivative of a (r,s) tensor field along eta.
+    """Coordinate Lie derivative of a (r,s) tensor field along eta, any
+    (1,0) field.
 
     Transport term plus -d(eta) contractions on upper slots and +d(eta)
     contractions on lower slots; on scalars it is the directional derivative.
     """
-    eta = as_vector_field(eta)
-    if isinstance(w, VectorField):
-        return as_vector_field(lie_derivative(eta, w.to_tensor()))
+    if eta.valence != (1, 0):
+        raise ValueError("expected a (1,0) field")
     n = w.n
     out = np.empty(w.comps.shape, dtype=object)
     for idx in np.ndindex(*w.comps.shape):
@@ -164,20 +140,13 @@ def _accumulate(out, i, form):
         out[(i,) + idx] = add(out[(i,) + idx], form.comps[idx])
 
 
-def _as_vector_valued(obj):
-    if isinstance(obj, VectorField):
-        return obj.to_tensor()
-    return obj
-
-
 def fn_bracket(b_field, c_field, check=True):
     """Bracket {B,C} of fully skew (1,p) and (1,q) fields -> (1,p+q).
 
     Vector fields (p=0 or q=0) are accepted; two vector fields reproduce
     their commutator.
     """
-    B = _as_vector_valued(b_field)
-    C = _as_vector_valued(c_field)
+    B, C = b_field, c_field
     if B.n != C.n:
         raise ValueError("bracket across different chart dimensions")
     if B.r != 1 or C.r != 1:
@@ -235,19 +204,14 @@ def lie_derivative_operator_power(eta, a_field, q, pts):
     """
     if q == 0:
         return 0.0
-    n = a_field.n
     pts = np.asarray(pts, dtype=float)
     A = a_field.evaluate_many(pts)
-    dA = np.empty((len(pts), n, n, n))  # dA[:, k] = dA/dy^k
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dA[:, k, i, j] = eval_many(diff_expr(a_field.comps[i, j], k + 1), pts)
+    # partial_differential puts d/dy^k after the upper slot, [:, i, k, j]
+    dA = np.ascontiguousarray(
+        partial_differential(a_field).evaluate_many(pts).transpose(0, 2, 1, 3)
+    )  # dA[:, k] = dA/dy^k
     eta_vals = eta.evaluate_many(pts)
-    deta = np.empty((len(pts), n, n))  # deta[:, i, k] = d eta^i / dy^k
-    for i in range(n):
-        for k in range(n):
-            deta[:, i, k] = eval_many(diff_expr(eta.comps[i], k + 1), pts)
+    deta = partial_differential(eta).evaluate_many(pts)  # [:, i, k] = d eta^i / dy^k
     base, dbase = A, dA
     if q < 0:
         base = np.linalg.inv(A)

@@ -23,19 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import (
-    Expr,
-    ZERO,
-    add,
-    const,
-    coord,
-    diff_expr,
-    eval_many,
-    mul,
-    shift_coords,
-    sub,
-)
-from .tensor import sym_matrix_inverse
+from .expr import ZERO, add, const, coord, diff_expr, eval_many_shared, mul, sub, subst
+from .tensor import partial_differential, sym_matrix_inverse
 from .util import max_report, sample_points
 
 __all__ = [
@@ -104,18 +93,13 @@ class PfaffProblem:
         return np.concatenate([np.asarray(u, float), np.asarray(y, float)])
 
     def rhs_values(self, u, y):
-        z = self.pack(u, y)[None, :]
-        out = np.empty((self.k, self.n))
-        for a in range(self.k):
-            for i in range(self.n):
-                out[a, i] = eval_many(self.rhs[a, i], z)[0]
-        return out
+        vals = eval_many_shared(self.rhs.reshape(-1), self.pack(u, y))
+        return np.concatenate(vals).reshape(self.k, self.n)
 
     def restriction_values(self, u, y):
         if not self.restrictions:
             return np.zeros(0)
-        z = self.pack(u, y)[None, :]
-        return np.array([eval_many(phi, z)[0] for phi in self.restrictions])
+        return np.concatenate(eval_many_shared(self.restrictions, self.pack(u, y)))
 
 
 def pfaff_integrate(
@@ -209,10 +193,9 @@ def compatibility_residual(prob, probe=None, seed=None):
         for r in range(n):
             for p in range(r + 1, n):
                 residual_exprs.append(_total_diff(prob, a, r, p))
-    vals = np.empty((len(probe), len(residual_exprs)))
-    for idx, e in enumerate(residual_exprs):
-        vals[:, idx] = eval_many(e, probe)
-    return max_report(vals, probe)
+    if not residual_exprs:  # n = 1: no mixed pairs
+        return max_report(np.empty((len(probe), 0)), probe)
+    return max_report(np.stack(eval_many_shared(residual_exprs, probe), axis=-1), probe)
 
 
 def _total_diff(prob, a, r, p):
@@ -233,9 +216,11 @@ def _total_diff(prob, a, r, p):
 # ---------------------------------------------------------------------------
 
 
-def _lift(e, k):
-    """Embed an Expr over y (dimension n) into the (U, y) block."""
-    return shift_coords(e, k)
+def _lift(arr, n, k):
+    """Embed an array of Exprs over y (dimension n) into the (U, y) block,
+    where y^i is coordinate k + i; one substitution covers the whole array,
+    so subtrees shared across its entries stay shared."""
+    return subst(np.asarray(arr, dtype=object), {i: coord(k + i) for i in range(1, n + 1)})
 
 
 def _beta_from_connection(conn):
@@ -276,39 +261,41 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
 
     if kind == "covector_14":
         k = n
-        B = beta.comps if beta is not None else _beta_from_connection(conn)
+        B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
+        gam = _lift(conn.gamma, n, k)
         G = np.empty((k, n), dtype=object)
         for j in range(n):
             for i in range(n):
-                e = add(_lift(B[i, j], k), mul(coord(i + 1), coord(j + 1)))
+                e = add(B[i, j], mul(coord(i + 1), coord(j + 1)))
                 for s in range(n):
-                    e = add(e, mul(_lift(conn.gamma[s, i, j], k), coord(s + 1)))
+                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
                 G[j, i] = e
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
 
     if kind == "frame_17":
         k = 2 * n
-        B = beta.comps if beta is not None else _beta_from_connection(conn)
+        B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
+        gam = _lift(conn.gamma, n, k)
         G = np.empty((k, n), dtype=object)
         for j in range(n):  # u_j rows
             for i in range(n):
-                e = add(_lift(B[i, j], k), mul(coord(i + 1), coord(j + 1)))
+                e = add(B[i, j], mul(coord(i + 1), coord(j + 1)))
                 for s in range(n):
-                    e = add(e, mul(_lift(conn.gamma[s, i, j], k), coord(s + 1)))
+                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
                 G[j, i] = e
         for kk in range(n):  # xi^kk rows
             for i in range(n):
                 e = mul(const(-1.0), mul(coord(i + 1), coord(n + kk + 1)))
                 for s in range(n):
-                    e = sub(e, mul(_lift(conn.gamma[kk, i, s], k), coord(n + s + 1)))
+                    e = sub(e, mul(gam[kk, i, s], coord(n + s + 1)))
                 G[n + kk, i] = e
         restrictions = []
         half = const(0.5)
         for i in range(n):  # sym(beta)_ir xi^r = 0
             e = ZERO
             for r in range(n):
-                bsym = mul(half, add(_lift(B[i, r], k), _lift(B[r, i], k)))
+                bsym = mul(half, add(B[i, r], B[r, i]))
                 e = add(e, mul(bsym, coord(n + r + 1)))
             restrictions.append(e)
         e = ZERO
@@ -323,17 +310,19 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         if u_field is None:
             raise ValueError("xfields_17_11 needs the covector field u (Exprs over y)")
         k = n
+        u = _lift(u_field, n, k)
+        gam = _lift(conn.gamma, n, k)
         G = np.empty((k, n), dtype=object)
         u_dot_x = ZERO
         for r in range(n):
-            u_dot_x = add(u_dot_x, mul(_lift(u_field[r], k), coord(r + 1)))
+            u_dot_x = add(u_dot_x, mul(u[r], coord(r + 1)))
         for kk in range(n):
             for i in range(n):
-                e = mul(const(-1.0), mul(_lift(u_field[i], k), coord(kk + 1)))
+                e = mul(const(-1.0), mul(u[i], coord(kk + 1)))
                 if i == kk:
                     e = sub(e, u_dot_x)
                 for s in range(n):
-                    e = sub(e, mul(_lift(conn.gamma[kk, i, s], k), coord(s + 1)))
+                    e = sub(e, mul(gam[kk, i, s], coord(s + 1)))
                 G[kk, i] = e
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"X{j + 1}" for j in range(n)])
@@ -342,21 +331,23 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         if g is None:
             raise ValueError("constcurv_22 needs the metric g")
         k = n
-        ginv = sym_matrix_inverse(g.comps)
+        ginv = _lift(sym_matrix_inverse(g.comps), n, k)
+        gl = _lift(g.comps, n, k)
+        gam = _lift(conn.gamma, n, k)
         G = np.empty((k, n), dtype=object)
         # |u|^2 = sum g^{rs} u_r u_s, lifted
         norm2 = ZERO
         for r in range(n):
             for s in range(n):
-                norm2 = add(norm2, mul(_lift(ginv[r, s], k), mul(coord(r + 1), coord(s + 1))))
+                norm2 = add(norm2, mul(ginv[r, s], mul(coord(r + 1), coord(s + 1))))
         for j in range(n):
             for i in range(n):
                 e = mul(const(-1.0), mul(coord(i + 1), coord(j + 1)))
-                gij = _lift(g.comps[i, j], k)
+                gij = gl[i, j]
                 e = sub(e, mul(const(1.0 / (2 * (n - 1))), gij))
                 e = add(e, mul(mul(const(0.5), norm2), gij))
                 for s in range(n):
-                    e = add(e, mul(_lift(conn.gamma[s, i, j], k), coord(s + 1)))
+                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
                 G[j, i] = e
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
@@ -365,9 +356,7 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
     if u_field is None:
         raise ValueError("potential_17_23 needs the covector field u (Exprs over y)")
     k = 1
-    G = np.empty((1, n), dtype=object)
-    for i in range(n):
-        G[0, i] = _lift(u_field[i], k)
+    G = _lift(u_field, n, k).reshape(1, n)
     u0 = np.zeros(1) if u0 is None else np.asarray(u0, float)
     return PfaffProblem(n, 1, G, p0, u0, labels=["psi"])
 
@@ -384,19 +373,18 @@ def _symmetry_system(conn, p0, u0):
     def eta(i):
         return coord(n * n + i + 1)
 
+    gam = _lift(conn.gamma, n, k)
+    dgam = _lift(partial_differential(conn.field).comps, n, k)  # [i, kk, r, s]
     G = np.empty((k, n), dtype=object)
     for i in range(n):
         for s in range(n):
             for r in range(n):
                 e = ZERO
                 for kk in range(n):
-                    e = add(e, mul(_lift(conn.gamma[kk, r, s], k), F(i, kk)))
-                    e = sub(
-                        e,
-                        mul(_lift(diff_expr(conn.gamma[i, r, s], kk + 1), k), eta(kk)),
-                    )
-                    e = sub(e, mul(_lift(conn.gamma[i, kk, s], k), F(kk, r)))
-                    e = sub(e, mul(_lift(conn.gamma[i, r, kk], k), F(kk, s)))
+                    e = add(e, mul(gam[kk, r, s], F(i, kk)))
+                    e = sub(e, mul(dgam[i, kk, r, s], eta(kk)))
+                    e = sub(e, mul(gam[i, kk, s], F(kk, r)))
+                    e = sub(e, mul(gam[i, r, kk], F(kk, s)))
                 G[i * n + s, r] = e
     for i in range(n):
         for r in range(n):

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import ZERO, add, coord, diff_expr, eval_many, mul, sub
+from .expr import ZERO, add, coord, diff_expr, mul, sub
 from .geometry import covariant_differential, curvature, ricci_and_s
 from .liefn import VectorField, lie_derivative
-from .tensor import TensorField
+from .tensor import TensorField, partial_differential
 from .util import ResidualReport, max_report, sample_points
 
 __all__ = [
@@ -71,6 +71,7 @@ class RankNotConstantError(ValueError):
 
 
 def _lie_a_exprs(sys, eta):
+    """L_eta A as a (1,1) field, summed in the order of the module formula."""
     n = sys.n
     A = sys.A.comps
     out = np.empty((n, n), dtype=object)
@@ -82,7 +83,7 @@ def _lie_a_exprs(sys, eta):
                 total = sub(total, mul(A[k, j], diff_expr(eta.comps[i], k + 1)))
                 total = add(total, mul(A[i, k], diff_expr(eta.comps[k], j + 1)))
             out[i, j] = total
-    return out
+    return TensorField(n, 1, 1, out)
 
 
 def _conn_eq_exprs(conn, eta):
@@ -103,7 +104,7 @@ def _conn_eq_exprs(conn, eta):
                     total = sub(total, mul(G[i, k, s], d1[k][r]))
                     total = sub(total, mul(G[i, r, k], d1[k][s]))
                 out[i, r, s] = total
-    return out
+    return TensorField(n, 1, 2, out)
 
 
 def _conn_eq_full_exprs(sys, eta):
@@ -132,14 +133,7 @@ def _conn_eq_full_exprs(sys, eta):
                         rhs = add(rhs, mul(G[j, r, k], d1[k][s]))
                         total = sub(total, mul(A[i, j], rhs))
                 out[i, r, s] = total
-    return out
-
-
-def _eval_obj_array(arr, pts):
-    out = np.empty((len(pts),) + arr.shape, dtype=float)
-    for idx in np.ndindex(*arr.shape):
-        out[(slice(None),) + idx] = eval_many(arr[idx], pts)
-    return out
+    return TensorField(n, 1, 2, out)
 
 
 def determining_residuals(sys, eta, pts=None):
@@ -150,14 +144,14 @@ def determining_residuals(sys, eta, pts=None):
     n = sys.n
     if pts is None:
         pts = sample_points(n, 20)
-    res_a = max_report(_eval_obj_array(_lie_a_exprs(sys, eta), pts), pts)
+    res_a = max_report(_lie_a_exprs(sys, eta).evaluate_many(pts), pts)
     if sys.a_nondegenerate(pts):
         exprs = _conn_eq_exprs(sys.conn, eta)
         which = "reduced"
     else:
         exprs = _conn_eq_full_exprs(sys, eta)
         which = "full"
-    res_g = max_report(_eval_obj_array(exprs, pts), pts, details={"equation": which})
+    res_g = max_report(exprs.evaluate_many(pts), pts, details={"equation": which})
     return {"res_A": res_a, "res_Gamma": res_g}
 
 
@@ -176,7 +170,7 @@ def affine_residual(conn, eta, pts=None):
     n = conn.n
     if pts is None:
         pts = sample_points(n, 20)
-    dd_eta = covariant_differential(conn, covariant_differential(conn, eta.to_tensor()))
+    dd_eta = covariant_differential(conn, covariant_differential(conn, eta))
     # dd_eta comps [i, r, s] = nabla_r nabla_s eta^i
     R = curvature(conn)
     out = np.empty((n, n, n), dtype=object)
@@ -187,7 +181,7 @@ def affine_residual(conn, eta, pts=None):
                 for k in range(n):
                     total = sub(total, mul(R.comps[i, s, r, k], eta.comps[k]))
                 out[i, r, s] = total
-    return max_report(_eval_obj_array(out, pts), pts)
+    return max_report(TensorField(n, 1, 2, out).evaluate_many(pts), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +231,7 @@ def linearization(eta, p0, tol=1e-10):
         raise ValueError(
             f"point is not stationary: |eta| = {np.max(np.abs(v)):.3e} exceeds {tol}"
         )
-    n = eta.n
-    F = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            F[i, j] = eval_many(diff_expr(eta.comps[i], j + 1), p0[None, :])[0]
+    F = partial_differential(eta).evaluate_many(p0)[0]  # F[i, j] = d eta^i / dy^j
     return LinearizationMatrix(point=p0, F=F)
 
 
@@ -348,12 +338,10 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     nunk = n * n + n
     rows = []
 
+    # partial_differential puts the derivative slot k right after the upper
+    # slot; the rows below read it first
     A = sys.A.evaluate(p0)
-    dA = np.empty((n, n, n))  # dA[k,i,j] = d A^i_j / dy^k at p0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dA[k, i, j] = eval_many(diff_expr(sys.A.comps[i, j], k + 1), p0[None, :])[0]
+    dA = partial_differential(sys.A).evaluate_many(p0)[0].transpose(1, 0, 2)  # [k, i, j]
     for i in range(n):
         for j in range(n):
             row = np.zeros(nunk)
@@ -366,10 +354,7 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     if depth >= 1:
         Rfield = curvature(sys.conn)
         R = Rfield.evaluate(p0)
-        dR = np.empty((n, n, n, n, n))
-        for idx in np.ndindex(n, n, n, n):
-            for k in range(n):
-                dR[(k,) + idx] = eval_many(diff_expr(Rfield.comps[idx], k + 1), p0[None, :])[0]
+        dR = partial_differential(Rfield).evaluate_many(p0)[0].transpose(1, 0, 2, 3, 4)
         for i, j, r, s in np.ndindex(n, n, n, n):
             row = np.zeros(nunk)
             for k in range(n):
@@ -383,10 +368,7 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     if depth >= 2:
         Qfield = covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"])
         Q = Qfield.evaluate(p0)
-        dQ = np.empty((n, n, n, n))
-        for idx in np.ndindex(n, n, n):
-            for k in range(n):
-                dQ[(k,) + idx] = eval_many(diff_expr(Qfield.comps[idx], k + 1), p0[None, :])[0]
+        dQ = partial_differential(Qfield).evaluate_many(p0)[0]  # [k, a, b, c]
         for a, b, c in np.ndindex(n, n, n):
             row = np.zeros(nunk)
             for k in range(n):

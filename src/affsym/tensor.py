@@ -2,8 +2,10 @@
 
 Components are stored densely in numpy object arrays of Expr, upper indices
 first.  Chart dimension stays small (desk scale), so products, contractions
-and index permutations are plain loops over multi-indices; numeric work goes
-through the compiled vectorized evaluators of the component expressions.
+and index permutations are plain loops over multi-indices.  Numeric work
+goes through the two evaluators of :mod:`expr`: ``evaluate`` is checked and
+pointwise, ``evaluate_many`` hands the whole component array to the shared,
+unchecked (IEEE) vectorized evaluator in one call.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -31,7 +33,7 @@ from .expr import (
     const,
     diff_expr,
     eval_expr,
-    eval_many,
+    eval_many_shared,
     mul,
     parse_expr,
     sub,
@@ -66,26 +68,26 @@ class TensorField:
 
     comps is an object ndarray of Expr with shape (n,)*(r+s); upper (contra-
     variant) axes come first.  Immutable by convention: operations return new
-    fields.
+    fields.  Any other nested sequence or array of n**(r+s) Exprs and numbers
+    is coerced into that form, reading its entries in row-major order.
     """
 
     def __init__(self, n, r, s, comps):
         self.n = int(n)
         self.r = int(r)
         self.s = int(s)
-        arr = np.empty((n,) * (r + s), dtype=object) if not isinstance(comps, np.ndarray) else None
-        if arr is not None:
-            flat = list(np.asarray(comps, dtype=object).reshape(-1))
-            if len(flat) != n ** (r + s):
-                raise ValueError(
-                    f"expected {n ** (r + s)} components for valence ({r},{s}), got {len(flat)}"
-                )
-            arr[...] = np.asarray([_as_expr(v) for v in flat], dtype=object).reshape(arr.shape)
-            self.comps = arr
-        else:
-            if comps.shape != (n,) * (r + s):
-                raise ValueError(f"component array shape {comps.shape} != {(n,) * (r + s)}")
+        shape = (self.n,) * (self.r + self.s)
+        if isinstance(comps, np.ndarray) and comps.dtype == object and comps.shape == shape:
             self.comps = comps
+            return
+        flat = np.asarray(comps, dtype=object).reshape(-1)
+        if len(flat) != self.n ** (self.r + self.s):
+            raise ValueError(
+                f"expected {self.n ** (self.r + self.s)} components for valence "
+                f"({self.r},{self.s}), got {len(flat)}"
+            )
+        self.comps = np.empty(shape, dtype=object)
+        self.comps.reshape(-1)[:] = [_as_expr(v) for v in flat]
 
     @property
     def valence(self):
@@ -114,11 +116,9 @@ class TensorField:
 
     @classmethod
     def from_strings(cls, n, r, s, entries):
-        arr = np.asarray(entries, dtype=object)
-        flat = [parse_expr(t, n) if isinstance(t, str) else _as_expr(t) for t in arr.reshape(-1)]
-        out = np.empty((n,) * (r + s), dtype=object)
-        out[...] = np.asarray(flat, dtype=object).reshape(out.shape)
-        return cls(n, r, s, out)
+        """Field from nested expression strings (numbers and Exprs pass)."""
+        flat = np.asarray(entries, dtype=object).reshape(-1)
+        return cls(n, r, s, [parse_expr(t, n) if isinstance(t, str) else t for t in flat])
 
     def map(self, f):
         out = np.empty(self.comps.shape, dtype=object)
@@ -157,22 +157,14 @@ class TensorField:
         return out
 
     def evaluate_many(self, points):
-        """Vectorized evaluation -> float ndarray of shape (P,) + (n,)*(r+s).
+        """Vectorized, unchecked evaluation at points of shape (P, n) (or one
+        point of shape (n,)) -> float ndarray of shape (P,) + (n,)*(r+s).
 
-        All components share one subtree cache, so common factors across the
-        component array are evaluated once.
+        The whole component array goes to eval_many_shared in one call, so
+        subtrees shared across components are evaluated once.
         """
-        from .expr import eval_many_shared
-
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        idxs = list(np.ndindex(*self.comps.shape))
-        flats = eval_many_shared([self.comps[i] for i in idxs], pts)
-        out = np.empty((pts.shape[0],) + self.comps.shape, dtype=float)
-        for idx, vals in zip(idxs, flats):
-            out[(slice(None),) + idx] = vals
-        return out
+        vals = eval_many_shared(self.comps.reshape(-1), points)
+        return np.stack(vals, axis=-1).reshape(vals[0].shape + self.comps.shape)
 
     # -- symmetry checks ----------------------------------------------------
 
@@ -471,39 +463,19 @@ class PointMap:
 
     def jac_forward(self):
         """T^i_j = d ytilde^i / dy^j, Exprs in y."""
-        n = self.n
-        T = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                T[i, j] = diff_expr(self.forward[i], j + 1)
-        return T
+        return partial_differential(TensorField(self.n, 1, 0, self.forward)).comps
 
     def jac_inverse(self):
         """S^i_j = d y^i / d ytilde^j, Exprs in ytilde."""
         self.require_inverse()
-        n = self.n
-        S = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                S[i, j] = diff_expr(self.inverse[i], j + 1)
-        return S
+        return partial_differential(TensorField(self.n, 1, 0, self.inverse)).comps
 
     def apply(self, points):
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.stack([eval_many(e, pts) for e in self.forward], axis=-1)
-        return out[0] if single else out
+        return _map_points(self.n, self.forward, points)
 
     def apply_inverse(self, points):
         self.require_inverse()
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.stack([eval_many(e, pts) for e in self.inverse], axis=-1)
-        return out[0] if single else out
+        return _map_points(self.n, self.inverse, points)
 
     def roundtrip_residual(self, pts=None):
         """max |forward(inverse(yt)) - yt| over sample points."""
@@ -513,9 +485,16 @@ class PointMap:
         return float(np.max(np.abs(back - pts)))
 
     def substitute_inverse(self, e):
-        """Compose an Expr in y with y = inverse(ytilde)."""
+        """Compose an Expr (or an object array of them) in y with
+        y = inverse(ytilde)."""
         self.require_inverse()
         return subst(e, {i + 1: self.inverse[i] for i in range(self.n)})
+
+
+def _map_points(n, exprs, points):
+    """Images of points (P, n) or of one point (n,) under the n Exprs."""
+    out = TensorField(n, 1, 0, exprs).evaluate_many(points)
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def pushforward(w, pmap):
@@ -524,18 +503,14 @@ def pushforward(w, pmap):
     with S = dy/d(ytilde)."""
     pmap.require_inverse()
     n = w.n
-    T = pmap.jac_forward()
-    Tbar = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            Tbar[i, j] = pmap.substitute_inverse(T[i, j])
+    Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()
-    wbar = w.map(pmap.substitute_inverse)
+    wbar = pmap.substitute_inverse(w.comps)
     out = np.empty(w.comps.shape, dtype=object)
     for idx in np.ndindex(*out.shape):
         total = ZERO
         for src in np.ndindex(*w.comps.shape):
-            factor = wbar.comps[src]
+            factor = wbar[src]
             for a in range(w.r):
                 factor = mul(factor, Tbar[idx[a], src[a]])
             for b in range(w.s):

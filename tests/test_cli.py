@@ -191,6 +191,21 @@ def test_exit_code_1_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_1_on_unrepresentable_numbers(tmp_path, capsys):
+    # a literal beyond the float range is malformed input, not inf
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 1, "A": [["1e999"]]}))
+    assert main(["inspect", str(huge)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+    # overflow during checked evaluation is a DomainError, reported cleanly
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({"n": 1, "A": [["1 + y1^999"]]}))
+    assert main(["bound", str(steep), "--at", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_1_on_unknown_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["classify", "--bogus"])

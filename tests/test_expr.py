@@ -5,20 +5,32 @@ import math
 import numpy as np
 import pytest
 
+import glob
+import os
+
+from affsym.cli import SystemDocument
 from affsym.expr import (
     DomainError,
+    ExprError,
     ParseError,
+    add,
     const,
     coord,
     diff_expr,
+    div,
     eval_expr,
     eval_many,
+    eval_many_shared,
+    func,
     mul,
     parse_expr,
     powi,
     subst,
     to_string,
 )
+from affsym.util import sample_points
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_parse_constant_zero():
@@ -49,6 +61,21 @@ def test_parse_syntax_error_offset():
     with pytest.raises(ParseError) as err:
         parse_expr("y1 + @", 2)
     assert err.value.offset == 5
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("1e999", 0), ("1e308*10", 5), ("10^999", 2)]
+)
+def test_parse_rejects_unrepresentable_constants(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, 1)
+    assert err.value.offset == offset
+
+
+def test_const_rejects_non_finite_values():
+    for v in (float("inf"), float("-inf"), float("nan"), 10**400):
+        with pytest.raises(ExprError):
+            const(v)
 
 
 def test_parse_unknown_identifier():
@@ -200,6 +227,10 @@ def test_eval_ln_sqrt_domain():
         eval_expr(parse_expr("sqrt(y1)", 1), [-1.0])
     with pytest.raises(DomainError):
         eval_expr(powi(coord(1), -2), [0.0])
+    with pytest.raises(DomainError):
+        eval_expr(parse_expr("1 + y1^999", 1), [10.0])
+    with pytest.raises(DomainError):
+        eval_expr(parse_expr("exp(y1)", 1), [1000.0])
 
 
 def test_exp_matches_taylor_series():
@@ -216,6 +247,55 @@ def test_eval_many_matches_pointwise():
     vals = eval_many(e, pts)
     for p, v in zip(pts, vals):
         assert v == pytest.approx(eval_expr(e, p), rel=1e-14)
+
+
+def _handmade_roots():
+    """Roots sharing subtrees by identity: one root is a subtree of others,
+    one appears twice, and some are bare const or coord nodes."""
+    y1, y2 = coord(1), coord(2)
+    s = func("sin", add(mul(y1, y2), const(0.5)))
+    r1 = mul(s, s)
+    r2 = div(s, add(const(2.0), y1))
+    return 2, [r1, r2, s, y2, const(1.5), r1, powi(add(r2, r1), 3), func("exp", r2)]
+
+
+def _fixture_roots(path):
+    sysd = SystemDocument.load(path).to_system()
+    return sysd.n, list(sysd.A.comps.flat) + list(sysd.conn.gamma.flat)
+
+
+@pytest.mark.parametrize(
+    "case", ["handmade"] + sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+)
+def test_eval_many_shared_matches_single_roots(case):
+    n, roots = _handmade_roots() if case == "handmade" else _fixture_roots(case)
+    pts = sample_points(n, 15)
+    vals = eval_many_shared(roots, pts)
+    assert len(vals) == len(roots)
+    for root, v in zip(roots, vals):
+        alone = eval_many_shared([root], pts)[0]
+        assert v.shape == (len(pts),) and v.tobytes() == alone.tobytes()
+        for p, x in zip(pts, v):
+            ref = eval_expr(root, p)
+            assert abs(x - ref) <= 1e-14 * abs(ref), (str(root), p)
+
+
+def test_eval_many_shared_drops_arrays_after_last_use():
+    # a chain of 300 nodes over 10^4 points: keeping every intermediate would
+    # hold 300 arrays of 80 kB, freeing after the last use holds a few
+    import tracemalloc
+
+    e = coord(1)
+    for _ in range(300):
+        e = func("sin", e)
+    pts = np.linspace(-1.0, 1.0, 10_000)[:, None]
+    tracemalloc.start()
+    try:
+        eval_many_shared([e], pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * pts.nbytes
 
 
 def test_subst_composition():

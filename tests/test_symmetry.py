@@ -345,12 +345,11 @@ def test_full_equation_consistent_with_reduced_for_scalar_a():
     # with A = a * id constant, the A-weighted equation is a times the
     # reduced one; check the residual expressions agree componentwise
     from affsym.symmetry import _conn_eq_exprs, _conn_eq_full_exprs
-    from affsym.symmetry import _eval_obj_array
 
     a = 2.0
     sys = flat_system(2, a=a)
     eta = VectorField.from_strings(2, ["y1^2", "y2*y1"])
     pts = sample_points(2, 10)
-    reduced = _eval_obj_array(_conn_eq_exprs(sys.conn, eta), pts)
-    full = _eval_obj_array(_conn_eq_full_exprs(sys, eta), pts)
+    reduced = _conn_eq_exprs(sys.conn, eta).evaluate_many(pts)
+    full = _conn_eq_full_exprs(sys, eta).evaluate_many(pts)
     assert np.max(np.abs(full - a * reduced)) <= 1e-12
