@@ -14,6 +14,10 @@ Document schema (UTF-8 JSON):
 
 Expressions use coordinates y1..yn.  A document may carry either explicit
 coefficients, a canonical specification, or both (explicit entries win).
+Component lists on the command line are comma-separated; when the first
+component starts with '-', attach the value with '=' (``--eta=-y2,y1``,
+``--transport=-y2,y1``), since argparse reads a separate ``-y2,y1`` as an
+option.
 Exit codes: 0 when every requested check passes its tolerance, 2 on a
 tolerance failure, 1 on any input error.  Reports are deterministic for a
 fixed input: keys are emitted sorted and floats with 17 significant digits.
@@ -543,6 +547,8 @@ def cmd_canonical(args):
 
 def cmd_flatten(args):
     doc = SystemDocument.load(args.file)
+    if doc.n < 2:
+        raise InputError("flatten needs a chart of dimension n >= 2")
     sysd = doc.to_system()
     p0 = _parse_point(args.at, doc.n, "--at") if args.at else np.zeros(doc.n)
     u0 = _parse_point(args.u0, doc.n, "--u0") if args.u0 else np.zeros(doc.n)
@@ -678,7 +684,11 @@ def build_parser():
 
     sp = sub.add_parser("check-symmetry", help="determining residuals for a field")
     sp.add_argument("file")
-    sp.add_argument("--eta", required=True, help="comma-separated components")
+    sp.add_argument(
+        "--eta",
+        required=True,
+        help="comma-separated components; write --eta=-y2,y1 when the first starts with '-'",
+    )
     sp.set_defaults(func=cmd_check_symmetry)
 
     sp = sub.add_parser("bound", help="pointwise symmetry-dimension bound")
@@ -704,7 +714,11 @@ def build_parser():
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--length", type=float, default=2 * np.pi)
     sp.add_argument("--initial", help="semicolon-separated profiles in x")
-    sp.add_argument("--transport", help="symmetry field for the transport check")
+    sp.add_argument(
+        "--transport",
+        help="symmetry field for the transport check, comma-separated; "
+        "write --transport=-y2,y1 when the first component starts with '-'",
+    )
     sp.add_argument("--tau", type=float, default=0.1)
     sp.add_argument("--csv", help="write snapshots as CSV")
     sp.set_defaults(func=cmd_simulate)
@@ -725,6 +739,9 @@ def main(argv=None):
         return 1
     except (ParseError, DomainError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except RecursionError:  # a RuntimeError, but the input is at fault
+        sys.stderr.write("error: input nested too deeply to process\n")
         return 1
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

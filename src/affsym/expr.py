@@ -7,11 +7,20 @@ returning inf or nan; and ``eval_many_shared``, unchecked (IEEE) and
 vectorized over arrays of points, which evaluates a whole set of roots in one
 walk of their shared DAG.  They are the scalar substrate for tensor
 components, connection coefficients and Pfaff right-hand sides.
+
+A root set evaluated many times (a Pfaff right-hand side at every solver
+step, the simulator's coefficients at every Runge-Kutta stage) is compiled
+once by ``compile_exprs`` into a ``Program``: straight-line Python with one
+statement per node, run on Python floats for one point and on numpy columns
+for many.  ``eval_many_shared(program, points)`` runs it and returns bitwise
+what the interpreted walk returns.  Roots evaluated once stay interpreted,
+since generating the code costs a few interpreted calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +42,9 @@ __all__ = [
     "parse_expr",
     "diff_expr",
     "eval_expr",
+    "eval_many_shared",
+    "compile_exprs",
+    "Program",
     "subst",
     "ZERO",
     "ONE",
@@ -461,7 +473,11 @@ def eval_many_shared(exprs, points):
     probing residuals assert finiteness instead).  Each node shared by
     identity, within one root or across roots, is evaluated once, and its
     array is dropped as soon as its last parent has used it.
+    A compiled ``Program`` (see compile_exprs) is accepted in place of the
+    sequence and runs its generated code; it returns one (R, P) array.
     """
+    if isinstance(exprs, Program):
+        return exprs.run(points)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -500,6 +516,170 @@ def eval_many_shared(exprs, points):
                     del vals[i]
             vals[id(node)] = out
     return [vals[id(e)] for e in exprs]
+
+
+# ---------------------------------------------------------------------------
+# Compilation to straight-line code
+# ---------------------------------------------------------------------------
+
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+def _on_float(f):
+    return lambda x: float(f(x))
+
+
+# A program's code is bound twice: to Python floats for one point and to
+# numpy columns for an array of points.  The helpers apply numpy's own
+# operation in both, so a float result equals its entry in a (1,) array.
+# Powers go through an array because ``array ** k`` takes fast paths
+# (x**0.5 is sqrt, keeping -0.0) that np.power on a float does not, and
+# numpy's pow differs from Python's in the last bit.
+_SCALAR_NS = {f"_{name}": _on_float(f) for name, f in _VEC_FUNCS.items()}
+_SCALAR_NS["_pw"] = lambda x, k: float((np.full(1, x) ** k)[0])
+_ARRAY_NS = {f"_{name}": f for name, f in _VEC_FUNCS.items()}
+_ARRAY_NS["_pw"] = lambda x, k: x**k
+
+
+def _statement(node, a):
+    """Source of one node's value from its arguments' names: the operation
+    eval_many_shared performs, with numpy's fast paths for x**2 (x*x) and
+    x**-1 (1.0/x) written out so Python floats can take them too."""
+    op = node.op
+    if op in _INFIX:
+        return f"{a[0]} {_INFIX[op]} {a[1]}"
+    if op == "neg":
+        return f"-{a[0]}"
+    if op == "pow":
+        k = node.value
+        if k == 2:
+            return f"{a[0]} * {a[0]}"
+        if k == -1:
+            return f"1.0 / {a[0]}"
+        return f"_pw({a[0]}, {float(k) if isinstance(k, Fraction) else k!r})"
+    return f"_{op}({a[0]})"
+
+
+class Program(Sequence):
+    """Straight-line code for a fixed sequence of roots, from compile_exprs.
+
+    It is a sequence of its roots, and ``eval_many_shared(program, points)``
+    returns bitwise what evaluating those roots returns, inf and nan
+    included, as one (R, P) array.  One point runs on Python floats; a call
+    that raises there (division by zero) is redone on arrays.
+    """
+
+    def __init__(self, roots, source, constants, numpy_calls):
+        self.roots = tuple(roots)
+        self.source = source
+        code = compile(source, "<affsym program>", "exec")
+        self._scalar = self._bind(code, _SCALAR_NS, constants)
+        self._array = self._bind(code, _ARRAY_NS, constants)
+        self._numpy_calls = numpy_calls
+
+    @staticmethod
+    def _bind(code, helpers, constants):
+        namespace = dict(helpers, **constants)
+        exec(code, namespace)
+        return namespace["program"]
+
+    def __len__(self):
+        return len(self.roots)
+
+    def __getitem__(self, i):
+        return self.roots[i]
+
+    def run(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        if pts.shape[0] == 1:
+            out = [0.0] * len(self.roots)
+            try:
+                if self._numpy_calls:
+                    with np.errstate(all="ignore"):
+                        self._scalar(pts[0].tolist(), out)
+                else:
+                    self._scalar(pts[0].tolist(), out)
+                return np.array(out, dtype=float).reshape(-1, 1)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                pass  # where Python floats raise, the arrays give inf or nan
+        out = np.empty((len(self.roots), pts.shape[0]))
+        with np.errstate(all="ignore"):
+            self._array(pts.T, out)
+        return out
+
+
+def compile_exprs(roots):
+    """Compile a sequence of roots into a Program: one generated function
+    with one statement per distinct node (by identity, as eval_many_shared
+    walks them).
+
+    A name is reused once its value has had its last use, so no more arrays
+    are live than in the interpreted walk, and each root is stored as soon
+    as it is computed.  Subtrees without coordinates (constants the smart
+    constructors left unfolded, such as 1/0) are evaluated here, once.
+    Generating the code costs a few interpreted calls, so compile only roots
+    that are evaluated many times.
+    """
+    roots = list(roots)
+    order, uses = _postorder(roots)
+    slots = {}
+    for r, root in enumerate(roots):
+        slots.setdefault(id(root), []).append(r)
+    ref = {}  # id(node) -> source text of its value
+    temps = set()  # ids of nodes held in a reusable name
+    constant = set()
+    folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
+    coords = set()
+    body = []
+    free, nvars = [], 0
+    numpy_calls = False
+
+    def release(node):
+        left = uses[id(node)] - 1
+        uses[id(node)] = left
+        if not left and id(node) in temps:
+            free.append(ref[id(node)])
+
+    for node in order:
+        op = node.op
+        if op == "coord":
+            coords.add(node.index)
+            text = f"y{node.index}"
+        elif op == "const":
+            constant.add(id(node))
+            text = repr(node.value) if node.value >= 0.0 else f"({node.value!r})"
+        elif all(id(a) in constant for a in node.args):
+            constant.add(id(node))
+            text = f"_k{len(folded)}"
+            folded.append(node)
+        else:
+            args = [ref[id(a)] for a in node.args]
+            for a in node.args:
+                release(a)
+            if free:
+                text = free.pop()
+            else:
+                text, nvars = f"v{nvars}", nvars + 1
+            body.append(f"{text} = {_statement(node, args)}")
+            temps.add(id(node))
+            numpy_calls = numpy_calls or op in _VEC_FUNCS or (
+                op == "pow" and node.value not in (2, -1)
+            )
+        ref[id(node)] = text
+        for r in slots.get(id(node), ()):
+            body.append(f"out[{r}] = {text}")
+            release(node)
+
+    head = [f"y{i} = x[{i - 1}]" for i in sorted(coords)]
+    source = "def program(x, out):\n" + "".join(
+        f"    {line}\n" for line in head + body or ["pass"]
+    )
+    constants = {}
+    if folded:
+        values = eval_many_shared(folded, np.zeros((1, 0)))
+        constants = {f"_k{j}": float(v[0]) for j, v in enumerate(values)}
+    return Program(roots, source, constants, numpy_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +922,10 @@ class _Parser:
             self.error("expected integer exponent", start)
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # beyond Python's limit on int() digits
+            self.error("exponent has too many digits", start)
 
     def number(self):
         start = self.pos

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .expr import compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
 from .tensor import TensorField
 
@@ -81,16 +82,24 @@ def make_grid(profiles, N, L, t=0.0):
 
 
 def _coeff_evaluators(sys):
-    """Callables mapping grid values (N, n) -> A (N, n, n) and Gamma
-    (N, n, n, n); subclasses backed by numeric samplers may override these
-    via the ``coefficient_sampler`` attribute."""
+    """Callable mapping grid values (N, n) -> A (N, n, n) and Gamma
+    (N, n, n, n).  The components of A and Gamma are compiled into one
+    Program here, so make one evaluator per evolve and call it at every
+    stage.  Systems backed by numeric samplers supply the callable as their
+    ``coefficient_sampler`` attribute instead."""
     sampler = getattr(sys, "coefficient_sampler", None)
     if sampler is not None:
         return sampler
+    a_comps, g_comps = sys.A.comps, sys.conn.gamma
+    program = compile_exprs(list(a_comps.flat) + list(g_comps.flat))
+    na = a_comps.size
 
     def eval_coeffs(values):
-        A = sys.A.evaluate_many(values)
-        G = sys.conn.evaluate_many(values)
+        vals = eval_many_shared(program, values)
+        # C-ordered like TensorField.evaluate_many, so the einsums in _rhs
+        # sum in the same order
+        A = np.ascontiguousarray(vals[:na].T).reshape((-1,) + a_comps.shape)
+        G = np.ascontiguousarray(vals[na:].T).reshape((-1,) + g_comps.shape)
         return A, G
 
     return eval_coeffs
@@ -106,9 +115,10 @@ def _rhs(sys, coeffs, values, dx):
     return np.einsum("pij,pj->pi", A, d2 + quad)
 
 
-def stability_limit(sys, grid):
-    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values."""
-    A, _ = _coeff_evaluators(sys)(grid.values)
+def stability_limit(sys, grid, coeffs=None):
+    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values;
+    ``coeffs`` is an evaluator from _coeff_evaluators to reuse."""
+    A, _ = (coeffs or _coeff_evaluators(sys))(grid.values)
     eigs = np.linalg.eigvals(A)
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
@@ -126,14 +136,14 @@ def evolve(sys, grid, dt, steps, record_means=False):
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
-    limit = stability_limit(sys, grid)
+    coeffs = _coeff_evaluators(sys)
+    limit = stability_limit(sys, grid, coeffs)
     if dt > limit:
         warnings.warn(
             f"time step {dt:.3e} exceeds the stability heuristic {limit:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    coeffs = _coeff_evaluators(sys)
     y = grid.values.copy()
     dx = grid.dx
     means = [y.mean(axis=0)] if record_means else None

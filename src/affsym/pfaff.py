@@ -23,7 +23,18 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import ZERO, add, const, coord, diff_expr, eval_many_shared, mul, sub, subst
+from .expr import (
+    ZERO,
+    add,
+    compile_exprs,
+    const,
+    coord,
+    diff_expr,
+    eval_many_shared,
+    mul,
+    sub,
+    subst,
+)
 from .tensor import partial_differential, sym_matrix_inverse
 from .util import max_report, sample_points
 
@@ -68,7 +79,9 @@ class PfaffProblem:
 
     rhs is a (k, n) object array of Exprs over the combined block: coordinate
     indices 1..k refer to U, k+1..k+n to y.  Restrictions must hold at the
-    initial data within 1e-10.
+    initial data within 1e-10.  ``rhs_values`` and ``restriction_values``
+    compile their roots into a Program on their first call and reuse it, so
+    ``rhs`` and ``restrictions`` must not change after that.
     """
 
     def __init__(self, n, k, rhs, p0, u0, restrictions=(), labels=None):
@@ -83,6 +96,7 @@ class PfaffProblem:
             raise ValueError("initial data shapes do not match (n, k)")
         self.restrictions = list(restrictions)
         self.labels = labels or [f"U{a + 1}" for a in range(k)]
+        self._rhs_program = self._restriction_program = None
         init = self.restriction_values(self.u0, self.p0)
         if init.size and np.max(np.abs(init)) > 1e-10:
             raise ValueError(
@@ -93,13 +107,17 @@ class PfaffProblem:
         return np.concatenate([np.asarray(u, float), np.asarray(y, float)])
 
     def rhs_values(self, u, y):
-        vals = eval_many_shared(self.rhs.reshape(-1), self.pack(u, y))
-        return np.concatenate(vals).reshape(self.k, self.n)
+        if self._rhs_program is None:
+            self._rhs_program = compile_exprs(self.rhs.reshape(-1))
+        vals = eval_many_shared(self._rhs_program, self.pack(u, y))
+        return vals.reshape(self.k, self.n)
 
     def restriction_values(self, u, y):
         if not self.restrictions:
             return np.zeros(0)
-        return np.concatenate(eval_many_shared(self.restrictions, self.pack(u, y)))
+        if self._restriction_program is None:
+            self._restriction_program = compile_exprs(self.restrictions)
+        return eval_many_shared(self._restriction_program, self.pack(u, y)).reshape(-1)
 
 
 def pfaff_integrate(

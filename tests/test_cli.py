@@ -111,6 +111,12 @@ def test_flatten_rejects_generic(tmp_path, capsys):
     assert "error" in data
 
 
+def test_flatten_rejects_one_dimensional_chart(capsys):
+    # n = 1 is outside the pipeline's domain: an input error, not a failed check
+    code, data = run(capsys, "flatten", fixture("heat_n1.json"))
+    assert code == 1 and data is None
+
+
 def test_simulate_heat_with_csv(tmp_path, capsys):
     csv = tmp_path / "snaps.csv"
     code, data = run(
@@ -204,6 +210,24 @@ def test_exit_code_1_on_unrepresentable_numbers(tmp_path, capsys):
     assert main(["bound", str(steep), "--at", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y1^" + "9" * 5000, "(" * 3000 + "y1" + ")" * 3000],
+    ids=["long-exponent", "deep-nesting"],
+)
+def test_exit_code_1_on_hostile_expressions(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"n": 1, "A": [[text]]}))
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dash_leading_components_need_the_equals_form(capsys):
+    code, data = run(capsys, "check-symmetry", fixture("flat_n2.json"), "--eta=-y2,y1")
+    assert code == 0 and data["accepted"] is True
 
 
 def test_exit_code_1_on_unknown_flag(capsys):

@@ -72,6 +72,13 @@ def test_parse_rejects_unrepresentable_constants(text, offset):
     assert err.value.offset == offset
 
 
+def test_parse_rejects_exponents_too_long_for_int():
+    # more digits than int() converts: a parse error at the exponent
+    with pytest.raises(ParseError) as err:
+        parse_expr("y1 ^ " + "9" * 5000, 1)
+    assert err.value.offset == 5
+
+
 def test_const_rejects_non_finite_values():
     for v in (float("inf"), float("-inf"), float("nan"), 10**400):
         with pytest.raises(ExprError):
