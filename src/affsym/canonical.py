@@ -19,33 +19,22 @@ Covered families (with A = a * id unless stated):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    Expr,
-    ZERO,
-    add,
-    const,
-    coord,
-    diff_expr,
-    eval_many,
-    func,
-    mul,
-    parse_expr,
-    sub,
-)
+from .expr import Expr, ZERO, const, diff_expr, eval_many, func, mul, parse_expr
 from .geometry import (
     Connection,
     DiffusionSystem,
+    _add_quadratic,
     covariant_differential,
     curvature,
     scalar_operator,
     structure_residual,
 )
-from .pfaff import named_system, transport_to
-from .tensor import TensorField, matrix_determinant
+from .pfaff import _coords, named_system, transport_to
+from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant
 from .util import ResidualReport, max_report, sample_points
 
 __all__ = [
@@ -137,40 +126,38 @@ class CanonicalSpec:
 
 def conformal_factor(n, epsilons):
     """f = 1/(2(n-1)) + sum_i eps_i (y^i)^2 / 2; df/dy^i = eps_i y^i."""
-    f = const(1.0 / (2 * (n - 1)))
-    for i in range(n):
-        f = add(f, mul(const(0.5 * epsilons[i]), mul(coord(i + 1), coord(i + 1))))
-    return f
+    y = _coords(1, n)
+    half_eps = TensorField(n, 1, 0, [0.5 * e for e in epsilons]).comps
+    return fold(const(1.0 / (2 * (n - 1))), (ADD, MUL(half_eps, MUL(y, y))))
 
 
 def constcurv_metric(n, epsilons=None):
     """g = diag(eps)/f^2 on the conformally-euclidean chart."""
     eps = tuple(epsilons) if epsilons else tuple([1] * n)
     f = conformal_factor(n, eps)
-    f2 = mul(f, f)
-    arr = np.empty((n, n), dtype=object)
-    arr[...] = ZERO
-    for i in range(n):
-        arr[i, i] = const(float(eps[i])) / f2
+    arr = TensorField.zeros(n, 0, 2).comps
+    np.fill_diagonal(arr, TensorField(n, 1, 0, eps).comps / mul(f, f))
     return TensorField(n, 0, 2, arr), f
+
+
+def _conformal_terms(n, eps):
+    """d^k_s eps_r y^r, d^k_r eps_s y^s and d_rs eps_r y^k on the axes
+    [k, r, s]; the constant-curvature connection and its flattening
+    deformation are their signed sums over f."""
+    delta = TensorField.identity(n).comps
+    e, y = TensorField(n, 1, 0, eps).comps, _coords(1, n)
+    ey = MUL(e, y)
+    return (
+        MUL(bcast(delta, "ks", "krs"), bcast(ey, "r", "krs")),
+        MUL(bcast(delta, "kr", "krs"), bcast(ey, "s", "krs")),
+        MUL(bcast(delta, "rs", "krs"), MUL(bcast(e, "r", "krs"), bcast(y, "k", "krs"))),
+    )
 
 
 def _constcurv_connection(n, eps):
     """Gamma^k_rs = u_r d^k_s + u_s d^k_r - u^k g_rs with u^j = -f y^j."""
-    f = conformal_factor(n, eps)
-    arr = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for r in range(n):
-            for s in range(n):
-                e = ZERO
-                if k == s:
-                    e = sub(e, mul(const(float(eps[r])), coord(r + 1)))
-                if k == r:
-                    e = sub(e, mul(const(float(eps[s])), coord(s + 1)))
-                if r == s:
-                    e = add(e, mul(const(float(eps[r])), coord(k + 1)))
-                arr[k, r, s] = e / f
-    return Connection(n, arr)
+    t1, t2, t3 = _conformal_terms(n, eps)
+    return Connection(n, ADD(SUB(SUB(ZERO, t1), t2), t3) / conformal_factor(n, eps))
 
 
 def _intermediate_connection(n, m, u_exprs):
@@ -182,18 +169,12 @@ def _intermediate_connection(n, m, u_exprs):
                 f"u_{r + 1} references y{e.max_index}; the canonical covector may "
                 f"depend on y1..y{m} only"
             )
-    us = list(u_exprs) + [ZERO] * (n - m)
-    arr = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for r in range(n):
-            for s in range(n):
-                e = ZERO
-                if k == s:
-                    e = sub(e, us[r])
-                if k == r:
-                    e = sub(e, us[s])
-                arr[k, r, s] = e
-    return Connection(n, arr)
+    us = TensorField(n, 1, 0, list(u_exprs) + [ZERO] * (n - m)).comps
+    delta = TensorField.identity(n).comps
+    # Gamma^k_rs = - u_r d^k_s - u_s d^k_r
+    t1 = MUL(bcast(delta, "ks", "krs"), bcast(us, "r", "krs"))
+    t2 = MUL(bcast(delta, "kr", "krs"), bcast(us, "s", "krs"))
+    return Connection(n, SUB(SUB(ZERO, t1), t2))
 
 
 def rotation_field(g, orientation=1.0):
@@ -206,16 +187,9 @@ def rotation_field(g, orientation=1.0):
     det = matrix_determinant(g.comps)
     sgn = float(np.sign(eval_many(det, np.array([[0.05, -0.07]]))[0]))
     root = func("sqrt", mul(const(sgn), det))
-    d = ((0.0, 1.0), (-1.0, 0.0))
-    arr = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            e = ZERO
-            for s in range(2):
-                if d[i][s]:
-                    e = add(e, mul(const(d[i][s] * orientation), g.comps[s, j]))
-            arr[i, j] = e / root
-    return TensorField(2, 1, 1, arr)
+    d = TensorField(2, 1, 1, [[0.0, orientation], [-orientation, 0.0]]).comps
+    terms = MUL(bcast(d, "is", "ijs"), bcast(g.comps, "sj", "ijs"))
+    return TensorField(2, 1, 1, ADD.reduce(terms, axis=-1) / root)
 
 
 def build_system(spec):
@@ -266,46 +240,22 @@ def deformed_curvature(conn, T):
     which must coincide with curvature(Gamma + T) computed directly.  T must
     be symmetric in its lower slots.
     """
-    n = conn.n
     if T.valence != (1, 2):
         raise ValueError("deformation tensor must be (1,2)")
     if not T.is_symmetric():
         raise ValueError("deformation tensor must be symmetric in its lower slots")
     R = curvature(conn)
-    nt = covariant_differential(conn, T)  # [i, deriv, k, s]
-    out = np.empty((n, n, n, n), dtype=object)
-    for i in range(n):
-        for s in range(n):
-            for r in range(n):
-                for k in range(n):
-                    e = R.comps[i, s, r, k]
-                    e = add(e, nt.comps[i, r, k, s])
-                    e = sub(e, nt.comps[i, k, r, s])
-                    for q in range(n):
-                        e = add(e, mul(T.comps[q, k, s], T.comps[i, r, q]))
-                        e = sub(e, mul(T.comps[q, r, s], T.comps[i, k, q]))
-                    out[i, s, r, k] = e
-    return TensorField(n, 1, 3, out)
+    nt = covariant_differential(conn, T).comps  # [i, deriv, k, s]
+    first = SUB(ADD(R.comps, bcast(nt, "irks", "isrk")), bcast(nt, "ikrs", "isrk"))
+    return TensorField(conn.n, 1, 3, _add_quadratic(first, T.comps))
 
 
 def deformation_from_covector(n, epsilons):
     """The flattening deformation of the constant-curvature connection:
     T^k_rs = -u_r d^k_s - u_s d^k_r + u^k g_rs with u^j = -f y^j."""
     eps = tuple(epsilons) if epsilons else tuple([1] * n)
-    f = conformal_factor(n, eps)
-    arr = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for r in range(n):
-            for s in range(n):
-                e = ZERO
-                if k == s:
-                    e = add(e, mul(const(float(eps[r])), coord(r + 1)))
-                if k == r:
-                    e = add(e, mul(const(float(eps[s])), coord(s + 1)))
-                if r == s:
-                    e = sub(e, mul(const(float(eps[r])), coord(k + 1)))
-                arr[k, r, s] = e / f
-    return TensorField(n, 1, 2, arr)
+    t1, t2, t3 = _conformal_terms(n, eps)
+    return TensorField(n, 1, 2, SUB(ADD(ADD(ZERO, t1), t2), t3) / conformal_factor(n, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +312,10 @@ def projective_flatten(conn, p0, u0, probe=None, fd_step=1e-4, precondition_tol=
     def flat_conn_sampler(y):
         gam = conn.evaluate_many(np.asarray(y, float)[None, :])[0]
         u = u_sampler(y)
-        out = gam.copy()
-        for k in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if k == s:
-                        out[k, r, s] += u[r]
-                    if k == r:
-                        out[k, r, s] += u[s]
-        return out
+        diag = np.arange(n)
+        gam[diag, :, diag] += u  # + u_r d^k_s
+        gam[diag, diag, :] += u  # + u_s d^k_r
+        return gam
 
     if probe is None:
         probe = sample_points(n, 5, seed=11)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,7 +40,7 @@ from .canonical import (
     constcurv_metric,
     projective_flatten,
 )
-from .expr import DomainError, ExprError, ParseError, diff_expr, parse_expr
+from .expr import DomainError, ExprError, ParseError, const, parse_expr, to_string
 from .geometry import (
     Connection,
     DiffusionSystem,
@@ -64,10 +65,10 @@ from .symmetry import (
     invariance_suite,
     pointwise_symmetry_bound,
 )
-from .tensor import TensorField, sym_matrix_inverse
+from .tensor import ADD, MUL, TensorField, bcast, grad, sym_matrix_inverse
 from .util import sample_points
 
-__all__ = ["SystemDocument", "SamplerSystem", "from_diffusional", "main", "render_json"]
+__all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 
 DEFAULT_TOLERANCES = {
     "symmetry": 1e-8,
@@ -83,6 +84,11 @@ class InputError(ValueError):
     """Malformed document / flags; maps to exit code 1."""
 
 
+def _is_real(v):
+    """True for an int or float (bool excluded), the JSON numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class SystemDocument:
     """Parsed and validated system definition."""
 
@@ -93,14 +99,24 @@ class SystemDocument:
         self.canonical = canonical
         self.a_rows = a_rows
         self.gamma_rows = gamma
-        self.sample = None if sample is None else np.asarray(sample, dtype=float)
-        if self.sample is not None and (
-            self.sample.ndim != 2 or self.sample.shape[1] != self.n
-        ):
-            raise InputError("sample must be a list of points of dimension n")
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update(tolerances or {})
-        self.gamma_sampler = None
+        self.sample = None
+        if sample is not None:
+            raw = np.asarray(sample, dtype=object)
+            if raw.ndim != 2 or raw.shape[1] != self.n or not all(map(_is_real, raw.flat)):
+                raise InputError("sample must be a list of points of dimension n, given as numbers")
+            self.sample = raw.astype(float)
+            if not np.all(np.isfinite(self.sample)):
+                raise InputError("sample coordinates must be finite")
+        tolerances = {} if tolerances is None else tolerances
+        if not isinstance(tolerances, dict):
+            raise InputError("tolerances must map check names to numbers")
+        for key, val in tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                known = sorted(DEFAULT_TOLERANCES)
+                raise InputError(f"unknown tolerance {key!r}; pick from {known}")
+            if not (_is_real(val) and math.isfinite(val) and val >= 0):
+                raise InputError(f"tolerance {key!r} must be a finite number >= 0, got {val!r}")
+        self.tolerances = {**DEFAULT_TOLERANCES, **tolerances}
         self._system = None
 
     # -- construction -------------------------------------------------------
@@ -167,6 +183,7 @@ class SystemDocument:
         if self.gamma_rows is not None:
             if not isinstance(self.gamma_rows, dict):
                 raise InputError("Gamma must map upper indices to lower matrices")
+            seen = set()
             for key, mat in self.gamma_rows.items():
                 try:
                     k = int(key)
@@ -174,6 +191,9 @@ class SystemDocument:
                     raise InputError(f"Gamma key {key!r} is not an index") from None
                 if not (1 <= k <= n):
                     raise InputError(f"Gamma upper index {k} outside 1..{n}")
+                if k in seen:
+                    raise InputError(f"Gamma upper index {k} is given twice")
+                seen.add(k)
                 m = np.asarray(mat, dtype=object)
                 if m.shape != (n, n):
                     raise InputError(f"Gamma[{k}] must be {n}x{n}")
@@ -211,29 +231,13 @@ class SystemDocument:
             self._system = build_system(self.canonical)
             return self._system
         A = TensorField.from_strings(n, 1, 1, self.a_rows)
-        if self.gamma_sampler is not None:
-            self._system = SamplerSystem(n, A, self.gamma_sampler)
-            return self._system
-        gamma = np.empty((n, n, n), dtype=object)
-        from .expr import ZERO
-
-        gamma[...] = ZERO
-        if self.gamma_rows is not None:
-            for key, mat in self.gamma_rows.items():
-                k = int(key) - 1
-                m = np.asarray(mat, dtype=object)
-                for r in range(n):
-                    for s in range(n):
-                        gamma[k, r, s] = parse_expr(m[r, s], n)
+        gamma = TensorField.zeros(n, 1, 2).comps
+        for key, mat in (self.gamma_rows or {}).items():
+            gamma[int(key) - 1] = TensorField.from_strings(n, 0, 2, mat).comps
         self._system = DiffusionSystem(n, A, Connection(n, gamma), check=False)
         return self._system
 
     def to_dict(self):
-        if self.gamma_sampler is not None:
-            raise InputError(
-                "this document's connection is numeric (sampler-backed) and has "
-                "no expression serialization"
-            )
         out = {"n": self.n}
         if self.a_rows is not None:
             out["A"] = [list(row) for row in self.a_rows]
@@ -246,26 +250,12 @@ class SystemDocument:
         return out
 
 
-class SamplerSystem:
-    """System whose connection exists only as a pointwise numeric sampler
-    (used by the divergence-form expansion for n >= 3)."""
-
-    def __init__(self, n, a_field, gamma_sampler):
-        self.n = n
-        self.A = a_field
-        self._gamma_sampler = gamma_sampler
-
-    def coefficient_sampler(self, values):
-        return self.A.evaluate_many(values), self._gamma_sampler(values)
-
-
 def from_diffusional(a_rows, sample=None):
     """Expand a divergence-form system into evolution shape.
 
     Gamma^j_rs = sum_i (A^{-1})^j_i (dA^i_r/dy^s + dA^i_s/dy^r)/2, with the
-    inverse taken symbolically through the adjugate for n <= 2 and
-    numerically pointwise otherwise (the resulting document then carries a
-    sampler-backed connection).
+    inverse taken symbolically through the adjugate; the document carries
+    the coefficients as expression strings.
     """
     arr = np.asarray(a_rows, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -276,55 +266,17 @@ def from_diffusional(a_rows, sample=None):
     dets = np.linalg.det(a_field.evaluate_many(pts))
     if np.min(np.abs(dets)) < 1e-12:
         raise InputError("A is singular at a sample point")
-    sym = np.empty((n, n, n), dtype=object)  # sym[i, r, s] = (dA^i_r/ds + dA^i_s/dr)/2
-    from .expr import add, const, mul
-
-    half = const(0.5)
-    for i in range(n):
-        for r in range(n):
-            for s in range(n):
-                sym[i, r, s] = mul(
-                    half,
-                    add(
-                        diff_expr(a_field.comps[i, r], s + 1),
-                        diff_expr(a_field.comps[i, s], r + 1),
-                    ),
-                )
-    if n <= 2:
-        ainv = sym_matrix_inverse(a_field.comps)
-        gamma = {}
-        from .expr import ZERO, to_string
-
-        for j in range(n):
-            mat = []
-            for r in range(n):
-                row = []
-                for s in range(n):
-                    e = ZERO
-                    for i in range(n):
-                        e = add(e, mul(ainv[j, i], sym[i, r, s]))
-                    row.append(to_string(e))
-                mat.append(row)
-            gamma[str(j + 1)] = mat
-        doc = SystemDocument(
-            n,
-            a_rows=[[str(t) for t in row] for row in arr],
-            gamma=gamma,
-        )
-        doc.validate()
-        return doc
-
-    sym_field = TensorField(n, 1, 2, sym)
-
-    def gamma_sampler(values):
-        a_vals = a_field.evaluate_many(values)
-        s_vals = sym_field.evaluate_many(values)
-        ainv_vals = np.linalg.inv(a_vals)
-        return np.einsum("pji,pirs->pjrs", ainv_vals, s_vals)
-
-    doc = SystemDocument(n, a_rows=[[str(t) for t in row] for row in arr])
-    doc.gamma_sampler = gamma_sampler
-    doc._system = None
+    dA = grad(a_field.comps, n)  # [i, r, s] = dA^i_r / dy^s
+    sym = MUL(const(0.5), ADD(dA, dA.transpose(0, 2, 1)))
+    ainv = sym_matrix_inverse(a_field.comps)
+    terms = MUL(bcast(ainv, "ji", "jrsi"), bcast(sym, "irs", "jrsi"))
+    texts = np.frompyfunc(to_string, 1, 1)(ADD.reduce(terms, axis=-1))
+    doc = SystemDocument(
+        n,
+        a_rows=[[str(t) for t in row] for row in arr],
+        gamma={str(j + 1): mat.tolist() for j, mat in enumerate(texts)},
+    )
+    doc.validate()
     return doc
 
 
@@ -392,6 +344,8 @@ def _parse_point(text, n, what):
         raise InputError(f"{what} must be comma-separated numbers") from exc
     if len(vals) != n:
         raise InputError(f"{what} needs {n} components")
+    if not all(map(math.isfinite, vals)):
+        raise InputError(f"{what} components must be finite")
     return np.asarray(vals)
 
 
@@ -565,6 +519,15 @@ def cmd_flatten(args):
 
 
 def cmd_simulate(args):
+    for flag, val in (("--dt", args.dt), ("--length", args.length)):
+        if not (math.isfinite(val) and val > 0):
+            raise InputError(f"{flag} must be a finite number > 0, got {val!r}")
+    if not math.isfinite(args.tau):
+        raise InputError(f"--tau must be finite, got {args.tau!r}")
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
+    if args.grid < 8:
+        raise InputError(f"--grid needs at least 8 points, got {args.grid}")
     doc = SystemDocument.load(args.file)
     sysd = doc.to_system()
     n = doc.n

@@ -17,10 +17,22 @@ a shortcut.
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
-from .expr import Expr, ZERO, add, const, diff_expr, mul, sub
-from .tensor import TensorField, pushforward, sym_matrix_inverse
+from .expr import Expr, const
+from .tensor import (
+    ADD,
+    MUL,
+    SUB,
+    TensorField,
+    bcast,
+    fold,
+    grad,
+    pushforward,
+    sym_matrix_inverse,
+)
 from .util import max_report, sample_points
 
 __all__ = [
@@ -119,19 +131,19 @@ def scalar_operator(n, a):
 
 def curvature(conn):
     """Curvature tensor of the connection, comps[i, s, r, k] = R^i_srk."""
-    n = conn.n
     G = conn.gamma
-    out = np.empty((n, n, n, n), dtype=object)
-    for i in range(n):
-        for s in range(n):
-            for r in range(n):
-                for k in range(n):
-                    total = sub(diff_expr(G[i, k, s], r + 1), diff_expr(G[i, r, s], k + 1))
-                    for q in range(n):
-                        total = add(total, mul(G[q, k, s], G[i, r, q]))
-                        total = sub(total, mul(G[q, r, s], G[i, k, q]))
-                    out[i, s, r, k] = total
-    return TensorField(n, 1, 3, out)
+    dG = grad(G, conn.n)  # [i, r, s, k] = d Gamma^i_rs / dy^k
+    first = SUB(bcast(dG, "iksr", "isrk"), bcast(dG, "irsk", "isrk"))
+    return TensorField(conn.n, 1, 3, _add_quadratic(first, G))
+
+
+def _add_quadratic(total, G):
+    """total^i_srk + sum_q (G^q_ks G^i_rq - G^q_rs G^i_kq), folded over q in
+    that order: the quadratic part of the curvature formula, shared by
+    curvature and the deformation identity."""
+    up = MUL(bcast(G, "qks", "isrkq"), bcast(G, "irq", "isrkq"))
+    down = MUL(bcast(G, "qrs", "isrkq"), bcast(G, "ikq", "isrkq"))
+    return fold(total, (ADD, up), (SUB, down))
 
 
 def covariant_differential(conn, w):
@@ -143,23 +155,16 @@ def covariant_differential(conn, w):
     """
     if isinstance(w, Expr):
         w = TensorField.scalar(conn.n, w)
-    n = conn.n
     G = conn.gamma
-    out = np.empty((n,) * (w.r + w.s + 1), dtype=object)
-    for idx in np.ndindex(*w.comps.shape):
-        I, J = idx[: w.r], idx[w.r :]
-        for k in range(n):
-            total = diff_expr(w.comps[idx], k + 1)
-            for a in range(w.r):
-                for q in range(n):
-                    src = I[:a] + (q,) + I[a + 1 :] + J
-                    total = add(total, mul(G[I[a], k, q], w.comps[src]))
-            for b in range(w.s):
-                for q in range(n):
-                    src = I + J[:b] + (q,) + J[b + 1 :]
-                    total = sub(total, mul(G[q, k, J[b]], w.comps[src]))
-            out[I + (k,) + J] = total
-    return TensorField(n, w.r, w.s + 1, out)
+    slots = string.ascii_uppercase[: w.r + w.s]  # W's slots, then k and q
+    out = slots + "kq"
+    total = grad(w.comps, conn.n)  # [slots, k]
+    for a, c in enumerate(slots):
+        # upper slot: + G^{c}_kq W^{..q..}; lower slot: - G^q_k{c} W_{..q..}
+        gq = bcast(G, c + "kq", out) if a < w.r else bcast(G, "qk" + c, out)
+        terms = MUL(gq, bcast(w.comps, slots.replace(c, "q"), out))
+        total = fold(total, (ADD if a < w.r else SUB, terms))
+    return TensorField(conn.n, w.r, w.s + 1, np.moveaxis(total, -1, w.r))
 
 
 def ricci_and_s(conn, curv=None):
@@ -170,24 +175,11 @@ def ricci_and_s(conn, curv=None):
     """
     n = conn.n
     R = curv.comps if curv is not None else curvature(conn).comps
-    ric = np.empty((n, n), dtype=object)
-    sfield = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            tr = ZERO
-            ts = ZERO
-            for k in range(n):
-                tr = add(tr, R[k, i, k, j])
-                ts = add(ts, R[k, k, i, j])
-            ric[i, j] = tr
-            sfield[i, j] = ts
+    ric = ADD.reduce(np.diagonal(R, 0, 0, 2), axis=-1)  # sum_k R^k_ikj
+    sfield = ADD.reduce(np.diagonal(R, 0, 0, 1), axis=-1)  # sum_k R^k_kij
     half = const(0.5)
-    sym = np.empty((n, n), dtype=object)
-    skew = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            sym[i, j] = mul(half, add(ric[i, j], ric[j, i]))
-            skew[i, j] = mul(half, sub(ric[i, j], ric[j, i]))
+    sym = MUL(half, ADD(ric, ric.T))
+    skew = MUL(half, SUB(ric, ric.T))
     return {
         "ricci": TensorField(n, 0, 2, ric),
         "s": TensorField(n, 0, 2, sfield),
@@ -214,44 +206,21 @@ def metric_connection(g, check=True, pts=None):
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("metric is singular at a probe point")
     ginv = sym_matrix_inverse(g.comps)
-    half = const(0.5)
-    out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                total = ZERO
-                for s in range(n):
-                    inner = add(
-                        diff_expr(g.comps[s, j], i + 1), diff_expr(g.comps[i, s], j + 1)
-                    )
-                    inner = sub(inner, diff_expr(g.comps[i, j], s + 1))
-                    total = add(total, mul(ginv[k, s], inner))
-                out[k, i, j] = mul(half, total)
-    return Connection(n, out)
+    dg = grad(g.comps, n)  # [a, b, c] = d g_ab / dy^c
+    inner = SUB(ADD(bcast(dg, "sji", "ijs"), bcast(dg, "isj", "ijs")), dg)
+    total = ADD.reduce(MUL(bcast(ginv, "ks", "kijs"), bcast(inner, "ijs", "kijs")), axis=-1)
+    return Connection(n, MUL(const(0.5), total))
 
 
 def lower_curvature(g, curv):
     """R_kqij = sum_s g_ks R^s_qij, a (0,4) field."""
-    n = g.n
-    out = np.empty((n, n, n, n), dtype=object)
-    for k in range(n):
-        for q in range(n):
-            for i in range(n):
-                for j in range(n):
-                    total = ZERO
-                    for s in range(n):
-                        total = add(total, mul(g.comps[k, s], curv.comps[s, q, i, j]))
-                    out[k, q, i, j] = total
-    return TensorField(n, 0, 4, out)
+    terms = MUL(bcast(g.comps, "ks", "kqijs"), bcast(curv.comps, "sqij", "kqijs"))
+    return TensorField(g.n, 0, 4, ADD.reduce(terms, axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # Structure residuals
 # ---------------------------------------------------------------------------
-
-
-def _delta(i, j):
-    return 1.0 if i == j else 0.0
 
 
 def structure_residual(conn, form, pts=None):
@@ -286,33 +255,27 @@ def structure_residual(conn, form, pts=None):
     Rv = curv.evaluate_many(pts)
     rh = parts["ricci_sym"].evaluate_many(pts)
     rt = parts["ricci_skew"].evaluate_many(pts)
-    rhs = np.zeros_like(Rv)
-    for k in range(n):
-        for s in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if form == "intermediate_10_15":
-                        val = (
-                            2.0 * rt[:, i, j] * _delta(k, s)
-                            - rt[:, j, s] * _delta(k, i)
-                            + rt[:, i, s] * _delta(k, j)
-                        ) / (n + 1.0) + (
-                            rh[:, j, s] * _delta(k, i) - rh[:, i, s] * _delta(k, j)
-                        ) / (n - 1.0)
-                    elif form == "two_dim_12_1":
-                        val = rh[:, s, j] * _delta(k, i) - rh[:, s, i] * _delta(k, j)
-                    elif form == "beta_14_1":
-                        beta = rh / (n - 1.0) - rt / (n + 1.0)
-                        val = (
-                            (beta[:, j, i] - beta[:, i, j]) * _delta(k, s)
-                            + beta[:, j, s] * _delta(k, i)
-                            - beta[:, i, s] * _delta(k, j)
-                        )
-                    else:  # const_curv_19_14
-                        val = (rh[:, s, j] * _delta(k, i) - rh[:, s, i] * _delta(k, j)) / (
-                            n - 1.0
-                        )
-                    rhs[:, k, s, i, j] = val
+
+    def at(arr, src):  # a (P, n, n) array or the delta on the axes (p, k, s, i, j)
+        return bcast(arr, src, "pksij")
+
+    d = np.eye(n)[None]
+    d_ks, d_ki, d_kj = at(d, "pks"), at(d, "pki"), at(d, "pkj")
+    if form == "intermediate_10_15":
+        rhs = (
+            2.0 * at(rt, "pij") * d_ks - at(rt, "pjs") * d_ki + at(rt, "pis") * d_kj
+        ) / (n + 1.0) + (at(rh, "pjs") * d_ki - at(rh, "pis") * d_kj) / (n - 1.0)
+    elif form == "two_dim_12_1":
+        rhs = at(rh, "psj") * d_ki - at(rh, "psi") * d_kj
+    elif form == "beta_14_1":
+        beta = rh / (n - 1.0) - rt / (n + 1.0)
+        rhs = (
+            (at(beta, "pji") - at(beta, "pij")) * d_ks
+            + at(beta, "pjs") * d_ki
+            - at(beta, "pis") * d_kj
+        )
+    else:  # const_curv_19_14
+        rhs = (at(rh, "psj") * d_ki - at(rh, "psi") * d_kj) / (n - 1.0)
     return max_report(Rv - rhs, pts, details={"form": form})
 
 
@@ -355,19 +318,11 @@ def transform_connection(conn, pmap):
     n = conn.n
     Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()
-    Gbar = np.empty((n, n, n), dtype=object)
     Gsub = pmap.substitute_inverse(conn.gamma)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                total = ZERO
-                for k in range(n):
-                    inner = diff_expr(S[k, b], c + 1)
-                    for i in range(n):
-                        for j in range(n):
-                            inner = add(inner, mul(Gsub[k, i, j], mul(S[i, b], S[j, c])))
-                    total = add(total, mul(Tbar[a, k], inner))
-                Gbar[a, b, c] = total
+    SS = MUL(bcast(S, "ib", "kbcij"), bcast(S, "jc", "kbcij"))
+    terms = MUL(bcast(Gsub, "kij", "kbcij"), SS).reshape((n, n, n, n * n))
+    inner = fold(grad(S, n), (ADD, terms))  # [k, b, c], summed over (i, j)
+    Gbar = ADD.reduce(MUL(bcast(Tbar, "ak", "abck"), bcast(inner, "kbc", "abck")), axis=-1)
     return Connection(n, Gbar)
 
 

@@ -19,13 +19,21 @@ commutator, and {A,A}/2 of an operator field is its Nijenhuis tensor.
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
 from .expr import ZERO, add, const, diff_expr, mul, sub
 from .tensor import (
+    ADD,
+    MUL,
+    SUB,
     TensorField,
     alternate,
+    bcast,
     exterior_derivative,
+    fold,
+    grad,
     partial_differential,
     tensor_product,
 )
@@ -64,14 +72,9 @@ def vf_commutator(x, y):
     if x.n != y.n:
         raise ValueError("commutator across different chart dimensions")
     n = x.n
-    out = []
-    for i in range(n):
-        total = ZERO
-        for k in range(n):
-            total = add(total, mul(x.comps[k], diff_expr(y.comps[i], k + 1)))
-            total = sub(total, mul(y.comps[k], diff_expr(x.comps[i], k + 1)))
-        out.append(total)
-    return VectorField(n, out)
+    xdy = MUL(x.comps, grad(y.comps, n))  # [i, k] = X^k d_k Y^i
+    ydx = MUL(y.comps, grad(x.comps, n))
+    return VectorField(n, fold(ZERO, (ADD, xdy), (SUB, ydx)))
 
 
 def lie_derivative(eta, w):
@@ -84,22 +87,16 @@ def lie_derivative(eta, w):
     if eta.valence != (1, 0):
         raise ValueError("expected a (1,0) field")
     n = w.n
-    out = np.empty(w.comps.shape, dtype=object)
-    for idx in np.ndindex(*w.comps.shape):
-        total = ZERO
-        for k in range(n):
-            total = add(total, mul(eta.comps[k], diff_expr(w.comps[idx], k + 1)))
-        for a in range(w.r):
-            for k in range(n):
-                src = idx[:a] + (k,) + idx[a + 1 :]
-                total = sub(total, mul(w.comps[src], diff_expr(eta.comps[idx[a]], k + 1)))
-        for b in range(w.s):
-            pos = w.r + b
-            for k in range(n):
-                src = idx[:pos] + (k,) + idx[pos + 1 :]
-                total = add(total, mul(w.comps[src], diff_expr(eta.comps[k], idx[pos] + 1)))
-        out[idx] = total
-    return TensorField(n, w.r, w.s, out)
+    deta = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
+    total = ADD.reduce(MUL(eta.comps, grad(w.comps, n)), axis=-1)
+    slots = string.ascii_uppercase[: w.r + w.s]
+    out = slots + "k"
+    for a, c in enumerate(slots):
+        # upper slot: - W^{..k..} d_k eta^{c}; lower slot: + W_{..k..} d_{c} eta^k
+        dc = bcast(deta, c + "k", out) if a < w.r else bcast(deta, "k" + c, out)
+        terms = MUL(bcast(w.comps, slots.replace(c, "k"), out), dc)
+        total = fold(total, (SUB if a < w.r else ADD, terms))
+    return TensorField(n, w.r, w.s, total)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +106,7 @@ def lie_derivative(eta, w):
 
 def _form_slice(field, i):
     """beta_i of the basis expansion: the (0,p) form with comps field[i, ...]."""
-    n, p = field.n, field.s
-    arr = np.empty((n,) * p, dtype=object)
-    for idx in np.ndindex(*arr.shape):
-        arr[idx] = field.comps[(i,) + idx]
-    return TensorField(n, 0, p, arr)
+    return TensorField(field.n, 0, field.s, field.comps[i])
 
 
 def _partial_form(form, j):
@@ -123,12 +116,8 @@ def _partial_form(form, j):
 
 def _basis_interior(form, j):
     """i_{e_j} of a (0,p) form, p >= 1: comps p * form[j, ...]."""
-    n, p = form.n, form.s
-    out = np.empty((n,) * (p - 1), dtype=object)
-    pfac = const(float(p))
-    for idx in np.ndindex(*out.shape):
-        out[idx] = mul(pfac, form.comps[(j,) + idx])
-    return TensorField(n, 0, p - 1, out)
+    p = form.s
+    return TensorField(form.n, 0, p - 1, MUL(const(float(p)), form.comps[j]))
 
 
 def _wedge_nc(a, b):
@@ -136,8 +125,7 @@ def _wedge_nc(a, b):
 
 
 def _accumulate(out, i, form):
-    for idx in np.ndindex(*form.comps.shape):
-        out[(i,) + idx] = add(out[(i,) + idx], form.comps[idx])
+    out[i] = ADD(out[i], form.comps)
 
 
 def fn_bracket(b_field, c_field, check=True):

@@ -85,11 +85,7 @@ def _coeff_evaluators(sys):
     """Callable mapping grid values (N, n) -> A (N, n, n) and Gamma
     (N, n, n, n).  The components of A and Gamma are compiled into one
     Program here, so make one evaluator per evolve and call it at every
-    stage.  Systems backed by numeric samplers supply the callable as their
-    ``coefficient_sampler`` attribute instead."""
-    sampler = getattr(sys, "coefficient_sampler", None)
-    if sampler is not None:
-        return sampler
+    stage."""
     a_comps, g_comps = sys.A.comps, sys.conn.gamma
     program = compile_exprs(list(a_comps.flat) + list(g_comps.flat))
     na = a_comps.size

@@ -35,7 +35,15 @@ from .expr import (
     sub,
     subst,
 )
-from .tensor import partial_differential, sym_matrix_inverse
+from .tensor import (
+    ADD,
+    MUL,
+    SUB,
+    bcast,
+    fold,
+    partial_differential,
+    sym_matrix_inverse,
+)
 from .util import max_report, sample_points
 
 __all__ = [
@@ -249,13 +257,19 @@ def _beta_from_connection(conn):
     n = conn.n
     parts = ricci_and_s(conn)
     rh, rt = parts["ricci_sym"].comps, parts["ricci_skew"].comps
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = sub(
-                mul(const(1.0 / (n - 1)), rh[i, j]), mul(const(1.0 / (n + 1)), rt[i, j])
-            )
-    return out
+    return SUB(MUL(const(1.0 / (n - 1)), rh), MUL(const(1.0 / (n + 1)), rt))
+
+
+def _coords(first, count):
+    """The coordinates y^first .. y^(first+count-1) of the combined block."""
+    return np.frompyfunc(coord, 1, 1)(np.arange(first, first + count).astype(object))
+
+
+def _covector_rows(B, gam, u):
+    """G[j, i] = B_ij + u_i u_j + sum_s Gamma^s_ij u_s (the covector equation),
+    with u the block's first n coordinates."""
+    first = ADD(B.T, MUL(bcast(u, "i", "ji"), bcast(u, "j", "ji")))
+    return fold(first, (ADD, MUL(bcast(gam, "sij", "jis"), u)))
 
 
 def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=None):
@@ -277,17 +291,12 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
     if kind == "symmetry_6":
         return _symmetry_system(conn, p0, u0)
 
+    x = _coords(1, n)  # the unknowns u_j (or X^j) come first in the block
+    minus_one = const(-1.0)
     if kind == "covector_14":
         k = n
         B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
-        gam = _lift(conn.gamma, n, k)
-        G = np.empty((k, n), dtype=object)
-        for j in range(n):
-            for i in range(n):
-                e = add(B[i, j], mul(coord(i + 1), coord(j + 1)))
-                for s in range(n):
-                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
-                G[j, i] = e
+        G = _covector_rows(B, _lift(conn.gamma, n, k), x)
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
 
@@ -295,31 +304,15 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         k = 2 * n
         B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
         gam = _lift(conn.gamma, n, k)
-        G = np.empty((k, n), dtype=object)
-        for j in range(n):  # u_j rows
-            for i in range(n):
-                e = add(B[i, j], mul(coord(i + 1), coord(j + 1)))
-                for s in range(n):
-                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
-                G[j, i] = e
-        for kk in range(n):  # xi^kk rows
-            for i in range(n):
-                e = mul(const(-1.0), mul(coord(i + 1), coord(n + kk + 1)))
-                for s in range(n):
-                    e = sub(e, mul(gam[kk, i, s], coord(n + s + 1)))
-                G[n + kk, i] = e
-        restrictions = []
-        half = const(0.5)
-        for i in range(n):  # sym(beta)_ir xi^r = 0
-            e = ZERO
-            for r in range(n):
-                bsym = mul(half, add(B[i, r], B[r, i]))
-                e = add(e, mul(bsym, coord(n + r + 1)))
-            restrictions.append(e)
-        e = ZERO
-        for r in range(n):  # u_r xi^r = 0
-            e = add(e, mul(coord(r + 1), coord(n + r + 1)))
-        restrictions.append(e)
+        xi = _coords(n + 1, n)
+        # xi^k rows: - u_i xi^k - sum_s Gamma^k_is xi^s
+        first = MUL(minus_one, MUL(bcast(x, "i", "ki"), bcast(xi, "k", "ki")))
+        xi_rows = fold(first, (SUB, MUL(gam, xi)))
+        G = np.concatenate([_covector_rows(B, gam, x), xi_rows])
+        # sym(beta)_ir xi^r = 0 for each i, then u_r xi^r = 0
+        bsym = MUL(const(0.5), ADD(B, B.T))
+        restrictions = list(ADD.reduce(MUL(bsym, xi), axis=-1))
+        restrictions.append(ADD.reduce(MUL(x, xi)))
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         labels = [f"u{j + 1}" for j in range(n)] + [f"xi{j + 1}" for j in range(n)]
         return PfaffProblem(n, k, G, p0, u0, restrictions=restrictions, labels=labels)
@@ -330,18 +323,11 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         k = n
         u = _lift(u_field, n, k)
         gam = _lift(conn.gamma, n, k)
-        G = np.empty((k, n), dtype=object)
-        u_dot_x = ZERO
-        for r in range(n):
-            u_dot_x = add(u_dot_x, mul(u[r], coord(r + 1)))
-        for kk in range(n):
-            for i in range(n):
-                e = mul(const(-1.0), mul(u[i], coord(kk + 1)))
-                if i == kk:
-                    e = sub(e, u_dot_x)
-                for s in range(n):
-                    e = sub(e, mul(gam[kk, i, s], coord(s + 1)))
-                G[kk, i] = e
+        u_dot_x = ADD.reduce(MUL(u, x))
+        # G[k, i] = - u_i X^k (- u.X when i = k) - sum_s Gamma^k_is X^s
+        G = MUL(minus_one, MUL(bcast(u, "i", "ki"), bcast(x, "k", "ki")))
+        np.fill_diagonal(G, SUB(np.diagonal(G), u_dot_x))
+        G = fold(G, (SUB, MUL(gam, x)))
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"X{j + 1}" for j in range(n)])
 
@@ -352,21 +338,13 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         ginv = _lift(sym_matrix_inverse(g.comps), n, k)
         gl = _lift(g.comps, n, k)
         gam = _lift(conn.gamma, n, k)
-        G = np.empty((k, n), dtype=object)
         # |u|^2 = sum g^{rs} u_r u_s, lifted
-        norm2 = ZERO
-        for r in range(n):
-            for s in range(n):
-                norm2 = add(norm2, mul(ginv[r, s], mul(coord(r + 1), coord(s + 1))))
-        for j in range(n):
-            for i in range(n):
-                e = mul(const(-1.0), mul(coord(i + 1), coord(j + 1)))
-                gij = gl[i, j]
-                e = sub(e, mul(const(1.0 / (2 * (n - 1))), gij))
-                e = add(e, mul(mul(const(0.5), norm2), gij))
-                for s in range(n):
-                    e = add(e, mul(gam[s, i, j], coord(s + 1)))
-                G[j, i] = e
+        norm2 = ADD.reduce(MUL(ginv, MUL(bcast(x, "r", "rs"), x)).reshape(-1))
+        # G[j, i] = - u_i u_j - g_ij/(2(n-1)) + |u|^2 g_ij / 2 + sum_s Gamma^s_ij u_s
+        G = MUL(minus_one, MUL(bcast(x, "i", "ji"), bcast(x, "j", "ji")))
+        G = SUB(G, MUL(const(1.0 / (2 * (n - 1))), gl.T))
+        G = ADD(G, MUL(mul(const(0.5), norm2), gl.T))
+        G = fold(G, (ADD, MUL(bcast(gam, "sij", "jis"), x)))
         u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
         return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
 
@@ -384,29 +362,18 @@ def _symmetry_system(conn, p0, u0):
     first (F^i_s at i*n+s) and eta after it."""
     n = conn.n
     k = n * n + n
-
-    def F(i, s):
-        return coord(i * n + s + 1)
-
-    def eta(i):
-        return coord(n * n + i + 1)
-
+    F = _coords(1, n * n).reshape(n, n)
+    eta = _coords(n * n + 1, n)
     gam = _lift(conn.gamma, n, k)
     dgam = _lift(partial_differential(conn.field).comps, n, k)  # [i, kk, r, s]
-    G = np.empty((k, n), dtype=object)
-    for i in range(n):
-        for s in range(n):
-            for r in range(n):
-                e = ZERO
-                for kk in range(n):
-                    e = add(e, mul(gam[kk, r, s], F(i, kk)))
-                    e = sub(e, mul(dgam[i, kk, r, s], eta(kk)))
-                    e = sub(e, mul(gam[i, kk, s], F(kk, r)))
-                    e = sub(e, mul(gam[i, r, kk], F(kk, s)))
-                G[i * n + s, r] = e
-    for i in range(n):
-        for r in range(n):
-            G[n * n + i, r] = F(i, r)
+    # rows (i, s), column r, summed over k
+    parts = (
+        (ADD, MUL(bcast(gam, "krs", "isrk"), bcast(F, "ik", "isrk"))),
+        (SUB, MUL(bcast(dgam, "ikrs", "isrk"), eta)),
+        (SUB, MUL(bcast(gam, "iks", "isrk"), bcast(F, "kr", "isrk"))),
+        (SUB, MUL(bcast(gam, "irk", "isrk"), bcast(F, "ks", "isrk"))),
+    )
+    G = np.concatenate([fold(ZERO, *parts).reshape(n * n, n), F])
     u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
     labels = [f"F{i + 1}_{s + 1}" for i in range(n) for s in range(n)] + [
         f"eta{i + 1}" for i in range(n)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import ZERO, add, coord, diff_expr, mul, sub
+from .expr import ZERO, add, coord, mul
 from .geometry import covariant_differential, curvature, ricci_and_s
 from .liefn import VectorField, lie_derivative
-from .tensor import TensorField, partial_differential
+from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, partial_differential
 from .util import ResidualReport, max_report, sample_points
 
 __all__ = [
@@ -74,37 +74,21 @@ def _lie_a_exprs(sys, eta):
     """L_eta A as a (1,1) field, summed in the order of the module formula."""
     n = sys.n
     A = sys.A.comps
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            total = ZERO
-            for k in range(n):
-                total = add(total, mul(eta.comps[k], diff_expr(A[i, j], k + 1)))
-                total = sub(total, mul(A[k, j], diff_expr(eta.comps[i], k + 1)))
-                total = add(total, mul(A[i, k], diff_expr(eta.comps[k], j + 1)))
-            out[i, j] = total
-    return TensorField(n, 1, 1, out)
+    deta = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
+    transport = MUL(eta.comps, grad(A, n))
+    upper = MUL(bcast(A, "kj", "ijk"), bcast(deta, "ik", "ijk"))
+    lower = MUL(bcast(A, "ik", "ijk"), bcast(deta, "kj", "ijk"))
+    return TensorField(n, 1, 1, fold(ZERO, (ADD, transport), (SUB, upper), (ADD, lower)))
 
 
 def _conn_eq_exprs(conn, eta):
     """Residual of the reduced connection equation (valid for det A != 0)."""
     n = conn.n
     G = conn.gamma
-    out = np.empty((n, n, n), dtype=object)
-    d1 = [[diff_expr(eta.comps[i], k + 1) for k in range(n)] for i in range(n)]
-    for i in range(n):
-        for r in range(n):
-            for s in range(n):
-                total = ZERO
-                for k in range(n):
-                    total = add(total, mul(d1[i][k], G[k, r, s]))
-                total = sub(total, diff_expr(d1[i][r], s + 1))
-                for k in range(n):
-                    total = sub(total, mul(diff_expr(G[i, r, s], k + 1), eta.comps[k]))
-                    total = sub(total, mul(G[i, k, s], d1[k][r]))
-                    total = sub(total, mul(G[i, r, k], d1[k][s]))
-                out[i, r, s] = total
-    return TensorField(n, 1, 2, out)
+    d1 = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
+    total = ADD.reduce(MUL(bcast(d1, "ik", "irsk"), bcast(G, "krs", "irsk")), axis=-1)
+    total = SUB(total, grad(d1, n))
+    return TensorField(n, 1, 2, fold(total, *((SUB, t) for t in _conn_eq_terms(G, eta, d1))))
 
 
 def _conn_eq_full_exprs(sys, eta):
@@ -112,28 +96,29 @@ def _conn_eq_full_exprs(sys, eta):
     n = sys.n
     A = sys.A.comps
     G = sys.conn.gamma
-    out = np.empty((n, n, n), dtype=object)
-    d1 = [[diff_expr(eta.comps[i], k + 1) for k in range(n)] for i in range(n)]
-    for i in range(n):
-        for r in range(n):
-            for s in range(n):
-                total = ZERO
-                for j in range(n):
-                    for k in range(n):
-                        lhs = sub(
-                            mul(d1[i][k], A[k, j]),
-                            mul(diff_expr(A[i, j], k + 1), eta.comps[k]),
-                        )
-                        total = add(total, mul(lhs, G[j, r, s]))
-                for j in range(n):
-                    total = sub(total, mul(A[i, j], diff_expr(d1[j][r], s + 1)))
-                    for k in range(n):
-                        rhs = mul(diff_expr(G[j, r, s], k + 1), eta.comps[k])
-                        rhs = add(rhs, mul(G[j, k, s], d1[k][r]))
-                        rhs = add(rhs, mul(G[j, r, k], d1[k][s]))
-                        total = sub(total, mul(A[i, j], rhs))
-                out[i, r, s] = total
-    return TensorField(n, 1, 2, out)
+    d1 = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
+    lhs = SUB(MUL(bcast(d1, "ik", "ijk"), bcast(A, "kj", "ijk")), MUL(grad(A, n), eta.comps))
+    terms = MUL(bcast(lhs, "ijk", "irsjk"), bcast(G, "jrs", "irsjk"))
+    total = ADD.reduce(terms.reshape((n, n, n, n * n)), axis=-1)
+    # for each j: - A^i_j d2 eta^j/dy^r dy^s, then - A^i_j rhs^j_rs(k) for each k
+    t1, t2, t3 = _conn_eq_terms(G, eta, d1)
+    rhs = ADD(ADD(t1, t2), t3)  # [j, r, s, k]
+    second = MUL(bcast(A, "ij", "irsj"), bcast(grad(d1, n), "jrs", "irsj"))
+    per_k = MUL(bcast(A, "ij", "irsjk"), bcast(rhs, "jrsk", "irsjk"))
+    subtracted = np.concatenate([second[..., None], per_k], axis=-1)
+    return TensorField(n, 1, 2, fold(total, (SUB, subtracted.reshape((n, n, n, -1)))))
+
+
+def _conn_eq_terms(G, eta, d1):
+    """The summands over k of the connection equation's right-hand side on
+    the axes [i, r, s, k]: dGamma^i_rs/dy^k eta^k, Gamma^i_ks d1^k_r and
+    Gamma^i_rk d1^k_s, with d1 = d eta / dy."""
+    n = len(eta.comps)
+    return (
+        MUL(grad(G, n), eta.comps),
+        MUL(bcast(G, "iks", "irsk"), bcast(d1, "kr", "irsk")),
+        MUL(bcast(G, "irk", "irsk"), bcast(d1, "ks", "irsk")),
+    )
 
 
 def determining_residuals(sys, eta, pts=None):
@@ -173,15 +158,9 @@ def affine_residual(conn, eta, pts=None):
     dd_eta = covariant_differential(conn, covariant_differential(conn, eta))
     # dd_eta comps [i, r, s] = nabla_r nabla_s eta^i
     R = curvature(conn)
-    out = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for r in range(n):
-            for s in range(n):
-                total = dd_eta.comps[i, r, s]
-                for k in range(n):
-                    total = sub(total, mul(R.comps[i, s, r, k], eta.comps[k]))
-                out[i, r, s] = total
-    return max_report(TensorField(n, 1, 2, out).evaluate_many(pts), pts)
+    terms = MUL(bcast(R.comps, "isrk", "irsk"), eta.comps)
+    residual = TensorField(n, 1, 2, fold(dd_eta.comps, (SUB, terms)))
+    return max_report(residual.evaluate_many(pts), pts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Valence-(r,s) tensor fields with symbolic components.
 
 Components are stored densely in numpy object arrays of Expr, upper indices
-first.  Chart dimension stays small (desk scale), so products, contractions
-and index permutations are plain loops over multi-indices.  Numeric work
-goes through the two evaluators of :mod:`expr`: ``evaluate`` is checked and
-pointwise, ``evaluate_many`` hands the whole component array to the shared,
-unchecked (IEEE) vectorized evaluator in one call.
+first.  Index operations are whole-array operations over the smart
+constructors: ADD, SUB, MUL and DIFF apply add, sub, mul and diff_expr
+elementwise to broadcast views (``bcast``), and a sum over an index folds
+left to right along a trailing axis (``ADD.reduce``, or ``fold`` when the
+summand has parts of either sign).  An assembled tree therefore keeps the
+term order, operand order and subtractions of the formula it implements.
+Numeric work goes through the two evaluators of :mod:`expr`: ``evaluate``
+is checked and pointwise, ``evaluate_many`` hands the whole component array
+to the shared, unchecked (IEEE) vectorized evaluator in one call.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 
 import numpy as np
 
@@ -42,6 +47,13 @@ from .expr import (
 from .util import sample_points
 
 __all__ = [
+    "ADD",
+    "SUB",
+    "MUL",
+    "DIFF",
+    "bcast",
+    "fold",
+    "grad",
     "TensorField",
     "PointMap",
     "tensor_product",
@@ -61,6 +73,43 @@ __all__ = [
 
 def _as_expr(v):
     return v if isinstance(v, Expr) else const(v)
+
+
+ADD = np.frompyfunc(add, 2, 1)
+SUB = np.frompyfunc(sub, 2, 1)
+MUL = np.frompyfunc(mul, 2, 1)
+# looks diff_expr up when called, so a wrapper installed on this module's
+# name (perfbench's tracer) sees every derivative taken through DIFF
+DIFF = np.frompyfunc(lambda e, i: diff_expr(e, i), 2, 1)
+
+
+def grad(comps, n):
+    """Partial derivatives d comps / dy^k, k = 1..n, on a new trailing axis."""
+    return DIFF(np.expand_dims(comps, -1), np.arange(1, n + 1).astype(object))
+
+
+def bcast(arr, src, dst):
+    """View of ``arr`` for an index formula over the letters of ``dst``.
+
+    Axis j of ``arr`` carries the index letter src[j]; the view orders the
+    axes as in ``dst`` and gives letters missing from ``src`` length 1, so
+    ADD/SUB/MUL broadcast over them.  bcast(G, "qks", "isrkq") is G^q_ks
+    spread over (i, s, r, k, q).
+    """
+    order = sorted(range(len(src)), key=lambda j: dst.index(src[j]))
+    shape = [arr.shape[src.index(c)] if c in src else 1 for c in dst]
+    return arr.transpose(order).reshape(shape)
+
+
+def fold(total, *parts):
+    """A sum over the trailing axis q written as a loop over q: for each q
+    in turn, total = op(total, terms[..., q]) for every (op, terms) part, op
+    being ADD or SUB.  Keeps the term order and the subtractions of a
+    summand with several signed parts."""
+    for q in range(parts[0][1].shape[-1]):
+        for op, terms in parts:
+            total = op(total, terms[..., q])
+    return total
 
 
 class TensorField:
@@ -95,17 +144,13 @@ class TensorField:
 
     @classmethod
     def zeros(cls, n, r, s):
-        arr = np.empty((n,) * (r + s), dtype=object)
-        arr[...] = ZERO
-        return cls(n, r, s, arr)
+        return cls(n, r, s, np.full((n,) * (r + s), ZERO, dtype=object))
 
     @classmethod
     def identity(cls, n):
         """Kronecker delta as a (1,1) field."""
-        arr = np.empty((n, n), dtype=object)
-        arr[...] = ZERO
-        for i in range(n):
-            arr[i, i] = ONE
+        arr = np.full((n, n), ZERO, dtype=object)
+        np.fill_diagonal(arr, ONE)
         return cls(n, 1, 1, arr)
 
     @classmethod
@@ -121,17 +166,11 @@ class TensorField:
         return cls(n, r, s, [parse_expr(t, n) if isinstance(t, str) else t for t in flat])
 
     def map(self, f):
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = f(self.comps[idx])
-        return TensorField(self.n, self.r, self.s, out)
+        return TensorField(self.n, self.r, self.s, np.frompyfunc(f, 1, 1)(self.comps))
 
     def __add__(self, other):
         self._check_like(other)
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = add(self.comps[idx], other.comps[idx])
-        return TensorField(self.n, self.r, self.s, out)
+        return TensorField(self.n, self.r, self.s, ADD(self.comps, other.comps))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
@@ -171,21 +210,12 @@ class TensorField:
     def is_skew(self, axes=None, pts=None, tol=1e-10):
         """Numeric check of full antisymmetry over the given axes (default:
         all covariant axes) at sample points."""
-        axes = tuple(axes) if axes is not None else tuple(range(self.r, self.r + self.s))
-        if len(axes) < 2:
-            return True
-        if pts is None:
-            pts = sample_points(self.n, 8)
-        vals = self.evaluate_many(pts)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        for perm in itertools.permutations(range(len(axes))):
-            sign = _perm_sign(perm)
-            moved = _permute_axes_array(vals, axes, perm)
-            if not np.allclose(vals, sign * moved, atol=tol * scale, rtol=0.0):
-                return False
-        return True
+        return self._permutation_invariant(axes, pts, tol, signed=True)
 
     def is_symmetric(self, axes=None, pts=None, tol=1e-10):
+        return self._permutation_invariant(axes, pts, tol, signed=False)
+
+    def _permutation_invariant(self, axes, pts, tol, signed):
         axes = tuple(axes) if axes is not None else tuple(range(self.r, self.r + self.s))
         if len(axes) < 2:
             return True
@@ -194,8 +224,9 @@ class TensorField:
         vals = self.evaluate_many(pts)
         scale = max(1.0, float(np.max(np.abs(vals))))
         for perm in itertools.permutations(range(len(axes))):
+            sign = _perm_sign(perm) if signed else 1
             moved = _permute_axes_array(vals, axes, perm)
-            if not np.allclose(vals, moved, atol=tol * scale, rtol=0.0):
+            if not np.allclose(vals, sign * moved, atol=tol * scale, rtol=0.0):
                 return False
         return True
 
@@ -239,34 +270,19 @@ def tensor_product(a, b):
     """Tensor product; upper axes of both factors precede all lower axes."""
     if a.n != b.n:
         raise ValueError("tensor product across different chart dimensions")
-    n = a.n
-    r, s = a.r + b.r, a.s + b.s
-    out = np.empty((n,) * (r + s), dtype=object)
-    for ia in np.ndindex(*a.comps.shape):
-        ea = a.comps[ia]
-        for ib in np.ndindex(*b.comps.shape):
-            iu = ia[: a.r] + ib[: b.r] + ia[a.r :] + ib[b.r :]
-            out[iu] = mul(ea, b.comps[ib])
-    return TensorField(n, r, s, out)
+    ka = a.r + a.s
+    # outer product axes: a's upper, a's lower, b's upper, b's lower
+    order = [*range(a.r), *range(ka, ka + b.r), *range(a.r, ka), *range(ka + b.r, ka + b.r + b.s)]
+    out = np.asarray(MUL.outer(a.comps, b.comps), dtype=object).transpose(order)
+    return TensorField(a.n, a.r + b.r, a.s + b.s, out)
 
 
 def contract(a, i_up, j_down):
     """Contract upper slot i_up (0-based in 0..r-1) with lower slot j_down."""
     if not (0 <= i_up < a.r and 0 <= j_down < a.s):
         raise ValueError(f"contraction slots ({i_up},{j_down}) out of range for valence {a.valence}")
-    n = a.n
-    ax1, ax2 = i_up, a.r + j_down
-    out_shape = (n,) * (a.r + a.s - 2)
-    out = np.empty(out_shape, dtype=object)
-    for idx in np.ndindex(*out_shape):
-        total = ZERO
-        for k in range(n):
-            full = list(idx)
-            full.insert(ax1, k)
-            full.insert(ax2, k)
-            total = add(total, a.comps[tuple(full)])
-        out[idx] = total
-    return TensorField(n, a.r - 1, a.s - 1, out)
+    out = ADD.reduce(np.diagonal(a.comps, 0, i_up, a.r + j_down), axis=-1)
+    return TensorField(a.n, a.r - 1, a.s - 1, out)
 
 
 def permute_indices(a, upper_perm=None, lower_perm=None):
@@ -282,22 +298,15 @@ def permute_indices(a, upper_perm=None, lower_perm=None):
 
 def _sym_alt(a, axes, signed):
     axes = tuple(axes)
-    k = len(axes)
-    out = np.empty(a.comps.shape, dtype=object)
-    scale = const(1.0 / math.factorial(k))
-    for idx in np.ndindex(*a.comps.shape):
-        total = ZERO
-        for perm in itertools.permutations(range(k)):
-            src = list(idx)
-            for pos, p in enumerate(perm):
-                src[axes[pos]] = idx[axes[p]]
-            term = a.comps[tuple(src)]
-            if signed and _perm_sign(perm) < 0:
-                total = sub(total, term)
-            else:
-                total = add(total, term)
-        out[idx] = mul(scale, total)
-    return TensorField(a.n, a.r, a.s, out)
+    total = ZERO
+    for perm in itertools.permutations(range(len(axes))):
+        # term[idx] = a[src] with src[axes[pos]] = idx[axes[perm[pos]]]
+        order = list(range(a.comps.ndim))
+        for pos, p in enumerate(perm):
+            order[axes[p]] = axes[pos]
+        op = SUB if signed and _perm_sign(perm) < 0 else ADD
+        total = op(total, a.comps.transpose(order))
+    return TensorField(a.n, a.r, a.s, MUL(const(1.0 / math.factorial(len(axes))), total))
 
 
 def symmetrize(a, axes=None):
@@ -335,13 +344,7 @@ def wedge(beta, gamma, check=True):
 
 def partial_differential(w):
     """Plain coordinate derivative: new first covariant slot k holds d/dy^k."""
-    n = w.n
-    out = np.empty((n,) * (w.r + w.s + 1), dtype=object)
-    for idx in np.ndindex(*w.comps.shape):
-        for k in range(n):
-            pos = idx[: w.r] + (k,) + idx[w.r :]
-            out[pos] = diff_expr(w.comps[idx], k + 1)
-    return TensorField(n, w.r, w.s + 1, out)
+    return TensorField(w.n, w.r, w.s + 1, np.moveaxis(grad(w.comps, w.n), -1, w.r))
 
 
 def exterior_derivative(omega, check=True):
@@ -352,19 +355,12 @@ def exterior_derivative(omega, check=True):
     """
     _require_form(omega, "exterior_derivative", check)
     n, p = omega.n, omega.s
-    out = np.empty((n,) * (p + 1), dtype=object)
-    scale = const(1.0 / (p + 1))
-    for idx in np.ndindex(*out.shape):
-        total = ZERO
-        for a in range(p + 1):
-            rest = idx[:a] + idx[a + 1 :]
-            term = diff_expr(omega.comps[rest], idx[a] + 1)
-            if a % 2 == 1:
-                total = sub(total, term)
-            else:
-                total = add(total, term)
-        out[idx] = mul(scale, total)
-    return TensorField(n, 0, p + 1, out)
+    dw = grad(omega.comps, n)  # [j_0..j_{p-1}, k]
+    total = ZERO
+    for a in range(p + 1):
+        # term a: d w_{j0..^ja..jp} / dy^{ja}, the derivative index moved to slot a
+        total = (SUB if a % 2 else ADD)(total, np.moveaxis(dw, -1, a))
+    return TensorField(n, 0, p + 1, MUL(const(1.0 / (p + 1)), total))
 
 
 def interior_product(c, omega, check=True):
@@ -375,15 +371,9 @@ def interior_product(c, omega, check=True):
     _require_form(omega, "interior_product", check)
     if c.valence != (1, 0):
         raise ValueError("interior product expects a (1,0) vector argument")
-    n, p = omega.n, omega.s
-    out = np.empty((n,) * (p - 1), dtype=object)
-    rfac = const(float(p))
-    for idx in np.ndindex(*out.shape):
-        total = ZERO
-        for k in range(n):
-            total = add(total, mul(c.comps[(k,)], omega.comps[(k,) + idx]))
-        out[idx] = mul(rfac, total)
-    return TensorField(n, 0, p - 1, out)
+    p = omega.s
+    total = ADD.reduce(MUL(c.comps, np.moveaxis(omega.comps, 0, -1)), axis=-1)
+    return TensorField(omega.n, 0, p - 1, MUL(const(float(p)), total))
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +492,16 @@ def pushforward(w, pmap):
     new coordinates.  Upper slots contract with T = d(ytilde)/dy, lower slots
     with S = dy/d(ytilde)."""
     pmap.require_inverse()
-    n = w.n
+    m = w.r + w.s
     Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()
-    wbar = pmap.substitute_inverse(w.comps)
-    out = np.empty(w.comps.shape, dtype=object)
-    for idx in np.ndindex(*out.shape):
-        total = ZERO
-        for src in np.ndindex(*w.comps.shape):
-            factor = wbar[src]
-            for a in range(w.r):
-                factor = mul(factor, Tbar[idx[a], src[a]])
-            for b in range(w.s):
-                factor = mul(factor, S[src[w.r + b], idx[w.r + b]])
-            total = add(total, factor)
-        out[idx] = total
-    return TensorField(n, w.r, w.s, out)
+    # new slots carry upper-case letters, the summed source slots lower-case
+    new, old = string.ascii_uppercase[:m], string.ascii_lowercase[:m]
+    factor = bcast(pmap.substitute_inverse(w.comps), old, new + old)
+    for a in range(w.r):
+        factor = MUL(factor, bcast(Tbar, new[a] + old[a], new + old))
+    for b in range(w.r, m):
+        factor = MUL(factor, bcast(S, old[b] + new[b], new + old))
+    # sum over the source multi-index in row-major order
+    out = ADD.reduce(factor.reshape(factor.shape[:m] + (-1,)), axis=-1)
+    return TensorField(w.n, w.r, w.s, out)

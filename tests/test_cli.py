@@ -284,7 +284,7 @@ def test_from_diffusional_exponential_1d():
     assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
 
-def test_from_diffusional_n3_sampler_backed():
+def test_from_diffusional_n3_symbolic():
     rows = [
         ["2 + y1^2", "0", "0"],
         ["0", "3", "y2"],
@@ -293,7 +293,7 @@ def test_from_diffusional_n3_sampler_backed():
     doc = from_diffusional(rows)
     sysd = doc.to_system()
     pts = sample_points(3, 8)
-    a_vals, g_vals = sysd.coefficient_sampler(pts)
+    g_vals = sysd.conn.evaluate_many(pts)
     # oracle: solve A Gamma = sym(dA) pointwise with numpy
     from affsym.expr import diff_expr, parse_expr, eval_many
 
@@ -311,8 +311,9 @@ def test_from_diffusional_n3_sampler_backed():
                 rhs = 0.5 * (dA[s, :, r] + dA[r, :, s])
                 want = np.linalg.solve(A, rhs)
                 assert np.max(np.abs(g_vals[pi, :, r, s] - want)) <= 1e-10
-    with pytest.raises(InputError):
-        doc.to_dict()
+    # the expansion is an ordinary expression document and round-trips
+    again = SystemDocument.from_dict(doc.to_dict()).to_system()
+    assert np.array_equal(again.conn.evaluate_many(pts), g_vals)
 
 
 def test_from_diffusional_rejects_singular():
@@ -355,3 +356,115 @@ def test_simulate_handles_ragged_snapshot_cadence(capsys):
     )
     assert code == 0
     assert data["pde_residual"] is not None and data["pde_residual"] < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# Document and flag validation
+# ---------------------------------------------------------------------------
+
+
+def _flat_doc(**extra):
+    doc = {"n": 2, "A": [["1", "0"], ["0", "1"]]}
+    doc.update(extra)
+    return doc
+
+
+def assert_input_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (_flat_doc(tolerances={"symmetry": "abc"}), ["check-symmetry", "--eta=1,0"]),
+        (_flat_doc(tolerances={"gamma_symmetry": None}), ["inspect"]),
+        (_flat_doc(tolerances={"symmetry": -1e-8}), ["inspect"]),
+        (_flat_doc(tolerances={"symmetry": float("inf")}), ["inspect"]),
+        (_flat_doc(tolerances={"symmetry": True}), ["inspect"]),
+        (_flat_doc(tolerances={"symetry": 1e-8}), ["inspect"]),
+        (_flat_doc(tolerances=[1e-8]), ["inspect"]),
+        (_flat_doc(sample=[["a", 1]]), ["inspect"]),
+        (_flat_doc(sample=[["0.1", 0.2]]), ["inspect"]),
+        (_flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]), ["inspect"]),
+        (_flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]), ["classify"]),
+        (_flat_doc(sample=[[0.1, 0.2], [0.3]]), ["inspect"]),
+        (
+            _flat_doc(Gamma={"1": [["0", "0"], ["0", "0"]], "01": [["y1", "0"], ["0", "0"]]}),
+            ["inspect"],
+        ),
+    ],
+    ids=[
+        "tolerance-string",
+        "tolerance-null",
+        "tolerance-negative",
+        "tolerance-inf",
+        "tolerance-bool",
+        "tolerance-unknown-key",
+        "tolerances-not-object",
+        "sample-string",
+        "sample-numeric-string",
+        "sample-nan-inspect",
+        "sample-nan-classify",
+        "sample-ragged",
+        "gamma-index-twice",
+    ],
+)
+def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # json writes nan/inf as NaN/Infinity
+    assert_input_error(capsys, [argv[0], str(path)] + argv[1:])
+
+
+def test_valid_tolerance_override_is_used(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_flat_doc(tolerances={"symmetry": 0, "invariance": 1})))
+    code, data = run(capsys, "check-symmetry", str(path), "--eta=1,0")
+    assert code == 0 and data["tolerance"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", fixture("flat_n2.json"), "--at", "nan,0"],
+        ["bound", fixture("flat_n2.json"), "--at", "0,inf"],
+        ["flatten", fixture("flat_n2.json"), "--u0", "0,-inf"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "nan", "--steps", "4"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0", "--steps", "4"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "-0.001", "--steps", "4"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "inf", "--steps", "4"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--length", "0"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--length", "nan"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--grid", "4"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "-3"],
+        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "0"],
+        ["simulate", fixture("flat_n2.json"), "--dt", "1e-3", "--steps", "4", "--tau", "nan"],
+        ["simulate", fixture("flat_n2.json"), "--dt", "1e-3", "--steps", "4", "--tau", "inf"],
+    ],
+    ids=[
+        "at-nan",
+        "at-inf",
+        "u0-inf",
+        "dt-nan",
+        "dt-zero",
+        "dt-negative",
+        "dt-inf",
+        "length-zero",
+        "length-nan",
+        "grid-4",
+        "steps-negative",
+        "steps-zero",
+        "tau-nan",
+        "tau-inf",
+    ],
+)
+def test_bad_numeric_flags_exit_1(capsys, argv):
+    assert_input_error(capsys, argv)
+
+
+def test_smallest_valid_simulation_flags(capsys):
+    code, data = run(
+        capsys, "simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "1", "--grid", "8"
+    )
+    assert code == 0 and data["final_t"] == 0.001
