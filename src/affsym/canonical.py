@@ -19,6 +19,8 @@ Covered families (with A = a * id unless stated):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,14 @@ class CanonicalSpec:
     def __post_init__(self):
         if self.kind not in CANONICAL_KINDS:
             raise ValueError(f"unknown canonical kind {self.kind!r}")
+        for name in ("n", "m"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("a", "b"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.a == 0.0:

@@ -8,6 +8,13 @@ vectorized over arrays of points, which evaluates a whole set of roots in one
 walk of their shared DAG.  They are the scalar substrate for tensor
 components, connection coefficients and Pfaff right-hand sides.
 
+Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
+Modular Hash-Consing", 2006): the smart constructors, ``subst``, the parser
+and ``diff_expr`` all build through ``Expr``, which returns the live node
+equal to the one asked for when there is one.  Structurally equal trees are
+therefore the same object, so the derivative memo, the evaluators and the
+compiler, which all key on identity, share every equal subtree.
+
 A root set evaluated many times (a Pfaff right-hand side at every solver
 step, the simulator's coefficients at every Runge-Kutta stage) is compiled
 once by ``compile_exprs`` into a ``Program``: straight-line Python with one
@@ -20,6 +27,7 @@ since generating the code costs a few interpreted calls.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -53,6 +61,22 @@ __all__ = [
 FUNCS = ("exp", "ln", "sqrt", "sin", "cos")
 _BINOPS = ("add", "sub", "mul", "div")
 
+# Every live node, keyed by op, value, index and its children's ids (see
+# Expr), held through a weak reference whose callback drops the entry when
+# the node dies.  A WeakValueDictionary does the same, but builds a
+# Python-level KeyedRef per new node, which cost about a tenth of the
+# benchmark's symbolic (analyze) throughput.
+_TABLE = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
 
 class ExprError(ValueError):
     """Base error for expression construction, parsing and evaluation."""
@@ -75,7 +99,7 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression node.
+    """Immutable, interned expression node.
 
     ``op`` is one of: "const" (value: float), "coord" (index: int, 1-based),
     "neg", "add", "sub", "mul", "div", "pow" (value: int or Fraction
@@ -83,39 +107,46 @@ class Expr:
     constructors rather than instantiating directly; they apply light
     simplification (constant folding, x*0, x*1, x+0) so derivative trees
     stay small.
+
+    Nodes are hash-consed: constructing a node equal to a live one, by op,
+    value, index and (already interned) children, returns that node.  So
+    structurally equal trees are the same object, ``==`` is identity, and
+    everything keyed on identity (the derivative memo, the evaluators'
+    sharing, compiled programs) shares every equal subtree.
     """
 
-    __slots__ = ("op", "args", "value", "index", "_hash", "_dmemo")
+    __slots__ = ("op", "args", "value", "index", "_dmemo", "__weakref__")
 
-    def __init__(self, op, args=(), value=None, index=None):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_dmemo", None)
+    def __new__(cls, op, args=(), value=None, index=None):
+        args = tuple(args)
+        # Children are interned, so their identities stand for their
+        # structure.  Keying on ids rather than the children themselves keeps
+        # the table from holding nodes alive: a node whose derivative memo
+        # refers back to it (exp, sqrt) would otherwise never be freed.
+        key = (op, value, index, *map(id, args))
+        ref = _TABLE.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            setattr_ = object.__setattr__
+            setattr_(node, "op", op)
+            setattr_(node, "args", args)
+            setattr_(node, "value", value)
+            setattr_(node, "index", index)
+            setattr_(node, "_dmemo", None)
+            ref = _TABLE[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("Expr is immutable")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return (
-            self.op == other.op
-            and self.value == other.value
-            and self.index == other.index
-            and self.args == other.args
-        )
+    def __reduce__(self):
+        # rebuilding through Expr returns the interned node
+        return Expr, (self.op, self.args, self.value, self.index)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.op, self.value, self.index, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __deepcopy__(self, memo):
+        return self  # immutable and interned: the copy is the node itself
 
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
@@ -173,10 +204,6 @@ def _coerce(v):
     return const(v)
 
 
-def _is_const(e, v=None):
-    return e.op == "const" and (v is None or e.value == v)
-
-
 def const(v):
     """Constant node; non-finite or out-of-range values raise ExprError."""
     try:
@@ -190,8 +217,11 @@ def const(v):
     return Expr("const", value=v)
 
 
+# Interned, so a constant equal to one of these is that node: the smart
+# constructors test ``x is ZERO`` rather than comparing values.
 ZERO = const(0.0)
 ONE = const(1.0)
+_MINUS_ONE = const(-1.0)
 
 
 def coord(i):
@@ -201,54 +231,54 @@ def coord(i):
 
 
 def add(a, b):
-    if _is_const(a) and _is_const(b):
+    if a.op == b.op == "const":
         return const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
     return Expr("add", (a, b))
 
 
 def sub(a, b):
-    if _is_const(a) and _is_const(b):
+    if a.op == b.op == "const":
         return const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return neg(b)
     return Expr("sub", (a, b))
 
 
 def mul(a, b):
-    if _is_const(a) and _is_const(b):
+    if a.op == b.op == "const":
         return const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1.0):
+    if a is ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
-    if _is_const(a, -1.0):
+    if a is _MINUS_ONE:
         return neg(b)
-    if _is_const(b, -1.0):
+    if b is _MINUS_ONE:
         return neg(a)
     return Expr("mul", (a, b))
 
 
 def div(a, b):
-    if _is_const(b) and b.value != 0.0:
-        if _is_const(a):
+    if b.op == "const" and b is not ZERO:
+        if a.op == "const":
             return const(a.value / b.value)
-        if b.value == 1.0:
+        if b is ONE:
             return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if a is ZERO and b is not ZERO:
         return ZERO
     return Expr("div", (a, b))
 
 
 def neg(a):
-    if _is_const(a):
+    if a.op == "const":
         return const(-a.value)
     if a.op == "neg":
         return a.args[0]
@@ -267,7 +297,7 @@ def powi(a, k):
         return ONE
     if k == 1:
         return a
-    if _is_const(a) and isinstance(k, int):
+    if a.op == "const" and isinstance(k, int):
         if a.value == 0.0 and k < 0:
             return Expr("pow", (a,), value=k)  # defer the domain error to eval
         try:
@@ -280,7 +310,7 @@ def powi(a, k):
 def func(name, a):
     if name not in FUNCS:
         raise ExprError(f"unknown function {name!r}")
-    if _is_const(a):
+    if a.op == "const":
         try:
             v = _apply_func(name, a.value)
         except (ValueError, OverflowError):
@@ -380,60 +410,70 @@ def eval_expr(e, point):
     Raises DomainError on division by zero, ln/sqrt of invalid arguments,
     0 raised to a negative power, or any subexpression whose value is not
     finite (overflow, or a non-finite coordinate), naming the offending
-    subexpression.
+    subexpression.  Each distinct subtree is evaluated once per call.
     """
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "coord":
-        if e.index > len(point):
-            raise ExprError(
-                f"coordinate y{e.index} out of range for a point of dimension {len(point)}"
-            )
-        v = float(point[e.index - 1])
-    elif op == "add":
-        v = eval_expr(e.args[0], point) + eval_expr(e.args[1], point)
-    elif op == "sub":
-        v = eval_expr(e.args[0], point) - eval_expr(e.args[1], point)
-    elif op == "neg":
-        v = -eval_expr(e.args[0], point)
-    elif op == "mul":
-        v = eval_expr(e.args[0], point) * eval_expr(e.args[1], point)
-    elif op == "div":
-        d = eval_expr(e.args[1], point)
-        if d == 0.0:
-            raise DomainError("division by zero", e)
-        v = eval_expr(e.args[0], point) / d
-    elif op == "pow":
-        b = eval_expr(e.args[0], point)
-        k = e.value
-        if b == 0.0 and k < 0:
-            raise DomainError("zero raised to a negative power", e)
-        if isinstance(k, Fraction):
-            if b < 0.0:
-                raise DomainError("negative base with fractional exponent", e)
-            k = float(k)
-        try:
-            v = float(b) ** k
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-    else:
-        x = eval_expr(e.args[0], point)
-        if op == "ln" and x <= 0.0:
-            raise DomainError("ln of nonpositive argument", e)
-        if op == "sqrt" and x < 0.0:
-            raise DomainError("sqrt of negative argument", e)
-        v = _apply_func(op, x)
-    if not math.isfinite(v):
-        raise DomainError("non-finite value", e)
-    return v
+    memo = {}
+
+    def ev(node):
+        op = node.op
+        if op == "const":
+            return node.value
+        v = memo.get(id(node))
+        if v is not None:
+            return v
+        if op == "coord":
+            if node.index > len(point):
+                raise ExprError(
+                    f"coordinate y{node.index} out of range for a point of dimension {len(point)}"
+                )
+            v = float(point[node.index - 1])
+        elif op == "add":
+            v = ev(node.args[0]) + ev(node.args[1])
+        elif op == "sub":
+            v = ev(node.args[0]) - ev(node.args[1])
+        elif op == "neg":
+            v = -ev(node.args[0])
+        elif op == "mul":
+            v = ev(node.args[0]) * ev(node.args[1])
+        elif op == "div":
+            d = ev(node.args[1])
+            if d == 0.0:
+                raise DomainError("division by zero", node)
+            v = ev(node.args[0]) / d
+        elif op == "pow":
+            b = ev(node.args[0])
+            k = node.value
+            if b == 0.0 and k < 0:
+                raise DomainError("zero raised to a negative power", node)
+            if isinstance(k, Fraction):
+                if b < 0.0:
+                    raise DomainError("negative base with fractional exponent", node)
+                k = float(k)
+            try:
+                v = float(b) ** k
+            except OverflowError:
+                raise DomainError("overflow", node) from None
+        else:
+            x = ev(node.args[0])
+            if op == "ln" and x <= 0.0:
+                raise DomainError("ln of nonpositive argument", node)
+            if op == "sqrt" and x < 0.0:
+                raise DomainError("sqrt of negative argument", node)
+            v = _apply_func(op, x)
+        if not math.isfinite(v):
+            raise DomainError("non-finite value", node)
+        memo[id(node)] = v
+        return v
+
+    return ev(e)
 
 
 _VEC_FUNCS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
 
 
 def _postorder(roots):
-    """Distinct nodes (by identity) reachable from ``roots``, children before
+    """Distinct nodes (by identity, which for interned nodes is structural
+    equality) reachable from ``roots``, children before
     parents, and each node's use count: the argument slots of its parents
     plus its occurrences among the roots."""
     order, uses, seen = [], {}, set()
@@ -470,9 +510,10 @@ def eval_many_shared(exprs, points):
     one point of shape (n,)); returns a list of (P,) arrays in input order.
 
     Unchecked: out-of-domain inputs yield inf/nan per IEEE semantics (callers
-    probing residuals assert finiteness instead).  Each node shared by
-    identity, within one root or across roots, is evaluated once, and its
-    array is dropped as soon as its last parent has used it.
+    probing residuals assert finiteness instead).  Each distinct node, within
+    one root or across roots, is evaluated once (nodes are interned, so
+    identity is structural equality), and its array is dropped as soon as its
+    last parent has used it.
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
     sequence and runs its generated code; it returns one (R, P) array.
     """
@@ -611,8 +652,9 @@ class Program(Sequence):
 
 def compile_exprs(roots):
     """Compile a sequence of roots into a Program: one generated function
-    with one statement per distinct node (by identity, as eval_many_shared
-    walks them).
+    with one statement per distinct node, as eval_many_shared walks them
+    (nodes are interned, so identity is structural equality and every equal
+    subtree is computed once).
 
     A name is reused once its value has had its last use, so no more arrays
     are live than in the interpreted walk, and each root is stored as soon

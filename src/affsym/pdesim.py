@@ -84,10 +84,12 @@ def make_grid(profiles, N, L, t=0.0):
 def _coeff_evaluators(sys):
     """Callable mapping grid values (N, n) -> A (N, n, n) and Gamma
     (N, n, n, n).  The components of A and Gamma are compiled into one
-    Program here, so make one evaluator per evolve and call it at every
-    stage."""
+    Program on first use and kept on the system, so every evolve, stability
+    check and residual of one system runs the same code."""
     a_comps, g_comps = sys.A.comps, sys.conn.gamma
-    program = compile_exprs(list(a_comps.flat) + list(g_comps.flat))
+    if sys.coeff_program is None:
+        sys.coeff_program = compile_exprs(list(a_comps.flat) + list(g_comps.flat))
+    program = sys.coeff_program
     na = a_comps.size
 
     def eval_coeffs(values):
@@ -111,10 +113,9 @@ def _rhs(sys, coeffs, values, dx):
     return np.einsum("pij,pj->pi", A, d2 + quad)
 
 
-def stability_limit(sys, grid, coeffs=None):
-    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values;
-    ``coeffs`` is an evaluator from _coeff_evaluators to reuse."""
-    A, _ = (coeffs or _coeff_evaluators(sys))(grid.values)
+def stability_limit(sys, grid):
+    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values."""
+    A, _ = _coeff_evaluators(sys)(grid.values)
     eigs = np.linalg.eigvals(A)
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
@@ -133,7 +134,7 @@ def evolve(sys, grid, dt, steps, record_means=False):
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
     coeffs = _coeff_evaluators(sys)
-    limit = stability_limit(sys, grid, coeffs)
+    limit = stability_limit(sys, grid)
     if dt > limit:
         warnings.warn(
             f"time step {dt:.3e} exceeds the stability heuristic {limit:.3e}",

@@ -394,6 +394,10 @@ def assert_input_error(capsys, argv):
             _flat_doc(Gamma={"1": [["0", "0"], ["0", "0"]], "01": [["y1", "0"], ["0", "0"]]}),
             ["inspect"],
         ),
+        ({"canonical": {"kind": "maximal_7_11", "n": 2.5}}, ["inspect"]),
+        ({"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1.5}}, ["inspect"]),
+        ({"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "b": "abc"}}, ["inspect"]),
+        ({"canonical": {"kind": "maximal_7_11", "n": 2, "a": "2"}}, ["inspect"]),
     ],
     ids=[
         "tolerance-string",
@@ -409,6 +413,10 @@ def assert_input_error(capsys, argv):
         "sample-nan-classify",
         "sample-ragged",
         "gamma-index-twice",
+        "canonical-n-float",
+        "canonical-m-float",
+        "canonical-b-string",
+        "canonical-a-string",
     ],
 )
 def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv):

@@ -1,6 +1,11 @@
 """Parser, differentiation and evaluation of the scalar expression core."""
 
+import copy
+import gc
 import math
+import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +13,14 @@ import pytest
 import glob
 import os
 
+from affsym import canonical, expr, pfaff
 from affsym.cli import SystemDocument
 from affsym.expr import (
     DomainError,
     ExprError,
     ParseError,
     add,
+    compile_exprs,
     const,
     coord,
     diff_expr,
@@ -256,6 +263,17 @@ def test_eval_many_matches_pointwise():
         assert v == pytest.approx(eval_expr(e, p), rel=1e-14)
 
 
+def test_eval_expr_evaluates_shared_subtrees_once(monkeypatch):
+    calls = []
+    apply = expr._apply_func
+    monkeypatch.setattr(expr, "_apply_func", lambda name, x: calls.append(name) or apply(name, x))
+    e = func("sin", coord(1))
+    for _ in range(16):
+        e = add(e, e)  # 2^16 paths down to the one sin node
+    assert eval_expr(e, [0.3]) == 2**16 * apply("sin", 0.3)
+    assert calls == ["sin"]
+
+
 def _handmade_roots():
     """Roots sharing subtrees by identity: one root is a subtree of others,
     one appears twice, and some are bare const or coord nodes."""
@@ -316,3 +334,76 @@ def test_simplification_is_light_but_effective():
     assert e.op == "const" and e.value == 0.0
     e2 = parse_expr("y1", 1) + const(0.0)
     assert e2 == coord(1)
+
+
+# ---------------------------------------------------------------------------
+# Interning: structurally equal nodes are one object
+# ---------------------------------------------------------------------------
+
+
+def test_equal_constructions_are_one_node():
+    assert add(coord(1), coord(2)) is add(coord(1), coord(2))
+    text = "exp(y1*y2) - y2^3/(1 + sin(y1))"
+    assert parse_expr(text, 2) is parse_expr(text, 2)
+    assert const(-0.0) is const(0.0)
+    assert add(coord(1), coord(2)) is not add(coord(2), coord(1))
+
+
+def test_exponents_intern_by_value():
+    x = coord(1)
+    assert powi(x, Fraction(2, 1)) is powi(x, 2)
+    half = powi(x, Fraction(1, 2))
+    assert half is powi(x, Fraction(1, 2)) and half is not powi(x, 2)
+
+
+def test_intern_table_forgets_dead_nodes():
+    gc.collect()
+    before = len(expr._TABLE)
+    e = parse_expr("exp(1234.5*y1*y2) + sin(y2)^3/(y1 - 6789.25)", 2)
+    d = diff_expr(diff_expr(e, 1), 2)  # exp's derivative refers back to exp
+    assert len(expr._TABLE) > before
+    del e, d
+    gc.collect()
+    assert len(expr._TABLE) == before
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(FIXTURES, "*.json"))))
+def test_copies_and_pickles_keep_identity(path):
+    _, roots = _fixture_roots(path)
+    for e in roots:
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+    back = pickle.loads(pickle.dumps(roots))
+    assert all(b is e for b, e in zip(back, roots))
+
+
+def test_program_has_one_statement_per_distinct_node():
+    n = 2
+    sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=n))
+    g, _ = canonical.constcurv_metric(n)
+    u = [parse_expr("0.3*y1 - y2^2", n), parse_expr("sin(y1)*y2", n)]
+    prob = pfaff.named_system("covector_14", conn=sysd.conn, g=g, u_field=u)
+    roots = list(prob.rhs.flat)
+
+    # number the structurally distinct nodes without relying on identity, and
+    # note which depend on a coordinate (the rest are folded at compile time)
+    uid, table, varying, computed = {}, {}, {}, set()
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in uid:
+            stack.pop()
+            continue
+        todo = [a for a in node.args if id(a) not in uid]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        key = (node.op, node.value, node.index, tuple(uid[id(a)] for a in node.args))
+        uid[id(node)] = table.setdefault(key, len(table))
+        varying[id(node)] = node.op == "coord" or any(varying[id(a)] for a in node.args)
+        if node.args and varying[id(node)]:
+            computed.add(uid[id(node)])
+
+    source = compile_exprs(roots).source
+    statements = re.findall(r"^ +v\d+ = ", source, flags=re.M)
+    assert len(statements) == len(computed)
