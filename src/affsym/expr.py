@@ -142,8 +142,16 @@ class Expr:
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
-        # rebuilding through Expr returns the interned node
-        return Expr, (self.op, self.args, self.value, self.index)
+        # One flat table of (op, value, index, child positions) in postorder,
+        # so pickling does not recurse once per level; rebuilding through
+        # Expr returns the interned nodes.
+        order, _ = _postorder([self])
+        pos = {id(node): i for i, node in enumerate(order)}
+        table = [
+            (node.op, node.value, node.index, tuple(pos[id(a)] for a in node.args))
+            for node in order
+        ]
+        return _rebuild, (table,)
 
     def __deepcopy__(self, memo):
         return self  # immutable and interned: the copy is the node itself
@@ -196,6 +204,14 @@ class Expr:
         if not self.args:
             return 0
         return max(a.max_index for a in self.args)
+
+
+def _rebuild(table):
+    """The root of a postorder table written by Expr.__reduce__."""
+    nodes = []
+    for op, value, index, args in table:
+        nodes.append(Expr(op, [nodes[i] for i in args], value, index))
+    return nodes[-1]
 
 
 def _coerce(v):
@@ -515,7 +531,8 @@ def eval_many_shared(exprs, points):
     identity is structural equality), and its array is dropped as soon as its
     last parent has used it.
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
-    sequence and runs its generated code; it returns one (R, P) array.
+    sequence and runs its generated code; it returns one (R, P) array, and
+    also takes one point as a list of Python floats (see Program.run).
     """
     if isinstance(exprs, Program):
         return exprs.run(points)
@@ -630,23 +647,34 @@ class Program(Sequence):
         return self.roots[i]
 
     def run(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[0] == 1:
-            out = [0.0] * len(self.roots)
-            try:
-                if self._numpy_calls:
-                    with np.errstate(all="ignore"):
-                        self._scalar(pts[0].tolist(), out)
-                else:
-                    self._scalar(pts[0].tolist(), out)
-                return np.array(out, dtype=float).reshape(-1, 1)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                pass  # where Python floats raise, the arrays give inf or nan
-        out = np.empty((len(self.roots), pts.shape[0]))
+        """The roots' values as an (R, P) array.  ``points`` has shape
+        (P, n) or (n,), or is one point given as a list of Python floats,
+        which goes to the generated code as it is."""
+        if type(points) is list and points and type(points[0]) is float:
+            x = points
+        else:
+            pts = np.asarray(points, dtype=float)
+            if pts.ndim == 1:
+                pts = pts[None, :]
+            if pts.shape[0] != 1:
+                return self._run_columns(pts.T)
+            x = pts[0].tolist()
+        out = [0.0] * len(self.roots)
+        try:
+            if self._numpy_calls:
+                with np.errstate(all="ignore"):
+                    self._scalar(x, out)
+            else:
+                self._scalar(x, out)
+            return np.array(out).reshape(-1, 1)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            # where Python floats raise, the arrays give inf or nan
+            return self._run_columns(np.array(x, dtype=float)[:, None])
+
+    def _run_columns(self, columns):
+        out = np.empty((len(self.roots), columns.shape[1]))
         with np.errstate(all="ignore"):
-            self._array(pts.T, out)
+            self._array(columns, out)
         return out
 
 
@@ -796,43 +824,60 @@ def _fmt_const(v):
 
 
 def to_string(e):
-    """Render source text that parses back to a structurally equal tree."""
-    op = e.op
+    """Render source text that parses back to the same (interned) tree.
+
+    Fragments are built bottom up over the postorder, so depth is not limited
+    by recursion: each node's fragment is a string or a tuple of its pieces
+    (strings and its children's fragments), flattened once at the end.
+    """
+    order, _ = _postorder([e])
+    frags = {}
+    for node in order:
+        frags[id(node)] = _fragment(node, [frags[id(a)] for a in node.args])
+    out, stack = [], [frags[id(e)]]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
+
+
+def _wrap(piece, paren):
+    return ("(", piece, ")") if paren else piece
+
+
+def _fragment(node, parts):
+    """One node's text from its children's fragments, parenthesizing a child
+    that binds more loosely than its position allows."""
+    op = node.op
     if op == "const":
-        if e.value < 0.0:
-            return "-" + _fmt_const(-e.value)
-        return _fmt_const(e.value)
+        if node.value < 0.0:
+            return "-" + _fmt_const(-node.value)
+        return _fmt_const(node.value)
     if op == "coord":
-        return f"y{e.index}"
+        return f"y{node.index}"
     if op == "neg":
-        inner = e.args[0]
-        s = to_string(inner)
-        if _prec(inner) < _PREC["pow"]:
-            s = f"({s})"
-        return "-" + s
+        return ("-", _wrap(parts[0], _prec(node.args[0]) < _PREC["pow"]))
     if op == "pow":
-        base = e.args[0]
-        bs = to_string(base)
-        if _prec(base) < _ATOM_PREC or (base.op == "const" and base.value < 0):
-            bs = f"({bs})"
-        k = e.value
+        base, k = node.args[0], node.value
         if isinstance(k, Fraction):
             raise ExprError("fractional exponents have no grammar form; rewrite via sqrt")
-        return f"{bs}^{k}"
+        paren = _prec(base) < _ATOM_PREC or (base.op == "const" and base.value < 0)
+        return (_wrap(parts[0], paren), f"^{k}")
     if op in _BINOPS:
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
         p = _PREC[op]
-        a, b = e.args
-        ls = to_string(a)
-        if _prec(a) < p or (a.op == "const" and a.value < 0 and p == 2):
-            ls = f"({ls})"
-        rs = to_string(b)
-        if _prec(b) < p or (_prec(b) == p and b.op in _BINOPS) or (
-            b.op == "const" and b.value < 0
-        ):
-            rs = f"({rs})"
-        return f"{ls} {sym} {rs}" if p == 1 else f"{ls}{sym}{rs}"
-    return f"{op}({to_string(e.args[0])})"
+        a, b = node.args
+        left = _prec(a) < p or (a.op == "const" and a.value < 0 and p == 2)
+        right = (
+            _prec(b) < p
+            or (_prec(b) == p and b.op in _BINOPS)
+            or (b.op == "const" and b.value < 0)
+        )
+        sym = f" {_INFIX[op]} " if p == 1 else _INFIX[op]
+        return (_wrap(parts[0], left), sym, _wrap(parts[1], right))
+    return (f"{op}(", parts[0], ")")
 
 
 # ---------------------------------------------------------------------------

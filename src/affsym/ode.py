@@ -1,0 +1,235 @@
+"""Explicit Runge-Kutta integration with error control: the Dormand-Prince
+5(4) pair, the one integrator behind Pfaff transport and symmetry flows.
+
+The method is the pair of Dormand and Prince, "A family of embedded
+Runge-Kutta formulae", J. Comput. Appl. Math. 6 (1980) 19-26, advanced with
+the fifth-order solution (local extrapolation).  Step-size control, the
+initial step and the RMS error norm follow Hairer, Norsett and Wanner,
+"Solving Ordinary Differential Equations I", Sec. II.4; dense output is the
+quartic continuous extension of Shampine, "Some Practical Runge-Kutta
+Formulas", Math. Comp. 46 (1986) 135-150 (Hairer-Norsett-Wanner II.6).
+
+Every floating-point operation is the one scipy's ``RK45`` performs, in the
+same order and on the same array layouts (stage sums ``np.dot(K[:s].T,
+a[:s]) * h``, the 0.9 / 0.2 / 10 step factors, the ``min_step`` rule), so
+steps, ``nfev``, end values and dense output are bitwise what
+``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  The one
+difference is the terminal event: its crossing is found by bisection on the
+dense output, where scipy uses Brent's method, so the reported crossing
+time can differ in its last bits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["IntegrationError", "OdeResult", "solve_ivp"]
+
+C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# Shampine's continuous extension: y(t_old + x h) = y_old + h * (K.T @ P) @ [x, x^2, x^3, x^4]
+P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimate + 1)
+EPS = np.finfo(float).eps
+MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+    -1: "Required step size is less than spacing between numbers.",
+}
+
+
+def _rms(x):
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """Hairer-Norsett-Wanner's starting step (II.4); one call of fun."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+class DenseOutput:
+    """The continuous solution over the accepted steps; ``sol(t)`` -> (n,).
+    At a step boundary the earlier step's polynomial is used."""
+
+    def __init__(self, ts, steps):
+        self.steps = steps  # (t_old, t, y_old, Q) per accepted step
+        self.ascending = ts[-1] >= ts[0]
+        self.ts = np.asarray(ts if self.ascending else ts[::-1])
+
+    def __call__(self, t):
+        ind = np.searchsorted(self.ts, t, side="left" if self.ascending else "right")
+        seg = min(max(ind - 1, 0), len(self.steps) - 1)
+        return _interpolate(self.steps[seg if self.ascending else -1 - seg], t)
+
+
+def _interpolate(step, t):
+    t_old, t_new, y_old, Q = step
+    h = t_new - t_old
+    p = np.cumprod(np.tile((t - t_old) / h, 4))
+    y = h * np.dot(Q, p)
+    y += y_old
+    return y
+
+
+@dataclass
+class OdeResult:
+    """t: accepted times (the crossing last when an event stopped the run);
+    y: (n, len(t)) states; sol: DenseOutput or None; status: 0 reached the
+    end, 1 event, -1 step underflow; last_step: size of the last step
+    attempted."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: DenseOutput | None
+    status: int
+    message: str
+    nfev: int
+    last_step: float
+
+
+class IntegrationError(RuntimeError):
+    """An integration that stopped short of its end: a terminal event fired
+    (status 1) or the step underflowed (status -1).  Carries the status, the
+    time reached, the number of right-hand side calls and the size of the
+    last step attempted."""
+
+    def __init__(self, message, result):
+        super().__init__(message)
+        self.status = result.status
+        self.t_reached = float(result.t[-1])
+        self.nfev = result.nfev
+        self.last_step = result.last_step
+
+
+def _crossing(event, step):
+    """A sign change of event(t, y(t)) on one step, bisected on its dense
+    output to the 4 eps tolerance scipy asks of Brent's method."""
+    lo, hi = step[0], step[1]
+    g_lo = event(lo, _interpolate(step, lo))
+    while abs(hi - lo) > 4 * EPS * (1 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        g_mid = event(mid, _interpolate(step, mid))
+        if g_mid == 0:
+            return mid
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return hi
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, events=None):
+    """Integrate y' = fun(t, y) over t_span = (t0, tf) from y0.
+
+    ``events`` is one function event(t, y) whose sign change, checked after
+    each accepted step, ends the run at its crossing (status 1).  A step
+    below ten ulps of t ends it with status -1.
+    """
+    t0, tf = map(float, t_span)
+    if t0 == tf:
+        raise ValueError("the integration interval is empty")
+    y = np.asarray(y0).astype(float, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    direction = np.sign(tf - t0)
+    f = np.asarray(fun(t0, y), dtype=float)
+    h_abs = _initial_step(fun, t0, y, tf, f, direction, rtol, atol)
+    nfev = 2
+    K = np.empty((7, y.size))
+    stages = [(K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
+    K_b, K_e = K[:-1].T, K.T
+    t, ts, ys, steps = t0, [t0], [y], []
+    g = None if events is None else events(t0, y)
+    status = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for KT, a, c in stages:
+                K[len(a)] = fun(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(K_b, B)
+            f_new = K[-1] = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K_e, E) * h / scale)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT
+                )
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if direction * (t - tf) >= 0:
+            status = 0
+        crossed = False
+        if g is not None:
+            g_new = events(t, y)
+            crossed = (g <= 0 <= g_new) or (g >= 0 >= g_new)
+            g = g_new
+        if dense_output or crossed:
+            step = (t_old, t, y_old, K.T.dot(P))
+            if dense_output:
+                steps.append(step)
+            if crossed:
+                t = _crossing(events, step)
+                y = _interpolate(step, t)
+                status = 1
+        ts.append(t)
+        ys.append(y)
+    return OdeResult(
+        t=np.array(ts),
+        y=np.vstack(ys).T,
+        sol=DenseOutput(ts, steps) if dense_output else None,
+        status=status,
+        message=MESSAGES[status],
+        nfev=nfev,
+        last_step=float(abs(h)),
+    )

@@ -15,10 +15,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
+from .ode import IntegrationError, solve_ivp
 from .tensor import TensorField
 
 __all__ = [
@@ -213,7 +213,9 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
 
 
 def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
-    """Map every grid point by the time-tau flow of eta (one stacked ODE)."""
+    """Map every grid point by the time-tau flow of eta: one stacked ODE,
+    integrated with the Dormand-Prince 5(4) pair of ``affsym.ode``.  A step
+    underflow raises IntegrationError."""
     if tau == 0.0:
         return grid.copy()
     N, n = grid.values.shape
@@ -221,11 +223,9 @@ def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
     def rhs(_t, z):
         return eta.evaluate_many(z.reshape(N, n)).reshape(-1)
 
-    sol = solve_ivp(
-        rhs, (0.0, tau), grid.values.reshape(-1), method="RK45", rtol=rtol, atol=atol
-    )
+    sol = solve_ivp(rhs, (0.0, tau), grid.values.reshape(-1), rtol=rtol, atol=atol)
     if sol.status != 0:
-        raise RuntimeError(f"grid flow failed: {sol.message}")
+        raise IntegrationError(f"grid flow failed: {sol.message}", sol)
     return grid.copy(values=sol.y[:, -1].reshape(N, n))
 
 

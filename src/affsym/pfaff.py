@@ -21,7 +21,6 @@ vanishing is equivalent to path-independent transport.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import (
     ZERO,
@@ -35,6 +34,7 @@ from .expr import (
     sub,
     subst,
 )
+from .ode import IntegrationError, solve_ivp
 from .tensor import (
     ADD,
     MUL,
@@ -67,8 +67,9 @@ NAMED_KINDS = (
 )
 
 
-class TransportError(RuntimeError):
-    """Transport failed (blow-up / step underflow)."""
+class TransportError(IntegrationError):
+    """Transport failed (blow-up / step underflow); carries the segment's
+    status, t_reached, nfev and last_step."""
 
 
 class RestrictionDriftError(RuntimeError):
@@ -111,14 +112,16 @@ class PfaffProblem:
                 f"restrictions violated at the initial data: max {np.max(np.abs(init)):.3e}"
             )
 
-    def pack(self, u, y):
-        return np.concatenate([np.asarray(u, float), np.asarray(y, float)])
+    @staticmethod
+    def pack(u, y):
+        """The combined-block point (U, y) as a list of Python floats, the
+        form a compiled program runs on without conversion."""
+        return np.asarray(u, float).tolist() + np.asarray(y, float).tolist()
 
     def rhs_values(self, u, y):
         if self._rhs_program is None:
             self._rhs_program = compile_exprs(self.rhs.reshape(-1))
-        vals = eval_many_shared(self._rhs_program, self.pack(u, y))
-        return vals.reshape(self.k, self.n)
+        return eval_many_shared(self._rhs_program, self.pack(u, y)).reshape(self.k, self.n)
 
     def restriction_values(self, u, y):
         if not self.restrictions:
@@ -138,10 +141,12 @@ def pfaff_integrate(
 ):
     """Transport U along a polyline of points, returning U at every vertex.
 
-    Each segment integrates dU/dt = sum_i G_i(U, y(t)) dy^i/dt with an
-    embedded adaptive Runge-Kutta pair.  Restrictions are evaluated at
-    check_nodes interior nodes per segment; drift beyond restriction_tol
-    raises RestrictionDriftError.
+    Each segment integrates dU/dt = sum_i G_i(U, y(t)) dy^i/dt, t in [0, 1],
+    with the Dormand-Prince 5(4) pair of ``affsym.ode``.  A segment that
+    leaves |U| <= 1e8 or whose step underflows raises TransportError.
+    Restrictions are evaluated on the segment's dense output at check_nodes
+    interior nodes; drift beyond restriction_tol raises
+    RestrictionDriftError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != prob.n:
@@ -158,14 +163,12 @@ def pfaff_integrate(
             return g @ dy
 
         def too_big(t, uvec):
-            return float(np.max(np.abs(uvec)) - 1e8)
+            return float(abs(uvec).max()) - 1e8
 
-        too_big.terminal = True
         sol = solve_ivp(
             seg_rhs,
             (0.0, 1.0),
             u,
-            method="RK45",
             rtol=rtol,
             atol=atol,
             dense_output=bool(prob.restrictions),
@@ -173,10 +176,10 @@ def pfaff_integrate(
         )
         if sol.status == 1:
             raise TransportError(
-                f"transport blew up at segment parameter t = {sol.t[-1]:.4g}"
+                f"transport blew up at segment parameter t = {sol.t[-1]:.4g}", sol
             )
         if sol.status != 0:
-            raise TransportError(f"transport failed: {sol.message}")
+            raise TransportError(f"transport failed: {sol.message}", sol)
         if prob.restrictions:
             for t in np.linspace(0.0, 1.0, check_nodes + 2)[1:]:
                 vals = prob.restriction_values(sol.sol(t), a + t * dy)

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import ZERO, add, coord, mul
 from .geometry import covariant_differential, curvature, ricci_and_s
 from .liefn import VectorField, lie_derivative
+from .ode import IntegrationError, solve_ivp
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, partial_differential
 from .util import ResidualReport, max_report, sample_points
 
@@ -52,13 +52,12 @@ __all__ = [
 RANK_RTOL = 1e-7  # relative singular-value cutoff, scale-invariant
 
 
-class FlowError(RuntimeError):
-    """Flow integration failed (blow-up / step underflow); carries the time
-    actually reached."""
+class FlowError(IntegrationError):
+    """Flow integration failed (blow-up / step underflow); carries the
+    status, the time actually reached, nfev and last_step."""
 
-    def __init__(self, message, t_reached):
-        super().__init__(f"{message} (reached t = {t_reached:.6g})")
-        self.t_reached = t_reached
+    def __init__(self, message, result):
+        super().__init__(f"{message} (reached t = {result.t[-1]:.6g})", result)
 
 
 class RankNotConstantError(ValueError):
@@ -169,11 +168,12 @@ def affine_residual(conn, eta, pts=None):
 
 
 def flow(eta, p, tau, rtol=1e-9, atol=1e-10, blowup=1e8):
-    """phi_tau(p): transport p along eta by adaptive Runge-Kutta.
+    """phi_tau(p): transport p along eta with the Dormand-Prince 5(4) pair
+    of ``affsym.ode``.
 
     phi_0 is the identity and the group property holds to integrator
-    tolerance.  Blow-up or step underflow raises FlowError with the time
-    reached.
+    tolerance.  Leaving |y| <= blowup or a step underflow raises FlowError
+    with the time reached.
     """
     p = np.asarray(p, dtype=float)
     if tau == 0.0:
@@ -183,14 +183,13 @@ def flow(eta, p, tau, rtol=1e-9, atol=1e-10, blowup=1e8):
         return eta.evaluate_many(y[None, :])[0]
 
     def too_big(_t, y):
-        return float(np.max(np.abs(y)) - blowup)
+        return float(abs(y).max()) - blowup
 
-    too_big.terminal = True
-    sol = solve_ivp(rhs, (0.0, tau), p, method="RK45", rtol=rtol, atol=atol, events=too_big)
+    sol = solve_ivp(rhs, (0.0, tau), p, rtol=rtol, atol=atol, events=too_big)
     if sol.status == 1:
-        raise FlowError("flow left the working region (blow-up guard)", sol.t[-1])
+        raise FlowError("flow left the working region (blow-up guard)", sol)
     if sol.status != 0:
-        raise FlowError(f"integration failed: {sol.message}", sol.t[-1] if len(sol.t) else 0.0)
+        raise FlowError(f"integration failed: {sol.message}", sol)
     return sol.y[:, -1]
 
 

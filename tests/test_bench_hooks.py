@@ -48,4 +48,4 @@ def test_tracer_patches_counts_and_restores():
     identity, unique = inst.dag_sizes(tracer.take_roots())
     assert 0 < unique <= identity
     assert (Connection.__dict__["evaluate_many"], PfaffProblem.__dict__["rhs_values"]) == originals
-    assert pfaff.solve_ivp.__module__.startswith("scipy")
+    assert pfaff.solve_ivp.__module__ == "affsym.ode"

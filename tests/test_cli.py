@@ -8,7 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from affsym import cli
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
+from affsym.expr import parse_expr
+from affsym.liefn import VectorField
+from affsym.pfaff import PfaffProblem, transport_to
+from affsym.symmetry import flow
 from affsym.pdesim import evolve, make_grid
 from affsym.util import sample_points
 
@@ -158,6 +163,59 @@ def test_simulate_transport_translation(capsys):
     )
     assert code == 0
     assert data["transport_gap"] <= 1e-10
+
+
+def test_grid_flow_step_underflow_exits_2(capsys):
+    # a rotation of the sphere carries the constant profile (1, 0) through the
+    # stereographic chart's pole at tau = pi/2; the grid flow's step underflows
+    code = main(
+        [
+            "simulate",
+            fixture("heisenberg.json"),
+            "--initial",
+            "1;0",
+            "--transport=0.5+0.5*y1^2-0.5*y2^2,y1*y2",
+            "--tau",
+            "2",
+            "--grid",
+            "16",
+            "--dt",
+            "0.001",
+            "--steps",
+            "4",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: grid flow failed: Required step size is less than spacing between numbers.\n"
+    )
+
+
+def _blow_up_flow(*_args):
+    flow(VectorField.from_strings(1, ["y1^2"]), np.array([2.0]), 1.0)
+
+
+def _blow_up_transport(*_args):
+    rhs = np.array([[parse_expr("y1^2", 2)]], dtype=object)
+    transport_to(PfaffProblem(1, 1, rhs, p0=[0.0], u0=[1.0]), [1.5])
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (_blow_up_flow, "flow left the working region (blow-up guard) (reached t = 0.5)"),
+        (_blow_up_transport, "transport blew up at segment parameter t = 0.6667"),
+    ],
+    ids=["flow", "transport"],
+)
+def test_integration_blow_up_exits_2(monkeypatch, capsys, fail, message):
+    # no fixture drives a flow or transport to the blow-up guard, so the
+    # transport check of `simulate` is replaced by one that does
+    monkeypatch.setattr(cli, "symmetry_transport_check", fail)
+    argv = ["simulate", fixture("flat_n2.json"), "--grid", "16", "--dt", "0.01", "--steps", "2"]
+    assert main(argv + ["--transport=1,0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_report_runs_and_is_deterministic(capsys):

@@ -376,6 +376,13 @@ def test_copies_and_pickles_keep_identity(path):
     assert all(b is e for b, e in zip(back, roots))
 
 
+def test_long_sums_print_and_pickle_without_recursion():
+    # a 20,000-term left-nested sum is 20,000 levels deep
+    e = parse_expr(" + ".join(["y1^2"] * 20000), 1)
+    assert parse_expr(to_string(e), 1) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
 def test_program_has_one_statement_per_distinct_node():
     n = 2
     sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=n))

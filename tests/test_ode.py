@@ -1,0 +1,162 @@
+"""The Dormand-Prince integrator: accuracy against closed forms, dense
+output, the terminal event, step underflow, the typed errors of transport
+and flows, and that the library runs with scipy unimportable."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from affsym.expr import parse_expr
+from affsym.liefn import VectorField
+from affsym.ode import IntegrationError, solve_ivp
+from affsym.pfaff import PfaffProblem, TransportError, transport_to
+from affsym.symmetry import FlowError, flow
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+UNDERFLOW = "Required step size is less than spacing between numbers."
+
+
+def rotation_decay(t, y):
+    return np.array([-0.1 * y[0] - y[1], y[0] - 0.1 * y[1]])
+
+
+def rotation_decay_exact(t, y0):
+    c, s = np.cos(t), np.sin(t)
+    return np.exp(-0.1 * t) * np.array([c * y0[0] - s * y0[1], s * y0[0] + c * y0[1]])
+
+
+@pytest.mark.parametrize("tf", [3.0, -2.0])
+def test_linear_system_matches_closed_form(tf):
+    y0 = np.array([1.0, 0.5])
+    sol = solve_ivp(rotation_decay, (0.0, tf), y0, rtol=1e-10, atol=1e-12)
+    assert sol.status == 0 and sol.t[0] == 0.0 and sol.t[-1] == tf
+    assert sol.y.shape == (2, len(sol.t))
+    assert np.max(np.abs(sol.y[:, -1] - rotation_decay_exact(tf, y0))) <= 1e-9
+    # two calls to start, six per step attempted, rejected attempts included
+    assert (sol.nfev - 2) % 6 == 0 and sol.nfev >= 2 + 6 * (len(sol.t) - 1)
+
+
+def test_dense_output_matches_closed_form():
+    # y' = y^2, y(0) = 1: y = 1 / (1 - t)
+    sol = solve_ivp(lambda t, y: y * y, (0.0, 0.5), np.array([1.0]), 1e-9, 1e-10, dense_output=True)
+    for t in np.linspace(0.0, 0.5, 23):
+        assert abs(sol.sol(t)[0] - 1.0 / (1.0 - t)) <= 1e-7
+    assert sol.sol(0.0)[0] == 1.0
+
+
+def test_terminal_event_stops_at_its_crossing():
+    # y' = y^2 from 2 blows up at t = 1/2; |y| = 1e8 is crossed at 1/2 - 1e-8
+    def guard(t, y):
+        return float(abs(y).max()) - 1e8
+
+    sol = solve_ivp(lambda t, y: y * y, (0.0, 1.0), np.array([2.0]), 1e-9, 1e-10, events=guard)
+    assert sol.status == 1 and sol.message == "A termination event occurred."
+    assert abs(sol.t[-1] - (0.5 - 1e-8)) <= 1e-9
+    assert abs(sol.y[0, -1] / 1e8 - 1.0) <= 1e-6  # the dense output at the crossing
+
+
+def test_nan_right_hand_side_stops_with_step_underflow():
+    def fun(t, y):
+        return y * (np.nan if t > 0.5 else 1.0)
+
+    sol = solve_ivp(fun, (0.0, 1.0), np.array([1.0, 2.0]), 1e-9, 1e-10)
+    assert sol.status == -1 and sol.message == UNDERFLOW
+    assert 0.49 < sol.t[-1] <= 0.5 and np.all(np.isfinite(sol.y))
+    assert 0.0 < sol.last_step < 1e-13
+
+
+def test_empty_interval_and_non_finite_start_raise():
+    with pytest.raises(ValueError):
+        solve_ivp(rotation_decay, (1.0, 1.0), np.ones(2), 1e-9, 1e-10)
+    with pytest.raises(ValueError):
+        solve_ivp(rotation_decay, (0.0, 1.0), np.array([1.0, np.nan]), 1e-9, 1e-10)
+
+
+def test_matches_scipy_rk45_bitwise():
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        M = rng.normal(size=(3, 3))
+
+        def fun(t, y, M=M):
+            return np.sin(M @ y) + np.cos(t) * y[::-1]
+
+        y0, tf = rng.normal(size=3), (-1.5, 2.0)[trial % 2]
+        want = integrate.solve_ivp(fun, (0.0, tf), y0, method="RK45", rtol=1e-9, atol=1e-10, dense_output=True)
+        got = solve_ivp(fun, (0.0, tf), y0, 1e-9, 1e-10, dense_output=True)
+        assert got.nfev == want.nfev
+        assert [v.hex() for v in got.t] == [float(v).hex() for v in want.t]
+        assert [v.hex() for v in got.y.ravel()] == [v.hex() for v in want.y.ravel()]
+        for t in np.linspace(0.0, tf, 9):
+            assert [v.hex() for v in got.sol(t)] == [v.hex() for v in want.sol(t)]
+
+
+def test_flow_blowup_guard_raises_typed_error():
+    eta = VectorField.from_strings(2, ["y1^2", "0.5*y2"])  # y1 = 1 / (1 - t)
+    with pytest.raises(FlowError) as err:
+        flow(eta, np.array([1.0, 0.1]), 5.0)
+    exc = err.value
+    assert str(exc) == "flow left the working region (blow-up guard) (reached t = 1)"
+    assert isinstance(exc, IntegrationError) and isinstance(exc, RuntimeError)
+    assert exc.status == 1 and 0.99 < exc.t_reached < 1.0
+    assert exc.nfev > 2 and 0.0 < exc.last_step < 1.0
+
+
+def test_transport_blowup_raises_typed_error():
+    rhs = np.array([[parse_expr("y1^2", 2)]], dtype=object)  # du/dy = u^2: pole at y = 1
+    prob = PfaffProblem(1, 1, rhs, p0=[0.0], u0=[1.0])
+    with pytest.raises(TransportError) as err:
+        transport_to(prob, [1.5])
+    exc = err.value
+    assert str(exc) == "transport blew up at segment parameter t = 0.6667"
+    assert exc.status == 1 and abs(exc.t_reached - 2.0 / 3.0) <= 1e-6 and exc.nfev > 2
+
+
+def test_transport_nan_rhs_raises_step_underflow():
+    rhs = np.array([[parse_expr("sqrt(0.5 - y2)", 2)]], dtype=object)  # NaN past y = 0.5
+    prob = PfaffProblem(1, 1, rhs, p0=[0.0], u0=[1.0])
+    with pytest.raises(TransportError) as err:
+        transport_to(prob, [1.0])
+    exc = err.value
+    assert str(exc) == f"transport failed: {UNDERFLOW}"
+    assert exc.status == -1 and 0.49 < exc.t_reached <= 0.5
+    assert exc.nfev > 2 and 0.0 < exc.last_step < 1e-13
+
+
+def test_library_runs_with_scipy_unimportable():
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(name + " is blocked")
+                return None
+
+        sys.meta_path.insert(0, BlockScipy())
+        import numpy as np
+        import affsym, affsym.cli
+        from affsym import canonical, pdesim, pfaff
+        from affsym.liefn import VectorField
+        from affsym.symmetry import flow
+
+        sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=2))
+        u = pfaff.transport_to(pfaff.named_system("covector_14", conn=sysd.conn), [0.1, -0.2])
+        eta = VectorField.from_strings(2, ["-y2", "y1"])
+        p = flow(eta, np.array([1.0, 0.0]), np.pi / 2)
+        grid = pdesim.apply_flow_to_grid(eta, pdesim.make_grid([np.sin, np.cos], 8, 2 * np.pi), 0.3)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(grid.values))
+        assert abs(p[0]) < 1e-8 and abs(p[1] - 1.0) < 1e-8
+        assert "scipy" not in sys.modules
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
