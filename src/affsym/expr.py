@@ -9,11 +9,14 @@ walk of their shared DAG.  They are the scalar substrate for tensor
 components, connection coefficients and Pfaff right-hand sides.
 
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
-Modular Hash-Consing", 2006): the smart constructors, ``subst``, the parser
-and ``diff_expr`` all build through ``Expr``, which returns the live node
-equal to the one asked for when there is one.  Structurally equal trees are
-therefore the same object, so the derivative memo, the evaluators and the
-compiler, which all key on identity, share every equal subtree.
+Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
+builder of the interning table's keys, which returns the live node equal to
+the one asked for when there is one.  The smart constructors call it
+directly, and ``Expr(...)`` (unpickling) goes through it.  Structurally
+equal trees are therefore the same object, and ``Expr`` keeps ``object``'s
+identity hash and equality, so a node is its own dictionary key: the
+postorder walk's use counts, the evaluators' values, the compiler's tables
+and the memos are all dicts keyed by node, and share every equal subtree.
 
 A root set evaluated many times (a Pfaff right-hand side at every solver
 step, the simulator's coefficients at every Runge-Kutta stage) is compiled
@@ -62,7 +65,7 @@ FUNCS = ("exp", "ln", "sqrt", "sin", "cos")
 _BINOPS = ("add", "sub", "mul", "div")
 
 # Every live node, keyed by op, value, index and its children's ids (see
-# Expr), held through a weak reference whose callback drops the entry when
+# _intern), held through a weak reference whose callback drops the entry when
 # the node dies.  A WeakValueDictionary does the same, but builds a
 # Python-level KeyedRef per new node, which cost about a tenth of the
 # benchmark's symbolic (analyze) throughput.
@@ -110,33 +113,16 @@ class Expr:
 
     Nodes are hash-consed: constructing a node equal to a live one, by op,
     value, index and (already interned) children, returns that node.  So
-    structurally equal trees are the same object, ``==`` is identity, and
-    everything keyed on identity (the derivative memo, the evaluators'
-    sharing, compiled programs) shares every equal subtree.
+    structurally equal trees are the same object, ``==`` and ``hash`` are
+    object identity's, and everything keyed on the node (the derivative
+    memo, the evaluators' sharing, compiled programs) shares every equal
+    subtree.
     """
 
     __slots__ = ("op", "args", "value", "index", "_dmemo", "__weakref__")
 
     def __new__(cls, op, args=(), value=None, index=None):
-        args = tuple(args)
-        # Children are interned, so their identities stand for their
-        # structure.  Keying on ids rather than the children themselves keeps
-        # the table from holding nodes alive: a node whose derivative memo
-        # refers back to it (exp, sqrt) would otherwise never be freed.
-        key = (op, value, index, *map(id, args))
-        ref = _TABLE.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            node = object.__new__(cls)
-            setattr_ = object.__setattr__
-            setattr_(node, "op", op)
-            setattr_(node, "args", args)
-            setattr_(node, "value", value)
-            setattr_(node, "index", index)
-            setattr_(node, "_dmemo", None)
-            ref = _TABLE[key] = _Ref(node, _forget)
-            ref.key = key
-        return node
+        return _intern(op, tuple(args), value, index)
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("Expr is immutable")
@@ -146,9 +132,9 @@ class Expr:
         # so pickling does not recurse once per level; rebuilding through
         # Expr returns the interned nodes.
         order, _ = _postorder([self])
-        pos = {id(node): i for i, node in enumerate(order)}
+        pos = {node: i for i, node in enumerate(order)}
         table = [
-            (node.op, node.value, node.index, tuple(pos[id(a)] for a in node.args))
+            (node.op, node.value, node.index, tuple(pos[a] for a in node.args))
             for node in order
         ]
         return _rebuild, (table,)
@@ -206,6 +192,50 @@ class Expr:
         return max(a.max_index for a in self.args)
 
 
+_new_node = object.__new__
+_set_op = Expr.op.__set__
+_set_args = Expr.args.__set__
+_set_value = Expr.value.__set__
+_set_index = Expr.index.__set__
+_set_dmemo = Expr._dmemo.__set__
+
+
+def _intern(op, args, value=None, index=None):
+    """The live node with this op, tuple of (interned) children, value and
+    index, created if there is none.  The one builder of table keys.
+
+    Children are interned, so their identities stand for their structure.
+    Keying on ids rather than the children themselves keeps the table from
+    holding nodes alive: a node whose derivative memo refers back to it (exp,
+    sqrt) would otherwise never be freed.  The key is spelled out for the
+    arities that occur, and a new node's slots are set through their
+    descriptors, since this runs once per node the smart constructors build.
+    """
+    n = len(args)
+    if n == 2:
+        key = (op, value, index, id(args[0]), id(args[1]))
+    elif n == 1:
+        key = (op, value, index, id(args[0]))
+    elif n == 0:
+        key = (op, value, index)
+    else:
+        key = (op, value, index, *map(id, args))
+    ref = _TABLE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = _new_node(Expr)
+    _set_op(node, op)
+    _set_args(node, args)
+    _set_value(node, value)
+    _set_index(node, index)
+    _set_dmemo(node, None)
+    ref = _TABLE[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 def _rebuild(table):
     """The root of a postorder table written by Expr.__reduce__."""
     nodes = []
@@ -230,7 +260,7 @@ def const(v):
         raise ExprError(f"non-finite constant {v!r}")
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    return Expr("const", value=v)
+    return _intern("const", (), v)
 
 
 # Interned, so a constant equal to one of these is that node: the smart
@@ -243,7 +273,7 @@ _MINUS_ONE = const(-1.0)
 def coord(i):
     if not isinstance(i, int) or i < 1:
         raise ExprError(f"coordinate index must be a positive integer, got {i!r}")
-    return Expr("coord", index=i)
+    return _intern("coord", (), None, i)
 
 
 def add(a, b):
@@ -253,7 +283,7 @@ def add(a, b):
         return b
     if b is ZERO:
         return a
-    return Expr("add", (a, b))
+    return _intern("add", (a, b))
 
 
 def sub(a, b):
@@ -263,7 +293,7 @@ def sub(a, b):
         return a
     if a is ZERO:
         return neg(b)
-    return Expr("sub", (a, b))
+    return _intern("sub", (a, b))
 
 
 def mul(a, b):
@@ -279,7 +309,7 @@ def mul(a, b):
         return neg(b)
     if b is _MINUS_ONE:
         return neg(a)
-    return Expr("mul", (a, b))
+    return _intern("mul", (a, b))
 
 
 def div(a, b):
@@ -290,7 +320,7 @@ def div(a, b):
             return a
     if a is ZERO and b is not ZERO:
         return ZERO
-    return Expr("div", (a, b))
+    return _intern("div", (a, b))
 
 
 def neg(a):
@@ -298,7 +328,7 @@ def neg(a):
         return const(-a.value)
     if a.op == "neg":
         return a.args[0]
-    return Expr("neg", (a,))
+    return _intern("neg", (a,))
 
 
 def powi(a, k):
@@ -315,12 +345,12 @@ def powi(a, k):
         return a
     if a.op == "const" and isinstance(k, int):
         if a.value == 0.0 and k < 0:
-            return Expr("pow", (a,), value=k)  # defer the domain error to eval
+            return _intern("pow", (a,), k)  # defer the domain error to eval
         try:
             return const(a.value**k)
         except OverflowError:
             raise ExprError("constant power out of floating-point range") from None
-    return Expr("pow", (a,), value=k)
+    return _intern("pow", (a,), k)
 
 
 def func(name, a):
@@ -330,9 +360,9 @@ def func(name, a):
         try:
             v = _apply_func(name, a.value)
         except (ValueError, OverflowError):
-            return Expr(name, (a,))  # let eval report the domain error
+            return _intern(name, (a,))  # let eval report the domain error
         return const(v)
-    return Expr(name, (a,))
+    return _intern(name, (a,))
 
 
 def _apply_func(name, x):
@@ -434,7 +464,7 @@ def eval_expr(e, point):
         op = node.op
         if op == "const":
             return node.value
-        v = memo.get(id(node))
+        v = memo.get(node)
         if v is not None:
             return v
         if op == "coord":
@@ -478,7 +508,7 @@ def eval_expr(e, point):
             v = _apply_func(op, x)
         if not math.isfinite(v):
             raise DomainError("non-finite value", node)
-        memo[id(node)] = v
+        memo[node] = v
         return v
 
     return ev(e)
@@ -488,30 +518,32 @@ _VEC_FUNCS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos"
 
 
 def _postorder(roots):
-    """Distinct nodes (by identity, which for interned nodes is structural
-    equality) reachable from ``roots``, children before
-    parents, and each node's use count: the argument slots of its parents
-    plus its occurrences among the roots."""
+    """Distinct nodes reachable from ``roots``, children before parents, and
+    each node's use count: the argument slots of its parents plus its
+    occurrences among the roots.  Both are keyed by the node itself, which
+    hashes and compares by identity; for interned nodes that is structural
+    equality."""
     order, uses, seen = [], {}, set()
     stack = []
     for root in roots:
-        uses[id(root)] = uses.get(id(root), 0) + 1
+        uses[root] = uses.get(root, 0) + 1
         stack.append((root, False))
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            if not node.args:
+        elif node not in seen:
+            seen.add(node)
+            args = node.args
+            if not args:
                 order.append(node)
                 continue
             stack.append((node, True))
             # a child already seen is finished: a node seen but unfinished is
             # an ancestor of this one, and a DAG has no path back to it
-            for a in node.args:
-                uses[id(a)] = uses.get(id(a), 0) + 1
-                if id(a) not in seen:
+            for a in args:
+                uses[a] = uses.get(a, 0) + 1
+                if a not in seen:
                     stack.append((a, False))
     return order, uses
 
@@ -544,21 +576,21 @@ def eval_many_shared(exprs, points):
     with np.errstate(all="ignore"):
         for node in order:
             op = node.op
-            if not node.args:
-                vals[id(node)] = (
+            args = node.args
+            if not args:
+                vals[node] = (
                     np.full(pts.shape[0], node.value) if op == "const" else pts[:, node.index - 1]
                 )
                 continue
-            ids = [id(a) for a in node.args]
-            x = vals[ids[0]]
+            x = vals[args[0]]
             if op == "mul":
-                out = x * vals[ids[1]]
+                out = x * vals[args[1]]
             elif op == "add":
-                out = x + vals[ids[1]]
+                out = x + vals[args[1]]
             elif op == "sub":
-                out = x - vals[ids[1]]
+                out = x - vals[args[1]]
             elif op == "div":
-                out = x / vals[ids[1]]
+                out = x / vals[args[1]]
             elif op == "neg":
                 out = -x
             elif op == "pow":
@@ -566,14 +598,14 @@ def eval_many_shared(exprs, points):
                 out = x ** (float(k) if isinstance(k, Fraction) else k)
             else:
                 out = _VEC_FUNCS[op](x)
-            for i in ids:
-                left = uses[i] - 1
+            for a in args:
+                left = uses[a] - 1
                 if left:
-                    uses[i] = left
+                    uses[a] = left
                 else:
-                    del vals[i]
-            vals[id(node)] = out
-    return [vals[id(e)] for e in exprs]
+                    del vals[a]
+            vals[node] = out
+    return [vals[e] for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +727,9 @@ def compile_exprs(roots):
     order, uses = _postorder(roots)
     slots = {}
     for r, root in enumerate(roots):
-        slots.setdefault(id(root), []).append(r)
-    ref = {}  # id(node) -> source text of its value
-    temps = set()  # ids of nodes held in a reusable name
+        slots.setdefault(root, []).append(r)
+    ref = {}  # node -> source text of its value
+    temps = set()  # nodes held in a reusable name
     constant = set()
     folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
     coords = set()
@@ -706,10 +738,10 @@ def compile_exprs(roots):
     numpy_calls = False
 
     def release(node):
-        left = uses[id(node)] - 1
-        uses[id(node)] = left
-        if not left and id(node) in temps:
-            free.append(ref[id(node)])
+        left = uses[node] - 1
+        uses[node] = left
+        if not left and node in temps:
+            free.append(ref[node])
 
     for node in order:
         op = node.op
@@ -717,14 +749,14 @@ def compile_exprs(roots):
             coords.add(node.index)
             text = f"y{node.index}"
         elif op == "const":
-            constant.add(id(node))
+            constant.add(node)
             text = repr(node.value) if node.value >= 0.0 else f"({node.value!r})"
-        elif all(id(a) in constant for a in node.args):
-            constant.add(id(node))
+        elif all(a in constant for a in node.args):
+            constant.add(node)
             text = f"_k{len(folded)}"
             folded.append(node)
         else:
-            args = [ref[id(a)] for a in node.args]
+            args = [ref[a] for a in node.args]
             for a in node.args:
                 release(a)
             if free:
@@ -732,12 +764,12 @@ def compile_exprs(roots):
             else:
                 text, nvars = f"v{nvars}", nvars + 1
             body.append(f"{text} = {_statement(node, args)}")
-            temps.add(id(node))
+            temps.add(node)
             numpy_calls = numpy_calls or op in _VEC_FUNCS or (
                 op == "pow" and node.value not in (2, -1)
             )
-        ref[id(node)] = text
-        for r in slots.get(id(node), ()):
+        ref[node] = text
+        for r in slots.get(node, ()):
             body.append(f"out[{r}] = {text}")
             release(node)
 
@@ -762,13 +794,13 @@ def subst(e, mapping):
 
     ``e`` is an Expr or an object array of them; an array comes back with
     the same shape.  Indices missing from the mapping are left untouched.
-    Substitution is memoized by node identity across the whole call, so
+    Substitution is memoized by node across the whole call, so
     subtrees shared in the input stay shared in the result.
     """
     memo = {}
 
     def go(node):
-        hit = memo.get(id(node))
+        hit = memo.get(node)
         if hit is not None:
             return hit
         op = node.op
@@ -792,7 +824,7 @@ def subst(e, mapping):
                 out = powi(args[0], node.value)
             else:
                 out = func(op, args[0])
-        memo[id(node)] = out
+        memo[node] = out
         return out
 
     if isinstance(e, np.ndarray):
@@ -833,8 +865,8 @@ def to_string(e):
     order, _ = _postorder([e])
     frags = {}
     for node in order:
-        frags[id(node)] = _fragment(node, [frags[id(a)] for a in node.args])
-    out, stack = [], [frags[id(e)]]
+        frags[node] = _fragment(node, [frags[a] for a in node.args])
+    out, stack = [], [frags[e]]
     while stack:
         piece = stack.pop()
         if isinstance(piece, str):

@@ -165,9 +165,10 @@ def test_simulate_transport_translation(capsys):
     assert data["transport_gap"] <= 1e-10
 
 
-def test_grid_flow_step_underflow_exits_2(capsys):
+def test_grid_flow_blow_up_exits_2(capsys):
     # a rotation of the sphere carries the constant profile (1, 0) through the
-    # stereographic chart's pole at tau = pi/2; the grid flow's step underflows
+    # stereographic chart's pole at tau = pi/2; the grid flow's blow-up guard
+    # stops it before the points reach inf
     code = main(
         [
             "simulate",
@@ -187,9 +188,7 @@ def test_grid_flow_step_underflow_exits_2(capsys):
     )
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: grid flow failed: Required step size is less than spacing between numbers.\n"
-    )
+    assert captured.err == "error: grid flow left the working region (blow-up guard)\n"
 
 
 def _blow_up_flow(*_args):

@@ -17,6 +17,7 @@ from affsym import canonical, expr, pfaff
 from affsym.cli import SystemDocument
 from affsym.expr import (
     DomainError,
+    Expr,
     ExprError,
     ParseError,
     add,
@@ -30,8 +31,10 @@ from affsym.expr import (
     eval_many_shared,
     func,
     mul,
+    neg,
     parse_expr,
     powi,
+    sub,
     subst,
     to_string,
 )
@@ -365,6 +368,64 @@ def test_intern_table_forgets_dead_nodes():
     del e, d
     gc.collect()
     assert len(expr._TABLE) == before
+
+
+def test_nodes_hash_and_compare_by_identity():
+    # the walks and memos key dicts by the node itself
+    assert Expr.__hash__ is object.__hash__
+    assert Expr.__eq__ is object.__eq__
+
+
+def test_generic_constructor_builds_the_smart_constructors_node():
+    y, z = coord(37), coord(38)  # fresh, so the first call below creates
+    cases = [
+        (("const", (), 4321.125, None), lambda: const(4321.125)),
+        (("coord", (), None, 39), lambda: coord(39)),
+        (("neg", (y,), None, None), lambda: neg(y)),
+        (("pow", (y,), 3, None), lambda: powi(y, 3)),
+        (("pow", (y,), Fraction(1, 3), None), lambda: powi(y, Fraction(1, 3))),
+    ]
+    for op, build in zip(expr._BINOPS, (add, sub, mul, div)):
+        cases.append(((op, (y, z), None, None), lambda build=build: build(y, z)))
+    for name in expr.FUNCS:
+        cases.append(((name, (y,), None, None), lambda name=name: func(name, y)))
+    for (op, args, value, index), build in cases:
+        node = Expr(op, args, value, index)
+        assert build() is node and node.op == op and node.args == args
+        assert Expr(op, list(args), value, index) is node
+
+
+def test_postorder_emits_children_first_and_counts_every_use():
+    rng = np.random.default_rng(23)
+    pool = [coord(1), coord(2), const(0.5)]
+    for _ in range(300):
+        a, b = (pool[i] for i in rng.integers(len(pool), size=2))
+        kind = int(rng.integers(5))
+        pool.append(
+            (add, sub, mul)[kind](a, b) if kind < 3 else neg(a) if kind == 3 else func("sin", a)
+        )
+    roots = [pool[i] for i in rng.integers(len(pool), size=60)]
+    assert len(set(roots)) < len(roots)  # repeated roots
+
+    reachable, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in reachable:
+            reachable.add(node)
+            stack.extend(node.args)
+    want = dict.fromkeys(reachable, 0)
+    for node in reachable:
+        for a in node.args:
+            want[a] += 1
+    for r in roots:
+        want[r] += 1
+
+    order, uses = expr._postorder(roots)
+    position = {node: i for i, node in enumerate(order)}
+    assert len(position) == len(order) and set(order) == reachable
+    assert all(position[a] < position[node] for node in order for a in node.args)
+    assert any(want[node] > 1 for node in order if node.args)  # shared subtrees
+    assert uses == want
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(FIXTURES, "*.json"))))

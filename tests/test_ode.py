@@ -1,6 +1,7 @@
 """The Dormand-Prince integrator: accuracy against closed forms, dense
 output, the terminal event, step underflow, the typed errors of transport
-and flows, and that the library runs with scipy unimportable."""
+and flows, that flows run their compiled fields bitwise as interpreted, and
+that the library runs with scipy unimportable."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from affsym import pdesim, symmetry
 from affsym.expr import parse_expr
 from affsym.liefn import VectorField
 from affsym.ode import IntegrationError, solve_ivp
@@ -125,6 +127,69 @@ def test_transport_nan_rhs_raises_step_underflow():
     assert str(exc) == f"transport failed: {UNDERFLOW}"
     assert exc.status == -1 and 0.49 < exc.t_reached <= 0.5
     assert exc.nfev > 2 and 0.0 < exc.last_step < 1e-13
+
+
+FLOW_FIELDS = (["-y2 + 0.3*y1^2", "y1"], ["sin(y2) + y1^2", "exp(y1)/(1 + y2^2)"])
+
+
+def _recording_solver(monkeypatch, module):
+    """Make ``module`` integrate through a solve_ivp that keeps its results."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, "solve_ivp", recording)
+    return results
+
+
+def _guard(_t, y):
+    return float(abs(y).max()) - 1e8
+
+
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel()]
+
+
+@pytest.mark.parametrize("comps", FLOW_FIELDS)
+def test_flow_runs_compiled_field_bitwise_as_interpreted(monkeypatch, comps):
+    eta = VectorField.from_strings(2, comps)
+    p = np.array([0.1, -0.2])
+    runs = _recording_solver(monkeypatch, symmetry)
+    got = flow(eta, p, 0.7)
+
+    def interpreted(_t, y):
+        return eta.evaluate_many(y[None, :])[0]
+
+    want = solve_ivp(interpreted, (0.0, 0.7), p, 1e-9, 1e-10, events=_guard)
+    assert _hex(got) == _hex(want.y[:, -1])
+    assert runs[0].nfev == want.nfev and _hex(runs[0].t) == _hex(want.t)
+
+
+@pytest.mark.parametrize("comps", FLOW_FIELDS)
+def test_grid_flow_runs_compiled_field_bitwise_as_interpreted(monkeypatch, comps):
+    eta = VectorField.from_strings(2, comps)
+    grid = pdesim.make_grid([lambda x: 0.2 * np.sin(x), lambda x: 0.1 * np.cos(x)], 8, 2 * np.pi)
+    runs = _recording_solver(monkeypatch, pdesim)
+    got = pdesim.apply_flow_to_grid(eta, grid, 0.4)
+
+    def interpreted(_t, z):
+        return eta.evaluate_many(z.reshape(8, 2)).reshape(-1)
+
+    want = solve_ivp(interpreted, (0.0, 0.4), grid.values.reshape(-1), 1e-10, 1e-12, events=_guard)
+    assert _hex(got.values) == _hex(want.y[:, -1])
+    assert runs[0].nfev == want.nfev and _hex(runs[0].t) == _hex(want.t)
+
+
+def test_grid_flow_blowup_guard_raises_typed_error():
+    eta = VectorField.from_strings(1, ["y1^2"])  # y1 = 1 / (1 - t) from 1
+    grid = pdesim.make_grid([lambda x: 1.0 + 0.0 * x], 8, 1.0)
+    with pytest.raises(IntegrationError) as err:
+        pdesim.apply_flow_to_grid(eta, grid, 5.0)
+    exc = err.value
+    assert str(exc) == "grid flow left the working region (blow-up guard)"
+    assert exc.status == 1 and 0.99 < exc.t_reached < 1.0
 
 
 def test_library_runs_with_scipy_unimportable():
