@@ -703,7 +703,10 @@ def main(argv=None):
     except (ParseError, DomainError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except RecursionError:  # a RuntimeError, but the input is at fault
+    except RecursionError:
+        # the input is at fault: no expression walk recurses, but the JSON
+        # decoder does per nested array or object, and the expression parser
+        # per parenthesis, function call and unary minus
         sys.stderr.write("error: input nested too deeply to process\n")
         return 1
     except (ValueError, RuntimeError) as exc:

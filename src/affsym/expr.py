@@ -1,12 +1,14 @@
 """Scalar expression trees over chart coordinates y1..yn.
 
 Expressions are immutable ASTs supporting exact symbolic partial
-differentiation (closed under d/dy^i to any order) and two evaluators:
-``eval_expr``, checked and pointwise, which raises DomainError instead of
-returning inf or nan; and ``eval_many_shared``, unchecked (IEEE) and
-vectorized over arrays of points, which evaluates a whole set of roots in one
-walk of their shared DAG.  They are the scalar substrate for tensor
-components, connection coefficients and Pfaff right-hand sides.
+differentiation (closed under d/dy^i to any order) and one evaluator,
+``eval_many_shared``: one walk of the roots' shared DAG at an array of
+points.  Unchecked, it returns IEEE 754's inf or nan outside the real
+domain; with ``checked=True`` numpy's IEEE exception flags (IEEE 754-2019,
+section 7) are raised as errors, and the first node to leave the finite
+reals raises DomainError naming it.  ``eval_expr`` is that checked walk at
+one point.  No walk recurses: all run over the iterative ``_postorder`` or,
+for derivatives, an explicit stack, so depth is limited by memory alone.
 
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
@@ -15,7 +17,7 @@ the one asked for when there is one.  The smart constructors call it
 directly, and ``Expr(...)`` (unpickling) goes through it.  Structurally
 equal trees are therefore the same object, and ``Expr`` keeps ``object``'s
 identity hash and equality, so a node is its own dictionary key: the
-postorder walk's use counts, the evaluators' values, the compiler's tables
+postorder walk's use counts, the evaluator's values, the compiler's tables
 and the memos are all dicts keyed by node, and share every equal subtree.
 
 A root set evaluated many times (a Pfaff right-hand side at every solver
@@ -185,11 +187,8 @@ class Expr:
     @property
     def max_index(self):
         """Largest coordinate index referenced (0 for constant trees)."""
-        if self.op == "coord":
-            return self.index
-        if not self.args:
-            return 0
-        return max(a.max_index for a in self.args)
+        order, _ = _postorder([self])
+        return max((node.index for node in order if node.op == "coord"), default=0)
 
 
 _new_node = object.__new__
@@ -357,29 +356,13 @@ def func(name, a):
     if name not in FUNCS:
         raise ExprError(f"unknown function {name!r}")
     if a.op == "const":
-        try:
-            v = _apply_func(name, a.value)
-        except (ValueError, OverflowError):
-            return _intern(name, (a,))  # let eval report the domain error
-        return const(v)
+        with np.errstate(all="ignore"):
+            v = float(_VEC_FUNCS[name](a.value))
+        # exp's overflow is an error here; ln and sqrt outside their domain
+        # are left for evaluation to report
+        if name == "exp" or math.isfinite(v):
+            return const(v)
     return _intern(name, (a,))
-
-
-def _apply_func(name, x):
-    if name == "exp":
-        with np.errstate(over="ignore"):  # callers reject the inf
-            return float(np.exp(x))
-    if name == "ln":
-        if x <= 0.0:
-            raise ValueError("ln of nonpositive argument")
-        return float(np.log(x))
-    if name == "sqrt":
-        if x < 0.0:
-            raise ValueError("sqrt of negative argument")
-        return float(np.sqrt(x))
-    if name == "sin":
-        return float(np.sin(x))
-    return float(np.cos(x))
 
 
 # ---------------------------------------------------------------------------
@@ -392,56 +375,77 @@ def diff_expr(e, i):
 
     Derivatives are memoized per node, so repeated differentiation of fields
     with heavily shared subtrees (bracket and curvature assemblies) stays
-    linear in the number of distinct nodes.
+    linear in the number of distinct nodes.  The walk keeps its own stack
+    and descends only into children whose memo lacks ``i``.
     """
     if not isinstance(i, int) or i < 1:
         raise ExprError(f"differentiation index must be >= 1, got {i!r}")
     memo = e._dmemo
-    if memo is None:
-        memo = {}
-        object.__setattr__(e, "_dmemo", memo)
-    hit = memo.get(i)
-    if hit is not None:
-        return hit
-    out = _diff_raw(e, i)
-    memo[i] = out
-    return out
+    if memo is not None and i in memo:
+        return memo[i]
+    stack = [e]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node is None:  # the marker above a node whose arguments are done
+            node = pop()
+            args = node.args
+            d = (args[0]._dmemo[i],) if len(args) == 1 else (args[0]._dmemo[i], args[1]._dmemo[i])
+            node._dmemo[i] = _diff_node(node, i, d)
+            continue
+        memo = node._dmemo
+        if memo is None:
+            memo = {}
+            _set_dmemo(node, memo)
+        elif i in memo:
+            continue
+        if not node.args:
+            memo[i] = _diff_node(node, i, ())
+            continue
+        push(node)
+        push(None)
+        for a in node.args:
+            if a._dmemo is None or i not in a._dmemo:
+                push(a)
+    return e._dmemo[i]
 
 
-def _diff_raw(e, i):
+def _diff_node(e, i, d):
+    """d(e)/dy^i from the derivatives ``d`` of e's arguments, in order.  The
+    commonest ops come first."""
     op = e.op
-    if op == "const":
-        return ZERO
-    if op == "coord":
-        return ONE if e.index == i else ZERO
-    if op == "add":
-        return add(diff_expr(e.args[0], i), diff_expr(e.args[1], i))
-    if op == "sub":
-        return sub(diff_expr(e.args[0], i), diff_expr(e.args[1], i))
-    if op == "neg":
-        return neg(diff_expr(e.args[0], i))
     if op == "mul":
         a, b = e.args
-        return add(mul(diff_expr(a, i), b), mul(a, diff_expr(b, i)))
+        return add(mul(d[0], b), mul(a, d[1]))
+    if op == "add":
+        return add(d[0], d[1])
+    if op == "sub":
+        return sub(d[0], d[1])
+    if op == "neg":
+        return neg(d[0])
     if op == "div":
         a, b = e.args
-        num = sub(mul(diff_expr(a, i), b), mul(a, diff_expr(b, i)))
+        num = sub(mul(d[0], b), mul(a, d[1]))
         return div(num, powi(b, 2))
     if op == "pow":
         a = e.args[0]
         k = e.value
         kc = const(float(k))
-        return mul(mul(kc, powi(a, k - 1)), diff_expr(a, i))
+        return mul(mul(kc, powi(a, k - 1)), d[0])
     if op == "exp":
-        return mul(e, diff_expr(e.args[0], i))
+        return mul(e, d[0])
     if op == "ln":
-        return div(diff_expr(e.args[0], i), e.args[0])
+        return div(d[0], e.args[0])
     if op == "sqrt":
-        return div(diff_expr(e.args[0], i), mul(const(2.0), e))
+        return div(d[0], mul(const(2.0), e))
     if op == "sin":
-        return mul(func("cos", e.args[0]), diff_expr(e.args[0], i))
+        return mul(func("cos", e.args[0]), d[0])
     if op == "cos":
-        return neg(mul(func("sin", e.args[0]), diff_expr(e.args[0], i)))
+        return neg(mul(func("sin", e.args[0]), d[0]))
+    if op == "const":
+        return ZERO
+    if op == "coord":
+        return ONE if e.index == i else ZERO
     raise ExprError(f"cannot differentiate node {op!r}")
 
 
@@ -451,67 +455,9 @@ def _diff_raw(e, i):
 
 
 def eval_expr(e, point):
-    """Evaluate at a point (sequence of floats), checking the real domain.
-
-    Raises DomainError on division by zero, ln/sqrt of invalid arguments,
-    0 raised to a negative power, or any subexpression whose value is not
-    finite (overflow, or a non-finite coordinate), naming the offending
-    subexpression.  Each distinct subtree is evaluated once per call.
-    """
-    memo = {}
-
-    def ev(node):
-        op = node.op
-        if op == "const":
-            return node.value
-        v = memo.get(node)
-        if v is not None:
-            return v
-        if op == "coord":
-            if node.index > len(point):
-                raise ExprError(
-                    f"coordinate y{node.index} out of range for a point of dimension {len(point)}"
-                )
-            v = float(point[node.index - 1])
-        elif op == "add":
-            v = ev(node.args[0]) + ev(node.args[1])
-        elif op == "sub":
-            v = ev(node.args[0]) - ev(node.args[1])
-        elif op == "neg":
-            v = -ev(node.args[0])
-        elif op == "mul":
-            v = ev(node.args[0]) * ev(node.args[1])
-        elif op == "div":
-            d = ev(node.args[1])
-            if d == 0.0:
-                raise DomainError("division by zero", node)
-            v = ev(node.args[0]) / d
-        elif op == "pow":
-            b = ev(node.args[0])
-            k = node.value
-            if b == 0.0 and k < 0:
-                raise DomainError("zero raised to a negative power", node)
-            if isinstance(k, Fraction):
-                if b < 0.0:
-                    raise DomainError("negative base with fractional exponent", node)
-                k = float(k)
-            try:
-                v = float(b) ** k
-            except OverflowError:
-                raise DomainError("overflow", node) from None
-        else:
-            x = ev(node.args[0])
-            if op == "ln" and x <= 0.0:
-                raise DomainError("ln of nonpositive argument", node)
-            if op == "sqrt" and x < 0.0:
-                raise DomainError("sqrt of negative argument", node)
-            v = _apply_func(op, x)
-        if not math.isfinite(v):
-            raise DomainError("non-finite value", node)
-        memo[node] = v
-        return v
-
-    return ev(e)
+    """Checked value of ``e`` at one point (a sequence of floats): the walk of
+    eval_many_shared with ``checked=True``, returned as a float."""
+    return float(eval_many_shared([e], point, checked=True)[0][0])
 
 
 _VEC_FUNCS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
@@ -522,29 +468,32 @@ def _postorder(roots):
     each node's use count: the argument slots of its parents plus its
     occurrences among the roots.  Both are keyed by the node itself, which
     hashes and compares by identity; for interned nodes that is structural
-    equality."""
+    equality.  The order is that of a left-to-right depth-first walk: roots
+    in order, and a node's first argument before its second."""
     order, uses, seen = [], {}, set()
-    stack = []
     for root in roots:
         uses[root] = uses.get(root, 0) + 1
-        stack.append((root, False))
+    stack = list(roots)
+    stack.reverse()
+    pop, push, emit = stack.pop, stack.append, order.append
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = pop()
+        if node is None:  # the marker above a node whose arguments are done
+            emit(pop())
         elif node not in seen:
             seen.add(node)
             args = node.args
             if not args:
-                order.append(node)
+                emit(node)
                 continue
-            stack.append((node, True))
+            push(node)
+            push(None)
             # a child already seen is finished: a node seen but unfinished is
             # an ancestor of this one, and a DAG has no path back to it
-            for a in args:
+            for a in reversed(args):
                 uses[a] = uses.get(a, 0) + 1
                 if a not in seen:
-                    stack.append((a, False))
+                    push(a)
     return order, uses
 
 
@@ -553,59 +502,105 @@ def eval_many(e, points):
     return eval_many_shared([e], points)[0]
 
 
-def eval_many_shared(exprs, points):
+def eval_many_shared(exprs, points, *, checked=False):
     """Evaluate a flat sequence of expressions at points of shape (P, n) (or
     one point of shape (n,)); returns a list of (P,) arrays in input order.
 
-    Unchecked: out-of-domain inputs yield inf/nan per IEEE semantics (callers
-    probing residuals assert finiteness instead).  Each distinct node, within
-    one root or across roots, is evaluated once (nodes are interned, so
-    identity is structural equality), and its array is dropped as soon as its
-    last parent has used it.
+    Each distinct node, within one root or across roots, is evaluated once
+    (nodes are interned, so identity is structural equality), and its array
+    is dropped as soon as its last parent has used it.  Unchecked,
+    out-of-domain inputs yield inf/nan per IEEE semantics (callers probing
+    residuals assert finiteness instead).  Checked, the walk raises
+    DomainError on the first node, in left-to-right postorder, whose value is
+    not finite at some point (see _walk).
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
-    sequence and runs its generated code; it returns one (R, P) array, and
-    also takes one point as a list of Python floats (see Program.run).
+    sequence and runs its generated code, unchecked; it returns one (R, P)
+    array, and also takes one point as a list of Python floats (see
+    Program.run).
     """
-    if isinstance(exprs, Program):
+    if isinstance(exprs, Program) and not checked:
         return exprs.run(points)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    return _walk(exprs, pts, checked)
+
+
+def _walk(exprs, pts, checked):
+    """The interpreted walk behind eval_many_shared, over points (P, n).
+
+    Checked, it runs with numpy's floating-point flags raised as errors
+    (underflow excepted): on finite arguments a node's value is inf or nan
+    exactly when its operation raises a flag, so the node being computed
+    when FloatingPointError arrives is the first out of the domain.
+    Coordinates are checked to be finite, and constants are finite already.
+    """
     order, uses = _postorder(exprs)
     vals = {}
-    with np.errstate(all="ignore"):
-        for node in order:
-            op = node.op
-            args = node.args
-            if not args:
-                vals[node] = (
-                    np.full(pts.shape[0], node.value) if op == "const" else pts[:, node.index - 1]
-                )
-                continue
-            x = vals[args[0]]
-            if op == "mul":
-                out = x * vals[args[1]]
-            elif op == "add":
-                out = x + vals[args[1]]
-            elif op == "sub":
-                out = x - vals[args[1]]
-            elif op == "div":
-                out = x / vals[args[1]]
-            elif op == "neg":
-                out = -x
-            elif op == "pow":
-                k = node.value
-                out = x ** (float(k) if isinstance(k, Fraction) else k)
-            else:
-                out = _VEC_FUNCS[op](x)
-            for a in args:
-                left = uses[a] - 1
-                if left:
-                    uses[a] = left
+    dim = pts.shape[1]
+    try:
+        with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
+            for node in order:
+                op = node.op
+                args = node.args
+                if not args:
+                    if op == "const":
+                        vals[node] = np.full(pts.shape[0], node.value)
+                        continue
+                    if node.index > dim:
+                        raise ExprError(
+                            f"coordinate y{node.index} out of range for a point of dimension {dim}"
+                        )
+                    x = vals[node] = pts[:, node.index - 1]
+                    if checked and not np.isfinite(x).all():
+                        raise DomainError("non-finite value", node)
+                    continue
+                x = vals[args[0]]
+                if op == "mul":
+                    out = x * vals[args[1]]
+                elif op == "add":
+                    out = x + vals[args[1]]
+                elif op == "sub":
+                    out = x - vals[args[1]]
+                elif op == "div":
+                    out = x / vals[args[1]]
+                elif op == "neg":
+                    out = -x
+                elif op == "pow":
+                    k = node.value
+                    out = x ** (float(k) if isinstance(k, Fraction) else k)
                 else:
-                    del vals[a]
-            vals[node] = out
+                    out = _VEC_FUNCS[op](x)
+                for a in args:
+                    left = uses[a] - 1
+                    if left:
+                        uses[a] = left
+                    else:
+                        del vals[a]
+                vals[node] = out
+    except FloatingPointError:
+        raise DomainError(_fault(node, [vals[a] for a in node.args]), node) from None
     return [vals[e] for e in exprs]
+
+
+def _fault(node, args):
+    """Why ``node`` raised a floating-point flag, from its op and the values
+    of its (finite) arguments."""
+    op = node.op
+    if op == "div" and not args[1].all():
+        return "division by zero"
+    if op == "ln":
+        return "ln of nonpositive argument"
+    if op == "sqrt":
+        return "sqrt of negative argument"
+    if op == "pow":
+        k = node.value
+        if k < 0 and not args[0].all():
+            return "zero raised to a negative power"
+        if isinstance(k, Fraction) and (args[0] < 0.0).any():
+            return "negative base with fractional exponent"
+        return "overflow"
+    return "non-finite value"
 
 
 # ---------------------------------------------------------------------------
@@ -794,45 +789,39 @@ def subst(e, mapping):
 
     ``e`` is an Expr or an object array of them; an array comes back with
     the same shape.  Indices missing from the mapping are left untouched.
-    Substitution is memoized by node across the whole call, so
-    subtrees shared in the input stay shared in the result.
+    Every node reachable from ``e`` is rebuilt once, bottom up over the
+    postorder, so subtrees shared in the input stay shared in the result.
     """
-    memo = {}
-
-    def go(node):
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
+    is_array = isinstance(e, np.ndarray)
+    roots = e.reshape(-1) if is_array else [e]
+    order, _ = _postorder(roots)
+    new = {}
+    for node in order:
         op = node.op
-        if op == "const":
-            out = node
-        elif op == "coord":
-            out = mapping.get(node.index, node)
+        args = node.args
+        if not args:
+            out = mapping.get(node.index, node) if op == "coord" else node
+        elif op == "add":
+            out = add(new[args[0]], new[args[1]])
+        elif op == "mul":
+            out = mul(new[args[0]], new[args[1]])
+        elif op == "sub":
+            out = sub(new[args[0]], new[args[1]])
+        elif op == "div":
+            out = div(new[args[0]], new[args[1]])
+        elif op == "neg":
+            out = neg(new[args[0]])
+        elif op == "pow":
+            out = powi(new[args[0]], node.value)
         else:
-            args = [go(a) for a in node.args]
-            if op == "add":
-                out = add(*args)
-            elif op == "sub":
-                out = sub(*args)
-            elif op == "mul":
-                out = mul(*args)
-            elif op == "div":
-                out = div(*args)
-            elif op == "neg":
-                out = neg(args[0])
-            elif op == "pow":
-                out = powi(args[0], node.value)
-            else:
-                out = func(op, args[0])
-        memo[node] = out
-        return out
-
-    if isinstance(e, np.ndarray):
-        out = np.empty(e.shape, dtype=object)
-        for idx in np.ndindex(*e.shape):
-            out[idx] = go(e[idx])
-        return out
-    return go(e)
+            out = func(op, new[args[0]])
+        new[node] = out
+    if not is_array:
+        return new[e]
+    out = np.empty(e.shape, dtype=object)
+    for idx in np.ndindex(*e.shape):
+        out[idx] = new[e[idx]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .expr import (
     add,
     const,
     diff_expr,
-    eval_expr,
     eval_many_shared,
     mul,
     parse_expr,
@@ -189,11 +188,10 @@ class TensorField:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point):
-        """Checked pointwise evaluation -> float ndarray of shape (n,)*(r+s)."""
-        out = np.empty(self.comps.shape, dtype=float)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = eval_expr(self.comps[idx], point)
-        return out
+        """Checked pointwise evaluation -> float ndarray of shape (n,)*(r+s):
+        one checked walk over all components, taken in row-major order."""
+        vals = eval_many_shared(self.comps.reshape(-1), point, checked=True)
+        return np.stack(vals, axis=-1).reshape(self.comps.shape)
 
     def evaluate_many(self, points):
         """Vectorized, unchecked evaluation at points of shape (P, n) (or one

@@ -282,6 +282,47 @@ def test_exit_code_1_on_hostile_expressions(tmp_path, capsys, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def deep_sum_document(tmp_path_factory):
+    # a 20,000-term left-nested sum is 20,000 levels deep
+    text = " + ".join(["1"] + ["y1"] * 19999)
+    path = tmp_path_factory.mktemp("deep") / "deep_sum.json"
+    path.write_text(json.dumps({"n": 1, "A": [[text]], "Gamma": {"1": [["0"]]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["inspect", "classify", "curvature", "report", "bound"])
+def test_deep_sums_go_through_every_analysis(deep_sum_document, capsys, command):
+    code, data = run(capsys, command, deep_sum_document)
+    assert code == 0 and data
+
+
+def test_deep_canonical_covector_builds(tmp_path, capsys):
+    u = " + ".join(["y1"] * 3000)
+    path = tmp_path / "deep_u.json"
+    path.write_text(
+        json.dumps({"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": [u]}})
+    )
+    code, data = run(capsys, "canonical", str(path))
+    assert code == 0 and data["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"n": 1, "A": [["(" * 3000 + "1" + ")" * 3000]], "Gamma": {"1": [["0"]]}}),
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["parentheses", "json-arrays"],
+)
+def test_nesting_beyond_the_recursive_parsers_exits_1(tmp_path, capsys, text):
+    # the JSON decoder and the expression parser's parentheses recurse
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr().err == "error: input nested too deeply to process\n"
+
+
 def test_dash_leading_components_need_the_equals_form(capsys):
     code, data = run(capsys, "check-symmetry", fixture("flat_n2.json"), "--eta=-y2,y1")
     assert code == 0 and data["accepted"] is True

@@ -19,6 +19,7 @@ from affsym.expr import (
     DomainError,
     Expr,
     ExprError,
+    ONE,
     ParseError,
     add,
     compile_exprs,
@@ -38,6 +39,7 @@ from affsym.expr import (
     subst,
     to_string,
 )
+from affsym.tensor import TensorField
 from affsym.util import sample_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -238,16 +240,80 @@ def test_eval_division_by_zero():
 
 
 def test_eval_ln_sqrt_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^ln of nonpositive argument: ln\(y1\)$"):
         eval_expr(parse_expr("ln(y1)", 1), [-1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^sqrt of negative argument: sqrt\(y1\)$"):
         eval_expr(parse_expr("sqrt(y1)", 1), [-1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^zero raised to a negative power: y1\^-2$"):
         eval_expr(powi(coord(1), -2), [0.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^overflow: y1\^999$"):
         eval_expr(parse_expr("1 + y1^999", 1), [10.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^non-finite value: exp\(y1\)$"):
         eval_expr(parse_expr("exp(y1)", 1), [1000.0])
+
+
+@pytest.mark.parametrize(
+    "text, point, message, culprit",
+    [
+        ("1 + 1/y1", [0.0], "division by zero", "1/y1"),
+        ("y1/y1", [0.0], "division by zero", "y1/y1"),
+        ("2 + ln(y1)", [0.0], "ln of nonpositive argument", "ln(y1)"),
+        ("1 + y1^-999", [0.1], "overflow", "y1^-999"),
+        ("1 + y1*y1", [1e200], "non-finite value", "y1*y1"),
+        ("1 + (y1 + y1)", [1.7e308], "non-finite value", "y1 + y1"),
+        ("1 + y1/0.5", [1.7e308], "non-finite value", "y1/0.5"),
+        # every node is checked, not only the root: the inner division faults
+        ("1/(1/y1)", [0.0], "division by zero", "1/y1"),
+        ("exp(-1/y1^2)", [0.0], "division by zero", "(-1)/y1^2"),
+    ],
+)
+def test_checked_evaluation_names_the_faulting_node(text, point, message, culprit):
+    e = parse_expr(text, 1)
+    with pytest.raises(DomainError) as err:
+        eval_expr(e, point)
+    assert str(err.value) == f"{message}: {culprit}"
+    assert err.value.subexpr is parse_expr(culprit, 1)
+
+
+def test_checked_evaluation_of_fractional_powers():
+    # DomainError prints its node, and a fractional power has no printed
+    # form, so the message the walk picks for one is checked directly
+    y = coord(1)
+    assert eval_expr(add(ONE, powi(y, Fraction(1, 2))), [4.0]) == 3.0
+    half, minus_half = powi(y, Fraction(1, 2)), powi(y, Fraction(-1, 2))
+    assert expr._fault(half, [np.array([-4.0])]) == "negative base with fractional exponent"
+    assert expr._fault(minus_half, [np.array([0.0])]) == "zero raised to a negative power"
+    assert expr._fault(powi(y, Fraction(3, 2)), [np.array([1e300])]) == "overflow"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_checked_evaluation_rejects_non_finite_coordinates(bad):
+    e = parse_expr("y1 + y2", 2)
+    with pytest.raises(DomainError) as err:
+        eval_expr(e, [0.5, bad])
+    assert str(err.value) == "non-finite value: y2" and err.value.subexpr is coord(2)
+    assert eval_expr(e, [0.5, 1.0]) == 1.5  # an unused bad coordinate is fine
+    assert eval_expr(parse_expr("2*y1", 2), [0.5, bad]) == 1.0
+
+
+def test_checked_evaluation_rejects_coordinates_beyond_the_point():
+    e = parse_expr("y1 + y3", 3)
+    with pytest.raises(ExprError) as err:
+        eval_expr(e, [1.0, 2.0])
+    assert str(err.value) == "coordinate y3 out of range for a point of dimension 2"
+    assert not isinstance(err.value, DomainError)
+
+
+def test_checked_evaluation_reports_the_first_fault_in_reading_order():
+    # components in row-major order, a node's first argument before its second
+    e = parse_expr("ln(y1) + 1/y1", 1)
+    with pytest.raises(DomainError, match=r"^ln of nonpositive argument: ln\(y1\)$"):
+        eval_expr(e, [0.0])
+    field = TensorField(2, 1, 0, [parse_expr("y1 + 1/y2", 2), parse_expr("sqrt(y1)", 2)])
+    with pytest.raises(DomainError, match=r"^sqrt of negative argument: "):
+        field.evaluate([-1.0, 1.0])
+    with pytest.raises(DomainError, match=r"^division by zero: 1/y2$"):
+        field.evaluate([-1.0, 0.0])
 
 
 def test_exp_matches_taylor_series():
@@ -258,23 +324,63 @@ def test_exp_matches_taylor_series():
     assert abs(val - series) <= 1e-12
 
 
+def test_checked_evaluation_of_a_program_walks_its_roots():
+    prog = compile_exprs([parse_expr("2 + 1/y1", 1)])
+    assert np.isinf(eval_many_shared(prog, [0.0])[0, 0])  # the generated code is unchecked
+    with pytest.raises(DomainError, match=r"^division by zero: 1/y1$"):
+        eval_many_shared(prog, [0.0], checked=True)
+
+
+_MATH = {"exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos}
+
+
+def _reference(e, point, memo=None):
+    """Independent scalar oracle: Python floats and the math module."""
+    memo = {} if memo is None else memo
+    if e in memo:
+        return memo[e]
+    if e.op == "const":
+        return e.value
+    if e.op == "coord":
+        return float(point[e.index - 1])
+    x = [_reference(a, point, memo) for a in e.args]
+    op = e.op
+    if op == "add":
+        v = x[0] + x[1]
+    elif op == "sub":
+        v = x[0] - x[1]
+    elif op == "mul":
+        v = x[0] * x[1]
+    elif op == "div":
+        v = x[0] / x[1]
+    elif op == "neg":
+        v = -x[0]
+    elif op == "pow":
+        v = x[0] ** float(e.value)
+    else:
+        v = _MATH[op](x[0])
+    memo[e] = v
+    return v
+
+
 def test_eval_many_matches_pointwise():
     e = parse_expr("exp(y1)*y2 - y1^3/(2 + sin(y2))", 2)
     pts = np.random.default_rng(9).uniform(-1, 1, size=(50, 2))
     vals = eval_many(e, pts)
     for p, v in zip(pts, vals):
-        assert v == pytest.approx(eval_expr(e, p), rel=1e-14)
+        assert v == pytest.approx(_reference(e, p), rel=1e-14)
+        assert eval_expr(e, p) == v  # the checked walk at one point, bitwise
 
 
 def test_eval_expr_evaluates_shared_subtrees_once(monkeypatch):
     calls = []
-    apply = expr._apply_func
-    monkeypatch.setattr(expr, "_apply_func", lambda name, x: calls.append(name) or apply(name, x))
+    sin = np.sin
+    monkeypatch.setitem(expr._VEC_FUNCS, "sin", lambda x: calls.append(x.shape) or sin(x))
     e = func("sin", coord(1))
     for _ in range(16):
         e = add(e, e)  # 2^16 paths down to the one sin node
-    assert eval_expr(e, [0.3]) == 2**16 * apply("sin", 0.3)
-    assert calls == ["sin"]
+    assert eval_expr(e, [0.3]) == 2**16 * float(np.sin(0.3))
+    assert calls == [(1,)]
 
 
 def _handmade_roots():
@@ -304,7 +410,7 @@ def test_eval_many_shared_matches_single_roots(case):
         alone = eval_many_shared([root], pts)[0]
         assert v.shape == (len(pts),) and v.tobytes() == alone.tobytes()
         for p, x in zip(pts, v):
-            ref = eval_expr(root, p)
+            ref = _reference(root, p)
             assert abs(x - ref) <= 1e-14 * abs(ref), (str(root), p)
 
 
@@ -442,6 +548,18 @@ def test_long_sums_print_and_pickle_without_recursion():
     e = parse_expr(" + ".join(["y1^2"] * 20000), 1)
     assert parse_expr(to_string(e), 1) is e
     assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_long_sums_differentiate_evaluate_and_substitute_without_recursion():
+    # 5,000 levels deep, five times Python's default recursion limit
+    e = parse_expr(" + ".join(["y1*y2"] * 5000), 2)
+    assert e.max_index == 2 and parse_expr("2.5", 2).max_index == 0
+    assert eval_expr(e, [0.5, 2.0]) == 5000.0
+    d = diff_expr(e, 1)
+    assert d is parse_expr(" + ".join(["y2"] * 5000), 2)
+    assert eval_expr(d, [0.5, 2.0]) == 10000.0
+    s = subst(e, {2: coord(1)})
+    assert s.max_index == 1 and eval_expr(s, [3.0]) == 45000.0
 
 
 def test_program_has_one_statement_per_distinct_node():

@@ -1,5 +1,6 @@
-"""Record every CLI subcommand's exit code and stdout on every fixture, and
-diff two such records, to show that a change leaves the answers unchanged.
+"""Record every CLI subcommand's exit code, stdout and error message on every
+fixture, and diff two such records, to show that a change leaves the answers
+unchanged.
 
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
@@ -56,9 +57,11 @@ def run(src, out_path):
         proc = subprocess.run(
             [sys.executable, "-c", MAIN] + argv, env=env, capture_output=True, text=True
         )
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         record[key] = {
             "code": proc.returncode,
             "stdout": proc.stdout,
+            "error": errors[-1] if errors else None,
             "traceback": "Traceback" in proc.stderr,
             "seconds": round(time.perf_counter() - t0, 2),
         }
@@ -72,12 +75,18 @@ def diff(before_path, after_path):
         before = json.load(fp)
     with open(after_path, encoding="utf-8") as fp:
         after = json.load(fp)
+    fields = ("code", "stdout", "error")  # .get: records from older versions lack "error"
     differ = [
-        k for k in before if (before[k]["code"], before[k]["stdout"]) != (after[k]["code"], after[k]["stdout"])
+        k
+        for k in before
+        if any(before[k].get(f) != after[k].get(f) for f in fields)
     ]
-    print(f"{len(before)} commands, {len(differ)} differ in exit code or stdout")
+    print(f"{len(before)} commands, {len(differ)} differ in exit code, stdout or error message")
     for k in differ:
         print("DIFF", k, before[k]["code"], after[k]["code"])
+        if before[k].get("error") != after[k].get("error"):
+            print("  before:", before[k].get("error"))
+            print("  after: ", after[k].get("error"))
     for label, rec in (("before", before), ("after", after)):
         tracebacks = [k for k, v in rec.items() if v["traceback"]]
         total = sum(v["seconds"] for v in rec.values())
