@@ -347,24 +347,18 @@ def _beta_field(conn):
 
 
 def _fd_curvature(sampler, y, n, h):
-    """Curvature from central finite differences of a connection sampler."""
+    """Curvature from central finite differences of a connection sampler:
+    the formula of ``geometry.curvature`` with the letters of
+    ``geometry._add_quadratic``, the quadratic part summed from zero."""
     center = sampler(y)
-    dgam = np.empty((n, n, n, n))
+    dgam = np.empty((n, n, n, n))  # [d, k, r, s] = dGamma^k_rs / dy^d
     for d in range(n):
         yp = np.array(y, dtype=float)
         ym = np.array(y, dtype=float)
         yp[d] += h
         ym[d] -= h
         dgam[d] = (sampler(yp) - sampler(ym)) / (2 * h)
-    R = np.empty((n, n, n, n))
-    for i in range(n):
-        for s in range(n):
-            for r in range(n):
-                for k in range(n):
-                    val = dgam[r, i, k, s] - dgam[k, i, r, s]
-                    acc = 0.0
-                    for q in range(n):
-                        acc += center[q, k, s] * center[i, r, q]
-                        acc -= center[q, r, s] * center[i, k, q]
-                    R[i, s, r, k] = val + acc
-    return R
+    first = bcast(dgam, "riks", "isrk") - bcast(dgam, "kirs", "isrk")
+    up = bcast(center, "qks", "isrkq") * bcast(center, "irq", "isrkq")
+    down = bcast(center, "qrs", "isrkq") * bcast(center, "ikq", "isrkq")
+    return first + fold(np.zeros((n,) * 4), (np.add, up), (np.subtract, down))

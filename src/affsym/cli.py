@@ -40,7 +40,7 @@ from .canonical import (
     constcurv_metric,
     projective_flatten,
 )
-from .expr import DomainError, ExprError, ParseError, const, parse_expr, to_string
+from .expr import ExprError, ParseError, const, parse_expr, to_string
 from .geometry import (
     Connection,
     DiffusionSystem,
@@ -174,12 +174,16 @@ class SystemDocument:
         return cls.from_dict(data)
 
     def validate(self):
+        """Check the document, parsing every coefficient once, and build its
+        system (``to_system``)."""
         n = self.n
+        a = None
+        gamma = TensorField.zeros(n, 1, 2).comps
         if self.a_rows is not None:
             arr = np.asarray(self.a_rows, dtype=object)
             if arr.shape != (n, n):
                 raise InputError(f"A must be {n}x{n} expression strings")
-            self._parse_all(arr)
+            a = self._parse_all(arr)
         if self.gamma_rows is not None:
             if not isinstance(self.gamma_rows, dict):
                 raise InputError("Gamma must map upper indices to lower matrices")
@@ -197,24 +201,31 @@ class SystemDocument:
                 m = np.asarray(mat, dtype=object)
                 if m.shape != (n, n):
                     raise InputError(f"Gamma[{k}] must be {n}x{n}")
-                self._parse_all(m)
-        if self.a_rows is None and self.canonical is None:
+                gamma[k - 1] = self._parse_all(m)
+        if a is not None:
+            A = TensorField(n, 1, 1, a)
+            self._system = DiffusionSystem(n, A, Connection(n, gamma), check=False)
+        elif self.canonical is not None:
+            self._system = build_system(self.canonical)
+        else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
-        sysd = self.to_system()
-        res = sysd.conn.symmetry_residual(self._points())
+        res = self._system.conn.symmetry_residual(self._points())
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(
                 f"Gamma lower-index matrices are not symmetric: residual {res:.3e}"
             )
 
     def _parse_all(self, arr):
-        for t in arr.reshape(-1):
+        """The array of expression strings parsed, entry by entry."""
+        out = np.empty(arr.shape, dtype=object)
+        for idx, t in np.ndenumerate(arr):
             if not isinstance(t, str):
                 raise InputError(f"coefficient entries must be strings, got {t!r}")
             try:
-                parse_expr(t, self.n)
+                out[idx] = parse_expr(t, self.n)
             except ParseError as exc:
                 raise InputError(f"bad expression {t!r}: {exc}") from exc
+        return out
 
     def _points(self, count=20):
         if self.sample is not None:
@@ -224,17 +235,8 @@ class SystemDocument:
     # -- conversion ---------------------------------------------------------
 
     def to_system(self):
-        if self._system is not None:
-            return self._system
-        n = self.n
-        if self.a_rows is None and self.canonical is not None:
-            self._system = build_system(self.canonical)
-            return self._system
-        A = TensorField.from_strings(n, 1, 1, self.a_rows)
-        gamma = TensorField.zeros(n, 1, 2).comps
-        for key, mat in (self.gamma_rows or {}).items():
-            gamma[int(key) - 1] = TensorField.from_strings(n, 0, 2, mat).comps
-        self._system = DiffusionSystem(n, A, Connection(n, gamma), check=False)
+        if self._system is None:
+            self.validate()
         return self._system
 
     def to_dict(self):
@@ -697,10 +699,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ParseError, DomainError, ExprError) as exc:
+    except (InputError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RecursionError:

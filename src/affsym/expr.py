@@ -818,10 +818,8 @@ def subst(e, mapping):
         new[node] = out
     if not is_array:
         return new[e]
-    out = np.empty(e.shape, dtype=object)
-    for idx in np.ndindex(*e.shape):
-        out[idx] = new[e[idx]]
-    return out
+    # out= keeps a 0-d array an array
+    return np.frompyfunc(new.__getitem__, 1, 1)(e, out=np.empty(e.shape, dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +844,10 @@ def _fmt_const(v):
 
 def to_string(e):
     """Render source text that parses back to the same (interned) tree.
+
+    The one exception is a Fraction exponent, which only the Python API
+    builds: it prints as ``^(p/q)``, e.g. ``y1^(1/2)``, which the grammar
+    (integer exponents) rejects.
 
     Fragments are built bottom up over the postorder, so depth is not limited
     by recursion: each node's fragment is a string or a tuple of its pieces
@@ -883,10 +885,8 @@ def _fragment(node, parts):
         return ("-", _wrap(parts[0], _prec(node.args[0]) < _PREC["pow"]))
     if op == "pow":
         base, k = node.args[0], node.value
-        if isinstance(k, Fraction):
-            raise ExprError("fractional exponents have no grammar form; rewrite via sqrt")
         paren = _prec(base) < _ATOM_PREC or (base.op == "const" and base.value < 0)
-        return (_wrap(parts[0], paren), f"^{k}")
+        return (_wrap(parts[0], paren), f"^({k})" if isinstance(k, Fraction) else f"^{k}")
     if op in _BINOPS:
         p = _PREC[op]
         a, b = node.args

@@ -13,10 +13,10 @@ Every floating-point operation is the one scipy's ``RK45`` performs, in the
 same order and on the same array layouts (stage sums ``np.dot(K[:s].T,
 a[:s]) * h``, the 0.9 / 0.2 / 10 step factors, the ``min_step`` rule), so
 steps, ``nfev``, end values and dense output are bitwise what
-``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  The one
-difference is the terminal event: its crossing is found by bisection on the
-dense output, where scipy uses Brent's method, so the reported crossing
-time can differ in its last bits.
+``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  Every run carries
+one blow-up guard, a terminal event where max |y| crosses ``BLOWUP``.  Its
+crossing is found by bisection on the dense output, where scipy uses Brent's
+method, so the reported crossing time can differ in its last bits.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+BLOWUP = 1e8  # a run ends where max |y| crosses this (status 1)
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimate + 1)
 EPS = np.finfo(float).eps
 MESSAGES = {
@@ -105,10 +106,10 @@ def _interpolate(step, t):
 
 @dataclass
 class OdeResult:
-    """t: accepted times (the crossing last when an event stopped the run);
-    y: (n, len(t)) states; sol: DenseOutput or None; status: 0 reached the
-    end, 1 event, -1 step underflow; last_step: size of the last step
-    attempted."""
+    """t: accepted times (the crossing last when the blow-up guard stopped
+    the run); y: (n, len(t)) states; sol: DenseOutput or None; status: 0
+    reached the end, 1 blow-up guard, -1 step underflow; last_step: size of
+    the last step attempted."""
 
     t: np.ndarray
     y: np.ndarray
@@ -120,7 +121,7 @@ class OdeResult:
 
 
 class IntegrationError(RuntimeError):
-    """An integration that stopped short of its end: a terminal event fired
+    """An integration that stopped short of its end: the blow-up guard fired
     (status 1) or the step underflowed (status -1).  Carries the status, the
     time reached, the number of right-hand side calls and the size of the
     last step attempted."""
@@ -133,14 +134,19 @@ class IntegrationError(RuntimeError):
         self.last_step = result.last_step
 
 
-def _crossing(event, step):
-    """A sign change of event(t, y(t)) on one step, bisected on its dense
-    output to the 4 eps tolerance scipy asks of Brent's method."""
+def _excess(y):
+    """The blow-up guard's event function, max |y| - BLOWUP."""
+    return float(abs(y).max()) - BLOWUP
+
+
+def _crossing(step):
+    """A sign change of the guard on one step, bisected on its dense output
+    to the 4 eps tolerance scipy asks of Brent's method."""
     lo, hi = step[0], step[1]
-    g_lo = event(lo, _interpolate(step, lo))
+    g_lo = _excess(_interpolate(step, lo))
     while abs(hi - lo) > 4 * EPS * (1 + abs(hi)):
         mid = 0.5 * (lo + hi)
-        g_mid = event(mid, _interpolate(step, mid))
+        g_mid = _excess(_interpolate(step, mid))
         if g_mid == 0:
             return mid
         if (g_mid > 0) == (g_lo > 0):
@@ -150,12 +156,12 @@ def _crossing(event, step):
     return hi
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, events=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     """Integrate y' = fun(t, y) over t_span = (t0, tf) from y0.
 
-    ``events`` is one function event(t, y) whose sign change, checked after
-    each accepted step, ends the run at its crossing (status 1).  A step
-    below ten ulps of t ends it with status -1.
+    A sign change of max |y| - BLOWUP, checked after each accepted step,
+    ends the run at its crossing (status 1).  A step below ten ulps of t
+    ends it with status -1.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -171,7 +177,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, events=None):
     stages = [(K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
     K_b, K_e = K[:-1].T, K.T
     t, ts, ys, steps = t0, [t0], [y], []
-    g = None if events is None else events(t0, y)
+    g = _excess(y)
     status = None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -209,17 +215,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, events=None):
         t, y, f = t_new, y_new, f_new
         if direction * (t - tf) >= 0:
             status = 0
-        crossed = False
-        if g is not None:
-            g_new = events(t, y)
-            crossed = (g <= 0 <= g_new) or (g >= 0 >= g_new)
-            g = g_new
+        g_new = _excess(y)
+        crossed = (g <= 0 <= g_new) or (g >= 0 >= g_new)
+        g = g_new
         if dense_output or crossed:
             step = (t_old, t, y_old, K.T.dot(P))
             if dense_output:
                 steps.append(step)
             if crossed:
-                t = _crossing(events, step)
+                t = _crossing(step)
                 y = _interpolate(step, t)
                 status = 1
         ts.append(t)

@@ -215,8 +215,8 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
 def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
     """Map every grid point by the time-tau flow of eta: one stacked ODE,
     integrated with the Dormand-Prince 5(4) pair of ``affsym.ode``, with
-    eta's components compiled once for all stages.  Leaving |y| <= 1e8 (the
-    blow-up guard of ``symmetry.flow``) or a step underflow raises
+    eta's components compiled once for all stages.  Leaving |y| <= ode.BLOWUP
+    (the integrator's blow-up guard) or a step underflow raises
     IntegrationError."""
     if tau == 0.0:
         return grid.copy()
@@ -227,12 +227,7 @@ def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
         # the program returns (n, N): transposed back to the grid's layout
         return eval_many_shared(program, z.reshape(N, n)).T.reshape(-1)
 
-    def too_big(_t, z):
-        return float(abs(z).max()) - 1e8
-
-    sol = solve_ivp(
-        rhs, (0.0, tau), grid.values.reshape(-1), rtol=rtol, atol=atol, events=too_big
-    )
+    sol = solve_ivp(rhs, (0.0, tau), grid.values.reshape(-1), rtol=rtol, atol=atol)
     if sol.status == 1:
         raise IntegrationError("grid flow left the working region (blow-up guard)", sol)
     if sol.status != 0:

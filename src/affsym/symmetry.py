@@ -21,6 +21,7 @@ Acceptance is residual-based at sample points, not a symbolic proof.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,14 +168,14 @@ def affine_residual(conn, eta, pts=None):
 # ---------------------------------------------------------------------------
 
 
-def flow(eta, p, tau, rtol=1e-9, atol=1e-10, blowup=1e8):
+def flow(eta, p, tau, rtol=1e-9, atol=1e-10):
     """phi_tau(p): transport p along eta with the Dormand-Prince 5(4) pair
     of ``affsym.ode``.
 
     phi_0 is the identity and the group property holds to integrator
-    tolerance.  Leaving |y| <= blowup or a step underflow raises FlowError
-    with the time reached.  eta's components are compiled once for all
-    solver stages.
+    tolerance.  Leaving |y| <= ode.BLOWUP or a step underflow raises
+    FlowError with the time reached.  eta's components are compiled once
+    for all solver stages.
     """
     p = np.asarray(p, dtype=float)
     if tau == 0.0:
@@ -184,10 +185,7 @@ def flow(eta, p, tau, rtol=1e-9, atol=1e-10, blowup=1e8):
     def rhs(_t, y):
         return eval_many_shared(program, y.tolist()).reshape(-1)
 
-    def too_big(_t, y):
-        return float(abs(y).max()) - blowup
-
-    sol = solve_ivp(rhs, (0.0, tau), p, rtol=rtol, atol=atol, events=too_big)
+    sol = solve_ivp(rhs, (0.0, tau), p, rtol=rtol, atol=atol)
     if sol.status == 1:
         raise FlowError("flow left the working region (blow-up guard)", sol)
     if sol.status != 0:
@@ -297,69 +295,54 @@ def classify(conn, sample=None):
     )
 
 
-def _f_pos(n, i, k):
-    """Column of F^i_k in the unknown vector (eta block first)."""
-    return n + i * n + k
+def _lie_rows(field, p0):
+    """The linearized Lie derivative of a tensor field W at p0: one row per
+    component of W, in row-major order, over the unknowns eta^k (columns
+    0..n-1) and F^i_k = d eta^i/dy^k (column n + i*n + k), so that
+    row . (eta(p0), F(p0)) is (L_eta W)(p0).
+
+    Each row holds the terms of ``liefn.lie_derivative``: eta^k dW/dy^k,
+    -W^{..k..} F^c_k for an upper slot c and +W_{..k..} F^k_c for a lower
+    one.  An F entry sums its terms from +0.0 over k in turn, slot by slot
+    for each k (``fold``); the Kronecker factors only place them.
+    """
+    n, slots = field.n, string.ascii_uppercase[: field.r + field.s]
+    W = field.evaluate(p0)
+    # partial_differential puts the derivative slot k right after the upper slots
+    dW = np.moveaxis(partial_differential(field).evaluate_many(p0)[0], field.r, -1)
+    eye, out = np.eye(n), slots + "abk"  # the row's slots, then F^a_b, then k
+    parts = []
+    for pos, c in enumerate(slots):
+        w = bcast(W, slots.replace(c, "k"), out)
+        if pos < field.r:  # a = c, b = k
+            parts.append((np.subtract, w * bcast(eye, c + "a", out) * bcast(eye, "kb", out)))
+        else:  # a = k, b = c
+            parts.append((np.add, w * bcast(eye, "ka", out) * bcast(eye, c + "b", out)))
+    F = fold(np.zeros(W.shape + (n, n)), *parts)
+    # the eta block is summed from +0.0 too, so a -0.0 derivative reads +0.0
+    return np.concatenate([0.0 + dW.reshape(-1, n), F.reshape(-1, n * n)], axis=1)
 
 
 def pointwise_symmetry_bound(sys, p0, depth=2):
     """Upper bound for the symmetry-algebra dimension from pointwise linear
-    constraints on (eta(p0), F(p0)).
+    constraints on (eta(p0), F(p0)): the linearized Lie derivatives of the
+    invariant tensors at p0 (``_lie_rows``) must vanish.
 
     depth 0 uses the invariance of A alone; depth 1 adds the invariance of
     the curvature tensor; depth 2 adds the invariance of the covariant
     differential of the Ricci tensor.  Returns (n^2 + n) - rank of the
-    assembled constraint matrix; monotone nonincreasing in depth.
+    stacked rows; monotone nonincreasing in depth.
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
     n = sys.n
     p0 = np.asarray(p0, dtype=float)
-    nunk = n * n + n
-    rows = []
-
-    # partial_differential puts the derivative slot k right after the upper
-    # slot; the rows below read it first
-    A = sys.A.evaluate(p0)
-    dA = partial_differential(sys.A).evaluate_many(p0)[0].transpose(1, 0, 2)  # [k, i, j]
-    for i in range(n):
-        for j in range(n):
-            row = np.zeros(nunk)
-            for k in range(n):
-                row[k] += dA[k, i, j]
-                row[_f_pos(n, i, k)] -= A[k, j]
-                row[_f_pos(n, k, j)] += A[i, k]
-            rows.append(row)
-
+    fields = [sys.A]
     if depth >= 1:
-        Rfield = curvature(sys.conn)
-        R = Rfield.evaluate(p0)
-        dR = partial_differential(Rfield).evaluate_many(p0)[0].transpose(1, 0, 2, 3, 4)
-        for i, j, r, s in np.ndindex(n, n, n, n):
-            row = np.zeros(nunk)
-            for k in range(n):
-                row[k] += dR[k, i, j, r, s]
-                row[_f_pos(n, i, k)] -= R[k, j, r, s]
-                row[_f_pos(n, k, j)] += R[i, k, r, s]
-                row[_f_pos(n, k, r)] += R[i, j, k, s]
-                row[_f_pos(n, k, s)] += R[i, j, r, k]
-            rows.append(row)
-
+        fields.append(curvature(sys.conn))
     if depth >= 2:
-        Qfield = covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"])
-        Q = Qfield.evaluate(p0)
-        dQ = partial_differential(Qfield).evaluate_many(p0)[0]  # [k, a, b, c]
-        for a, b, c in np.ndindex(n, n, n):
-            row = np.zeros(nunk)
-            for k in range(n):
-                row[k] += dQ[k, a, b, c]
-                row[_f_pos(n, k, a)] += Q[k, b, c]
-                row[_f_pos(n, k, b)] += Q[a, k, c]
-                row[_f_pos(n, k, c)] += Q[a, b, k]
-            rows.append(row)
-
-    mat = np.asarray(rows)
-    return nunk - _matrix_rank(mat)
+        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
+    return n * n + n - _matrix_rank(np.concatenate([_lie_rows(f, p0) for f in fields]))
 
 
 # ---------------------------------------------------------------------------

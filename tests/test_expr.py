@@ -276,10 +276,15 @@ def test_checked_evaluation_names_the_faulting_node(text, point, message, culpri
 
 
 def test_checked_evaluation_of_fractional_powers():
-    # DomainError prints its node, and a fractional power has no printed
-    # form, so the message the walk picks for one is checked directly
     y = coord(1)
     assert eval_expr(add(ONE, powi(y, Fraction(1, 2))), [4.0]) == 3.0
+    with pytest.raises(DomainError) as err:
+        eval_expr(add(ONE, powi(y, Fraction(1, 2))), [-4.0])
+    assert str(err.value) == "negative base with fractional exponent: y1^(1/2)"
+    # a fractional power prints as ^(p/q), which the grammar rejects
+    assert repr(powi(y, Fraction(-1, 2))) == "Expr('y1^(-1/2)')"
+    with pytest.raises(ParseError):
+        parse_expr("y1^(1/2)", 1)
     half, minus_half = powi(y, Fraction(1, 2)), powi(y, Fraction(-1, 2))
     assert expr._fault(half, [np.array([-4.0])]) == "negative base with fractional exponent"
     assert expr._fault(minus_half, [np.array([0.0])]) == "zero raised to a negative power"

@@ -1,12 +1,25 @@
 """Determining equations, flows, linearization, flat basis, classification
 and pointwise bounds."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+from affsym.canonical import CanonicalSpec, build_system
+from affsym.cli import SystemDocument
 from affsym.expr import const, coord, parse_expr
-from affsym.geometry import Connection, DiffusionSystem, scalar_operator
-from affsym.liefn import VectorField
+from affsym.geometry import (
+    Connection,
+    DiffusionSystem,
+    covariant_differential,
+    curvature,
+    ricci_and_s,
+    scalar_operator,
+    transform_system,
+)
+from affsym.liefn import VectorField, lie_derivative
 from affsym.symmetry import (
     FlowError,
     RankNotConstantError,
@@ -20,8 +33,9 @@ from affsym.symmetry import (
     is_symmetry,
     linearization,
     pointwise_symmetry_bound,
+    _lie_rows,
 )
-from affsym.tensor import TensorField
+from affsym.tensor import PointMap, TensorField, partial_differential
 from affsym.util import sample_points
 
 from test_geometry import constcurv_connection, intermediate_connection
@@ -306,6 +320,74 @@ def test_pointwise_bound_monotone_in_depth():
         p0 = np.array([0.1, -0.2, 0.3])
         b = [pointwise_symmetry_bound(sysd, p0, d) for d in (0, 1, 2)]
         assert b[0] >= b[1] >= b[2]
+
+
+def _chart_maps(n):
+    """A cyclic permutation of the coordinates, a linear shear and a
+    quadratic shear, each with its explicit inverse.  Only the last has a
+    varying Jacobian, which mixes eta(p0) into the transformed F(p0)."""
+    ys = [f"y{i + 1}" for i in range(n)]
+    cyclic = PointMap.from_strings(n, ys[1:] + ys[:1], ys[-1:] + ys[:-1])
+    shear = PointMap.from_strings(n, ["y1 + 0.3*y2"] + ys[1:], ["y1 - 0.3*y2"] + ys[1:])
+    bent = PointMap.from_strings(n, ["y1 + 0.2*y2^2"] + ys[1:], ["y1 - 0.2*y2^2"] + ys[1:])
+    return cyclic, shear, bent
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+CHART_SPECS = {
+    "constcurv_22_13": CanonicalSpec("constcurv_22_13", n=3, epsilons=(1, -1, 1)),
+    "intermediate_17_19": CanonicalSpec("intermediate_17_19", n=3, m=2, u=("y1", "y2^2")),
+}
+
+
+def _chart_cases():
+    """Every fixture of dimension n >= 2, then the canonical specs above."""
+    names = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fp:
+            doc = json.load(fp)
+        if doc.get("n", doc.get("canonical", {}).get("n")) >= 2:
+            names.append(name)
+    return names + sorted(CHART_SPECS)
+
+
+def _chart_system(name):
+    if name in CHART_SPECS:
+        return build_system(CHART_SPECS[name])
+    return SystemDocument.load(os.path.join(FIXTURES, name)).to_system()
+
+
+@pytest.mark.parametrize("name", _chart_cases())
+def test_degeneration_and_pointwise_bound_are_chart_invariant(name):
+    sysd = _chart_system(name)
+    n = sysd.n
+    p0 = np.array([0.1, -0.2, 0.15][:n])
+    m = classify(sysd.conn).m
+    bounds = [pointwise_symmetry_bound(sysd, p0, d) for d in (0, 1, 2)]
+    for pm in _chart_maps(n):
+        assert pm.roundtrip_residual() <= 1e-12
+        moved = transform_system(sysd, pm)
+        q0 = pm.apply(p0)
+        assert classify(moved.conn).m == m
+        assert [pointwise_symmetry_bound(moved, q0, d) for d in (0, 1, 2)] == bounds
+
+
+@pytest.mark.parametrize("name", ["heisenberg.json", "intermediate_n3_m1.json", "constcurv_22_13"])
+def test_lie_rows_apply_the_lie_derivative_to_the_one_jet(name):
+    # row . (eta(p0), d eta(p0)) is (L_eta W)(p0) for any field eta
+    sysd = _chart_system(name)
+    n = sysd.n
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-1, 1, size=(n, 3)).tolist()
+    eta = VectorField.from_strings(
+        n, [f"{a!r} + {b!r}*y{i % n + 1} + {q!r}*y1*y{n}" for i, (a, b, q) in enumerate(c)]
+    )
+    p0 = np.array([0.1, -0.2, 0.15][:n])
+    jet = np.concatenate([eta.evaluate(p0), partial_differential(eta).evaluate_many(p0)[0].ravel()])
+    ricci = ricci_and_s(sysd.conn)["ricci"]
+    for W in (sysd.A, curvature(sysd.conn), covariant_differential(sysd.conn, ricci)):
+        want = lie_derivative(eta, W).evaluate(p0).ravel()
+        assert np.max(np.abs(_lie_rows(W, p0) @ jet - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

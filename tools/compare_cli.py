@@ -1,13 +1,15 @@
 """Record every CLI subcommand's exit code, stdout and error message on every
-fixture, and diff two such records, to show that a change leaves the answers
-unchanged.
+fixture, and every demo's exit code and stdout, and diff two such records, to
+show that a change leaves the answers unchanged.
 
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-Each command runs in a fresh interpreter with PYTHONPATH=SRC_DIR, so two
-checkouts (say the parent commit and a change) can be compared from one
-place.  `flatten` on constcurv_n3.json is slow (minutes) on older trees.
+Each command and demo runs in a fresh interpreter with PYTHONPATH=SRC_DIR, so
+two checkouts (say the parent commit and a change) can be compared from one
+place.  The demos are those of the checkout that holds SRC_DIR, in
+SRC_DIR/../demos.  `flatten` on constcurv_n3.json is slow (minutes) on older
+trees.
 """
 
 import json
@@ -47,16 +49,21 @@ def commands():
             yield name, [argv[0], path] + argv[1:]
 
 
+def demos(src):
+    folder = os.path.join(os.path.abspath(src), "..", "demos")
+    for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
+        if name.endswith(".py"):
+            yield "demo " + name, [os.path.join(folder, name)]
+
+
 def run(src, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("AFFSYM_SEED", None)
     record = {}
-    for name, argv in commands():
-        key = " ".join([argv[0], name] + argv[2:])
+    cli = ((" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv) for name, argv in commands())
+    for key, args in [*cli, *demos(src)]:
         t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", MAIN] + argv, env=env, capture_output=True, text=True
-        )
+        proc = subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True)
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         record[key] = {
             "code": proc.returncode,
@@ -75,18 +82,22 @@ def diff(before_path, after_path):
         before = json.load(fp)
     with open(after_path, encoding="utf-8") as fp:
         after = json.load(fp)
-    fields = ("code", "stdout", "error")  # .get: records from older versions lack "error"
-    differ = [
-        k
-        for k in before
-        if any(before[k].get(f) != after[k].get(f) for f in fields)
-    ]
-    print(f"{len(before)} commands, {len(differ)} differ in exit code, stdout or error message")
+    # .get: records from older versions lack "error" and the demos
+    fields = ("code", "stdout", "error")
+    keys = dict.fromkeys([*before, *after])
+    pairs = {k: (before.get(k, {}), after.get(k, {})) for k in keys}
+    differ = [k for k, (b, a) in pairs.items() if any(b.get(f) != a.get(f) for f in fields)]
+    ndemos = sum(k.startswith("demo ") for k in keys)
+    print(
+        f"{len(keys) - ndemos} commands and {ndemos} demos, "
+        f"{len(differ)} differ in exit code, stdout or error message"
+    )
     for k in differ:
-        print("DIFF", k, before[k]["code"], after[k]["code"])
-        if before[k].get("error") != after[k].get("error"):
-            print("  before:", before[k].get("error"))
-            print("  after: ", after[k].get("error"))
+        b, a = pairs[k]
+        print("DIFF", k, b.get("code"), a.get("code"))
+        if b.get("error") != a.get("error"):
+            print("  before:", b.get("error"))
+            print("  after: ", a.get("error"))
     for label, rec in (("before", before), ("after", after)):
         tracebacks = [k for k, v in rec.items() if v["traceback"]]
         total = sum(v["seconds"] for v in rec.values())
