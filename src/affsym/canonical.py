@@ -87,6 +87,9 @@ class CanonicalSpec:
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite real number, got {v!r}")
+        for e in (*self.u, *(() if self.psi is None else (self.psi,))):
+            if not isinstance(e, (str, Expr)):
+                raise ValueError(f"u and psi entries must be expression strings, got {e!r}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.a == 0.0:

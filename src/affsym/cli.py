@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ from .canonical import (
     constcurv_metric,
     projective_flatten,
 )
-from .expr import ExprError, ParseError, const, parse_expr, to_string
+from .expr import ExprError, ParseError, const, eval_many_shared, parse_expr, to_string
 from .geometry import (
     Connection,
     DiffusionSystem,
@@ -90,7 +91,13 @@ def _is_real(v):
 
 
 class SystemDocument:
-    """Parsed and validated system definition."""
+    """A checked system definition and the system it builds.
+
+    The constructor parses every coefficient once, builds the system and
+    evaluates A and Gamma, checked, at the document's points: a coefficient
+    that is not finite there raises DomainError, and Gamma must be symmetric
+    in its lower indices there.
+    """
 
     def __init__(self, n, a_rows=None, gamma=None, canonical=None, sample=None, tolerances=None):
         self.n = int(n)
@@ -117,7 +124,7 @@ class SystemDocument:
             if not (_is_real(val) and math.isfinite(val) and val >= 0):
                 raise InputError(f"tolerance {key!r} must be a finite number >= 0, got {val!r}")
         self.tolerances = {**DEFAULT_TOLERANCES, **tolerances}
-        self._system = None
+        self._build()
 
     # -- construction -------------------------------------------------------
 
@@ -151,7 +158,7 @@ class SystemDocument:
             raise InputError("document needs 'n' (or a canonical spec)")
         if canonical is not None and n != canonical.n:
             raise InputError("document n conflicts with the canonical spec")
-        doc = cls(
+        return cls(
             n,
             a_rows=data.get("A"),
             gamma=data.get("Gamma"),
@@ -159,8 +166,6 @@ class SystemDocument:
             sample=data.get("sample"),
             tolerances=data.get("tolerances"),
         )
-        doc.validate()
-        return doc
 
     @classmethod
     def load(cls, path):
@@ -173,9 +178,7 @@ class SystemDocument:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
 
-    def validate(self):
-        """Check the document, parsing every coefficient once, and build its
-        system (``to_system``)."""
+    def _build(self):
         n = self.n
         a = None
         gamma = TensorField.zeros(n, 1, 2).comps
@@ -209,11 +212,13 @@ class SystemDocument:
             self._system = build_system(self.canonical)
         else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
-        res = self._system.conn.symmetry_residual(self._points())
+        self._points = self.sample if self.sample is not None else sample_points(n, 20)
+        roots = [*self._system.A.comps.flat, *self._system.conn.gamma.flat]
+        vals = np.stack(eval_many_shared(roots, self._points, checked=True), axis=-1)
+        g = vals[:, n * n :].reshape((-1, n, n, n))
+        res = self._gamma_residual = float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
         if res > self.tolerances["gamma_symmetry"]:
-            raise InputError(
-                f"Gamma lower-index matrices are not symmetric: residual {res:.3e}"
-            )
+            raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")
 
     def _parse_all(self, arr):
         """The array of expression strings parsed, entry by entry."""
@@ -227,16 +232,9 @@ class SystemDocument:
                 raise InputError(f"bad expression {t!r}: {exc}") from exc
         return out
 
-    def _points(self, count=20):
-        if self.sample is not None:
-            return self.sample
-        return sample_points(self.n, count)
-
     # -- conversion ---------------------------------------------------------
 
     def to_system(self):
-        if self._system is None:
-            self.validate()
         return self._system
 
     def to_dict(self):
@@ -273,13 +271,11 @@ def from_diffusional(a_rows, sample=None):
     ainv = sym_matrix_inverse(a_field.comps)
     terms = MUL(bcast(ainv, "ji", "jrsi"), bcast(sym, "irs", "jrsi"))
     texts = np.frompyfunc(to_string, 1, 1)(ADD.reduce(terms, axis=-1))
-    doc = SystemDocument(
+    return SystemDocument(
         n,
         a_rows=[[str(t) for t in row] for row in arr],
         gamma={str(j + 1): mat.tolist() for j, mat in enumerate(texts)},
     )
-    doc.validate()
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +316,28 @@ def render_json(obj, indent=0):
     return _fmt(obj)
 
 
-def _emit(data, stream=None):
-    (stream or sys.stdout).write(render_json(data) + "\n")
+# ---------------------------------------------------------------------------
+# Subcommands: each returns its report and exit code
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
+def _load(args):
+    """The document named on the command line, its system and its points."""
+    doc = SystemDocument.load(args.file)
+    return doc, doc.to_system(), doc._points
+
+
+def _norm(field, pts):
+    """max |field| over the points."""
+    return float(np.max(np.abs(field.evaluate_many(pts))))
+
+
+def _classified(conn, pts):
+    """classify's report as a dict and True, or the rank error and False."""
+    try:
+        return classify(conn, pts).to_dict(), True
+    except RankNotConstantError as exc:
+        return {"error": str(exc)}, False
 
 
 def _parse_eta(text, n):
@@ -352,99 +363,68 @@ def _parse_point(text, n, what):
 
 
 def cmd_inspect(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    pts = doc._points()
-    a_vals = sysd.A.evaluate_many(pts)
+    doc, sysd, pts = _load(args)
     out = {
         "n": doc.n,
         "valid": True,
-        "gamma_symmetry_residual": sysd.conn.symmetry_residual(pts),
-        "det_A_min_abs": float(np.min(np.abs(np.linalg.det(a_vals)))),
+        "gamma_symmetry_residual": doc._gamma_residual,
+        "det_A_min_abs": float(np.min(np.abs(np.linalg.det(sysd.A.evaluate_many(pts))))),
         "sample_count": len(pts),
     }
     if doc.canonical is not None:
         out["canonical"] = doc.canonical.to_dict()
-    _emit(out)
-    return 0
+    return out, 0
 
 
 def cmd_curvature(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    pts = doc._points()
+    _doc, sysd, pts = _load(args)
     curv = curvature(sysd.conn)
     parts = ricci_and_s(sysd.conn, curv)
-    out = {
-        "points": pts,
-        "curvature": curv.evaluate_many(pts),
-        "ricci": parts["ricci"].evaluate_many(pts),
-        "s": parts["s"].evaluate_many(pts),
-        "ricci_sym": parts["ricci_sym"].evaluate_many(pts),
-        "ricci_skew": parts["ricci_skew"].evaluate_many(pts),
-    }
-    _emit(out)
-    return 0
+    out = {"points": pts, "curvature": curv.evaluate_many(pts)}
+    for key in ("ricci", "s", "ricci_sym", "ricci_skew"):
+        out[key] = parts[key].evaluate_many(pts)
+    return out, 0
 
 
 def cmd_classify(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    try:
-        rep = classify(sysd.conn, doc._points())
-    except RankNotConstantError as exc:
-        _emit({"error": str(exc), "rank_constant": False})
-        return 2
-    _emit(rep.to_dict())
-    return 0
+    _doc, sysd, pts = _load(args)
+    out, ok = _classified(sysd.conn, pts)
+    return (out, 0) if ok else ({**out, "rank_constant": False}, 2)
 
 
 def cmd_check_symmetry(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
+    doc, sysd, pts = _load(args)
     eta = _parse_eta(args.eta, doc.n)
-    pts = doc._points()
     res = determining_residuals(sysd, eta, pts)
     tol = doc.tolerances["symmetry"]
-    accepted = res["res_A"].max_abs <= tol and res["res_Gamma"].max_abs <= tol
     out = {
         "res_A": res["res_A"].max_abs,
         "res_Gamma": res["res_Gamma"].max_abs,
         "equation": res["res_Gamma"].details.get("equation", "reduced"),
         "tolerance": tol,
-        "accepted": accepted,
+        "accepted": res["res_A"].max_abs <= tol and res["res_Gamma"].max_abs <= tol,
     }
-    if accepted:
+    if out["accepted"]:
         suite = invariance_suite(sysd, eta, pts)
         out["invariance"] = {k: v.max_abs for k, v in suite.items()}
         itol = doc.tolerances["invariance"]
-        if any(v.max_abs > itol for v in suite.values()):
-            accepted = False
-            out["accepted"] = False
-    _emit(out)
-    return 0 if accepted else 2
+        out["accepted"] = not any(v.max_abs > itol for v in suite.values())
+    return out, 0 if out["accepted"] else 2
 
 
 def cmd_bound(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    p0 = (
-        _parse_point(args.at, doc.n, "--at")
-        if args.at
-        else doc._points()[0]
-    )
+    doc, sysd, pts = _load(args)
+    p0 = _parse_point(args.at, doc.n, "--at") if args.at else pts[0]
     bound = pointwise_symmetry_bound(sysd, p0, args.depth)
-    _emit({"bound": bound, "depth": args.depth, "point": [float(v) for v in p0]})
-    return 0
+    return {"bound": bound, "depth": args.depth, "point": [float(v) for v in p0]}, 0
 
 
 def cmd_canonical(args):
-    doc = SystemDocument.load(args.file)
-    if doc.canonical is None:
-        raise InputError("canonical subcommand needs a document with a canonical spec")
+    doc, _sysd, pts = _load(args)
     spec = doc.canonical
+    if spec is None:
+        raise InputError("canonical subcommand needs a document with a canonical spec")
     sysd = build_system(spec)
-    pts = doc._points()
     tol = doc.tolerances["structure"]
     checks = {}
     expected_m = {
@@ -453,71 +433,56 @@ def cmd_canonical(args):
         "constcurv_22_13": spec.n,
         "constcurv_2d_22_14": 2,
     }.get(spec.kind)
-    try:
-        rep = classify(sysd.conn, pts)
-        out_classify = rep.to_dict()
-        m_ok = expected_m is None or rep.m == expected_m
-    except RankNotConstantError as exc:
-        out_classify = {"error": str(exc)}
-        m_ok = False
+    out_classify, m_ok = _classified(sysd.conn, pts)
+    m_ok = m_ok and (expected_m is None or out_classify["m"] == expected_m)
     if spec.kind in ("maximal_7_11", "scalar_23_1"):
-        checks["curvature"] = float(
-            np.max(np.abs(curvature(sysd.conn).evaluate_many(pts)))
-        )
+        checks["curvature"] = _norm(curvature(sysd.conn), pts)
     if spec.kind.startswith("constcurv"):
         g, _f = constcurv_metric(spec.n, spec.epsilons)
         parts = ricci_and_s(sysd.conn)
         checks["ricci_minus_metric"] = float(
             np.max(np.abs(parts["ricci"].evaluate_many(pts) - g.evaluate_many(pts)))
         )
-        checks["s_field"] = float(np.max(np.abs(parts["s"].evaluate_many(pts))))
-        checks["nabla_metric"] = float(
-            np.max(np.abs(covariant_differential(sysd.conn, g).evaluate_many(pts)))
-        )
-        checks["nabla_ricci"] = float(
-            np.max(
-                np.abs(
-                    covariant_differential(sysd.conn, parts["ricci"]).evaluate_many(pts)
-                )
-            )
-        )
-        checks["structure_19_14"] = structure_residual(
-            sysd.conn, "const_curv_19_14", pts
-        ).max_abs
+        checks["s_field"] = _norm(parts["s"], pts)
+        checks["nabla_metric"] = _norm(covariant_differential(sysd.conn, g), pts)
+        checks["nabla_ricci"] = _norm(covariant_differential(sysd.conn, parts["ricci"]), pts)
+        checks["structure_19_14"] = structure_residual(sysd.conn, "const_curv_19_14", pts).max_abs
     if spec.kind.startswith("intermediate"):
         form = "intermediate_10_15" if spec.n >= 3 else "two_dim_12_1"
         checks[f"structure_{form}"] = structure_residual(sysd.conn, form, pts).max_abs
     ok = m_ok and all(v <= tol for v in checks.values())
-    _emit(
-        {
-            "kind": spec.kind,
-            "n": spec.n,
-            "classify": out_classify,
-            "checks": checks,
-            "tolerance": tol,
-            "passed": bool(ok),
-        }
-    )
-    return 0 if ok else 2
+    return {
+        "kind": spec.kind, "n": spec.n, "classify": out_classify,
+        "checks": checks, "tolerance": tol, "passed": bool(ok),
+    }, 0 if ok else 2
 
 
 def cmd_flatten(args):
-    doc = SystemDocument.load(args.file)
+    doc, sysd, _pts = _load(args)
     if doc.n < 2:
         raise InputError("flatten needs a chart of dimension n >= 2")
-    sysd = doc.to_system()
     p0 = _parse_point(args.at, doc.n, "--at") if args.at else np.zeros(doc.n)
     u0 = _parse_point(args.u0, doc.n, "--u0") if args.u0 else np.zeros(doc.n)
-    tol = doc.tolerances["flatten"]
     try:
         res = projective_flatten(sysd.conn, p0, u0)
     except ValueError as exc:
-        _emit({"error": str(exc), "passed": False})
-        return 2
-    rep = {k: v.max_abs for k, v in res.report.items()}
-    rep["passed"] = res.report["flat_curvature"].max_abs <= tol
-    _emit(rep)
-    return 0 if rep["passed"] else 2
+        return {"error": str(exc), "passed": False}, 2
+    out = {k: v.max_abs for k, v in res.report.items()}
+    out["passed"] = res.report["flat_curvature"].max_abs <= doc.tolerances["flatten"]
+    return out, 0 if out["passed"] else 2
+
+
+def _profiles(text, n):
+    """--initial's profiles: expressions in the identifier x, as callables of
+    the grid's x values."""
+    texts = [t.strip() for t in text.split(";")]
+    if len(texts) != n:
+        raise InputError(f"--initial needs {n} semicolon-separated profiles in x")
+    try:
+        exprs = [parse_expr(re.sub(r"\bx\b", "y1", t), 1) for t in texts]
+    except ParseError as exc:
+        raise InputError(f"bad profile: {exc}") from exc
+    return [lambda x, e=e: eval_many_shared([e], x[:, None])[0] for e in exprs]
 
 
 def cmd_simulate(args):
@@ -530,40 +495,30 @@ def cmd_simulate(args):
         raise InputError(f"--steps must be at least 1, got {args.steps}")
     if args.grid < 8:
         raise InputError(f"--grid needs at least 8 points, got {args.grid}")
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    n = doc.n
-    length = args.length
+    doc, sysd, _pts = _load(args)
+    n, length = doc.n, args.length
     if args.initial:
-        texts = [t.strip() for t in args.initial.split(";")]
-        if len(texts) != n:
-            raise InputError(f"--initial needs {n} semicolon-separated profiles in x")
-        try:
-            exprs = [parse_expr(t.replace("x", "y1"), 1) for t in texts]
-        except ParseError as exc:
-            raise InputError(f"bad profile: {exc}") from exc
-        from .expr import eval_many
-
-        profiles = [
-            (lambda e: (lambda x: eval_many(e, x[:, None])))(e) for e in exprs
-        ]
+        profiles = _profiles(args.initial, n)
     else:
         profiles = [
-            (lambda k: (lambda x: 0.2 * np.sin(2 * np.pi * x / length + k)))(i)
-            for i in range(n)
+            lambda x, k=k: 0.2 * np.sin(2 * np.pi * x / length + k) for k in range(n)
         ]
-    grid = make_grid(profiles, args.grid, length)
+    try:
+        grid = make_grid(profiles, args.grid, length)
+    except ValueError as exc:
+        # the flags are checked, so only a profile that is not finite on the
+        # grid is left to fail here
+        raise InputError(f"bad profile: {exc}") from exc
     limit = stability_limit(sysd, grid)
     every = max(1, args.steps // 4)
     snaps = evolve_snapshots(sysd, grid, args.dt, args.steps, every)
     # the trailing snapshot may be ragged when every does not divide steps;
     # the residual needs equal spacing
     regular = snaps if args.steps % every == 0 else snaps[:-1]
-    residual = pde_residual(sysd, regular) if len(regular) >= 3 else None
     out = {
         "final_t": snaps[-1].t,
         "stability_limit": limit,
-        "pde_residual": residual,
+        "pde_residual": pde_residual(sysd, regular) if len(regular) >= 3 else None,
         "mean_drift": float(
             np.max(np.abs(snaps[-1].values.mean(axis=0) - snaps[0].values.mean(axis=0)))
         ),
@@ -579,138 +534,113 @@ def cmd_simulate(args):
         with open(args.csv, "w", encoding="utf-8") as fp:
             dump_csv(snaps, fp)
         out["csv"] = args.csv
-    _emit(out)
-    return code
+    return out, code
 
 
 def cmd_report(args):
-    doc = SystemDocument.load(args.file)
-    sysd = doc.to_system()
-    pts = doc._points()
+    doc, sysd, pts = _load(args)
     curv = curvature(sysd.conn)
     parts = ricci_and_s(sysd.conn, curv)
     out = {
         "n": doc.n,
-        "gamma_symmetry_residual": sysd.conn.symmetry_residual(pts),
+        "gamma_symmetry_residual": doc._gamma_residual,
         "norms": {
-            "curvature": float(np.max(np.abs(curv.evaluate_many(pts)))),
-            "ricci": float(np.max(np.abs(parts["ricci"].evaluate_many(pts)))),
-            "s": float(np.max(np.abs(parts["s"].evaluate_many(pts)))),
+            "curvature": _norm(curv, pts),
+            "ricci": _norm(parts["ricci"], pts),
+            "s": _norm(parts["s"], pts),
         },
     }
-    code = 0
-    try:
-        rep = classify(sysd.conn, pts)
-        out["classify"] = rep.to_dict()
-    except RankNotConstantError as exc:
-        out["classify"] = {"error": str(exc)}
-        code = 2
+    out["classify"], ok = _classified(sysd.conn, pts)
     out["pointwise_bound"] = {
         "depth_1": pointwise_symmetry_bound(sysd, pts[0], 1),
         "depth_2": pointwise_symmetry_bound(sysd, pts[0], 2),
         "point": [float(v) for v in pts[0]],
     }
-    _emit(out)
-    return code
+    return out, 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
+# subcommand -> (handler, help, options besides the document file)
+COMMANDS = {
+    "inspect": (cmd_inspect, "parse a document and report invariants", {}),
+    "curvature": (cmd_curvature, "curvature and Ricci data at sample points", {}),
+    "classify": (cmd_classify, "degeneration case and dimension bound", {}),
+    "check-symmetry": (cmd_check_symmetry, "determining residuals for a field", {
+        "--eta": dict(
+            required=True,
+            help="comma-separated components; write --eta=-y2,y1 when the first starts with '-'",
+        ),
+    }),
+    "bound": (cmd_bound, "pointwise symmetry-dimension bound", {
+        "--depth": dict(type=int, default=2, choices=(0, 1, 2)),
+        "--at": dict(help="evaluation point, comma-separated"),
+    }),
+    "canonical": (cmd_canonical, "build a canonical system and self-verify", {}),
+    "flatten": (cmd_flatten, "projective flattening pipeline", {
+        "--at": dict(help="transport base point"),
+        "--u0": dict(help="initial covector values"),
+    }),
+    "simulate": (cmd_simulate, "method-of-lines evolution", {
+        "--grid": dict(type=int, default=64),
+        "--dt": dict(type=float, required=True),
+        "--steps": dict(type=int, required=True),
+        "--length": dict(type=float, default=2 * np.pi),
+        "--initial": dict(help="semicolon-separated profiles in x"),
+        "--transport": dict(
+            help="symmetry field for the transport check, comma-separated; "
+            "write --transport=-y2,y1 when the first component starts with '-'"
+        ),
+        "--tau": dict(type=float, default=0.1),
+        "--csv": dict(help="write snapshots as CSV"),
+    }),
+    "report": (cmd_report, "full analysis pipeline", {}),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # input errors exit with 1 (argparse default would be 2)
+        # input errors exit with 1 (argparse's default is 2)
         self.print_usage(sys.stderr)
-        raise SystemExit(self._input_error(message))
-
-    @staticmethod
-    def _input_error(message):
         sys.stderr.write(f"error: {message}\n")
-        return 1
+        raise SystemExit(1)
 
 
 def build_parser():
-    p = _Parser(prog="affsym", description=__doc__.split("\n\n")[0])
-    sub = p.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="affsym", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("file")
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
+    return parser
 
-    sp = sub.add_parser("inspect", help="parse a document and report invariants")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_inspect)
 
-    sp = sub.add_parser("curvature", help="curvature and Ricci data at sample points")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_curvature)
-
-    sp = sub.add_parser("classify", help="degeneration case and dimension bound")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("check-symmetry", help="determining residuals for a field")
-    sp.add_argument("file")
-    sp.add_argument(
-        "--eta",
-        required=True,
-        help="comma-separated components; write --eta=-y2,y1 when the first starts with '-'",
-    )
-    sp.set_defaults(func=cmd_check_symmetry)
-
-    sp = sub.add_parser("bound", help="pointwise symmetry-dimension bound")
-    sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=2, choices=(0, 1, 2))
-    sp.add_argument("--at", help="evaluation point, comma-separated")
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("canonical", help="build a canonical system and self-verify")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_canonical)
-
-    sp = sub.add_parser("flatten", help="projective flattening pipeline")
-    sp.add_argument("file")
-    sp.add_argument("--at", help="transport base point")
-    sp.add_argument("--u0", help="initial covector values")
-    sp.set_defaults(func=cmd_flatten)
-
-    sp = sub.add_parser("simulate", help="method-of-lines evolution")
-    sp.add_argument("file")
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--length", type=float, default=2 * np.pi)
-    sp.add_argument("--initial", help="semicolon-separated profiles in x")
-    sp.add_argument(
-        "--transport",
-        help="symmetry field for the transport check, comma-separated; "
-        "write --transport=-y2,y1 when the first component starts with '-'",
-    )
-    sp.add_argument("--tau", type=float, default=0.1)
-    sp.add_argument("--csv", help="write snapshots as CSV")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("report", help="full analysis pipeline")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_report)
-    return p
+_PARSER = build_parser()
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except (InputError, ExprError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        error, code = str(exc), 1
     except RecursionError:
         # the input is at fault: no expression walk recurses, but the JSON
         # decoder does per nested array or object, and the expression parser
         # per parenthesis, function call and unary minus
-        sys.stderr.write("error: input nested too deeply to process\n")
-        return 1
+        error, code = "input nested too deeply to process", 1
     except (ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        error, code = str(exc), 2
+    else:
+        sys.stdout.write(render_json(report) + "\n")
+        return code
+    sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

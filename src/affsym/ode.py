@@ -14,9 +14,11 @@ same order and on the same array layouts (stage sums ``np.dot(K[:s].T,
 a[:s]) * h``, the 0.9 / 0.2 / 10 step factors, the ``min_step`` rule), so
 steps, ``nfev``, end values and dense output are bitwise what
 ``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  Every run carries
-one blow-up guard, a terminal event where max |y| crosses ``BLOWUP``.  Its
-crossing is found by bisection on the dense output, where scipy uses Brent's
-method, so the reported crossing time can differ in its last bits.
+one blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with
+status 1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that
+carries y beyond it ends the run at its upward crossing, found by bisection
+on the dense output, where scipy uses Brent's method, so the reported
+crossing time can differ in its last bits.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-BLOWUP = 1e8  # a run ends where max |y| crosses this (status 1)
+BLOWUP = 1e8  # a run ends where max |y| exceeds this (status 1)
 ERROR_EXPONENT = -1 / 5  # -1 / (order of the error estimate + 1)
 EPS = np.finfo(float).eps
 MESSAGES = {
@@ -140,7 +142,7 @@ def _excess(y):
 
 
 def _crossing(step):
-    """A sign change of the guard on one step, bisected on its dense output
+    """The guard's upward crossing on one step, bisected on its dense output
     to the 4 eps tolerance scipy asks of Brent's method."""
     lo, hi = step[0], step[1]
     g_lo = _excess(_interpolate(step, lo))
@@ -159,9 +161,9 @@ def _crossing(step):
 def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     """Integrate y' = fun(t, y) over t_span = (t0, tf) from y0.
 
-    A sign change of max |y| - BLOWUP, checked after each accepted step,
-    ends the run at its crossing (status 1).  A step below ten ulps of t
-    ends it with status -1.
+    max |y| > BLOWUP ends the run (status 1): at t0 without a step when y0
+    is beyond it, else at the crossing of the accepted step that carried y
+    beyond it.  A step below ten ulps of t ends it with status -1.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -169,6 +171,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
+    if _excess(y) > 0:
+        return OdeResult(
+            t=np.array([t0]), y=y[:, None], sol=None, status=1, message=MESSAGES[1], nfev=0,
+            last_step=0.0,
+        )
     direction = np.sign(tf - t0)
     f = np.asarray(fun(t0, y), dtype=float)
     h_abs = _initial_step(fun, t0, y, tf, f, direction, rtol, atol)
@@ -177,7 +184,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     stages = [(K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
     K_b, K_e = K[:-1].T, K.T
     t, ts, ys, steps = t0, [t0], [y], []
-    g = _excess(y)
     status = None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -215,9 +221,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
         t, y, f = t_new, y_new, f_new
         if direction * (t - tf) >= 0:
             status = 0
-        g_new = _excess(y)
-        crossed = (g <= 0 <= g_new) or (g >= 0 >= g_new)
-        g = g_new
+        crossed = _excess(y) > 0  # every earlier state was inside
         if dense_output or crossed:
             step = (t_old, t, y_old, K.T.dot(P))
             if dense_output:

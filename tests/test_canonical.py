@@ -95,6 +95,10 @@ def test_spec_validation():
         CanonicalSpec("bogus", n=2)
     with pytest.raises(ValueError):
         CanonicalSpec("scalar_23_1", n=2, a=1.0)
+    with pytest.raises(ValueError, match="expression strings"):
+        CanonicalSpec("intermediate_17_19", n=2, m=1, u=(1.0,))
+    with pytest.raises(ValueError, match="expression strings"):
+        CanonicalSpec("intermediate_potential_17_24", n=2, m=1, psi=3)
 
 
 def test_classification_of_built_systems():

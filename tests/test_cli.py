@@ -165,6 +165,26 @@ def test_simulate_transport_translation(capsys):
     assert data["transport_gap"] <= 1e-10
 
 
+def test_simulate_initial_profiles_are_expressions_in_x(tmp_path, capsys):
+    # only the identifier x is the grid coordinate: exp keeps its letter x
+    csv = tmp_path / "snaps.csv"
+    argv = ["--grid", "16", "--dt", "0.001", "--steps", "4", "--csv", str(csv)]
+    initial = "0.1*exp(-x^2);0.05*cos(x)"
+    code, data = run(capsys, "simulate", fixture("flat_n2.json"), *argv, "--initial", initial)
+    assert code == 0 and data["final_t"] == 0.004
+    rows = np.array([line.split(",") for line in csv.read_text().split()[1:17]], dtype=float)
+    x = rows[:, 1]
+    assert np.array_equal(rows[:, 2:], np.stack([0.1 * np.exp(-x**2), 0.05 * np.cos(x)], axis=1))
+
+
+@pytest.mark.parametrize("profile", ["1/x", "ln(x)"])
+def test_simulate_profile_not_finite_on_the_grid_exits_1(capsys, profile):
+    # the grid starts at x = 0
+    argv = ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4"]
+    assert main(argv + ["--initial", profile]) == 1
+    assert capsys.readouterr().err == "error: bad profile: grid values must be finite\n"
+
+
 def test_grid_flow_blow_up_exits_2(capsys):
     # a rotation of the sphere carries the constant profile (1, 0) through the
     # stereographic chart's pole at tau = pi/2; the grid flow's blow-up guard
@@ -252,6 +272,16 @@ def test_exit_code_1_on_bad_input(tmp_path, capsys):
     badexpr.write_text(json.dumps({"n": 1, "A": [["y7"]]}))
     assert main(["inspect", str(badexpr)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["inspect", "curvature", "classify", "report", "bound"])
+def test_coefficient_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, command):
+    # 1/y1 is infinite at the document's own point y1 = 0
+    doc = _flat_doc(Gamma={"1": [["1/y1", "0"], ["0", "0"]]}, sample=[[0.0, 0.1]])
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: division by zero: 1/y1\n")
 
 
 def test_exit_code_1_on_unrepresentable_numbers(tmp_path, capsys):
@@ -496,6 +526,11 @@ def assert_input_error(capsys, argv):
         ({"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1.5}}, ["inspect"]),
         ({"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "b": "abc"}}, ["inspect"]),
         ({"canonical": {"kind": "maximal_7_11", "n": 2, "a": "2"}}, ["inspect"]),
+        ({"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": [1.0]}}, ["inspect"]),
+        (
+            {"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1, "psi": 3}},
+            ["inspect"],
+        ),
     ],
     ids=[
         "tolerance-string",
@@ -515,6 +550,8 @@ def assert_input_error(capsys, argv):
         "canonical-m-float",
         "canonical-b-string",
         "canonical-a-string",
+        "canonical-u-number",
+        "canonical-psi-number",
     ],
 )
 def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv):

@@ -106,6 +106,16 @@ def test_flow_blowup_guard_raises_typed_error():
     assert exc.nfev > 2 and 0.0 < exc.last_step < 1.0
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_flow_started_beyond_the_guard_ends_at_once(tau):
+    # y1 = 2e8 exp(-t) is back inside at t = ln 2; the start is already beyond
+    with pytest.raises(FlowError) as err:
+        flow(VectorField.from_strings(1, ["-y1"]), np.array([2e8]), tau)
+    exc = err.value
+    assert str(exc) == "flow left the working region (blow-up guard) (reached t = 0)"
+    assert exc.status == 1 and exc.t_reached == 0.0 and exc.nfev == 0
+
+
 def test_transport_blowup_raises_typed_error():
     rhs = np.array([[parse_expr("y1^2", 2)]], dtype=object)  # du/dy = u^2: pole at y = 1
     prob = PfaffProblem(1, 1, rhs, p0=[0.0], u0=[1.0])

@@ -31,6 +31,7 @@ def commands():
         trans = ",".join(["1"] + ["0"] * (n - 1))
         rot = ",".join(["-y2", "y1"] + ["0"] * (n - 2)) if n >= 2 else "y1"
         at = ",".join(["0.1"] * n)
+        initial = ";".join(["0.1*exp(-x^2)"] + ["0.05*cos(x)"] * (n - 1))
         for argv in (
             ["inspect"],
             ["curvature"],
@@ -45,6 +46,7 @@ def commands():
             ["flatten"],
             ["simulate", "--grid", "32", "--dt", "0.0005", "--steps", "8"],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "8", "--transport=" + trans],
+            ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4", "--initial", initial],
         ):
             yield name, [argv[0], path] + argv[1:]
 
