@@ -100,9 +100,9 @@ class SystemDocument:
     """
 
     def __init__(self, n, a_rows=None, gamma=None, canonical=None, sample=None, tolerances=None):
-        self.n = int(n)
-        if self.n < 1:
-            raise InputError("dimension n must be >= 1")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"dimension n must be an integer >= 1, got {n!r}")
+        self.n = n
         self.canonical = canonical
         self.a_rows = a_rows
         self.gamma_rows = gamma
@@ -134,6 +134,8 @@ class SystemDocument:
             raise InputError("document root must be a JSON object")
         canonical = None
         if "canonical" in data:
+            if not isinstance(data["canonical"], dict):
+                raise InputError("invalid canonical spec: it must be a JSON object")
             cdata = dict(data["canonical"])
             kind = cdata.pop("kind", None)
             if kind not in CANONICAL_KINDS:
@@ -209,7 +211,10 @@ class SystemDocument:
             A = TensorField(n, 1, 1, a)
             self._system = DiffusionSystem(n, A, Connection(n, gamma), check=False)
         elif self.canonical is not None:
-            self._system = build_system(self.canonical)
+            try:
+                self._system = build_system(self.canonical)
+            except ValueError as exc:
+                raise InputError(f"invalid canonical spec: {exc}") from exc
         else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
         self._points = self.sample if self.sample is not None else sample_points(n, 20)
@@ -328,8 +333,8 @@ def _load(args):
 
 
 def _norm(field, pts):
-    """max |field| over the points."""
-    return float(np.max(np.abs(field.evaluate_many(pts))))
+    """max |field| over the points, evaluated checked."""
+    return float(np.max(np.abs(field.evaluate(pts))))
 
 
 def _classified(conn, pts):
@@ -380,9 +385,9 @@ def cmd_curvature(args):
     _doc, sysd, pts = _load(args)
     curv = curvature(sysd.conn)
     parts = ricci_and_s(sysd.conn, curv)
-    out = {"points": pts, "curvature": curv.evaluate_many(pts)}
+    out = {"points": pts, "curvature": curv.evaluate(pts)}
     for key in ("ricci", "s", "ricci_sym", "ricci_skew"):
-        out[key] = parts[key].evaluate_many(pts)
+        out[key] = parts[key].evaluate(pts)
     return out, 0
 
 

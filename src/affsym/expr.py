@@ -21,7 +21,7 @@ postorder walk's use counts, the evaluator's values, the compiler's tables
 and the memos are all dicts keyed by node, and share every equal subtree.
 
 A root set evaluated many times (a Pfaff right-hand side at every solver
-step, the simulator's coefficients at every Runge-Kutta stage) is compiled
+step, the simulator's right-hand side at every Runge-Kutta stage) is compiled
 once by ``compile_exprs`` into a ``Program``: straight-line Python with one
 statement per node, run on Python floats for one point and on numpy columns
 for many.  ``eval_many_shared(program, points)`` runs it and returns bitwise

@@ -106,7 +106,7 @@ class DiffusionSystem:
         self.n = int(n)
         self.A = a_field
         self.conn = conn
-        self.coeff_program = None  # A and Gamma compiled together, by pdesim on first use
+        self.coeff_program = None  # pdesim's compiled right-hand side, built on first use
         if a_field.valence != (1, 1) or a_field.n != n or conn.n != n:
             raise ValueError("operator field must be (1,1) on the same chart as the connection")
         if check:

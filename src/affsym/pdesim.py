@@ -2,8 +2,10 @@
 periodic interval, residual evaluation, symmetry solution-transport checks,
 and the spin-chain example on the sphere.
 
-The semi-discrete system uses 2nd-order central differences for both spatial
-derivatives and classic fixed-step RK4 in time; periodic wrap throughout.
+The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
+expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
+2nd-order central differences; classic fixed-step RK4 in time, periodic
+wrap throughout.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -19,7 +21,8 @@ import numpy as np
 from .expr import compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
 from .ode import IntegrationError, solve_ivp
-from .tensor import TensorField
+from .pfaff import _coords
+from .tensor import ADD, MUL, TensorField, bcast
 
 __all__ = [
     "SolutionGrid",
@@ -82,54 +85,55 @@ def make_grid(profiles, N, L, t=0.0):
 
 
 def _coeff_evaluators(sys):
-    """Callable mapping grid values (N, n) -> A (N, n, n) and Gamma
-    (N, n, n, n).  The components of A and Gamma are compiled into one
-    Program on first use and kept on the system, so every evolve, stability
-    check and residual of one system runs the same code."""
-    a_comps, g_comps = sys.A.comps, sys.conn.gamma
+    """Callable mapping grid columns (N, 3n) = (u, u_x, u_xx) to the right-
+    hand side F (N, n).  F is compiled into one Program on first use and
+    kept on the system, so every evolve and residual of one system runs the
+    same code."""
     if sys.coeff_program is None:
-        sys.coeff_program = compile_exprs(list(a_comps.flat) + list(g_comps.flat))
+        n = sys.n
+        d1, d2 = _coords(n + 1, n), _coords(2 * n + 1, n)
+        # Gamma^j_rs u_x^r u_x^s summed with r outer and s inner, then
+        # A^i_j (u_xx^j + that sum) summed over j
+        quad = MUL(MUL(sys.conn.gamma, bcast(d1, "r", "jrs")), d1)
+        inner = ADD(d2, ADD.reduce(quad.reshape(n, n * n), axis=-1))
+        sys.coeff_program = compile_exprs(ADD.reduce(MUL(sys.A.comps, inner), axis=-1))
     program = sys.coeff_program
-    na = a_comps.size
 
-    def eval_coeffs(values):
-        vals = eval_many_shared(program, values)
-        # C-ordered like TensorField.evaluate_many, so the einsums in _rhs
-        # sum in the same order
-        A = np.ascontiguousarray(vals[:na].T).reshape((-1,) + a_comps.shape)
-        G = np.ascontiguousarray(vals[na:].T).reshape((-1,) + g_comps.shape)
-        return A, G
+    def rhs(columns):
+        return eval_many_shared(program, columns).T
 
-    return eval_coeffs
+    return rhs
 
 
-def _rhs(sys, coeffs, values, dx):
+def _rhs(coeffs, values, dx):
     up = np.roll(values, -1, axis=0)
     dn = np.roll(values, 1, axis=0)
     d1 = (up - dn) / (2.0 * dx)
     d2 = (up - 2.0 * values + dn) / dx**2
-    A, G = coeffs(values)
-    quad = np.einsum("pjrs,pr,ps->pj", G, d1, d1)
-    return np.einsum("pij,pj->pi", A, d2 + quad)
+    return coeffs(np.concatenate([values, d1, d2], axis=1))
 
 
 def stability_limit(sys, grid):
     """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values."""
-    A, _ = _coeff_evaluators(sys)(grid.values)
-    eigs = np.linalg.eigvals(A)
+    eigs = np.linalg.eigvals(sys.A.evaluate_many(grid.values))
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
         return np.inf
     return 0.4 * grid.dx**2 / lam
 
 
-def evolve(sys, grid, dt, steps, record_means=False):
-    """Advance the grid by RK4 with fixed step dt.
+def evolve(sys, grid, dt, steps):
+    """The grid advanced by RK4 with fixed step dt: evolve_snapshots' last
+    snapshot."""
+    return evolve_snapshots(sys, grid, dt, steps, steps)[-1]
+
+
+def evolve_snapshots(sys, grid, dt, steps, every):
+    """Advance the grid by RK4 with fixed step dt, keeping the initial grid,
+    a snapshot every ``every`` steps and the final state.
 
     Violating the explicit-stability heuristic warns (not an error);
-    non-finite values abort with the step index.  When record_means is set
-    the returned grid carries a (steps+1, n) array of spatial means in
-    ``mean_history``.
+    non-finite values abort with the step index, counted from the start.
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
@@ -141,37 +145,23 @@ def evolve(sys, grid, dt, steps, record_means=False):
             RuntimeWarning,
             stacklevel=2,
         )
-    y = grid.values.copy()
+    y = grid.values
     dx = grid.dx
-    means = [y.mean(axis=0)] if record_means else None
-    for step in range(steps):
+    out = [grid.copy()]
+    done = 0
+    for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = _rhs(sys, coeffs, y, dx)
-            k2 = _rhs(sys, coeffs, y + 0.5 * dt * k1, dx)
-            k3 = _rhs(sys, coeffs, y + 0.5 * dt * k2, dx)
-            k4 = _rhs(sys, coeffs, y + dt * k3, dx)
+            k1 = _rhs(coeffs, y, dx)
+            k2 = _rhs(coeffs, y + 0.5 * dt * k1, dx)
+            k3 = _rhs(coeffs, y + 0.5 * dt * k2, dx)
+            k4 = _rhs(coeffs, y + dt * k3, dx)
             y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"solution blew up at step {step + 1}")
-        if record_means:
-            means.append(y.mean(axis=0))
-    out = grid.copy(t=grid.t + steps * dt, values=y)
-    if record_means:
-        out.mean_history = np.asarray(means)
-    return out
-
-
-def evolve_snapshots(sys, grid, dt, steps, every):
-    """Evolve while keeping a snapshot every ``every`` steps (including the
-    initial state)."""
-    out = [grid.copy()]
-    current = grid
-    done = 0
-    while done < steps:
-        chunk = min(every, steps - done)
-        current = evolve(sys, current, dt, chunk)
-        done += chunk
-        out.append(current)
+            raise RuntimeError(f"solution blew up at step {step}")
+        if step % every == 0 or step == steps:
+            # t = previous t + chunk * dt, the spacing pde_residual checks
+            out.append(grid.copy(t=out[-1].t + (step - done) * dt, values=y))
+            done = step
     return out
 
 
@@ -202,7 +192,7 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     worst = 0.0
     for k in range(1, len(snapshots) - 1):
         ydot = (snapshots[k + 1].values - snapshots[k - 1].values) / (2.0 * dt)
-        rhs = _rhs(sys, coeffs, snapshots[k].values, snapshots[k].dx)
+        rhs = _rhs(coeffs, snapshots[k].values, snapshots[k].dx)
         worst = max(worst, float(np.max(np.abs((ydot - rhs)[keep]))))
     return worst
 

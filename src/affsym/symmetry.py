@@ -277,7 +277,7 @@ def classify(conn, sample=None):
         sample = sample[None, :]
     if len(sample) == 0:
         raise ValueError("sample set is empty")
-    rh = ricci_and_s(conn)["ricci_sym"].evaluate_many(sample)
+    rh = ricci_and_s(conn)["ricci_sym"].evaluate(sample)
     ranks = [_matrix_rank(rh[p]) for p in range(len(sample))]
     if len(set(ranks)) != 1:
         raise RankNotConstantError(

@@ -187,11 +187,13 @@ class TensorField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, point):
-        """Checked pointwise evaluation -> float ndarray of shape (n,)*(r+s):
+    def evaluate(self, points):
+        """Checked evaluation at points of shape (P, n) -> float ndarray of
+        shape (P,) + (n,)*(r+s), or at one point of shape (n,) -> (n,)*(r+s):
         one checked walk over all components, taken in row-major order."""
-        vals = eval_many_shared(self.comps.reshape(-1), point, checked=True)
-        return np.stack(vals, axis=-1).reshape(self.comps.shape)
+        vals = eval_many_shared(self.comps.reshape(-1), points, checked=True)
+        out = np.stack(vals, axis=-1).reshape(vals[0].shape + self.comps.shape)
+        return out[0] if np.ndim(points) == 1 else out
 
     def evaluate_many(self, points):
         """Vectorized, unchecked evaluation at points of shape (P, n) (or one

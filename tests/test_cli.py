@@ -284,6 +284,16 @@ def test_coefficient_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comm
     assert capsys.readouterr() == ("", "error: division by zero: 1/y1\n")
 
 
+@pytest.mark.parametrize("command", ["curvature", "classify", "report"])
+def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, command):
+    # sqrt(y1) is finite at y1 = 0, its derivative is not
+    doc = _flat_doc(Gamma={"1": [["sqrt(y1)", "0"], ["0", "0"]]}, sample=[[0.0, 0.1]])
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
+
+
 def test_exit_code_1_on_unrepresentable_numbers(tmp_path, capsys):
     # a literal beyond the float range is malformed input, not inf
     huge = tmp_path / "huge.json"
@@ -531,6 +541,13 @@ def assert_input_error(capsys, argv):
             {"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1, "psi": 3}},
             ["inspect"],
         ),
+        ({"canonical": "x"}, ["inspect"]),
+        ({"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["y2"]}}, ["inspect"]),
+        ({"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1}}, ["inspect"]),
+        ({"n": [1], "A": [["1"]]}, ["inspect"]),
+        ({"n": "abc", "A": [["1"]]}, ["inspect"]),
+        ({"n": 2.5, "A": [["1", "0"], ["0", "1"]]}, ["inspect"]),
+        ({"n": True, "A": [["1"]]}, ["inspect"]),
     ],
     ids=[
         "tolerance-string",
@@ -552,6 +569,13 @@ def assert_input_error(capsys, argv):
         "canonical-a-string",
         "canonical-u-number",
         "canonical-psi-number",
+        "canonical-not-object",
+        "canonical-u-beyond-m",
+        "canonical-psi-missing",
+        "n-list",
+        "n-string",
+        "n-float",
+        "n-bool",
     ],
 )
 def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv):

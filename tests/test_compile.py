@@ -161,17 +161,16 @@ def test_evolve_compiles_once_per_call(monkeypatch):
     sysd = pdesim.heisenberg_system()
     grid = pdesim.make_grid([np.sin, np.cos], 16, 2 * np.pi)
     pdesim.evolve(sysd, grid, 1e-4, 3)
-    assert calls == [4 + 8]  # A and Gamma, shared by the stability check
+    assert calls == [2]  # the right-hand side's n components
 
 
 def test_simulate_cli_compiles_once(monkeypatch, capsys):
-    # evolve per snapshot chunk, the stability check and the residual all
-    # share the program kept on the system
+    # the evolution and the residual share the program kept on the system
     calls = counting_compiles(monkeypatch, pdesim)
     argv = ["simulate", os.path.join(FIXTURES, "constcurv_n3.json")]
     assert main(argv + ["--dt", "0.0005", "--steps", "50", "--grid", "32"]) == 0
     capsys.readouterr()
-    assert calls == [3 * 3 + 3 * 3 * 3]
+    assert calls == [3]
 
 
 def test_tracer_collects_program_roots():

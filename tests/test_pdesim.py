@@ -1,14 +1,19 @@
 """Method-of-lines evolution, residuals, symmetry transport, and the spin
 chain on the sphere."""
 
+import os
+
 import numpy as np
 import pytest
 
 from affsym.canonical import CanonicalSpec, build_system
+from affsym.cli import SystemDocument
 from affsym.geometry import Connection, DiffusionSystem, scalar_operator
 from affsym.liefn import VectorField
 from affsym.pdesim import (
     SolutionGrid,
+    _coeff_evaluators,
+    _rhs,
     apply_flow_to_grid,
     dump_csv,
     evolve,
@@ -25,6 +30,7 @@ from affsym.pdesim import (
 )
 
 L = 2 * np.pi
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def heat_system(n=1, a=1.0):
@@ -60,6 +66,59 @@ def test_blowup_reports_step():
     grid = make_grid([lambda x: np.sin(8 * x)], 64, L)
     with pytest.raises(RuntimeError, match="step"):
         evolve(sys, grid, dt=0.004, steps=2000)
+
+
+def test_blowup_step_is_counted_from_the_start_of_the_run():
+    # the snapshot chunks of 25 steps do not restart the count
+    sys = heat_system()
+    grid = make_grid([np.sin], 32, L)
+    with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError) as whole:
+        evolve(sys, grid, 0.2, 100)
+    with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError) as chunked:
+        evolve_snapshots(sys, grid, 0.2, 100, 25)
+    assert str(whole.value) == str(chunked.value) == "solution blew up at step 86"
+
+
+def test_snapshots_advance_by_whole_chunks():
+    sys = heat_system()
+    grid = make_grid([np.sin], 16, L)
+    snaps = evolve_snapshots(sys, grid, 0.01, 10, 4)
+    assert [s.t for s in snaps] == [0.0, 0.04, 0.08, 0.1]
+    assert np.array_equal(snaps[-1].values, evolve(sys, grid, 0.01, 10).values)
+
+
+def einsum_rhs(sys, values, dx):
+    """The right-hand side from A and Gamma evaluated as arrays and
+    contracted by einsum over C-ordered operands, summing r outer, s inner."""
+    up = np.roll(values, -1, axis=0)
+    dn = np.roll(values, 1, axis=0)
+    d1 = (up - dn) / (2.0 * dx)
+    d2 = (up - 2.0 * values + dn) / dx**2
+    A = sys.A.evaluate_many(values)
+    G = sys.conn.evaluate_many(values)
+    quad = np.einsum("pjrs,pr,ps->pj", G, d1, d1)
+    return np.einsum("pij,pj->pi", A, d2 + quad)
+
+
+def oracle_systems():
+    for name in sorted(os.listdir(FIXTURES)):
+        yield name, SystemDocument.load(os.path.join(FIXTURES, name)).to_system()
+    yield "heisenberg_system", heisenberg_system()
+    for n in (3, 4):
+        yield f"constcurv n={n}", build_system(CanonicalSpec("constcurv_22_13", n=n, a=1.0))
+
+
+def test_compiled_rhs_is_bitwise_the_einsum_contraction():
+    rng = np.random.default_rng(7)
+    hexes = np.frompyfunc(float.hex, 1, 1)
+    for name, sys in oracle_systems():
+        coeffs = _coeff_evaluators(sys)
+        for N in (64, 1024, 4096):
+            values = rng.uniform(-0.4, 0.4, size=(N, sys.n))
+            got = _rhs(coeffs, values, L / N)
+            want = einsum_rhs(sys, values, L / N)
+            assert got.shape == want.shape, name
+            assert np.array_equal(hexes(got), hexes(want)), (name, N)
 
 
 def test_pde_residual_zero_for_linear_profile():
@@ -237,14 +296,6 @@ def test_grid_validation():
         SolutionGrid(4, 1.0, 0.0, np.zeros((4, 1)))
     with pytest.raises(ValueError):
         SolutionGrid(8, 1.0, 0.0, np.full((8, 1), np.nan))
-
-
-def test_evolve_records_mean_history():
-    sys = heat_system()
-    grid = make_grid([np.sin], 16, L)
-    out = evolve(sys, grid, dt=0.01, steps=5, record_means=True)
-    assert out.mean_history.shape == (6, 1)
-    assert np.all(np.isfinite(out.mean_history))
 
 
 def test_transport_entire_flat_basis_equivariant():

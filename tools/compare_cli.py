@@ -47,6 +47,7 @@ def commands():
             ["simulate", "--grid", "32", "--dt", "0.0005", "--steps", "8"],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "8", "--transport=" + trans],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4", "--initial", initial],
+            ["simulate", "--grid", "32", "--dt", "0.2", "--steps", "100"],  # blows up
         ):
             yield name, [argv[0], path] + argv[1:]
 
