@@ -5,7 +5,13 @@ and the spin-chain example on the sphere.
 The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
 expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
 2nd-order central differences; classic fixed-step RK4 in time, periodic
-wrap throughout.
+wrap throughout.  The integrator keeps its data in rows, one contiguous
+row of N values per component: the RK4 state is an (N, n) view of (n, N)
+storage, and each right-hand side call fills one (3n, N + 2) block whose
+first n rows hold u between two ghost columns (the periodic wrap), so the
+stencils read shifted slices of those rows and write u_x and u_xx into the
+rows below; the compiled program reads the block's N interior columns.
+Snapshots are stored C-ordered, (N, n), whatever the state's layout.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -48,7 +54,9 @@ class SolutionGrid:
         self.N = int(N)
         self.L = float(L)
         self.t = float(t)
-        self.values = np.asarray(values, dtype=float)
+        # C-ordered whatever the caller's layout, so reductions over the
+        # grid (values.mean(axis=0)) sum in one fixed order
+        self.values = np.ascontiguousarray(values, dtype=float)
         if self.N < 8:
             raise ValueError("grid needs at least 8 points")
         if self.values.shape[0] != self.N or self.values.ndim != 2:
@@ -85,10 +93,13 @@ def make_grid(profiles, N, L, t=0.0):
 
 
 def _coeff_evaluators(sys):
-    """Callable mapping grid columns (N, 3n) = (u, u_x, u_xx) to the right-
-    hand side F (N, n).  F is compiled into one Program on first use and
-    kept on the system, so every evolve and residual of one system runs the
-    same code."""
+    """Callable mapping the row block (3n, N) = (u, u_x, u_xx), one grid
+    row per coordinate y1..y3n (the interior columns of _rhs's ghost-padded
+    block), to the right-hand side F (N, n).  F is compiled into one
+    Program on first use and kept on the system, so every evolve and
+    residual of one system runs the same code.  The block goes in as the
+    (N, 3n) points the Program takes, its transpose, which Program.run
+    transposes back: the generated code reads contiguous rows."""
     if sys.coeff_program is None:
         n = sys.n
         d1, d2 = _coords(n + 1, n), _coords(2 * n + 1, n)
@@ -99,18 +110,36 @@ def _coeff_evaluators(sys):
         sys.coeff_program = compile_exprs(ADD.reduce(MUL(sys.A.comps, inner), axis=-1))
     program = sys.coeff_program
 
-    def rhs(columns):
-        return eval_many_shared(program, columns).T
+    def rhs(rows):
+        return eval_many_shared(program, rows.T).T
 
     return rhs
 
 
+def _wrap(block, u):
+    """Write the rows u (m, N) into block (m, N + 2) between one ghost
+    column on each side, each a copy of the opposite end (the periodic
+    wrap); returns the shifted views (up, u, dn) of u_{k+1}, u_k, u_{k-1}."""
+    block[:, 1:-1] = u
+    block[:, 0] = u[:, -1]
+    block[:, -1] = u[:, 0]
+    return block[:, 2:], block[:, 1:-1], block[:, :-2]
+
+
 def _rhs(coeffs, values, dx):
-    up = np.roll(values, -1, axis=0)
-    dn = np.roll(values, 1, axis=0)
-    d1 = (up - dn) / (2.0 * dx)
-    d2 = (up - 2.0 * values + dn) / dx**2
-    return coeffs(np.concatenate([values, d1, d2], axis=1))
+    """F (N, n) at the grid values (N, n): central differences of the
+    ghost-padded rows of u, written into the rows below them, fed to coeffs."""
+    N, n = values.shape
+    block = np.empty((3 * n, N + 2))
+    up, u, dn = _wrap(block[:n], values.T)
+    # (up - dn) / (2 dx) and ((up - 2 u) + dn) / dx^2, operation by operation
+    d1 = np.subtract(up, dn, out=block[n : 2 * n, 1:-1])
+    np.divide(d1, 2.0 * dx, out=d1)
+    d2 = np.multiply(2.0, u, out=block[2 * n :, 1:-1])
+    np.subtract(up, d2, out=d2)
+    np.add(d2, dn, out=d2)
+    np.divide(d2, dx**2, out=d2)
+    return coeffs(block[:, 1:-1])
 
 
 def stability_limit(sys, grid):
@@ -125,18 +154,20 @@ def stability_limit(sys, grid):
 def evolve(sys, grid, dt, steps):
     """The grid advanced by RK4 with fixed step dt: evolve_snapshots' last
     snapshot."""
-    return evolve_snapshots(sys, grid, dt, steps, steps)[-1]
+    return evolve_snapshots(sys, grid, dt, steps, max(1, steps))[-1]
 
 
 def evolve_snapshots(sys, grid, dt, steps, every):
     """Advance the grid by RK4 with fixed step dt, keeping the initial grid,
-    a snapshot every ``every`` steps and the final state.
+    a snapshot every ``every`` (at least 1) steps and the final state.
 
     Violating the explicit-stability heuristic warns (not an error);
     non-finite values abort with the step index, counted from the start.
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
+    if every < 1:
+        raise ValueError(f"every must be at least 1, got {every!r}")
     coeffs = _coeff_evaluators(sys)
     limit = stability_limit(sys, grid)
     if dt > limit:
@@ -145,7 +176,9 @@ def evolve_snapshots(sys, grid, dt, steps, every):
             RuntimeWarning,
             stacklevel=2,
         )
-    y = grid.values
+    # rows layout: y is an (N, n) view of (n, N) storage, and every stage
+    # combination below keeps it
+    y = np.ascontiguousarray(grid.values.T).T
     dx = grid.dx
     out = [grid.copy()]
     done = 0
@@ -312,8 +345,8 @@ def heisenberg_embedding_residual(grid, dt, sys=None):
     bw = evolve(sys, grid, -dt, 1)
     s_now = stereo_to_sphere(grid.values)
     s_dot = (stereo_to_sphere(fw.values) - stereo_to_sphere(bw.values)) / (2.0 * dt)
-    dx = grid.dx
-    s_xx = (np.roll(s_now, -1, axis=0) - 2 * s_now + np.roll(s_now, 1, axis=0)) / dx**2
+    up, s, dn = _wrap(np.empty((3, grid.N + 2)), s_now.T)
+    s_xx = ((up - 2 * s + dn) / grid.dx**2).T
     return float(np.max(np.abs(s_dot - np.cross(s_now, s_xx))))
 
 

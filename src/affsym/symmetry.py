@@ -125,18 +125,20 @@ def determining_residuals(sys, eta, pts=None):
     """Max-norm residuals of the two determining equations over sample
     points.  Returns {"res_A": ..., "res_Gamma": ...}; eta is accepted as a
     symmetry when both stay within tolerance.  With det A = 0 at a probe
-    point the A-weighted connection equation replaces the reduced one."""
+    point the A-weighted connection equation replaces the reduced one.
+    Both are evaluated checked: a residual that is not finite at a probe
+    point raises DomainError naming the node."""
     n = sys.n
     if pts is None:
         pts = sample_points(n, 20)
-    res_a = max_report(_lie_a_exprs(sys, eta).evaluate_many(pts), pts)
+    res_a = max_report(_lie_a_exprs(sys, eta).evaluate(pts), pts)
     if sys.a_nondegenerate(pts):
         exprs = _conn_eq_exprs(sys.conn, eta)
         which = "reduced"
     else:
         exprs = _conn_eq_full_exprs(sys, eta)
         which = "full"
-    res_g = max_report(exprs.evaluate_many(pts), pts, details={"equation": which})
+    res_g = max_report(exprs.evaluate(pts), pts, details={"equation": which})
     return {"res_A": res_a, "res_Gamma": res_g}
 
 

@@ -284,13 +284,14 @@ def test_coefficient_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comm
     assert capsys.readouterr() == ("", "error: division by zero: 1/y1\n")
 
 
-@pytest.mark.parametrize("command", ["curvature", "classify", "report"])
+@pytest.mark.parametrize("command", ["curvature", "classify", "report", "check-symmetry"])
 def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, command):
     # sqrt(y1) is finite at y1 = 0, its derivative is not
     doc = _flat_doc(Gamma={"1": [["sqrt(y1)", "0"], ["0", "0"]]}, sample=[[0.0, 0.1]])
     path = tmp_path / "branch.json"
     path.write_text(json.dumps(doc))
-    assert main([command, str(path)]) == 1
+    extra = {"check-symmetry": ["--eta=1,0"]}.get(command, [])
+    assert main([command, str(path), *extra]) == 1
     assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument
+from affsym.expr import eval_many_shared
 from affsym.geometry import Connection, DiffusionSystem, scalar_operator
 from affsym.liefn import VectorField
 from affsym.pdesim import (
@@ -28,6 +29,7 @@ from affsym.pdesim import (
     symmetry_transport_check,
     transport_convergence,
 )
+from affsym.tensor import TensorField
 
 L = 2 * np.pi
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -87,6 +89,16 @@ def test_snapshots_advance_by_whole_chunks():
     assert np.array_equal(snaps[-1].values, evolve(sys, grid, 0.01, 10).values)
 
 
+def test_snapshot_spacing_must_be_positive():
+    sys = heat_system()
+    grid = make_grid([np.sin], 16, L)
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="every"):
+            evolve_snapshots(sys, grid, 0.01, 3, every)
+    out = evolve(sys, grid, 0.01, 0)
+    assert out.t == 0.0 and np.array_equal(out.values, grid.values)
+
+
 def einsum_rhs(sys, values, dx):
     """The right-hand side from A and Gamma evaluated as arrays and
     contracted by einsum over C-ordered operands, summing r outer, s inner."""
@@ -119,6 +131,77 @@ def test_compiled_rhs_is_bitwise_the_einsum_contraction():
             want = einsum_rhs(sys, values, L / N)
             assert got.shape == want.shape, name
             assert np.array_equal(hexes(got), hexes(want)), (name, N)
+
+
+def column_rhs(sys, values, dx):
+    """The right-hand side by the column route: rolled stencils on the
+    (N, n) values, concatenated into (N, 3n) points for the compiled
+    program."""
+    up = np.roll(values, -1, axis=0)
+    dn = np.roll(values, 1, axis=0)
+    d1 = (up - dn) / (2.0 * dx)
+    d2 = (up - 2.0 * values + dn) / dx**2
+    return eval_many_shared(sys.coeff_program, np.concatenate([values, d1, d2], axis=1)).T
+
+
+def column_evolve(sys, grid, dt, steps, every):
+    """RK4 on C-ordered (N, n) values through column_rhs: the snapshot
+    times and values evolve_snapshots keeps."""
+    _coeff_evaluators(sys)  # compiles sys.coeff_program
+    y, dx = grid.values, grid.dx
+    times, values, done = [grid.t], [y], 0
+    for step in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = column_rhs(sys, y, dx)
+            k2 = column_rhs(sys, y + 0.5 * dt * k1, dx)
+            k3 = column_rhs(sys, y + 0.5 * dt * k2, dx)
+            k4 = column_rhs(sys, y + dt * k3, dx)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if step % every == 0 or step == steps:
+            times.append(times[-1] + (step - done) * dt)
+            values.append(y)
+            done = step
+    return times, values
+
+
+def transcendental_system():
+    """A and Gamma through exp, sin, cos, ln, sqrt and integer powers."""
+    A = TensorField.from_strings(
+        2, 1, 1,
+        [["1 + 0.1*sin(y1)", "0.1*exp(-y2^2)"], ["0.05*cos(y1*y2)", "1 + 0.1*ln(1 + y1^2)"]],
+    )
+    gamma = [
+        [["0.1*sqrt(1 + y2^2)", "0.2*y1^3"], ["0.2*y1^3", "exp(y2)/3"]],
+        [["sin(y1)*cos(y2)", "ln(2 + y2^2)"], ["ln(2 + y2^2)", "y1^2*y2^4 - 1"]],
+    ]
+    return DiffusionSystem(2, A, Connection.from_strings(2, gamma))
+
+
+def test_row_layout_run_is_bitwise_the_column_route():
+    hexes = np.frompyfunc(float.hex, 1, 1)
+    sys = transcendental_system()
+    profiles = [
+        lambda x: 0.3 * np.sin(x) + 0.1 * np.cos(3 * x),
+        lambda x: 0.2 * np.exp(np.cos(x)) - 0.3,
+    ]
+    for N in (64, 1024, 4096):
+        grid = make_grid(profiles, N, L)
+        dt = 0.5 * stability_limit(sys, grid)
+        snaps = evolve_snapshots(sys, grid, dt, 8, 2)
+        times, values = column_evolve(sys, grid, dt, 8, 2)
+        assert [s.t for s in snaps] == times
+        for snap, want in zip(snaps, values):
+            assert snap.values.flags.c_contiguous, N
+            assert np.array_equal(hexes(snap.values), hexes(want)), N
+            lam = np.max(np.abs(np.linalg.eigvals(sys.A.evaluate_many(want))))
+            assert stability_limit(sys, snap).hex() == (0.4 * grid.dx**2 / lam).hex(), N
+        h = times[1] - times[0]
+        defects = (
+            (values[k + 1] - values[k - 1]) / (2.0 * h) - column_rhs(sys, values[k], grid.dx)
+            for k in range(1, len(values) - 1)
+        )
+        worst = max(float(np.max(np.abs(d))) for d in defects)
+        assert pde_residual(sys, snaps).hex() == worst.hex(), N
 
 
 def test_pde_residual_zero_for_linear_profile():

@@ -32,6 +32,12 @@ def commands():
         rot = ",".join(["-y2", "y1"] + ["0"] * (n - 2)) if n >= 2 else "y1"
         at = ",".join(["0.1"] * n)
         initial = ";".join(["0.1*exp(-x^2)"] + ["0.05*cos(x)"] * (n - 1))
+        # periodic and transcendental; on every fixture the stability
+        # heuristic at grid 1024 stays above 1.3e-5, so dt = 5e-6 is stable
+        smooth = ";".join(
+            ["0.1*sin(x) + 0.05*exp(cos(x))"]
+            + [f"0.05*cos({k}*x) - 0.02*ln(2 + sin(x))" for k in range(2, n + 1)]
+        )
         for argv in (
             ["inspect"],
             ["curvature"],
@@ -48,6 +54,7 @@ def commands():
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "8", "--transport=" + trans],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4", "--initial", initial],
             ["simulate", "--grid", "32", "--dt", "0.2", "--steps", "100"],  # blows up
+            ["simulate", "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth],
         ):
             yield name, [argv[0], path] + argv[1:]
 
