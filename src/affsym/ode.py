@@ -13,7 +13,18 @@ Every floating-point operation is the one scipy's ``RK45`` performs, in the
 same order and on the same array layouts (stage sums ``np.dot(K[:s].T,
 a[:s]) * h``, the 0.9 / 0.2 / 10 step factors, the ``min_step`` rule), so
 steps, ``nfev``, end values and dense output are bitwise what
-``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  Every run carries
+``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  A system of a
+few unknowns spends most of its time in the interpreter rather than in
+arithmetic, so three things are written for less overhead.  The scalars t,
+h, |h|, the minimum step, the error norm and the step factors are Python
+floats: a Python float and a numpy float64 scalar are the same IEEE double
+under the same operation (``math.nextafter`` and ``abs`` are exact,
+``math.sqrt`` is correctly rounded like ``np.sqrt``, and ``**`` calls the
+same C ``pow``), so their bits match.  Each vector sum is made in place from
+the same BLAS ``dot`` on the same views: ``z = K[:s].T.dot(a); z *= h;
+z += y`` is scipy's ``y + np.dot(K[:s].T, a) * h`` with the operands of the
+commutative IEEE multiply and add swapped.  And |y_new| is computed once,
+for the next step's error scale and for the blow-up guard.  Every run carries
 one blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with
 status 1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that
 carries y beyond it ends the run at its upward crossing, found by bisection
@@ -23,6 +34,7 @@ crossing time can differ in its last bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +74,7 @@ MESSAGES = {
 
 
 def _rms(x):
-    return np.sqrt(x.dot(x)) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size**0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -110,8 +122,10 @@ def _interpolate(step, t):
 class OdeResult:
     """t: accepted times (the crossing last when the blow-up guard stopped
     the run); y: (n, len(t)) states; sol: DenseOutput or None; status: 0
-    reached the end, 1 blow-up guard, -1 step underflow; last_step: size of
-    the last step attempted."""
+    reached the end, 1 blow-up guard, -1 step underflow; nfev: right-hand
+    side calls; last_step: size of the last step attempted; n_accepted,
+    n_rejected: steps accepted and attempts rejected.  A run that took a step
+    has nfev == 2 + 6 * (n_accepted + n_rejected)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -120,6 +134,8 @@ class OdeResult:
     message: str
     nfev: int
     last_step: float
+    n_accepted: int
+    n_rejected: int
 
 
 class IntegrationError(RuntimeError):
@@ -163,9 +179,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
 
     max |y| > BLOWUP ends the run (status 1): at t0 without a step when y0
     is beyond it, else at the crossing of the accepted step that carried y
-    beyond it.  A step below ten ulps of t ends it with status -1.
+    beyond it.  A step below ten ulps of t ends it with status -1.  A
+    non-finite or empty t_span, or a non-finite y0, raises ValueError.
     """
     t0, tf = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(tf)):
+        raise ValueError(f"the integration interval ({t0}, {tf}) is not finite")
     if t0 == tf:
         raise ValueError("the integration interval is empty")
     y = np.asarray(y0).astype(float, copy=False)
@@ -174,19 +193,23 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     if _excess(y) > 0:
         return OdeResult(
             t=np.array([t0]), y=y[:, None], sol=None, status=1, message=MESSAGES[1], nfev=0,
-            last_step=0.0,
+            last_step=0.0, n_accepted=0, n_rejected=0,
         )
-    direction = np.sign(tf - t0)
+    direction = 1.0 if tf > t0 else -1.0
+    towards = direction * math.inf
     f = np.asarray(fun(t0, y), dtype=float)
-    h_abs = _initial_step(fun, t0, y, tf, f, direction, rtol, atol)
+    h_abs = float(_initial_step(fun, t0, y, tf, f, direction, rtol, atol))
     nfev = 2
+    n_accepted = n_rejected = 0
     K = np.empty((7, y.size))
-    stages = [(K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
+    stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)]
     K_b, K_e = K[:-1].T, K.T
+    root_size = y.size**0.5
+    abs_y = np.abs(y)
     t, ts, ys, steps = t0, [t0], [y], []
     status = None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, towards) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -198,15 +221,26 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
             if direction * (t_new - tf) > 0:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for KT, a, c in stages:
-                K[len(a)] = fun(t + c * h, y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(K_b, B)
-            f_new = K[-1] = fun(t + h, y_new)
+            for s, KT, a, c in stages:
+                y_stage = KT.dot(a)
+                y_stage *= h
+                y_stage += y
+                K[s] = fun(t + c * h, y_stage)
+            y_new = K_b.dot(B)
+            y_new *= h
+            y_new += y
+            f_new = K[6] = fun(t + h, y_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K_e, E) * h / scale)
+            abs_y_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += atol
+            err = K_e.dot(E)
+            err *= h
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / root_size
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
                     MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT
@@ -215,13 +249,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
+            n_rejected += 1
         if status == -1:
             break
+        n_accepted += 1
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
         if direction * (t - tf) >= 0:
             status = 0
-        crossed = _excess(y) > 0  # every earlier state was inside
+        crossed = abs_y.max() > BLOWUP  # every earlier state was inside
         if dense_output or crossed:
             step = (t_old, t, y_old, K.T.dot(P))
             if dense_output:
@@ -234,10 +270,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
         ys.append(y)
     return OdeResult(
         t=np.array(ts),
-        y=np.vstack(ys).T,
+        y=np.array(ys).T,
         sol=DenseOutput(ts, steps) if dense_output else None,
         status=status,
         message=MESSAGES[status],
         nfev=nfev,
-        last_step=float(abs(h)),
+        last_step=abs(h),
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
     )

@@ -106,7 +106,7 @@ class PfaffProblem:
     def pack(u, y):
         """The combined-block point (U, y) as a list of Python floats, the
         form a compiled program runs on without conversion."""
-        return np.asarray(u, float).tolist() + np.asarray(y, float).tolist()
+        return _float_list(u) + _float_list(y)
 
     def rhs_values(self, u, y):
         if self._rhs_program is None:
@@ -119,6 +119,19 @@ class PfaffProblem:
         if self._restriction_program is None:
             self._restriction_program = compile_exprs(self.restrictions)
         return eval_many_shared(self._restriction_program, self.pack(u, y)).reshape(-1)
+
+
+_FLOAT = np.dtype(float)
+
+
+def _float_list(v):
+    """A point as a list of Python floats; a float64 ndarray or a list is
+    converted directly rather than through np.asarray."""
+    if type(v) is list:
+        return list(map(float, v))
+    if type(v) is np.ndarray and v.dtype is _FLOAT:
+        return v.tolist()
+    return np.asarray(v, float).tolist()
 
 
 def pfaff_integrate(
@@ -136,11 +149,18 @@ def pfaff_integrate(
     leaves |U| <= ode.BLOWUP or whose step underflows raises TransportError.
     Restrictions are evaluated on the segment's dense output at check_nodes
     interior nodes; drift beyond restriction_tol raises
-    RestrictionDriftError.
+    RestrictionDriftError.  A path with no points, or with a vertex that is
+    not finite, raises ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != prob.n:
         raise ValueError("path must be a polyline of points of dimension n")
+    if not len(path):
+        raise ValueError("path has no points")
+    finite = np.isfinite(path).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"path vertex {i} is not finite: {path[i].tolist()}")
     if np.max(np.abs(path[0] - prob.p0)) > 1e-12:
         raise ValueError("path must start at the problem's initial point")
     u = prob.u0.copy()
@@ -148,9 +168,9 @@ def pfaff_integrate(
     for a, b in zip(path[:-1], path[1:]):
         dy = b - a
 
-        def seg_rhs(t, uvec, a=a, dy=dy):
-            g = prob.rhs_values(uvec, a + t * dy)
-            return g @ dy
+        # y(t) = a + t dy entry by entry on Python floats, as numpy rounds it
+        def seg_rhs(t, uvec, ady=list(zip(a.tolist(), dy.tolist())), dy=dy):
+            return prob.rhs_values(uvec, [ai + t * di for ai, di in ady]) @ dy
 
         sol = solve_ivp(
             seg_rhs, (0.0, 1.0), u, rtol=rtol, atol=atol, dense_output=bool(prob.restrictions)

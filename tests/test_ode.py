@@ -1,9 +1,12 @@
 """The Dormand-Prince integrator: accuracy against closed forms, dense
-output, the terminal event, step underflow, the typed errors of transport
-and flows, that flows run their compiled fields bitwise as interpreted, and
-that the library runs with scipy unimportable."""
+output, the terminal event, step underflow, step counts, the rejection of
+non-finite intervals, the typed errors of transport and flows, that flows
+run their compiled fields bitwise as interpreted, and that the library runs
+with scipy unimportable."""
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -76,9 +79,70 @@ def test_empty_interval_and_non_finite_start_raise():
         solve_ivp(rotation_decay, (0.0, 1.0), np.array([1.0, np.nan]), 1e-9, 1e-10)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``
+    (where SIGALRM exists), so a loop that never ends fails the test."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "t_span", [(0.0, np.inf), (0.0, -np.inf), (0.0, np.nan), (np.nan, 1.0), (-np.inf, 0.0)]
+)
+def test_non_finite_interval_raises(t_span):
+    with deadline(5), pytest.raises(ValueError, match="is not finite"):
+        solve_ivp(rotation_decay, t_span, np.ones(2), 1e-9, 1e-10)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_flows_over_a_non_finite_time_raise(tau):
+    eta = VectorField.from_strings(2, ["-y2", "y1"])
+    with deadline(5), pytest.raises(ValueError, match="is not finite"):
+        flow(eta, np.array([1.0, 0.0]), tau)
+    grid = pdesim.make_grid([np.sin, np.cos], 8, 2 * np.pi)
+    with deadline(5), pytest.raises(ValueError, match="is not finite"):
+        pdesim.apply_flow_to_grid(eta, grid, tau)
+
+
+def vdp(t, y):
+    """Van der Pol at mu = 8: its fast transitions make the control reject."""
+    return np.array([y[1], 8.0 * (1 - y[0] ** 2) * y[1] - y[0]])
+
+
+def test_step_counts_account_for_every_call():
+    runs = [
+        solve_ivp(rotation_decay, (0.0, 3.0), np.array([1.0, 0.5]), 1e-10, 1e-12),
+        solve_ivp(vdp, (0.0, 6.0), np.array([2.0, 0.0]), 1e-6, 1e-8),
+        solve_ivp(lambda t, y: y * y, (0.0, 1.0), np.array([2.0]), 1e-9, 1e-10),  # blow-up
+        solve_ivp(lambda t, y: y * (np.nan if t > 0.5 else 1.0), (0.0, 1.0), np.ones(2), 1e-9, 1e-10),
+    ]
+    for sol in runs:
+        assert type(sol.n_accepted) is int and type(sol.n_rejected) is int
+        assert sol.nfev == 2 + 6 * (sol.n_accepted + sol.n_rejected)
+        assert sol.n_accepted == len(sol.t) - 1
+    assert [sol.status for sol in runs] == [0, 0, 1, -1]
+    assert runs[1].n_rejected > 0 and runs[3].n_rejected > 0  # underflow comes by rejection
+    beyond = solve_ivp(rotation_decay, (0.0, 1.0), np.array([2e8, 0.0]), 1e-9, 1e-10)
+    assert (beyond.status, beyond.nfev, beyond.n_accepted, beyond.n_rejected) == (1, 0, 0, 0)
+
+
 def test_matches_scipy_rk45_bitwise():
     integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(11)
+    rejected = 0
     for trial in range(12):
         M = rng.normal(size=(3, 3))
 
@@ -89,10 +153,13 @@ def test_matches_scipy_rk45_bitwise():
         want = integrate.solve_ivp(fun, (0.0, tf), y0, method="RK45", rtol=1e-9, atol=1e-10, dense_output=True)
         got = solve_ivp(fun, (0.0, tf), y0, 1e-9, 1e-10, dense_output=True)
         assert got.nfev == want.nfev
+        assert got.n_accepted == len(want.t) - 1
+        rejected += got.n_rejected
         assert [v.hex() for v in got.t] == [float(v).hex() for v in want.t]
         assert [v.hex() for v in got.y.ravel()] == [v.hex() for v in want.y.ravel()]
         for t in np.linspace(0.0, tf, 9):
             assert [v.hex() for v in got.sol(t)] == [v.hex() for v in want.sol(t)]
+    assert rejected > 0  # the step factor after a rejection is compared too
 
 
 def test_flow_blowup_guard_raises_typed_error():

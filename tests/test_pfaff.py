@@ -1,10 +1,14 @@
 """Pfaff transport, compatibility, and the named systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from affsym import canonical, pfaff
 from affsym.expr import ZERO, const, coord, parse_expr, powi
 from affsym.geometry import Connection, metric_connection, ricci_and_s
+from affsym.ode import solve_ivp
 from affsym.pfaff import (
     PfaffProblem,
     RestrictionDriftError,
@@ -22,6 +26,7 @@ from test_geometry import (
     constcurv_connection,
     intermediate_connection,
 )
+from test_ode import _hex
 
 
 def riccati_problem(u0=1.0):
@@ -52,6 +57,110 @@ def test_path_must_start_at_initial_point():
     prob = riccati_problem()
     with pytest.raises(ValueError):
         pfaff_integrate(prob, np.array([[0.5], [1.0]]))
+
+
+def test_path_must_have_points_and_finite_vertices():
+    prob = riccati_problem()
+    with pytest.raises(ValueError, match="path has no points"):
+        pfaff_integrate(prob, np.empty((0, 1)))
+    bad = (
+        ([[np.nan]], 0),
+        ([[0.0], [np.nan]], 1),
+        ([[0.0], [0.5], [np.inf]], 2),
+        ([[0.0], [-np.inf], [0.5]], 1),
+    )
+    for path, vertex in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ValueError, match=f"path vertex {vertex} is not finite"):
+                pfaff_integrate(prob, np.array(path))
+    with pytest.raises(ValueError, match="path vertex 1 is not finite"):
+        transport_to(prob, [np.inf])
+
+
+def test_pack_gives_python_floats():
+    packed = PfaffProblem.pack(np.array([1, 2]), [3, np.float64(0.5)])
+    assert packed == [1.0, 2.0, 3.0, 0.5] and {type(v) for v in packed} == {float}
+    packed = PfaffProblem.pack(np.array([0.25], dtype=np.float32), np.array([-1.5]))
+    assert packed == [0.25, -1.5] and {type(v) for v in packed} == {float}
+
+
+# ---------------------------------------------------------------------------
+# The segment right-hand side, bitwise
+# ---------------------------------------------------------------------------
+
+DECK_SYSTEMS = [("constcurv_22", 2), ("constcurv_22", 3), ("covector_14", 2)]
+
+
+def deck_problem(kind, n):
+    """The benchmark's transport systems, on the constant-curvature geometry."""
+    sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=n))
+    if kind == "constcurv_22":
+        return named_system(kind, conn=sysd.conn, g=canonical.constcurv_metric(n)[0])
+    return named_system(kind, conn=sysd.conn)
+
+
+def array_segment_rhs(prob, a, dy):
+    """The segment right-hand side on arrays, kept as an oracle: the path
+    point is the one numpy expression a + t * dy."""
+
+    def rhs(t, u):
+        return prob.rhs_values(u, a + t * dy) @ dy
+
+    return rhs
+
+
+def recording_solver(monkeypatch):
+    """Make pfaff integrate through a solve_ivp that keeps its right-hand
+    sides and results."""
+    runs = []
+
+    def recording(fun, *args, **kwargs):
+        runs.append((fun, solve_ivp(fun, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(pfaff, "solve_ivp", recording)
+    return runs
+
+
+@pytest.mark.parametrize("kind, n", DECK_SYSTEMS)
+def test_segment_rhs_is_bitwise_the_array_form(monkeypatch, kind, n):
+    prob = deck_problem(kind, n)
+    rng = np.random.default_rng(40 + n)
+    vertex, end = rng.uniform(-0.3, 0.3, size=(2, n))
+    runs = recording_solver(monkeypatch)
+    path = np.stack([prob.p0, vertex, end])
+    got = pfaff_integrate(prob, path)
+    transport_to(prob, end)
+    assert len(runs) == 3
+    # pointwise on the second segment, which starts away from the origin
+    fun = runs[1][0]
+    oracle = array_segment_rhs(prob, vertex, end - vertex)
+    for _ in range(250):
+        t, u = float(rng.uniform(0.0, 1.0)), rng.uniform(-0.4, 0.4, size=prob.k)
+        assert _hex(fun(t, u)) == _hex(oracle(t, u))
+    # whole runs: both segments of the path, then the straight transport
+    starts = [prob.u0, got[1], prob.u0]
+    segments = [(prob.p0, vertex), (vertex, end), (prob.p0, end)]
+    for (fun, sol), u0, (a, b) in zip(runs, starts, segments):
+        want = solve_ivp(array_segment_rhs(prob, a, b - a), (0.0, 1.0), u0, 1e-9, 1e-10)
+        assert _hex(sol.y[:, -1]) == _hex(want.y[:, -1]) and sol.nfev == want.nfev
+        assert _hex(sol.t) == _hex(want.t)
+    assert _hex(got[2]) == _hex(runs[1][1].y[:, -1])
+
+
+@pytest.mark.parametrize("kind, n", DECK_SYSTEMS)
+def test_transport_matches_scipy_rk45_bitwise(monkeypatch, kind, n):
+    integrate = pytest.importorskip("scipy.integrate")
+    prob = deck_problem(kind, n)
+    rng = np.random.default_rng(50 + n)
+    runs = recording_solver(monkeypatch)
+    for end in rng.uniform(-0.35, 0.35, size=(3, n)):
+        got = transport_to(prob, end)
+        rhs = array_segment_rhs(prob, prob.p0, end - prob.p0)
+        want = integrate.solve_ivp(rhs, (0.0, 1.0), prob.u0, method="RK45", rtol=1e-9, atol=1e-10)
+        assert _hex(got) == _hex(want.y[:, -1])
+        assert runs[-1][1].nfev == want.nfev and _hex(runs[-1][1].t) == _hex(want.t)
 
 
 def test_constcurv_transport_matches_closed_form():
