@@ -85,16 +85,15 @@ class Connection:
     def evaluate_many(self, points):
         return self.field.evaluate_many(points)
 
-    def symmetry_residual(self, pts=None):
-        """max |Gamma^k_rs - Gamma^k_sr| over sample points."""
-        if pts is None:
-            pts = sample_points(self.n, 20)
-        g = self.evaluate_many(pts)
+    def symmetry_residual(self):
+        """max |Gamma^k_rs - Gamma^k_sr| at the 20 sample points."""
+        g = self.evaluate_many(sample_points(self.n, 20))
         return float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
 
-    def check_symmetric(self, tol=1e-12, pts=None):
-        res = self.symmetry_residual(pts)
-        if res > tol:
+    def check_symmetric(self):
+        """Raise ValueError when symmetry_residual exceeds 1e-12."""
+        res = self.symmetry_residual()
+        if res > 1e-12:
             raise ValueError(f"connection coefficients not symmetric: residual {res:.3e}")
 
 
@@ -112,12 +111,10 @@ class DiffusionSystem:
         if check:
             conn.check_symmetric()
 
-    def a_nondegenerate(self, pts=None, tol=1e-12):
-        """True when det A stays away from zero on the probe points."""
-        if pts is None:
-            pts = sample_points(self.n, 20)
+    def a_nondegenerate(self, pts):
+        """True when |det A| exceeds 1e-12 at every probe point."""
         vals = self.A.evaluate_many(pts)
-        return bool(np.min(np.abs(np.linalg.det(vals))) > tol)
+        return bool(np.min(np.abs(np.linalg.det(vals))) > 1e-12)
 
 
 def scalar_operator(n, a):
@@ -189,17 +186,19 @@ def ricci_and_s(conn, curv=None):
     }
 
 
-def metric_connection(g, check=True, pts=None):
+def metric_connection(g, pts=None):
     """Christoffel symbols of a symmetric invertible metric field:
 
     Gamma^k_ij = sum_s g^{ks}/2 (d g_sj/dy^i + d g_is/dy^j - d g_ij/dy^s),
 
-    the unique symmetric connection with nabla g = 0.
+    the unique symmetric connection with nabla g = 0.  g must pass
+    ``is_symmetric`` and be nonsingular at the probe points (default: the
+    20 sample points).
     """
     n = g.n
     if g.valence != (0, 2):
         raise ValueError("metric must be a (0,2) field")
-    if check and not g.is_symmetric():
+    if not g.is_symmetric():
         raise ValueError("metric is not symmetric")
     if pts is None:
         pts = sample_points(n, 20)
@@ -280,16 +279,14 @@ def structure_residual(conn, form, pts=None):
     return max_report(Rv - rhs, pts, details={"form": form})
 
 
-def bianchi_padov_residual(conn, pts=None):
+def bianchi_padov_residual(conn):
     """Cyclic second-Bianchi residual:
 
-    nabla_i R^k_sjq + nabla_j R^k_sqi + nabla_q R^k_sij over sample points;
-    an identity for every symmetric connection, so this doubles as an
-    implementation self-test of the covariant differential.
+    nabla_i R^k_sjq + nabla_j R^k_sqi + nabla_q R^k_sij at the 20 sample
+    points; an identity for every symmetric connection, so this doubles as
+    an implementation self-test of the covariant differential.
     """
-    n = conn.n
-    if pts is None:
-        pts = sample_points(n, 20)
+    pts = sample_points(conn.n, 20)
     nr = covariant_differential(conn, curvature(conn)).evaluate_many(pts)
     # nr[:, k, i, s, j, q] = nabla_i R^k_sjq
     res = (

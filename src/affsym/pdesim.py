@@ -28,6 +28,7 @@ from .expr import compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
 from .ode import IntegrationError, solve_ivp
 from .pfaff import _coords
+from .symmetry import is_symmetry
 from .tensor import ADD, MUL, TensorField, bcast
 
 __all__ = [
@@ -85,11 +86,12 @@ class SolutionGrid:
         )
 
 
-def make_grid(profiles, N, L, t=0.0):
-    """Sample callables x -> value (one per component) on the periodic grid."""
+def make_grid(profiles, N, L):
+    """Sample callables x -> value (one per component) on the periodic grid
+    at t = 0."""
     x = np.arange(N) * (L / N)
     vals = np.stack([np.asarray(p(x), dtype=float) for p in profiles], axis=-1)
-    return SolutionGrid(N, L, t, vals)
+    return SolutionGrid(N, L, 0.0, vals)
 
 
 def _coeff_evaluators(sys):
@@ -235,10 +237,11 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
 # ---------------------------------------------------------------------------
 
 
-def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
+def apply_flow_to_grid(eta, grid, tau):
     """Map every grid point by the time-tau flow of eta: one stacked ODE,
-    integrated with the Dormand-Prince 5(4) pair of ``affsym.ode``, with
-    eta's components compiled once for all stages.  Leaving |y| <= ode.BLOWUP
+    integrated with the Dormand-Prince 5(4) pair of ``affsym.ode`` at rtol
+    1e-10 and atol 1e-12, with eta's components compiled once for all
+    stages.  Leaving |y| <= ode.BLOWUP
     (the integrator's blow-up guard) or a step underflow raises
     IntegrationError."""
     if tau == 0.0:
@@ -250,7 +253,7 @@ def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
         # the program returns (n, N): transposed back to the grid's layout
         return eval_many_shared(program, z.reshape(N, n)).T.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, tau), grid.values.reshape(-1), rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, tau), grid.values.reshape(-1), rtol=1e-10, atol=1e-12)
     if sol.status == 1:
         raise IntegrationError("grid flow left the working region (blow-up guard)", sol)
     if sol.status != 0:
@@ -258,18 +261,16 @@ def apply_flow_to_grid(eta, grid, tau, rtol=1e-10, atol=1e-12):
     return grid.copy(values=sol.y[:, -1].reshape(N, n))
 
 
-def symmetry_transport_check(sys, eta, tau, grid, dt, steps, check_symmetry=True):
+def symmetry_transport_check(sys, eta, tau, grid, dt, steps):
     """Mismatch between evolve-then-map and map-then-evolve.
 
-    Returns a dict with the two final grids and the max-norm discrepancy;
-    refining the grid (and the step with it) shrinks the mismatch at the
-    order of the spatial stencil for a genuine symmetry.
+    eta must first pass the determining equations (``is_symmetry`` at tol
+    1e-8).  Returns a dict with the two final grids and the max-norm
+    discrepancy; refining the grid (and the step with it) shrinks the
+    mismatch at the order of the spatial stencil for a genuine symmetry.
     """
-    if check_symmetry:
-        from .symmetry import is_symmetry
-
-        if not is_symmetry(sys, eta, tol=1e-8):
-            raise ValueError("eta does not pass the determining equations on this system")
+    if not is_symmetry(sys, eta, tol=1e-8):
+        raise ValueError("eta does not pass the determining equations on this system")
     mapped_first = evolve(sys, apply_flow_to_grid(eta, grid, tau), dt, steps)
     mapped_last = apply_flow_to_grid(eta, evolve(sys, grid, dt, steps), tau)
     gap = float(np.max(np.abs(mapped_first.values - mapped_last.values)))

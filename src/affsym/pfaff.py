@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import ZERO, compile_exprs, const, coord, eval_many_shared, mul, subst
+from .geometry import ricci_and_s
 from .ode import IntegrationError, solve_ivp
 from .tensor import (
     ADD,
@@ -83,7 +84,7 @@ class PfaffProblem:
     ``rhs`` and ``restrictions`` must not change after that.
     """
 
-    def __init__(self, n, k, rhs, p0, u0, restrictions=(), labels=None):
+    def __init__(self, n, k, rhs, p0, u0, restrictions=()):
         self.n = int(n)
         self.k = int(k)
         self.rhs = np.asarray(rhs, dtype=object)
@@ -94,7 +95,6 @@ class PfaffProblem:
         if self.p0.shape != (n,) or self.u0.shape != (k,):
             raise ValueError("initial data shapes do not match (n, k)")
         self.restrictions = list(restrictions)
-        self.labels = labels or [f"U{a + 1}" for a in range(k)]
         self._rhs_program = self._restriction_program = None
         init = self.restriction_values(self.u0, self.p0)
         if init.size and np.max(np.abs(init)) > 1e-10:
@@ -122,6 +122,8 @@ class PfaffProblem:
 
 
 _FLOAT = np.dtype(float)
+_PATH_DIMENSION = "path must be a polyline of points of dimension n"
+_RESTRICTION_TOL = 1e-7  # largest restriction drift transport accepts
 
 
 def _float_list(v):
@@ -134,27 +136,20 @@ def _float_list(v):
     return np.asarray(v, float).tolist()
 
 
-def pfaff_integrate(
-    prob,
-    path,
-    rtol=1e-9,
-    atol=1e-10,
-    restriction_tol=1e-7,
-    check_nodes=5,
-):
+def pfaff_integrate(prob, path):
     """Transport U along a polyline of points, returning U at every vertex.
 
     Each segment integrates dU/dt = sum_i G_i(U, y(t)) dy^i/dt, t in [0, 1],
-    with the Dormand-Prince 5(4) pair of ``affsym.ode``.  A segment that
-    leaves |U| <= ode.BLOWUP or whose step underflows raises TransportError.
-    Restrictions are evaluated on the segment's dense output at check_nodes
-    interior nodes; drift beyond restriction_tol raises
+    with the Dormand-Prince 5(4) pair of ``affsym.ode`` at rtol 1e-9 and
+    atol 1e-10.  A segment that leaves |U| <= ode.BLOWUP or whose step
+    underflows raises TransportError.  Restrictions are evaluated on the
+    segment's dense output at t = 1/6, 2/6, .., 1; drift beyond 1e-7 raises
     RestrictionDriftError.  A path with no points, or with a vertex that is
     not finite, raises ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != prob.n:
-        raise ValueError("path must be a polyline of points of dimension n")
+        raise ValueError(_PATH_DIMENSION)
     if not len(path):
         raise ValueError("path has no points")
     finite = np.isfinite(path).all(axis=1)
@@ -173,7 +168,7 @@ def pfaff_integrate(
             return prob.rhs_values(uvec, [ai + t * di for ai, di in ady]) @ dy
 
         sol = solve_ivp(
-            seg_rhs, (0.0, 1.0), u, rtol=rtol, atol=atol, dense_output=bool(prob.restrictions)
+            seg_rhs, (0.0, 1.0), u, rtol=1e-9, atol=1e-10, dense_output=bool(prob.restrictions)
         )
         if sol.status == 1:
             raise TransportError(
@@ -182,41 +177,36 @@ def pfaff_integrate(
         if sol.status != 0:
             raise TransportError(f"transport failed: {sol.message}", sol)
         if prob.restrictions:
-            for t in np.linspace(0.0, 1.0, check_nodes + 2)[1:]:
+            for t in np.linspace(0.0, 1.0, 7)[1:]:
                 vals = prob.restriction_values(sol.sol(t), a + t * dy)
                 drift = float(np.max(np.abs(vals))) if vals.size else 0.0
-                if drift > restriction_tol:
-                    raise RestrictionDriftError(drift, restriction_tol)
+                if drift > _RESTRICTION_TOL:
+                    raise RestrictionDriftError(drift, _RESTRICTION_TOL)
         u = sol.y[:, -1]
         out.append(u.copy())
     return np.asarray(out)
 
 
-def transport_to(prob, y_end, **kw):
-    """Straight-segment transport from the initial point; returns U(y_end)."""
-    return pfaff_integrate(prob, np.stack([prob.p0, np.asarray(y_end, float)]), **kw)[-1]
+def transport_to(prob, y_end):
+    """Straight-segment transport from the initial point; returns U(y_end).
+    An end point that is not one point of dimension n raises ValueError."""
+    y_end = np.asarray(y_end, float)
+    if y_end.shape != (prob.n,):
+        raise ValueError(_PATH_DIMENSION)
+    return pfaff_integrate(prob, np.stack([prob.p0, y_end]))[-1]
 
 
-def compatibility_residual(prob, probe=None, seed=None):
-    """Max-norm of the mixed-total-derivative residual over probe points.
-
-    Probe points may live in the full (U, y) block (dimension k+n) or in the
-    base alone (dimension n), in which case U values are drawn from the
-    sample box with a fixed seed.  A vanishing residual means the system is
-    completely compatible and transport is path-independent.
+def compatibility_residual(prob):
+    """Max-norm of the mixed-total-derivative residual at 20 probe points of
+    the (U, y) block: y the base sample points ``sample_points(n, 20)``, U
+    drawn uniformly from [-0.4, 0.4]^k by ``default_rng(101)``.  The report's
+    argmax point is a (U, y) point.  A vanishing residual means the system
+    is completely compatible and transport is path-independent.
     """
     n, k = prob.n, prob.k
-    if probe is None:
-        probe = sample_points(n, 20, seed=seed)
-    probe = np.asarray(probe, dtype=float)
-    if probe.ndim == 1:
-        probe = probe[None, :]
-    if probe.shape[1] == n:
-        rng = np.random.default_rng(101 if seed is None else seed)
-        uvals = rng.uniform(-0.4, 0.4, size=(len(probe), k))
-        probe = np.concatenate([uvals, probe], axis=1)
-    elif probe.shape[1] != k + n:
-        raise ValueError("probe points must have dimension n or k+n")
+    y = sample_points(n, 20)
+    u = np.random.default_rng(101).uniform(-0.4, 0.4, size=(len(y), k))
+    probe = np.concatenate([u, y], axis=1)
 
     # total[a, r, p] = D_p G^a_r: d/dy^p, then + dG^a_r/dU^b G^b_p for each b
     dG = grad(prob.rhs, k + n)
@@ -244,8 +234,6 @@ def _lift(arr, n, k):
 def _beta_from_connection(conn):
     """beta = sym(Ricci)/(n-1) - skew(Ricci)/(n+1), the covector-equation
     source extracted from the Ricci split."""
-    from .geometry import ricci_and_s
-
     n = conn.n
     parts = ricci_and_s(conn)
     rh, rt = parts["ricci_sym"].comps, parts["ricci_skew"].comps
@@ -279,20 +267,18 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         raise ValueError(f"{kind} needs a connection")
     n = conn.n if conn is not None else len(u_field)
     p0 = np.zeros(n) if p0 is None else np.asarray(p0, float)
-
-    if kind == "symmetry_6":
-        return _symmetry_system(conn, p0, u0)
+    restrictions = ()
 
     x = _coords(1, n)  # the unknowns u_j (or X^j) come first in the block
     minus_one = const(-1.0)
-    if kind == "covector_14":
+    if kind == "symmetry_6":
+        k = n * n + n
+        G = _symmetry_rhs(conn, k)
+    elif kind == "covector_14":
         k = n
         B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
         G = _covector_rows(B, _lift(conn.gamma, n, k), x)
-        u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
-        return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
-
-    if kind == "frame_17":
+    elif kind == "frame_17":
         k = 2 * n
         B = _lift(beta.comps if beta is not None else _beta_from_connection(conn), n, k)
         gam = _lift(conn.gamma, n, k)
@@ -305,11 +291,7 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         bsym = MUL(const(0.5), ADD(B, B.T))
         restrictions = list(ADD.reduce(MUL(bsym, xi), axis=-1))
         restrictions.append(ADD.reduce(MUL(x, xi)))
-        u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
-        labels = [f"u{j + 1}" for j in range(n)] + [f"xi{j + 1}" for j in range(n)]
-        return PfaffProblem(n, k, G, p0, u0, restrictions=restrictions, labels=labels)
-
-    if kind == "xfields_17_11":
+    elif kind == "xfields_17_11":
         if u_field is None:
             raise ValueError("xfields_17_11 needs the covector field u (Exprs over y)")
         k = n
@@ -320,10 +302,7 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         G = MUL(minus_one, MUL(bcast(u, "i", "ki"), bcast(x, "k", "ki")))
         np.fill_diagonal(G, SUB(np.diagonal(G), u_dot_x))
         G = fold(G, (SUB, MUL(gam, x)))
-        u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
-        return PfaffProblem(n, k, G, p0, u0, labels=[f"X{j + 1}" for j in range(n)])
-
-    if kind == "constcurv_22":
+    elif kind == "constcurv_22":
         if g is None:
             raise ValueError("constcurv_22 needs the metric g")
         k = n
@@ -337,23 +316,19 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         G = SUB(G, MUL(const(1.0 / (2 * (n - 1))), gl.T))
         G = ADD(G, MUL(mul(const(0.5), norm2), gl.T))
         G = fold(G, (ADD, MUL(bcast(gam, "sij", "jis"), x)))
-        u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
-        return PfaffProblem(n, k, G, p0, u0, labels=[f"u{j + 1}" for j in range(n)])
-
-    # potential_17_23
-    if u_field is None:
-        raise ValueError("potential_17_23 needs the covector field u (Exprs over y)")
-    k = 1
-    G = _lift(u_field, n, k).reshape(1, n)
-    u0 = np.zeros(1) if u0 is None else np.asarray(u0, float)
-    return PfaffProblem(n, 1, G, p0, u0, labels=["psi"])
+    else:  # potential_17_23
+        if u_field is None:
+            raise ValueError("potential_17_23 needs the covector field u (Exprs over y)")
+        k = 1
+        G = _lift(u_field, n, k).reshape(1, n)
+    u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
+    return PfaffProblem(n, k, G, p0, u0, restrictions)
 
 
-def _symmetry_system(conn, p0, u0):
-    """The linear system for (F^i_s, eta^i): the unknown block stores F
-    first (F^i_s at i*n+s) and eta after it."""
+def _symmetry_rhs(conn, k):
+    """The linear system for (F^i_s, eta^i), k = n^2 + n unknowns: the
+    block stores F first (F^i_s at i*n+s) and eta after it."""
     n = conn.n
-    k = n * n + n
     F = _coords(1, n * n).reshape(n, n)
     eta = _coords(n * n + 1, n)
     gam = _lift(conn.gamma, n, k)
@@ -365,9 +340,4 @@ def _symmetry_system(conn, p0, u0):
         (SUB, MUL(bcast(gam, "iks", "isrk"), bcast(F, "kr", "isrk"))),
         (SUB, MUL(bcast(gam, "irk", "isrk"), bcast(F, "ks", "isrk"))),
     )
-    G = np.concatenate([fold(ZERO, *parts).reshape(n * n, n), F])
-    u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)
-    labels = [f"F{i + 1}_{s + 1}" for i in range(n) for s in range(n)] + [
-        f"eta{i + 1}" for i in range(n)
-    ]
-    return PfaffProblem(n, k, G, p0, u0, labels=labels)
+    return np.concatenate([fold(ZERO, *parts).reshape(n * n, n), F])

@@ -7,9 +7,10 @@ elementwise to broadcast views (``bcast``), and a sum over an index folds
 left to right along a trailing axis (``ADD.reduce``, or ``fold`` when the
 summand has parts of either sign).  An assembled tree therefore keeps the
 term order, operand order and subtractions of the formula it implements.
-Numeric work goes through the two evaluators of :mod:`expr`: ``evaluate``
-is checked and pointwise, ``evaluate_many`` hands the whole component array
-to the shared, unchecked (IEEE) vectorized evaluator in one call.
+Numeric work hands the whole component array to :mod:`expr`'s one
+interpreted walk in one call, at points of shape (P, n) or at one point of
+shape (n,): ``evaluate`` runs it checked (a value that is not finite raises
+DomainError naming the node), ``evaluate_many`` unchecked (IEEE).
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -36,7 +37,9 @@ from .expr import (
     ONE,
     add,
     const,
+    coord,
     diff_expr,
+    div,
     eval_many_shared,
     mul,
     parse_expr,
@@ -207,26 +210,25 @@ class TensorField:
 
     # -- symmetry checks ----------------------------------------------------
 
-    def is_skew(self, axes=None, pts=None, tol=1e-10):
-        """Numeric check of full antisymmetry over the given axes (default:
-        all covariant axes) at sample points."""
-        return self._permutation_invariant(axes, pts, tol, signed=True)
+    def is_skew(self):
+        """Numeric check of full antisymmetry over the covariant axes at 8
+        sample points, to 1e-10 of the largest |component| (at least 1)."""
+        return self._permutation_invariant(signed=True)
 
-    def is_symmetric(self, axes=None, pts=None, tol=1e-10):
-        return self._permutation_invariant(axes, pts, tol, signed=False)
+    def is_symmetric(self):
+        """Numeric check of full symmetry over the covariant axes, as is_skew."""
+        return self._permutation_invariant(signed=False)
 
-    def _permutation_invariant(self, axes, pts, tol, signed):
-        axes = tuple(axes) if axes is not None else tuple(range(self.r, self.r + self.s))
+    def _permutation_invariant(self, signed):
+        axes = tuple(range(self.r, self.r + self.s))
         if len(axes) < 2:
             return True
-        if pts is None:
-            pts = sample_points(self.n, 8)
-        vals = self.evaluate_many(pts)
+        vals = self.evaluate_many(sample_points(self.n, 8))
         scale = max(1.0, float(np.max(np.abs(vals))))
         for perm in itertools.permutations(range(len(axes))):
             sign = _perm_sign(perm) if signed else 1
             moved = _permute_axes_array(vals, axes, perm)
-            if not np.allclose(vals, sign * moved, atol=tol * scale, rtol=0.0):
+            if not np.allclose(vals, sign * moved, atol=1e-10 * scale, rtol=0.0):
                 return False
         return True
 
@@ -296,8 +298,8 @@ def permute_indices(a, upper_perm=None, lower_perm=None):
     return TensorField(a.n, a.r, a.s, a.comps.transpose(order))
 
 
-def _sym_alt(a, axes, signed):
-    axes = tuple(axes)
+def _sym_alt(a, signed):
+    axes = tuple(range(a.r, a.r + a.s))
     total = ZERO
     for perm in itertools.permutations(range(len(axes))):
         # term[idx] = a[src] with src[axes[pos]] = idx[axes[perm[pos]]]
@@ -309,18 +311,14 @@ def _sym_alt(a, axes, signed):
     return TensorField(a.n, a.r, a.s, MUL(const(1.0 / math.factorial(len(axes))), total))
 
 
-def symmetrize(a, axes=None):
-    """Average over permutations of the given axes (default: all lower)."""
-    if axes is None:
-        axes = range(a.r, a.r + a.s)
-    return _sym_alt(a, axes, signed=False)
+def symmetrize(a):
+    """Average over permutations of the lower axes."""
+    return _sym_alt(a, signed=False)
 
 
-def alternate(a, axes=None):
-    """Signed average over permutations of the given axes (default: all lower)."""
-    if axes is None:
-        axes = range(a.r, a.r + a.s)
-    return _sym_alt(a, axes, signed=True)
+def alternate(a):
+    """Signed average over permutations of the lower axes."""
+    return _sym_alt(a, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +394,11 @@ def matrix_determinant(m):
 
 def sym_matrix_inverse(m):
     """Symbolic inverse via the adjugate; entries are Expr ratios."""
-    from .expr import div as _div
-
     k = m.shape[0]
     det = matrix_determinant(m)
     out = np.empty((k, k), dtype=object)
     if k == 1:
-        out[0, 0] = _div(ONE, m[0, 0])
+        out[0, 0] = div(ONE, m[0, 0])
         return out
     for i in range(k):
         for j in range(k):
@@ -410,7 +406,7 @@ def sym_matrix_inverse(m):
             cof = matrix_determinant(minor)
             if (i + j) % 2 == 1:
                 cof = sub(ZERO, cof)
-            out[i, j] = _div(cof, det)
+            out[i, j] = div(cof, det)
     return out
 
 
@@ -442,8 +438,6 @@ class PointMap:
 
     @classmethod
     def identity(cls, n):
-        from .expr import coord
-
         ids = [coord(i + 1) for i in range(n)]
         return cls(n, ids, list(ids))
 
@@ -467,10 +461,9 @@ class PointMap:
         self.require_inverse()
         return _map_points(self.n, self.inverse, points)
 
-    def roundtrip_residual(self, pts=None):
-        """max |forward(inverse(yt)) - yt| over sample points."""
-        if pts is None:
-            pts = sample_points(self.n, 20)
+    def roundtrip_residual(self):
+        """max |forward(inverse(yt)) - yt| at the 20 sample points."""
+        pts = sample_points(self.n, 20)
         back = self.apply(self.apply_inverse(pts))
         return float(np.max(np.abs(back - pts)))
 

@@ -78,6 +78,13 @@ def test_path_must_have_points_and_finite_vertices():
         transport_to(prob, [np.inf])
 
 
+def test_transport_end_point_must_be_one_point_of_dimension_n():
+    prob = riccati_problem()  # n = 1
+    for end in ([0.1, 0.2], 0.1, [[0.1]]):
+        with pytest.raises(ValueError, match="path must be a polyline of points of dimension n"):
+            transport_to(prob, end)
+
+
 def test_pack_gives_python_floats():
     packed = PfaffProblem.pack(np.array([1, 2]), [3, np.float64(0.5)])
     assert packed == [1.0, 2.0, 3.0, 0.5] and {type(v) for v in packed} == {float}
@@ -192,6 +199,28 @@ def test_symmetry_system_compatibility_dichotomy():
 
     cc = named_system("symmetry_6", conn=constcurv_connection(2))
     assert compatibility_residual(cc).max_abs >= 1e-3
+
+
+# kind, n, max_abs.hex(), probe row of the argmax, argmax component
+COMPATIBILITY_PINS = [
+    ("symmetry_6", 2, "0x1.a30a956fa4d52p+1", 10, (1,)),
+    ("symmetry_6", 3, "0x1.12b8b187563d2p+3", 4, (9,)),
+    ("covector_14", 3, "0x1.2000000000000p-48", 1, (1,)),
+    ("constcurv_22", 2, "0x1.0000000000000p-51", 9, (0,)),
+]
+
+
+@pytest.mark.parametrize("kind, n, max_hex, row, comp", COMPATIBILITY_PINS)
+def test_compatibility_residual_fixed_probe_is_pinned(monkeypatch, kind, n, max_hex, row, comp):
+    # the probe: U by default_rng(101) next to the 20 base sample points
+    monkeypatch.delenv("AFFSYM_SEED", raising=False)
+    prob = deck_problem(kind, n)
+    rep = compatibility_residual(prob)
+    assert rep.max_abs.hex() == max_hex
+    u = np.random.default_rng(101).uniform(-0.4, 0.4, size=(20, prob.k))
+    probe = np.concatenate([u, sample_points(n, 20)], axis=1)
+    assert _hex(rep.argmax_point) == _hex(probe[row])
+    assert rep.argmax_component == comp
 
 
 def test_covector_system_compatible_on_intermediate_geometry():
