@@ -22,22 +22,33 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .expr import Expr, ZERO, const, diff_expr, eval_many, func, mul, parse_expr
+from .expr import Expr, ZERO, const, diff_expr, eval_many, eval_many_shared, func, mul, parse_expr
 from .geometry import (
     Connection,
     DiffusionSystem,
     _add_quadratic,
+    _curvature_comps,
     covariant_differential,
     curvature,
     scalar_operator,
     structure_residual,
 )
-from .pfaff import _beta_from_connection, _coords, named_system, transport_to
+from .pfaff import (
+    TransportError,
+    _beta_from_connection,
+    _coords,
+    _lift,
+    _total_derivative,
+    named_system,
+    pfaff_integrate,
+    transport_to,
+)
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant
-from .util import ResidualReport, max_report, sample_points
+from .util import max_report, sample_points
 
 __all__ = [
     "CanonicalSpec",
@@ -278,11 +289,10 @@ def deformation_from_covector(n, epsilons):
 
 @dataclass
 class FlattenResult:
-    """Point samplers for the transported covector and the deformed
-    connection, plus the residual report of the whole pipeline."""
+    """The transported covector as a point sampler, u(y) = U(y), plus the
+    residual report of the whole pipeline."""
 
     u: object
-    flat_conn: object
     report: dict
 
 
@@ -290,12 +300,21 @@ def projective_flatten(conn, p0, u0):
     """Deform a projectively-euclidean connection to a flat one.
 
     Checks the curvature structure and the symmetry of nabla(beta) first
-    (beta extracted from the Ricci split; each must stay within 1e-7),
-    transports the covector equation from (p0, u0), and reports the
-    max-norm curvature of the deformed connection Gamma + u (x) id + id (x) u
-    estimated by central finite differences of step 1e-4 of the point
-    sampler at the 5 points ``sample_points(n, 5, seed=11)``.  Every stage
-    lands in the report; a failed precondition raises.
+    (beta extracted from the Ricci split; each must stay within 1e-7), then
+    transports the covector equation from (p0, u0) to the 5 points
+    ``sample_points(n, 5, seed=11)`` and reports, as max-norms over them:
+
+    - flat_curvature: the curvature of the deformed connection
+      Gamma + u (x) id + id (x) u, by the formula of ``geometry.curvature``
+      with exact derivatives, dGamma/dy symbolic and du/dy = G(u, y) from the
+      covector equation, evaluated at the transported u;
+    - path_gap: |U(y) straight - U(y) cornered|, U transported from p0
+      along the segment to y and along p0 -> (y^1, p0^2, .., p0^n) -> y.
+      Once du/dy = G(u, y) the curvature above vanishes for any u, so this
+      is the number that transport itself drives.
+
+    Every stage lands in the report; a failed precondition raises
+    ValueError, and a failed transport a TransportError naming its probe.
     """
     n = conn.n
     p0 = np.asarray(p0, dtype=float)
@@ -316,50 +335,27 @@ def projective_flatten(conn, p0, u0):
             f"nabla(beta) symmetry {pre_symmetry.max_abs:.3e}"
         )
     prob = named_system("covector_14", conn=conn, p0=p0, u0=u0)
-
-    def u_sampler(y):
-        y = np.asarray(y, dtype=float)
-        if np.max(np.abs(y - p0)) < 1e-15:
-            return u0.copy()
-        return transport_to(prob, y)
-
-    def flat_conn_sampler(y):
-        gam = conn.evaluate_many(np.asarray(y, float)[None, :])[0]
-        u = u_sampler(y)
-        diag = np.arange(n)
-        gam[diag, :, diag] += u  # + u_r d^k_s
-        gam[diag, diag, :] += u  # + u_s d^k_r
-        return gam
+    # Gammabar^k_rs = Gamma^k_rs + u_r d^k_s + u_s d^k_r over the (u, y) block
+    u, delta = _coords(1, n), TensorField.identity(n).comps
+    shift = MUL(bcast(u, "r", "krs"), bcast(delta, "ks", "krs"))
+    gbar = ADD(ADD(_lift(conn.gamma, n, n), shift), bcast(shift, "ksr", "krs"))
+    rbar = _curvature_comps(gbar, _total_derivative(prob, gbar)).reshape(-1)
 
     probe = sample_points(n, 5, seed=11)
-    worst = 0.0
-    worst_pt = tuple(probe[0])
+    straight, corner = [], []
     for y in probe:
-        rbar = _fd_curvature(flat_conn_sampler, y, n, 1e-4)
-        m = float(np.max(np.abs(rbar)))
-        if m > worst:
-            worst, worst_pt = m, tuple(y)
-    report["flat_curvature"] = ResidualReport(worst, worst_pt)
-    return FlattenResult(u=u_sampler, flat_conn=flat_conn_sampler, report=report)
+        try:
+            straight.append(transport_to(prob, y))
+            corner.append(pfaff_integrate(prob, [p0, [y[0], *p0[1:]], y])[-1])
+        except TransportError as exc:
+            point = ", ".join(f"{v:.6g}" for v in y)
+            exc.args = (f"{exc} on the path to probe y = [{point}]",)
+            raise
+    block = np.concatenate([straight, probe], axis=1)
+    report["flat_curvature"] = max_report(np.stack(eval_many_shared(rbar, block), axis=-1), probe)
+    report["path_gap"] = max_report(np.subtract(straight, corner), probe)
+    return FlattenResult(u=partial(transport_to, prob), report=report)
 
 
 def _beta_field(conn):
     return TensorField(conn.n, 0, 2, _beta_from_connection(conn))
-
-
-def _fd_curvature(sampler, y, n, h):
-    """Curvature from central finite differences of a connection sampler:
-    the formula of ``geometry.curvature`` with the letters of
-    ``geometry._add_quadratic``, the quadratic part summed from zero."""
-    center = sampler(y)
-    dgam = np.empty((n, n, n, n))  # [d, k, r, s] = dGamma^k_rs / dy^d
-    for d in range(n):
-        yp = np.array(y, dtype=float)
-        ym = np.array(y, dtype=float)
-        yp[d] += h
-        ym[d] -= h
-        dgam[d] = (sampler(yp) - sampler(ym)) / (2 * h)
-    first = bcast(dgam, "riks", "isrk") - bcast(dgam, "kirs", "isrk")
-    up = bcast(center, "qks", "isrkq") * bcast(center, "irq", "isrkq")
-    down = bcast(center, "qrs", "isrkq") * bcast(center, "ikq", "isrkq")
-    return first + fold(np.zeros((n,) * 4), (np.add, up), (np.subtract, down))

@@ -473,7 +473,7 @@ def cmd_flatten(args):
     except ValueError as exc:
         return {"error": str(exc), "passed": False}, 2
     out = {k: v.max_abs for k, v in res.report.items()}
-    out["passed"] = res.report["flat_curvature"].max_abs <= doc.tolerances["flatten"]
+    out["passed"] = max(out["flat_curvature"], out["path_gap"]) <= doc.tolerances["flatten"]
     return out, 0 if out["passed"] else 2
 
 

@@ -129,10 +129,15 @@ def scalar_operator(n, a):
 
 def curvature(conn):
     """Curvature tensor of the connection, comps[i, s, r, k] = R^i_srk."""
-    G = conn.gamma
-    dG = grad(G, conn.n)  # [i, r, s, k] = d Gamma^i_rs / dy^k
+    return TensorField(conn.n, 1, 3, _curvature_comps(conn.gamma, grad(conn.gamma, conn.n)))
+
+
+def _curvature_comps(G, dG):
+    """The curvature formula on coefficients G[i, r, s] = Gamma^i_rs and
+    their derivatives dG[i, r, s, k] = d Gamma^i_rs / dy^k, whatever
+    derivative produced them; comps[i, s, r, k] = R^i_srk."""
     first = SUB(bcast(dG, "iksr", "isrk"), bcast(dG, "irsk", "isrk"))
-    return TensorField(conn.n, 1, 3, _add_quadratic(first, G))
+    return _add_quadratic(first, G)
 
 
 def _add_quadratic(total, G):

@@ -34,7 +34,7 @@ from .tensor import (
     exterior_derivative,
     fold,
     grad,
-    partial_differential,
+    sym_matrix_inverse,
     tensor_product,
 )
 
@@ -183,41 +183,21 @@ def nijenhuis(a_field, check=True):
 
 
 def lie_derivative_operator_power(eta, a_field, q, pts):
-    """Numeric Lie-derivative residual of an integer power of an operator
-    field: max |L_eta(A^q)| over the points.
+    """Lie-derivative residual of an integer power of an operator field:
+    max |L_eta(A^q)| over the points.
 
-    Negative powers invert pointwise (no symbolic matrix inversion); the
-    derivative of the power comes from the product rule, with
-    d(A^-1) = -A^-1 dA A^-1 feeding the negative branch.
+    A^q is the symbolic product A A .. A (left to right), of the adjugate
+    inverse ``sym_matrix_inverse(A)`` when q < 0, and L_eta is
+    ``lie_derivative``; A^0 = id gives 0.
     """
     if q == 0:
         return 0.0
-    pts = np.asarray(pts, dtype=float)
-    A = a_field.evaluate_many(pts)
-    # partial_differential puts d/dy^k after the upper slot, [:, i, k, j]
-    dA = np.ascontiguousarray(
-        partial_differential(a_field).evaluate_many(pts).transpose(0, 2, 1, 3)
-    )  # dA[:, k] = dA/dy^k
-    eta_vals = eta.evaluate_many(pts)
-    deta = partial_differential(eta).evaluate_many(pts)  # [:, i, k] = d eta^i / dy^k
-    base, dbase = A, dA
-    if q < 0:
-        base = np.linalg.inv(A)
-        dbase = -np.einsum("pij,pkjl,plm->pkim", base, dA, base)
-        q = -q
-    # power and its derivative by the product rule
-    powv = base.copy()
-    dpow = dbase.copy()
-    for _ in range(q - 1):
-        dpow = np.einsum("pkij,pjl->pkil", dpow, base) + np.einsum(
-            "pij,pkjl->pkil", powv, dbase
-        )
-        powv = powv @ base
-    transport = np.einsum("pk,pkij->pij", eta_vals, dpow)
-    lie = transport - np.einsum("pik,pkj->pij", deta, powv) + np.einsum(
-        "pik,pkj->pij", powv, deta
-    )
-    return float(np.max(np.abs(lie)))
+    base = a_field.comps if q > 0 else sym_matrix_inverse(a_field.comps)
+    power = base
+    for _ in range(abs(q) - 1):
+        power = ADD.reduce(MUL(bcast(power, "is", "ijs"), bcast(base, "sj", "ijs")), axis=-1)
+    lie = lie_derivative(eta, TensorField(a_field.n, 1, 1, power))
+    return float(np.max(np.abs(lie.evaluate_many(np.asarray(pts, dtype=float)))))
 
 
 def nijenhuis_classical(a_field):

@@ -208,15 +208,23 @@ def compatibility_residual(prob):
     u = np.random.default_rng(101).uniform(-0.4, 0.4, size=(len(y), k))
     probe = np.concatenate([u, y], axis=1)
 
-    # total[a, r, p] = D_p G^a_r: d/dy^p, then + dG^a_r/dU^b G^b_p for each b
-    dG = grad(prob.rhs, k + n)
-    chain = MUL(bcast(dG[..., :k], "arb", "arpb"), bcast(prob.rhs, "bp", "arpb"))
-    total = fold(dG[..., k:], (ADD, chain))
+    total = _total_derivative(prob, prob.rhs)  # [a, r, p] = D_p G^a_r
     r, p = np.triu_indices(n, 1)
     residual_exprs = SUB(total[:, r, p], total[:, p, r]).reshape(-1)
     if not residual_exprs.size:  # n = 1: no mixed pairs
         return max_report(np.empty((len(probe), 0)), probe)
     return max_report(np.stack(eval_many_shared(residual_exprs, probe), axis=-1), probe)
+
+
+def _total_derivative(prob, X):
+    """D_p X = dX/dy^p + sum_b G^b_p dX/dU^b on a new trailing axis p, for
+    an array X of Exprs over the (U, y) block of any shape: the derivative
+    along y of X(U(y), y) when U solves the system."""
+    k = prob.k
+    dX = grad(X, k + prob.n)
+    # chain[..., p, b] = dX/dU^b G^b_p, added to dX/dy^p for b = 1..k in turn
+    chain = MUL(np.expand_dims(dX[..., :k], -2), prob.rhs.T)
+    return fold(dX[..., k:], (ADD, chain))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +273,8 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         raise ValueError(f"unknown Pfaff system kind {kind!r}; pick one of {NAMED_KINDS}")
     if kind != "potential_17_23" and conn is None:
         raise ValueError(f"{kind} needs a connection")
+    if kind in ("xfields_17_11", "potential_17_23") and u_field is None:
+        raise ValueError(f"{kind} needs the covector field u (Exprs over y)")
     n = conn.n if conn is not None else len(u_field)
     p0 = np.zeros(n) if p0 is None else np.asarray(p0, float)
     restrictions = ()
@@ -292,8 +302,6 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         restrictions = list(ADD.reduce(MUL(bsym, xi), axis=-1))
         restrictions.append(ADD.reduce(MUL(x, xi)))
     elif kind == "xfields_17_11":
-        if u_field is None:
-            raise ValueError("xfields_17_11 needs the covector field u (Exprs over y)")
         k = n
         u = _lift(u_field, n, k)
         gam = _lift(conn.gamma, n, k)
@@ -317,8 +325,6 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
         G = ADD(G, MUL(mul(const(0.5), norm2), gl.T))
         G = fold(G, (ADD, MUL(bcast(gam, "sij", "jis"), x)))
     else:  # potential_17_23
-        if u_field is None:
-            raise ValueError("potential_17_23 needs the covector field u (Exprs over y)")
         k = 1
         G = _lift(u_field, n, k).reshape(1, n)
     u0 = np.zeros(k) if u0 is None else np.asarray(u0, float)

@@ -37,18 +37,6 @@ class ResidualReport:
     argmax_component: tuple = ()
     details: dict = field(default_factory=dict)
 
-    def ok(self, tol):
-        return self.max_abs <= tol
-
-    def to_dict(self):
-        d = {
-            "max_abs": float(self.max_abs),
-            "argmax_point": [float(v) for v in self.argmax_point],
-            "argmax_component": [int(v) for v in self.argmax_component],
-        }
-        d.update(self.details)
-        return d
-
 
 def max_report(values, points, details=None):
     """Build a ResidualReport from residual values of shape (P, *component).

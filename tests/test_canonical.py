@@ -22,6 +22,7 @@ from affsym.geometry import (
     ricci_and_s,
     structure_residual,
 )
+from affsym.pfaff import TransportError
 from affsym.symmetry import classify
 from affsym.tensor import TensorField
 from affsym.util import sample_points
@@ -235,6 +236,7 @@ def test_flatten_constcurv_control_is_reported():
         "precondition_structure",
         "precondition_nabla_beta",
         "flat_curvature",
+        "path_gap",
     }
     assert rep["flat_curvature"].max_abs <= 1e-5
 
@@ -251,3 +253,55 @@ def test_flatten_rejects_unstructured_connection():
     )
     with pytest.raises(ValueError):
         projective_flatten(conn, np.zeros(3), np.zeros(3))
+
+
+def test_flatten_transport_failure_is_typed_and_names_the_probe():
+    # u blows up on the way to the n = 4 probe with |y| = 0.63
+    conn = build_system(CanonicalSpec("constcurv_22_13", n=4)).conn
+    with pytest.raises(TransportError, match=r"on the path to probe y = \[-0.281659, "):
+        projective_flatten(conn, np.zeros(4), np.zeros(4))
+
+
+def _fd_curvature(sampler, y, h):
+    """Oracle: R^i_srk = d_r G^i_ks - d_k G^i_rs + G^q_ks G^i_rq - G^q_rs G^i_kq
+    from central differences of step h of a connection sampler y -> G[k, r, s]."""
+    center = sampler(y)
+    dgam = np.empty((len(y),) + center.shape)  # [d, k, r, s] = d G^k_rs / dy^d
+    for d, e in enumerate(np.eye(len(y)) * h):
+        dgam[d] = (sampler(y + e) - sampler(y - e)) / (2 * h)
+    first = np.einsum("riks->isrk", dgam) - np.einsum("kirs->isrk", dgam)
+    up = np.einsum("qks,irq->isrk", center, center)
+    down = np.einsum("qrs,ikq->isrk", center, center)
+    return first + up - down
+
+
+def _deformed_sampler(conn, u, offset=0.0):
+    """y -> Gamma^k_rs + u_r d^k_s + u_s d^k_r at u(y) + offset."""
+
+    def sampler(y):
+        gam = conn.evaluate_many(y[None, :])[0]
+        uy = u(y) + offset
+        diag = np.arange(conn.n)
+        gam[diag, :, diag] += uy
+        gam[diag, diag, :] += uy
+        return gam
+
+    return sampler
+
+
+def test_flatten_curvature_is_the_limit_of_finite_differences():
+    # Richardson's h^2 law: each tenfold refinement of the central
+    # difference cuts its error a hundredfold, towards the exact value the
+    # pipeline reports (flat: below 1e-13) at constcurv_n3's first probe
+    conn = build_system(CanonicalSpec("constcurv_22_13", n=3, epsilons=(1, 1, 1))).conn
+    res = projective_flatten(conn, np.zeros(3), np.zeros(3))
+    assert res.report["flat_curvature"].max_abs <= 1e-13
+    y = sample_points(3, 5, seed=11)[0]
+    hs = (1e-2, 1e-3, 1e-4)
+    errs = [np.max(np.abs(_fd_curvature(_deformed_sampler(conn, res.u), y, h))) for h in hs]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 70 < coarse / fine < 130
+    assert errs[-1] < 1e-6
+    # mutation: a covector off by a constant is not flattening, at every h
+    off = [np.max(np.abs(_fd_curvature(_deformed_sampler(conn, res.u, 0.01), y, h))) for h in hs]
+    assert min(off) > 1e-2 and max(off) < 2 * min(off)

@@ -100,6 +100,28 @@ def test_flatten_intermediate(capsys):
     assert data["flat_curvature"] <= 1e-5
 
 
+def test_flatten_passes_on_constant_curvature(capsys):
+    # projectively flat (Eisenhart 1927): exact curvature, path independence
+    code, data = run(capsys, "flatten", fixture("constcurv_n3.json"))
+    assert code == 0
+    assert data["flat_curvature"] <= 1e-13 and data["path_gap"] <= 1e-8
+
+
+def test_flatten_transport_failure_names_the_probe(tmp_path, capsys):
+    # the Riccati-type covector equation blows up on the way to the second
+    # n = 4 probe, the one with |y| = 0.63; the error line says which it is
+    path = tmp_path / "cc4.json"
+    path.write_text(json.dumps({"canonical": {"kind": "constcurv_22_13", "n": 4}}))
+    code = main(["flatten", str(path)])
+    probe = ", ".join(f"{v:.6g}" for v in sample_points(4, 5, seed=11)[1])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (
+        "error: transport blew up at segment parameter t = 0.91"
+        f" on the path to probe y = [{probe}]\n"
+    )
+
+
 def test_flatten_rejects_generic(tmp_path, capsys):
     doc = {
         "n": 2,

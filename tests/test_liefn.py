@@ -284,6 +284,50 @@ def test_operator_powers_invariant_along_symmetry():
     assert np.max(np.abs(lie_derivative(eta_t, nij_t).evaluate_many(pts * 0.5))) <= 1e-8
 
 
+def _operator_power_einsum(eta, a_field, q, pts):
+    """Oracle for lie_derivative_operator_power: max |L_eta(A^q)| from pointwise
+    values, inverting numerically and differentiating the power by the
+    product rule, d(A^-1) = -A^-1 dA A^-1."""
+    from affsym.tensor import partial_differential
+
+    A = a_field.evaluate_many(pts)
+    dA = partial_differential(a_field).evaluate_many(pts).transpose(0, 2, 1, 3)  # [:, k] = dA/dy^k
+    deta = partial_differential(eta).evaluate_many(pts)  # [:, i, k] = d eta^i / dy^k
+    base, dbase = A, dA
+    if q < 0:
+        base = np.linalg.inv(A)
+        dbase = -np.einsum("pij,pkjl,plm->pkim", base, dA, base)
+    powv, dpow = base, dbase
+    for _ in range(abs(q) - 1):
+        dpow = np.einsum("pkij,pjl->pkil", dpow, base) + np.einsum("pij,pkjl->pkil", powv, dbase)
+        powv = powv @ base
+    lie = (
+        np.einsum("pk,pkij->pij", eta.evaluate_many(pts), dpow)
+        - np.einsum("pik,pkj->pij", deta, powv)
+        + np.einsum("pik,pkj->pij", powv, deta)
+    )
+    return float(np.max(np.abs(lie)))
+
+
+def test_operator_power_lie_derivative_matches_the_einsum_route():
+    # on a non-symmetry the odd powers give O(1) values, so agreement is a
+    # real check; the even powers of this A are scalar and give ~0
+    from affsym.geometry import transform_system
+    from affsym.liefn import lie_derivative_operator_power
+    from affsym.pdesim import heisenberg_system
+    from affsym.tensor import PointMap
+
+    pm = PointMap.from_strings(2, ["y1 + 0.3*y2^2", "y2"], ["y1 - 0.3*y2^2", "y2"])
+    moved = transform_system(heisenberg_system(), pm)
+    eta = vf(2, "y1^2", "y2")
+    pts = sample_points(2, 10) * 0.5
+    for q in (1, 2, 3, -1, -2):
+        got = lie_derivative_operator_power(eta, moved.A, q, pts)
+        ref = _operator_power_einsum(eta, moved.A, q, pts)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert got > 1.0 if q % 2 else got < 1e-15
+
+
 def test_bracket_rejects_non_skew_input():
     n = 3
     arr = np.empty((n, n, n), dtype=object)

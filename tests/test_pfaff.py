@@ -369,6 +369,11 @@ def test_named_system_rejects_missing_fields():
         named_system("bogus", conn=Connection.zeros(2))
 
 
+def test_potential_system_without_any_field_names_the_missing_u():
+    with pytest.raises(ValueError, match="potential_17_23 needs the covector field u"):
+        named_system("potential_17_23")
+
+
 def test_transport_blowup_raises():
     from affsym.pfaff import TransportError
 

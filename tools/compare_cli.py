@@ -50,6 +50,7 @@ def commands():
             ["canonical"],
             ["report"],
             ["flatten"],
+            ["flatten", "--at", at],
             ["simulate", "--grid", "32", "--dt", "0.0005", "--steps", "8"],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "8", "--transport=" + trans],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4", "--initial", initial],
