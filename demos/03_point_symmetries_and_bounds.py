@@ -53,7 +53,9 @@ for name, eta in (("rotation", rot), ("translation", trans)):
     print(f"{name:12s} res_A={res['res_A'].max_abs:.2e} res_Gamma={res['res_Gamma'].max_abs:.2e}")
 
 # the geometric consequences: every invariant of the geometry is dragged
-# along the verified symmetry
+# along the verified symmetry, and so is the connection: lie_gamma is
+# max |L_eta Gamma|, which also measures the commutator of L_eta with nabla,
+# since (L_eta nabla - nabla L_eta) W = (L_eta Gamma) . W
 suite = invariance_suite(cc, rot)
 for key, rep in suite.items():
     print(f"  L_eta {key:18s}: {rep.max_abs:.2e}")

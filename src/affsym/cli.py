@@ -80,6 +80,10 @@ DEFAULT_TOLERANCES = {
     "transport": 1e-6,
 }
 
+# simulate's largest --grid: 2**20 points keep each state array of n = 3
+# within 25 MB and are checked before anything is allocated
+GRID_MAX = 2**20
+
 
 class InputError(ValueError):
     """Malformed document / flags; maps to exit code 1."""
@@ -294,6 +298,9 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            # JSON has no inf or nan; a report value should never be one
+            raise InputError(f"report value {float(v)!r} is not finite")
         return f"{float(v):.17g}"
     if v is None:
         return "null"
@@ -301,7 +308,8 @@ def _fmt(v):
 
 
 def render_json(obj, indent=0):
-    """Serialize with sorted keys and 17-significant-digit floats."""
+    """Serialize with sorted keys and 17-significant-digit floats; a float
+    that is not finite raises InputError."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -498,8 +506,8 @@ def cmd_simulate(args):
         raise InputError(f"--tau must be finite, got {args.tau!r}")
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
-    if args.grid < 8:
-        raise InputError(f"--grid needs at least 8 points, got {args.grid}")
+    if not 8 <= args.grid <= GRID_MAX:
+        raise InputError(f"--grid must be between 8 and {GRID_MAX} points, got {args.grid}")
     doc, sysd, _pts = _load(args)
     n, length = doc.n, args.length
     if args.initial:
@@ -522,7 +530,8 @@ def cmd_simulate(args):
     regular = snaps if args.steps % every == 0 else snaps[:-1]
     out = {
         "final_t": snaps[-1].t,
-        "stability_limit": limit,
+        # a zero spectral radius of A sets no limit
+        "stability_limit": limit if math.isfinite(limit) else None,
         "pde_residual": pde_residual(sysd, regular) if len(regular) >= 3 else None,
         "mean_drift": float(
             np.max(np.abs(snaps[-1].values.mean(axis=0) - snaps[0].values.mean(axis=0)))
@@ -589,7 +598,7 @@ COMMANDS = {
         "--u0": dict(help="initial covector values"),
     }),
     "simulate": (cmd_simulate, "method-of-lines evolution", {
-        "--grid": dict(type=int, default=64),
+        "--grid": dict(type=int, default=64, help=f"grid points, 8 to {GRID_MAX}"),
         "--dt": dict(type=float, required=True),
         "--steps": dict(type=int, required=True),
         "--length": dict(type=float, default=2 * np.pi),
@@ -632,6 +641,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         report, code = args.func(args)
+        text = render_json(report)
     except (InputError, ExprError) as exc:
         error, code = str(exc), 1
     except RecursionError:
@@ -642,7 +652,7 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         error, code = str(exc), 2
     else:
-        sys.stdout.write(render_json(report) + "\n")
+        sys.stdout.write(text + "\n")
         return code
     sys.stderr.write(f"error: {error}\n")
     return code

@@ -417,6 +417,55 @@ def test_render_json_is_sorted_and_17g():
     assert "2.4999999999999999e-17" in s
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_render_json_refuses_non_finite_floats(value):
+    with pytest.raises(InputError, match="not finite"):
+        render_json({"x": [1.0, value]})
+
+
+def test_non_finite_report_value_exits_1_without_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pde_residual", lambda *_args: float("nan"))
+    argv = ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "8", "--grid", "16"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: report value nan is not finite\n"
+
+
+def test_simulate_without_stability_limit_prints_null(tmp_path, capsys):
+    # A is nilpotent, so its spectral radius and the step heuristic's
+    # denominator are zero
+    doc = {
+        "n": 2,
+        "A": [["0", "0"], ["1", "0"]],
+        "Gamma": {"1": [["0", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]},
+    }
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--dt", "0.001", "--steps", "5", "--grid", "16"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["stability_limit"] is None
+
+
+def test_simulate_grid_ceiling_is_checked_before_allocating(monkeypatch, capsys):
+    def no_grid(_profiles, N, _length):
+        raise ValueError(f"make_grid reached with N = {N}")
+
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    argv = ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "1", "--grid"]
+    assert main(argv + [str(cli.GRID_MAX + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --grid must be between 8 and {cli.GRID_MAX} points, got {cli.GRID_MAX + 1}\n"
+    # the ceiling itself passes the check and reaches the grid
+    assert main(argv + [str(cli.GRID_MAX)]) == 1
+    assert capsys.readouterr().err == f"error: bad profile: make_grid reached with N = {cli.GRID_MAX}\n"
+
+
 def test_seed_env_var_changes_samples(monkeypatch):
     base = sample_points(2, 5)
     monkeypatch.setenv("AFFSYM_SEED", "99")

@@ -423,6 +423,43 @@ def test_invariance_suite_flat_scaling():
         assert rep.max_abs <= 1e-10
 
 
+def test_lie_gamma_is_res_gamma_for_nondegenerate_a():
+    sysd = _chart_system("constcurv_n3.json")
+    rot = VectorField.from_strings(3, ["-y2", "y1", "0"])
+    suite = invariance_suite(sysd, rot)
+    assert suite["lie_gamma"].max_abs == determining_residuals(sysd, rot)["res_Gamma"].max_abs
+    # a field that is no symmetry drags the connection by O(1)
+    eta = VectorField.from_strings(3, ["y1^2", "y2*y3", "sin(y1)"])
+    assert invariance_suite(sysd, eta)["lie_gamma"].max_abs > 0.1
+
+
+@pytest.mark.parametrize(
+    "r, s, comps",
+    [(1, 0, ["y2*y3", "cos(y1)", "1 + y1^2"]), (0, 1, ["exp(y2)", "y1*y3", "y3 - y2^2"])],
+)
+def test_lie_nabla_commutator_is_the_lie_derivative_of_gamma(r, s, comps):
+    # (L_eta nabla - nabla L_eta) W = (L_eta Gamma) . W for a torsion-free
+    # connection, on a field eta that is no symmetry, where both sides are O(1)
+    from affsym.symmetry import _conn_eq_exprs
+
+    sysd = build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))
+    conn = sysd.conn
+    eta = VectorField.from_strings(3, ["y1^2", "y2*y3", "sin(y1)"])
+    w = TensorField(3, r, s, np.array([parse_expr(t, 3) for t in comps], dtype=object))
+    pts = sample_points(3, 20)
+    lhs = lie_derivative(eta, covariant_differential(conn, w)).evaluate_many(pts)
+    rhs = covariant_differential(conn, lie_derivative(eta, w)).evaluate_many(pts)
+    comm = lhs - rhs  # [p, i, k]: upper slot, then the derivative slot k
+    C = -_conn_eq_exprs(conn, eta).evaluate_many(pts)  # [p, i, r, s] = (L_eta Gamma)^i_rs
+    W = w.evaluate_many(pts)
+    if r == 1:
+        want = np.einsum("pikj,pj->pik", C, W)
+    else:
+        want = -np.einsum("pjki,pj->pik", C, W)
+    assert np.max(np.abs(comm)) >= 0.1
+    assert np.max(np.abs(comm - want)) <= 1e-12 * np.max(np.abs(comm))
+
+
 def test_full_equation_consistent_with_reduced_for_scalar_a():
     # with A = a * id constant, the A-weighted equation is a times the
     # reduced one; check the residual expressions agree componentwise

@@ -5,11 +5,13 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-Each command and demo runs in a fresh interpreter with PYTHONPATH=SRC_DIR, so
-two checkouts (say the parent commit and a change) can be compared from one
-place.  The demos are those of the checkout that holds SRC_DIR, in
-SRC_DIR/../demos.  `flatten` on constcurv_n3.json is slow (minutes) on older
-trees.
+Each record holds the exit code, stdout, last error line, whether a traceback
+was printed and, for a command with output, whether its stdout is strict JSON
+("strict_json": no NaN or Infinity).  Each command and demo runs in a fresh
+interpreter with PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit
+and a change) can be compared from one place.  The demos are those of the
+checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
+constcurv_n3.json is slow (minutes) on older trees.
 """
 
 import json
@@ -67,6 +69,19 @@ def demos(src):
             yield "demo " + name, [os.path.join(folder, name)]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """True when text parses as JSON with no NaN or Infinity."""
+    try:
+        json.loads(text, parse_constant=_reject_constant)
+    except ValueError:
+        return False
+    return True
+
+
 def run(src, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("AFFSYM_SEED", None)
@@ -81,6 +96,10 @@ def run(src, out_path):
             "stdout": proc.stdout,
             "error": errors[-1] if errors else None,
             "traceback": "Traceback" in proc.stderr,
+            # a CLI report must be JSON without NaN or Infinity; demos print text
+            "strict_json": (
+                strict_json(proc.stdout) if proc.stdout and not key.startswith("demo ") else None
+            ),
             "seconds": round(time.perf_counter() - t0, 2),
         }
         print(key, proc.returncode, record[key]["seconds"], flush=True)
