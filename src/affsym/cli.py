@@ -65,6 +65,7 @@ from .symmetry import (
     determining_residuals,
     invariance_suite,
     pointwise_symmetry_bound,
+    pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, grad, sym_matrix_inverse
 from .util import sample_points
@@ -565,9 +566,10 @@ def cmd_report(args):
         },
     }
     out["classify"], ok = _classified(sysd.conn, pts)
+    bounds = pointwise_symmetry_bounds(sysd, pts[0], 2, curv)
     out["pointwise_bound"] = {
-        "depth_1": pointwise_symmetry_bound(sysd, pts[0], 1),
-        "depth_2": pointwise_symmetry_bound(sysd, pts[0], 2),
+        "depth_1": bounds[1],
+        "depth_2": bounds[2],
         "point": [float(v) for v in pts[0]],
     }
     return out, 0 if ok else 2

@@ -42,6 +42,7 @@ __all__ = [
     "VectorField",
     "vf_commutator",
     "lie_derivative",
+    "lie_terms",
     "fn_bracket",
     "nijenhuis",
     "nijenhuis_classical",
@@ -77,26 +78,37 @@ def vf_commutator(x, y):
     return VectorField(n, fold(ZERO, (ADD, xdy), (SUB, ydx)))
 
 
+def lie_terms(w, dw, eta, deta, r, add=np.add, sub=np.subtract, mul=np.multiply):
+    """L_eta W of a (r,s) field from W, dW, eta and d eta under elementwise
+    add, sub and mul: numpy's ufuncs on floats give its values (an overflow
+    gives inf, silently), ADD/SUB/MUL on Expr arrays ``lie_derivative``'s
+    trees.  Arrays lead with a batch axis p: w[p, slots], dw[p, slots, k]
+    = dW/dy^k, eta[p, k], deta[p, i, k] = d eta^i/dy^k.  eta^k dW/dy^k is
+    folded over k from its first term, then slot by slot -W^{..k..} d_k eta^c
+    (upper slot c) or +W_{..k..} d_c eta^k (lower slot c)."""
+    slots = string.ascii_uppercase[: w.ndim - 1]
+    out = "p" + slots + "k"
+    with np.errstate(all="ignore"):
+        transport = mul(bcast(eta, "pk", out), dw)
+        total = fold(transport[..., 0], (add, transport[..., 1:]))
+        for a, c in enumerate(slots):
+            dc = bcast(deta, "p" + c + "k", out) if a < r else bcast(deta, "pk" + c, out)
+            terms = mul(bcast(w, "p" + slots.replace(c, "k"), out), dc)
+            total = fold(total, (sub if a < r else add, terms))
+    return total
+
+
 def lie_derivative(eta, w):
     """Coordinate Lie derivative of a (r,s) tensor field along eta, any
-    (1,0) field.
+    (1,0) field: the trees of ``lie_terms`` over the components.
 
     Transport term plus -d(eta) contractions on upper slots and +d(eta)
     contractions on lower slots; on scalars it is the directional derivative.
     """
     if eta.valence != (1, 0):
         raise ValueError("expected a (1,0) field")
-    n = w.n
-    deta = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
-    total = ADD.reduce(MUL(eta.comps, grad(w.comps, n)), axis=-1)
-    slots = string.ascii_uppercase[: w.r + w.s]
-    out = slots + "k"
-    for a, c in enumerate(slots):
-        # upper slot: - W^{..k..} d_k eta^{c}; lower slot: + W_{..k..} d_{c} eta^k
-        dc = bcast(deta, c + "k", out) if a < w.r else bcast(deta, "k" + c, out)
-        terms = MUL(bcast(w.comps, slots.replace(c, "k"), out), dc)
-        total = fold(total, (SUB if a < w.r else ADD, terms))
-    return TensorField(n, w.r, w.s, total)
+    jet = (w.comps, grad(w.comps, w.n), eta.comps, grad(eta.comps, w.n))
+    return TensorField(w.n, w.r, w.s, lie_terms(*(a[None] for a in jet), w.r, ADD, SUB, MUL)[0])
 
 
 # ---------------------------------------------------------------------------

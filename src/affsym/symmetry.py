@@ -21,14 +21,13 @@ Acceptance is residual-based at sample points, not a symbolic proof.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ZERO, compile_exprs, coord, eval_many_shared
+from .expr import ZERO, ExprError, compile_exprs, coord, eval_many_shared
 from .geometry import covariant_differential, curvature, ricci_and_s
-from .liefn import VectorField, lie_derivative
+from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, partial_differential
 from .util import max_report, sample_points
@@ -47,6 +46,7 @@ __all__ = [
     "classify",
     "degeneration_bound",
     "pointwise_symmetry_bound",
+    "pointwise_symmetry_bounds",
     "invariance_suite",
 ]
 
@@ -299,32 +299,33 @@ def classify(conn, sample=None):
     )
 
 
+def _jet_values(arrays, pts):
+    """Values of Expr arrays at points (P, n), or one point (n,), from one
+    checked walk over all their components: a list of float arrays of
+    shape (P,) + each array's shape (P = 1 at one point)."""
+    vals = np.stack(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True), -1)
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    return [v.reshape((-1,) + a.shape) for a, v in zip(arrays, np.split(vals, cuts, axis=1))]
+
+
 def _lie_rows(field, p0):
     """The linearized Lie derivative of a tensor field W at p0: one row per
     component of W, in row-major order, over the unknowns eta^k (columns
     0..n-1) and F^i_k = d eta^i/dy^k (column n + i*n + k), so that
     row . (eta(p0), F(p0)) is (L_eta W)(p0).
 
-    Each row holds the terms of ``liefn.lie_derivative``: eta^k dW/dy^k,
-    -W^{..k..} F^c_k for an upper slot c and +W_{..k..} F^k_c for a lower
-    one.  An F entry sums its terms from +0.0 over k in turn, slot by slot
-    for each k (``fold``); the Kronecker factors only place them.
+    W and dW/dy at p0 come from one checked walk (a non-finite value raises
+    DomainError naming the node); column j is ``liefn.lie_terms``, the body
+    of ``lie_derivative``, on them with (eta, F) the j-th basis 1-jet, and a
+    row that overflows raises ExprError.
     """
-    n, slots = field.n, string.ascii_uppercase[: field.r + field.s]
-    W = field.evaluate(p0)
-    # partial_differential puts the derivative slot k right after the upper slots
-    dW = np.moveaxis(partial_differential(field).evaluate_many(p0)[0], field.r, -1)
-    eye, out = np.eye(n), slots + "abk"  # the row's slots, then F^a_b, then k
-    parts = []
-    for pos, c in enumerate(slots):
-        w = bcast(W, slots.replace(c, "k"), out)
-        if pos < field.r:  # a = c, b = k
-            parts.append((np.subtract, w * bcast(eye, c + "a", out) * bcast(eye, "kb", out)))
-        else:  # a = k, b = c
-            parts.append((np.add, w * bcast(eye, "ka", out) * bcast(eye, c + "b", out)))
-    F = fold(np.zeros(W.shape + (n, n)), *parts)
-    # the eta block is summed from +0.0 too, so a -0.0 derivative reads +0.0
-    return np.concatenate([0.0 + dW.reshape(-1, n), F.reshape(-1, n * n)], axis=1)
+    n = field.n
+    w, dw = _jet_values([field.comps, grad(field.comps, n)], p0)
+    basis = np.eye(n + n * n)
+    lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), field.r)
+    if not np.isfinite(lie).all():  # a rank of inf or nan entries reads 0
+        raise ExprError("the linearized Lie derivative overflows at the point")
+    return lie.reshape(n + n * n, -1).T
 
 
 def pointwise_symmetry_bound(sys, p0, depth=2):
@@ -339,14 +340,22 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
+    return pointwise_symmetry_bounds(sys, p0, depth)[depth]
+
+
+def pointwise_symmetry_bounds(sys, p0, depth=2, curv=None):
+    """``pointwise_symmetry_bound`` at every depth 0..depth, as a list, from
+    one stack of rows: the rows of a depth are a prefix of those of the
+    next.  curv, when given, is the curvature of sys.conn."""
     n = sys.n
-    p0 = np.asarray(p0, dtype=float)
     fields = [sys.A]
     if depth >= 1:
-        fields.append(curvature(sys.conn))
+        curv = curvature(sys.conn) if curv is None else curv
+        fields.append(curv)
     if depth >= 2:
-        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
-    return n * n + n - _matrix_rank(np.concatenate([_lie_rows(f, p0) for f in fields]))
+        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn, curv)["ricci"]))
+    rows = [_lie_rows(f, p0) for f in fields]
+    return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +363,13 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
 # ---------------------------------------------------------------------------
 
 
-def _lie_max(eta, field, pts):
-    return max_report(lie_derivative(eta, field).evaluate_many(pts), pts)
-
-
 def invariance_suite(sys, eta, pts=None):
     """Residual suite for the geometric consequences of a point symmetry:
     vanishing Lie derivatives of the curvature tensor, the Ricci tensor, the
     S field and nabla(Ricci), and of the connection itself.
+
+    The four tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the
+    formula of ``lie_derivative``) on values from one checked walk.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -380,12 +388,10 @@ def invariance_suite(sys, eta, pts=None):
     conn = sys.conn
     curv = curvature(conn)
     parts = ricci_and_s(conn, curv)
-    return {
-        "lie_curvature": _lie_max(eta, curv, pts),
-        "lie_ricci": _lie_max(eta, parts["ricci"], pts),
-        "lie_s": _lie_max(eta, parts["s"], pts),
-        "lie_nabla_ricci": _lie_max(
-            eta, covariant_differential(conn, parts["ricci"]), pts
-        ),
-        "lie_gamma": max_report(_conn_eq_exprs(conn, eta).evaluate(pts), pts),
-    }
+    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci", "lie_gamma")
+    fields = (curv, parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
+    jets = [_conn_eq_exprs(conn, eta).comps, eta.comps, grad(eta.comps, n)]
+    jets += [a for f in fields for a in (f.comps, grad(f.comps, n))]
+    gamma, e, de, *vals = _jet_values(jets, pts)
+    lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
+    return {key: max_report(v, pts) for key, v in zip(keys, lies + [gamma])}

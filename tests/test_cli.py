@@ -4,16 +4,17 @@ divergence-form expansion."""
 import glob
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from affsym import cli
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
-from affsym.expr import parse_expr
+from affsym.expr import DomainError, parse_expr
 from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
-from affsym.symmetry import flow
+from affsym.symmetry import flow, pointwise_symmetry_bound
 from affsym.pdesim import evolve, make_grid
 from affsym.util import sample_points
 
@@ -315,6 +316,69 @@ def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comma
     extra = {"check-symmetry": ["--eta=1,0"]}.get(command, [])
     assert main([command, str(path), *extra]) == 1
     assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["bound", "--depth", "1"], ["bound", "--depth", "2"], ["check-symmetry", "--eta=0,1"]]
+)
+def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
+    # Gamma^1_22 is finite at y1 = 1 and so are R and its first derivatives
+    # but one: d2 Gamma^1_22/dy1^2 = 0.1*exp(700)*700*700 overflows.  The
+    # bound rows and the invariance suite walk dW checked, so eta^1 = 0
+    # (a ZERO factor in the tree of L_eta W) does not hide it.
+    doc = _flat_doc(
+        Gamma={"1": [["0", "0"], ["0", "0.1*exp(700*y1)"]], "2": [["0", "0"], ["0", "0"]]},
+        sample=[[1.0, 0.0]],
+    )
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", "error: non-finite value: exp(700*y1)*700*700\n")
+    with pytest.raises(DomainError):
+        pointwise_symmetry_bound(SystemDocument.load(str(path)).to_system(), [1.0, 0.0], 1)
+
+
+def test_overflow_in_the_bound_rows_exits_1(tmp_path, capsys):
+    # R ~ 1.4e308 and dR ~ 1e154 are finite at the point, but a row of the
+    # linearized L_eta R adds two curvature components
+    big = "1.2e154 + y2"
+    doc = _flat_doc(
+        Gamma={"1": [["0", big], [big, "0"]], "2": [["1.2e154 + y1", "0"], ["0", "0"]]},
+        sample=[[0.1, 0.2]],
+    )
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", str(path), "--depth", "1"]) == 1
+    expected = "error: the linearized Lie derivative overflows at the point\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_overflow_in_the_invariance_suite_exits_1(tmp_path, capsys):
+    # dGamma^1_22/dy1 = 2*y1*exp(y2) vanishes at y1 = 0, so the translation
+    # eta = (1e308, 0) passes both determining equations; dR/dy1 does not
+    # vanish, and eta^1 dR/dy1 overflows in L_eta R
+    doc = _flat_doc(
+        Gamma={"1": [["0", "0"], ["0", "y1^2*exp(y2)"]], "2": [["0", "0"], ["0", "0"]]},
+        sample=[[0.0, 0.1]],
+    )
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check-symmetry", str(path), "--eta=1e308,0"]) == 1
+    assert capsys.readouterr() == ("", "error: report value inf is not finite\n")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_report_bounds_are_the_pointwise_bounds(capsys, name):
+    code, data = run(capsys, "report", fixture(name))
+    assert code in (0, 2)
+    doc = SystemDocument.load(fixture(name))
+    sysd, p0 = doc.to_system(), doc._points[0]
+    for d in (1, 2):
+        assert data["pointwise_bound"][f"depth_{d}"] == pointwise_symmetry_bound(sysd, p0, d)
 
 
 def test_exit_code_1_on_unrepresentable_numbers(tmp_path, capsys):

@@ -36,7 +36,7 @@ from affsym.symmetry import (
     _lie_rows,
 )
 from affsym.tensor import PointMap, TensorField, partial_differential
-from affsym.util import sample_points
+from affsym.util import max_report, sample_points
 
 from test_geometry import constcurv_connection, intermediate_connection
 
@@ -431,6 +431,60 @@ def test_lie_gamma_is_res_gamma_for_nondegenerate_a():
     # a field that is no symmetry drags the connection by O(1)
     eta = VectorField.from_strings(3, ["y1^2", "y2*y3", "sin(y1)"])
     assert invariance_suite(sysd, eta)["lie_gamma"].max_abs > 0.1
+
+
+SUITE_SPECS = {
+    f"{kind}_n{n}": CanonicalSpec(kind, n=n, **kw)
+    for n in (2, 3)
+    for kind, kw in (
+        ("maximal_7_11", {}),
+        ("intermediate_17_19", {"m": 1, "u": ("y1",)}),
+        ("intermediate_potential_17_24", {"m": 1, "psi": "y1^2/2"}),
+        ("constcurv_22_13", {}),
+        ("constcurv_2d_22_14", {}),
+    )
+    if kind != "constcurv_2d_22_14" or n == 2
+}
+
+
+def _suite_symmetry(sysd):
+    """The first translation, rotation or scaling that sysd admits."""
+    n = sysd.n
+    candidates = [["1" if k == i else "0" for k in range(n)] for i in range(n)]
+    candidates += [["-y2", "y1"] + ["0"] * (n - 2)] if n >= 2 else []
+    candidates += [[f"y{k + 1}" for k in range(n)]]
+    for comps in candidates:
+        eta = VectorField.from_strings(n, comps)
+        if is_symmetry(sysd, eta):
+            return eta
+    raise AssertionError("no candidate symmetry")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))
+def test_invariance_suite_equals_the_lie_derivative_trees(name):
+    # the suite evaluates liefn.lie_terms on values; the trees of
+    # lie_derivative are its oracle, to the bit where it matters: the
+    # maximum and where it sits
+    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else _chart_system(name)
+    n, conn = sysd.n, sysd.conn
+    pts = sample_points(n, 20)
+    curv = curvature(conn)
+    parts = ricci_and_s(conn, curv)
+    fields = {
+        "lie_curvature": curv,
+        "lie_ricci": parts["ricci"],
+        "lie_s": parts["s"],
+        "lie_nabla_ricci": covariant_differential(conn, parts["ricci"]),
+    }
+    moving = VectorField.from_strings(n, ["y1^2", "sin(y1)", f"y1*y{n}"][:n])
+    for eta in (_suite_symmetry(sysd), moving):
+        suite = invariance_suite(sysd, eta, pts)
+        for key, W in fields.items():
+            want = max_report(lie_derivative(eta, W).evaluate_many(pts), pts)
+            got = suite[key]
+            assert got.max_abs == want.max_abs, (key, got.max_abs, want.max_abs)
+            assert got.argmax_point == want.argmax_point, key
+            assert got.argmax_component == want.argmax_component, key
 
 
 @pytest.mark.parametrize(
