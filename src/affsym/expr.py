@@ -7,8 +7,14 @@ points.  Unchecked, it returns IEEE 754's inf or nan outside the real
 domain; with ``checked=True`` numpy's IEEE exception flags (IEEE 754-2019,
 section 7) are raised as errors, and the first node to leave the finite
 reals raises DomainError naming it.  ``eval_expr`` is that checked walk at
-one point.  No walk recurses: all run over the iterative ``_postorder`` or,
-for derivatives, an explicit stack, so depth is limited by memory alone.
+one point.  With ``jets=True`` the same walk also carries each node's first
+derivatives in forward mode and returns each root's gradient, bitwise what
+walking the roots' diff_expr trees returns, without building those trees;
+a derivative that leaves the finite reals raises DomainError ("non-finite
+derivative") naming its node, and a caller that must report the trees'
+own error walks the trees after that.  No walk recurses: all run over the
+iterative ``_postorder`` or, for derivatives, an explicit stack, so depth is
+limited by memory alone.
 
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
@@ -267,6 +273,7 @@ def const(v):
 ZERO = const(0.0)
 ONE = const(1.0)
 _MINUS_ONE = const(-1.0)
+_TWO = const(2.0)
 
 
 def coord(i):
@@ -502,9 +509,12 @@ def eval_many(e, points):
     return eval_many_shared([e], points)[0]
 
 
-def eval_many_shared(exprs, points, *, checked=False):
+def eval_many_shared(exprs, points, *, checked=False, jets=False):
     """Evaluate a flat sequence of expressions at points of shape (P, n) (or
     one point of shape (n,)); returns a list of (P,) arrays in input order.
+    With ``jets=True`` it returns the pair (values, gradients): the same list
+    and, per root, its first derivatives d/dy^1..d/dy^n as a (P, n) array,
+    carried through the one walk in forward mode (see _jet).
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
@@ -512,21 +522,23 @@ def eval_many_shared(exprs, points, *, checked=False):
     out-of-domain inputs yield inf/nan per IEEE semantics (callers probing
     residuals assert finiteness instead).  Checked, the walk raises
     DomainError on the first node, in left-to-right postorder, whose value is
-    not finite at some point (see _walk).
+    not finite at some point (see _walk); with jets, on the first node whose
+    value or whose derivatives are not (the latter as "non-finite
+    derivative").
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
     sequence and runs its generated code, unchecked; it returns one (R, P)
     array, and also takes one point as a list of Python floats (see
     Program.run).
     """
-    if isinstance(exprs, Program) and not checked:
+    if isinstance(exprs, Program) and not checked and not jets:
         return exprs.run(points)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    return _walk(exprs, pts, checked)
+    return _walk(exprs, pts, checked, jets)
 
 
-def _walk(exprs, pts, checked):
+def _walk(exprs, pts, checked, jets=False):
     """The interpreted walk behind eval_many_shared, over points (P, n).
 
     Checked, it runs with numpy's floating-point flags raised as errors
@@ -534,10 +546,14 @@ def _walk(exprs, pts, checked):
     exactly when its operation raises a flag, so the node being computed
     when FloatingPointError arrives is the first out of the domain.
     Coordinates are checked to be finite, and constants are finite already.
+    With jets, each node's derivatives follow its value (see _jet) and are
+    dropped with it.
     """
     order, uses = _postorder(exprs)
     vals = {}
+    grads = {}
     dim = pts.shape[1]
+    npts = pts.shape[0]
     try:
         with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
             for node in order:
@@ -545,7 +561,9 @@ def _walk(exprs, pts, checked):
                 args = node.args
                 if not args:
                     if op == "const":
-                        vals[node] = np.full(pts.shape[0], node.value)
+                        vals[node] = np.full(npts, node.value)
+                        if jets:
+                            grads[node] = (ZERO,) * dim
                         continue
                     if node.index > dim:
                         raise ExprError(
@@ -554,6 +572,8 @@ def _walk(exprs, pts, checked):
                     x = vals[node] = pts[:, node.index - 1]
                     if checked and not np.isfinite(x).all():
                         raise DomainError("non-finite value", node)
+                    if jets:
+                        grads[node] = tuple(ONE if k == node.index else ZERO for k in range(1, dim + 1))
                     continue
                 x = vals[args[0]]
                 if op == "mul":
@@ -571,16 +591,193 @@ def _walk(exprs, pts, checked):
                     out = x ** (float(k) if isinstance(k, Fraction) else k)
                 else:
                     out = _VEC_FUNCS[op](x)
+                vals[node] = out
+                if jets:
+                    try:
+                        grads[node] = _jet(node, vals, grads, npts)
+                    except FloatingPointError:
+                        raise DomainError("non-finite derivative", node) from None
                 for a in args:
                     left = uses[a] - 1
                     if left:
                         uses[a] = left
                     else:
                         del vals[a]
-                vals[node] = out
+                        if jets:
+                            del grads[a]
     except FloatingPointError:
         raise DomainError(_fault(node, [vals[a] for a in node.args]), node) from None
-    return [vals[e] for e in exprs]
+    values = [vals[e] for e in exprs]
+    if not jets:
+        return values
+    return values, [_gradient(grads[e], npts) for e in exprs]
+
+
+# Forward mode: each node's derivatives d/dy^1..d/dy^n ride along with its
+# value (Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008, ch. 3).
+# Each derivative is an entry that stands for the tree diff_expr would build:
+# the constant node where that tree is one (ZERO, ONE, a folded constant), an
+# array of its values otherwise.  The _j* helpers are the smart constructors
+# on entries: they fold and simplify exactly where add, sub, mul, div, neg,
+# powi and func do (a constant denominator is squared by powi, with Python's
+# c**2), and otherwise apply the node's operation to arrays, as the walk of
+# the tree does.  So _jet repeats _diff_node term for term, and each
+# derivative is bitwise the walk of its tree, signed zeros included.  A node
+# whose n entries are all arrays keeps them as one (n, P) block, and each
+# rule runs once on the block: elementwise, that is the same operations.
+# A flag comes from a node the trees have or, rarely, from a term they fold
+# away; callers that need the trees' exact error then walk the trees.
+
+
+def _entry(node, vals):
+    """A node as a derivative entry: itself if constant, else its values."""
+    return node if node.op == "const" else vals[node]
+
+
+def _gradient(d, npts):
+    """A root's derivatives as a (P, n) array."""
+    if type(d) is np.ndarray:
+        return d.T
+    return np.stack([np.full(npts, u.value) if isinstance(u, Expr) else u for u in d], axis=1)
+
+
+def _jadd(x, y):
+    if isinstance(x, Expr):
+        if isinstance(y, Expr):
+            return add(x, y)
+        return y if x is ZERO else x.value + y
+    if isinstance(y, Expr):
+        return x if y is ZERO else x + y.value
+    return x + y
+
+
+def _jsub(x, y):
+    if isinstance(y, Expr):
+        if isinstance(x, Expr):
+            return sub(x, y)
+        return x if y is ZERO else x - y.value
+    if isinstance(x, Expr):
+        return -y if x is ZERO else x.value - y
+    return x - y
+
+
+def _jmul(x, y):
+    if isinstance(x, Expr):
+        if isinstance(y, Expr):
+            return mul(x, y)
+        if x is ZERO:
+            return ZERO
+        if x is ONE:
+            return y
+        return -y if x is _MINUS_ONE else x.value * y
+    if isinstance(y, Expr):
+        if y is ZERO:
+            return ZERO
+        if y is ONE:
+            return x
+        return -x if y is _MINUS_ONE else x * y.value
+    return x * y
+
+
+def _jneg(x):
+    return neg(x) if isinstance(x, Expr) else -x
+
+
+def _jdiv(x, y, npts):
+    if isinstance(y, Expr):
+        if isinstance(x, Expr):
+            out = div(x, y)
+            return out if out.op == "const" else np.full(npts, x.value) / y.value
+        return x if y is ONE else x / y.value
+    if isinstance(x, Expr):
+        return ZERO if x is ZERO else x.value / y
+    return x / y
+
+
+def _jpowi(x, k, npts):
+    """powi on an entry; a constant base folds with Python's ``c**k``, as
+    powi does, and raises its ExprError when that overflows."""
+    if isinstance(x, Expr):
+        out = powi(x, k)
+        if out.op == "const":
+            return out
+        x = np.full(npts, x.value)  # a power powi leaves for evaluation
+    elif k == 1:
+        return x
+    return x ** (float(k) if isinstance(k, Fraction) else k)
+
+
+def _jfunc(name, x, npts):
+    if isinstance(x, Expr):
+        out = func(name, x)
+        if out.op == "const":
+            return out
+        x = np.full(npts, x.value)
+    return _VEC_FUNCS[name](x)
+
+
+def _each(rule, d, e=None):
+    """``rule`` over a node's derivatives ``d`` (and ``e``, its second
+    argument's): once on the (n, P) blocks when both are blocks, the rule
+    then being elementwise numpy operations, else entry by entry, the
+    result packed into a block when no entry is a constant node."""
+    if e is None:
+        if type(d) is np.ndarray:
+            return rule(d)
+        out = [rule(u) for u in d]
+    elif type(d) is np.ndarray and type(e) is np.ndarray:
+        return rule(d, e)
+    else:
+        out = [rule(u, v) for u, v in zip(d, e)]
+    for u in out:
+        if isinstance(u, Expr):
+            return out
+    return np.array(out)
+
+
+def _jet(node, vals, grads, npts):
+    """The derivatives of a node with arguments, from its value, its
+    arguments' values and their derivatives: _diff_node's rule for each
+    y^i, on the entries of _jadd and the others above."""
+    op = node.op
+    args = node.args
+    d = grads[args[0]]
+    if op == "add":
+        return _each(_jadd, d, grads[args[1]])
+    if op == "sub":
+        return _each(_jsub, d, grads[args[1]])
+    if op == "neg":
+        return _each(_jneg, d)
+    a = _entry(args[0], vals)
+    if op == "mul":
+        b = _entry(args[1], vals)
+        return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, grads[args[1]])
+    if op == "div":
+        b = _entry(args[1], vals)
+        den = _jpowi(b, 2, npts)
+        rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, npts)
+        return _each(rule, d, grads[args[1]])
+    if op == "ln":
+        return _each(lambda u: _jdiv(u, a, npts), d)
+    if op == "exp":
+        e = vals[node]
+        return _each(lambda u: _jmul(e, u), d)
+    kc = const(float(node.value)) if op == "pow" else None  # built, and checked, in every tree
+    if type(d) is not np.ndarray and all(u is ZERO for u in d):
+        return d  # each rule below is a product with d/dy^i, which folds to ZERO
+    if op == "pow":
+        factor = _jmul(kc, _jpowi(a, node.value - 1, npts))
+        return _each(lambda u: _jmul(factor, u), d)
+    if op == "sqrt":
+        den = _jmul(_TWO, vals[node])
+        return _each(lambda u: _jdiv(u, den, npts), d)
+    if op == "sin":
+        c = _jfunc("cos", a, npts)
+        return _each(lambda u: _jmul(c, u), d)
+    if op == "cos":
+        s = _jfunc("sin", a, npts)
+        return _each(lambda u: _jneg(_jmul(s, u)), d)
+    raise ExprError(f"cannot differentiate node {op!r}")
 
 
 def _fault(node, args):

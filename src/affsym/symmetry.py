@@ -29,7 +29,7 @@ from .expr import ZERO, ExprError, compile_exprs, coord, eval_many_shared
 from .geometry import covariant_differential, curvature, ricci_and_s
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
-from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, partial_differential
+from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad
 from .util import max_report, sample_points
 
 __all__ = [
@@ -206,14 +206,16 @@ class LinearizationMatrix:
 
 
 def linearization(eta, p0):
-    """d(eta)/dy at p0, which must be stationary: |eta(p0)| <= 1e-10."""
+    """d(eta)/dy at p0, which must be stationary: |eta(p0)| <= 1e-10.
+
+    eta and its derivatives come from one checked walk (``_jets``): one
+    that is not finite at p0 raises DomainError naming its node."""
     p0 = np.asarray(p0, dtype=float)
-    v = eta.evaluate(p0)
+    v, F = (a[0] for a in _jets([eta.comps], p0, eta.n))  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
             f"point is not stationary: |eta| = {np.max(np.abs(v)):.3e} exceeds 1e-10"
         )
-    F = partial_differential(eta).evaluate_many(p0)[0]  # F[i, j] = d eta^i / dy^j
     return LinearizationMatrix(point=p0, F=F)
 
 
@@ -308,19 +310,46 @@ def _jet_values(arrays, pts):
     return [v.reshape((-1,) + a.shape) for a, v in zip(arrays, np.split(vals, cuts, axis=1))]
 
 
+def _jets(arrays, pts, n, lead=()):
+    """The values of the Expr arrays in ``lead``, then W and dW/dy^1..n of
+    each array W in ``arrays``, at points (P, n) or one point (n,): bitwise
+    the list ``_jet_values([*lead, W0, grad(W0, n), W1, grad(W1, n), ...],
+    pts)``, without building a derivative tree.  The values of ``lead`` come
+    from one checked walk, W and dW from one checked forward-mode walk
+    (``eval_many_shared(..., jets=True)``).
+
+    If either walk faults (a flag, a DomainError, a constant that does not
+    fold), the trees are built and walked in that one list: the walk raises
+    its error, naming its node, or, where the fault was in a term the trees
+    fold away, returns their values."""
+    try:
+        out = _jet_values(lead, pts) if lead else []
+        vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
+    except ExprError:
+        return _jet_values([*lead, *(x for a in arrays for x in (a, grad(a, n)))], pts)
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    vals = np.split(np.stack(vals, -1), cuts, axis=1)
+    grads = np.split(np.stack(grads, 1)[..., :n], cuts, axis=1)
+    for a, v, g in zip(arrays, vals, grads):
+        out += [v.reshape((-1,) + a.shape), g.reshape((-1,) + a.shape + (n,))]
+    return out
+
+
 def _lie_rows(field, p0):
     """The linearized Lie derivative of a tensor field W at p0: one row per
     component of W, in row-major order, over the unknowns eta^k (columns
     0..n-1) and F^i_k = d eta^i/dy^k (column n + i*n + k), so that
     row . (eta(p0), F(p0)) is (L_eta W)(p0).
 
-    W and dW/dy at p0 come from one checked walk (a non-finite value raises
-    DomainError naming the node); column j is ``liefn.lie_terms``, the body
-    of ``lie_derivative``, on them with (eta, F) the j-th basis 1-jet, and a
-    row that overflows raises ExprError.
+    W and dW/dy at p0 come from one checked forward-mode walk (``_jets``,
+    bitwise the walk of W and its derivative trees, which are built only if
+    that walk faults, to raise DomainError naming their node); column j is
+    ``liefn.lie_terms``, the body of ``lie_derivative``, on them with
+    (eta, F) the j-th basis 1-jet, and a row that overflows raises
+    ExprError.
     """
     n = field.n
-    w, dw = _jet_values([field.comps, grad(field.comps, n)], p0)
+    w, dw = _jets([field.comps], p0, n)
     basis = np.eye(n + n * n)
     lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), field.r)
     if not np.isfinite(lie).all():  # a rank of inf or nan entries reads 0
@@ -369,7 +398,10 @@ def invariance_suite(sys, eta, pts=None):
     S field and nabla(Ricci), and of the connection itself.
 
     The four tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the
-    formula of ``lie_derivative``) on values from one checked walk.
+    formula of ``lie_derivative``) on eta, d eta, W and dW/dy from one
+    checked forward-mode walk (``_jets``), which builds no derivative tree
+    unless it faults; then the trees' walk raises its error, naming its
+    node.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -390,8 +422,7 @@ def invariance_suite(sys, eta, pts=None):
     parts = ricci_and_s(conn, curv)
     keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci", "lie_gamma")
     fields = (curv, parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
-    jets = [_conn_eq_exprs(conn, eta).comps, eta.comps, grad(eta.comps, n)]
-    jets += [a for f in fields for a in (f.comps, grad(f.comps, n))]
-    gamma, e, de, *vals = _jet_values(jets, pts)
+    lead = [_conn_eq_exprs(conn, eta).comps]
+    gamma, e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts, n, lead)
     lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
     return {key: max_report(v, pts) for key, v in zip(keys, lies + [gamma])}

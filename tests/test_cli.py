@@ -340,6 +340,23 @@ def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
         pointwise_symmetry_bound(SystemDocument.load(str(path)).to_system(), [1.0, 0.0], 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--depth", "1"], ["bound", "--depth", "2"], ["check-symmetry", "--eta=0,1"], ["report"]],
+)
+def test_constant_denominator_out_of_range_in_a_derivative_exits_1(tmp_path, capsys, argv):
+    # the second derivative of y1^3/1e80 divides by the folded constant
+    # (1e160)^2, which overflows: the same error as building its tree
+    doc = _flat_doc(
+        Gamma={"1": [["0", "0"], ["0", "y1^3/1e80"]], "2": [["0", "0"], ["0", "0"]]},
+        sample=[[0.3, 0.2]],
+    )
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", "error: constant power out of floating-point range\n")
+
+
 def test_overflow_in_the_bound_rows_exits_1(tmp_path, capsys):
     # R ~ 1.4e308 and dR ~ 1e154 are finite at the point, but a row of the
     # linearized L_eta R adds two curvature components

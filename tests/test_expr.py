@@ -39,6 +39,7 @@ from affsym.expr import (
     subst,
     to_string,
 )
+from affsym.geometry import covariant_differential, curvature, ricci_and_s
 from affsym.tensor import TensorField
 from affsym.util import sample_points
 
@@ -417,6 +418,141 @@ def test_eval_many_shared_matches_single_roots(case):
         for p, x in zip(pts, v):
             ref = _reference(root, p)
             assert abs(x - ref) <= 1e-14 * abs(ref), (str(root), p)
+
+
+def _squares_apart(rng, count):
+    """Constants c whose Python square c**2 is not c*c in the last bit."""
+    found = []
+    while len(found) < count:
+        c = float(rng.uniform(0.5, 3.0))
+        if c**2 != c * c:
+            found.append(c)
+    return found
+
+
+def _random_tree(rng, n, depth, odd):
+    """A tree of every operation, kept inside the real domain: ln and sqrt
+    of 2 + t*t and 1 + t*t, non-constant denominators and negative or
+    fractional powers of bases in [0.5, 3]; ``odd`` holds the constant
+    denominators."""
+    if depth == 0:
+        if rng.random() < 0.75:
+            return coord(int(rng.integers(1, n + 1)))
+        return const(round(float(rng.uniform(-2.0, 2.0)), 3))
+    t = _random_tree(rng, n, depth - 1, odd)
+    kind = rng.choice(
+        ["add", "sub", "mul", "div", "cdiv", "neg", "pow", "npow", "fpow",
+         "exp", "ln", "sqrt", "sin", "cos"]
+    )
+    if kind in ("add", "sub", "mul"):
+        return {"add": add, "sub": sub, "mul": mul}[kind](t, _random_tree(rng, n, depth - 1, odd))
+    if kind == "div":
+        u = _random_tree(rng, n, depth - 1, odd)
+        return div(t, add(const(2.0), func("sin", u)))
+    if kind == "cdiv":
+        return div(t, const(odd[int(rng.integers(len(odd)))]))
+    if kind == "neg":
+        return neg(t)
+    if kind == "pow":
+        return powi(t, int(rng.choice([2, 3, 5])))
+    if kind == "npow":
+        return powi(add(const(2.0), func("cos", t)), int(rng.choice([-1, -2, -3])))
+    if kind == "fpow":
+        k = Fraction(int(rng.choice([1, 3, -1, -5])), int(rng.choice([2, 3])))
+        return powi(add(const(1.5), func("sin", t)), k)
+    if kind == "exp":
+        return func("exp", func("sin", t))
+    if kind == "ln":
+        return func("ln", add(const(2.0), mul(t, t)))
+    if kind == "sqrt":
+        return func("sqrt", add(const(1.0), mul(t, t)))
+    return func(kind, t)
+
+
+def _invariant_roots(sysd):
+    """The components of A, R, Ric, S and nabla Ric of a system."""
+    curv = curvature(sysd.conn)
+    parts = ricci_and_s(sysd.conn, curv)
+    nabla = covariant_differential(sysd.conn, parts["ricci"])
+    fields = (sysd.A, curv, parts["ricci"], parts["s"], nabla)
+    return [e for f in fields for e in f.comps.flat]
+
+
+JET_SPECS = {
+    f"{kind}_n{n}": canonical.CanonicalSpec(kind, n=n, **kw)
+    for n in (2, 3, 4)
+    for kind, kw in (
+        ("maximal_7_11", {}),
+        ("intermediate_17_19", {"m": 1, "u": ("y1",)}),
+        ("intermediate_potential_17_24", {"m": 1, "psi": "y1^2/2"}),
+        ("constcurv_22_13", {}),
+        ("constcurv_2d_22_14", {}),
+    )
+    if kind != "constcurv_2d_22_14" or n == 2
+}
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_n1", "random_n2", "random_n3"]
+    + sorted(os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "*.json")))
+    + sorted(JET_SPECS),
+)
+def test_jets_are_bitwise_the_derivative_trees(case):
+    # the forward-mode walk against walking [e, d e/dy^1, ..., d e/dy^n]:
+    # values and derivatives agree to the last bit, signed zeros included
+    if case.startswith("random"):
+        n = int(case[-1])
+        rng = np.random.default_rng(1800 + n)
+        odd = _squares_apart(rng, 4)
+        roots = [_random_tree(rng, n, int(rng.integers(1, 5)), odd) for _ in range(60)]
+        roots += [div(coord(1), const(c)) for c in odd] + [coord(n), const(0.5), neg(coord(1))]
+        # the points where y is 0 and -0 reach the signs of zero terms
+        pts = np.vstack([sample_points(n, 4), [[0.0, -0.0, 0.0][k % 3] for k in range(n)]])
+    else:
+        path = os.path.join(FIXTURES, case)
+        sysd = canonical.build_system(JET_SPECS[case]) if case in JET_SPECS else (
+            SystemDocument.load(path).to_system()
+        )
+        n, roots = sysd.n, _invariant_roots(sysd)
+        pts = sample_points(n, 4)
+    vals, grads = eval_many_shared(roots, pts, checked=True, jets=True)
+    assert len(vals) == len(grads) == len(roots)
+    for e, v, g in zip(roots, vals, grads):
+        want = eval_many_shared([e, *(diff_expr(e, i) for i in range(1, n + 1))], pts, checked=True)
+        assert g.shape == (len(pts), n)
+        assert _hex(v) == _hex(want[0]), str(e)
+        for i in range(n):
+            assert _hex(g[:, i]) == _hex(want[i + 1]), (str(e), i + 1)
+
+
+def test_jets_fold_constant_denominators_as_powi_does():
+    # d(y1^2/c)/dy1 is (y1 + y1)*c / c**2 with powi's folded c**2: take a c
+    # where dividing by c*c instead changes the last bit
+    x = 0.7
+    odd = _squares_apart(np.random.default_rng(7), 200)
+    c = next(c for c in odd if (x + x) * c / c**2 != (x + x) * c / (c * c))
+    _, grads = eval_many_shared([div(mul(coord(1), coord(1)), const(c))], [x], checked=True, jets=True)
+    assert grads[0][0, 0] == (x + x) * c / c**2
+    # a c**2 beyond the float range is powi's error, as building the tree is
+    big = div(powi(coord(1), 3), const(1e200))
+    for walk in (lambda: diff_expr(big, 1), lambda: eval_many_shared([big], [0.3], checked=True, jets=True)):
+        with pytest.raises(ExprError, match="constant power out of floating-point range"):
+            walk()
+
+
+def test_jets_name_the_node_whose_derivative_is_not_finite():
+    # sqrt(y1^2) is 0 at y1 = 0, its derivative divides by 2*sqrt(y1^2) = 0
+    e = func("sqrt", powi(coord(1), 2))
+    with pytest.raises(DomainError, match="non-finite derivative") as info:
+        eval_many_shared([e], [0.0], checked=True, jets=True)
+    assert info.value.subexpr is e
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_many_shared([e, diff_expr(e, 1)], [0.0], checked=True)
 
 
 def test_eval_many_shared_drops_arrays_after_last_use():

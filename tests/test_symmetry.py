@@ -9,7 +9,7 @@ import pytest
 
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument
-from affsym.expr import const, coord, parse_expr
+from affsym.expr import DomainError, const, coord, func, parse_expr, powi
 from affsym.geometry import (
     Connection,
     DiffusionSystem,
@@ -19,7 +19,7 @@ from affsym.geometry import (
     scalar_operator,
     transform_system,
 )
-from affsym.liefn import VectorField, lie_derivative
+from affsym.liefn import VectorField, lie_derivative, lie_terms
 from affsym.symmetry import (
     FlowError,
     RankNotConstantError,
@@ -33,9 +33,12 @@ from affsym.symmetry import (
     is_symmetry,
     linearization,
     pointwise_symmetry_bound,
+    pointwise_symmetry_bounds,
+    _jet_values,
     _lie_rows,
+    _matrix_rank,
 )
-from affsym.tensor import PointMap, TensorField, partial_differential
+from affsym.tensor import PointMap, TensorField, grad, partial_differential
 from affsym.util import max_report, sample_points
 
 from test_geometry import constcurv_connection, intermediate_connection
@@ -200,6 +203,14 @@ def test_linearization_requires_stationary_point():
     eta = VectorField.from_strings(2, ["1", "0"])
     with pytest.raises(ValueError):
         linearization(eta, np.zeros(2))
+
+
+def test_linearization_names_a_derivative_that_is_not_finite():
+    # sqrt(y1^2) is 0 at the stationary point, its derivative 2*y1/(2*0)
+    y1, y2 = coord(1), coord(2)
+    eta = VectorField(2, [func("sqrt", powi(y1, 2)), y2])
+    with pytest.raises(DomainError, match=r"division by zero: 2\*y1/\(2\*sqrt\(y1\^2\)\)"):
+        linearization(eta, [0.0, 0.0])
 
 
 def test_linearization_exact_for_linear_field():
@@ -458,6 +469,31 @@ def _suite_symmetry(sysd):
         if is_symmetry(sysd, eta):
             return eta
     raise AssertionError("no candidate symmetry")
+
+
+def _tree_rows(W, p0):
+    """_lie_rows by the derivative trees: lie_terms on the walk of W and
+    grad(W) at p0, with (eta, F) running over the basis 1-jets."""
+    n = W.n
+    w, dw = _jet_values([W.comps, grad(W.comps, n)], p0)
+    basis = np.eye(n + n * n)
+    lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), W.r)
+    return lie.reshape(n + n * n, -1).T
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))
+def test_lie_rows_equal_the_rows_of_the_derivative_trees(name):
+    # the forward-mode rows against the trees they replace, to the bit
+    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else _chart_system(name)
+    n, conn = sysd.n, sysd.conn
+    p0 = np.array([0.1, -0.2, 0.15][:n])
+    curv = curvature(conn)
+    nabla = covariant_differential(conn, ricci_and_s(conn, curv)["ricci"])
+    rows = [_tree_rows(W, p0) for W in (sysd.A, curv, nabla)]
+    for W, want in zip((sysd.A, curv, nabla), rows):
+        assert _lie_rows(W, p0).tobytes() == want.tobytes()
+    want = [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(3)]
+    assert pointwise_symmetry_bounds(sysd, p0) == want
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))

@@ -49,6 +49,7 @@ def commands():
             ["bound"],
             ["bound", "--depth", "0", "--at", at],
             ["bound", "--depth", "1", "--at", at],
+            ["bound", "--depth", "2", "--at", at],
             ["canonical"],
             ["report"],
             ["flatten"],
