@@ -349,13 +349,17 @@ def powi(a, k):
         return ONE
     if k == 1:
         return a
-    if a.op == "const" and isinstance(k, int):
-        if a.value == 0.0 and k < 0:
-            return _intern("pow", (a,), k)  # defer the domain error to eval
+    if a.op == "const" and isinstance(k, int) and (a.value != 0.0 or k > 0):
         try:
             return const(a.value**k)
         except OverflowError:
             raise ExprError("constant power out of floating-point range") from None
+    # a pow node is evaluated with k as a float (0 ** -k too, whose domain
+    # error evaluation reports)
+    try:
+        float(k)
+    except OverflowError:
+        raise ExprError("exponent out of floating-point range") from None
     return _intern("pow", (a,), k)
 
 
@@ -527,8 +531,7 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False):
     derivative").
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
     sequence and runs its generated code, unchecked; it returns one (R, P)
-    array, and also takes one point as a list of Python floats (see
-    Program.run).
+    array (see Program.run).
     """
     if isinstance(exprs, Program) and not checked and not jets:
         return exprs.run(points)
@@ -846,8 +849,9 @@ class Program(Sequence):
 
     It is a sequence of its roots, and ``eval_many_shared(program, points)``
     returns bitwise what evaluating those roots returns, inf and nan
-    included, as one (R, P) array.  One point runs on Python floats; a call
-    that raises there (division by zero) is redone on arrays.
+    included, as one (R, P) array.  One point runs on Python floats
+    (``at``); a call that raises there (division by zero) is redone on
+    arrays.
     """
 
     def __init__(self, roots, source, constants, numpy_calls):
@@ -871,18 +875,20 @@ class Program(Sequence):
         return self.roots[i]
 
     def run(self, points):
-        """The roots' values as an (R, P) array.  ``points`` has shape
-        (P, n) or (n,), or is one point given as a list of Python floats,
-        which goes to the generated code as it is."""
-        if type(points) is list and points and type(points[0]) is float:
-            x = points
-        else:
-            pts = np.asarray(points, dtype=float)
-            if pts.ndim == 1:
-                pts = pts[None, :]
-            if pts.shape[0] != 1:
-                return self._run_columns(pts.T)
-            x = pts[0].tolist()
+        """The roots' values as an (R, P) array at points of shape (P, n), or
+        at one point of shape (n,), which runs as ``at`` does."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        if pts.shape[0] != 1:
+            return self._run_columns(pts.T)
+        return self.at(pts[0].tolist())[:, None]
+
+    def at(self, x):
+        """The roots' values at one point as an (R,) array.  ``x`` is the
+        point as a list of Python floats, which the generated code runs on
+        as it is; where the floats raise (division by zero), the point is
+        redone on arrays, which give inf or nan."""
         out = [0.0] * len(self.roots)
         try:
             if self._numpy_calls:
@@ -890,10 +896,9 @@ class Program(Sequence):
                     self._scalar(x, out)
             else:
                 self._scalar(x, out)
-            return np.array(out).reshape(-1, 1)
         except (ZeroDivisionError, OverflowError, ValueError):
-            # where Python floats raise, the arrays give inf or nan
-            return self._run_columns(np.array(x, dtype=float)[:, None])
+            return self._run_columns(np.array(x, dtype=float)[:, None]).reshape(-1)
+        return np.array(out)
 
     def _run_columns(self, columns):
         out = np.empty((len(self.roots), columns.shape[1]))

@@ -20,11 +20,16 @@ h, |h|, the minimum step, the error norm and the step factors are Python
 floats: a Python float and a numpy float64 scalar are the same IEEE double
 under the same operation (``math.nextafter`` and ``abs`` are exact,
 ``math.sqrt`` is correctly rounded like ``np.sqrt``, and ``**`` calls the
-same C ``pow``), so their bits match.  Each vector sum is made in place from
-the same BLAS ``dot`` on the same views: ``z = K[:s].T.dot(a); z *= h;
-z += y`` is scipy's ``y + np.dot(K[:s].T, a) * h`` with the operands of the
-commutative IEEE multiply and add swapped.  And |y_new| is computed once,
-for the next step's error scale and for the blow-up guard.  Every run carries
+same C ``pow``), so their bits match; the one place they part, 0.01 / 0 in
+the initial step, gives inf here as on numpy scalars, where a Python float
+would raise.  Each vector sum is made in place from the same BLAS ``dot`` on
+the same views: ``z = K[:s].T.dot(a); z *= h; z += y`` is scipy's ``y +
+np.dot(K[:s].T, a) * h`` with the operands of the commutative IEEE multiply
+and add swapped.  And |y_new| is computed once, for the next step's error
+scale and for the blow-up guard.  What remains per step attempt is the
+right-hand side's own cost (for a Pfaff transport, one run of its compiled
+program at one point and one ``dot``) and about 34 small numpy calls: the
+stage sums, the stores into K, the error scale and norm.  Every run carries
 one blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with
 status 1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that
 carries y beyond it ends the run at its upward crossing, found by bisection
@@ -90,7 +95,9 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        # d1 = 0 with d2 nan: numpy's 0.01 / 0.0 is inf, where Python raises
+        d = max(d1, d2)
+        h1 = (0.01 / d) ** (1 / 5) if d else math.inf
     return min(100 * h0, h1, interval_length)
 
 

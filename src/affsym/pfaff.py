@@ -81,7 +81,8 @@ class PfaffProblem:
     indices 1..k refer to U, k+1..k+n to y.  Restrictions must hold at the
     initial data within 1e-10.  ``rhs_values`` and ``restriction_values``
     compile their roots into a Program on their first call and reuse it, so
-    ``rhs`` and ``restrictions`` must not change after that.
+    ``rhs`` and ``restrictions`` must not change after that.  Each call is
+    one run of that Program at one point (``Program.at``).
     """
 
     def __init__(self, n, k, rhs, p0, u0, restrictions=()):
@@ -104,36 +105,36 @@ class PfaffProblem:
 
     @staticmethod
     def pack(u, y):
-        """The combined-block point (U, y) as a list of Python floats, the
-        form a compiled program runs on without conversion."""
-        return _float_list(u) + _float_list(y)
+        """The combined-block point (U, y) as one list of Python floats, the
+        form a compiled program runs on."""
+        return [*map(float, u), *map(float, y)]
 
     def rhs_values(self, u, y):
+        """G(U, y) as a (k, n) array: one run of the compiled right-hand side
+        at the point (U, y), bitwise what walking ``rhs`` there gives.  A
+        float64 array u with a list y, the form each transport step passes,
+        is joined as ``u.tolist() + y``, so that y must hold Python floats;
+        any other form is converted by ``pack``."""
         if self._rhs_program is None:
             self._rhs_program = compile_exprs(self.rhs.reshape(-1))
-        return eval_many_shared(self._rhs_program, self.pack(u, y)).reshape(self.k, self.n)
+        if type(y) is list and type(u) is np.ndarray and u.dtype is _FLOAT:
+            x = u.tolist() + y
+        else:
+            x = self.pack(u, y)
+        return self._rhs_program.at(x).reshape(self.k, self.n)
 
     def restriction_values(self, u, y):
+        """Phi(U, y) as an (R,) array, run as ``rhs_values`` runs G."""
         if not self.restrictions:
             return np.zeros(0)
         if self._restriction_program is None:
             self._restriction_program = compile_exprs(self.restrictions)
-        return eval_many_shared(self._restriction_program, self.pack(u, y)).reshape(-1)
+        return self._restriction_program.at(self.pack(u, y))
 
 
 _FLOAT = np.dtype(float)
 _PATH_DIMENSION = "path must be a polyline of points of dimension n"
 _RESTRICTION_TOL = 1e-7  # largest restriction drift transport accepts
-
-
-def _float_list(v):
-    """A point as a list of Python floats; a float64 ndarray or a list is
-    converted directly rather than through np.asarray."""
-    if type(v) is list:
-        return list(map(float, v))
-    if type(v) is np.ndarray and v.dtype is _FLOAT:
-        return v.tolist()
-    return np.asarray(v, float).tolist()
 
 
 def pfaff_integrate(prob, path):
@@ -165,7 +166,7 @@ def pfaff_integrate(prob, path):
 
         # y(t) = a + t dy entry by entry on Python floats, as numpy rounds it
         def seg_rhs(t, uvec, ady=list(zip(a.tolist(), dy.tolist())), dy=dy):
-            return prob.rhs_values(uvec, [ai + t * di for ai, di in ady]) @ dy
+            return prob.rhs_values(uvec, [ai + t * di for ai, di in ady]).dot(dy)
 
         sol = solve_ivp(
             seg_rhs, (0.0, 1.0), u, rtol=1e-9, atol=1e-10, dense_output=bool(prob.restrictions)

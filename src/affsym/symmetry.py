@@ -186,7 +186,7 @@ def flow(eta, p, tau):
     program = compile_exprs(eta.comps.reshape(-1))
 
     def rhs(_t, y):
-        return eval_many_shared(program, y.tolist()).reshape(-1)
+        return program.at(y.tolist())
 
     sol = solve_ivp(rhs, (0.0, tau), p, rtol=1e-9, atol=1e-10)
     if sol.status == 1:

@@ -357,6 +357,25 @@ def test_constant_denominator_out_of_range_in_a_derivative_exits_1(tmp_path, cap
     assert capsys.readouterr() == ("", "error: constant power out of floating-point range\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["inspect"], ["curvature"], ["classify"], ["bound"], ["check-symmetry", "--eta=0,1"], ["report"]],
+)
+def test_exponent_beyond_the_float_range_exits_1(tmp_path, capsys, argv):
+    # a 401-digit exponent has no float value, so the document's expression
+    # is a parse error at the '^'
+    power = "y1^1" + "0" * 400
+    doc = _flat_doc(
+        Gamma={"1": [["0", "0"], ["0", power]], "2": [["0", "0"], ["0", "0"]]},
+        sample=[[0.3, 0.2]],
+    )
+    path = tmp_path / "huge_exponent.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    expected = f"error: bad expression {power!r}: exponent out of floating-point range (at offset 2)\n"
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_overflow_in_the_bound_rows_exits_1(tmp_path, capsys):
     # R ~ 1.4e308 and dR ~ 1e154 are finite at the point, but a row of the
     # linearized L_eta R adds two curvature components

@@ -174,18 +174,27 @@ def test_simulate_cli_compiles_once(monkeypatch, capsys):
 
 
 def test_tracer_collects_program_roots():
+    # the evaluator hook reads a compiled Program as the sequence of its
+    # roots (the simulator's coefficients); a transport runs its Program at
+    # one point directly, one pfaff.rhs span per evaluation, and hands the
+    # evaluator nothing
     spec = importlib.util.spec_from_file_location("perfbench_instrument", INSTRUMENT)
     inst = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inst)
     prob = named_problem("covector_14")
+    sysd = pdesim.heisenberg_system()
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3 * sysd.n, 8))  # u, u_x, u_xx
     tracer = inst.Tracer(timing=False, collect_roots=True)
     tracer.install()  # the first rhs call compiles, inside the traced span
     try:
         pfaff.transport_to(prob, [0.05, -0.05])
+        assert tracer.calls["pfaff.rhs"] > 0 and tracer.calls["expr.eval"] == 0
+        coeffs = pdesim._coeff_evaluators(sysd)
+        coeffs(rows)
+        coeffs(rows)
     finally:
         tracer.uninstall()
-    calls = tracer.calls["pfaff.rhs"]
-    assert calls > 0 and tracer.calls["expr.eval"] == calls
-    assert tracer.counts["expr.eval.points"] == calls
+    assert tracer.calls["pdesim.coeff"] == tracer.calls["expr.eval"] == 2
+    assert tracer.counts["expr.eval.points"] == 2 * rows.shape[1]
     roots = {id(e) for e in tracer.take_roots()}
-    assert roots == {id(e) for e in prob.rhs.flat}
+    assert roots == {id(e) for e in sysd.coeff_program}

@@ -92,6 +92,28 @@ def test_parse_rejects_exponents_too_long_for_int():
     assert err.value.offset == 5
 
 
+def test_exponent_without_a_float_value_is_an_expression_error():
+    # evaluation takes the exponent as a float, so one beyond the float
+    # range cannot make a pow node; a parse error at the '^'
+    big = 10**400
+    for k in (big, -big, Fraction(big, 3)):
+        with pytest.raises(ExprError, match="exponent out of floating-point range"):
+            powi(coord(1), k)
+    with pytest.raises(ExprError, match="exponent out of floating-point range"):
+        powi(const(0.0), -big)  # 0 ** -k is deferred to evaluation
+    for text in (f"y1^{big}", f"y1 ^ -{big}", f"(y1 + 1)^{big}", f"0^-{big}"):
+        with pytest.raises(ParseError, match="exponent out of floating-point range") as err:
+            parse_expr(text, 1)
+        assert err.value.offset == text.index("^")
+    # constant bases fold as before; a finite float exponent still evaluates
+    for text in (f"1^{big}", f"2^{big}"):
+        with pytest.raises(ParseError, match="constant power out of floating-point range"):
+            parse_expr(text, 1)
+    e = parse_expr("y1^" + "1" + "0" * 308, 1)
+    values = eval_many_shared([e], np.array([[0.5], [1.0], [2.0]]))[0]
+    assert values.tolist() == [0.0, 1.0, math.inf]
+
+
 def test_const_rejects_non_finite_values():
     for v in (float("inf"), float("-inf"), float("nan"), 10**400):
         with pytest.raises(ExprError):

@@ -162,6 +162,23 @@ def test_matches_scipy_rk45_bitwise():
     assert rejected > 0  # the step factor after a rejection is compared too
 
 
+def test_initial_step_with_zero_slope_and_nan_beyond_matches_scipy_rk45():
+    # f(0) = 0 and f is nan for t > 0, so d1 = 0 and d2 = nan: scipy divides
+    # 0.01 by max(d1, d2) = 0 on numpy scalars and starts from h1 = inf
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def fun(t, y):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.array([-0.3 * t])) * -0.3
+
+    with np.errstate(divide="ignore"):
+        want = integrate.solve_ivp(fun, (0.0, 1.0), np.zeros(1), method="RK45", rtol=1e-9, atol=1e-10)
+    got = solve_ivp(fun, (0.0, 1.0), np.zeros(1), 1e-9, 1e-10)
+    assert got.status == want.status == -1
+    assert got.nfev == want.nfev
+    assert _hex(got.t) == _hex(want.t) and _hex(got.y) == _hex(want.y)
+
+
 def test_flow_blowup_guard_raises_typed_error():
     eta = VectorField.from_strings(2, ["y1^2", "0.5*y2"])  # y1 = 1 / (1 - t)
     with pytest.raises(FlowError) as err:

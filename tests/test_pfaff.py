@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from affsym import canonical, pfaff
-from affsym.expr import ZERO, const, coord, parse_expr, powi
+from affsym.expr import ZERO, const, coord, div, eval_many_shared, parse_expr, powi
 from affsym.geometry import Connection, metric_connection, ricci_and_s
 from affsym.ode import solve_ivp
 from affsym.pfaff import (
     PfaffProblem,
     RestrictionDriftError,
+    TransportError,
     compatibility_residual,
     named_system,
     pfaff_integrate,
@@ -168,6 +169,81 @@ def test_transport_matches_scipy_rk45_bitwise(monkeypatch, kind, n):
         want = integrate.solve_ivp(rhs, (0.0, 1.0), prob.u0, method="RK45", rtol=1e-9, atol=1e-10)
         assert _hex(got) == _hex(want.y[:, -1])
         assert runs[-1][1].nfev == want.nfev and _hex(runs[-1][1].t) == _hex(want.t)
+
+
+def frame_problem():
+    """frame_17 on an intermediate geometry: restrictions and dense output."""
+    return named_system("frame_17", conn=intermediate_connection(2, 1), u0=[0.0, 0.0, 0.0, 1.0])
+
+
+def test_each_evaluation_is_one_rhs_values_call(monkeypatch):
+    # what the benchmark's pfaff.rhs.calls counts: one call per solver
+    # evaluation, through every layer a transport runs
+    calls = []
+    original = PfaffProblem.rhs_values
+
+    def counted(self, u, y):
+        calls.append(1)
+        return original(self, u, y)
+
+    monkeypatch.setattr(PfaffProblem, "rhs_values", counted)
+    runs = recording_solver(monkeypatch)
+    problems = [deck_problem(kind, n) for kind, n in DECK_SYSTEMS] + [frame_problem()]
+    for prob in problems:
+        rng = np.random.default_rng(60 + prob.k)
+        path = np.concatenate([[prob.p0], rng.uniform(-0.3, 0.3, size=(2, prob.n))])
+        pfaff_integrate(prob, path)
+    assert len(runs) == 2 * len(problems) and runs[-1][1].sol is not None
+    assert len(calls) == sum(sol.nfev for _, sol in runs) > 0
+
+
+def _array_route(roots, u, y):
+    """The interpreted walk of ``roots`` at the packed point, on arrays."""
+    return np.array(eval_many_shared(list(roots), [PfaffProblem.pack(u, y)]))[:, 0]
+
+
+def test_rhs_falls_back_to_the_array_route_bitwise():
+    # G = [ln(y1) + y2, U/y1].  At y1 = 0 the Python floats raise
+    # ZeroDivisionError and the point is redone on arrays, which give inf or
+    # nan with the sign of a zero kept; ln of a negative float is nan on the
+    # floats' own route, under numpy's errstate
+    rhs = [[parse_expr("ln(y2) + y3", 3), div(coord(1), coord(2))]]
+    prob = PfaffProblem(2, 1, rhs, p0=[0.0, 0.1], u0=[0.0])
+    points = [
+        (prob.u0, prob.p0),  # where a transport from p0 starts
+        (np.array([1.5]), [-0.0, 0.2]),
+        (np.array([1.0]), [-1.0, 0.0]),
+        (np.array([0.5]), [0.3, 0.1]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [prob.rhs_values(u, y) for u, y in points]
+    for (u, y), values in zip(points, got):
+        want = _array_route(prob.rhs.reshape(-1), u, y).reshape(prob.k, prob.n)
+        assert values.shape == (prob.k, prob.n) and _hex(values) == _hex(want)
+    assert got[0][0, 0] == -np.inf and np.isnan(got[0][0, 1])
+    assert got[1][0].tolist() == [-np.inf, -np.inf]
+    assert np.isnan(got[2][0, 0]) and got[2][0, 1] == -1.0
+    assert np.isfinite(got[3]).all()
+
+
+def test_restrictions_are_bitwise_the_array_route():
+    prob = frame_problem()
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        u, y = rng.uniform(-0.4, 0.4, size=prob.k), rng.uniform(-0.4, 0.4, size=prob.n)
+        want = _array_route(prob.restrictions, u, y)
+        assert _hex(prob.restriction_values(u, y)) == _hex(want)
+
+
+def test_transport_with_a_nan_slope_past_the_start_raises():
+    # sqrt(y1) is 0 at the start and nan along the segment: the first step
+    # is h1 = inf, as scipy takes it, and the run ends in step underflow
+    u = [parse_expr("sqrt(y1)", 2), parse_expr("y2", 2)]
+    prob = named_system("potential_17_23", u_field=u, p0=[0.0, 0.1])
+    with pytest.raises(TransportError) as err:
+        transport_to(prob, [-0.3, 0.1])
+    assert err.value.status == -1 and err.value.nfev == 2738
 
 
 def test_constcurv_transport_matches_closed_form():
