@@ -392,9 +392,8 @@ def cmd_inspect(args):
 
 def cmd_curvature(args):
     _doc, sysd, pts = _load(args)
-    curv = curvature(sysd.conn)
-    parts = ricci_and_s(sysd.conn, curv)
-    out = {"points": pts, "curvature": curv.evaluate(pts)}
+    parts = ricci_and_s(sysd.conn)
+    out = {"points": pts, "curvature": curvature(sysd.conn).evaluate(pts)}
     for key in ("ricci", "s", "ricci_sym", "ricci_skew"):
         out[key] = parts[key].evaluate(pts)
     return out, 0
@@ -554,19 +553,18 @@ def cmd_simulate(args):
 
 def cmd_report(args):
     doc, sysd, pts = _load(args)
-    curv = curvature(sysd.conn)
-    parts = ricci_and_s(sysd.conn, curv)
+    parts = ricci_and_s(sysd.conn)
     out = {
         "n": doc.n,
         "gamma_symmetry_residual": doc._gamma_residual,
         "norms": {
-            "curvature": _norm(curv, pts),
+            "curvature": _norm(curvature(sysd.conn), pts),
             "ricci": _norm(parts["ricci"], pts),
             "s": _norm(parts["s"], pts),
         },
     }
     out["classify"], ok = _classified(sysd.conn, pts)
-    bounds = pointwise_symmetry_bounds(sysd, pts[0], 2, curv)
+    bounds = pointwise_symmetry_bounds(sysd, pts[0])
     out["pointwise_bound"] = {
         "depth_1": bounds[1],
         "depth_2": bounds[2],

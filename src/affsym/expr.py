@@ -350,9 +350,15 @@ def powi(a, k):
     if k == 1:
         return a
     if a.op == "const" and isinstance(k, int) and (a.value != 0.0 or k > 0):
+        c = a.value
+        if abs(c) == 1.0:  # by parity: Python's c**k would round an odd k to float
+            return const(c if k % 2 else 1.0)
         try:
-            return const(a.value**k)
+            return const(c**k)
         except OverflowError:
+            # a k without a float value gives 0 where |c**k| shrinks with |k|
+            if (abs(c) < 1.0) == (k > 0):
+                return ZERO
             raise ExprError("constant power out of floating-point range") from None
     # a pow node is evaluated with k as a float (0 ** -k too, whose domain
     # error evaluation reports)
@@ -621,10 +627,11 @@ def _walk(exprs, pts, checked, jets=False):
 # Each derivative is an entry that stands for the tree diff_expr would build:
 # the constant node where that tree is one (ZERO, ONE, a folded constant), an
 # array of its values otherwise.  The _j* helpers are the smart constructors
-# on entries: they fold and simplify exactly where add, sub, mul, div, neg,
-# powi and func do (a constant denominator is squared by powi, with Python's
-# c**2), and otherwise apply the node's operation to arrays, as the walk of
-# the tree does.  So _jet repeats _diff_node term for term, and each
+# on entries: they fold and simplify exactly where add, sub, mul, div, neg
+# and powi do (a constant denominator is squared by powi), and otherwise
+# apply the node's operation to arrays, as the walk of the tree does.  A
+# constant argument's derivatives are all ZERO, so the rules of the unary
+# nodes see only arrays.  So _jet repeats _diff_node term for term, and each
 # derivative is bitwise the walk of its tree, signed zeros included.  A node
 # whose n entries are all arrays keeps them as one (n, P) block, and each
 # rule runs once on the block: elementwise, that is the same operations.
@@ -697,26 +704,15 @@ def _jdiv(x, y, npts):
     return x / y
 
 
-def _jpowi(x, k, npts):
-    """powi on an entry; a constant base folds with Python's ``c**k``, as
-    powi does, and raises its ExprError when that overflows."""
+def _jpowi(x, k):
+    """powi on an entry.  The only constant entry it gets is a division's
+    denominator, squared, which powi always folds (or rejects with its
+    ExprError); an array is raised to k as the walk raises it."""
     if isinstance(x, Expr):
-        out = powi(x, k)
-        if out.op == "const":
-            return out
-        x = np.full(npts, x.value)  # a power powi leaves for evaluation
-    elif k == 1:
+        return powi(x, k)
+    if k == 1:
         return x
     return x ** (float(k) if isinstance(k, Fraction) else k)
-
-
-def _jfunc(name, x, npts):
-    if isinstance(x, Expr):
-        out = func(name, x)
-        if out.op == "const":
-            return out
-        x = np.full(npts, x.value)
-    return _VEC_FUNCS[name](x)
 
 
 def _each(rule, d, e=None):
@@ -757,7 +753,7 @@ def _jet(node, vals, grads, npts):
         return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, grads[args[1]])
     if op == "div":
         b = _entry(args[1], vals)
-        den = _jpowi(b, 2, npts)
+        den = _jpowi(b, 2)
         rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, npts)
         return _each(rule, d, grads[args[1]])
     if op == "ln":
@@ -769,16 +765,16 @@ def _jet(node, vals, grads, npts):
     if type(d) is not np.ndarray and all(u is ZERO for u in d):
         return d  # each rule below is a product with d/dy^i, which folds to ZERO
     if op == "pow":
-        factor = _jmul(kc, _jpowi(a, node.value - 1, npts))
+        factor = _jmul(kc, _jpowi(a, node.value - 1))
         return _each(lambda u: _jmul(factor, u), d)
     if op == "sqrt":
         den = _jmul(_TWO, vals[node])
         return _each(lambda u: _jdiv(u, den, npts), d)
     if op == "sin":
-        c = _jfunc("cos", a, npts)
+        c = np.cos(a)
         return _each(lambda u: _jmul(c, u), d)
     if op == "cos":
-        s = _jfunc("sin", a, npts)
+        s = np.sin(a)
         return _each(lambda u: _jneg(_jmul(s, u)), d)
     raise ExprError(f"cannot differentiate node {op!r}")
 
@@ -849,9 +845,9 @@ class Program(Sequence):
 
     It is a sequence of its roots, and ``eval_many_shared(program, points)``
     returns bitwise what evaluating those roots returns, inf and nan
-    included, as one (R, P) array.  One point runs on Python floats
-    (``at``); a call that raises there (division by zero) is redone on
-    arrays.
+    included, as one (R, P) array, from numpy columns (``run``).  ``at``
+    runs one point on Python floats; a call that raises there (division by
+    zero) is redone on arrays.
     """
 
     def __init__(self, roots, source, constants, numpy_calls):
@@ -876,13 +872,12 @@ class Program(Sequence):
 
     def run(self, points):
         """The roots' values as an (R, P) array at points of shape (P, n), or
-        at one point of shape (n,), which runs as ``at`` does."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[0] != 1:
-            return self._run_columns(pts.T)
-        return self.at(pts[0].tolist())[:, None]
+        at one point of shape (n,) (P = 1), computed on numpy columns."""
+        columns = np.atleast_2d(np.asarray(points, dtype=float)).T
+        out = np.empty((len(self.roots), columns.shape[1]))
+        with np.errstate(all="ignore"):
+            self._array(columns, out)
+        return out
 
     def at(self, x):
         """The roots' values at one point as an (R,) array.  ``x`` is the
@@ -897,14 +892,8 @@ class Program(Sequence):
             else:
                 self._scalar(x, out)
         except (ZeroDivisionError, OverflowError, ValueError):
-            return self._run_columns(np.array(x, dtype=float)[:, None]).reshape(-1)
+            return self.run(x).reshape(-1)
         return np.array(out)
-
-    def _run_columns(self, columns):
-        out = np.empty((len(self.roots), columns.shape[1]))
-        with np.errstate(all="ignore"):
-            self._array(columns, out)
-        return out
 
 
 def compile_exprs(roots):

@@ -59,11 +59,13 @@ class Connection:
     Not a tensor; transforms with an inhomogeneous term (see
     transform_connection).  The coefficients are stored as one (1,2)
     TensorField, ``field``, for storage and evaluation only; gamma[k, r, s]
-    must be symmetric in (r, s).
+    must be symmetric in (r, s), and is not changed once built: the
+    curvature is kept on the connection (``curvature``).
     """
 
     def __init__(self, n, gamma):
         self.field = TensorField(n, 1, 2, gamma)
+        self.curv = None  # the curvature tensor, built by curvature() on first use
 
     @property
     def n(self):
@@ -128,8 +130,13 @@ def scalar_operator(n, a):
 
 
 def curvature(conn):
-    """Curvature tensor of the connection, comps[i, s, r, k] = R^i_srk."""
-    return TensorField(conn.n, 1, 3, _curvature_comps(conn.gamma, grad(conn.gamma, conn.n)))
+    """Curvature tensor of the connection, comps[i, s, r, k] = R^i_srk.
+
+    Built on the first call and kept on the connection (``conn.curv``);
+    every later call returns that same field."""
+    if conn.curv is None:
+        conn.curv = TensorField(conn.n, 1, 3, _curvature_comps(conn.gamma, grad(conn.gamma, conn.n)))
+    return conn.curv
 
 
 def _curvature_comps(G, dG):
@@ -170,14 +177,15 @@ def covariant_differential(conn, w):
     return TensorField(conn.n, w.r, w.s + 1, np.moveaxis(total, -1, w.r))
 
 
-def ricci_and_s(conn, curv=None):
-    """Ricci tensor, the S field, and the symmetric/skew Ricci split.
+def ricci_and_s(conn):
+    """Ricci tensor, the S field, and the symmetric/skew Ricci split, from
+    the connection's curvature (``curvature``, built once per connection).
 
     R_ij = sum_k R^k_ikj and S_ij = sum_k R^k_kij; returns a dict with keys
     ricci, s, ricci_sym, ricci_skew.
     """
     n = conn.n
-    R = curv.comps if curv is not None else curvature(conn).comps
+    R = curvature(conn).comps
     ric = ADD.reduce(np.diagonal(R, 0, 0, 2), axis=-1)  # sum_k R^k_ikj
     sfield = ADD.reduce(np.diagonal(R, 0, 0, 1), axis=-1)  # sum_k R^k_kij
     half = const(0.5)
@@ -255,9 +263,8 @@ def structure_residual(conn, form, pts=None):
         raise ValueError("const_curv_19_14 requires n >= 2")
     if pts is None:
         pts = sample_points(n, 20)
-    curv = curvature(conn)
-    parts = ricci_and_s(conn, curv)
-    Rv = curv.evaluate_many(pts)
+    parts = ricci_and_s(conn)
+    Rv = curvature(conn).evaluate_many(pts)
     rh = parts["ricci_sym"].evaluate_many(pts)
     rt = parts["ricci_skew"].evaluate_many(pts)
 

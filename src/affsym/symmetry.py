@@ -211,7 +211,7 @@ def linearization(eta, p0):
     eta and its derivatives come from one checked walk (``_jets``): one
     that is not finite at p0 raises DomainError naming its node."""
     p0 = np.asarray(p0, dtype=float)
-    v, F = (a[0] for a in _jets([eta.comps], p0, eta.n))  # F[i, j] = d eta^i / dy^j
+    v, F = (a[0] for a in _jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
             f"point is not stationary: |eta| = {np.max(np.abs(v)):.3e} exceeds 1e-10"
@@ -261,11 +261,11 @@ def degeneration_bound(n, m):
     return n * (n + 1 - m) + (m * (m - 1)) // 2
 
 
-def _matrix_rank(mat, rtol=RANK_RTOL):
+def _matrix_rank(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def classify(conn, sample=None):
@@ -310,26 +310,26 @@ def _jet_values(arrays, pts):
     return [v.reshape((-1,) + a.shape) for a, v in zip(arrays, np.split(vals, cuts, axis=1))]
 
 
-def _jets(arrays, pts, n, lead=()):
-    """The values of the Expr arrays in ``lead``, then W and dW/dy^1..n of
-    each array W in ``arrays``, at points (P, n) or one point (n,): bitwise
-    the list ``_jet_values([*lead, W0, grad(W0, n), W1, grad(W1, n), ...],
-    pts)``, without building a derivative tree.  The values of ``lead`` come
-    from one checked walk, W and dW from one checked forward-mode walk
-    (``eval_many_shared(..., jets=True)``).
+def _jets(arrays, pts):
+    """W and dW/dy^1..n of each Expr array W in ``arrays``, at points
+    (P, n) or one point (n,), n being the points' last dimension: bitwise
+    the list ``_jet_values([W0, grad(W0, n), W1, grad(W1, n), ...], pts)``,
+    from one checked forward-mode walk (``eval_many_shared(...,
+    jets=True)``) that builds no derivative tree.
 
-    If either walk faults (a flag, a DomainError, a constant that does not
-    fold), the trees are built and walked in that one list: the walk raises
-    its error, naming its node, or, where the fault was in a term the trees
-    fold away, returns their values."""
+    If that walk faults (a flag, a DomainError, a constant that does not
+    fold), the trees are built and walked: the walk raises its error,
+    naming its node, or, where the fault was in a term the trees fold away,
+    returns their values."""
+    n = np.shape(pts)[-1]
     try:
-        out = _jet_values(lead, pts) if lead else []
         vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
     except ExprError:
-        return _jet_values([*lead, *(x for a in arrays for x in (a, grad(a, n)))], pts)
+        return _jet_values([x for a in arrays for x in (a, grad(a, n))], pts)
     cuts = np.cumsum([a.size for a in arrays])[:-1]
     vals = np.split(np.stack(vals, -1), cuts, axis=1)
-    grads = np.split(np.stack(grads, 1)[..., :n], cuts, axis=1)
+    grads = np.split(np.stack(grads, 1), cuts, axis=1)
+    out = []
     for a, v, g in zip(arrays, vals, grads):
         out += [v.reshape((-1,) + a.shape), g.reshape((-1,) + a.shape + (n,))]
     return out
@@ -341,15 +341,15 @@ def _lie_rows(field, p0):
     0..n-1) and F^i_k = d eta^i/dy^k (column n + i*n + k), so that
     row . (eta(p0), F(p0)) is (L_eta W)(p0).
 
-    W and dW/dy at p0 come from one checked forward-mode walk (``_jets``,
+    W and dW/dy at p0 come from ``_jets``: one checked forward-mode walk,
     bitwise the walk of W and its derivative trees, which are built only if
-    that walk faults, to raise DomainError naming their node); column j is
+    that walk faults, to raise DomainError naming their node.  Column j is
     ``liefn.lie_terms``, the body of ``lie_derivative``, on them with
     (eta, F) the j-th basis 1-jet, and a row that overflows raises
     ExprError.
     """
     n = field.n
-    w, dw = _jets([field.comps], p0, n)
+    w, dw = _jets([field.comps], p0)
     basis = np.eye(n + n * n)
     lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), field.r)
     if not np.isfinite(lie).all():  # a rank of inf or nan entries reads 0
@@ -372,17 +372,16 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     return pointwise_symmetry_bounds(sys, p0, depth)[depth]
 
 
-def pointwise_symmetry_bounds(sys, p0, depth=2, curv=None):
+def pointwise_symmetry_bounds(sys, p0, depth=2):
     """``pointwise_symmetry_bound`` at every depth 0..depth, as a list, from
     one stack of rows: the rows of a depth are a prefix of those of the
-    next.  curv, when given, is the curvature of sys.conn."""
+    next.  The curvature is the one kept on sys.conn (``curvature``)."""
     n = sys.n
     fields = [sys.A]
     if depth >= 1:
-        curv = curvature(sys.conn) if curv is None else curv
-        fields.append(curv)
+        fields.append(curvature(sys.conn))
     if depth >= 2:
-        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn, curv)["ricci"]))
+        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
     rows = [_lie_rows(f, p0) for f in fields]
     return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
 
@@ -397,11 +396,12 @@ def invariance_suite(sys, eta, pts=None):
     vanishing Lie derivatives of the curvature tensor, the Ricci tensor, the
     S field and nabla(Ricci), and of the connection itself.
 
-    The four tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the
-    formula of ``lie_derivative``) on eta, d eta, W and dW/dy from one
-    checked forward-mode walk (``_jets``), which builds no derivative tree
-    unless it faults; then the trees' walk raises its error, naming its
-    node.
+    The curvature is the one kept on sys.conn (``curvature``).  The four
+    tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the formula of
+    ``lie_derivative``) on eta, d eta, W and dW/dy from one checked
+    forward-mode walk (``_jets``), which builds no derivative tree unless it
+    faults; then the trees' walk raises its error, naming its node.  The
+    L_eta Gamma residual is evaluated, checked, before that walk.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -419,10 +419,10 @@ def invariance_suite(sys, eta, pts=None):
         pts = sample_points(n, 20)
     conn = sys.conn
     curv = curvature(conn)
-    parts = ricci_and_s(conn, curv)
+    parts = ricci_and_s(conn)
     keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci", "lie_gamma")
     fields = (curv, parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
-    lead = [_conn_eq_exprs(conn, eta).comps]
-    gamma, e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts, n, lead)
+    gamma = _conn_eq_exprs(conn, eta).evaluate(pts)
+    e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts)
     lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
     return {key: max_report(v, pts) for key, v in zip(keys, lies + [gamma])}

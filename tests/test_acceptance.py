@@ -117,7 +117,7 @@ def test_criterion_3_constant_curvature_suite():
     g, _ = constcurv_metric(n, (1, 1, 1))
     pts = sample_points(n, 20)
     curv = curvature(sysd.conn)
-    parts = ricci_and_s(sysd.conn, curv)
+    parts = ricci_and_s(sysd.conn)
     tol = 1e-8
     ok = np.max(np.abs(parts["ricci"].evaluate_many(pts) - g.evaluate_many(pts))) <= tol
     ok &= np.max(np.abs(covariant_differential(sysd.conn, g).evaluate_many(pts))) <= tol
@@ -327,7 +327,7 @@ def test_criterion_7_symmetry_implies_invariance():
         pts = sample_points(n, 10)
         conn = sysd.conn
         curv = curvature(conn)
-        parts = ricci_and_s(conn, curv)
+        parts = ricci_and_s(conn)
         nabla_ric = covariant_differential(conn, parts["ricci"])
         for eta in fields:
             assert is_symmetry(sysd, eta, tol=1e-9), "fixture field failed verification"

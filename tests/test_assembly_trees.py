@@ -89,7 +89,7 @@ def _heisenberg():
 def case_geometry(n):
     conn = _system("constcurv_22_13", n).conn
     curv = geometry.curvature(conn)
-    parts = geometry.ricci_and_s(conn, curv)
+    parts = geometry.ricci_and_s(conn)
     out = {"curvature": curv.comps}
     out.update({f"ricci_and_s.{k}": v.comps for k, v in parts.items()})
     out["nabla_ricci"] = geometry.covariant_differential(conn, parts["ricci"]).comps
@@ -111,7 +111,7 @@ def case_heisenberg():
     return {
         "gamma": sysd.conn.gamma,
         "curvature": curv.comps,
-        "ricci": geometry.ricci_and_s(sysd.conn, curv)["ricci"].comps,
+        "ricci": geometry.ricci_and_s(sysd.conn)["ricci"].comps,
     }
 
 

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from affsym import cli
+from affsym import cli, geometry
+from affsym.canonical import CANONICAL_KINDS
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
 from affsym.expr import DomainError, parse_expr
 from affsym.liefn import VectorField
@@ -38,6 +39,18 @@ def test_every_fixture_passes_inspect(capsys):
         code, data = run(capsys, "inspect", f)
         assert code == 0, f
         assert data["valid"] is True
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_report_builds_one_curvature(monkeypatch, capsys, name):
+    # the norms, classify and the pointwise bounds share the curvature kept
+    # on the connection
+    built = []
+    comps = geometry._curvature_comps
+    monkeypatch.setattr(geometry, "_curvature_comps", lambda *a: built.append(1) or comps(*a))
+    assert main(["report", fixture(name)]) in (0, 2)
+    assert capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_classify_maximal_fixture(capsys):
@@ -376,6 +389,26 @@ def test_exponent_beyond_the_float_range_exits_1(tmp_path, capsys, argv):
     assert capsys.readouterr() == ("", expected)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["inspect"], ["curvature"], ["classify"], ["bound"], ["check-symmetry", "--eta=0,1"], ["report"]],
+)
+def test_a_power_of_one_beyond_the_float_range_folds(tmp_path, capsys, argv):
+    # 1^k is 1 for every integer k, also one without a float value
+    outputs = []
+    for entry in ("y1", "y1*1^1" + "0" * 400):
+        doc = _flat_doc(
+            Gamma={"1": [["0", "0"], ["0", entry]], "2": [["0", "0"], ["0", "0"]]},
+            sample=[[0.3, 0.2]],
+        )
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out and not outputs[0].err
+
+
 def test_overflow_in_the_bound_rows_exits_1(tmp_path, capsys):
     # R ~ 1.4e308 and dR ~ 1e154 are finite at the point, but a row of the
     # linearized L_eta R adds two curvature components
@@ -631,6 +664,13 @@ def test_from_diffusional_rejects_singular():
         from_diffusional([["y1"]], sample=[[0.0], [0.2]])
 
 
+def test_from_diffusional_rejects_a_non_square_matrix():
+    for rows in ([["1", "0"]], [["1", "0"], ["0"]], ["1"]):
+        with pytest.raises(InputError) as err:
+            from_diffusional(rows)
+        assert str(err.value) == "A must be a square matrix of expression strings"
+
+
 def test_divergence_form_mean_conservation_refines():
     # the expansion of d/dx(A dy/dx) conserves the spatial mean up to scheme
     # order; the drift shrinks ~4x per (dx, dt) refinement level
@@ -679,47 +719,163 @@ def _flat_doc(**extra):
     return doc
 
 
-def assert_input_error(capsys, argv):
+SAMPLE_ERROR = "sample must be a list of points of dimension n, given as numbers"
+
+
+def assert_input_error(capsys, argv, error):
+    """main exits 1 with the one line ``error: <error>`` on stderr."""
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
-    "doc, argv",
+    "doc, argv, error",
     [
-        (_flat_doc(tolerances={"symmetry": "abc"}), ["check-symmetry", "--eta=1,0"]),
-        (_flat_doc(tolerances={"gamma_symmetry": None}), ["inspect"]),
-        (_flat_doc(tolerances={"symmetry": -1e-8}), ["inspect"]),
-        (_flat_doc(tolerances={"symmetry": float("inf")}), ["inspect"]),
-        (_flat_doc(tolerances={"symmetry": True}), ["inspect"]),
-        (_flat_doc(tolerances={"symetry": 1e-8}), ["inspect"]),
-        (_flat_doc(tolerances=[1e-8]), ["inspect"]),
-        (_flat_doc(sample=[["a", 1]]), ["inspect"]),
-        (_flat_doc(sample=[["0.1", 0.2]]), ["inspect"]),
-        (_flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]), ["inspect"]),
-        (_flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]), ["classify"]),
-        (_flat_doc(sample=[[0.1, 0.2], [0.3]]), ["inspect"]),
+        (
+            _flat_doc(tolerances={"symmetry": "abc"}),
+            ["check-symmetry", "--eta=1,0"],
+            "tolerance 'symmetry' must be a finite number >= 0, got 'abc'",
+        ),
+        (
+            _flat_doc(tolerances={"gamma_symmetry": None}),
+            ["inspect"],
+            "tolerance 'gamma_symmetry' must be a finite number >= 0, got None",
+        ),
+        (
+            _flat_doc(tolerances={"symmetry": -1e-8}),
+            ["inspect"],
+            "tolerance 'symmetry' must be a finite number >= 0, got -1e-08",
+        ),
+        (
+            _flat_doc(tolerances={"symmetry": float("inf")}),
+            ["inspect"],
+            "tolerance 'symmetry' must be a finite number >= 0, got inf",
+        ),
+        (
+            _flat_doc(tolerances={"symmetry": True}),
+            ["inspect"],
+            "tolerance 'symmetry' must be a finite number >= 0, got True",
+        ),
+        (
+            _flat_doc(tolerances={"symetry": 1e-8}),
+            ["inspect"],
+            "unknown tolerance 'symetry'; pick from ['flatten', 'gamma_symmetry', 'invariance',"
+            " 'structure', 'symmetry', 'transport']",
+        ),
+        (_flat_doc(tolerances=[1e-8]), ["inspect"], "tolerances must map check names to numbers"),
+        (_flat_doc(sample=[["a", 1]]), ["inspect"], SAMPLE_ERROR),
+        (_flat_doc(sample=[["0.1", 0.2]]), ["inspect"], SAMPLE_ERROR),
+        (
+            _flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]),
+            ["inspect"],
+            "sample coordinates must be finite",
+        ),
+        (
+            _flat_doc(sample=[[float("nan"), 0.1], [0.2, 0.3]]),
+            ["classify"],
+            "sample coordinates must be finite",
+        ),
+        (_flat_doc(sample=[[0.1, 0.2], [0.3]]), ["inspect"], SAMPLE_ERROR),
         (
             _flat_doc(Gamma={"1": [["0", "0"], ["0", "0"]], "01": [["y1", "0"], ["0", "0"]]}),
             ["inspect"],
+            "Gamma upper index 1 is given twice",
         ),
-        ({"canonical": {"kind": "maximal_7_11", "n": 2.5}}, ["inspect"]),
-        ({"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1.5}}, ["inspect"]),
-        ({"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "b": "abc"}}, ["inspect"]),
-        ({"canonical": {"kind": "maximal_7_11", "n": 2, "a": "2"}}, ["inspect"]),
-        ({"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": [1.0]}}, ["inspect"]),
+        (
+            {"canonical": {"kind": "maximal_7_11", "n": 2.5}},
+            ["inspect"],
+            "invalid canonical spec: n must be an integer, got 2.5",
+        ),
+        (
+            {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1.5}},
+            ["inspect"],
+            "invalid canonical spec: m must be an integer, got 1.5",
+        ),
+        (
+            {"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "b": "abc"}},
+            ["inspect"],
+            "invalid canonical spec: b must be a finite real number, got 'abc'",
+        ),
+        (
+            {"canonical": {"kind": "maximal_7_11", "n": 2, "a": "2"}},
+            ["inspect"],
+            "invalid canonical spec: a must be a finite real number, got '2'",
+        ),
+        (
+            {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": [1.0]}},
+            ["inspect"],
+            "invalid canonical spec: u and psi entries must be expression strings, got 1.0",
+        ),
         (
             {"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1, "psi": 3}},
             ["inspect"],
+            "invalid canonical spec: u and psi entries must be expression strings, got 3",
         ),
-        ({"canonical": "x"}, ["inspect"]),
-        ({"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["y2"]}}, ["inspect"]),
-        ({"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1}}, ["inspect"]),
-        ({"n": [1], "A": [["1"]]}, ["inspect"]),
-        ({"n": "abc", "A": [["1"]]}, ["inspect"]),
-        ({"n": 2.5, "A": [["1", "0"], ["0", "1"]]}, ["inspect"]),
-        ({"n": True, "A": [["1"]]}, ["inspect"]),
+        ({"canonical": "x"}, ["inspect"], "invalid canonical spec: it must be a JSON object"),
+        (
+            {"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["y2"]}},
+            ["inspect"],
+            "invalid canonical spec: u_1 references y2; the canonical covector may depend on"
+            " y1..y1 only",
+        ),
+        (
+            {"canonical": {"kind": "intermediate_potential_17_24", "n": 2, "m": 1}},
+            ["inspect"],
+            "invalid canonical spec: intermediate_potential_17_24 needs a potential psi",
+        ),
+        ({"n": [1], "A": [["1"]]}, ["inspect"], "dimension n must be an integer >= 1, got [1]"),
+        ({"n": "abc", "A": [["1"]]}, ["inspect"], "dimension n must be an integer >= 1, got 'abc'"),
+        (
+            {"n": 2.5, "A": [["1", "0"], ["0", "1"]]},
+            ["inspect"],
+            "dimension n must be an integer >= 1, got 2.5",
+        ),
+        ({"n": True, "A": [["1"]]}, ["inspect"], "dimension n must be an integer >= 1, got True"),
+        ([1, 2], ["inspect"], "document root must be a JSON object"),
+        (
+            {"canonical": {"kind": "nope", "n": 2}},
+            ["inspect"],
+            f"canonical.kind must be one of {CANONICAL_KINDS}",
+        ),
+        (
+            {"canonical": {"kind": "maximal_7_11", "n": 2, "q": 1, "c": 2}},
+            ["inspect"],
+            "unknown canonical fields: ['c', 'q']",
+        ),
+        ({"A": [["1"]]}, ["inspect"], "document needs 'n' (or a canonical spec)"),
+        (
+            {"n": 3, "canonical": {"kind": "maximal_7_11", "n": 2}},
+            ["inspect"],
+            "document n conflicts with the canonical spec",
+        ),
+        (
+            None,  # no file is written
+            ["inspect"],
+            "cannot read {path}: [Errno 2] No such file or directory: '{path}'",
+        ),
+        (_flat_doc(A=[["1", "0"]]), ["inspect"], "A must be 2x2 expression strings"),
+        (_flat_doc(Gamma=[["0"]]), ["inspect"], "Gamma must map upper indices to lower matrices"),
+        (
+            _flat_doc(Gamma={"x": [["0", "0"], ["0", "0"]]}),
+            ["inspect"],
+            "Gamma key 'x' is not an index",
+        ),
+        (
+            _flat_doc(Gamma={"3": [["0", "0"], ["0", "0"]]}),
+            ["inspect"],
+            "Gamma upper index 3 outside 1..2",
+        ),
+        (_flat_doc(Gamma={"1": [["0", "0"]]}), ["inspect"], "Gamma[1] must be 2x2"),
+        (
+            _flat_doc(A=[[1, "0"], ["0", "1"]]),
+            ["inspect"],
+            "coefficient entries must be strings, got 1",
+        ),
+        (
+            _flat_doc(),
+            ["canonical"],
+            "canonical subcommand needs a document with a canonical spec",
+        ),
     ],
     ids=[
         "tolerance-string",
@@ -748,12 +904,26 @@ def assert_input_error(capsys, argv):
         "n-string",
         "n-float",
         "n-bool",
+        "root-not-object",
+        "canonical-kind-unknown",
+        "canonical-fields-unknown",
+        "n-missing",
+        "n-conflicts-with-spec",
+        "file-unreadable",
+        "a-not-square",
+        "gamma-not-object",
+        "gamma-key-not-index",
+        "gamma-index-outside",
+        "gamma-matrix-not-square",
+        "coefficient-not-string",
+        "canonical-without-spec",
     ],
 )
-def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv):
+def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv, error):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))  # json writes nan/inf as NaN/Infinity
-    assert_input_error(capsys, [argv[0], str(path)] + argv[1:])
+    if doc is not None:
+        path.write_text(json.dumps(doc))  # json writes nan/inf as NaN/Infinity
+    assert_input_error(capsys, [argv[0], str(path)] + argv[1:], error.format(path=path))
 
 
 def test_valid_tolerance_override_is_used(tmp_path, capsys):
@@ -763,23 +933,80 @@ def test_valid_tolerance_override_is_used(tmp_path, capsys):
     assert code == 0 and data["tolerance"] == 0
 
 
+SIM = ["--dt", "0.001", "--steps", "4"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["bound", fixture("flat_n2.json"), "--at", "nan,0"],
-        ["bound", fixture("flat_n2.json"), "--at", "0,inf"],
-        ["flatten", fixture("flat_n2.json"), "--u0", "0,-inf"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "nan", "--steps", "4"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0", "--steps", "4"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "-0.001", "--steps", "4"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "inf", "--steps", "4"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--length", "0"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--length", "nan"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "4", "--grid", "4"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "-3"],
-        ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "0"],
-        ["simulate", fixture("flat_n2.json"), "--dt", "1e-3", "--steps", "4", "--tau", "nan"],
-        ["simulate", fixture("flat_n2.json"), "--dt", "1e-3", "--steps", "4", "--tau", "inf"],
+        (["bound", fixture("flat_n2.json"), "--at", "nan,0"], "--at components must be finite"),
+        (["bound", fixture("flat_n2.json"), "--at", "0,inf"], "--at components must be finite"),
+        (["flatten", fixture("flat_n2.json"), "--u0", "0,-inf"], "--u0 components must be finite"),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "nan", "--steps", "4"],
+            "--dt must be a finite number > 0, got nan",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "0", "--steps", "4"],
+            "--dt must be a finite number > 0, got 0.0",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "-0.001", "--steps", "4"],
+            "--dt must be a finite number > 0, got -0.001",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "inf", "--steps", "4"],
+            "--dt must be a finite number > 0, got inf",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), *SIM, "--length", "0"],
+            "--length must be a finite number > 0, got 0.0",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), *SIM, "--length", "nan"],
+            "--length must be a finite number > 0, got nan",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), *SIM, "--grid", "4"],
+            "--grid must be between 8 and 1048576 points, got 4",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "-3"],
+            "--steps must be at least 1, got -3",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "0"],
+            "--steps must be at least 1, got 0",
+        ),
+        (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--tau", "nan"],
+            "--tau must be finite, got nan",
+        ),
+        (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--tau", "inf"],
+            "--tau must be finite, got inf",
+        ),
+        (
+            ["check-symmetry", fixture("flat_n2.json"), "--eta=1"],
+            "--eta needs 2 comma-separated components",
+        ),
+        (
+            ["check-symmetry", fixture("flat_n2.json"), "--eta=1,tan(y1)"],
+            "bad component in --eta: unknown identifier 'tan' (at offset 0)",
+        ),
+        (
+            ["bound", fixture("flat_n2.json"), "--at", "a,b"],
+            "--at must be comma-separated numbers",
+        ),
+        (["bound", fixture("flat_n2.json"), "--at", "0.1"], "--at needs 2 components"),
+        (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--initial", "sin(x)"],
+            "--initial needs 2 semicolon-separated profiles in x",
+        ),
+        (
+            ["simulate", fixture("heat_n1.json"), *SIM, "--initial", "tan(x)"],
+            "bad profile: unknown identifier 'tan' (at offset 0)",
+        ),
     ],
     ids=[
         "at-nan",
@@ -796,10 +1023,16 @@ def test_valid_tolerance_override_is_used(tmp_path, capsys):
         "steps-zero",
         "tau-nan",
         "tau-inf",
+        "eta-count",
+        "eta-component",
+        "at-not-numbers",
+        "at-count",
+        "initial-count",
+        "initial-profile",
     ],
 )
-def test_bad_numeric_flags_exit_1(capsys, argv):
-    assert_input_error(capsys, argv)
+def test_bad_numeric_flags_exit_1(capsys, argv, error):
+    assert_input_error(capsys, argv, error)
 
 
 def test_smallest_valid_simulation_flags(capsys):

@@ -28,11 +28,15 @@ INSTRUMENT = os.path.join(os.path.dirname(__file__), "..", "perfbench", "instrum
 
 
 def assert_same(roots, points):
-    """The program's (R, P) result equals the interpreted arrays bit for bit."""
-    got = eval_many_shared(compile_exprs(roots), points)
+    """The program's (R, P) result, and its ``at`` at each point, equal the
+    interpreted arrays bit for bit."""
+    prog = compile_exprs(roots)
+    got = eval_many_shared(prog, points)
     want = np.array(eval_many_shared(roots, points), dtype=float).reshape(len(roots), -1)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    for p, column in zip(np.reshape(points, (want.shape[1], -1)), want.T):
+        assert prog.at([float(v) for v in p]).tobytes() == column.tobytes()
 
 
 def assert_same_everywhere(roots, pts):

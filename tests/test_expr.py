@@ -105,13 +105,39 @@ def test_exponent_without_a_float_value_is_an_expression_error():
         with pytest.raises(ParseError, match="exponent out of floating-point range") as err:
             parse_expr(text, 1)
         assert err.value.offset == text.index("^")
-    # constant bases fold as before; a finite float exponent still evaluates
-    for text in (f"1^{big}", f"2^{big}"):
-        with pytest.raises(ParseError, match="constant power out of floating-point range"):
-            parse_expr(text, 1)
+    # a constant base folds (see the next test); a finite float exponent
+    # still evaluates
     e = parse_expr("y1^" + "1" + "0" * 308, 1)
     values = eval_many_shared([e], np.array([[0.5], [1.0], [2.0]]))[0]
     assert values.tolist() == [0.0, 1.0, math.inf]
+
+
+def test_constant_powers_fold_for_every_integer_exponent():
+    # |c| = 1 folds by the parity of k, which Python's c**k loses once k is
+    # odd and beyond 2**53; a k without a float value folds to 0 where
+    # |c**k| shrinks as |k| grows
+    big, odd = 10**400, 2**53 + 1
+    folds = {
+        (1.0, big): 1.0, (1.0, -big - 1): 1.0, (-1.0, big): 1.0, (-1.0, big + 1): -1.0,
+        (-1.0, -big - 1): -1.0, (-1.0, odd): -1.0, (-1.0, -odd): -1.0, (-1.0, odd + 1): 1.0,
+        (0.5, big): 0.0, (-0.5, big + 1): 0.0, (0.0, big): 0.0, (2.0, -big): 0.0,
+        (-3.0, -big - 1): 0.0, (-1.0, 3): -1.0, (0.5, -2): 4.0, (2.0, 3): 8.0,
+    }
+    for (c, k), want in folds.items():
+        assert powi(const(c), k) is const(want), (c, k)
+    parsed = {
+        f"1^{big}": 1.0, f"(-1)^{big + 1}": -1.0, f"(-1)^{odd}": -1.0,
+        f"0.5^{big}": 0.0, f"2^-{big}": 0.0, f"0^{big}": 0.0,
+    }
+    for text, want in parsed.items():
+        assert parse_expr(text, 1) is const(want), text
+    # where the value itself is out of range the power is still refused
+    for c, k in ((2.0, big), (-2.0, big + 1), (0.5, -big), (2.0, 1100)):
+        with pytest.raises(ExprError, match="constant power out of floating-point range"):
+            powi(const(c), k)
+    for text in (f"2^{big}", f"0.5^-{big}"):
+        with pytest.raises(ParseError, match="constant power out of floating-point range"):
+            parse_expr(text, 1)
 
 
 def test_const_rejects_non_finite_values():
@@ -494,7 +520,7 @@ def _random_tree(rng, n, depth, odd):
 def _invariant_roots(sysd):
     """The components of A, R, Ric, S and nabla Ric of a system."""
     curv = curvature(sysd.conn)
-    parts = ricci_and_s(sysd.conn, curv)
+    parts = ricci_and_s(sysd.conn)
     nabla = covariant_differential(sysd.conn, parts["ricci"])
     fields = (sysd.A, curv, parts["ricci"], parts["s"], nabla)
     return [e for f in fields for e in f.comps.flat]

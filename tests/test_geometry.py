@@ -258,10 +258,17 @@ def test_lowered_curvature_symmetries_for_metric_connection():
     assert np.max(np.abs(ric - ric.transpose(0, 2, 1))) <= 1e-9
 
 
+def test_curvature_is_built_once_per_connection():
+    conn = random_poly_connection(2, seed=7)
+    curv = curvature(conn)
+    assert curvature(conn) is curv
+    assert curvature(random_poly_connection(2, seed=7)) is not curv
+
+
 def test_nabla_ricci_two_ways():
     conn = random_poly_connection(3, seed=41)
     curv = curvature(conn)
-    parts = ricci_and_s(conn, curv)
+    parts = ricci_and_s(conn)
     direct = covariant_differential(conn, parts["ricci"])
     # contraction of nabla R over the upper index and the x-slot:
     # Ricci_jk = R^q_jqk, so nabla_i Ricci_jk = (nabla R)^q_{i j q k}

@@ -488,7 +488,7 @@ def test_lie_rows_equal_the_rows_of_the_derivative_trees(name):
     n, conn = sysd.n, sysd.conn
     p0 = np.array([0.1, -0.2, 0.15][:n])
     curv = curvature(conn)
-    nabla = covariant_differential(conn, ricci_and_s(conn, curv)["ricci"])
+    nabla = covariant_differential(conn, ricci_and_s(conn)["ricci"])
     rows = [_tree_rows(W, p0) for W in (sysd.A, curv, nabla)]
     for W, want in zip((sysd.A, curv, nabla), rows):
         assert _lie_rows(W, p0).tobytes() == want.tobytes()
@@ -505,7 +505,7 @@ def test_invariance_suite_equals_the_lie_derivative_trees(name):
     n, conn = sysd.n, sysd.conn
     pts = sample_points(n, 20)
     curv = curvature(conn)
-    parts = ricci_and_s(conn, curv)
+    parts = ricci_and_s(conn)
     fields = {
         "lie_curvature": curv,
         "lie_ricci": parts["ricci"],
