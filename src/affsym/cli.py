@@ -354,14 +354,14 @@ def _classified(conn, pts):
         return {"error": str(exc)}, False
 
 
-def _parse_eta(text, n):
+def _parse_eta(text, n, what):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise InputError(f"--eta needs {n} comma-separated components")
+        raise InputError(f"{what} needs {n} comma-separated components")
     try:
         return VectorField(n, [parse_expr(p, n) for p in parts])
     except ParseError as exc:
-        raise InputError(f"bad component in --eta: {exc}") from exc
+        raise InputError(f"bad component in {what}: {exc}") from exc
 
 
 def _parse_point(text, n, what):
@@ -407,7 +407,7 @@ def cmd_classify(args):
 
 def cmd_check_symmetry(args):
     doc, sysd, pts = _load(args)
-    eta = _parse_eta(args.eta, doc.n)
+    eta = _parse_eta(args.eta, doc.n, "--eta")
     res = determining_residuals(sysd, eta, pts)
     tol = doc.tolerances["symmetry"]
     out = {
@@ -539,7 +539,7 @@ def cmd_simulate(args):
     }
     code = 0
     if args.transport:
-        eta = _parse_eta(args.transport, n)
+        eta = _parse_eta(args.transport, n, "--transport")
         rep = symmetry_transport_check(sysd, eta, args.tau, grid, args.dt, args.steps)
         out["transport_gap"] = rep["max_abs"]
         if rep["max_abs"] > doc.tolerances["transport"]:

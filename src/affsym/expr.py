@@ -25,6 +25,9 @@ equal trees are therefore the same object, and ``Expr`` keeps ``object``'s
 identity hash and equality, so a node is its own dictionary key: the
 postorder walk's use counts, the evaluator's values, the compiler's tables
 and the memos are all dicts keyed by node, and share every equal subtree.
+The smart constructors test for the identity operands (ZERO, ONE, -1)
+before they fold two constants, so 0*c, 0+c, c-0 and the like return an
+existing node, the one the fold would build, without calling ``const``.
 
 A root set evaluated many times (a Pfaff right-hand side at every solver
 step, the simulator's right-hand side at every Runge-Kutta stage) is compiled
@@ -117,7 +120,10 @@ class Expr:
     exponent), or a function name from FUNCS.  Use the module-level smart
     constructors rather than instantiating directly; they apply light
     simplification (constant folding, x*0, x*1, x+0) so derivative trees
-    stay small.
+    stay small.  The identity operands ZERO, ONE and -1 are tested before
+    two constants are folded: the node returned is the one the fold would
+    build (``const`` maps -0.0 to 0.0 and constants are interned), and no
+    constant is built for it.
 
     Nodes are hash-consed: constructing a node equal to a live one, by op,
     value, index and (already interned) children, returns that node.  So
@@ -283,28 +289,26 @@ def coord(i):
 
 
 def add(a, b):
-    if a.op == b.op == "const":
-        return const(a.value + b.value)
     if a is ZERO:
         return b
     if b is ZERO:
         return a
+    if a.op == b.op == "const":
+        return const(a.value + b.value)
     return _intern("add", (a, b))
 
 
 def sub(a, b):
-    if a.op == b.op == "const":
-        return const(a.value - b.value)
     if b is ZERO:
         return a
     if a is ZERO:
         return neg(b)
+    if a.op == b.op == "const":
+        return const(a.value - b.value)
     return _intern("sub", (a, b))
 
 
 def mul(a, b):
-    if a.op == b.op == "const":
-        return const(a.value * b.value)
     if a is ZERO or b is ZERO:
         return ZERO
     if a is ONE:
@@ -315,21 +319,23 @@ def mul(a, b):
         return neg(b)
     if b is _MINUS_ONE:
         return neg(a)
+    if a.op == b.op == "const":
+        return const(a.value * b.value)
     return _intern("mul", (a, b))
 
 
 def div(a, b):
-    if b.op == "const" and b is not ZERO:
-        if a.op == "const":
-            return const(a.value / b.value)
-        if b is ONE:
+    if b is not ZERO:
+        if a is ZERO or b is ONE:
             return a
-    if a is ZERO and b is not ZERO:
-        return ZERO
+        if a.op == b.op == "const":
+            return const(a.value / b.value)
     return _intern("div", (a, b))
 
 
 def neg(a):
+    if a is ZERO:
+        return a
     if a.op == "const":
         return const(-a.value)
     if a.op == "neg":
@@ -645,10 +651,15 @@ def _entry(node, vals):
 
 
 def _gradient(d, npts):
-    """A root's derivatives as a (P, n) array."""
+    """A root's derivatives as a (P, n) array: the transpose of its (n, P)
+    block, or its entries written column by column into one C-ordered array,
+    a constant node's value filling its column."""
     if type(d) is np.ndarray:
         return d.T
-    return np.stack([np.full(npts, u.value) if isinstance(u, Expr) else u for u in d], axis=1)
+    out = np.empty((npts, len(d)))
+    for i, u in enumerate(d):
+        out[:, i] = u.value if isinstance(u, Expr) else u
+    return out
 
 
 def _jadd(x, y):

@@ -145,8 +145,15 @@ def _rhs(coeffs, values, dx):
 
 
 def stability_limit(sys, grid):
-    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values."""
-    eigs = np.linalg.eigvals(sys.A.evaluate_many(grid.values))
+    """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values.
+
+    An A whose components are all constant nodes is the same matrix at every
+    point, with the same eigenvalues from LAPACK at each, so it is evaluated
+    at the first point only; any other A at every point."""
+    pts = grid.values
+    if all(c.op == "const" for c in sys.A.comps.flat):
+        pts = pts[:1]
+    eigs = np.linalg.eigvals(sys.A.evaluate_many(pts))
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
         return np.inf

@@ -995,6 +995,10 @@ SIM = ["--dt", "0.001", "--steps", "4"]
             "bad component in --eta: unknown identifier 'tan' (at offset 0)",
         ),
         (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--transport=1"],
+            "--transport needs 2 comma-separated components",
+        ),
+        (
             ["bound", fixture("flat_n2.json"), "--at", "a,b"],
             "--at must be comma-separated numbers",
         ),
@@ -1025,6 +1029,7 @@ SIM = ["--dt", "0.001", "--steps", "4"]
         "tau-inf",
         "eta-count",
         "eta-component",
+        "transport-count",
         "at-not-numbers",
         "at-count",
         "initial-count",

@@ -634,6 +634,84 @@ def test_simplification_is_light_but_effective():
     assert e2 == coord(1)
 
 
+def _old_neg(a):
+    if a.op == "const":
+        return const(-a.value)
+    if a.op == "neg":
+        return a.args[0]
+    return expr._intern("neg", (a,))
+
+
+def _old_add(a, b):
+    if a.op == b.op == "const":
+        return const(a.value + b.value)
+    if a is expr.ZERO:
+        return b
+    if b is expr.ZERO:
+        return a
+    return expr._intern("add", (a, b))
+
+
+def _old_sub(a, b):
+    if a.op == b.op == "const":
+        return const(a.value - b.value)
+    if b is expr.ZERO:
+        return a
+    if a is expr.ZERO:
+        return _old_neg(b)
+    return expr._intern("sub", (a, b))
+
+
+def _old_mul(a, b):
+    if a.op == b.op == "const":
+        return const(a.value * b.value)
+    if a is expr.ZERO or b is expr.ZERO:
+        return expr.ZERO
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    if a is expr._MINUS_ONE:
+        return _old_neg(b)
+    if b is expr._MINUS_ONE:
+        return _old_neg(a)
+    return expr._intern("mul", (a, b))
+
+
+def _old_div(a, b):
+    if b.op == "const" and b is not expr.ZERO:
+        if a.op == "const":
+            return const(a.value / b.value)
+        if b is ONE:
+            return a
+    if a is expr.ZERO and b is not expr.ZERO:
+        return expr.ZERO
+    return expr._intern("div", (a, b))
+
+
+def test_constructors_return_the_node_of_folding_first():
+    # the oracles above fold two constants before testing for ZERO, ONE and
+    # -1; the constructors test first, and must return the very same node
+    y1, y2 = coord(1), coord(2)
+    pool = [expr.ZERO, ONE, const(-1.0), const(2.5), y1, mul(y1, y2), div(ONE, expr.ZERO)]
+    pairs = [(add, _old_add), (sub, _old_sub), (mul, _old_mul), (div, _old_div)]
+    for a in pool:
+        assert neg(a) is _old_neg(a), a
+        for b in pool:
+            for build, oracle in pairs:
+                assert build(a, b) is oracle(a, b), (build.__name__, a, b)
+
+
+def test_identity_operands_build_no_constant(monkeypatch):
+    zero, three = expr.ZERO, const(3.0)
+    calls = []
+    real = expr.const
+    monkeypatch.setattr(expr, "const", lambda v: calls.append(v) or real(v))
+    assert mul(zero, zero) is zero and add(zero, zero) is zero and sub(zero, zero) is zero
+    assert mul(three, zero) is zero and neg(zero) is zero
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Interning: structurally equal nodes are one object
 # ---------------------------------------------------------------------------

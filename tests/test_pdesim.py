@@ -205,6 +205,33 @@ def test_row_layout_run_is_bitwise_the_column_route():
         assert pde_residual(sys, snaps).hex() == worst.hex(), N
 
 
+def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
+    # a constant A is evaluated at one point, any other A at every point;
+    # either way the limit is bitwise that of A's eigenvalues at all points
+    seen = []
+    evaluate_many = TensorField.evaluate_many
+
+    def spy(field, points):
+        seen.append(len(points))
+        return evaluate_many(field, points)
+
+    systems = [
+        (heisenberg_system(), 1),
+        (build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0)), 1),
+        (transcendental_system(), None),
+    ]
+    for sys, rows in systems:
+        profiles = [lambda x, k=k: 0.3 * np.sin(x + k) + 0.1 * np.cos(2 * x) for k in range(sys.n)]
+        for N in (64, 4096):
+            grid = make_grid(profiles, N, L)
+            lam = np.max(np.abs(np.linalg.eigvals(evaluate_many(sys.A, grid.values))))
+            monkeypatch.setattr(TensorField, "evaluate_many", spy)
+            limit = stability_limit(sys, grid)
+            monkeypatch.undo()
+            assert limit.hex() == (0.4 * grid.dx**2 / lam).hex(), N
+            assert seen.pop() == (rows or N) and not seen
+
+
 def test_pde_residual_zero_for_linear_profile():
     sys = heat_system()
     grid = make_grid([lambda x: x], 64, L)
