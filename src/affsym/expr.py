@@ -33,9 +33,10 @@ A root set evaluated many times (a Pfaff right-hand side at every solver
 step, the simulator's right-hand side at every Runge-Kutta stage) is compiled
 once by ``compile_exprs`` into a ``Program``: straight-line Python with one
 statement per node, run on Python floats for one point and on numpy columns
-for many.  ``eval_many_shared(program, points)`` runs it and returns bitwise
-what the interpreted walk returns.  Roots evaluated once stay interpreted,
-since generating the code costs a few interpreted calls.
+for many, where each statement writes into an array the run holds.
+``eval_many_shared(program, points)`` runs it and returns bitwise what the
+interpreted walk returns.  Roots evaluated once stay interpreted, since
+generating the code costs a few interpreted calls.
 """
 
 from __future__ import annotations
@@ -820,16 +821,21 @@ def _on_float(f):
     return lambda x: float(f(x))
 
 
-# A program's code is bound twice: to Python floats for one point and to
-# numpy columns for an array of points.  The helpers apply numpy's own
-# operation in both, so a float result equals its entry in a (1,) array.
-# Powers go through an array because ``array ** k`` takes fast paths
-# (x**0.5 is sqrt, keeping -0.0) that np.power on a float does not, and
-# numpy's pow differs from Python's in the last bit.
+# A program has two bodies.  The scalar one runs on Python floats for one
+# point; the array one on numpy columns for an array of points.  The helpers
+# apply numpy's own operation in both, so a float result equals its entry in
+# a (1,) array.  Powers go through an array because ``array ** k`` takes
+# fast paths (x**0.5 is sqrt, keeping -0.0) that np.power on a float does
+# not, and numpy's pow differs from Python's in the last bit.  The array
+# body writes each value into its name's array with the ufunc's ``out``
+# argument: _add .. _neg are the ufuncs of + - * / and unary -.
 _SCALAR_NS = {f"_{name}": _on_float(f) for name, f in _VEC_FUNCS.items()}
 _SCALAR_NS["_pw"] = lambda x, k: float((np.full(1, x) ** k)[0])
 _ARRAY_NS = {f"_{name}": f for name, f in _VEC_FUNCS.items()}
-_ARRAY_NS["_pw"] = lambda x, k: x**k
+_ARRAY_NS.update(
+    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative,
+    _pw=lambda x, k: x**k,
+)
 
 
 def _statement(node, a):
@@ -851,6 +857,33 @@ def _statement(node, a):
     return f"_{op}({a[0]})"
 
 
+def _array_statement(v, node, a):
+    """Source that puts one node's value in the array named ``v``: the ufunc
+    of _statement, called with ``v`` as its out argument (``v`` may also be
+    an argument, an exact overlap that elementwise ufuncs allow).  Any other
+    power rebinds ``v``, and its slot in ``names``, to the new array of
+    ``x**k``."""
+    op = node.op
+    if op == "pow":
+        k = node.value
+        if k == 2:
+            return f"_mul({a[0]}, {a[0]}, {v})"
+        if k == -1:
+            return f"_div(1.0, {a[0]}, {v})"
+        return f"{v} = names[{v[1:]}] = {_statement(node, a)}"
+    return f"_{op}({', '.join(a)}, {v})"
+
+
+def _function(params, lines):
+    return f"def program({params}):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
+
+
+# Steps per function of a program's array body.  Compiling takes about
+# 3.6 KB a statement while it runs, and the array body is compiled on a first
+# run, so its parts keep that to about 0.25 MB beside the run's arrays.
+_PART = 64
+
+
 class Program(Sequence):
     """Straight-line code for a fixed sequence of roots, from compile_exprs.
 
@@ -859,21 +892,51 @@ class Program(Sequence):
     included, as one (R, P) array, from numpy columns (``run``).  ``at``
     runs one point on Python floats; a call that raises there (division by
     zero) is redone on arrays.
+
+    The code is one list of steps, written out as two bodies.  The scalar
+    body (``source``, run by ``at``) assigns each value to its name.  The
+    array body (run by ``run``) gives each name its own (P,) array once per
+    call, and each step writes into that array through the ufunc's ``out``
+    argument: the same ufunc on the same operands in the same order as the
+    walk, so the same bits, without a new array per step.  A power other
+    than 2 and -1 still allocates, since numpy's ``x**k`` fast paths (sqrt
+    for 0.5, which keeps -0.0) are not taken by np.power with ``out``.  The
+    array body is generated and compiled on the first ``run``, in functions
+    of at most _PART steps that share the list of names: a program run only
+    through ``at``, as every Pfaff right-hand side is, never pays for it.
     """
 
-    def __init__(self, roots, source, constants, numpy_calls):
+    def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
         self.roots = tuple(roots)
-        self.source = source
-        code = compile(source, "<affsym program>", "exec")
-        self._scalar = self._bind(code, _SCALAR_NS, constants)
-        self._array = self._bind(code, _ARRAY_NS, constants)
+        self._head = [f"y{i} = x[{i - 1}]" for i in coords]
+        self._nvars = nvars
+        self._steps = steps
+        self._constants = constants
+        body = [f"{v} = {a if node is None else _statement(node, a)}" for v, node, a in steps]
+        self.source = _function("x, out", self._head + body)
+        self._scalar = self._bind(self.source, _SCALAR_NS)
+        self._array = None
         self._numpy_calls = numpy_calls
 
-    @staticmethod
-    def _bind(code, helpers, constants):
-        namespace = dict(helpers, **constants)
-        exec(code, namespace)
+    def _bind(self, source, helpers):
+        namespace = dict(helpers, **self._constants)
+        exec(compile(source, "<affsym program>", "exec"), namespace)
         return namespace["program"]
+
+    def _array_parts(self):
+        """The array body as functions of (x, out, names), in order; a root's
+        store (node None) copies its value into its row of ``out``."""
+        head = list(self._head)
+        if self._nvars:
+            head.append(", ".join(f"v{k}" for k in range(self._nvars)) + ", = names")
+        parts = []
+        for i in range(0, len(self._steps), _PART):
+            body = [
+                f"{v} = {a}" if node is None else _array_statement(v, node, a)
+                for v, node, a in self._steps[i : i + _PART]
+            ]
+            parts.append(self._bind(_function("x, out, names", head + body), _ARRAY_NS))
+        return parts
 
     def __len__(self):
         return len(self.roots)
@@ -885,9 +948,14 @@ class Program(Sequence):
         """The roots' values as an (R, P) array at points of shape (P, n), or
         at one point of shape (n,) (P = 1), computed on numpy columns."""
         columns = np.atleast_2d(np.asarray(points, dtype=float)).T
-        out = np.empty((len(self.roots), columns.shape[1]))
+        npts = columns.shape[1]
+        out = np.empty((len(self.roots), npts))
+        if self._array is None:
+            self._array = self._array_parts()
+        names = [np.empty(npts) for _ in range(self._nvars)]
         with np.errstate(all="ignore"):
-            self._array(columns, out)
+            for part in self._array:
+                part(columns, out, names)
         return out
 
     def at(self, x):
@@ -908,17 +976,18 @@ class Program(Sequence):
 
 
 def compile_exprs(roots):
-    """Compile a sequence of roots into a Program: one generated function
-    with one statement per distinct node, as eval_many_shared walks them
-    (nodes are interned, so identity is structural equality and every equal
-    subtree is computed once).
+    """Compile a sequence of roots into a Program: one step per distinct
+    node, as eval_many_shared walks them (nodes are interned, so identity is
+    structural equality and every equal subtree is computed once), bound to
+    a scalar and an array body (see Program).
 
-    A name is reused once its value has had its last use, so no more arrays
-    are live than in the interpreted walk, and each root is stored as soon
-    as it is computed.  Subtrees without coordinates (constants the smart
-    constructors left unfolded, such as 1/0) are evaluated here, once.
-    Generating the code costs a few interpreted calls, so compile only roots
-    that are evaluated many times.
+    A name is reused once its value has had its last use, so no more names
+    are live than arrays in the interpreted walk, and each root is stored as
+    soon as it is computed.  The array body writes into each name's own
+    array and never into the points.  Subtrees without coordinates
+    (constants the smart constructors left unfolded, such as 1/0) are
+    evaluated here, once.  Generating the code costs a few interpreted
+    calls, so compile only roots that are evaluated many times.
     """
     roots = list(roots)
     order, uses = _postorder(roots)
@@ -930,7 +999,7 @@ def compile_exprs(roots):
     constant = set()
     folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
     coords = set()
-    body = []
+    steps = []  # (target, node, argument texts); a root's store has node None
     free, nvars = [], 0
     numpy_calls = False
 
@@ -960,25 +1029,21 @@ def compile_exprs(roots):
                 text = free.pop()
             else:
                 text, nvars = f"v{nvars}", nvars + 1
-            body.append(f"{text} = {_statement(node, args)}")
+            steps.append((text, node, args))
             temps.add(node)
             numpy_calls = numpy_calls or op in _VEC_FUNCS or (
                 op == "pow" and node.value not in (2, -1)
             )
         ref[node] = text
         for r in slots.get(node, ()):
-            body.append(f"out[{r}] = {text}")
+            steps.append((f"out[{r}]", None, text))
             release(node)
 
-    head = [f"y{i} = x[{i - 1}]" for i in sorted(coords)]
-    source = "def program(x, out):\n" + "".join(
-        f"    {line}\n" for line in head + body or ["pass"]
-    )
     constants = {}
     if folded:
         values = eval_many_shared(folded, np.zeros((1, 0)))
         constants = {f"_k{j}": float(v[0]) for j, v in enumerate(values)}
-    return Program(roots, source, constants, numpy_calls)
+    return Program(roots, sorted(coords), nvars, steps, constants, numpy_calls)
 
 
 # ---------------------------------------------------------------------------

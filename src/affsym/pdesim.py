@@ -11,7 +11,10 @@ storage, and each right-hand side call fills one (3n, N + 2) block whose
 first n rows hold u between two ghost columns (the periodic wrap), so the
 stencils read shifted slices of those rows and write u_x and u_xx into the
 rows below; the compiled program reads the block's N interior columns.
-Snapshots are stored C-ordered, (N, n), whatever the state's layout.
+Each step's stage inputs and weighted sum are written into two buffers of
+the state's layout, held for the whole evolve; the state itself is a new
+array each step, since a snapshot may hold it.  Snapshots are stored
+C-ordered, (N, n), whatever the state's layout.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -170,8 +173,15 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     """Advance the grid by RK4 with fixed step dt, keeping the initial grid,
     a snapshot every ``every`` (at least 1) steps and the final state.
 
-    Violating the explicit-stability heuristic warns (not an error);
-    non-finite values abort with the step index, counted from the start.
+    Violating the explicit-stability heuristic with a step of either sign
+    warns (not an error); non-finite values abort with the step index,
+    counted from the start.
+
+    The stages are summed into two buffers held for the whole evolve, with
+    the operations, operands and order of ``y + 0.5*dt*k1`` and the other
+    sums, so the values are those of the expressions.  The state ``y`` is
+    a new array each step: SolutionGrid keeps an (N, 1) array as it is, so
+    a snapshot of a one-component system holds y itself.
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
@@ -179,25 +189,38 @@ def evolve_snapshots(sys, grid, dt, steps, every):
         raise ValueError(f"every must be at least 1, got {every!r}")
     coeffs = _coeff_evaluators(sys)
     limit = stability_limit(sys, grid)
-    if dt > limit:
+    if abs(dt) > limit:
         warnings.warn(
             f"time step {dt:.3e} exceeds the stability heuristic {limit:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    # rows layout: y is an (N, n) view of (n, N) storage, and every stage
-    # combination below keeps it
+    # rows layout: y and the two buffers are (N, n) views of (n, N) storage,
+    # and every stage combination below keeps it
     y = np.ascontiguousarray(grid.values.T).T
+    stage = np.empty(y.shape[::-1]).T
+    total = np.empty(y.shape[::-1]).T
     dx = grid.dx
     out = [grid.copy()]
     done = 0
     for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
+            # y + 0.5*dt*k1 .. y + dt*k3 and y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4),
+            # operation by operation in that order
             k1 = _rhs(coeffs, y, dx)
-            k2 = _rhs(coeffs, y + 0.5 * dt * k1, dx)
-            k3 = _rhs(coeffs, y + 0.5 * dt * k2, dx)
-            k4 = _rhs(coeffs, y + dt * k3, dx)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            np.multiply(0.5 * dt, k1, stage)
+            k2 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            np.multiply(0.5 * dt, k2, stage)
+            k3 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            np.multiply(dt, k3, stage)
+            k4 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            np.multiply(2, k2, total)
+            np.add(k1, total, total)
+            np.add(total, np.multiply(2, k3, stage), total)
+            np.add(total, k4, total)
+            np.multiply(dt / 6.0, total, total)
+            # a fresh y: a snapshot of n = 1 values keeps y's storage
+            y = y + total
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"solution blew up at step {step}")
         if step % every == 0 or step == steps:
@@ -211,10 +234,11 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     """Max-norm defect of the evolution equation over interior snapshots.
 
     Time derivative by central differences across consecutive snapshots
-    (which must be equally spaced), right side by the spatial stencil;
-    the result shrinks at 2nd order under joint refinement.  For data that
-    is not genuinely periodic, exclude_boundary masks that many points on
-    each side of the wrap seam.
+    (which must be equally spaced and advance in time), right side by the
+    spatial stencil; a defect that is nan (or inf) at any point makes the
+    result nan (or inf).  The result shrinks at 2nd order under joint
+    refinement.  For data that is not genuinely periodic, exclude_boundary
+    masks that many points on each side of the wrap seam.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
@@ -226,17 +250,20 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     if np.max(np.abs(dts - dts[0])) > 1e-12 * max(1.0, abs(dts[0])):
         raise ValueError("snapshots are not equally spaced in time")
     dt = dts[0]
+    if dt == 0.0:
+        raise ValueError("snapshots do not advance in time")
     keep = np.ones(N, dtype=bool)
     if exclude_boundary:
         keep[:exclude_boundary] = False
         keep[-exclude_boundary:] = False
     coeffs = _coeff_evaluators(sys)
-    worst = 0.0
+    worst = []
     for k in range(1, len(snapshots) - 1):
         ydot = (snapshots[k + 1].values - snapshots[k - 1].values) / (2.0 * dt)
         rhs = _rhs(coeffs, snapshots[k].values, snapshots[k].dx)
-        worst = max(worst, float(np.max(np.abs((ydot - rhs)[keep]))))
-    return worst
+        worst.append(np.max(np.abs((ydot - rhs)[keep])))
+    # np.max, unlike max(), is nan where any defect is (as inf where any is)
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ edge cases, memory, and where Pfaff transport and the simulator compile."""
 import glob
 import importlib.util
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,34 @@ def test_program_drops_arrays_after_last_use():
     finally:
         tracemalloc.stop()
     assert peak < 10 * pts.nbytes
+
+
+def test_in_place_program_is_stateless_and_leaves_its_points_alone():
+    # the array body writes each value into its name's array; a name bound
+    # to x**(5/2)'s new array is written into once its value is used up, and
+    # one such array is used after 100 more steps, in a later part
+    n = 2
+    y2 = coord(2)
+    half = powi(parse_expr("1 + y1^2", n), Fraction(5, 2))
+    product = half * y2
+    quotient = div(func("exp", coord(1)), product + y2)
+    chain = coord(1)
+    for _ in range(100):
+        chain = func("sin", chain)
+    far = powi(parse_expr("2 + y2^2", n), Fraction(5, 2)) * chain
+    roots = [y2, parse_expr("3", n), product, quotient, product, far]
+    prog = compile_exprs(roots)
+    power = re.findall(r"^ +(v\d+) = _pw\(", prog.source, flags=re.M)[0]
+    assert len(re.findall(rf"^ +{power} = ", prog.source, flags=re.M)) > 1
+    for npts in (1, 15, 4096):
+        pts = sample_points(n, npts, seed=npts)
+        want = np.array(eval_many_shared(roots, pts)).tobytes()
+        for points in (pts, np.ascontiguousarray(pts.T).T):  # columns, then rows
+            before = points.tobytes()
+            first = eval_many_shared(prog, points)
+            second = eval_many_shared(prog, points)
+            assert points.tobytes() == before, npts
+            assert first.tobytes() == second.tobytes() == want, npts
 
 
 def counting_compiles(monkeypatch, module):

@@ -1,6 +1,7 @@
 """Method-of-lines evolution, residuals, symmetry transport, and the spin
 chain on the sphere."""
 
+import itertools
 import os
 
 import numpy as np
@@ -60,6 +61,14 @@ def test_stability_warning():
     grid = make_grid([np.sin], 16, L)
     with pytest.warns(RuntimeWarning):
         evolve(sys, grid, dt=10 * stability_limit(sys, grid), steps=1)
+
+
+def test_backward_step_beyond_the_limit_warns():
+    sys = heisenberg_system()
+    grid = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(2 * x)], 64, L)
+    limit = stability_limit(sys, grid)
+    with pytest.warns(RuntimeWarning, match="exceeds the stability heuristic"):
+        evolve(sys, grid, -3 * limit, 1)
 
 
 def test_blowup_reports_step():
@@ -136,13 +145,14 @@ def test_compiled_rhs_is_bitwise_the_einsum_contraction():
 
 def column_rhs(sys, values, dx):
     """The right-hand side by the column route: rolled stencils on the
-    (N, n) values, concatenated into (N, 3n) points for the compiled
-    program."""
+    (N, n) values, concatenated into (N, 3n) points, and the interpreted
+    walk of the compiled program's roots there, stacked into (N, n)."""
     up = np.roll(values, -1, axis=0)
     dn = np.roll(values, 1, axis=0)
     d1 = (up - dn) / (2.0 * dx)
     d2 = (up - 2.0 * values + dn) / dx**2
-    return eval_many_shared(sys.coeff_program, np.concatenate([values, d1, d2], axis=1)).T
+    points = np.concatenate([values, d1, d2], axis=1)
+    return np.stack(eval_many_shared(list(sys.coeff_program), points), axis=1)
 
 
 def column_evolve(sys, grid, dt, steps, every):
@@ -179,18 +189,23 @@ def transcendental_system():
 
 
 def test_row_layout_run_is_bitwise_the_column_route():
+    # the column route shares neither the compiled array code nor the
+    # stage buffers; with n = 1 and a snapshot every step, each snapshot
+    # must keep its own values, not the state's storage
     hexes = np.frompyfunc(float.hex, 1, 1)
-    sys = transcendental_system()
-    profiles = [
+    smooth = [
         lambda x: 0.3 * np.sin(x) + 0.1 * np.cos(3 * x),
         lambda x: 0.2 * np.exp(np.cos(x)) - 0.3,
     ]
-    for N in (64, 1024, 4096):
+    cases = [(transcendental_system(), smooth, 2), (heat_system(), smooth[:1], 1)]
+    for (sys, profiles, every), N in itertools.product(cases, (64, 1024, 4096)):
         grid = make_grid(profiles, N, L)
         dt = 0.5 * stability_limit(sys, grid)
-        snaps = evolve_snapshots(sys, grid, dt, 8, 2)
-        times, values = column_evolve(sys, grid, dt, 8, 2)
+        snaps = evolve_snapshots(sys, grid, dt, 8, every)
+        times, values = column_evolve(sys, grid, dt, 8, every)
         assert [s.t for s in snaps] == times
+        for a, b in itertools.combinations(snaps, 2):
+            assert not np.shares_memory(a.values, b.values), N
         for snap, want in zip(snaps, values):
             assert snap.values.flags.c_contiguous, N
             assert np.array_equal(hexes(snap.values), hexes(want)), N
@@ -270,6 +285,22 @@ def test_pde_residual_input_checks():
     s1, s2, s3 = grid.copy(t=0.0), grid.copy(t=0.1), grid.copy(t=0.3)
     with pytest.raises(ValueError):
         pde_residual(sys, [s1, s2, s3])
+
+
+def test_pde_residual_refuses_snapshots_that_do_not_advance():
+    sys = heisenberg_system()
+    g = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(x)], 64, L)
+    with pytest.raises(ValueError, match="snapshots do not advance in time"):
+        pde_residual(sys, [g, g, g])
+
+
+def test_pde_residual_is_nan_where_a_defect_is_nan():
+    # Gamma^1_11 = sqrt(y1) is nan where u < 0; elsewhere the defect of these
+    # stationary snapshots is |u_xx + sqrt(u) u_x^2|, up to 0.30
+    sys = DiffusionSystem(1, scalar_operator(1, 1.0), Connection.from_strings(1, [[["sqrt(y1)"]]]))
+    g = make_grid([lambda x: 0.3 * np.sin(x)], 64, L)
+    snaps = [g.copy(t=k * 0.01) for k in range(3)]
+    assert np.isnan(pde_residual(sys, snaps))
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,29 @@ show that a change leaves the answers unchanged.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
-("strict_json": no NaN or Infinity).  Each command and demo runs in a fresh
-interpreter with PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit
+("strict_json": no NaN or Infinity).  The grid-1024 `simulate` commands also
+write their snapshots with `--csv` into a temporary directory; the record
+holds the file's sha256 ("csv_sha256"), and its stdout names the file as
+CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
+change in the last bit of a simulated value shows even where the summaries
+in stdout (pde_residual, mean_drift) hide it.  Each command and demo runs in
+a fresh interpreter with PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit
 and a change) can be compared from one place.  The demos are those of the
 checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
 constcurv_n3.json is slow (minutes) on older trees.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 MAIN = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
+CSV_PLACEHOLDER = "<csv>"  # in argv, replaced by a temporary file's path
 
 
 def commands():
@@ -58,7 +66,10 @@ def commands():
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "8", "--transport=" + trans],
             ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4", "--initial", initial],
             ["simulate", "--grid", "32", "--dt", "0.2", "--steps", "100"],  # blows up
-            ["simulate", "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth],
+            [
+                "simulate", "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
+                "--csv", CSV_PLACEHOLDER,
+            ],
         ):
             yield name, [argv[0], path] + argv[1:]
 
@@ -88,22 +99,32 @@ def run(src, out_path):
     env.pop("AFFSYM_SEED", None)
     record = {}
     cli = ((" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv) for name, argv in commands())
-    for key, args in [*cli, *demos(src)]:
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True)
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        record[key] = {
-            "code": proc.returncode,
-            "stdout": proc.stdout,
-            "error": errors[-1] if errors else None,
-            "traceback": "Traceback" in proc.stderr,
-            # a CLI report must be JSON without NaN or Infinity; demos print text
-            "strict_json": (
-                strict_json(proc.stdout) if proc.stdout and not key.startswith("demo ") else None
-            ),
-            "seconds": round(time.perf_counter() - t0, 2),
-        }
-        print(key, proc.returncode, record[key]["seconds"], flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "snapshots.csv")
+        for key, args in [*cli, *demos(src)]:
+            t0 = time.perf_counter()
+            argv = [csv if a == CSV_PLACEHOLDER else a for a in args]
+            proc = subprocess.run([sys.executable] + argv, env=env, capture_output=True, text=True)
+            digest = None
+            if os.path.exists(csv):
+                with open(csv, "rb") as fp:
+                    digest = hashlib.sha256(fp.read()).hexdigest()
+                os.remove(csv)
+            errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+            record[key] = {
+                "code": proc.returncode,
+                # the path is JSON-escaped in a report
+                "stdout": proc.stdout.replace(json.dumps(csv)[1:-1], CSV_PLACEHOLDER),
+                "csv_sha256": digest,
+                "error": errors[-1] if errors else None,
+                "traceback": "Traceback" in proc.stderr,
+                # a CLI report must be JSON without NaN or Infinity; demos print text
+                "strict_json": (
+                    strict_json(proc.stdout) if proc.stdout and not key.startswith("demo ") else None
+                ),
+                "seconds": round(time.perf_counter() - t0, 2),
+            }
+            print(key, proc.returncode, record[key]["seconds"], flush=True)
     with open(out_path, "w", encoding="utf-8") as fp:
         json.dump(record, fp, indent=1)
 
@@ -113,15 +134,15 @@ def diff(before_path, after_path):
         before = json.load(fp)
     with open(after_path, encoding="utf-8") as fp:
         after = json.load(fp)
-    # .get: records from older versions lack "error" and the demos
-    fields = ("code", "stdout", "error")
+    # .get: records from older versions lack "error", "csv_sha256" and the demos
+    fields = ("code", "stdout", "error", "csv_sha256")
     keys = dict.fromkeys([*before, *after])
     pairs = {k: (before.get(k, {}), after.get(k, {})) for k in keys}
     differ = [k for k, (b, a) in pairs.items() if any(b.get(f) != a.get(f) for f in fields)]
     ndemos = sum(k.startswith("demo ") for k in keys)
     print(
         f"{len(keys) - ndemos} commands and {ndemos} demos, "
-        f"{len(differ)} differ in exit code, stdout or error message"
+        f"{len(differ)} differ in exit code, stdout, error message or CSV digest"
     )
     for k in differ:
         b, a = pairs[k]
