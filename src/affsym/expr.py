@@ -7,14 +7,18 @@ points.  Unchecked, it returns IEEE 754's inf or nan outside the real
 domain; with ``checked=True`` numpy's IEEE exception flags (IEEE 754-2019,
 section 7) are raised as errors, and the first node to leave the finite
 reals raises DomainError naming it.  ``eval_expr`` is that checked walk at
-one point.  With ``jets=True`` the same walk also carries each node's first
-derivatives in forward mode and returns each root's gradient, bitwise what
-walking the roots' diff_expr trees returns, without building those trees;
-a derivative that leaves the finite reals raises DomainError ("non-finite
-derivative") naming its node, and a caller that must report the trees'
-own error walks the trees after that.  No walk recurses: all run over the
-iterative ``_postorder`` or, for derivatives, an explicit stack, so depth is
-limited by memory alone.
+one point.  At one point the walk holds numpy float64 scalars, whose
+arithmetic costs about a tenth of that on (1,) arrays and gives the same
+bits under the same error flags; powers still go through a (1,) array,
+since numpy's array power takes fast paths (x**2, x**0.5) that its scalar
+power does not.  With ``jets=True`` the same walk also carries each node's
+first derivatives in forward mode and returns each root's gradient, bitwise
+what walking the roots' diff_expr trees returns, without building those
+trees; a derivative that leaves the finite reals raises DomainError
+("non-finite derivative") naming its node, and a caller that must report
+the trees' own error walks the trees after that.  No walk recurses: all
+run over the iterative ``_postorder`` or, for derivatives, an explicit
+stack, so depth is limited by memory alone.
 
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
@@ -45,6 +49,7 @@ import math
 import weakref
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -493,30 +498,52 @@ def _postorder(roots):
     occurrences among the roots.  Both are keyed by the node itself, which
     hashes and compares by identity; for interned nodes that is structural
     equality.  The order is that of a left-to-right depth-first walk: roots
-    in order, and a node's first argument before its second."""
+    in order, and a node's first argument before its second.
+
+    A node whose arguments are all seen is emitted at once; any other goes
+    back on the stack under a marker, above its unseen arguments.  A child
+    already seen is finished: a node seen but unfinished is an ancestor of
+    the one being expanded, and a DAG has no path back to it."""
     order, uses, seen = [], {}, set()
+    get = uses.get
     for root in roots:
-        uses[root] = uses.get(root, 0) + 1
+        uses[root] = get(root, 0) + 1
     stack = list(roots)
     stack.reverse()
-    pop, push, emit = stack.pop, stack.append, order.append
+    pop, push, emit, mark = stack.pop, stack.append, order.append, seen.add
     while stack:
         node = pop()
         if node is None:  # the marker above a node whose arguments are done
             emit(pop())
         elif node not in seen:
-            seen.add(node)
+            mark(node)
             args = node.args
             if not args:
                 emit(node)
-                continue
-            push(node)
-            push(None)
-            # a child already seen is finished: a node seen but unfinished is
-            # an ancestor of this one, and a DAG has no path back to it
-            for a in reversed(args):
-                uses[a] = uses.get(a, 0) + 1
-                if a not in seen:
+            elif len(args) == 2:
+                a, b = args
+                uses[b] = get(b, 0) + 1
+                uses[a] = get(a, 0) + 1
+                if b not in seen:
+                    push(node)
+                    push(None)
+                    push(b)
+                    if a not in seen:
+                        push(a)
+                elif a not in seen:
+                    push(node)
+                    push(None)
+                    push(a)
+                else:
+                    emit(node)
+            else:
+                a = args[0]
+                uses[a] = get(a, 0) + 1
+                if a in seen:
+                    emit(node)
+                else:
+                    push(node)
+                    push(None)
                     push(a)
     return order, uses
 
@@ -535,13 +562,14 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False):
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
-    is dropped as soon as its last parent has used it.  Unchecked,
-    out-of-domain inputs yield inf/nan per IEEE semantics (callers probing
-    residuals assert finiteness instead).  Checked, the walk raises
-    DomainError on the first node, in left-to-right postorder, whose value is
-    not finite at some point (see _walk); with jets, on the first node whose
-    value or whose derivatives are not (the latter as "non-finite
-    derivative").
+    is dropped as soon as its last parent has used it.  At one point the
+    walk holds numpy float64 scalars in place of (1,) arrays (see _walk).
+    Unchecked, out-of-domain inputs yield inf/nan per IEEE semantics
+    (callers probing residuals assert finiteness instead).  Checked, the
+    walk raises DomainError on the first node, in left-to-right postorder,
+    whose value is not finite at some point (see _walk); with jets, on the
+    first node whose value or whose derivatives are not (the latter as
+    "non-finite derivative").
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
     sequence and runs its generated code, unchecked; it returns one (R, P)
     array (see Program.run).
@@ -564,12 +592,22 @@ def _walk(exprs, pts, checked, jets=False):
     Coordinates are checked to be finite, and constants are finite already.
     With jets, each node's derivatives follow its value (see _jet) and are
     dropped with it.
+
+    At one point (P = 1) each value is a numpy float64, not a (1,) array:
+    arithmetic on a numpy scalar costs about a tenth of the same on an
+    array, runs the same loop, so gives the same bits, and obeys the same
+    np.errstate, so the same node raises.  Powers are the exception and
+    still go through a (1,) array (see _pow).  Each root comes back as a
+    (1,) array.
     """
     order, uses = _postorder(exprs)
     vals = {}
     grads = {}
-    dim = pts.shape[1]
-    npts = pts.shape[0]
+    npts, dim = pts.shape
+    if npts == 1:
+        columns, full = list(pts[0]), np.float64
+    else:
+        columns, full = pts.T, partial(np.full, npts)
     try:
         with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
             for node in order:
@@ -577,7 +615,7 @@ def _walk(exprs, pts, checked, jets=False):
                 args = node.args
                 if not args:
                     if op == "const":
-                        vals[node] = np.full(npts, node.value)
+                        vals[node] = full(node.value)
                         if jets:
                             grads[node] = (ZERO,) * dim
                         continue
@@ -585,7 +623,7 @@ def _walk(exprs, pts, checked, jets=False):
                         raise ExprError(
                             f"coordinate y{node.index} out of range for a point of dimension {dim}"
                         )
-                    x = vals[node] = pts[:, node.index - 1]
+                    x = vals[node] = columns[node.index - 1]
                     if checked and not np.isfinite(x).all():
                         raise DomainError("non-finite value", node)
                     if jets:
@@ -603,14 +641,13 @@ def _walk(exprs, pts, checked, jets=False):
                 elif op == "neg":
                     out = -x
                 elif op == "pow":
-                    k = node.value
-                    out = x ** (float(k) if isinstance(k, Fraction) else k)
+                    out = _pow(x, node.value)
                 else:
                     out = _VEC_FUNCS[op](x)
                 vals[node] = out
                 if jets:
                     try:
-                        grads[node] = _jet(node, vals, grads, npts)
+                        grads[node] = _jet(node, vals, grads, full)
                     except FloatingPointError:
                         raise DomainError("non-finite derivative", node) from None
                 for a in args:
@@ -623,27 +660,44 @@ def _walk(exprs, pts, checked, jets=False):
                             del grads[a]
     except FloatingPointError:
         raise DomainError(_fault(node, [vals[a] for a in node.args]), node) from None
-    values = [vals[e] for e in exprs]
+    if npts == 1:
+        values = [np.full(1, vals[e]) for e in exprs]
+    else:
+        values = [vals[e] for e in exprs]
     if not jets:
         return values
     return values, [_gradient(grads[e], npts) for e in exprs]
 
 
+def _pow(x, k):
+    """x ** k as the walk computes it, for a value x (an array, or a scalar
+    at one point) and an exponent k (an int or a Fraction, taken as a float).
+    A scalar is raised as a (1,) array: numpy's array power takes fast
+    paths (x**2 is x*x, x**0.5 is sqrt, which keeps -0.0) that differ from
+    its scalar pow in the last bit."""
+    k = float(k) if isinstance(k, Fraction) else k
+    if type(x) is np.ndarray:
+        return x**k
+    return (np.full(1, x) ** k)[0]
+
+
 # Forward mode: each node's derivatives d/dy^1..d/dy^n ride along with its
 # value (Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008, ch. 3).
 # Each derivative is an entry that stands for the tree diff_expr would build:
-# the constant node where that tree is one (ZERO, ONE, a folded constant), an
-# array of its values otherwise.  The _j* helpers are the smart constructors
-# on entries: they fold and simplify exactly where add, sub, mul, div, neg
-# and powi do (a constant denominator is squared by powi), and otherwise
-# apply the node's operation to arrays, as the walk of the tree does.  A
-# constant argument's derivatives are all ZERO, so the rules of the unary
-# nodes see only arrays.  So _jet repeats _diff_node term for term, and each
-# derivative is bitwise the walk of its tree, signed zeros included.  A node
-# whose n entries are all arrays keeps them as one (n, P) block, and each
-# rule runs once on the block: elementwise, that is the same operations.
-# A flag comes from a node the trees have or, rarely, from a term they fold
-# away; callers that need the trees' exact error then walk the trees.
+# the constant node where that tree is one (ZERO, ONE, a folded constant), a
+# value (an array, or a scalar at one point) otherwise.  The _j* helpers are
+# the smart constructors on entries: they fold and simplify exactly where
+# add, sub, mul, div, neg and powi do (a constant denominator is squared by
+# powi), and otherwise apply the node's operation to values, as the walk of
+# the tree does.  A constant argument's derivatives are all ZERO, so the
+# rules of the unary nodes see only values.  So _jet repeats _diff_node term
+# for term, and each derivative is bitwise the walk of its tree, signed
+# zeros included.  A node whose n entries are all values keeps them as one
+# block: an (n, P) array, on which each rule runs once (elementwise, that is
+# the same operations), or at one point the list of n scalars.  Entries with
+# a constant node among them are a tuple.  A flag comes from a node the
+# trees have or, rarely, from a term they fold away; callers that need the
+# trees' exact error then walk the trees.
 
 
 def _entry(node, vals):
@@ -653,10 +707,13 @@ def _entry(node, vals):
 
 def _gradient(d, npts):
     """A root's derivatives as a (P, n) array: the transpose of its (n, P)
-    block, or its entries written column by column into one C-ordered array,
-    a constant node's value filling its column."""
+    block, one point's list of scalars as a row, or its entries written
+    column by column into one C-ordered array, a constant node's value
+    filling its column."""
     if type(d) is np.ndarray:
         return d.T
+    if type(d) is list:
+        return np.array([d])
     out = np.empty((npts, len(d)))
     for i, u in enumerate(d):
         out[:, i] = u.value if isinstance(u, Expr) else u
@@ -705,11 +762,13 @@ def _jneg(x):
     return neg(x) if isinstance(x, Expr) else -x
 
 
-def _jdiv(x, y, npts):
+def _jdiv(x, y, full):
+    """div on entries; ``full`` makes a value of a constant (the walk's
+    constant at every point)."""
     if isinstance(y, Expr):
         if isinstance(x, Expr):
             out = div(x, y)
-            return out if out.op == "const" else np.full(npts, x.value) / y.value
+            return out if out.op == "const" else full(x.value) / y.value
         return x if y is ONE else x / y.value
     if isinstance(x, Expr):
         return ZERO if x is ZERO else x.value / y
@@ -719,19 +778,20 @@ def _jdiv(x, y, npts):
 def _jpowi(x, k):
     """powi on an entry.  The only constant entry it gets is a division's
     denominator, squared, which powi always folds (or rejects with its
-    ExprError); an array is raised to k as the walk raises it."""
+    ExprError); a value is raised to k as the walk raises it."""
     if isinstance(x, Expr):
         return powi(x, k)
     if k == 1:
         return x
-    return x ** (float(k) if isinstance(k, Fraction) else k)
+    return _pow(x, k)
 
 
 def _each(rule, d, e=None):
     """``rule`` over a node's derivatives ``d`` (and ``e``, its second
-    argument's): once on the (n, P) blocks when both are blocks, the rule
+    argument's): once on the (n, P) blocks when both are arrays, the rule
     then being elementwise numpy operations, else entry by entry, the
-    result packed into a block when no entry is a constant node."""
+    result a block when no entry is a constant node (an array of the
+    entries' arrays, or one point's list of scalars), else a tuple."""
     if e is None:
         if type(d) is np.ndarray:
             return rule(d)
@@ -740,48 +800,65 @@ def _each(rule, d, e=None):
         return rule(d, e)
     else:
         out = [rule(u, v) for u, v in zip(d, e)]
+    if not out:
+        return ()  # a point of dimension 0 has no derivatives
     for u in out:
         if isinstance(u, Expr):
-            return out
-    return np.array(out)
+            return tuple(out)
+    return np.array(out) if type(out[0]) is np.ndarray else out
 
 
-def _jet(node, vals, grads, npts):
+def _jet(node, vals, grads, full):
     """The derivatives of a node with arguments, from its value, its
     arguments' values and their derivatives: _diff_node's rule for each
-    y^i, on the entries of _jadd and the others above."""
+    y^i, on the entries of _jadd and the others above.  When both arguments
+    of an add, sub or mul carry blocks, so are not constants, the rule is
+    the block's operations written out: the same operations in the same
+    order, without the entry-by-entry dispatch."""
     op = node.op
     args = node.args
     d = grads[args[0]]
-    if op == "add":
-        return _each(_jadd, d, grads[args[1]])
-    if op == "sub":
-        return _each(_jsub, d, grads[args[1]])
+    if op == "add" or op == "sub" or op == "mul":
+        e = grads[args[1]]
+        kind = type(d)
+        if kind is type(e) and kind is not tuple:
+            if op == "mul":
+                a, b = vals[args[0]], vals[args[1]]
+                if kind is list:
+                    return [u * b + a * v for u, v in zip(d, e)]
+                return d * b + a * e
+            if op == "add":
+                return [u + v for u, v in zip(d, e)] if kind is list else d + e
+            return [u - v for u, v in zip(d, e)] if kind is list else d - e
+        if op == "add":
+            return _each(_jadd, d, e)
+        if op == "sub":
+            return _each(_jsub, d, e)
+        a = _entry(args[0], vals)
+        b = _entry(args[1], vals)
+        return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, e)
     if op == "neg":
         return _each(_jneg, d)
     a = _entry(args[0], vals)
-    if op == "mul":
-        b = _entry(args[1], vals)
-        return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, grads[args[1]])
     if op == "div":
         b = _entry(args[1], vals)
         den = _jpowi(b, 2)
-        rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, npts)
+        rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, full)
         return _each(rule, d, grads[args[1]])
     if op == "ln":
-        return _each(lambda u: _jdiv(u, a, npts), d)
+        return _each(lambda u: _jdiv(u, a, full), d)
     if op == "exp":
         e = vals[node]
         return _each(lambda u: _jmul(e, u), d)
     kc = const(float(node.value)) if op == "pow" else None  # built, and checked, in every tree
-    if type(d) is not np.ndarray and all(u is ZERO for u in d):
+    if type(d) is tuple and all(u is ZERO for u in d):
         return d  # each rule below is a product with d/dy^i, which folds to ZERO
     if op == "pow":
         factor = _jmul(kc, _jpowi(a, node.value - 1))
         return _each(lambda u: _jmul(factor, u), d)
     if op == "sqrt":
         den = _jmul(_TWO, vals[node])
-        return _each(lambda u: _jdiv(u, den, npts), d)
+        return _each(lambda u: _jdiv(u, den, full), d)
     if op == "sin":
         c = np.cos(a)
         return _each(lambda u: _jmul(c, u), d)
@@ -898,12 +975,16 @@ class Program(Sequence):
     array body (run by ``run``) gives each name its own (P,) array once per
     call, and each step writes into that array through the ufunc's ``out``
     argument: the same ufunc on the same operands in the same order as the
-    walk, so the same bits, without a new array per step.  A power other
-    than 2 and -1 still allocates, since numpy's ``x**k`` fast paths (sqrt
-    for 0.5, which keeps -0.0) are not taken by np.power with ``out``.  The
-    array body is generated and compiled on the first ``run``, in functions
-    of at most _PART steps that share the list of names: a program run only
-    through ``at``, as every Pfaff right-hand side is, never pays for it.
+    walk, so the same bits, without a new array per step.  A root that is
+    stored once and read by no later step is written by its last step
+    straight into its row of ``out``, where the scalar body assigns it and
+    then stores it.  A power other than 2 and -1 still allocates, since
+    numpy's ``x**k`` fast paths (sqrt for 0.5, which keeps -0.0) are not
+    taken by np.power with ``out``, so a root that is such a power is copied
+    into its row.  The array body is generated and compiled on the first
+    ``run``, in functions of at most _PART steps that share the list of
+    names: a program run only through ``at``, as every Pfaff right-hand side
+    is, never pays for it.
     """
 
     def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
@@ -912,7 +993,11 @@ class Program(Sequence):
         self._nvars = nvars
         self._steps = steps
         self._constants = constants
-        body = [f"{v} = {a if node is None else _statement(node, a)}" for v, node, a in steps]
+        body = []
+        for v, node, a, row in steps:
+            body.append(f"{v} = {a if node is None else _statement(node, a)}")
+            if row is not None:
+                body.append(f"{row} = {v}")
         self.source = _function("x, out", self._head + body)
         self._scalar = self._bind(self.source, _SCALAR_NS)
         self._array = None
@@ -923,20 +1008,21 @@ class Program(Sequence):
         exec(compile(source, "<affsym program>", "exec"), namespace)
         return namespace["program"]
 
-    def _array_parts(self):
-        """The array body as functions of (x, out, names), in order; a root's
-        store (node None) copies its value into its row of ``out``."""
+    def _array_sources(self):
+        """The array body's source as functions of (x, out, names), in order.
+        A root's store (node None) copies its value into its row of ``out``;
+        a step with a row writes its value there."""
         head = list(self._head)
         if self._nvars:
             head.append(", ".join(f"v{k}" for k in range(self._nvars)) + ", = names")
-        parts = []
+        sources = []
         for i in range(0, len(self._steps), _PART):
             body = [
-                f"{v} = {a}" if node is None else _array_statement(v, node, a)
-                for v, node, a in self._steps[i : i + _PART]
+                f"{v} = {a}" if node is None else _array_statement(row or v, node, a)
+                for v, node, a, row in self._steps[i : i + _PART]
             ]
-            parts.append(self._bind(_function("x, out, names", head + body), _ARRAY_NS))
-        return parts
+            sources.append(_function("x, out, names", head + body))
+        return sources
 
     def __len__(self):
         return len(self.roots)
@@ -951,7 +1037,7 @@ class Program(Sequence):
         npts = columns.shape[1]
         out = np.empty((len(self.roots), npts))
         if self._array is None:
-            self._array = self._array_parts()
+            self._array = [self._bind(source, _ARRAY_NS) for source in self._array_sources()]
         names = [np.empty(npts) for _ in range(self._nvars)]
         with np.errstate(all="ignore"):
             for part in self._array:
@@ -999,7 +1085,9 @@ def compile_exprs(roots):
     constant = set()
     folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
     coords = set()
-    steps = []  # (target, node, argument texts); a root's store has node None
+    # (target, node, argument texts, row): a root's store has node None; a
+    # root's only use is its store when row is its row of out
+    steps = []
     free, nvars = [], 0
     numpy_calls = False
 
@@ -1029,14 +1117,19 @@ def compile_exprs(roots):
                 text = free.pop()
             else:
                 text, nvars = f"v{nvars}", nvars + 1
-            steps.append((text, node, args))
+            allocates = op == "pow" and node.value not in (2, -1)
+            numpy_calls = numpy_calls or op in _VEC_FUNCS or allocates
+            rows = slots.get(node, ())
+            if uses[node] == 1 and rows and not allocates:
+                # the root's one use is its store, which its step makes
+                steps.append((text, node, args, f"out[{rows[0]}]"))
+                free.append(text)
+                continue
+            steps.append((text, node, args, None))
             temps.add(node)
-            numpy_calls = numpy_calls or op in _VEC_FUNCS or (
-                op == "pow" and node.value not in (2, -1)
-            )
         ref[node] = text
         for r in slots.get(node, ()):
-            steps.append((f"out[{r}]", None, text))
+            steps.append((f"out[{r}]", None, text, None))
             release(node)
 
     constants = {}

@@ -335,23 +335,20 @@ def _jets(arrays, pts):
     return out
 
 
-def _lie_rows(field, p0):
-    """The linearized Lie derivative of a tensor field W at p0: one row per
-    component of W, in row-major order, over the unknowns eta^k (columns
-    0..n-1) and F^i_k = d eta^i/dy^k (column n + i*n + k), so that
-    row . (eta(p0), F(p0)) is (L_eta W)(p0).
+def _lie_rows(w, dw, r):
+    """The linearized Lie derivative of a tensor field W with r upper slots
+    at a point p0, from W and dW/dy there (``_jets`` at p0, arrays with a
+    leading axis of length 1): one row per component of W, in row-major
+    order, over the unknowns eta^k (columns 0..n-1) and F^i_k = d eta^i/dy^k
+    (column n + i*n + k), so that row . (eta(p0), F(p0)) is (L_eta W)(p0).
 
-    W and dW/dy at p0 come from ``_jets``: one checked forward-mode walk,
-    bitwise the walk of W and its derivative trees, which are built only if
-    that walk faults, to raise DomainError naming their node.  Column j is
-    ``liefn.lie_terms``, the body of ``lie_derivative``, on them with
-    (eta, F) the j-th basis 1-jet, and a row that overflows raises
-    ExprError.
+    Column j is ``liefn.lie_terms``, the body of ``lie_derivative``, on W
+    and dW/dy with (eta, F) the j-th basis 1-jet, and a row that overflows
+    raises ExprError.
     """
-    n = field.n
-    w, dw = _jets([field.comps], p0)
+    n = dw.shape[-1]
     basis = np.eye(n + n * n)
-    lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), field.r)
+    lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), r)
     if not np.isfinite(lie).all():  # a rank of inf or nan entries reads 0
         raise ExprError("the linearized Lie derivative overflows at the point")
     return lie.reshape(n + n * n, -1).T
@@ -375,14 +372,26 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
 def pointwise_symmetry_bounds(sys, p0, depth=2):
     """``pointwise_symmetry_bound`` at every depth 0..depth, as a list, from
     one stack of rows: the rows of a depth are a prefix of those of the
-    next.  The curvature is the one kept on sys.conn (``curvature``)."""
+    next.  The curvature is the one kept on sys.conn (``curvature``).
+
+    The fields and their derivatives at p0 come from one checked
+    forward-mode walk over all of them (``_jets``), bitwise the walk of
+    their derivative trees, which are built only if that walk faults.  On
+    any error each field is walked again on its own and its rows formed
+    before the next field is walked, so that the error raised is the first
+    in that order: rows of A that overflow come before a fault in the
+    curvature's jets."""
     n = sys.n
     fields = [sys.A]
     if depth >= 1:
         fields.append(curvature(sys.conn))
     if depth >= 2:
         fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
-    rows = [_lie_rows(f, p0) for f in fields]
+    try:
+        jets = _jets([f.comps for f in fields], p0)
+        rows = [_lie_rows(w, dw, f.r) for f, w, dw in zip(fields, jets[::2], jets[1::2])]
+    except ExprError:
+        rows = [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
     return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
 
 

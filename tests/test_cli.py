@@ -353,6 +353,47 @@ def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
         pointwise_symmetry_bound(SystemDocument.load(str(path)).to_system(), [1.0, 0.0], 1)
 
 
+STEEP_GAMMA = {"1": [["exp(1e110*y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
+STEEP_ERROR = "error: non-finite value: exp(1e+110*y1)*1e+110*1e+110*1e+110\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["bound", "--depth", "0"], 0), (["bound", "--depth", "1"], 0), (["bound", "--depth", "2"], 1), (["report"], 1)],
+)
+def test_fault_only_in_the_jets_of_nabla_ricci(tmp_path, capsys, argv, code):
+    # Gamma^1_11 = exp(1e110*y1) and its first two derivatives are finite
+    # at y1 = 0, so A, R, dR/dy and nabla Ric are; the third derivative,
+    # which only d(nabla Ric)/dy holds, overflows.  The bound takes every
+    # field's jets from one walk: depths 0 and 1 must not see the fault,
+    # and depth 2 and report name the node the derivative trees name.
+    doc = _flat_doc(Gamma=STEEP_GAMMA, sample=[[0.0, 0.1]])
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([argv[0], str(path), *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", STEEP_ERROR)
+    else:
+        assert json.loads(out)["bound"] == 6 and err == ""
+
+
+@pytest.mark.parametrize("depth", ["0", "1", "2"])
+def test_overflowing_rows_of_a_are_reported_before_a_later_fault(tmp_path, capsys, depth):
+    # L_eta A's rows at y = (0, 0.1) hold A^1_1 - A^2_2, which overflows,
+    # and nabla Ric's jets fault there too: the rows of A, formed before
+    # the curvature's, are the error at every depth
+    doc = _flat_doc(A=[["1.7e308", "0"], ["0", "-1.7e308"]], Gamma=STEEP_GAMMA, sample=[[0.0, 0.1]])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["bound", str(path), "--depth", depth]) == 1
+    assert capsys.readouterr() == ("", "error: the linearized Lie derivative overflows at the point\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["bound", "--depth", "1"], ["bound", "--depth", "2"], ["check-symmetry", "--eta=0,1"], ["report"]],

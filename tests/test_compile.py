@@ -141,6 +141,27 @@ def test_program_drops_arrays_after_last_use():
     assert peak < 10 * pts.nbytes
 
 
+def test_array_body_writes_each_unshared_root_into_its_row():
+    # a root read by no later step is computed straight into out; the
+    # scalar body still assigns it and then stores it
+    sysd = pdesim.heisenberg_system()
+    pdesim._coeff_evaluators(sysd)
+    prog = sysd.coeff_program
+    array_source = "".join(prog._array_sources())
+    assert not re.search(r"^ +out\[\d+\] = ", array_source, flags=re.M)
+    assert "_neg(v5, out[0])" in array_source
+    assert re.findall(r"^ +out\[\d+\] = ", prog.source, flags=re.M) == ["    out[0] = ", "    out[1] = "]
+    # a repeated root, a root read later and a root x**k other than k = 2
+    # and -1 (which allocates) are computed into a name and copied
+    x = parse_expr("sin(y1) + y2", 2)
+    k = powi(x, Fraction(5, 2))
+    roots = [x, x * x, k, parse_expr("exp(y2)", 2), x]
+    prog = compile_exprs(roots)
+    copies = re.findall(r"^ +(out\[\d+\]) = ", "".join(prog._array_sources()), flags=re.M)
+    assert copies == ["out[0]", "out[4]", "out[2]"]
+    assert_same_everywhere(roots, sample_points(2, 5))
+
+
 def test_in_place_program_is_stateless_and_leaves_its_points_alone():
     # the array body writes each value into its name's array; a name bound
     # to x**(5/2)'s new array is written into once its value is used up, and

@@ -434,7 +434,7 @@ def test_eval_expr_evaluates_shared_subtrees_once(monkeypatch):
     for _ in range(16):
         e = add(e, e)  # 2^16 paths down to the one sin node
     assert eval_expr(e, [0.3]) == 2**16 * float(np.sin(0.3))
-    assert calls == [(1,)]
+    assert len(calls) == 1
 
 
 def _handmade_roots():
@@ -578,6 +578,67 @@ def test_jets_are_bitwise_the_derivative_trees(case):
             assert _hex(g[:, i]) == _hex(want[i + 1]), (str(e), i + 1)
 
 
+def _jet_corpus(case):
+    """The roots and points of test_jets_are_bitwise_the_derivative_trees."""
+    if case.startswith("random"):
+        n = int(case[-1])
+        rng = np.random.default_rng(1800 + n)
+        odd = _squares_apart(rng, 4)
+        roots = [_random_tree(rng, n, int(rng.integers(1, 5)), odd) for _ in range(60)]
+        roots += [div(coord(1), const(c)) for c in odd] + [coord(n), const(0.5), neg(coord(1))]
+        pts = np.vstack([sample_points(n, 4), [[0.0, -0.0, 0.0][k % 3] for k in range(n)]])
+        return roots, pts
+    path = os.path.join(FIXTURES, case)
+    sysd = canonical.build_system(JET_SPECS[case]) if case in JET_SPECS else (
+        SystemDocument.load(path).to_system()
+    )
+    return _invariant_roots(sysd), sample_points(sysd.n, 4)
+
+
+WALK_MODES = ({}, {"checked": True}, {"jets": True}, {"checked": True, "jets": True})
+
+
+def _first_row(roots, pts, **mode):
+    """The walk's values (and gradients) in its first row as float.hex
+    strings, or the text and node of the DomainError it raises."""
+    npts = np.atleast_2d(pts).shape[0]
+    try:
+        out = eval_many_shared(roots, pts, **mode)
+    except DomainError as err:
+        return str(err), err.subexpr
+    vals, grads = out if mode.get("jets") else (out, [])
+    assert all(v.shape == (npts,) for v in vals)
+    assert all(g.shape == (npts, np.shape(pts)[-1]) for g in grads)
+    return [_hex(v[:1]) for v in vals] + [_hex(g[0]) for g in grads]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_n1", "random_n2", "random_n3"]
+    + sorted(os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "*.json")))
+    + sorted(JET_SPECS),
+)
+def test_one_point_walk_is_the_first_row_of_two(case):
+    # the walk at one point holds float64 scalars, at two points arrays: the
+    # same bits in every mode, signed zeros included
+    roots, pts = _jet_corpus(case)
+    for p in pts:
+        for mode in WALK_MODES:
+            assert _first_row(roots, p, **mode) == _first_row(roots, np.stack([p, p]), **mode), mode
+
+
+@pytest.mark.parametrize("text, at", [("1/(1/y1)", 0.0), ("exp(-1/y1^2)", 0.0), ("1 + y1*y1", 1e200)])
+def test_one_point_walk_faults_as_the_first_row_of_two(text, at):
+    # checked, the same node raises with the same message; unchecked, the
+    # same inf and nan come back
+    e = parse_expr(text, 1)
+    p = np.array([at])
+    for mode in WALK_MODES:
+        one = _first_row([e], p, **mode)
+        assert one == _first_row([e], np.stack([p, p]), **mode), mode
+        assert isinstance(one[0], str) == bool(mode.get("checked")), mode
+
+
 def test_jets_fold_constant_denominators_as_powi_does():
     # d(y1^2/c)/dy1 is (y1 + y1)*c / c**2 with powi's folded c**2: take a c
     # where dividing by c*c instead changes the last bit
@@ -591,6 +652,13 @@ def test_jets_fold_constant_denominators_as_powi_does():
     for walk in (lambda: diff_expr(big, 1), lambda: eval_many_shared([big], [0.3], checked=True, jets=True)):
         with pytest.raises(ExprError, match="constant power out of floating-point range"):
             walk()
+
+
+def test_jets_at_points_of_dimension_0():
+    # 1/0 is left unfolded, and its gradient has no entries at any count
+    for npts in (1, 3):
+        vals, grads = eval_many_shared([div(ONE, expr.ZERO)], np.zeros((npts, 0)), jets=True)
+        assert vals[0].shape == (npts,) and grads[0].shape == (npts, 0)
 
 
 def test_jets_name_the_node_whose_derivative_is_not_finite():
@@ -794,6 +862,20 @@ def test_postorder_emits_children_first_and_counts_every_use():
         want[r] += 1
 
     order, uses = expr._postorder(roots)
+    # reference: a recursive left-to-right walk, roots in order, a node
+    # emitted after its arguments, first argument first
+    want_order, visited = [], set()
+
+    def visit(node):
+        if node not in visited:
+            visited.add(node)
+            for a in node.args:
+                visit(a)
+            want_order.append(node)
+
+    for r in roots:
+        visit(r)
+    assert order == want_order
     position = {node: i for i, node in enumerate(order)}
     assert len(position) == len(order) and set(order) == reachable
     assert all(position[a] < position[node] for node in order for a in node.args)
