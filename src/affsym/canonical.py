@@ -352,7 +352,7 @@ def projective_flatten(conn, p0, u0):
             exc.args = (f"{exc} on the path to probe y = [{point}]",)
             raise
     block = np.concatenate([straight, probe], axis=1)
-    report["flat_curvature"] = max_report(np.stack(eval_many_shared(rbar, block), axis=-1), probe)
+    report["flat_curvature"] = max_report(eval_many_shared(rbar, block).T, probe)
     report["path_gap"] = max_report(np.subtract(straight, corner), probe)
     return FlattenResult(u=partial(transport_to, prob), report=report)
 

@@ -67,7 +67,7 @@ from .symmetry import (
     pointwise_symmetry_bound,
     pointwise_symmetry_bounds,
 )
-from .tensor import ADD, MUL, TensorField, bcast, grad, sym_matrix_inverse
+from .tensor import ADD, MUL, TensorField, bcast, grad, split_rows, sym_matrix_inverse
 from .util import sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
@@ -223,9 +223,9 @@ class SystemDocument:
         else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
         self._points = self.sample if self.sample is not None else sample_points(n, 20)
-        roots = [*self._system.A.comps.flat, *self._system.conn.gamma.flat]
-        vals = np.stack(eval_many_shared(roots, self._points, checked=True), axis=-1)
-        g = vals[:, n * n :].reshape((-1, n, n, n))
+        arrays = [self._system.A.comps, self._system.conn.gamma]
+        vals = eval_many_shared([e for a in arrays for e in a.flat], self._points, checked=True)
+        _, g = split_rows(vals, arrays)
         res = self._gamma_residual = float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")

@@ -3,18 +3,19 @@
 Expressions are immutable ASTs supporting exact symbolic partial
 differentiation (closed under d/dy^i to any order) and one evaluator,
 ``eval_many_shared``: one walk of the roots' shared DAG at an array of
-points.  Unchecked, it returns IEEE 754's inf or nan outside the real
-domain; with ``checked=True`` numpy's IEEE exception flags (IEEE 754-2019,
-section 7) are raised as errors, and the first node to leave the finite
-reals raises DomainError naming it.  ``eval_expr`` is that checked walk at
-one point.  At one point the walk holds numpy float64 scalars, whose
-arithmetic costs about a tenth of that on (1,) arrays and gives the same
-bits under the same error flags; powers still go through a (1,) array,
-since numpy's array power takes fast paths (x**2, x**0.5) that its scalar
-power does not.  With ``jets=True`` the same walk also carries each node's
-first derivatives in forward mode and returns each root's gradient, bitwise
-what walking the roots' diff_expr trees returns, without building those
-trees; a derivative that leaves the finite reals raises DomainError
+points, returning one (R, P) array, row r holding root r at the P points.
+Unchecked, it returns IEEE 754's inf or nan outside the real domain; with
+``checked=True`` numpy's IEEE exception flags (IEEE 754-2019, section 7)
+are raised as errors, and the first node to leave the finite reals raises
+DomainError naming it.  ``eval_expr`` is that checked walk at one point.
+At one point the walk holds numpy float64 scalars, whose arithmetic costs
+about a tenth of that on (1,) arrays and gives the same bits under the
+same error flags; powers still go through a (1,) array, since numpy's
+array power takes fast paths (x**2, x**0.5) that its scalar power does
+not.  With ``jets=True`` the same walk also carries each node's first
+derivatives in forward mode and returns them as one (R, P, n) array,
+bitwise what walking the roots' diff_expr trees returns, without building
+those trees; a derivative that leaves the finite reals raises DomainError
 ("non-finite derivative") naming its node, and a caller that must report
 the trees' own error walks the trees after that.  No walk recurses: all
 run over the iterative ``_postorder`` or, for derivatives, an explicit
@@ -39,8 +40,8 @@ once by ``compile_exprs`` into a ``Program``: straight-line Python with one
 statement per node, run on Python floats for one point and on numpy columns
 for many, where each statement writes into an array the run holds.
 ``eval_many_shared(program, points)`` runs it and returns bitwise what the
-interpreted walk returns.  Roots evaluated once stay interpreted, since
-generating the code costs a few interpreted calls.
+interpreted walk returns, in the same (R, P) layout.  Roots evaluated once
+stay interpreted, since generating the code costs a few interpreted calls.
 """
 
 from __future__ import annotations
@@ -554,11 +555,12 @@ def eval_many(e, points):
 
 
 def eval_many_shared(exprs, points, *, checked=False, jets=False):
-    """Evaluate a flat sequence of expressions at points of shape (P, n) (or
-    one point of shape (n,)); returns a list of (P,) arrays in input order.
-    With ``jets=True`` it returns the pair (values, gradients): the same list
-    and, per root, its first derivatives d/dy^1..d/dy^n as a (P, n) array,
-    carried through the one walk in forward mode (see _jet).
+    """Evaluate a flat sequence of R expressions at points of shape (P, n)
+    (or one point of shape (n,), P = 1); returns one float array of shape
+    (R, P), row r holding root r.  With ``jets=True`` it returns the pair
+    (values, gradients): the same array and the roots' first derivatives
+    d/dy^1..d/dy^n as one (R, P, n) array, carried through the one walk in
+    forward mode (see _jet).
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
@@ -571,15 +573,11 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False):
     first node whose value or whose derivatives are not (the latter as
     "non-finite derivative").
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
-    sequence and runs its generated code, unchecked; it returns one (R, P)
-    array (see Program.run).
+    sequence and runs its generated code, unchecked (see Program.run).
     """
     if isinstance(exprs, Program) and not checked and not jets:
         return exprs.run(points)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return _walk(exprs, pts, checked, jets)
+    return _walk(exprs, np.atleast_2d(np.asarray(points, dtype=float)), checked, jets)
 
 
 def _walk(exprs, pts, checked, jets=False):
@@ -597,8 +595,7 @@ def _walk(exprs, pts, checked, jets=False):
     arithmetic on a numpy scalar costs about a tenth of the same on an
     array, runs the same loop, so gives the same bits, and obeys the same
     np.errstate, so the same node raises.  Powers are the exception and
-    still go through a (1,) array (see _pow).  Each root comes back as a
-    (1,) array.
+    still go through a (1,) array (see _pow).
     """
     order, uses = _postorder(exprs)
     vals = {}
@@ -660,21 +657,26 @@ def _walk(exprs, pts, checked, jets=False):
                             del grads[a]
     except FloatingPointError:
         raise DomainError(_fault(node, [vals[a] for a in node.args]), node) from None
-    if npts == 1:
-        values = [np.full(1, vals[e]) for e in exprs]
-    else:
-        values = [vals[e] for e in exprs]
+    values = np.array([vals[e] for e in exprs]).reshape(len(exprs), npts)
     if not jets:
         return values
-    return values, [_gradient(grads[e], npts) for e in exprs]
+    jac = np.empty((len(exprs), npts, dim))
+    for r, e in enumerate(exprs):
+        d = grads[e]
+        if type(d) is np.ndarray:
+            jac[r] = d.T
+        else:  # one point's list of scalars, or entries with constant nodes
+            for i, u in enumerate(d):
+                jac[r, :, i] = u.value if isinstance(u, Expr) else u
+    return values, jac
 
 
 def _pow(x, k):
-    """x ** k as the walk computes it, for a value x (an array, or a scalar
-    at one point) and an exponent k (an int or a Fraction, taken as a float).
-    A scalar is raised as a (1,) array: numpy's array power takes fast
-    paths (x**2 is x*x, x**0.5 is sqrt, which keeps -0.0) that differ from
-    its scalar pow in the last bit."""
+    """x ** k as the walk and both bodies of a Program compute it, for x an
+    array or a scalar (one point) and an exponent k (an int or a Fraction,
+    taken as a float).  A scalar is raised as a (1,) array: numpy's array
+    power takes fast paths (x**2 is x*x, x**0.5 is sqrt, which keeps -0.0)
+    that differ from its scalar pow in the last bit."""
     k = float(k) if isinstance(k, Fraction) else k
     if type(x) is np.ndarray:
         return x**k
@@ -703,21 +705,6 @@ def _pow(x, k):
 def _entry(node, vals):
     """A node as a derivative entry: itself if constant, else its values."""
     return node if node.op == "const" else vals[node]
-
-
-def _gradient(d, npts):
-    """A root's derivatives as a (P, n) array: the transpose of its (n, P)
-    block, one point's list of scalars as a row, or its entries written
-    column by column into one C-ordered array, a constant node's value
-    filling its column."""
-    if type(d) is np.ndarray:
-        return d.T
-    if type(d) is list:
-        return np.array([d])
-    out = np.empty((npts, len(d)))
-    for i, u in enumerate(d):
-        out[:, i] = u.value if isinstance(u, Expr) else u
-    return out
 
 
 def _jadd(x, y):
@@ -907,11 +894,10 @@ def _on_float(f):
 # body writes each value into its name's array with the ufunc's ``out``
 # argument: _add .. _neg are the ufuncs of + - * / and unary -.
 _SCALAR_NS = {f"_{name}": _on_float(f) for name, f in _VEC_FUNCS.items()}
-_SCALAR_NS["_pw"] = lambda x, k: float((np.full(1, x) ** k)[0])
+_SCALAR_NS["_pw"] = lambda x, k: float(_pow(x, k))
 _ARRAY_NS = {f"_{name}": f for name, f in _VEC_FUNCS.items()}
 _ARRAY_NS.update(
-    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative,
-    _pw=lambda x, k: x**k,
+    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative, _pw=_pow
 )
 
 

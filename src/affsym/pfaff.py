@@ -212,9 +212,7 @@ def compatibility_residual(prob):
     total = _total_derivative(prob, prob.rhs)  # [a, r, p] = D_p G^a_r
     r, p = np.triu_indices(n, 1)
     residual_exprs = SUB(total[:, r, p], total[:, p, r]).reshape(-1)
-    if not residual_exprs.size:  # n = 1: no mixed pairs
-        return max_report(np.empty((len(probe), 0)), probe)
-    return max_report(np.stack(eval_many_shared(residual_exprs, probe), axis=-1), probe)
+    return max_report(eval_many_shared(residual_exprs, probe).T, probe)
 
 
 def _total_derivative(prob, X):

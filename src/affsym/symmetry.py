@@ -29,7 +29,7 @@ from .expr import ZERO, ExprError, compile_exprs, coord, eval_many_shared
 from .geometry import covariant_differential, curvature, ricci_and_s
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
-from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad
+from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, split_rows
 from .util import max_report, sample_points
 
 __all__ = [
@@ -178,9 +178,10 @@ def flow(eta, p, tau):
     phi_0 is the identity and the group property holds to integrator
     tolerance.  Leaving |y| <= ode.BLOWUP or a step underflow raises
     FlowError with the time reached.  eta's components are compiled once
-    for all solver stages.
+    for all solver stages.  A p that is not one point of dimension n raises
+    ValueError.
     """
-    p = np.asarray(p, dtype=float)
+    p = _point(p, eta.n)
     if tau == 0.0:
         return p.copy()
     program = compile_exprs(eta.comps.reshape(-1))
@@ -209,8 +210,9 @@ def linearization(eta, p0):
     """d(eta)/dy at p0, which must be stationary: |eta(p0)| <= 1e-10.
 
     eta and its derivatives come from one checked walk (``_jets``): one
-    that is not finite at p0 raises DomainError naming its node."""
-    p0 = np.asarray(p0, dtype=float)
+    that is not finite at p0 raises DomainError naming its node, and a p0
+    that is not one point of dimension n raises ValueError."""
+    p0 = _point(p0, eta.n)
     v, F = (a[0] for a in _jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
@@ -301,13 +303,18 @@ def classify(conn, sample=None):
     )
 
 
+def _point(p, n):
+    """``p`` as a float array, which must be one point of dimension n."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"expected a point of shape ({n},) for n = {n}, got shape {p.shape}")
+    return p
+
+
 def _jet_values(arrays, pts):
-    """Values of Expr arrays at points (P, n), or one point (n,), from one
-    checked walk over all their components: a list of float arrays of
-    shape (P,) + each array's shape (P = 1 at one point)."""
-    vals = np.stack(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True), -1)
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-    return [v.reshape((-1,) + a.shape) for a, v in zip(arrays, np.split(vals, cuts, axis=1))]
+    """Values of Expr arrays at points (P, n), or one point (n,) (P = 1),
+    from one checked walk over all their components, cut by split_rows."""
+    return split_rows(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True), arrays)
 
 
 def _jets(arrays, pts):
@@ -326,13 +333,7 @@ def _jets(arrays, pts):
         vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
     except ExprError:
         return _jet_values([x for a in arrays for x in (a, grad(a, n))], pts)
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-    vals = np.split(np.stack(vals, -1), cuts, axis=1)
-    grads = np.split(np.stack(grads, 1), cuts, axis=1)
-    out = []
-    for a, v, g in zip(arrays, vals, grads):
-        out += [v.reshape((-1,) + a.shape), g.reshape((-1,) + a.shape + (n,))]
-    return out
+    return [x for v, g in zip(split_rows(vals, arrays), split_rows(grads, arrays)) for x in (v, g)]
 
 
 def _lie_rows(w, dw, r):
@@ -380,8 +381,10 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     any error each field is walked again on its own and its rows formed
     before the next field is walked, so that the error raised is the first
     in that order: rows of A that overflow come before a fault in the
-    curvature's jets."""
+    curvature's jets.  A p0 that is not one point of dimension n raises
+    ValueError."""
     n = sys.n
+    p0 = _point(p0, n)
     fields = [sys.A]
     if depth >= 1:
         fields.append(curvature(sys.conn))

@@ -10,7 +10,8 @@ term order, operand order and subtractions of the formula it implements.
 Numeric work hands the whole component array to :mod:`expr`'s one
 interpreted walk in one call, at points of shape (P, n) or at one point of
 shape (n,): ``evaluate`` runs it checked (a value that is not finite raises
-DomainError naming the node), ``evaluate_many`` unchecked (IEEE).
+DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
+walk's rows, one per component, go back into tensors by ``split_rows``.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -56,6 +57,7 @@ __all__ = [
     "bcast",
     "fold",
     "grad",
+    "split_rows",
     "TensorField",
     "PointMap",
     "tensor_product",
@@ -112,6 +114,17 @@ def fold(total, *parts):
         for op, terms in parts:
             total = op(total, terms[..., q])
     return total
+
+
+def split_rows(rows, arrays):
+    """The (R, P) values or (R, P, n) gradients of one walk over the
+    components of several Expr arrays, in order and each row-major, cut
+    into one float array per Expr array a, of shape (P,) + a.shape (+ (n,))."""
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    return [
+        np.moveaxis(v, 0, 1).reshape((rows.shape[1],) + a.shape + rows.shape[2:])
+        for a, v in zip(arrays, np.split(rows, cuts))
+    ]
 
 
 class TensorField:
@@ -195,7 +208,7 @@ class TensorField:
         shape (P,) + (n,)*(r+s), or at one point of shape (n,) -> (n,)*(r+s):
         one checked walk over all components, taken in row-major order."""
         vals = eval_many_shared(self.comps.reshape(-1), points, checked=True)
-        out = np.stack(vals, axis=-1).reshape(vals[0].shape + self.comps.shape)
+        out = split_rows(vals, [self.comps])[0]
         return out[0] if np.ndim(points) == 1 else out
 
     def evaluate_many(self, points):
@@ -205,8 +218,7 @@ class TensorField:
         The whole component array goes to eval_many_shared in one call, so
         subtrees shared across components are evaluated once.
         """
-        vals = eval_many_shared(self.comps.reshape(-1), points)
-        return np.stack(vals, axis=-1).reshape(vals[0].shape + self.comps.shape)
+        return split_rows(eval_many_shared(self.comps.reshape(-1), points), [self.comps])[0]
 
     # -- symmetry checks ----------------------------------------------------
 

@@ -661,6 +661,45 @@ def test_jets_at_points_of_dimension_0():
         assert vals[0].shape == (npts,) and grads[0].shape == (npts, 0)
 
 
+def test_the_walk_returns_one_array_row_r_holding_root_r():
+    # the layout of a compiled Program: a float64 (R, P) array at one point
+    # (P = 1), at many points and for no roots, a repeated root twice
+    y1, y2 = coord(1), coord(2)
+    roots = [mul(y1, y2), func("sin", y1), mul(y1, y2), const(2.5)]
+    for pts, npts in (([0.3, -0.7], 1), (sample_points(2, 5), 5)):
+        vals = eval_many_shared(roots, pts)
+        assert type(vals) is np.ndarray and vals.dtype == np.float64
+        assert vals.shape == (4, npts)
+        assert vals.tobytes() == eval_many_shared(compile_exprs(roots), pts).tobytes()
+        assert vals[0].tobytes() == vals[2].tobytes()
+        empty = eval_many_shared([], pts)
+        assert type(empty) is np.ndarray and empty.dtype == np.float64
+        assert empty.shape == (0, npts)
+
+
+def test_jets_come_back_as_one_array_of_shape_r_p_n():
+    # y1*y2's derivatives are a block, 3*y1's the constant nodes 3 and ZERO,
+    # and 2.5's only ZERO: each column is the walk of its derivative tree
+    y1, y2 = coord(1), coord(2)
+    roots = [mul(y1, y2), mul(const(3.0), y1), const(2.5), mul(y1, y2)]
+    for pts, npts in (([0.3, -0.7], 1), (sample_points(2, 5), 5)):
+        vals, grads = eval_many_shared(roots, pts, jets=True)
+        assert type(grads) is np.ndarray and grads.dtype == np.float64
+        assert grads.shape == (4, npts, 2)
+        assert vals.tobytes() == eval_many_shared(roots, pts).tobytes()
+        for r, root in enumerate(roots):
+            for i in (1, 2):
+                want = eval_many_shared([diff_expr(root, i)], pts)[0]
+                assert grads[r, :, i - 1].tobytes() == want.tobytes()
+        vals, grads = eval_many_shared([], pts, jets=True)
+        assert vals.shape == (0, npts) and grads.shape == (0, npts, 2)
+    # points of dimension 0: 1/0 is left unfolded, and has no columns
+    for npts in (1, 3):
+        vals, grads = eval_many_shared([div(ONE, expr.ZERO)], np.zeros((npts, 0)), jets=True)
+        assert vals.shape == (1, npts) and grads.shape == (1, npts, 0)
+        assert np.isinf(vals).all()
+
+
 def test_jets_name_the_node_whose_derivative_is_not_finite():
     # sqrt(y1^2) is 0 at y1 = 0, its derivative divides by 2*sqrt(y1^2) = 0
     e = func("sqrt", powi(coord(1), 2))

@@ -277,6 +277,14 @@ def test_symmetry_system_compatibility_dichotomy():
     assert compatibility_residual(cc).max_abs >= 1e-3
 
 
+def test_compatibility_residual_at_n_1_has_no_mixed_pairs():
+    # one base coordinate: no pair p < r, so no residual component at all
+    prob = named_system("potential_17_23", u_field=[parse_expr("y1^2", 1)])
+    rep = compatibility_residual(prob)
+    assert rep.max_abs == 0.0
+    assert rep.argmax_point == () and rep.argmax_component == ()
+
+
 # kind, n, max_abs.hex(), probe row of the argmax, argmax component
 COMPATIBILITY_PINS = [
     ("symmetry_6", 2, "0x1.a30a956fa4d52p+1", 10, (1,)),

@@ -214,6 +214,25 @@ def test_linearization_names_a_derivative_that_is_not_finite():
         linearization(eta, [0.0, 0.0])
 
 
+def test_a_point_of_the_wrong_dimension_is_refused():
+    # n comes from the field: on n = 2, a point of dimension 3 or 1 is an
+    # error naming both, not a 2x3 F or numpy's broadcasting error
+    eta = VectorField.from_strings(2, ["-y2", "y1"])
+    sysd = flat_system(2, a=2.0)
+    for bad in ([0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.1]):
+        msg = rf"expected a point of shape \(2,\) for n = 2, got shape \({len(bad)},\)"
+        with pytest.raises(ValueError, match=msg):
+            linearization(eta, bad)
+        with pytest.raises(ValueError, match=msg):
+            flow(eta, bad, 0.5)
+        with pytest.raises(ValueError, match=msg):
+            pointwise_symmetry_bound(sysd, bad)
+        with pytest.raises(ValueError, match=msg):
+            pointwise_symmetry_bounds(sysd, bad, 0)
+    with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
+        linearization(eta, [[0.0, 0.0]])
+
+
 def test_linearization_exact_for_linear_field():
     F = np.array([[0.3, -1.2], [0.7, 0.1]])
     eta = VectorField.from_strings(
