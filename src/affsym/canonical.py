@@ -271,7 +271,7 @@ def deformed_curvature(conn, T):
     R = curvature(conn)
     nt = covariant_differential(conn, T).comps  # [i, deriv, k, s]
     first = SUB(ADD(R.comps, bcast(nt, "irks", "isrk")), bcast(nt, "ikrs", "isrk"))
-    return TensorField(conn.n, 1, 3, _add_quadratic(first, T.comps))
+    return TensorField(conn.n, 1, 3, _add_quadratic(first[None], T.comps[None], ADD, SUB, MUL)[0])
 
 
 def deformation_from_covector(n, epsilons):
@@ -339,7 +339,8 @@ def projective_flatten(conn, p0, u0):
     u, delta = _coords(1, n), TensorField.identity(n).comps
     shift = MUL(bcast(u, "r", "krs"), bcast(delta, "ks", "krs"))
     gbar = ADD(ADD(_lift(conn.gamma, n, n), shift), bcast(shift, "ksr", "krs"))
-    rbar = _curvature_comps(gbar, _total_derivative(prob, gbar)).reshape(-1)
+    dgbar = _total_derivative(prob, gbar)
+    rbar = _curvature_comps(gbar[None], dgbar[None], ADD, SUB, MUL).reshape(-1)
 
     probe = sample_points(n, 5, seed=11)
     straight, corner = [], []

@@ -21,6 +21,23 @@ the trees' own error walks the trees after that.  No walk recurses: all
 run over the iterative ``_postorder`` or, for derivatives, an explicit
 stack, so depth is limited by memory alone.
 
+Derivatives of higher order at one point come from a third walk,
+``taylor_coefficients``: it carries each node's Taylor polynomial in
+(y - p0) to order k <= 3, with K = C(n+k, k) coefficients laid out by
+``taylor_tables`` (built once per (n, k)).  Sums and negation act
+elementwise, products by the truncated Cauchy product, a quotient is
+solved degree by degree, and exp, ln, sqrt, sin, cos and int or Fraction
+powers compose the node's univariate series at its value with (u - u0).
+Each coefficient comes with its magnitude, the same sums taken over the
+absolute values of the terms, which bounds its rounding error.  The walk
+builds no derivative tree and is checked but not bitwise: its numbers
+match the trees' walk to rounding, and it raises DomainError wherever the
+trees of order up to k could meet a value out of range (a magnitude not
+finite or near the float limit, a quotient's, logarithm's or square
+root's derivative trees beyond the float range, a constant denominator
+that powi would fold out of range), so a caller that must report the
+trees' own error walks the trees after that.
+
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
 builder of the interning table's keys, which returns the live node equal to
@@ -46,7 +63,9 @@ stay interpreted, since generating the code costs a few interpreted calls.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import weakref
 from collections.abc import Sequence
 from fractions import Fraction
@@ -74,6 +93,9 @@ __all__ = [
     "eval_many_shared",
     "compile_exprs",
     "Program",
+    "TaylorTables",
+    "taylor_tables",
+    "taylor_coefficients",
     "subst",
     "ZERO",
     "ONE",
@@ -853,6 +875,285 @@ def _jet(node, vals, grads, full):
         s = np.sin(a)
         return _each(lambda u: _jneg(_jmul(s, u)), d)
     raise ExprError(f"cannot differentiate node {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Taylor coefficients at one point
+# ---------------------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+_TAYLOR_TABLES = {}
+_FLIP = np.array([-1.0, 1.0])  # on a (coefficient, magnitude) pair: negates the coefficient
+
+
+class TaylorTables:
+    """Truncated polynomials in (y - p0) of order k on n coordinates.
+
+    A polynomial is the array of its K = C(n+k, k) coefficients along axis
+    0, coefficient j standing for the monomial (y - p0)^monomials[j], so
+    that coefficient j is d^alpha f(p0) / alpha! for alpha = monomials[j].
+    The monomials are graded: 1, then y^1..y^n, then the products of two,
+    and so on, and the order within a degree does not depend on k, so the
+    polynomials of order k - 1 are the first entries of those of order k.
+    Built once per (n, k) by ``taylor_tables``.
+    """
+
+    def __init__(self, n, k):
+        monos = [(0,) * n]
+        for d in range(1, k + 1):
+            for picks in itertools.combinations_with_replacement(range(n), d):
+                monos.append(tuple(picks.count(i) for i in range(n)))
+        index = {m: j for j, m in enumerate(monos)}
+        degree = [sum(m) for m in monos]
+        bounds = np.searchsorted(degree, np.arange(k + 2))  # degree d is bounds[d]:bounds[d + 1]
+        self.size = len(monos)
+        self.monomials = np.array(monos, dtype=int).reshape(len(monos), n)
+        self._fact = np.array([math.prod(map(math.factorial, m)) for m in monos], dtype=float)
+        # no derivative alpha! c_alpha of order k or less overflows where
+        # every |c_alpha| is at most this
+        self.limit = _FLOAT_MAX / math.factorial(k)
+        # the product's pairs (gamma, alpha, beta), alpha + beta = gamma,
+        # sorted by gamma: every gamma has (gamma, 0, gamma) among them
+        pairs = sorted(
+            (index[tuple(x + y for x, y in zip(a, b))], i, j)
+            for i, a in enumerate(monos)
+            for j, b in enumerate(monos)
+            if degree[i] + degree[j] <= k
+        )
+        gamma, self._left, self._right = (np.array(v, dtype=int) for v in zip(*pairs))
+        self._starts = np.searchsorted(gamma, np.arange(self.size))
+        # a quotient degree by degree: the pairs with beta != 0 of each degree
+        self._degrees = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            keep = (gamma >= lo) & (gamma < hi) & (self._right != 0)
+            starts = np.searchsorted(gamma[keep], np.arange(lo, hi))
+            self._degrees.append((slice(lo, hi), self._left[keep], self._right[keep], starts))
+        # d/dy^i: coefficient j of order k - 1 is (alpha_i + 1) c[alpha + e_i]
+        low = self.monomials[: bounds[k]]
+        unit = np.eye(n, dtype=int)
+        src = [[index[tuple(m + unit[i])] for m in low] for i in range(n)]
+        self._dsrc = np.array(src, dtype=int).reshape(n, len(low))
+        self._dfac = (low.T + 1.0).reshape(n, len(low))
+
+    def mul(self, x, y):
+        """The truncated product of polynomials x and y, their coefficients
+        along axis 0 and any further axes broadcast elementwise."""
+        return np.add.reduceat(x[self._left] * y[self._right], self._starts, axis=0)
+
+    def div(self, x, y):
+        """x / y for polynomials x and y of the same shape, solved degree by
+        degree: y[0] c_gamma = x_gamma - sum_{beta != 0} c_alpha y_beta."""
+        c = np.empty(x.shape)
+        for part, left, right, starts in self._degrees:
+            if len(left):
+                c[part] = (x[part] - np.add.reduceat(c[left] * y[right], starts)) / y[0]
+            else:
+                c[part] = x[part] / y[0]
+        return c
+
+    def compose(self, g, u):
+        """sum_j g[j] (u - u[0])^j for a univariate series g of length
+        k + 1 at u[0], by Horner's rule."""
+        h = u.copy()
+        h[0] = 0.0
+        c = np.zeros(u.shape)
+        c[0] = g[-1]
+        for gj in g[-2::-1]:
+            c = self.mul(c, h)
+            c[0] += gj
+        return c
+
+    def grad(self, x):
+        """dx/dy^1..n of polynomials x of order k as polynomials of order
+        k - 1, on a new trailing axis."""
+        d = x[self._dsrc] * self._dfac.reshape(self._dfac.shape + (1,) * (x.ndim - 1))
+        return np.moveaxis(d, 0, -1)
+
+    def quotient_fits(self, num, den, den0, order):
+        """True when the diff_expr trees of a quotient's derivatives, to
+        ``order``, stay in the float range, from the magnitudes ``num`` and
+        ``den`` of its numerator's and denominator's polynomials and the
+        denominator's value den0.  The j-th derivative of a/b is N_j over
+        b^(2^j), where N_j sums at most 2^(j(j+1)/2) products of one
+        derivative of a and 2^j - 1 of b, and (b^(2^j))' sums 2^j products
+        of 2^j derivatives of b; no power of b may vanish either."""
+        if order <= 0:
+            return True
+        if not _repeated_squares_fit(den0, order):
+            return False
+        most = math.log(_FLOAT_MAX)
+        a = float(np.max(num * self._fact))
+        log_b = math.log(float(np.max(den * self._fact)))
+        log_terms = order * (order + 1) / 2 * math.log(2.0) + (2**order - 1) * log_b
+        if a > 0.0 and math.log(a) + log_terms > most:
+            return False
+        return order * math.log(2.0) + 2**order * log_b <= most
+
+
+def taylor_tables(n, k):
+    """The TaylorTables of order k on n coordinates, built on first use."""
+    tables = _TAYLOR_TABLES.get((n, k))
+    if tables is None:
+        tables = _TAYLOR_TABLES[(n, k)] = TaylorTables(n, k)
+    return tables
+
+
+def taylor_coefficients(exprs, point, k):
+    """Taylor coefficients of a flat sequence of R roots at one point of
+    shape (n,), to order k <= 3, and their magnitudes: a pair of (R, K)
+    arrays, row r holding root r as a polynomial of ``taylor_tables(n, k)``.
+
+    One forward walk over the roots' shared DAG carries each node's
+    truncated polynomial (Griewank and Walther, "Evaluating Derivatives",
+    2nd ed., 2008, ch. 13): sums and negation elementwise, products by the
+    truncated Cauchy product, a quotient solved degree by degree, and exp,
+    ln, sqrt, sin, cos and powers by composing the node's univariate series
+    at its value with (u - u0).  It builds no derivative tree, and its
+    values are not bitwise those of the trees' walk.  Alongside each
+    coefficient it carries its magnitude, the same sums over the absolute
+    values of their terms, so a coefficient's rounding error is a small
+    multiple of the unit roundoff times its magnitude (running error
+    analysis: Higham, "Accuracy and Stability of Numerical Algorithms",
+    2nd ed., 2002, sec. 3.3).
+
+    The walk is checked against what walking the diff_expr trees of order
+    up to k would meet.  It raises DomainError naming the node where a
+    magnitude is not finite or exceeds ``TaylorTables.limit`` (a term of a
+    derivative, up to k! times larger, could overflow), where the trees of
+    a quotient's, a logarithm's or a square root's derivatives could leave
+    the float range (``TaylorTables.quotient_fits``), and where they would
+    fold a constant denominator out of range (powi(c, 2) applied k times,
+    a result of ZERO counting too); and ExprError where a coordinate is out
+    of range for the point."""
+    if not 0 <= k <= 3:
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {k!r}")
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 1:
+        raise ValueError(f"expected one point of shape (n,), got shape {point.shape}")
+    dim = len(point)
+    tables = taylor_tables(dim, k)
+    order, uses = _postorder(exprs)
+    # each node's polynomial is a (K, 2) array: coefficients, magnitudes
+    coefs = {}
+    with np.errstate(all="ignore"):
+        for node in order:
+            op = node.op
+            args = node.args
+            quotient = None  # (numerator, denominator, its value, order) of a derivative
+            if not args:
+                c = np.zeros((tables.size, 2))
+                if op == "const":
+                    c[0] = node.value, abs(node.value)
+                elif node.index > dim:
+                    raise ExprError(
+                        f"coordinate y{node.index} out of range for a point of dimension {dim}"
+                    )
+                else:
+                    x0 = point[node.index - 1]
+                    c[0] = x0, abs(x0)
+                    if k:
+                        c[node.index] = 1.0
+            else:
+                x = coefs[args[0]]
+                if len(args) == 2:
+                    y = coefs[args[1]]
+                if op == "add":
+                    c = x + y
+                elif op == "sub":
+                    c = x + y * _FLIP
+                elif op == "mul":
+                    c = tables.mul(x, y)
+                elif op == "neg":
+                    c = x * _FLIP
+                elif op == "div":
+                    _check_constant_denominator(node, args[1], k)
+                    den = y * -_FLIP  # the magnitudes' quotient adds what the values' subtracts
+                    den[0] = y[0, 0], abs(y[0, 0])
+                    c = tables.div(x, den)
+                    quotient = x[:, 1], y[:, 1], y[0, 0], k
+                else:
+                    g = _series(node, x[0, 0], k)
+                    c = tables.compose(np.stack([g, np.abs(g)], axis=1), x)
+                    if op == "ln":  # d ln(a) = a' / a
+                        quotient = x[:, 1], x[:, 1], x[0, 0], k - 1
+                    elif op == "sqrt":  # d sqrt(a) = a' / (2 sqrt(a))
+                        quotient = x[:, 1], 2.0 * c[:, 1], 2.0 * c[0, 0], k - 1
+                for a in args:
+                    left = uses[a] - 1
+                    if left:
+                        uses[a] = left
+                    else:
+                        del coefs[a]
+            if not c[:, 1].max() <= tables.limit:  # nan fails too
+                raise DomainError("Taylor coefficient out of range", node)
+            if quotient is not None and not tables.quotient_fits(*quotient):
+                raise DomainError("derivative out of range", node)
+            coefs[node] = c
+    both = np.array([coefs[e] for e in exprs]).reshape(len(exprs), tables.size, 2)
+    return both[..., 0], both[..., 1]
+
+
+def _repeated_squares_fit(v, times):
+    """True when v, v^2, v^4, .. (``times`` squarings) stay finite and
+    nonzero, as the values of the trees' pow(.., 2) denominators."""
+    for _ in range(times):
+        v = v * v
+        if not (np.isfinite(v) and v != 0.0):
+            return False
+    return True
+
+
+def _check_constant_denominator(node, b, k):
+    """Raise DomainError where the trees of a quotient's derivatives to
+    order k would fold its constant denominator's square out of range:
+    powi(c, 2) applied k times raises ExprError or folds to ZERO."""
+    if b.op == "const" and k:
+        for _ in range(k):
+            b = powi(b, 2)
+        if b is ZERO:
+            raise DomainError("constant denominator out of range in a derivative", node)
+
+
+def _series(node, u0, k):
+    """The univariate Taylor series g_j = g^(j)(u0) / j!, j = 0..k, of the
+    node's function or power at its argument's value u0."""
+    op = node.op
+    fact = [float(math.factorial(j)) for j in range(k + 1)]
+    if op == "exp":
+        e = np.exp(u0)
+        g = [e / f for f in fact]
+    elif op == "sin" or op == "cos":
+        s, c = np.sin(u0), np.cos(u0)
+        cycle = (s, c, -s, -c) if op == "sin" else (c, -s, -c, s)
+        g = [cycle[j % 4] / fact[j] for j in range(k + 1)]
+    elif op == "ln":
+        g = [np.log(u0)] + [(-1.0) ** (j - 1) / (j * u0**j) for j in range(1, k + 1)]
+    elif op == "sqrt":
+        s = np.sqrt(u0)
+        g = [s] + [float(_binomial(Fraction(1, 2), j)) * s / u0**j for j in range(1, k + 1)]
+    elif op == "pow":
+        p = node.value
+        g = []
+        try:
+            for j in range(k + 1):
+                beyond = isinstance(p, int) and 0 <= p < j  # u^p has degree p
+                g.append(0.0 if beyond else float(_binomial(p, j)) * _pow(u0, p - j))
+        except (OverflowError, ValueError):
+            raise DomainError("power out of floating-point range", node) from None
+    else:
+        raise ExprError(f"cannot expand node {op!r}")
+    g = np.array(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise DomainError("non-finite Taylor coefficient", node)
+    return g
+
+
+def _binomial(p, j):
+    """p (p - 1) .. (p - j + 1) / j! for an int or Fraction p."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (p - i) / (i + 1)
+    return out
 
 
 def _fault(node, args):

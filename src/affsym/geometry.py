@@ -135,25 +135,58 @@ def curvature(conn):
     Built on the first call and kept on the connection (``conn.curv``);
     every later call returns that same field."""
     if conn.curv is None:
-        conn.curv = TensorField(conn.n, 1, 3, _curvature_comps(conn.gamma, grad(conn.gamma, conn.n)))
+        G = conn.gamma
+        comps = _curvature_comps(G[None], grad(G, conn.n)[None], ADD, SUB, MUL)[0]
+        conn.curv = TensorField(conn.n, 1, 3, comps)
     return conn.curv
 
 
-def _curvature_comps(G, dG):
-    """The curvature formula on coefficients G[i, r, s] = Gamma^i_rs and
-    their derivatives dG[i, r, s, k] = d Gamma^i_rs / dy^k, whatever
-    derivative produced them; comps[i, s, r, k] = R^i_srk."""
-    first = SUB(bcast(dG, "iksr", "isrk"), bcast(dG, "irsk", "isrk"))
-    return _add_quadratic(first, G)
+# The bodies below are the formulas of curvature, ricci_and_s and
+# covariant_differential.  Like ``liefn.lie_terms`` they take the
+# elementwise add, sub and mul as arguments, and their arrays lead with a
+# batch axis p: ADD/SUB/MUL on Expr arrays with p of length 1 build the
+# trees, and numpy's add and subtract with a truncated product on Taylor
+# coefficients (p running over the coefficients) give the numbers of
+# ``symmetry.pointwise_symmetry_bounds``.
 
 
-def _add_quadratic(total, G):
+def _curvature_comps(G, dG, add, sub, mul):
+    """The curvature formula on coefficients G[p, i, r, s] = Gamma^i_rs and
+    their derivatives dG[p, i, r, s, k] = d Gamma^i_rs / dy^k, whatever
+    derivative produced them; comps[p, i, s, r, k] = R^i_srk."""
+    first = sub(bcast(dG, "piksr", "pisrk"), bcast(dG, "pirsk", "pisrk"))
+    return _add_quadratic(first, G, add, sub, mul)
+
+
+def _add_quadratic(total, G, add, sub, mul):
     """total^i_srk + sum_q (G^q_ks G^i_rq - G^q_rs G^i_kq), folded over q in
     that order: the quadratic part of the curvature formula, shared by
     curvature and the deformation identity."""
-    up = MUL(bcast(G, "qks", "isrkq"), bcast(G, "irq", "isrkq"))
-    down = MUL(bcast(G, "qrs", "isrkq"), bcast(G, "ikq", "isrkq"))
-    return fold(total, (ADD, up), (SUB, down))
+    up = mul(bcast(G, "pqks", "pisrkq"), bcast(G, "pirq", "pisrkq"))
+    down = mul(bcast(G, "pqrs", "pisrkq"), bcast(G, "pikq", "pisrkq"))
+    return fold(total, (add, up), (sub, down))
+
+
+def _ricci_contractions(R, add):
+    """R_ij = sum_k R^k_ikj and S_ij = sum_k R^k_kij from R[p, i, s, r, k],
+    each summed by ``add.reduce`` (add a ufunc) over k."""
+    ric = add.reduce(np.diagonal(R, 0, 1, 3), axis=-1)  # sum_k R^k_ikj
+    return ric, add.reduce(np.diagonal(R, 0, 1, 2), axis=-1)  # sum_k R^k_kij
+
+
+def _nabla_terms(G, w, dw, r, add, sub, mul):
+    """nabla W of a field W with r upper slots, the derivative slot first,
+    from G[p, i, r, s] = Gamma^i_rs, w[p, slots] and dw[p, slots, k] =
+    dW/dy^k: dW/dy^k, then slot by slot + G^c_kq W^{..q..} (upper slot c)
+    or - G^q_kc W_{..q..} (lower slot c), each folded over q."""
+    slots = string.ascii_uppercase[: w.ndim - 1]  # W's slots, then k and q
+    out = "p" + slots + "kq"
+    total = dw  # [p, slots, k]
+    for a, c in enumerate(slots):
+        gq = bcast(G, "p" + c + "kq", out) if a < r else bcast(G, "pqk" + c, out)
+        terms = mul(gq, bcast(w, "p" + slots.replace(c, "q"), out))
+        total = fold(total, (add if a < r else sub, terms))
+    return np.moveaxis(total, -1, r + 1)
 
 
 def covariant_differential(conn, w):
@@ -165,16 +198,9 @@ def covariant_differential(conn, w):
     """
     if isinstance(w, Expr):
         w = TensorField.scalar(conn.n, w)
-    G = conn.gamma
-    slots = string.ascii_uppercase[: w.r + w.s]  # W's slots, then k and q
-    out = slots + "kq"
-    total = grad(w.comps, conn.n)  # [slots, k]
-    for a, c in enumerate(slots):
-        # upper slot: + G^{c}_kq W^{..q..}; lower slot: - G^q_k{c} W_{..q..}
-        gq = bcast(G, c + "kq", out) if a < w.r else bcast(G, "qk" + c, out)
-        terms = MUL(gq, bcast(w.comps, slots.replace(c, "q"), out))
-        total = fold(total, (ADD if a < w.r else SUB, terms))
-    return TensorField(conn.n, w.r, w.s + 1, np.moveaxis(total, -1, w.r))
+    jet = (conn.gamma, w.comps, grad(w.comps, conn.n))
+    comps = _nabla_terms(*(a[None] for a in jet), w.r, ADD, SUB, MUL)[0]
+    return TensorField(conn.n, w.r, w.s + 1, comps)
 
 
 def ricci_and_s(conn):
@@ -185,9 +211,7 @@ def ricci_and_s(conn):
     ricci, s, ricci_sym, ricci_skew.
     """
     n = conn.n
-    R = curvature(conn).comps
-    ric = ADD.reduce(np.diagonal(R, 0, 0, 2), axis=-1)  # sum_k R^k_ikj
-    sfield = ADD.reduce(np.diagonal(R, 0, 0, 1), axis=-1)  # sum_k R^k_kij
+    ric, sfield = (a[0] for a in _ricci_contractions(curvature(conn).comps[None], ADD))
     half = const(0.5)
     sym = MUL(half, ADD(ric, ric.T))
     skew = MUL(half, SUB(ric, ric.T))

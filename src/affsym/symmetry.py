@@ -17,16 +17,40 @@ and the connection equation.  For nondegenerate A the latter reduces to
 
 when det A vanishes somewhere the full A-weighted form is used instead.
 Acceptance is residual-based at sample points, not a symbolic proof.
+
+The pointwise bounds take their rows from Taylor coefficients of A and
+Gamma at the point (``expr.taylor_coefficients``), with the curvature and
+nabla Ric formed as numbers by the same bodies that build their trees in
+``geometry``; where that path faults, the rows come from the derivative
+trees, whose error is the one raised.  The invariance suite and
+``linearization`` stay on the trees' jets, which their reports pin to the
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ZERO, ExprError, compile_exprs, coord, eval_many_shared
-from .geometry import covariant_differential, curvature, ricci_and_s
+from .expr import (
+    ZERO,
+    ExprError,
+    compile_exprs,
+    coord,
+    eval_many_shared,
+    taylor_coefficients,
+    taylor_tables,
+)
+from .geometry import (
+    _curvature_comps,
+    _nabla_terms,
+    _ricci_contractions,
+    covariant_differential,
+    curvature,
+    ricci_and_s,
+)
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, split_rows
@@ -127,10 +151,10 @@ def determining_residuals(sys, eta, pts=None):
     symmetry when both stay within tolerance.  With det A = 0 at a probe
     point the A-weighted connection equation replaces the reduced one.
     Both are evaluated checked: a residual that is not finite at a probe
-    point raises DomainError naming the node."""
+    point raises DomainError naming the node.  Points that are not of
+    shape (P, n) raise ValueError."""
     n = sys.n
-    if pts is None:
-        pts = sample_points(n, 20)
+    pts = sample_points(n, 20) if pts is None else _points(pts, n)
     res_a = max_report(_lie_a_exprs(sys, eta).evaluate(pts), pts)
     if sys.a_nondegenerate(pts):
         exprs = _conn_eq_exprs(sys.conn, eta)
@@ -311,6 +335,14 @@ def _point(p, n):
     return p
 
 
+def _points(pts, n):
+    """``pts`` as a float array, which must be points of shape (P, n)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"expected points of shape (P, {n}) for n = {n}, got shape {pts.shape}")
+    return pts
+
+
 def _jet_values(arrays, pts):
     """Values of Expr arrays at points (P, n), or one point (n,) (P = 1),
     from one checked walk over all their components, cut by split_rows."""
@@ -338,10 +370,11 @@ def _jets(arrays, pts):
 
 def _lie_rows(w, dw, r):
     """The linearized Lie derivative of a tensor field W with r upper slots
-    at a point p0, from W and dW/dy there (``_jets`` at p0, arrays with a
-    leading axis of length 1): one row per component of W, in row-major
-    order, over the unknowns eta^k (columns 0..n-1) and F^i_k = d eta^i/dy^k
-    (column n + i*n + k), so that row . (eta(p0), F(p0)) is (L_eta W)(p0).
+    at a point p0, from W and dW/dy there (``_jets`` or ``_one_jet`` at
+    p0, arrays with a leading axis of length 1): one row per component of
+    W, in row-major order, over the unknowns eta^k (columns 0..n-1) and
+    F^i_k = d eta^i/dy^k (column n + i*n + k), so that row . (eta(p0),
+    F(p0)) is (L_eta W)(p0).
 
     Column j is ``liefn.lie_terms``, the body of ``lie_derivative``, on W
     and dW/dy with (eta, F) the j-th basis 1-jet, and a row that overflows
@@ -373,18 +406,91 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
 def pointwise_symmetry_bounds(sys, p0, depth=2):
     """``pointwise_symmetry_bound`` at every depth 0..depth, as a list, from
     one stack of rows: the rows of a depth are a prefix of those of the
-    next.  The curvature is the one kept on sys.conn (``curvature``).
+    next.
 
-    The fields and their derivatives at p0 come from one checked
-    forward-mode walk over all of them (``_jets``), bitwise the walk of
-    their derivative trees, which are built only if that walk faults.  On
-    any error each field is walked again on its own and its rows formed
-    before the next field is walked, so that the error raised is the first
-    in that order: rows of A that overflow come before a fault in the
-    curvature's jets.  A p0 that is not one point of dimension n raises
-    ValueError."""
+    The rows come from Taylor coefficients at p0 (``_taylor_rows``): A to
+    order 1 and Gamma to order depth + 1 from one checked walk
+    (``expr.taylor_coefficients``), and the curvature and nabla Ric as
+    numbers by the formulas of ``geometry``, with no curvature or nabla Ric
+    tree.  Where that path raises ExprError, the rows come from the trees
+    (``_tree_rows``), whose errors are the bound's.  A p0 that is not one
+    point of dimension n raises ValueError."""
     n = sys.n
     p0 = _point(p0, n)
+    try:
+        rows = _taylor_rows(sys, p0, depth)
+    except ExprError:
+        rows = _tree_rows(sys, p0, depth)
+    return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
+
+
+def _one_jet(c, n):
+    """W and dW/dy at p0 (arrays with a leading axis of length 1, as
+    ``_lie_rows`` takes them) from W's Taylor coefficients c[K, slots]."""
+    return c[:1], np.moveaxis(c[1 : n + 1], 0, -1)[None]
+
+
+# Magnitudes beyond this many times the largest coefficient of their array
+# mean the coefficients lost six or more of their sixteen digits to
+# cancellation; the trees cancel the same terms in another order, so the
+# two differ at that level, and the rows come from the trees.  Fixtures,
+# canonical kinds and benchmark decks stay below 20.
+_CANCELLATION = 1e6
+# R's and nabla Ric's coefficients sum products of at most three of
+# Gamma's: with Gamma's derivatives below this, none comes near the float
+# limit, in these sums or in the trees' own.
+_GAMMA_LIMIT = 1e99
+
+
+def _taylor(comps, p0, k):
+    """An Expr array's Taylor coefficients at p0 to order k, as c[K, slots],
+    and the largest magnitude of a derivative there (from the walk's
+    magnitudes, ``taylor_coefficients``).  Raises ExprError where the walk
+    does, and where cancellation took six or more digits
+    (_CANCELLATION)."""
+    coefs, mags = taylor_coefficients(comps.reshape(-1), p0, k)
+    if mags.max(initial=0.0) / _CANCELLATION > np.abs(coefs).max(initial=0.0):
+        raise ExprError("Taylor coefficients lost to cancellation")
+    return coefs.T.reshape((-1,) + comps.shape), math.factorial(k) * mags.max(initial=0.0)
+
+
+def _taylor_rows(sys, p0, depth):
+    """The bound's rows of A, R and nabla Ric, as far as depth asks, from
+    Taylor coefficients at p0: A to order 1, and Gamma to order depth + 1,
+    from which geometry's bodies give R to order depth
+    (``_curvature_comps``), then Ric (``_ricci_contractions``) and nabla
+    Ric to order 1 (``_nabla_terms``), with numpy's add and subtract and
+    the truncated product as mul.  Raises ExprError where ``_taylor``
+    does, where a derivative of Gamma exceeds _GAMMA_LIMIT, and where a row
+    overflows."""
+    n = sys.n
+    rows = [_lie_rows(*_one_jet(_taylor(sys.A.comps, p0, 1)[0], n), 1)]
+    if depth < 1:
+        return rows
+    depth = min(depth, 2)
+    g, largest = _taylor(sys.conn.gamma, p0, depth + 1)
+    if largest > _GAMMA_LIMIT:
+        raise ExprError("Gamma's derivatives too large for the curvature's trees")
+    low, one = taylor_tables(n, depth), taylor_tables(n, 1)
+    ops = (np.add, np.subtract)
+    curv = _curvature_comps(g[: low.size], taylor_tables(n, depth + 1).grad(g), *ops, low.mul)
+    rows.append(_lie_rows(*_one_jet(curv, n), 1))
+    if depth == 2:
+        ric = _ricci_contractions(curv, np.add)[0]
+        nabla = _nabla_terms(g[: one.size], ric[: one.size], low.grad(ric), 0, *ops, one.mul)
+        rows.append(_lie_rows(*_one_jet(nabla, n), 0))
+    return rows
+
+
+def _tree_rows(sys, p0, depth):
+    """The bound's rows from the derivative trees' jets: the curvature kept
+    on sys.conn (``curvature``) and nabla Ric, their fields and derivatives
+    at p0 from one checked forward-mode walk over all of them (``_jets``),
+    bitwise the walk of their derivative trees, which are built only if
+    that walk faults.  On any error each field is walked again on its own
+    and its rows formed before the next field is walked, so that the error
+    raised is the first in that order: rows of A that overflow come before
+    a fault in the curvature's jets."""
     fields = [sys.A]
     if depth >= 1:
         fields.append(curvature(sys.conn))
@@ -392,10 +498,9 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
         fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
     try:
         jets = _jets([f.comps for f in fields], p0)
-        rows = [_lie_rows(w, dw, f.r) for f, w, dw in zip(fields, jets[::2], jets[1::2])]
+        return [_lie_rows(w, dw, f.r) for f, w, dw in zip(fields, jets[::2], jets[1::2])]
     except ExprError:
-        rows = [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
-    return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
+        return [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +530,10 @@ def invariance_suite(sys, eta, pts=None):
     connection residual (which is -L_eta Gamma) for every A.  With
     nondegenerate A it equals ``determining_residuals``' res_Gamma; with
     degenerate A that is the A-weighted residual, which does not bound
-    |L_eta Gamma|."""
+    |L_eta Gamma|.  Points that are not of shape (P, n) raise
+    ValueError."""
     n = sys.n
-    if pts is None:
-        pts = sample_points(n, 20)
+    pts = sample_points(n, 20) if pts is None else _points(pts, n)
     conn = sys.conn
     curv = curvature(conn)
     parts = ricci_and_s(conn)

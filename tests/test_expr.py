@@ -710,6 +710,145 @@ def test_jets_name_the_node_whose_derivative_is_not_finite():
         eval_many_shared([e, diff_expr(e, 1)], [0.0], checked=True)
 
 
+TAYLOR_SPECS = {
+    f"{kind}_n{n}": canonical.CanonicalSpec(kind, n=n, **kw)
+    for n in (1, 2, 3, 4)
+    for kind, kw in (
+        ("maximal_7_11", {}),
+        ("intermediate_17_19", {"m": 1, "u": ("y1",)}),
+        ("intermediate_potential_17_24", {"m": 1, "psi": "y1^2/2"}),
+        ("constcurv_22_13", {}),
+        ("constcurv_2d_22_14", {}),
+    )
+    if (kind != "constcurv_2d_22_14" or n == 2) and (n > 1 or not kind.startswith("constcurv"))
+}
+
+
+def _taylor_corpus(case):
+    """Roots over n coordinates and points: a seeded random corpus of every
+    operation (constant and coordinate denominators, int and Fraction
+    powers, exp, ln, sqrt, sin, cos), or a system's A and Gamma."""
+    if case.startswith("random"):
+        n = int(case[-1])
+        rng = np.random.default_rng(2600 + n)
+        odd = _squares_apart(rng, 4)
+        roots = [_random_tree(rng, n, int(rng.integers(1, 4)), odd) for _ in range(25)]
+        roots += [div(coord(1), const(c)) for c in odd] + [coord(n), const(0.5), neg(coord(1))]
+        return n, roots, sample_points(n, 2)
+    sysd = canonical.build_system(TAYLOR_SPECS[case]) if case in TAYLOR_SPECS else (
+        SystemDocument.load(os.path.join(FIXTURES, case)).to_system()
+    )
+    return sysd.n, list(sysd.A.comps.flat) + list(sysd.conn.gamma.flat), sample_points(sysd.n, 2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_n1", "random_n2", "random_n3"]
+    + sorted(os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "*.json")))
+    + sorted(TAYLOR_SPECS),
+)
+def test_taylor_coefficients_are_the_derivative_trees(case):
+    # coefficient alpha times alpha! is d^alpha e at the point: the checked
+    # walk of e's diff_expr tree, to 1e-12 relative to the largest of e's
+    # derivatives there (absolute where they are all 0), since a derivative
+    # that vanishes is a sum that cancels to rounding in either walk
+    n, roots, pts = _taylor_corpus(case)
+    if case.startswith("random"):
+        nodes = expr._postorder(roots)[0]
+        assert {e.op for e in nodes} >= {"add", "sub", "mul", "div", "neg", "pow", *expr.FUNCS}
+        assert {type(e.value) for e in nodes if e.op == "pow"} == {int, Fraction}
+        assert {e.args[1].op == "const" for e in nodes if e.op == "div"} == {True, False}
+    for p in pts:
+        for k in range(4):
+            tables = expr.taylor_tables(n, k)
+            coefs, mags = expr.taylor_coefficients(roots, p, k)
+            assert coefs.shape == mags.shape == (len(roots), tables.size)
+            assert np.all(mags >= np.abs(coefs))
+            want = np.empty_like(coefs)
+            for j, alpha in enumerate(tables.monomials):
+                trees = []
+                for e in roots:
+                    for i, times in enumerate(alpha):
+                        for _ in range(times):
+                            e = diff_expr(e, i + 1)
+                    trees.append(e)
+                want[:, j] = eval_many_shared(trees, p, checked=True)[:, 0]
+            got = coefs * [math.prod(math.factorial(a) for a in alpha) for alpha in tables.monomials]
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.where(scale == 0.0, 1.0, scale)), k
+
+
+def test_taylor_tables_are_graded_and_nested():
+    # 1, then y^1..y^n, then degree 2, ...: order k - 1 is a prefix of order k
+    t = expr.taylor_tables(3, 3)
+    assert t.size == math.comb(6, 3) and expr.taylor_tables(3, 3) is t
+    assert t.monomials[: 4].tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert list(t.monomials.sum(axis=1)) == sorted(t.monomials.sum(axis=1))
+    for k in range(3):
+        low = expr.taylor_tables(3, k).monomials
+        assert (t.monomials[: len(low)] == low).all()
+
+
+def test_taylor_coefficients_raise_where_a_coefficient_is_out_of_range():
+    y1 = coord(1)
+    steep = func("exp", mul(const(1e110), y1))  # d^3/dy^3 at 0 is 1e330
+    assert np.isfinite(expr.taylor_coefficients([steep], [0.0], 2)[0]).all()
+    with pytest.raises(DomainError, match="Taylor coefficient out of range") as info:
+        expr.taylor_coefficients([steep], [0.0], 3)
+    assert info.value.subexpr is steep
+    # finite, but its second derivative tree could overflow
+    big = mul(const(1e308), y1)
+    assert expr.taylor_coefficients([big], [0.5], 1)[0][0, 1] == 1e308
+    with pytest.raises(ExprError):
+        expr.taylor_coefficients([big], [0.5], 2)
+    with pytest.raises(ExprError):
+        expr.taylor_coefficients([func("ln", y1)], [0.0], 1)
+
+
+def test_taylor_coefficients_fold_constant_denominators_as_the_trees_do():
+    # the second derivative tree of y1^3/1e80 divides by powi(1e160, 2)
+    e = parse_expr("y1^3/1e80", 1)
+    expr.taylor_coefficients([e], [0.3], 1)
+    for k in (2, 3):
+        with pytest.raises(ExprError, match="constant power out of floating-point range"):
+            expr.taylor_coefficients([e], [0.3], k)
+    with pytest.raises(ExprError, match="constant power out of floating-point range"):
+        diff_expr(diff_expr(e, 1), 1)
+    # a square that underflows to ZERO counts too: the trees divide by 0
+    tiny = div(coord(1), const(1e-200))
+    with pytest.raises(DomainError, match="constant denominator out of range"):
+        expr.taylor_coefficients([tiny], [0.3], 1)
+
+
+def test_taylor_coefficients_raise_where_a_quotients_derivative_trees_overflow():
+    # d(c/b)/dy2 is (0*b - c*1e154)/b^2, and c*1e154 folds beyond the float
+    # range, although the derivative itself is about -2e150
+    e = parse_expr("1.0142320547350045e+304/(1e+154*y2)", 2)
+    with pytest.raises(ExprError, match="non-finite constant"):
+        diff_expr(e, 2)
+    expr.taylor_coefficients([e], [0.1, -0.7], 0)
+    with pytest.raises(DomainError, match="derivative out of range") as info:
+        expr.taylor_coefficients([e], [0.1, -0.7], 1)
+    assert info.value.subexpr is e
+    # the second derivative tree of ln(y1) divides by y1^2, which underflows
+    with pytest.raises(DomainError):
+        expr.taylor_coefficients([func("ln", coord(1))], [1e-170], 2)
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_expr(diff_expr(diff_expr(func("ln", coord(1)), 1), 1), [1e-170])
+    expr.taylor_coefficients([func("ln", coord(1))], [1e-170], 1)
+
+
+def test_taylor_magnitudes_bound_the_terms_that_cancel():
+    # cos(sqrt(u)) = 1 - u/2 + u^2/24 - ..., but its chain rule at u = 1e-80
+    # sums terms of 1.25e79 that cancel: the magnitude shows it
+    e = parse_expr("cos(sqrt(1e-80 + y1))", 1)
+    coefs, mags = expr.taylor_coefficients([e], [0.0], 2)
+    assert abs(coefs[0, 2]) < 1.0 and mags[0, 2] > 1e79
+    # without cancellation the magnitude is the coefficient's absolute value
+    coefs, mags = expr.taylor_coefficients([parse_expr("exp(y1)*(2 + y1^2)", 1)], [0.3], 3)
+    assert np.allclose(mags, np.abs(coefs), rtol=1e-15, atol=0.0)
+
+
 def test_eval_many_shared_drops_arrays_after_last_use():
     # a chain of 300 nodes over 10^4 points: keeping every intermediate would
     # hold 300 arrays of 80 kB, freeing after the last use holds a few

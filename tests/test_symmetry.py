@@ -3,13 +3,15 @@ and pointwise bounds."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument
-from affsym.expr import DomainError, const, coord, func, parse_expr, powi
+from affsym import symmetry
+from affsym.expr import DomainError, ExprError, const, coord, func, parse_expr, powi
 from affsym.geometry import (
     Connection,
     DiffusionSystem,
@@ -38,6 +40,7 @@ from affsym.symmetry import (
     _jets,
     _lie_rows,
     _matrix_rank,
+    _taylor_rows,
 )
 from affsym.tensor import PointMap, TensorField, grad, partial_differential
 from affsym.util import max_report, sample_points
@@ -231,6 +234,27 @@ def test_a_point_of_the_wrong_dimension_is_refused():
             pointwise_symmetry_bounds(sysd, bad, 0)
     with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
         linearization(eta, [[0.0, 0.0]])
+
+
+def test_determining_residuals_refuse_points_of_the_wrong_dimension():
+    # n comes from the system: sample points of dimension 3 on n = 2 are an
+    # error naming both, not reports whose argmax points have 3 coordinates
+    sysd = build_system(CanonicalSpec("maximal_7_11", n=2))
+    eta = VectorField.from_strings(2, ["-y2", "y1"])
+    for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
+        msg = re.escape(f"expected points of shape (P, 2) for n = 2, got shape {bad.shape}")
+        with pytest.raises(ValueError, match=msg):
+            determining_residuals(sysd, eta, bad)
+
+
+def test_invariance_suite_refuses_points_of_the_wrong_dimension():
+    # not numpy's bare broadcasting error
+    sysd = build_system(CanonicalSpec("maximal_7_11", n=2))
+    eta = VectorField.from_strings(2, ["-y2", "y1"])
+    for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
+        msg = re.escape(f"expected points of shape (P, 2) for n = 2, got shape {bad.shape}")
+        with pytest.raises(ValueError, match=msg):
+            invariance_suite(sysd, eta, bad)
 
 
 def test_linearization_exact_for_linear_field():
@@ -515,6 +539,142 @@ def test_lie_rows_equal_the_rows_of_the_derivative_trees(name):
         assert _lie_rows(*_jets([W.comps], p0), W.r).tobytes() == want.tobytes()
     want = [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(3)]
     assert pointwise_symmetry_bounds(sysd, p0) == want
+
+
+BOUND_SPECS = {
+    f"{kind}_n{n}": CanonicalSpec(kind, n=n, **kw)
+    for n in (2, 3, 4)
+    for kind, kw in (
+        ("maximal_7_11", {}),
+        ("intermediate_17_19", {"m": 1, "u": ("y1",)}),
+        ("intermediate_potential_17_24", {"m": 1, "psi": "y1^2/2"}),
+        ("constcurv_22_13", {}),
+        ("constcurv_2d_22_14", {}),
+    )
+    if kind != "constcurv_2d_22_14" or n == 2
+}
+
+
+def _random_polynomial_system(n, seed):
+    """A scalar A and a Gamma of random quadratic polynomials, symmetric in
+    its lower slots."""
+    rng = np.random.default_rng(seed)
+    monomials = ["1"] + [f"y{i + 1}" for i in range(n)]
+    monomials += [f"y{i + 1}*y{j + 1}" for i in range(n) for j in range(i, n)]
+    gamma = np.empty((n, n, n), dtype=object)
+    for k in range(n):
+        for r in range(n):
+            for s in range(r, n):
+                terms = [f"{c!r}*{m}" for c, m in zip(rng.uniform(-1, 1, len(monomials)).tolist(), monomials)]
+                gamma[k, r, s] = gamma[k, s, r] = parse_expr(" + ".join(terms), n)
+    return DiffusionSystem(n, scalar_operator(n, 1.5), Connection(n, gamma))
+
+
+def _bound_case(name):
+    """A system and a point: a fixture, a canonical kind, either moved by a
+    shear, or a random polynomial Gamma."""
+    p0 = [0.1, -0.2, 0.15, 0.05]
+    if name.startswith("random_n"):
+        n = int(name[len("random_n")])
+        return _random_polynomial_system(n, 2600 + n), np.array(p0[:n])
+    base = name.removeprefix("sheared_")
+    sysd = build_system(BOUND_SPECS[base]) if base in BOUND_SPECS else _chart_system(base)
+    p0 = np.array(p0[: sysd.n])
+    if base != name:
+        shear = _chart_maps(sysd.n)[1]
+        return transform_system(sysd, shear), shear.apply(p0)
+    return sysd, p0
+
+
+BOUND_CASES = (
+    sorted(os.listdir(FIXTURES))
+    + sorted(BOUND_SPECS)
+    + [f"sheared_{name}" for name in ("constcurv_n3.json", "heisenberg.json", "constcurv_22_13_n4")]
+    + ["random_n2", "random_n3", "random_n4"]
+)
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_taylor_rows_are_the_rows_of_the_derivative_trees(name):
+    # the bound's rows from Taylor coefficients against _lie_rows on the
+    # jets of A, R and nabla Ric, to 1e-12, and the same bound at each depth
+    sysd, p0 = _bound_case(name)
+    n = sysd.n
+    rows = _taylor_rows(sysd, p0, 2)
+    nabla = covariant_differential(sysd.conn, ricci_and_s(sysd.conn)["ricci"])
+    want = [_lie_rows(*_jets([W.comps], p0), W.r) for W in (sysd.A, curvature(sysd.conn), nabla)]
+    for got, tree in zip(rows, want):
+        assert got.shape == tree.shape
+        assert np.max(np.abs(got - tree)) <= 1e-12 * (1 + np.max(np.abs(tree)))
+    bounds = [n * n + n - _matrix_rank(np.concatenate(want[: d + 1])) for d in range(3)]
+    for depth in (0, 1, 2):
+        assert pointwise_symmetry_bounds(sysd, p0, depth) == bounds[: depth + 1]
+
+
+def test_the_bound_builds_no_curvature_or_nabla_ricci_tree(monkeypatch):
+    # the bound of a regular system takes its numbers from Taylor
+    # coefficients: neither tree is built, nor kept on the connection
+    def refuse(*args):
+        raise AssertionError("the bound built a tree")
+
+    monkeypatch.setattr(symmetry, "curvature", refuse)
+    monkeypatch.setattr(symmetry, "covariant_differential", refuse)
+    for name in ("constcurv_n3.json", "heisenberg.json", "intermediate_n3_m1.json"):
+        sysd = _chart_system(name)
+        p0 = np.array([0.1, -0.2, 0.15][: sysd.n])
+        assert len(pointwise_symmetry_bounds(sysd, p0)) == 3
+        assert sysd.conn.curv is None
+    assert pointwise_symmetry_bounds(constcurv_system(3), [0.1, -0.2, 0.15]) == [12, 6, 6]
+
+
+STEEP = [["exp(1e110*y1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "a, gamma, depth, error, message",
+    [
+        # Gamma's third derivative overflows, and only nabla Ric's jets hold it
+        ([["1", "0"], ["0", "1"]], STEEP, 2, DomainError, "non-finite value: exp(1e+110*y1)*1e+110*1e+110*1e+110"),
+        # L_eta A's rows hold A^1_1 - A^2_2, which overflows, before the fault
+        ([["1.7e308", "0"], ["0", "-1.7e308"]], STEEP, 2, ExprError, "the linearized Lie derivative overflows at the point"),
+        ([["1.7e308", "0"], ["0", "-1.7e308"]], STEEP, 0, ExprError, "the linearized Lie derivative overflows at the point"),
+        # the trees of d2 Gamma divide by the folded constant (1e160)^2
+        ([["1", "0"], ["0", "1"]], ([["0", "0"], ["0", "y1^3/1e80"]], [["0", "0"], ["0", "0"]]), 1, ExprError, "constant power out of floating-point range"),
+        # the tree of dA/dy2 folds 1.01e304*1e154, which is not finite
+        ([["1.0142320547350045e+304/(1e+154*y2)", "0"], ["0", "1"]], STEEP, 0, ExprError, "non-finite constant inf"),
+        # R ~ 1.4e308 is finite, and a row adds two of its components
+        ([["1", "0"], ["0", "1"]], ([["0", "1.2e154 + y2"], ["1.2e154 + y2", "0"]], [["1.2e154 + y1", "0"], ["0", "0"]]), 1, ExprError, "the linearized Lie derivative overflows at the point"),
+    ],
+)
+def test_the_bound_raises_the_trees_error_where_the_taylor_path_faults(a, gamma, depth, error, message):
+    sysd = DiffusionSystem(
+        2, TensorField.from_strings(2, 1, 1, a), Connection.from_strings(2, list(gamma)), check=False
+    )
+    p0 = [0.0, 0.1] if "exp" in gamma[0][0][0] else [0.3, 0.2]
+    with pytest.raises(ExprError):
+        _taylor_rows(sysd, np.array(p0), depth)
+    with pytest.raises(error) as info:
+        pointwise_symmetry_bounds(sysd, p0, depth)
+    assert str(info.value) == message
+
+
+def test_the_bound_takes_the_trees_where_taylor_coefficients_cancel():
+    # d2/dy1^2 cos(sqrt(1e-80 + y1)) at y1 = 1e-100 sums chain-rule terms of
+    # 1.25e79 that cancel: the Taylor numbers and the trees' are different
+    # rounding there, so the rows come from the trees
+    sysd = DiffusionSystem(
+        2,
+        TensorField.from_strings(2, 1, 1, [["y2*y1", "y1 + y1 - 7.38905609893065"], ["0", "1"]]),
+        Connection.from_strings(2, [[["700", "0"], ["0", "y2"]], [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]]),
+        check=False,
+    )
+    p0 = np.array([1e-100, -0.7])
+    with pytest.raises(ExprError, match="cancellation"):
+        _taylor_rows(sysd, p0, 1)
+    for depth in (1, 2):
+        rows = symmetry._tree_rows(sysd, p0, depth)
+        want = [6 - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
+        assert pointwise_symmetry_bounds(sysd, p0, depth) == want
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))
