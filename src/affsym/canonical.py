@@ -48,7 +48,7 @@ from .pfaff import (
     transport_to,
 )
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant
-from .util import max_report, sample_points
+from .util import as_points, max_report, sample_points
 
 __all__ = [
     "CanonicalSpec",
@@ -317,7 +317,7 @@ def projective_flatten(conn, p0, u0):
     ValueError, and a failed transport a TransportError naming its probe.
     """
     n = conn.n
-    p0 = np.asarray(p0, dtype=float)
+    p0 = as_points(p0, n, one=True)
     u0 = np.asarray(u0, dtype=float)
     pre_structure = structure_residual(conn, "beta_14_1")
     nb = covariant_differential(conn, _beta_field(conn))

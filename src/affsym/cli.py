@@ -68,7 +68,7 @@ from .symmetry import (
     pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, grad, split_rows, sym_matrix_inverse
-from .util import sample_points
+from .util import as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 
@@ -272,7 +272,7 @@ def from_diffusional(a_rows, sample=None):
         raise InputError("A must be a square matrix of expression strings")
     n = arr.shape[0]
     a_field = TensorField.from_strings(n, 1, 1, arr)
-    pts = np.asarray(sample, dtype=float) if sample is not None else sample_points(n, 20)
+    pts = as_points(sample, n)
     dets = np.linalg.det(a_field.evaluate_many(pts))
     if np.min(np.abs(dets)) < 1e-12:
         raise InputError("A is singular at a sample point")

@@ -1255,7 +1255,7 @@ class Program(Sequence):
     returns bitwise what evaluating those roots returns, inf and nan
     included, as one (R, P) array, from numpy columns (``run``).  ``at``
     runs one point on Python floats; a call that raises there (division by
-    zero) is redone on arrays.
+    zero, a missing coordinate) is redone on arrays.
 
     The code is one list of steps, written out as two bodies.  The scalar
     body (``source``, run by ``at``) assigns each value to its name.  The
@@ -1276,7 +1276,8 @@ class Program(Sequence):
 
     def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
         self.roots = tuple(roots)
-        self._head = [f"y{i} = x[{i - 1}]" for i in coords]
+        self._coords = coords  # in the walk's order, which names the first one missing
+        self._head = [f"y{i} = x[{i - 1}]" for i in sorted(coords)]
         self._nvars = nvars
         self._steps = steps
         self._constants = constants
@@ -1319,9 +1320,13 @@ class Program(Sequence):
 
     def run(self, points):
         """The roots' values as an (R, P) array at points of shape (P, n), or
-        at one point of shape (n,) (P = 1), computed on numpy columns."""
+        at one point of shape (n,) (P = 1), computed on numpy columns.  A
+        coordinate missing from the points raises the walk's ExprError."""
         columns = np.atleast_2d(np.asarray(points, dtype=float)).T
-        npts = columns.shape[1]
+        dim, npts = columns.shape
+        missing = [i for i in self._coords if i > dim]
+        if missing:
+            raise ExprError(f"coordinate y{missing[0]} out of range for a point of dimension {dim}")
         out = np.empty((len(self.roots), npts))
         if self._array is None:
             self._array = [self._bind(source, _ARRAY_NS) for source in self._array_sources()]
@@ -1334,8 +1339,8 @@ class Program(Sequence):
     def at(self, x):
         """The roots' values at one point as an (R,) array.  ``x`` is the
         point as a list of Python floats, which the generated code runs on
-        as it is; where the floats raise (division by zero), the point is
-        redone on arrays, which give inf or nan."""
+        as it is; where the floats raise (division by zero, a coordinate
+        missing from x), the point is redone on arrays by ``run``."""
         out = [0.0] * len(self.roots)
         try:
             if self._numpy_calls:
@@ -1343,7 +1348,7 @@ class Program(Sequence):
                     self._scalar(x, out)
             else:
                 self._scalar(x, out)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        except (ZeroDivisionError, OverflowError, ValueError, IndexError):
             return self.run(x).reshape(-1)
         return np.array(out)
 
@@ -1371,7 +1376,7 @@ def compile_exprs(roots):
     temps = set()  # nodes held in a reusable name
     constant = set()
     folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
-    coords = set()
+    coords = []  # coordinate indices, in the walk's order
     # (target, node, argument texts, row): a root's store has node None; a
     # root's only use is its store when row is its row of out
     steps = []
@@ -1387,7 +1392,7 @@ def compile_exprs(roots):
     for node in order:
         op = node.op
         if op == "coord":
-            coords.add(node.index)
+            coords.append(node.index)
             text = f"y{node.index}"
         elif op == "const":
             constant.add(node)
@@ -1423,7 +1428,7 @@ def compile_exprs(roots):
     if folded:
         values = eval_many_shared(folded, np.zeros((1, 0)))
         constants = {f"_k{j}": float(v[0]) for j, v in enumerate(values)}
-    return Program(roots, sorted(coords), nvars, steps, constants, numpy_calls)
+    return Program(roots, coords, nvars, steps, constants, numpy_calls)
 
 
 # ---------------------------------------------------------------------------

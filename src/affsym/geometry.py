@@ -33,7 +33,7 @@ from .tensor import (
     pushforward,
     sym_matrix_inverse,
 )
-from .util import max_report, sample_points
+from .util import as_points, max_report, sample_points
 
 __all__ = [
     "Connection",
@@ -114,7 +114,7 @@ class DiffusionSystem:
             conn.check_symmetric()
 
     def a_nondegenerate(self, pts):
-        """True when |det A| exceeds 1e-12 at every probe point."""
+        """True when |det A| exceeds 1e-12 at every probe point (``as_points``)."""
         vals = self.A.evaluate_many(pts)
         return bool(np.min(np.abs(np.linalg.det(vals))) > 1e-12)
 
@@ -229,16 +229,15 @@ def metric_connection(g, pts=None):
     Gamma^k_ij = sum_s g^{ks}/2 (d g_sj/dy^i + d g_is/dy^j - d g_ij/dy^s),
 
     the unique symmetric connection with nabla g = 0.  g must pass
-    ``is_symmetric`` and be nonsingular at the probe points (default: the
-    20 sample points).
+    ``is_symmetric`` and be nonsingular at the probe points (``as_points``:
+    None gives the 20 sample points).
     """
     n = g.n
+    pts = as_points(pts, n)
     if g.valence != (0, 2):
         raise ValueError("metric must be a (0,2) field")
     if not g.is_symmetric():
         raise ValueError("metric is not symmetric")
-    if pts is None:
-        pts = sample_points(n, 20)
     dets = np.linalg.det(g.evaluate_many(pts))
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("metric is singular at a probe point")
@@ -261,7 +260,8 @@ def lower_curvature(g, curv):
 
 
 def structure_residual(conn, form, pts=None):
-    """Max-norm residual of a curvature structure formula.
+    """Max-norm residual of a curvature structure formula at the probe
+    points (``as_points``: None gives the 20 sample points).
 
     The right-hand side is assembled numerically from the Ricci split:
 
@@ -275,6 +275,7 @@ def structure_residual(conn, form, pts=None):
       (at n=2 the prefactor is 1, which is the planar special case).
     """
     n = conn.n
+    pts = as_points(pts, n)
     if form not in STRUCTURE_FORMS:
         raise ValueError(f"unknown structure form {form!r}; pick one of {STRUCTURE_FORMS}")
     if form == "intermediate_10_15" and n < 3:
@@ -285,8 +286,6 @@ def structure_residual(conn, form, pts=None):
         raise ValueError("beta_14_1 requires n >= 2")
     if form == "const_curv_19_14" and n < 2:
         raise ValueError("const_curv_19_14 requires n >= 2")
-    if pts is None:
-        pts = sample_points(n, 20)
     parts = ricci_and_s(conn)
     Rv = curvature(conn).evaluate_many(pts)
     rh = parts["ricci_sym"].evaluate_many(pts)
@@ -363,10 +362,10 @@ def transform_connection(conn, pmap):
 def transform_system(sys, pmap, check_points=None):
     """Carry a system to new coordinates: A by the (1,1) tensor rule, the
     connection with its inhomogeneous term.  The map must supply its inverse
-    and have a nonsingular Jacobian at the probe points."""
-    pmap.require_inverse()
+    and have a nonsingular Jacobian at the probe points (``as_points``)."""
     n = sys.n
-    pts = check_points if check_points is not None else sample_points(n, 20)
+    pts = as_points(check_points, n)
+    pmap.require_inverse()
     jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate_many(pts)
     if np.min(np.abs(np.linalg.det(jac))) < 1e-12:
         raise ValueError("map Jacobian is singular at a probe point")

@@ -37,6 +37,7 @@ from .tensor import (
     sym_matrix_inverse,
     tensor_product,
 )
+from .util import as_points
 
 __all__ = [
     "VectorField",
@@ -200,8 +201,9 @@ def lie_derivative_operator_power(eta, a_field, q, pts):
 
     A^q is the symbolic product A A .. A (left to right), of the adjugate
     inverse ``sym_matrix_inverse(A)`` when q < 0, and L_eta is
-    ``lie_derivative``; A^0 = id gives 0.
+    ``lie_derivative``; A^0 = id gives 0.  The points pass ``as_points``.
     """
+    pts = as_points(pts, a_field.n)
     if q == 0:
         return 0.0
     base = a_field.comps if q > 0 else sym_matrix_inverse(a_field.comps)
@@ -209,7 +211,7 @@ def lie_derivative_operator_power(eta, a_field, q, pts):
     for _ in range(abs(q) - 1):
         power = ADD.reduce(MUL(bcast(power, "is", "ijs"), bcast(base, "sj", "ijs")), axis=-1)
     lie = lie_derivative(eta, TensorField(a_field.n, 1, 1, power))
-    return float(np.max(np.abs(lie.evaluate_many(np.asarray(pts, dtype=float)))))
+    return float(np.max(np.abs(lie.evaluate_many(pts))))
 
 
 def nijenhuis_classical(a_field):

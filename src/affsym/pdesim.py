@@ -152,12 +152,15 @@ def stability_limit(sys, grid):
 
     An A whose components are all constant nodes is the same matrix at every
     point, with the same eigenvalues from LAPACK at each, so it is evaluated
-    at the first point only; any other A at every point."""
+    at the first point only; any other A at every point.  An A that is not
+    finite there raises the checked walk's DomainError."""
     pts = grid.values
     if all(c.op == "const" for c in sys.A.comps.flat):
         pts = pts[:1]
-    eigs = np.linalg.eigvals(sys.A.evaluate_many(pts))
-    lam = float(np.max(np.abs(eigs)))
+    vals = sys.A.evaluate_many(pts)
+    if not np.isfinite(vals).all():
+        sys.A.evaluate(pts)
+    lam = float(np.max(np.abs(np.linalg.eigvals(vals))))
     if lam == 0.0:
         return np.inf
     return 0.4 * grid.dx**2 / lam

@@ -35,7 +35,7 @@ from .tensor import (
     partial_differential,
     sym_matrix_inverse,
 )
-from .util import max_report, sample_points
+from .util import as_points, max_report, sample_points
 
 __all__ = [
     "PfaffProblem",
@@ -91,9 +91,9 @@ class PfaffProblem:
         self.rhs = np.asarray(rhs, dtype=object)
         if self.rhs.shape != (k, n):
             raise ValueError(f"rhs shape {self.rhs.shape} != {(k, n)}")
-        self.p0 = np.asarray(p0, dtype=float)
+        self.p0 = as_points(p0, self.n, one=True)
         self.u0 = np.asarray(u0, dtype=float)
-        if self.p0.shape != (n,) or self.u0.shape != (k,):
+        if self.u0.shape != (k,):
             raise ValueError("initial data shapes do not match (n, k)")
         self.restrictions = list(restrictions)
         self._rhs_program = self._restriction_program = None
@@ -275,7 +275,7 @@ def named_system(kind, conn=None, beta=None, g=None, u_field=None, p0=None, u0=N
     if kind in ("xfields_17_11", "potential_17_23") and u_field is None:
         raise ValueError(f"{kind} needs the covector field u (Exprs over y)")
     n = conn.n if conn is not None else len(u_field)
-    p0 = np.zeros(n) if p0 is None else np.asarray(p0, float)
+    p0 = np.zeros(n) if p0 is None else p0
     restrictions = ()
 
     x = _coords(1, n)  # the unknowns u_j (or X^j) come first in the block

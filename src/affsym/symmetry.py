@@ -54,7 +54,7 @@ from .geometry import (
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, split_rows
-from .util import max_report, sample_points
+from .util import as_points, max_report, sample_points
 
 __all__ = [
     "LinearizationMatrix",
@@ -151,10 +151,9 @@ def determining_residuals(sys, eta, pts=None):
     symmetry when both stay within tolerance.  With det A = 0 at a probe
     point the A-weighted connection equation replaces the reduced one.
     Both are evaluated checked: a residual that is not finite at a probe
-    point raises DomainError naming the node.  Points that are not of
-    shape (P, n) raise ValueError."""
-    n = sys.n
-    pts = sample_points(n, 20) if pts is None else _points(pts, n)
+    point raises DomainError naming the node.  The points pass
+    ``as_points`` (None gives the 20 sample points)."""
+    pts = as_points(pts, sys.n)
     res_a = max_report(_lie_a_exprs(sys, eta).evaluate(pts), pts)
     if sys.a_nondegenerate(pts):
         exprs = _conn_eq_exprs(sys.conn, eta)
@@ -202,10 +201,9 @@ def flow(eta, p, tau):
     phi_0 is the identity and the group property holds to integrator
     tolerance.  Leaving |y| <= ode.BLOWUP or a step underflow raises
     FlowError with the time reached.  eta's components are compiled once
-    for all solver stages.  A p that is not one point of dimension n raises
-    ValueError.
+    for all solver stages.  p is one point (``as_points``).
     """
-    p = _point(p, eta.n)
+    p = as_points(p, eta.n, one=True)
     if tau == 0.0:
         return p.copy()
     program = compile_exprs(eta.comps.reshape(-1))
@@ -234,9 +232,9 @@ def linearization(eta, p0):
     """d(eta)/dy at p0, which must be stationary: |eta(p0)| <= 1e-10.
 
     eta and its derivatives come from one checked walk (``_jets``): one
-    that is not finite at p0 raises DomainError naming its node, and a p0
-    that is not one point of dimension n raises ValueError."""
-    p0 = _point(p0, eta.n)
+    that is not finite at p0 raises DomainError naming its node; p0 is one
+    point (``as_points``)."""
+    p0 = as_points(p0, eta.n, one=True)
     v, F = (a[0] for a in _jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
@@ -299,16 +297,10 @@ def classify(conn, sample=None):
 
     The rank must be constant over the sample (relative singular-value
     threshold 1e-7); a varying rank raises RankNotConstantError rather than
-    being resolved silently.
+    being resolved silently.  The sample passes ``as_points``.
     """
     n = conn.n
-    if sample is None:
-        sample = sample_points(n, 20)
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim == 1:
-        sample = sample[None, :]
-    if len(sample) == 0:
-        raise ValueError("sample set is empty")
+    sample = as_points(sample, n)
     rh = ricci_and_s(conn)["ricci_sym"].evaluate(sample)
     ranks = [_matrix_rank(rh[p]) for p in range(len(sample))]
     if len(set(ranks)) != 1:
@@ -325,22 +317,6 @@ def classify(conn, sample=None):
     return DegenerationReport(
         n=n, m=m, case_label=label, bound=degeneration_bound(n, m), rank_constant=True
     )
-
-
-def _point(p, n):
-    """``p`` as a float array, which must be one point of dimension n."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n,):
-        raise ValueError(f"expected a point of shape ({n},) for n = {n}, got shape {p.shape}")
-    return p
-
-
-def _points(pts, n):
-    """``pts`` as a float array, which must be points of shape (P, n)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"expected points of shape (P, {n}) for n = {n}, got shape {pts.shape}")
-    return pts
 
 
 def _jet_values(arrays, pts):
@@ -413,10 +389,10 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     (``expr.taylor_coefficients``), and the curvature and nabla Ric as
     numbers by the formulas of ``geometry``, with no curvature or nabla Ric
     tree.  Where that path raises ExprError, the rows come from the trees
-    (``_tree_rows``), whose errors are the bound's.  A p0 that is not one
-    point of dimension n raises ValueError."""
+    (``_tree_rows``), whose errors are the bound's.  p0 is one point
+    (``as_points``)."""
     n = sys.n
-    p0 = _point(p0, n)
+    p0 = as_points(p0, n, one=True)
     try:
         rows = _taylor_rows(sys, p0, depth)
     except ExprError:
@@ -483,12 +459,10 @@ def _taylor_rows(sys, p0, depth):
 
 
 def _tree_rows(sys, p0, depth):
-    """The bound's rows from the derivative trees' jets: the curvature kept
-    on sys.conn (``curvature``) and nabla Ric, their fields and derivatives
-    at p0 from one checked forward-mode walk over all of them (``_jets``),
-    bitwise the walk of their derivative trees, which are built only if
-    that walk faults.  On any error each field is walked again on its own
-    and its rows formed before the next field is walked, so that the error
+    """The bound's rows from the derivative trees' jets: A, the curvature
+    kept on sys.conn (``curvature``) and nabla Ric, as far as depth asks,
+    each walked on its own (``_jets``, bitwise the walk of its derivative
+    trees) and its rows formed before the next is walked, so that the error
     raised is the first in that order: rows of A that overflow come before
     a fault in the curvature's jets."""
     fields = [sys.A]
@@ -496,11 +470,7 @@ def _tree_rows(sys, p0, depth):
         fields.append(curvature(sys.conn))
     if depth >= 2:
         fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
-    try:
-        jets = _jets([f.comps for f in fields], p0)
-        return [_lie_rows(w, dw, f.r) for f, w, dw in zip(fields, jets[::2], jets[1::2])]
-    except ExprError:
-        return [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
+    return [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +500,8 @@ def invariance_suite(sys, eta, pts=None):
     connection residual (which is -L_eta Gamma) for every A.  With
     nondegenerate A it equals ``determining_residuals``' res_Gamma; with
     degenerate A that is the A-weighted residual, which does not bound
-    |L_eta Gamma|.  Points that are not of shape (P, n) raise
-    ValueError."""
-    n = sys.n
-    pts = sample_points(n, 20) if pts is None else _points(pts, n)
+    |L_eta Gamma|.  The points pass ``as_points``."""
+    pts = as_points(pts, sys.n)
     conn = sys.conn
     curv = curvature(conn)
     parts = ricci_and_s(conn)

@@ -9,7 +9,8 @@ summand has parts of either sign).  An assembled tree therefore keeps the
 term order, operand order and subtractions of the formula it implements.
 Numeric work hands the whole component array to :mod:`expr`'s one
 interpreted walk in one call, at points of shape (P, n) or at one point of
-shape (n,): ``evaluate`` runs it checked (a value that is not finite raises
+shape (n,), checked against the field's n by ``util.as_points``:
+``evaluate`` runs it checked (a value that is not finite raises
 DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
 walk's rows, one per component, go back into tensors by ``split_rows``.
 
@@ -47,7 +48,7 @@ from .expr import (
     sub,
     subst,
 )
-from .util import sample_points
+from .util import as_points, sample_points
 
 __all__ = [
     "ADD",
@@ -207,9 +208,10 @@ class TensorField:
         """Checked evaluation at points of shape (P, n) -> float ndarray of
         shape (P,) + (n,)*(r+s), or at one point of shape (n,) -> (n,)*(r+s):
         one checked walk over all components, taken in row-major order."""
-        vals = eval_many_shared(self.comps.reshape(-1), points, checked=True)
-        out = split_rows(vals, [self.comps])[0]
-        return out[0] if np.ndim(points) == 1 else out
+        one = np.ndim(points) == 1
+        pts = as_points(points, self.n, one)
+        out = split_rows(eval_many_shared(self.comps.reshape(-1), pts, checked=True), [self.comps])[0]
+        return out[0] if one else out
 
     def evaluate_many(self, points):
         """Vectorized, unchecked evaluation at points of shape (P, n) (or one
@@ -218,7 +220,8 @@ class TensorField:
         The whole component array goes to eval_many_shared in one call, so
         subtrees shared across components are evaluated once.
         """
-        return split_rows(eval_many_shared(self.comps.reshape(-1), points), [self.comps])[0]
+        pts = as_points(points, self.n, np.ndim(points) == 1)
+        return split_rows(eval_many_shared(self.comps.reshape(-1), pts), [self.comps])[0]
 
     # -- symmetry checks ----------------------------------------------------
 

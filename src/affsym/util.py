@@ -1,4 +1,5 @@
-"""Shared plumbing: seeded sample points and residual reports."""
+"""Shared plumbing: seeded sample points, the point contract and residual
+reports."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "sample_points", "ResidualReport", "max_report"]
+__all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "sample_points", "as_points", "ResidualReport", "max_report"]
 
 # Residual checks draw sample points uniformly from [-SAMPLE_BOX, SAMPLE_BOX]^n,
 # which keeps the canonical conformal factors strictly positive.  The seed is
@@ -22,6 +23,24 @@ def sample_points(n, count=20, seed=None):
         seed = int(os.environ.get("AFFSYM_SEED", DEFAULT_SEED))
     rng = np.random.default_rng(seed)
     return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, n))
+
+
+def as_points(pts, n, one=False):
+    """The one check of points for dimension n: ``pts`` as a float array of
+    P >= 1 finite points, of shape (P, n), or with ``one`` of one finite
+    point, of shape (n,).  None gives ``sample_points(n, 20)`` (not with
+    ``one``); anything else raises ValueError naming n and the shape."""
+    if pts is None and not one:
+        return sample_points(n, 20)
+    arr = np.asarray(pts, dtype=float)
+    what = f"a point of shape ({n},)" if one else f"points of shape (P, {n})"
+    if arr.shape != ((n,) if one else arr.shape[:1] + (n,)):
+        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape}")
+    if not arr.size:
+        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape} with no points")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape} with nan or inf")
+    return arr
 
 
 @dataclass

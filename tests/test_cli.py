@@ -221,6 +221,25 @@ def test_simulate_profile_not_finite_on_the_grid_exits_1(capsys, profile):
     assert capsys.readouterr().err == "error: bad profile: grid values must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, "division by zero: 1/y1"),
+        ({"n": 1, "A": [["y1^-3"]]}, "zero raised to a negative power: y1^-3"),
+    ],
+)
+def test_simulate_coefficient_not_finite_at_a_grid_value_exits_1(tmp_path, capsys, doc, line):
+    # the default profile puts y1 = 0 on the grid, where A is not finite:
+    # input at fault, named by the stability limit's checked walk
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["inspect", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", str(path), "--grid", "16", "--dt", "0.001", "--steps", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_grid_flow_blow_up_exits_2(capsys):
     # a rotation of the sphere carries the constant profile (1, 0) through the
     # stereographic chart's pole at tau = pi/2; the grid flow's blow-up guard

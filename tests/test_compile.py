@@ -13,6 +13,7 @@ import pytest
 from affsym import canonical, pdesim, pfaff
 from affsym.cli import main
 from affsym.expr import (
+    ExprError,
     Program,
     compile_exprs,
     coord,
@@ -106,6 +107,19 @@ def test_program_keeps_the_sign_of_zero():
     assert_same(roots, [-0.0])
     assert_same(roots, [0.0])
     assert np.all(np.signbit(eval_many_shared(compile_exprs(roots[:1]), [-0.0])))
+
+
+def test_program_raises_the_walks_error_for_a_missing_coordinate():
+    # y3 at points of dimension 2: run and at raise the walk's ExprError
+    roots = [coord(1), parse_expr("y3 + y2", 3), coord(2)]
+    prog = compile_exprs(roots)
+    with pytest.raises(ExprError) as walk:
+        eval_many_shared(roots, [[0.1, 0.2]])
+    assert str(walk.value) == "coordinate y3 out of range for a point of dimension 2"
+    for call in (lambda: eval_many_shared(prog, [[0.1, 0.2]]), lambda: prog.at([0.1, 0.2])):
+        with pytest.raises(ExprError) as got:
+            call()
+        assert str(got.value) == str(walk.value)
 
 
 def test_program_of_constant_subtrees():

@@ -12,9 +12,12 @@ write their snapshots with `--csv` into a temporary directory; the record
 holds the file's sha256 ("csv_sha256"), and its stdout names the file as
 CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
 change in the last bit of a simulated value shows even where the summaries
-in stdout (pde_residual, mean_drift) hide it.  Each command and demo runs in
-a fresh interpreter with PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit
-and a change) can be compared from one place.  The demos are those of the
+in stdout (pde_residual, mean_drift) hide it.  Two documents whose A is not
+finite at a grid value (HOSTILE) also run through `inspect` and `simulate`;
+they are written to the temporary directory, not to fixtures/, which the
+tests iterate over.  Each command and demo runs in a fresh interpreter with
+PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
+can be compared from one place.  The demos are those of the
 checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
 constcurv_n3.json is slow (minutes) on older trees.
 """
@@ -30,9 +33,15 @@ import time
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 MAIN = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
 CSV_PLACEHOLDER = "<csv>"  # in argv, replaced by a temporary file's path
+# A divides by zero and raises zero to a negative power where y1 = 0, which
+# the default initial profile puts on a grid point
+HOSTILE = {
+    "hostile_inverse.json": {"n": 2, "A": [["1", "1/y1"], ["0", "1"]]},
+    "hostile_negative_power.json": {"n": 1, "A": [["y1^-3"]]},
+}
 
 
-def commands():
+def commands(tmp):
     for name in sorted(os.listdir(FIXTURES)):
         path = os.path.join(FIXTURES, name)
         with open(path, encoding="utf-8") as fp:
@@ -72,6 +81,12 @@ def commands():
             ],
         ):
             yield name, [argv[0], path] + argv[1:]
+    for name, doc in HOSTILE.items():
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(doc, fp)
+        for argv in (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4"]):
+            yield name, [argv[0], path] + argv[1:]
 
 
 def demos(src):
@@ -98,8 +113,11 @@ def run(src, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("AFFSYM_SEED", None)
     record = {}
-    cli = ((" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv) for name, argv in commands())
     with tempfile.TemporaryDirectory() as tmp:
+        cli = (
+            (" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv)
+            for name, argv in commands(tmp)
+        )
         csv = os.path.join(tmp, "snapshots.csv")
         for key, args in [*cli, *demos(src)]:
             t0 = time.perf_counter()
