@@ -41,6 +41,7 @@ from .pfaff import (
     TransportError,
     _beta_from_connection,
     _coords,
+    _initial_data,
     _lift,
     _total_derivative,
     named_system,
@@ -313,12 +314,14 @@ def projective_flatten(conn, p0, u0):
       Once du/dy = G(u, y) the curvature above vanishes for any u, so this
       is the number that transport itself drives.
 
-    Every stage lands in the report; a failed precondition raises
-    ValueError, and a failed transport a TransportError naming its probe.
+    p0 is one point (``as_points``) and u0 its n covector values, which must
+    be finite (else ValueError naming u0).  Every stage lands in the report;
+    a failed precondition raises ValueError, and a failed transport a
+    TransportError naming its probe.
     """
     n = conn.n
     p0 = as_points(p0, n, one=True)
-    u0 = np.asarray(u0, dtype=float)
+    u0 = _initial_data(u0, n)
     pre_structure = structure_residual(conn, "beta_14_1")
     nb = covariant_differential(conn, _beta_field(conn))
     pts = sample_points(n, 20)

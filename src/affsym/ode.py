@@ -9,32 +9,37 @@ initial step and the RMS error norm follow Hairer, Norsett and Wanner,
 quartic continuous extension of Shampine, "Some Practical Runge-Kutta
 Formulas", Math. Comp. 46 (1986) 135-150 (Hairer-Norsett-Wanner II.6).
 
-Every floating-point operation is the one scipy's ``RK45`` performs, in the
-same order and on the same array layouts (stage sums ``np.dot(K[:s].T,
-a[:s]) * h``, the 0.9 / 0.2 / 10 step factors, the ``min_step`` rule), so
-steps, ``nfev``, end values and dense output are bitwise what
-``scipy.integrate.solve_ivp(..., method="RK45")`` returns.  A system of a
-few unknowns spends most of its time in the interpreter rather than in
-arithmetic, so three things are written for less overhead.  The scalars t,
-h, |h|, the minimum step, the error norm and the step factors are Python
-floats: a Python float and a numpy float64 scalar are the same IEEE double
-under the same operation (``math.nextafter`` and ``abs`` are exact,
-``math.sqrt`` is correctly rounded like ``np.sqrt``, and ``**`` calls the
-same C ``pow``), so their bits match; the one place they part, 0.01 / 0 in
-the initial step, gives inf here as on numpy scalars, where a Python float
-would raise.  Each vector sum is made in place from the same BLAS ``dot`` on
-the same views: ``z = K[:s].T.dot(a); z *= h; z += y`` is scipy's ``y +
-np.dot(K[:s].T, a) * h`` with the operands of the commutative IEEE multiply
-and add swapped.  And |y_new| is computed once, for the next step's error
-scale and for the blow-up guard.  What remains per step attempt is the
-right-hand side's own cost (for a Pfaff transport, one run of its compiled
-program at one point and one ``dot``) and about 34 small numpy calls: the
-stage sums, the stores into K, the error scale and norm.  Every run carries
-one blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with
-status 1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that
-carries y beyond it ends the run at its upward crossing, found by bisection
-on the dense output, where scipy uses Brent's method, so the reported
-crossing time can differ in its last bits.
+Every floating-point operation is the one scipy's ``RK45`` performs, on the
+same operands in the same order, so steps, ``nfev``, end values and dense
+output are bitwise what ``scipy.integrate.solve_ivp(..., method="RK45")``
+returns.  Every ``dot`` is the same BLAS call on the same views of the stage
+matrix K: the stage sums ``K[:s].T.dot(a)``, the new state's, the error
+estimate's and the error norm's ``err.dot(err)``; BLAS kernels may use FMA,
+so those sums stay BLAS calls.  The elementwise operations around them take
+scipy's operands in scipy's order: ``z*h + y`` for a stage input (scipy's
+``y + dot * h``, as IEEE + and * commute), ``max(|y|, |y_new|)*rtol + atol``
+for the error scale and ``err*h/scale`` for the weighted error.
+
+A system of a few unknowns spends most of its time in the interpreter
+rather than in arithmetic, so the state is kept in the representation of
+``y0``, chosen by the caller.  A list of Python floats keeps the state, the
+stage inputs handed to ``fun``, the error scale and the blow-up guard on
+Python floats: a Python float and a float64 array element are the same IEEE
+double under the same correctly rounded + * / and abs, so their bits
+match; only the dots make arrays.  Any other y0 is taken as a float64
+array, and the elementwise operations run in place on arrays, which pays
+on a stacked grid of many unknowns.  The scalars t, h, |h|, the minimum
+step, the error norm and the step factors are Python floats on either
+path (``math.nextafter`` and ``abs`` are exact, ``math.sqrt`` is correctly
+rounded like ``np.sqrt``, and ``**`` calls the same C ``pow``); the one
+place they part from numpy scalars, 0.01 / 0 in the initial step, gives
+inf here as on numpy scalars, where a Python float would raise.  |y_new| is computed once, for the next
+step's error scale and for the blow-up guard.  Every run carries one
+blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with status
+1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that carries
+y beyond it ends the run at its upward crossing, found by bisection on the
+dense output, where scipy uses Brent's method, so the reported crossing
+time can differ in its last bits.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
 ])
 B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+# (s, weights, node) of the states whose slopes are K[1] .. K[6]: stage s's
+# row A[s, :s] at node C[s] for s = 1..5, then the new state, B at node 1
+STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, 6)] + [(6, B, 1.0)]
 E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
 # Shampine's continuous extension: y(t_old + x h) = y_old + h * (K.T @ P) @ [x, x^2, x^3, x^4]
 P = np.array([
@@ -82,15 +90,17 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """Hairer-Norsett-Wanner's starting step (II.4); one call of fun."""
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol, floats):
+    """Hairer-Norsett-Wanner's starting step (II.4) from the float64 array
+    y0; one call of fun, given a list of floats when ``floats``."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1.tolist() if floats else y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -159,6 +169,32 @@ class IntegrationError(RuntimeError):
         self.last_step = result.last_step
 
 
+def _error_array(err, h, abs_y, y_new, rtol, atol):
+    """|y_new| and the weighted error err h / (max(|y|, |y_new|) rtol + atol),
+    in place in err."""
+    abs_y_new = np.abs(y_new)
+    scale = np.maximum(abs_y, abs_y_new)
+    scale *= rtol
+    scale += atol
+    err *= h
+    err /= scale
+    return abs_y_new, err
+
+
+def _error_floats(err, h, abs_y, y_new, rtol, atol):
+    """``_error_array`` on floats: |y_new| as a list, the weighted error as
+    the array its norm's dot takes."""
+    abs_y_new = [abs(v) for v in y_new]
+    try:
+        weighted = [
+            e * h / ((a if a >= b else b) * rtol + atol)
+            for e, a, b in zip(err.tolist(), abs_y, abs_y_new)
+        ]
+    except ZeroDivisionError:  # a zero scale (atol = 0), where numpy gives inf or nan
+        return abs_y_new, _error_array(err, h, np.array(abs_y), np.array(y_new), rtol, atol)[1]
+    return abs_y_new, np.array(weighted)
+
+
 def _excess(y):
     """The blow-up guard's event function, max |y| - BLOWUP."""
     return float(abs(y).max()) - BLOWUP
@@ -184,6 +220,13 @@ def _crossing(step):
 def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     """Integrate y' = fun(t, y) over t_span = (t0, tf) from y0.
 
+    A y0 that is a list is integrated on Python floats, and anything else as
+    a float64 array (see the module docstring): ``fun(t, y)`` gets y in that
+    representation, a list of floats (on which array arithmetic such as
+    ``2.0 * y`` fails) or an (n,) array, and returns the slope as an (n,)
+    array or a list of n floats; rtol and atol are floats.  The result is
+    the same to the bit either way.
+
     max |y| > BLOWUP ends the run (status 1): at t0 without a step when y0
     is beyond it, else at the crossing of the accepted step that carried y
     beyond it.  A step below ten ulps of t ends it with status -1.  A
@@ -194,25 +237,34 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
         raise ValueError(f"the integration interval ({t0}, {tf}) is not finite")
     if t0 == tf:
         raise ValueError("the integration interval is empty")
-    y = np.asarray(y0).astype(float, copy=False)
-    if not np.isfinite(y).all():
+    floats = type(y0) is list
+    if floats:
+        y = [float(v) for v in y0]
+        y_array = np.array(y)
+        abs_y = [abs(v) for v in y]
+        error, peak = _error_floats, max
+    else:
+        y = y_array = np.asarray(y0).astype(float, copy=False)
+        abs_y = np.abs(y)
+        error, peak = _error_array, np.ndarray.max
+    if not np.isfinite(y_array).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if _excess(y) > 0:
+    if peak(abs_y) > BLOWUP:
         return OdeResult(
-            t=np.array([t0]), y=y[:, None], sol=None, status=1, message=MESSAGES[1], nfev=0,
+            t=np.array([t0]), y=y_array[:, None], sol=None, status=1, message=MESSAGES[1], nfev=0,
             last_step=0.0, n_accepted=0, n_rejected=0,
         )
     direction = 1.0 if tf > t0 else -1.0
     towards = direction * math.inf
     f = np.asarray(fun(t0, y), dtype=float)
-    h_abs = float(_initial_step(fun, t0, y, tf, f, direction, rtol, atol))
+    h_abs = float(_initial_step(fun, t0, y_array, tf, f, direction, rtol, atol, floats))
     nfev = 2
     n_accepted = n_rejected = 0
-    K = np.empty((7, y.size))
-    stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)]
-    K_b, K_e = K[:-1].T, K.T
-    root_size = y.size**0.5
-    abs_y = np.abs(y)
+    K = np.empty((7, y_array.size))
+    K[0] = f  # the slope at the current state, replaced when a step is accepted
+    stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
+    K_e = K.T
+    root_size = y_array.size**0.5
     t, ts, ys, steps = t0, [t0], [y], []
     status = None
     while status is None:
@@ -229,24 +281,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
                 t_new = tf
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for s, KT, a, c in stages:
-                y_stage = KT.dot(a)
-                y_stage *= h
-                y_stage += y
-                K[s] = fun(t + c * h, y_stage)
-            y_new = K_b.dot(B)
-            y_new *= h
-            y_new += y
-            f_new = K[6] = fun(t + h, y_new)
+                z = KT.dot(a)
+                if floats:
+                    z = [zi * h + yi for zi, yi in zip(z.tolist(), y)]
+                else:
+                    z *= h
+                    z += y
+                K[s] = fun(t + c * h, z)  # last: y_new at t + 1.0 * h, which is t + h
+            y_new = z
             nfev += 6
-            abs_y_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_y_new)
-            scale *= rtol
-            scale += atol
-            err = K_e.dot(E)
-            err *= h
-            err /= scale
+            abs_y_new, err = error(K_e.dot(E), h, abs_y, y_new, rtol, atol)
             error_norm = math.sqrt(err.dot(err)) / root_size
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
@@ -261,10 +306,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
             break
         n_accepted += 1
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        t, y, abs_y = t_new, y_new, abs_y_new
         if direction * (t - tf) >= 0:
             status = 0
-        crossed = abs_y.max() > BLOWUP  # every earlier state was inside
+        # every earlier state was inside; an accepted state has no nan, as a
+        # nan in y_new comes with a nan or inf error norm, which rejects it
+        crossed = peak(abs_y) > BLOWUP
         if dense_output or crossed:
             step = (t_old, t, y_old, K.T.dot(P))
             if dense_output:
@@ -273,6 +320,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
                 t = _crossing(step)
                 y = _interpolate(step, t)
                 status = 1
+        K[0] = K[6]
         ts.append(t)
         ys.append(y)
     return OdeResult(

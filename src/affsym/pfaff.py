@@ -92,9 +92,7 @@ class PfaffProblem:
         if self.rhs.shape != (k, n):
             raise ValueError(f"rhs shape {self.rhs.shape} != {(k, n)}")
         self.p0 = as_points(p0, self.n, one=True)
-        self.u0 = np.asarray(u0, dtype=float)
-        if self.u0.shape != (k,):
-            raise ValueError("initial data shapes do not match (n, k)")
+        self.u0 = _initial_data(u0, self.k)
         self.restrictions = list(restrictions)
         self._rhs_program = self._restriction_program = None
         init = self.restriction_values(self.u0, self.p0)
@@ -111,16 +109,13 @@ class PfaffProblem:
 
     def rhs_values(self, u, y):
         """G(U, y) as a (k, n) array: one run of the compiled right-hand side
-        at the point (U, y), bitwise what walking ``rhs`` there gives.  A
-        float64 array u with a list y, the form each transport step passes,
-        is joined as ``u.tolist() + y``, so that y must hold Python floats;
-        any other form is converted by ``pack``."""
+        at the point (U, y), bitwise what walking ``rhs`` there gives.  Two
+        lists, the form each transport step passes (the integrator's state
+        and the path point), are joined as ``u + y``, so both must hold
+        Python floats; any other form is converted by ``pack``."""
         if self._rhs_program is None:
             self._rhs_program = compile_exprs(self.rhs.reshape(-1))
-        if type(y) is list and type(u) is np.ndarray and u.dtype is _FLOAT:
-            x = u.tolist() + y
-        else:
-            x = self.pack(u, y)
+        x = u + y if type(u) is list and type(y) is list else self.pack(u, y)
         return self._rhs_program.at(x).reshape(self.k, self.n)
 
     def restriction_values(self, u, y):
@@ -132,7 +127,17 @@ class PfaffProblem:
         return self._restriction_program.at(self.pack(u, y))
 
 
-_FLOAT = np.dtype(float)
+def _initial_data(u0, k):
+    """u0 as a float array of k finite values; anything else raises
+    ValueError naming u0."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (k,):
+        raise ValueError("initial data shapes do not match (n, k)")
+    if not np.isfinite(u0).all():
+        raise ValueError(f"initial data u0 is not finite: {u0.tolist()}")
+    return u0
+
+
 _PATH_DIMENSION = "path must be a polyline of points of dimension n"
 _RESTRICTION_TOL = 1e-7  # largest restriction drift transport accepts
 
@@ -153,13 +158,12 @@ def pfaff_integrate(prob, path):
         raise ValueError(_PATH_DIMENSION)
     if not len(path):
         raise ValueError("path has no points")
-    finite = np.isfinite(path).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(path).all():
+        i = int(np.argmin(np.isfinite(path).all(axis=1)))
         raise ValueError(f"path vertex {i} is not finite: {path[i].tolist()}")
-    if np.max(np.abs(path[0] - prob.p0)) > 1e-12:
+    if np.abs(path[0] - prob.p0).max() > 1e-12:
         raise ValueError("path must start at the problem's initial point")
-    u = prob.u0.copy()
+    u = prob.u0
     out = [u.copy()]
     for a, b in zip(path[:-1], path[1:]):
         dy = b - a
@@ -169,7 +173,12 @@ def pfaff_integrate(prob, path):
             return prob.rhs_values(uvec, [ai + t * di for ai, di in ady]).dot(dy)
 
         sol = solve_ivp(
-            seg_rhs, (0.0, 1.0), u, rtol=1e-9, atol=1e-10, dense_output=bool(prob.restrictions)
+            seg_rhs,
+            (0.0, 1.0),
+            u.tolist(),  # integrated on Python floats
+            rtol=1e-9,
+            atol=1e-10,
+            dense_output=bool(prob.restrictions),
         )
         if sol.status == 1:
             raise TransportError(
@@ -194,7 +203,7 @@ def transport_to(prob, y_end):
     y_end = np.asarray(y_end, float)
     if y_end.shape != (prob.n,):
         raise ValueError(_PATH_DIMENSION)
-    return pfaff_integrate(prob, np.stack([prob.p0, y_end]))[-1]
+    return pfaff_integrate(prob, np.array([prob.p0, y_end]))[-1]
 
 
 def compatibility_residual(prob):

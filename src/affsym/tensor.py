@@ -208,10 +208,9 @@ class TensorField:
         """Checked evaluation at points of shape (P, n) -> float ndarray of
         shape (P,) + (n,)*(r+s), or at one point of shape (n,) -> (n,)*(r+s):
         one checked walk over all components, taken in row-major order."""
-        one = np.ndim(points) == 1
-        pts = as_points(points, self.n, one)
+        pts = as_points(points, self.n, one=None)
         out = split_rows(eval_many_shared(self.comps.reshape(-1), pts, checked=True), [self.comps])[0]
-        return out[0] if one else out
+        return out[0] if pts.ndim == 1 else out
 
     def evaluate_many(self, points):
         """Vectorized, unchecked evaluation at points of shape (P, n) (or one
@@ -220,7 +219,7 @@ class TensorField:
         The whole component array goes to eval_many_shared in one call, so
         subtrees shared across components are evaluated once.
         """
-        pts = as_points(points, self.n, np.ndim(points) == 1)
+        pts = as_points(points, self.n, one=None)
         return split_rows(eval_many_shared(self.comps.reshape(-1), pts), [self.comps])[0]
 
     # -- symmetry checks ----------------------------------------------------

@@ -27,19 +27,36 @@ def sample_points(n, count=20, seed=None):
 
 def as_points(pts, n, one=False):
     """The one check of points for dimension n: ``pts`` as a float array of
-    P >= 1 finite points, of shape (P, n), or with ``one`` of one finite
-    point, of shape (n,).  None gives ``sample_points(n, 20)`` (not with
-    ``one``); anything else raises ValueError naming n and the shape."""
+    P >= 1 finite points, of shape (P, n), with ``one`` of one finite point,
+    of shape (n,), and with ``one=None`` of either, one point where ``pts``
+    is one-dimensional.  None gives ``sample_points(n, 20)`` (not with
+    ``one``); anything else raises ValueError naming n and the shape, or
+    what was given where it has no shape of real numbers: a ragged sequence,
+    complex coordinates, or entries that are not numbers."""
     if pts is None and not one:
         return sample_points(n, 20)
-    arr = np.asarray(pts, dtype=float)
+    try:
+        arr = np.asarray(pts)
+    except ValueError:  # numpy refuses a ragged nesting
+        arr = None
+    if one is None:
+        one = arr is not None and arr.ndim == 1
     what = f"a point of shape ({n},)" if one else f"points of shape (P, {n})"
+    expected = f"expected {what} for n = {n}, got"
+    if arr is None:
+        raise ValueError(f"{expected} a ragged sequence")
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{expected} shape {arr.shape} with complex coordinates")
+    try:
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValueError(f"{expected} a {type(pts).__name__}, not real numbers") from None
     if arr.shape != ((n,) if one else arr.shape[:1] + (n,)):
-        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape}")
+        raise ValueError(f"{expected} shape {arr.shape}")
     if not arr.size:
-        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape} with no points")
+        raise ValueError(f"{expected} shape {arr.shape} with no points")
     if not np.isfinite(arr).all():
-        raise ValueError(f"expected {what} for n = {n}, got shape {arr.shape} with nan or inf")
+        raise ValueError(f"{expected} shape {arr.shape} with nan or inf")
     return arr
 
 

@@ -1,8 +1,9 @@
 """The Dormand-Prince integrator: accuracy against closed forms, dense
 output, the terminal event, step underflow, step counts, the rejection of
-non-finite intervals, the typed errors of transport and flows, that flows
-run their compiled fields bitwise as interpreted, and that the library runs
-with scipy unimportable."""
+non-finite intervals, that a list y0 (integrated on Python floats) gives
+the bits of an array y0 and of scipy's RK45, the typed errors of transport
+and flows, that flows run their compiled fields bitwise as interpreted, and
+that the library runs with scipy unimportable."""
 
 import contextlib
 import os
@@ -160,6 +161,47 @@ def test_matches_scipy_rk45_bitwise():
         for t in np.linspace(0.0, tf, 9):
             assert [v.hex() for v in got.sol(t)] == [v.hex() for v in want.sol(t)]
     assert rejected > 0  # the step factor after a rejection is compared too
+
+
+def test_matches_scipy_rk45_bitwise_on_python_floats(monkeypatch):
+    # the same 12 trials from a list y0, so the state is kept on Python floats;
+    # fun gets a list and turns it into the array the trial's function takes
+    def on_floats(fun, t_span, y0, *args, integrate=solve_ivp, **kwargs):
+        def fun_on_floats(t, y):
+            assert type(y) is list
+            return fun(t, np.asarray(y))
+
+        return integrate(fun_on_floats, t_span, y0.tolist(), *args, **kwargs)
+
+    monkeypatch.setitem(globals(), "solve_ivp", on_floats)
+    test_matches_scipy_rk45_bitwise()
+
+
+def nan_stage(t, y):
+    """Slopes that go nan in one component past y1 = 1.2, so a stage input
+    there makes y_new and |y_new| nan in that component only."""
+    return np.array([1.0, np.sqrt(1.2 - y[0]) if y[0] <= 1.2 else np.nan])
+
+
+@pytest.mark.parametrize(
+    "fun, y0, atol",
+    [
+        (nan_stage, [1.0, 0.5], 1e-10),
+        # y underflows to 0, and with atol = 0 the error scale is 0: 0 / 0 is nan
+        (lambda t, y: -1000.0 * y, [1e-300], 0.0),
+    ],
+)
+def test_nan_error_scale_is_the_same_on_both_paths(fun, y0, atol):
+    # a parity test of the two paths: each rejects the nan steps alike
+    with np.errstate(all="ignore"):
+        runs = [
+            solve_ivp(lambda t, y: fun(t, np.asarray(y)), (0.0, 1.0), state, 1e-9, atol)
+            for state in (np.array(y0), list(y0))
+        ]
+    on_arrays, on_floats = runs
+    assert on_arrays.status == on_floats.status == -1
+    assert on_arrays.nfev == on_floats.nfev and on_arrays.n_rejected > 0
+    assert _hex(on_arrays.t) == _hex(on_floats.t) and _hex(on_arrays.y) == _hex(on_floats.y)
 
 
 def test_initial_step_with_zero_slope_and_nan_beyond_matches_scipy_rk45():

@@ -79,6 +79,16 @@ def test_path_must_have_points_and_finite_vertices():
         transport_to(prob, [np.inf])
 
 
+@pytest.mark.parametrize("u0", [[np.nan], [np.inf], [-np.inf]])
+def test_initial_data_must_be_finite(u0):
+    # refused where the problem is built, naming u0, not by the integrator
+    with pytest.raises(ValueError, match=r"^initial data u0 is not finite"):
+        PfaffProblem(1, 1, [[ZERO]], [0.0], u0)
+    conn = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=2)).conn
+    with pytest.raises(ValueError, match=r"^initial data u0 is not finite"):
+        canonical.projective_flatten(conn, [0.0, 0.0], [0.0, *u0])
+
+
 def test_transport_end_point_must_be_one_point_of_dimension_n():
     prob = riccati_problem()  # n = 1
     for end in ([0.1, 0.2], 0.1, [[0.1]]):

@@ -77,14 +77,28 @@ OUTSIDE = {
     ),
 }
 
-# dimension n + 1 and n - 1, no points, and a coordinate that is not finite
-BAD_POINT = {"n+1": [0.1, 0.2, 0.3], "n-1": [0.1], "P=0": [], "nan": [0.1, np.nan]}
+# dimension n + 1 and n - 1, no points, a coordinate that is not finite, a
+# ragged nesting, a dict and a complex coordinate
+BAD_POINT = {
+    "n+1": [0.1, 0.2, 0.3],
+    "n-1": [0.1],
+    "P=0": [],
+    "nan": [0.1, np.nan],
+    "ragged": [0.1, [0.2]],
+    "dict": {"y1": 0.1, "y2": 0.2},
+    "complex": [0.1, 0.2j],
+}
 BAD_POINTS = {
     "n+1": np.full((3, 3), 0.1),
     "n-1": np.full((3, 1), 0.1),
     "P=0": np.zeros((0, N)),
     "nan": [[0.1, 0.2], [np.nan, 0.2]],
+    "ragged": [[0.1, 0.2], [0.3]],
+    "dict": {"y1": [0.1], "y2": [0.2]},
+    "complex": [[0.1, 0.2], [0.3, 0.4j]],
 }
+# what the message says it got, for the cases without a shape of real numbers
+GOT = {"ragged": "a ragged sequence", "dict": "a dict, not real numbers"}
 
 
 def public_point_callables():
@@ -118,8 +132,8 @@ def test_bad_points_raise_value_error_naming_n_and_shape(name, case):
     one, call = {**CALLS, **OUTSIDE}[name]
     bad = BAD_POINT[case] if one else BAD_POINTS[case]
     what = rf"a point of shape \({N},\)" if one else rf"points of shape \(P, {N}\)"
-    shape = str(np.shape(bad)).replace("(", r"\(").replace(")", r"\)")
-    with pytest.raises(ValueError, match=rf"^expected {what} for n = {N}, got shape {shape}"):
+    got = GOT.get(case) or "shape " + str(np.shape(bad)).replace("(", r"\(").replace(")", r"\)")
+    with pytest.raises(ValueError, match=rf"^expected {what} for n = {N}, got {got}"):
         call(bad)
 
 
