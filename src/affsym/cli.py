@@ -645,9 +645,8 @@ def main(argv=None):
     except (InputError, ExprError) as exc:
         error, code = str(exc), 1
     except RecursionError:
-        # the input is at fault: no expression walk recurses, but the JSON
-        # decoder does per nested array or object, and the expression parser
-        # per parenthesis, function call and unary minus
+        # the input is at fault: the JSON decoder recurses per nested array
+        # or object
         error, code = "input nested too deeply to process", 1
     except (ValueError, RuntimeError) as exc:
         error, code = str(exc), 2

@@ -19,7 +19,9 @@ those trees; a derivative that leaves the finite reals raises DomainError
 ("non-finite derivative") naming its node, and a caller that must report
 the trees' own error walks the trees after that.  No walk recurses: all
 run over the iterative ``_postorder`` or, for derivatives, an explicit
-stack, so depth is limited by memory alone.
+stack, so depth is limited by memory alone.  Parsing does not recurse
+either: ``parse_expr`` is one loop over regular-expression tokens with an
+explicit operand and operator stack.
 
 Derivatives of higher order at one point come from a third walk,
 ``taylor_coefficients``: it carries each node's Taylor polynomial in
@@ -65,6 +67,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
 import sys
 import weakref
 from collections.abc import Sequence
@@ -126,7 +130,7 @@ class ExprError(ValueError):
 
 
 class ParseError(ExprError):
-    """Syntax or bounds error while parsing; carries the byte offset."""
+    """Syntax or bounds error while parsing; carries the character offset."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -1565,158 +1569,123 @@ def _fragment(node, parts):
 #   func   := exp | ln | sqrt | sin | cos
 #
 # '-' in an atom applies to a whole factor so that '^' binds tighter than
-# unary minus (-y1^2 parses as -(y1^2)).  Whitespace is insignificant.
+# unary minus (-y1^2 parses as -(y1^2)).  Whitespace is insignificant and
+# digits are decimal (str.isdecimal).
+#
+# _TOKEN splits the text into (whitespace, token) pairs that cover it.  A
+# token is a number, a name (str.isalnum characters, the first no decimal
+# digit), '^' with its integer, any other character, or the empty end.
+# parse_expr reads them in one loop by precedence climbing over an operand
+# and an operator stack (Dijkstra's shunting-yard), so nesting is limited by
+# memory alone.  An operator is applied once its right operand is complete,
+# so constants fold, and fail, in the order the grammar's recursive descent
+# would fold them.
+
+_TOKEN = re.compile(
+    r"(\s*)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\W\d_][^\W_]*|\^\s*-?\d*|\Z|.)", re.DOTALL
+)
+_BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, div)}
 
 
-class _Parser:
-    def __init__(self, text, n):
-        self.text = text
-        self.n = n
-        self.pos = 0
+def _offset(tokens, k):
+    """Offset of token k, past its leading whitespace."""
+    return sum(len(ws) + len(tok) for ws, tok in tokens[:k]) + len(tokens[k][0])
 
-    def error(self, message, offset=None):
-        raise ParseError(message, self.pos if offset is None else offset)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fold(self, offset, build, *args):
-        """Apply a smart constructor; a constant it cannot represent (a
-        non-finite literal, or overflow while folding) is a parse error."""
-        try:
-            return build(*args)
-        except ExprError as exc:
-            self.error(str(exc), offset)
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self):
-        e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-        return e
-
-    def expr(self):
-        e = self.term()
-        while True:
-            c, at = self.peek(), self.pos
-            if c == "+":
-                self.pos += 1
-                e = self.fold(at, add, e, self.term())
-            elif c == "-":
-                self.pos += 1
-                e = self.fold(at, sub, e, self.term())
-            else:
-                return e
-
-    def term(self):
-        e = self.factor()
-        while True:
-            c, at = self.peek(), self.pos
-            if c == "*":
-                self.pos += 1
-                e = self.fold(at, mul, e, self.factor())
-            elif c == "/":
-                self.pos += 1
-                e = self.fold(at, div, e, self.factor())
-            else:
-                return e
-
-    def factor(self):
-        e = self.atom()
-        if self.peek() == "^":
-            at = self.pos
-            self.pos += 1
-            e = self.fold(at, powi, e, self.integer())
-        return e
-
-    def atom(self):
-        c = self.peek()
-        if c == "":
-            self.error("unexpected end of input")
-        if c == "(":
-            self.pos += 1
-            e = self.expr()
-            self.expect(")")
-            return e
-        if c == "-":
-            self.pos += 1
-            return neg(self.factor())
-        if c.isdigit() or c == ".":
-            return self.number()
-        if c.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name[0] == "y" and name[1:].isdigit():
-                idx = int(name[1:])
-                if idx < 1 or idx > self.n:
-                    self.error(
-                        f"coordinate y{idx} out of range for dimension {self.n}", start
-                    )
-                return coord(idx)
-            if name in FUNCS:
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return self.fold(start, func, name, e)
-            self.error(f"unknown identifier {name!r}", start)
-        self.error(f"unexpected character {c!r}")
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-            self.error("expected integer exponent", start)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # beyond Python's limit on int() digits
-            self.error("exponent has too many digits", start)
-
-    def number(self):
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos == start or t[start : self.pos] == ".":
-            self.error("malformed number", start)
-        if self.pos < len(t) and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # 'e' belonged to something else; reject later
-        return self.fold(start, const, float(t[start : self.pos]))
+def _fold(tokens, k, build, *args):
+    """Apply a smart constructor; a constant it cannot represent (a
+    non-finite literal, or overflow while folding) is a parse error at token k."""
+    try:
+        return build(*args)
+    except ExprError as exc:
+        raise ParseError(str(exc), _offset(tokens, k)) from None
 
 
 def parse_expr(text, n):
     """Parse ``text`` into an Expr over an n-dimensional chart.
 
     Coordinate references outside 1..n and syntax errors raise ParseError
-    with the byte offset of the offending token.  n must be >= 1.
+    with the offset of the offending token.  n must be an integer >= 1.
     """
-    if not isinstance(n, int) or n < 1:
+    try:
+        dim = operator.index(n)
+    except TypeError:
+        dim = 0
+    if dim < 1:
         raise ParseError(f"chart dimension must be >= 1, got {n!r}", 0)
-    return _Parser(text, n).parse()
+    tokens = _TOKEN.findall(text)
+    # values: operands; ops: (precedence, constructor, token index), where an
+    # open parenthesis has precedence 0 and a function's name or None in place
+    # of the constructor.  operand: an operand comes next; powered: the last
+    # factor has taken its exponent
+    values, ops = [], []
+    k, operand, powered = 0, True, False
+    while True:
+        tok = tokens[k][1]
+        if operand:
+            if tok == "-":  # prefix minus as 0 - x, which sub builds as neg(x)
+                values.append(ZERO)
+                ops.append((3, sub, k))
+            elif tok == "(":
+                ops.append((0, None, k))
+            elif tok in FUNCS:
+                if tokens[k + 1][1] != "(":
+                    raise ParseError("expected '('", _offset(tokens, k + 1))
+                ops.append((0, tok, k))
+                k += 1
+            elif tok[:1].isdecimal() or tok[:1] == ".":
+                if tok == ".":
+                    raise ParseError("malformed number", _offset(tokens, k))
+                values.append(_fold(tokens, k, const, float(tok)))
+                operand = powered = False
+            elif tok[:1].isalpha():
+                if tok[0] != "y" or not tok[1:].isdecimal():
+                    raise ParseError(f"unknown identifier {tok!r}", _offset(tokens, k))
+                try:
+                    idx = int(tok[1:])
+                except ValueError:  # beyond Python's limit on int() digits
+                    raise ParseError(
+                        "coordinate index has too many digits", _offset(tokens, k)
+                    ) from None
+                if not 1 <= idx <= dim:
+                    raise ParseError(
+                        f"coordinate y{idx} out of range for dimension {dim}", _offset(tokens, k)
+                    )
+                values.append(coord(idx))
+                operand = powered = False
+            else:
+                message = f"unexpected character {tok[0]!r}" if tok else "unexpected end of input"
+                raise ParseError(message, _offset(tokens, k))
+        elif tok[:1] == "^" and (not powered or ops and ops[-1][0] == 3):
+            if powered:  # '-' factor is an atom, so -y1^2^3 is (-(y1^2))^3
+                ops.pop()
+                values[-2:] = [neg(values[-1])]
+            body = tok[1:].lstrip()
+            try:
+                exponent = int(body)
+            except ValueError:  # no digits, or beyond Python's limit on int() digits
+                digits = body[-1:].isdecimal()
+                message = "exponent has too many digits" if digits else "expected integer exponent"
+                raise ParseError(message, _offset(tokens, k) + len(tok) - len(body)) from None
+            values[-1] = _fold(tokens, k, powi, values[-1], exponent)
+            powered = True
+        else:
+            prec, build = _BINARY.get(tok, (1, None))
+            while ops and ops[-1][0] >= prec:
+                _, op, at = ops.pop()
+                b = values.pop()
+                values[-1] = _fold(tokens, at, op, values[-1], b)
+            if build:
+                ops.append((prec, build, k))
+                operand = True
+            elif tok == ")" and ops:
+                _, name, at = ops.pop()
+                if name:
+                    values[-1] = _fold(tokens, at, func, name, values[-1])
+                powered = False
+            elif tok or ops:
+                message = "expected ')'" if ops else "unexpected trailing input"
+                raise ParseError(message, _offset(tokens, k))
+            else:
+                return values[0]
+        k += 1

@@ -31,10 +31,12 @@ array, and the elementwise operations run in place on arrays, which pays
 on a stacked grid of many unknowns.  The scalars t, h, |h|, the minimum
 step, the error norm and the step factors are Python floats on either
 path (``math.nextafter`` and ``abs`` are exact, ``math.sqrt`` is correctly
-rounded like ``np.sqrt``, and ``**`` calls the same C ``pow``); the one
-place they part from numpy scalars, 0.01 / 0 in the initial step, gives
-inf here as on numpy scalars, where a Python float would raise.  |y_new| is computed once, for the next
-step's error scale and for the blow-up guard.  Every run carries one
+rounded like ``np.sqrt``, and ``**`` calls the same C ``pow``).  They
+part from numpy scalars where the initial step divides by zero, which a
+Python float refuses: 0.01 / 0 gives inf, as on numpy scalars, and d2's
+division by h0 = 0 (an infinite slope at t0) gives inf where numpy gives
+nan or inf, which lead to the same step, as d1 is inf there.  |y_new| is
+computed once, for the next step's error scale and for the blow-up guard.  Every run carries one
 blow-up guard: the first state with max |y| > ``BLOWUP`` ends it with status
 1.  A start beyond ``BLOWUP`` ends at t0 without a step; a step that carries
 y beyond it ends the run at its upward crossing, found by bisection on the
@@ -101,7 +103,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol, floats):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1.tolist() if floats else y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0) / scale) / h0 if h0 else math.inf  # h0 = 0: an infinite slope
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -229,8 +231,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
 
     max |y| > BLOWUP ends the run (status 1): at t0 without a step when y0
     is beyond it, else at the crossing of the accepted step that carried y
-    beyond it.  A step below ten ulps of t ends it with status -1.  A
-    non-finite or empty t_span, or a non-finite y0, raises ValueError.
+    beyond it.  A step below ten ulps of t ends it with status -1, as does
+    a nan step (from a nan slope at t0, or atol = 0 with a zero component
+    of y0).  A non-finite or empty t_span, or a non-finite y0, raises
+    ValueError.
     """
     t0, tf = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(tf)):
@@ -265,14 +269,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
     K_e = K.T
     root_size = y_array.size**0.5
-    t, ts, ys, steps = t0, [t0], [y], []
+    t, ts, ys, steps, h = t0, [t0], [y], [], h_abs
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, towards) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a nan step (a nan slope or error scale) too
                 status = -1
                 break
             h = h_abs * direction

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import re
@@ -90,6 +91,138 @@ def test_parse_rejects_exponents_too_long_for_int():
     with pytest.raises(ParseError) as err:
         parse_expr("y1 ^ " + "9" * 5000, 1)
     assert err.value.offset == 5
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("1 + 2\u00b2", "unexpected trailing input", 5),
+        ("\u00b2", "unexpected character '\u00b2'", 0),
+        ("y1 * y2\u00b2", "unknown identifier 'y2\u00b2'", 5),
+        ("y1^\u00b2", "expected integer exponent", 3),
+        ("1 + y" + "1" * 5000, "coordinate index has too many digits", 4),
+    ],
+    ids=["number", "atom", "coordinate", "exponent", "long-coordinate-index"],
+)
+def test_parse_rejects_digits_int_cannot_read(text, message, offset):
+    # digits are decimal: a superscript two is no digit, and int() reads at
+    # most 4,300 digits
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, 2)
+    assert str(err.value) == f"{message} (at offset {offset})" and err.value.offset == offset
+
+
+def test_parse_depth_is_not_limited_by_recursion():
+    deep = 100_000
+    assert parse_expr("(" * deep + "y1" + ")" * deep, 1) is coord(1)
+    assert parse_expr("-" * deep + "y1", 1) is coord(1)
+    assert parse_expr("-" * (deep + 1) + "y1", 1) is neg(coord(1))
+    e = parse_expr("sin(" * 2000 + "y1" + ")" * 2000, 1)
+    for _ in range(2000):
+        assert e.op == "sin"
+        e = e.args[0]
+    assert e is coord(1)
+
+
+def test_prefix_minus_makes_an_atom_that_takes_an_exponent():
+    # atom := '-' factor, so each minus sign admits one more exponent
+    y = coord(1)
+    assert parse_expr("-y1^2^3", 1) is powi(neg(powi(y, 2)), 3)
+    assert parse_expr("2*--y1^2^3^4", 1) is mul(const(2.0), powi(neg(powi(neg(powi(y, 2)), 3)), 4))
+    with pytest.raises(ParseError, match=r"unexpected trailing input \(at offset 4\)"):
+        parse_expr("y1^2^3", 1)
+
+
+def test_parse_accepts_any_integer_dimension():
+    assert parse_expr("y2", np.int64(2)) is coord(2)
+    field = TensorField.from_strings(np.int64(2), 1, 0, ["y1", "y2"])
+    assert list(field.comps) == [coord(1), coord(2)]
+    for n in (2.0, "2", None, 0, np.int64(0)):
+        with pytest.raises(ParseError) as err:
+            parse_expr("y1", n)
+        assert str(err.value) == f"chart dimension must be >= 1, got {n!r} (at offset 0)"
+
+
+_CONSTANTS = (0.0, 1.0, -1.0, 2.0, 0.5, -3.25, 1e-3, 12345.0, 2.5e-7, 6.02e23)
+# pieces inserted by the mutations: no digit that is not decimal
+_PIECES = tuple("y0123456789.+-*/^() eE\t") + (
+    "sin(", "cos(", "exp(", "ln(", "sqrt(", "y9", "^-", "--", "x", "_", "é", "1e999",
+    "9" * 401,
+)
+# A function of a constant folds through numpy's loops, whose last bits
+# depend on the SIMD target, and mutations make such calls: the outcomes
+# round numbers to 12 digits.
+_NUMBER = re.compile(r"\d+\.?\d*(?:e[-+]?\d+)?")
+# sha256 of the corpus's outcomes, recorded with the recursive-descent parser
+PARSE_CORPUS_DIGEST = "26828c1ff915e88910df0416d7087f88494c0f652be32c855c82ba8188c7c4f8"
+
+
+def _parse_tree(rng, n, depth):
+    """A random tree of the operations the grammar spells; a constant that
+    does not fold is replaced by y1, and no function takes a constant."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return coord(int(rng.integers(1, n + 1)))
+        return const(_CONSTANTS[rng.integers(len(_CONSTANTS))])
+    a = _parse_tree(rng, n, depth - 1)
+    kind = int(rng.integers(8))
+    try:
+        if kind < 4:
+            return (add, sub, mul, div)[kind](a, _parse_tree(rng, n, depth - 1))
+        if kind == 4:
+            return neg(a)
+        if kind == 5:
+            return powi(a, int(rng.choice([-3, -1, 2, 3, 5])))
+        return a if a.op == "const" else func(expr.FUNCS[rng.integers(len(expr.FUNCS))], a)
+    except ExprError:
+        return coord(1)
+
+
+def _mutate(rng, text):
+    """Truncate, insert a piece, delete up to three characters or
+    parenthesize a slice."""
+    i = int(rng.integers(len(text) + 1))
+    kind = rng.integers(4)
+    if kind == 0:
+        return text[:i]
+    if kind == 1:
+        return text[:i] + _PIECES[rng.integers(len(_PIECES))] + text[i:]
+    if kind == 2:
+        return text[:i] + text[i + int(rng.integers(1, 4)) :]
+    j = int(rng.integers(i, len(text) + 1))
+    return text[:i] + "(" + text[i:j] + ")" + text[j:]
+
+
+def _parse_corpus():
+    """3,000 random trees and 20,000 strings mutated from their text."""
+    rng = np.random.default_rng(2029)
+    trees = []
+    for _ in range(3000):
+        n = int(rng.integers(1, 5))
+        trees.append((_parse_tree(rng, n, int(rng.integers(7))), n))
+    sources = [(to_string(e), n) for e, n in trees]
+    mutants = []
+    for _ in range(20_000):
+        text, n = sources[rng.integers(len(sources))]
+        for _ in range(int(rng.integers(1, 4))):
+            text = _mutate(rng, text)
+        mutants.append((text, n))
+    return trees, sources + mutants
+
+
+def test_parse_outcomes_on_a_seeded_corpus_are_pinned():
+    trees, texts = _parse_corpus()
+    for e, n in trees:
+        assert parse_expr(to_string(e), n) is e
+    digest = hashlib.sha256()
+    for text, n in texts:
+        try:
+            e = parse_expr(text, n)
+            outcome = _NUMBER.sub(lambda m: f"{float(m[0]):.12g}", to_string(e))
+        except ParseError as exc:
+            outcome = str(exc)
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == PARSE_CORPUS_DIGEST
 
 
 def test_exponent_without_a_float_value_is_an_expression_error():

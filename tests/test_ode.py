@@ -73,6 +73,39 @@ def test_nan_right_hand_side_stops_with_step_underflow():
     assert 0.0 < sol.last_step < 1e-13
 
 
+def _bounded(fun, limit=1000):
+    """fun, failing the test past ``limit`` calls, so a run that never ends
+    fails instead of hanging; y is handed to fun as an array."""
+    calls = []
+
+    def bounded(t, y):
+        calls.append(t)
+        assert len(calls) <= limit, f"still integrating after {limit} calls, at t = {t}"
+        return fun(t, np.asarray(y))
+
+    return bounded
+
+
+@pytest.mark.parametrize("state", [np.array, list], ids=["array", "floats"])
+@pytest.mark.parametrize(
+    "fun, y0, atol",
+    [
+        # d1 = nan, so the first step is nan
+        (lambda t, y: np.array([np.nan]), [1.0], 1e-10),
+        # atol = 0 and y0[0] = 0: the error scale is 0 and d0 = 0 / 0 = nan
+        (lambda t, y: np.array([0.0, -y[1]]), [0.0, 1.0], 0.0),
+        # d1 = inf, so h0 = 0 and d2 divides by it
+        (lambda t, y: np.array([np.inf]), [0.5], 1e-10),
+    ],
+    ids=["nan-slope", "zero-scale", "infinite-slope"],
+)
+def test_starts_without_a_finite_first_step_underflow(fun, y0, atol, state):
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(_bounded(fun), (0.0, 1.0), state(y0), 1e-9, atol)
+    assert sol.status == -1 and sol.message == UNDERFLOW
+    assert list(sol.t) == [0.0]
+
+
 def test_empty_interval_and_non_finite_start_raise():
     with pytest.raises(ValueError):
         solve_ivp(rotation_decay, (1.0, 1.0), np.ones(2), 1e-9, 1e-10)

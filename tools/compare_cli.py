@@ -12,10 +12,12 @@ write their snapshots with `--csv` into a temporary directory; the record
 holds the file's sha256 ("csv_sha256"), and its stdout names the file as
 CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
 change in the last bit of a simulated value shows even where the summaries
-in stdout (pde_residual, mean_drift) hide it.  Two documents whose A is not
-finite at a grid value (HOSTILE) also run through `inspect` and `simulate`;
-they are written to the temporary directory, not to fixtures/, which the
-tests iterate over.  Each command and demo runs in a fresh interpreter with
+in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
+also run, each through its own commands: two whose A is not finite at a grid
+value, a coefficient with a digit that is not decimal, a 100,000-deep nest
+of parentheses, and a pole where a flatten transport starts.  They are
+written to the temporary directory, not to fixtures/, which the tests
+iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
 checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
@@ -33,11 +35,23 @@ import time
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 MAIN = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
 CSV_PLACEHOLDER = "<csv>"  # in argv, replaced by a temporary file's path
-# A divides by zero and raises zero to a negative power where y1 = 0, which
-# the default initial profile puts on a grid point
+INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4"])
+# (document, commands) by file name.  The first two divide by zero and raise
+# zero to a negative power where y1 = 0, which the default initial profile
+# puts on a grid point.  'y²' must be a bad expression (exit 1), the nest
+# must parse (exit 0), and flatten's transport from y1 = 0, where the first
+# slope is infinite, must end in a step underflow (exit 2), not a traceback.
 HOSTILE = {
-    "hostile_inverse.json": {"n": 2, "A": [["1", "1/y1"], ["0", "1"]]},
-    "hostile_negative_power.json": {"n": 1, "A": [["y1^-3"]]},
+    "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
+    "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
+    "hostile_superscript.json": ({"n": 1, "A": [["y²"]]}, (["inspect"],)),
+    "hostile_deep_nest.json": (
+        {"n": 1, "A": [["(" * 100_000 + "1" + ")" * 100_000]]}, (["inspect"],)
+    ),
+    "hostile_pole.json": (
+        {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": {"2": [["1/y1", "0"], ["0", "0"]]}},
+        (["flatten", "--at", "0,0.1", "--u0", "0.5,0.5"],),
+    ),
 }
 
 
@@ -81,11 +95,11 @@ def commands(tmp):
             ],
         ):
             yield name, [argv[0], path] + argv[1:]
-    for name, doc in HOSTILE.items():
+    for name, (doc, argvs) in HOSTILE.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
-        for argv in (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4"]):
+        for argv in argvs:
             yield name, [argv[0], path] + argv[1:]
 
 
