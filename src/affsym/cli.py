@@ -61,13 +61,13 @@ from .pdesim import (
 )
 from .symmetry import (
     RankNotConstantError,
-    classify,
+    _degeneration,
+    _invariance,
     determining_residuals,
-    invariance_suite,
     pointwise_symmetry_bound,
     pointwise_symmetry_bounds,
 )
-from .tensor import ADD, MUL, TensorField, bcast, grad, split_rows, sym_matrix_inverse
+from .tensor import ADD, MUL, TensorField, bcast, eval_arrays, grad, sym_matrix_inverse
 from .util import as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
@@ -223,9 +223,7 @@ class SystemDocument:
         else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
         self._points = self.sample if self.sample is not None else sample_points(n, 20)
-        arrays = [self._system.A.comps, self._system.conn.gamma]
-        vals = eval_many_shared([e for a in arrays for e in a.flat], self._points, checked=True)
-        _, g = split_rows(vals, arrays)
+        _, g = eval_arrays([self._system.A.comps, self._system.conn.gamma], self._points, checked=True)
         res = self._gamma_residual = float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")
@@ -341,15 +339,15 @@ def _load(args):
     return doc, doc.to_system(), doc._points
 
 
-def _norm(field, pts):
-    """max |field| over the points, evaluated checked."""
-    return float(np.max(np.abs(field.evaluate(pts))))
+def _max_abs(values):
+    return float(np.max(np.abs(values)))
 
 
-def _classified(conn, pts):
-    """classify's report as a dict and True, or the rank error and False."""
+def _classified(rh):
+    """classify's report from the symmetric Ricci part's values at the
+    points, as a dict and True, or the rank error and False."""
     try:
-        return classify(conn, pts).to_dict(), True
+        return _degeneration(rh).to_dict(), True
     except RankNotConstantError as exc:
         return {"error": str(exc)}, False
 
@@ -393,15 +391,16 @@ def cmd_inspect(args):
 def cmd_curvature(args):
     _doc, sysd, pts = _load(args)
     parts = ricci_and_s(sysd.conn)
-    out = {"points": pts, "curvature": curvature(sysd.conn).evaluate(pts)}
-    for key in ("ricci", "s", "ricci_sym", "ricci_skew"):
-        out[key] = parts[key].evaluate(pts)
-    return out, 0
+    keys = ("ricci", "s", "ricci_sym", "ricci_skew")
+    fields = [curvature(sysd.conn)] + [parts[k] for k in keys]
+    values = eval_arrays([f.comps for f in fields], pts, checked=True)
+    return {"points": pts, **dict(zip(("curvature",) + keys, values))}, 0
 
 
 def cmd_classify(args):
     _doc, sysd, pts = _load(args)
-    out, ok = _classified(sysd.conn, pts)
+    rh = eval_arrays([ricci_and_s(sysd.conn)["ricci_sym"].comps], pts, checked=True)[0]
+    out, ok = _classified(rh)
     return (out, 0) if ok else ({**out, "rank_constant": False}, 2)
 
 
@@ -418,7 +417,9 @@ def cmd_check_symmetry(args):
         "accepted": res["res_A"].max_abs <= tol and res["res_Gamma"].max_abs <= tol,
     }
     if out["accepted"]:
-        suite = invariance_suite(sysd, eta, pts)
+        # on the reduced equation, res_Gamma is the suite's L_eta Gamma report
+        reduced = out["equation"] == "reduced"
+        suite = _invariance(sysd, eta, pts, res["res_Gamma"] if reduced else None)
         out["invariance"] = {k: v.max_abs for k, v in suite.items()}
         itol = doc.tolerances["invariance"]
         out["accepted"] = not any(v.max_abs > itol for v in suite.values())
@@ -433,36 +434,43 @@ def cmd_bound(args):
 
 
 def cmd_canonical(args):
-    doc, _sysd, pts = _load(args)
+    doc, loaded, pts = _load(args)
     spec = doc.canonical
     if spec is None:
         raise InputError("canonical subcommand needs a document with a canonical spec")
-    sysd = build_system(spec)
+    # without an explicit A the document's system is the spec's
+    sysd = loaded if doc.a_rows is None else build_system(spec)
+    conn = sysd.conn
     tol = doc.tolerances["structure"]
-    checks = {}
     expected_m = {
         "maximal_7_11": 0,
         "scalar_23_1": 0,
         "constcurv_22_13": spec.n,
         "constcurv_2d_22_14": 2,
     }.get(spec.kind)
-    out_classify, m_ok = _classified(sysd.conn, pts)
-    m_ok = m_ok and (expected_m is None or out_classify["m"] == expected_m)
+    parts = ricci_and_s(conn)
+    normed = {}  # check -> the field whose max |value| it is
     if spec.kind in ("maximal_7_11", "scalar_23_1"):
-        checks["curvature"] = _norm(curvature(sysd.conn), pts)
-    if spec.kind.startswith("constcurv"):
+        normed["curvature"] = curvature(conn)
+    constcurv = spec.kind.startswith("constcurv")
+    if constcurv:
         g, _f = constcurv_metric(spec.n, spec.epsilons)
-        parts = ricci_and_s(sysd.conn)
-        checks["ricci_minus_metric"] = float(
-            np.max(np.abs(parts["ricci"].evaluate_many(pts) - g.evaluate_many(pts)))
-        )
-        checks["s_field"] = _norm(parts["s"], pts)
-        checks["nabla_metric"] = _norm(covariant_differential(sysd.conn, g), pts)
-        checks["nabla_ricci"] = _norm(covariant_differential(sysd.conn, parts["ricci"]), pts)
-        checks["structure_19_14"] = structure_residual(sysd.conn, "const_curv_19_14", pts).max_abs
+        normed["s_field"] = parts["s"]
+        normed["nabla_metric"] = covariant_differential(conn, g)
+        normed["nabla_ricci"] = covariant_differential(conn, parts["ricci"])
+    # Ricci cannot fault in this checked walk: its nodes other than
+    # constants lie under Ricci_sym, walked first
+    fields = [parts["ricci_sym"], parts["ricci"], *normed.values()]
+    rh, ric, *values = eval_arrays([f.comps for f in fields], pts, checked=True)
+    out_classify, m_ok = _classified(rh)
+    m_ok = m_ok and (expected_m is None or out_classify["m"] == expected_m)
+    checks = {k: _max_abs(v) for k, v in zip(normed, values)}
+    if constcurv:
+        checks["ricci_minus_metric"] = _max_abs(ric - eval_arrays([g.comps], pts, checked=False)[0])
+        checks["structure_19_14"] = structure_residual(conn, "const_curv_19_14", pts).max_abs
     if spec.kind.startswith("intermediate"):
         form = "intermediate_10_15" if spec.n >= 3 else "two_dim_12_1"
-        checks[f"structure_{form}"] = structure_residual(sysd.conn, form, pts).max_abs
+        checks[f"structure_{form}"] = structure_residual(conn, form, pts).max_abs
     ok = m_ok and all(v <= tol for v in checks.values())
     return {
         "kind": spec.kind, "n": spec.n, "classify": out_classify,
@@ -554,16 +562,14 @@ def cmd_simulate(args):
 def cmd_report(args):
     doc, sysd, pts = _load(args)
     parts = ricci_and_s(sysd.conn)
+    fields = (curvature(sysd.conn), parts["ricci"], parts["s"], parts["ricci_sym"])
+    *norms, rh = eval_arrays([f.comps for f in fields], pts, checked=True)
     out = {
         "n": doc.n,
         "gamma_symmetry_residual": doc._gamma_residual,
-        "norms": {
-            "curvature": _norm(curvature(sysd.conn), pts),
-            "ricci": _norm(parts["ricci"], pts),
-            "s": _norm(parts["s"], pts),
-        },
+        "norms": {k: _max_abs(v) for k, v in zip(("curvature", "ricci", "s"), norms)},
     }
-    out["classify"], ok = _classified(sysd.conn, pts)
+    out["classify"], ok = _classified(rh)
     bounds = pointwise_symmetry_bounds(sysd, pts[0])
     out["pointwise_bound"] = {
         "depth_1": bounds[1],

@@ -28,6 +28,7 @@ from .tensor import (
     SUB,
     TensorField,
     bcast,
+    eval_arrays,
     fold,
     grad,
     pushforward,
@@ -60,12 +61,14 @@ class Connection:
     transform_connection).  The coefficients are stored as one (1,2)
     TensorField, ``field``, for storage and evaluation only; gamma[k, r, s]
     must be symmetric in (r, s), and is not changed once built: the
-    curvature is kept on the connection (``curvature``).
+    curvature and the Ricci split are kept on the connection
+    (``curvature``, ``ricci_and_s``).
     """
 
     def __init__(self, n, gamma):
         self.field = TensorField(n, 1, 2, gamma)
         self.curv = None  # the curvature tensor, built by curvature() on first use
+        self.ricci = None  # ricci_and_s's fields, built on first use
 
     @property
     def n(self):
@@ -205,22 +208,26 @@ def covariant_differential(conn, w):
 
 def ricci_and_s(conn):
     """Ricci tensor, the S field, and the symmetric/skew Ricci split, from
-    the connection's curvature (``curvature``, built once per connection).
+    the connection's curvature (``curvature``).
 
     R_ij = sum_k R^k_ikj and S_ij = sum_k R^k_kij; returns a dict with keys
-    ricci, s, ricci_sym, ricci_skew.
+    ricci, s, ricci_sym, ricci_skew.  Built on the first call and kept on
+    the connection (``conn.ricci``); every later call returns that same
+    dict, which callers do not change.
     """
-    n = conn.n
-    ric, sfield = (a[0] for a in _ricci_contractions(curvature(conn).comps[None], ADD))
-    half = const(0.5)
-    sym = MUL(half, ADD(ric, ric.T))
-    skew = MUL(half, SUB(ric, ric.T))
-    return {
-        "ricci": TensorField(n, 0, 2, ric),
-        "s": TensorField(n, 0, 2, sfield),
-        "ricci_sym": TensorField(n, 0, 2, sym),
-        "ricci_skew": TensorField(n, 0, 2, skew),
-    }
+    if conn.ricci is None:
+        n = conn.n
+        ric, sfield = (a[0] for a in _ricci_contractions(curvature(conn).comps[None], ADD))
+        half = const(0.5)
+        sym = MUL(half, ADD(ric, ric.T))
+        skew = MUL(half, SUB(ric, ric.T))
+        conn.ricci = {
+            "ricci": TensorField(n, 0, 2, ric),
+            "s": TensorField(n, 0, 2, sfield),
+            "ricci_sym": TensorField(n, 0, 2, sym),
+            "ricci_skew": TensorField(n, 0, 2, skew),
+        }
+    return conn.ricci
 
 
 def metric_connection(g, pts=None):
@@ -261,7 +268,8 @@ def lower_curvature(g, curv):
 
 def structure_residual(conn, form, pts=None):
     """Max-norm residual of a curvature structure formula at the probe
-    points (``as_points``: None gives the 20 sample points).
+    points (``as_points``: None gives the 20 sample points).  R and the
+    Ricci split come from one unchecked walk (``eval_arrays``).
 
     The right-hand side is assembled numerically from the Ricci split:
 
@@ -287,9 +295,8 @@ def structure_residual(conn, form, pts=None):
     if form == "const_curv_19_14" and n < 2:
         raise ValueError("const_curv_19_14 requires n >= 2")
     parts = ricci_and_s(conn)
-    Rv = curvature(conn).evaluate_many(pts)
-    rh = parts["ricci_sym"].evaluate_many(pts)
-    rt = parts["ricci_skew"].evaluate_many(pts)
+    fields = (curvature(conn), parts["ricci_sym"], parts["ricci_skew"])
+    Rv, rh, rt = eval_arrays([f.comps for f in fields], pts, checked=False)
 
     def at(arr, src):  # a (P, n, n) array or the delta on the axes (p, k, s, i, j)
         return bcast(arr, src, "pksij")

@@ -234,7 +234,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     beyond it.  A step below ten ulps of t ends it with status -1, as does
     a nan step (from a nan slope at t0, or atol = 0 with a zero component
     of y0).  A non-finite or empty t_span, or a non-finite y0, raises
-    ValueError.
+    ValueError.  The run, ``fun``'s calls included, is under
+    ``np.errstate(all="ignore")``: numpy warns of no nan or inf on the way
+    to such a status.
     """
     t0, tf = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(tf)):
@@ -258,83 +260,86 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
             t=np.array([t0]), y=y_array[:, None], sol=None, status=1, message=MESSAGES[1], nfev=0,
             last_step=0.0, n_accepted=0, n_rejected=0,
         )
-    direction = 1.0 if tf > t0 else -1.0
-    towards = direction * math.inf
-    f = np.asarray(fun(t0, y), dtype=float)
-    h_abs = float(_initial_step(fun, t0, y_array, tf, f, direction, rtol, atol, floats))
-    nfev = 2
-    n_accepted = n_rejected = 0
-    K = np.empty((7, y_array.size))
-    K[0] = f  # the slope at the current state, replaced when a step is accepted
-    stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
-    K_e = K.T
-    root_size = y_array.size**0.5
-    t, ts, ys, steps, h = t0, [t0], [y], [], h_abs
-    status = None
-    while status is None:
-        min_step = 10 * abs(math.nextafter(t, towards) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # a nan step (a nan slope or error scale) too
-                status = -1
+    # one errstate for the run: a nan or inf in a slope or a stage is
+    # reported by the run's status, not by numpy's warnings on the way
+    with np.errstate(all="ignore"):
+        direction = 1.0 if tf > t0 else -1.0
+        towards = direction * math.inf
+        f = np.asarray(fun(t0, y), dtype=float)
+        h_abs = float(_initial_step(fun, t0, y_array, tf, f, direction, rtol, atol, floats))
+        nfev = 2
+        n_accepted = n_rejected = 0
+        K = np.empty((7, y_array.size))
+        K[0] = f  # the slope at the current state, replaced when a step is accepted
+        stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
+        K_e = K.T
+        root_size = y_array.size**0.5
+        t, ts, ys, steps, h = t0, [t0], [y], [], h_abs
+        status = None
+        while status is None:
+            min_step = 10 * abs(math.nextafter(t, towards) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:  # a nan step (a nan slope or error scale) too
+                    status = -1
+                    break
+                h = h_abs * direction
+                t_new = t + h
+                if direction * (t_new - tf) > 0:
+                    t_new = tf
+                h = t_new - t
+                h_abs = abs(h)
+                for s, KT, a, c in stages:
+                    z = KT.dot(a)
+                    if floats:
+                        z = [zi * h + yi for zi, yi in zip(z.tolist(), y)]
+                    else:
+                        z *= h
+                        z += y
+                    K[s] = fun(t + c * h, z)  # last: y_new at t + 1.0 * h, which is t + h
+                y_new = z
+                nfev += 6
+                abs_y_new, err = error(K_e.dot(E), h, abs_y, y_new, rtol, atol)
+                error_norm = math.sqrt(err.dot(err)) / root_size
+                if error_norm < 1:
+                    factor = MAX_FACTOR if error_norm == 0 else min(
+                        MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT
+                    )
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                rejected = True
+                n_rejected += 1
+            if status == -1:
                 break
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - tf) > 0:
-                t_new = tf
-            h = t_new - t
-            h_abs = abs(h)
-            for s, KT, a, c in stages:
-                z = KT.dot(a)
-                if floats:
-                    z = [zi * h + yi for zi, yi in zip(z.tolist(), y)]
-                else:
-                    z *= h
-                    z += y
-                K[s] = fun(t + c * h, z)  # last: y_new at t + 1.0 * h, which is t + h
-            y_new = z
-            nfev += 6
-            abs_y_new, err = error(K_e.dot(E), h, abs_y, y_new, rtol, atol)
-            error_norm = math.sqrt(err.dot(err)) / root_size
-            if error_norm < 1:
-                factor = MAX_FACTOR if error_norm == 0 else min(
-                    MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT
-                )
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-            rejected = True
-            n_rejected += 1
-        if status == -1:
-            break
-        n_accepted += 1
-        t_old, y_old = t, y
-        t, y, abs_y = t_new, y_new, abs_y_new
-        if direction * (t - tf) >= 0:
-            status = 0
-        # every earlier state was inside; an accepted state has no nan, as a
-        # nan in y_new comes with a nan or inf error norm, which rejects it
-        crossed = peak(abs_y) > BLOWUP
-        if dense_output or crossed:
-            step = (t_old, t, y_old, K.T.dot(P))
-            if dense_output:
-                steps.append(step)
-            if crossed:
-                t = _crossing(step)
-                y = _interpolate(step, t)
-                status = 1
-        K[0] = K[6]
-        ts.append(t)
-        ys.append(y)
-    return OdeResult(
-        t=np.array(ts),
-        y=np.array(ys).T,
-        sol=DenseOutput(ts, steps) if dense_output else None,
-        status=status,
-        message=MESSAGES[status],
-        nfev=nfev,
-        last_step=abs(h),
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-    )
+            n_accepted += 1
+            t_old, y_old = t, y
+            t, y, abs_y = t_new, y_new, abs_y_new
+            if direction * (t - tf) >= 0:
+                status = 0
+            # every earlier state was inside; an accepted state has no nan, as a
+            # nan in y_new comes with a nan or inf error norm, which rejects it
+            crossed = peak(abs_y) > BLOWUP
+            if dense_output or crossed:
+                step = (t_old, t, y_old, K.T.dot(P))
+                if dense_output:
+                    steps.append(step)
+                if crossed:
+                    t = _crossing(step)
+                    y = _interpolate(step, t)
+                    status = 1
+            K[0] = K[6]
+            ts.append(t)
+            ys.append(y)
+        return OdeResult(
+            t=np.array(ts),
+            y=np.array(ys).T,
+            sol=DenseOutput(ts, steps) if dense_output else None,
+            status=status,
+            message=MESSAGES[status],
+            nfev=nfev,
+            last_step=abs(h),
+            n_accepted=n_accepted,
+            n_rejected=n_rejected,
+        )

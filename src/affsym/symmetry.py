@@ -53,7 +53,7 @@ from .geometry import (
 )
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
-from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad, split_rows
+from .tensor import ADD, MUL, SUB, TensorField, bcast, eval_arrays, fold, grad, split_rows
 from .util import as_points, max_report, sample_points
 
 __all__ = [
@@ -299,10 +299,15 @@ def classify(conn, sample=None):
     threshold 1e-7); a varying rank raises RankNotConstantError rather than
     being resolved silently.  The sample passes ``as_points``.
     """
-    n = conn.n
-    sample = as_points(sample, n)
-    rh = ricci_and_s(conn)["ricci_sym"].evaluate(sample)
-    ranks = [_matrix_rank(rh[p]) for p in range(len(sample))]
+    sample = as_points(sample, conn.n)
+    return _degeneration(ricci_and_s(conn)["ricci_sym"].evaluate(sample))
+
+
+def _degeneration(rh):
+    """classify's decision from the symmetric Ricci part's values rh[P, n,
+    n] at the sample points."""
+    n = rh.shape[-1]
+    ranks = [_matrix_rank(m) for m in rh]
     if len(set(ranks)) != 1:
         raise RankNotConstantError(
             f"rank not constant over the sample: observed {sorted(set(ranks))}"
@@ -319,18 +324,12 @@ def classify(conn, sample=None):
     )
 
 
-def _jet_values(arrays, pts):
-    """Values of Expr arrays at points (P, n), or one point (n,) (P = 1),
-    from one checked walk over all their components, cut by split_rows."""
-    return split_rows(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True), arrays)
-
-
 def _jets(arrays, pts):
     """W and dW/dy^1..n of each Expr array W in ``arrays``, at points
     (P, n) or one point (n,), n being the points' last dimension: bitwise
-    the list ``_jet_values([W0, grad(W0, n), W1, grad(W1, n), ...], pts)``,
-    from one checked forward-mode walk (``eval_many_shared(...,
-    jets=True)``) that builds no derivative tree.
+    the list ``eval_arrays([W0, grad(W0, n), W1, grad(W1, n), ...], pts,
+    checked=True)``, from one checked forward-mode walk
+    (``eval_many_shared(..., jets=True)``) that builds no derivative tree.
 
     If that walk faults (a flag, a DomainError, a constant that does not
     fold), the trees are built and walked: the walk raises its error,
@@ -340,7 +339,7 @@ def _jets(arrays, pts):
     try:
         vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
     except ExprError:
-        return _jet_values([x for a in arrays for x in (a, grad(a, n))], pts)
+        return eval_arrays([x for a in arrays for x in (a, grad(a, n))], pts, checked=True)
     return [x for v, g in zip(split_rows(vals, arrays), split_rows(grads, arrays)) for x in (v, g)]
 
 
@@ -501,13 +500,20 @@ def invariance_suite(sys, eta, pts=None):
     nondegenerate A it equals ``determining_residuals``' res_Gamma; with
     degenerate A that is the A-weighted residual, which does not bound
     |L_eta Gamma|.  The points pass ``as_points``."""
-    pts = as_points(pts, sys.n)
+    return _invariance(sys, eta, as_points(pts, sys.n))
+
+
+def _invariance(sys, eta, pts, lie_gamma=None):
+    """``invariance_suite`` at checked points, with lie_gamma the report of
+    the reduced connection residual there when the caller has it already
+    (``determining_residuals``' res_Gamma on the reduced equation: the same
+    trees, points and checked walk); else it is evaluated here."""
     conn = sys.conn
-    curv = curvature(conn)
     parts = ricci_and_s(conn)
-    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci", "lie_gamma")
-    fields = (curv, parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
-    gamma = _conn_eq_exprs(conn, eta).evaluate(pts)
+    fields = (curvature(conn), parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
+    if lie_gamma is None:
+        lie_gamma = max_report(_conn_eq_exprs(conn, eta).evaluate(pts), pts)
     e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts)
     lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
-    return {key: max_report(v, pts) for key, v in zip(keys, lies + [gamma])}
+    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
+    return {**{key: max_report(v, pts) for key, v in zip(keys, lies)}, "lie_gamma": lie_gamma}

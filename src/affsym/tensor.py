@@ -12,7 +12,8 @@ interpreted walk in one call, at points of shape (P, n) or at one point of
 shape (n,), checked against the field's n by ``util.as_points``:
 ``evaluate`` runs it checked (a value that is not finite raises
 DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
-walk's rows, one per component, go back into tensors by ``split_rows``.
+walk's rows, one per component, go back into tensors by ``split_rows``;
+``eval_arrays`` evaluates several arrays in one walk and cuts it so.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -59,6 +60,7 @@ __all__ = [
     "fold",
     "grad",
     "split_rows",
+    "eval_arrays",
     "TensorField",
     "PointMap",
     "tensor_product",
@@ -126,6 +128,17 @@ def split_rows(rows, arrays):
         np.moveaxis(v, 0, 1).reshape((rows.shape[1],) + a.shape + rows.shape[2:])
         for a, v in zip(arrays, np.split(rows, cuts))
     ]
+
+
+def eval_arrays(arrays, pts, *, checked):
+    """Values of several Expr arrays at points (P, n), or one point (n,)
+    (P = 1), from one walk over all their components in order
+    (``eval_many_shared``, checked or not), cut by ``split_rows``: a node
+    shared within or across the arrays is evaluated once.  Checked, the
+    first node to fault is the one separate checked walks of the arrays, in
+    the same order, would raise on, as the nodes an array shares with
+    earlier ones have passed by then."""
+    return split_rows(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=checked), arrays)
 
 
 class TensorField:
@@ -209,7 +222,7 @@ class TensorField:
         shape (P,) + (n,)*(r+s), or at one point of shape (n,) -> (n,)*(r+s):
         one checked walk over all components, taken in row-major order."""
         pts = as_points(points, self.n, one=None)
-        out = split_rows(eval_many_shared(self.comps.reshape(-1), pts, checked=True), [self.comps])[0]
+        out = eval_arrays([self.comps], pts, checked=True)[0]
         return out[0] if pts.ndim == 1 else out
 
     def evaluate_many(self, points):
@@ -220,7 +233,7 @@ class TensorField:
         subtrees shared across components are evaluated once.
         """
         pts = as_points(points, self.n, one=None)
-        return split_rows(eval_many_shared(self.comps.reshape(-1), pts), [self.comps])[0]
+        return eval_arrays([self.comps], pts, checked=False)[0]
 
     # -- symmetry checks ----------------------------------------------------
 

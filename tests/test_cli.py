@@ -53,6 +53,19 @@ def test_report_builds_one_curvature(monkeypatch, capsys, name):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+@pytest.mark.parametrize("command", ["report", "canonical"])
+def test_one_ricci_split_per_connection(monkeypatch, capsys, command, name):
+    # the Ricci split is kept on the connection as the curvature is: the
+    # norms, the rank decision and the structure residual share it
+    built = []
+    contract = geometry._ricci_contractions
+    monkeypatch.setattr(geometry, "_ricci_contractions", lambda *a: built.append(1) or contract(*a))
+    code = main([command, fixture(name)])
+    capsys.readouterr()
+    assert len(built) == (0 if code == 1 else 1)
+
+
 def test_classify_maximal_fixture(capsys):
     code, data = run(capsys, "classify", fixture("flat_n2.json"))
     assert code == 0
@@ -136,18 +149,20 @@ def test_flatten_transport_failure_names_the_probe(tmp_path, capsys):
     )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_flatten_with_an_infinite_start_slope_exits_2(tmp_path, capsys):
     # the transports start at --at, where y1 = 0: Gamma^2_11 = 1/y1 and so the
     # first slope are infinite, and the integrator ends with a step underflow
+    # on the path to the first probe, with no numpy warning on the way
     doc = {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": {"2": [["1/y1", "0"], ["0", "0"]]}}
     path = tmp_path / "pole.json"
     path.write_text(json.dumps(doc))
     code = main(["flatten", str(path), "--at", "0,0.1", "--u0", "0.5,0.5"])
+    probe = ", ".join(f"{v:.6g}" for v in sample_points(2, 5, seed=11)[0])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith(
+    assert err == (
         "error: transport failed: Required step size is less than spacing between numbers."
+        f" on the path to probe y = [{probe}]\n"
     )
 
 

@@ -36,13 +36,12 @@ from affsym.symmetry import (
     linearization,
     pointwise_symmetry_bound,
     pointwise_symmetry_bounds,
-    _jet_values,
     _jets,
     _lie_rows,
     _matrix_rank,
     _taylor_rows,
 )
-from affsym.tensor import PointMap, TensorField, grad, partial_differential
+from affsym.tensor import PointMap, TensorField, eval_arrays, grad, partial_differential
 from affsym.util import max_report, sample_points
 
 from test_geometry import constcurv_connection, intermediate_connection
@@ -520,7 +519,7 @@ def _tree_rows(W, p0):
     """_lie_rows by the derivative trees: lie_terms on the walk of W and
     grad(W) at p0, with (eta, F) running over the basis 1-jets."""
     n = W.n
-    w, dw = _jet_values([W.comps, grad(W.comps, n)], p0)
+    w, dw = eval_arrays([W.comps, grad(W.comps, n)], p0, checked=True)
     basis = np.eye(n + n * n)
     lie = lie_terms(w, dw, basis[:, :n], basis[:, n:].reshape(-1, n, n), W.r)
     return lie.reshape(n + n * n, -1).T

@@ -7,10 +7,14 @@ show that a change leaves the answers unchanged.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
-("strict_json": no NaN or Infinity).  The grid-1024 `simulate` commands also
-write their snapshots with `--csv` into a temporary directory; the record
-holds the file's sha256 ("csv_sha256"), and its stdout names the file as
-CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
+("strict_json": no NaN or Infinity).  The other stderr lines (warnings,
+usage) are recorded as their count and a sha256 ("stderr_lines",
+"stderr_sha256"), a warning's location in SRC_DIR written as
+SRC_PLACEHOLDER and its file without the line number, so a new warning
+shows as a difference and a moved one does not.  The grid-1024 `simulate`
+commands also write their snapshots with `--csv` into a temporary
+directory; the record holds the file's sha256 ("csv_sha256"), and its
+stdout names the file as CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
 change in the last bit of a simulated value shows even where the summaries
 in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
@@ -27,6 +31,7 @@ constcurv_n3.json is slow (minutes) on older trees.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,12 +40,14 @@ import time
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 MAIN = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
 CSV_PLACEHOLDER = "<csv>"  # in argv, replaced by a temporary file's path
+SRC_PLACEHOLDER = "<src>"  # SRC_DIR in a warning's location, in the stderr lines hashed
 INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4"])
 # (document, commands) by file name.  The first two divide by zero and raise
 # zero to a negative power where y1 = 0, which the default initial profile
 # puts on a grid point.  'y²' must be a bad expression (exit 1), the nest
 # must parse (exit 0), and flatten's transport from y1 = 0, where the first
-# slope is infinite, must end in a step underflow (exit 2), not a traceback.
+# slope is infinite, must end in a step underflow (exit 2), not a traceback,
+# and print no warning.
 HOSTILE = {
     "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
     "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
@@ -124,8 +131,10 @@ def strict_json(text):
 
 
 def run(src, out_path):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop("AFFSYM_SEED", None)
+    location = re.compile(re.escape(src) + r"(\S*?\.py):\d+:")
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
         cli = (
@@ -143,12 +152,19 @@ def run(src, out_path):
                     digest = hashlib.sha256(fp.read()).hexdigest()
                 os.remove(csv)
             errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+            other = [
+                location.sub(SRC_PLACEHOLDER + r"\1:", line)
+                for line in proc.stderr.splitlines()
+                if not line.startswith("error:")
+            ]
             record[key] = {
                 "code": proc.returncode,
                 # the path is JSON-escaped in a report
                 "stdout": proc.stdout.replace(json.dumps(csv)[1:-1], CSV_PLACEHOLDER),
                 "csv_sha256": digest,
                 "error": errors[-1] if errors else None,
+                "stderr_lines": len(other),
+                "stderr_sha256": hashlib.sha256("\n".join(other).encode()).hexdigest(),
                 "traceback": "Traceback" in proc.stderr,
                 # a CLI report must be JSON without NaN or Infinity; demos print text
                 "strict_json": (
@@ -166,15 +182,24 @@ def diff(before_path, after_path):
         before = json.load(fp)
     with open(after_path, encoding="utf-8") as fp:
         after = json.load(fp)
-    # .get: records from older versions lack "error", "csv_sha256" and the demos
+    # .get: records from older versions lack "error", "csv_sha256" and the
+    # demos; the stderr fields are compared only where both records have them
     fields = ("code", "stdout", "error", "csv_sha256")
+    stderr_fields = ("stderr_lines", "stderr_sha256")
     keys = dict.fromkeys([*before, *after])
     pairs = {k: (before.get(k, {}), after.get(k, {})) for k in keys}
-    differ = [k for k, (b, a) in pairs.items() if any(b.get(f) != a.get(f) for f in fields)]
+
+    def stderr_differs(b, a):
+        return any(f in b and f in a and b[f] != a[f] for f in stderr_fields)
+
+    differ = [
+        k for k, (b, a) in pairs.items()
+        if any(b.get(f) != a.get(f) for f in fields) or stderr_differs(b, a)
+    ]
     ndemos = sum(k.startswith("demo ") for k in keys)
     print(
-        f"{len(keys) - ndemos} commands and {ndemos} demos, "
-        f"{len(differ)} differ in exit code, stdout, error message or CSV digest"
+        f"{len(keys) - ndemos} commands and {ndemos} demos, {len(differ)} differ in exit code, "
+        "stdout, error message, CSV digest or other stderr lines"
     )
     for k in differ:
         b, a = pairs[k]
@@ -182,6 +207,8 @@ def diff(before_path, after_path):
         if b.get("error") != a.get("error"):
             print("  before:", b.get("error"))
             print("  after: ", a.get("error"))
+        if stderr_differs(b, a):
+            print(f"  other stderr lines: {b['stderr_lines']} before, {a['stderr_lines']} after")
     for label, rec in (("before", before), ("after", after)):
         tracebacks = [k for k, v in rec.items() if v["traceback"]]
         total = sum(v["seconds"] for v in rec.values())
