@@ -45,10 +45,10 @@ from .expr import ExprError, ParseError, const, eval_many_shared, parse_expr, to
 from .geometry import (
     Connection,
     DiffusionSystem,
-    covariant_differential,
+    _point_values,
+    _structure_report,
     curvature,
     ricci_and_s,
-    structure_residual,
 )
 from .liefn import VectorField
 from .pdesim import (
@@ -399,8 +399,7 @@ def cmd_curvature(args):
 
 def cmd_classify(args):
     _doc, sysd, pts = _load(args)
-    rh = eval_arrays([ricci_and_s(sysd.conn)["ricci_sym"].comps], pts, checked=True)[0]
-    out, ok = _classified(rh)
+    out, ok = _classified(_point_values(sysd.conn, pts)(("ricci_sym",))[0])
     return (out, 0) if ok else ({**out, "rank_constant": False}, 2)
 
 
@@ -438,9 +437,12 @@ def cmd_canonical(args):
     spec = doc.canonical
     if spec is None:
         raise InputError("canonical subcommand needs a document with a canonical spec")
+    intermediate = spec.kind.startswith("intermediate")
+    form = None
+    if intermediate and spec.n >= 2:
+        form = "intermediate_10_15" if spec.n >= 3 else "two_dim_12_1"
     # without an explicit A the document's system is the spec's
     sysd = loaded if doc.a_rows is None else build_system(spec)
-    conn = sysd.conn
     tol = doc.tolerances["structure"]
     expected_m = {
         "maximal_7_11": 0,
@@ -448,29 +450,29 @@ def cmd_canonical(args):
         "constcurv_22_13": spec.n,
         "constcurv_2d_22_14": 2,
     }.get(spec.kind)
-    parts = ricci_and_s(conn)
-    normed = {}  # check -> the field whose max |value| it is
+    # check -> the field whose max |value| it is, after Ricci_sym and Ricci
+    normed = {}
     if spec.kind in ("maximal_7_11", "scalar_23_1"):
-        normed["curvature"] = curvature(conn)
-    constcurv = spec.kind.startswith("constcurv")
-    if constcurv:
-        g, _f = constcurv_metric(spec.n, spec.epsilons)
-        normed["s_field"] = parts["s"]
-        normed["nabla_metric"] = covariant_differential(conn, g)
-        normed["nabla_ricci"] = covariant_differential(conn, parts["ricci"])
-    # Ricci cannot fault in this checked walk: its nodes other than
-    # constants lie under Ricci_sym, walked first
-    fields = [parts["ricci_sym"], parts["ricci"], *normed.values()]
-    rh, ric, *values = eval_arrays([f.comps for f in fields], pts, checked=True)
+        normed["curvature"] = "curvature"
+    metric, unchecked = None, ()
+    if spec.kind.startswith("constcurv"):
+        metric, _f = constcurv_metric(spec.n, spec.epsilons)
+        normed.update(s_field="s", nabla_metric="nabla_metric", nabla_ricci="nabla_ricci")
+        form, unchecked = "const_curv_19_14", ("metric",)
+    if form:
+        unchecked += ("curvature", "ricci_sym", "ricci_skew")
+    at_points = _point_values(sysd.conn, pts, nabla=metric is not None, metric=metric)
+    rh, ric, *values = at_points(("ricci_sym", "ricci", *normed.values()), unchecked)
+    if intermediate and not form:
+        raise InputError(f"canonical has no structure check for {spec.kind} at n = {spec.n}")
     out_classify, m_ok = _classified(rh)
     m_ok = m_ok and (expected_m is None or out_classify["m"] == expected_m)
     checks = {k: _max_abs(v) for k, v in zip(normed, values)}
-    if constcurv:
-        checks["ricci_minus_metric"] = _max_abs(ric - eval_arrays([g.comps], pts, checked=False)[0])
-        checks["structure_19_14"] = structure_residual(conn, "const_curv_19_14", pts).max_abs
-    if spec.kind.startswith("intermediate"):
-        form = "intermediate_10_15" if spec.n >= 3 else "two_dim_12_1"
-        checks[f"structure_{form}"] = structure_residual(conn, form, pts).max_abs
+    if metric is not None:
+        checks["ricci_minus_metric"] = _max_abs(ric - values[len(normed)])
+    if form:
+        key = "structure_19_14" if metric is not None else f"structure_{form}"
+        checks[key] = _structure_report(form, *values[-3:], pts).max_abs
     ok = m_ok and all(v <= tol for v in checks.values())
     return {
         "kind": spec.kind, "n": spec.n, "classify": out_classify,
@@ -561,9 +563,7 @@ def cmd_simulate(args):
 
 def cmd_report(args):
     doc, sysd, pts = _load(args)
-    parts = ricci_and_s(sysd.conn)
-    fields = (curvature(sysd.conn), parts["ricci"], parts["s"], parts["ricci_sym"])
-    *norms, rh = eval_arrays([f.comps for f in fields], pts, checked=True)
+    *norms, rh = _point_values(sysd.conn, pts)(("curvature", "ricci", "s", "ricci_sym"))
     out = {
         "n": doc.n,
         "gamma_symmetry_residual": doc._gamma_residual,

@@ -13,6 +13,20 @@ slot one gives the covariant derivative along it.  Ricci contracts the upper
 index with the r slot, the S field with the s slot; S = 2 * skew(Ricci) is
 forced by the first Bianchi identity and is asserted as a test, not used as
 a shortcut.
+
+Each formula is one body over arrays (see the note above ``_tree``): on
+Expr arrays it builds the trees that ``curvature``, ``ricci_and_s`` and
+``covariant_differential`` keep or return; on numbers it gives their
+values.  ``_point_values`` runs the bodies on the values and first
+derivatives from one checked forward-mode walk of Gamma (and of the metric,
+A and eta where asked for), which equal the trees' walk in magnitude to
+the bit: ``structure_residual``, ``symmetry.classify``,
+``symmetry.determining_residuals`` and the CLI's report, classify and
+canonical checks take their numbers so, and build the trees only where
+that walk or a body faults, so that the error raised is the trees' own.
+The CLI's ``curvature`` walks the trees, since it prints signed values and
+a body's exact zero may have the other sign; the invariance suite walks
+the jets of the trees of R and nabla Ric (``symmetry.invariance_suite``).
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import string
 
 import numpy as np
 
-from .expr import Expr, const
+from .expr import Expr, ExprError, const
 from .tensor import (
     ADD,
     MUL,
@@ -29,6 +43,7 @@ from .tensor import (
     TensorField,
     bcast,
     eval_arrays,
+    eval_jets,
     fold,
     grad,
     pushforward,
@@ -118,8 +133,16 @@ class DiffusionSystem:
 
     def a_nondegenerate(self, pts):
         """True when |det A| exceeds 1e-12 at every probe point (``as_points``)."""
-        vals = self.A.evaluate_many(pts)
-        return bool(np.min(np.abs(np.linalg.det(vals))) > 1e-12)
+        return _nondegenerate(self.A.evaluate_many(pts))
+
+
+def _nondegenerate(a):
+    """True when |det A| exceeds 1e-12 at every point, from A's values a[P,
+    n, n].  A determinant beyond the float range is infinite, and counts as
+    nondegenerate, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        dets = np.linalg.det(a)
+    return bool(np.min(np.abs(dets)) > 1e-12)
 
 
 def scalar_operator(n, a):
@@ -139,18 +162,27 @@ def curvature(conn):
     every later call returns that same field."""
     if conn.curv is None:
         G = conn.gamma
-        comps = _curvature_comps(G[None], grad(G, conn.n)[None], ADD, SUB, MUL)[0]
-        conn.curv = TensorField(conn.n, 1, 3, comps)
+        conn.curv = TensorField(conn.n, 1, 3, _tree(_curvature_comps, G, grad(G, conn.n)))
     return conn.curv
 
 
-# The bodies below are the formulas of curvature, ricci_and_s and
-# covariant_differential.  Like ``liefn.lie_terms`` they take the
-# elementwise add, sub and mul as arguments, and their arrays lead with a
-# batch axis p: ADD/SUB/MUL on Expr arrays with p of length 1 build the
-# trees, and numpy's add and subtract with a truncated product on Taylor
-# coefficients (p running over the coefficients) give the numbers of
-# ``symmetry.pointwise_symmetry_bounds``.
+# The bodies below are the formulas of curvature, ricci_and_s,
+# covariant_differential and the determining equations.  Like
+# ``liefn.lie_terms`` they take the elementwise add, sub and mul as
+# arguments, and their arrays lead with a batch axis p.  ADD/SUB/MUL on Expr
+# arrays with p of length 1 build the trees (``_tree``).  numpy's add and
+# subtract give numbers: with numpy's multiply on values at points (p the
+# points), with ``_dual_mul`` on values and first derivatives (p running
+# over (value, d/dy^1..n) x points), and with a truncated product on the
+# Taylor coefficients of ``symmetry.pointwise_symmetry_bounds``.  Every sum
+# is a left fold (``fold``), never numpy's add.reduce, which sums three or
+# more floats pairwise.
+
+
+def _tree(body, *arrays):
+    """A body's trees: the body on Expr arrays with a batch axis of length
+    1, under ADD, SUB and MUL."""
+    return body(*(a[None] for a in arrays), ADD, SUB, MUL)[0]
 
 
 def _curvature_comps(G, dG, add, sub, mul):
@@ -165,16 +197,31 @@ def _add_quadratic(total, G, add, sub, mul):
     """total^i_srk + sum_q (G^q_ks G^i_rq - G^q_rs G^i_kq), folded over q in
     that order: the quadratic part of the curvature formula, shared by
     curvature and the deformation identity."""
-    up = mul(bcast(G, "pqks", "pisrkq"), bcast(G, "pirq", "pisrkq"))
-    down = mul(bcast(G, "pqrs", "pisrkq"), bcast(G, "pikq", "pisrkq"))
-    return fold(total, (add, up), (sub, down))
+    ks, rq = bcast(G, "pqks", "pisrkq"), bcast(G, "pirq", "pisrkq")
+    rs, kq = bcast(G, "pqrs", "pisrkq"), bcast(G, "pikq", "pisrkq")
+    for q in range(G.shape[-1]):  # one q at a time: no array over all q
+        total = sub(add(total, mul(ks[..., q], rq[..., q])), mul(rs[..., q], kq[..., q]))
+    return total
+
+
+def _sum_last(terms, add):
+    """The sum over the trailing axis, folded left to right from its first
+    term: the trees of ADD.reduce, and on floats the same order."""
+    return fold(terms[..., 0], (add, terms[..., 1:]))
 
 
 def _ricci_contractions(R, add):
     """R_ij = sum_k R^k_ikj and S_ij = sum_k R^k_kij from R[p, i, s, r, k],
-    each summed by ``add.reduce`` (add a ufunc) over k."""
-    ric = add.reduce(np.diagonal(R, 0, 1, 3), axis=-1)  # sum_k R^k_ikj
-    return ric, add.reduce(np.diagonal(R, 0, 1, 2), axis=-1)  # sum_k R^k_kij
+    each folded over k (``_sum_last``)."""
+    ric = _sum_last(np.diagonal(R, 0, 1, 3), add)  # sum_k R^k_ikj
+    return ric, _sum_last(np.diagonal(R, 0, 1, 2), add)  # sum_k R^k_kij
+
+
+def _ricci_halves(ric, add, sub, mul, half):
+    """The symmetric and skew parts half*(Ric + Ric^T), half*(Ric - Ric^T)
+    of ric[..., i, j], half being 0.5 as a constant of the arrays' kind."""
+    rt = np.swapaxes(ric, -1, -2)
+    return mul(half, add(ric, rt)), mul(half, sub(ric, rt))
 
 
 def _nabla_terms(G, w, dw, r, add, sub, mul):
@@ -192,6 +239,52 @@ def _nabla_terms(G, w, dw, r, add, sub, mul):
     return np.moveaxis(total, -1, r + 1)
 
 
+def _lie_a_terms(a, da, eta, deta, add, sub, mul):
+    """L_eta A of the operator field from a[p, i, j] = A^i_j, da[p, i, j, k]
+    = dA^i_j/dy^k, eta[p, k] and deta[p, i, k] = d eta^i/dy^k: for each k in
+    turn + eta^k dA^i_j/dy^k - A^k_j d eta^i/dy^k + A^i_k d eta^k/dy^j."""
+    transport = mul(bcast(eta, "pk", "pijk"), da)
+    upper = mul(bcast(a, "pkj", "pijk"), bcast(deta, "pik", "pijk"))
+    lower = mul(bcast(a, "pik", "pijk"), bcast(deta, "pkj", "pijk"))
+    first = add(sub(transport[..., 0], upper[..., 0]), lower[..., 0])
+    return fold(first, (add, transport[..., 1:]), (sub, upper[..., 1:]), (add, lower[..., 1:]))
+
+
+def _conn_eq_rhs(G, dG, eta, d1, mul):
+    """The summands over k of the connection equation's right-hand side on
+    the axes [p, i, r, s, k]: dGamma^i_rs/dy^k eta^k, Gamma^i_ks d1^k_r and
+    Gamma^i_rk d1^k_s, with d1[p, i, k] = d eta^i/dy^k."""
+    return (
+        mul(dG, bcast(eta, "pk", "pirsk")),
+        mul(bcast(G, "piks", "pirsk"), bcast(d1, "pkr", "pirsk")),
+        mul(bcast(G, "pirk", "pirsk"), bcast(d1, "pks", "pirsk")),
+    )
+
+
+def _conn_eq_terms(G, dG, eta, d1, d2, add, sub, mul):
+    """Residual of the reduced connection equation (valid for det A != 0),
+    with d2[p, i, r, s] = d2 eta^i/dy^r dy^s: sum_k d1^i_k Gamma^k_rs - d2^i_rs,
+    then each summand of the right-hand side subtracted, k by k."""
+    total = _sum_last(mul(bcast(d1, "pik", "pirsk"), bcast(G, "pkrs", "pirsk")), add)
+    total = sub(total, d2)
+    return fold(total, *((sub, t) for t in _conn_eq_rhs(G, dG, eta, d1, mul)))
+
+
+def _conn_eq_full_terms(a, da, G, dG, eta, d1, d2, add, sub, mul):
+    """Residual of the full A-weighted connection equation (degenerate A):
+    sum_jk (d1^i_k A^k_j - dA^i_j/dy^k eta^k) Gamma^j_rs, then for each j
+    - A^i_j d2^j_rs and - A^i_j rhs^j_rs(k) for each k."""
+    lhs = sub(mul(bcast(d1, "pik", "pijk"), bcast(a, "pkj", "pijk")), mul(da, bcast(eta, "pk", "pijk")))
+    terms = mul(bcast(lhs, "pijk", "pirsjk"), bcast(G, "pjrs", "pirsjk"))
+    total = _sum_last(terms.reshape(terms.shape[:4] + (-1,)), add)
+    t1, t2, t3 = _conn_eq_rhs(G, dG, eta, d1, mul)
+    rhs = add(add(t1, t2), t3)  # [p, j, r, s, k]
+    second = mul(bcast(a, "pij", "pirsj"), bcast(d2, "pjrs", "pirsj"))
+    per_k = mul(bcast(a, "pij", "pirsjk"), bcast(rhs, "pjrsk", "pirsjk"))
+    subtracted = np.concatenate([second[..., None], per_k], axis=-1)
+    return fold(total, (sub, subtracted.reshape(subtracted.shape[:4] + (-1,))))
+
+
 def covariant_differential(conn, w):
     """nabla W as a (r, s+1) field with the derivative slot first.
 
@@ -201,9 +294,8 @@ def covariant_differential(conn, w):
     """
     if isinstance(w, Expr):
         w = TensorField.scalar(conn.n, w)
-    jet = (conn.gamma, w.comps, grad(w.comps, conn.n))
-    comps = _nabla_terms(*(a[None] for a in jet), w.r, ADD, SUB, MUL)[0]
-    return TensorField(conn.n, w.r, w.s + 1, comps)
+    body = lambda G, c, dc, *ops: _nabla_terms(G, c, dc, w.r, *ops)
+    return TensorField(conn.n, w.r, w.s + 1, _tree(body, conn.gamma, w.comps, grad(w.comps, conn.n)))
 
 
 def ricci_and_s(conn):
@@ -218,9 +310,7 @@ def ricci_and_s(conn):
     if conn.ricci is None:
         n = conn.n
         ric, sfield = (a[0] for a in _ricci_contractions(curvature(conn).comps[None], ADD))
-        half = const(0.5)
-        sym = MUL(half, ADD(ric, ric.T))
-        skew = MUL(half, SUB(ric, ric.T))
+        sym, skew = _ricci_halves(ric, ADD, SUB, MUL, const(0.5))
         conn.ricci = {
             "ricci": TensorField(n, 0, 2, ric),
             "s": TensorField(n, 0, 2, sfield),
@@ -228,6 +318,161 @@ def ricci_and_s(conn):
             "ricci_skew": TensorField(n, 0, 2, skew),
         }
     return conn.ricci
+
+
+# ---------------------------------------------------------------------------
+# The fields' values at points, from the bodies on jets
+# ---------------------------------------------------------------------------
+
+
+def _field_tree(name, conn, metric=None, A=None, eta=None):
+    """The Expr array of a field named as in ``_point_values``: the trees
+    kept on conn (``curvature``, ``ricci_and_s``), nabla by
+    ``covariant_differential``, or a determining residual's trees."""
+    n, G = conn.n, conn.gamma
+    if name == "curvature":
+        return curvature(conn).comps
+    if name in ("ricci", "s", "ricci_sym", "ricci_skew"):
+        return ricci_and_s(conn)[name].comps
+    if name == "nabla_ricci":
+        return covariant_differential(conn, ricci_and_s(conn)["ricci"]).comps
+    if name == "nabla_metric":
+        return covariant_differential(conn, metric).comps
+    if name in ("metric", "A"):
+        return (metric if name == "metric" else A).comps
+    # the derivative trees are built in the order the formulas use them
+    # (d2 eta before dGamma in the reduced equation), which decides the
+    # error where two of them cannot be built
+    d1 = grad(eta.comps, n)
+    if name == "lie_a":
+        return _tree(_lie_a_terms, A.comps, grad(A.comps, n), eta.comps, d1)
+    if name == "conn_eq":
+        d2 = grad(d1, n)
+        return _tree(_conn_eq_terms, G, grad(G, n), eta.comps, d1, d2)
+    jet = (A.comps, grad(A.comps, n), G, grad(G, n), eta.comps, d1, grad(d1, n))
+    return _tree(_conn_eq_full_terms, *jet)
+
+
+def _dual(v, d):
+    """Values v[P, ...] and their derivatives d[P, ..., n] as one array
+    whose batch axis runs over (value, d/dy^1..n) x points."""
+    return np.concatenate([v[None], np.moveaxis(d, -1, 0)]).reshape((-1,) + v.shape[1:])
+
+
+def _undual(x, n):
+    """The values x[P, ...] and derivatives [P, ..., n] of a ``_dual`` array."""
+    x = x.reshape((n + 1, -1) + x.shape[1:])
+    return x[0], np.moveaxis(x[1:], 0, -1)
+
+
+def _dual_mul(n):
+    """The product of ``_dual`` arrays as _diff_node takes the derivative
+    of a product a*b: d(a*b) = (da*b) + (a*db)."""
+
+    def mul(x, y):
+        x = x.reshape((n + 1, -1) + x.shape[1:])
+        y = y.reshape((n + 1, -1) + y.shape[1:])
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        np.multiply(x[0], y[0], out=out[0])
+        np.multiply(x[1:], y[0], out=out[1:])
+        out[1:] += x[0] * y[1:]
+        return out.reshape((-1,) + out.shape[2:])
+
+    return mul
+
+
+def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
+    """The values of fields of a connection at checked points pts (P, n),
+    equal to the walk of their trees in magnitude, to the bit, from the
+    bodies above on numbers; returns ``values(names, unchecked=())``, the
+    list of the named fields' values, (P,) + the field's shape, checked
+    names first.
+
+    The names are ``ricci_and_s``' keys and "curvature"; "nabla_ricci"
+    (with nabla) and "nabla_metric", by ``covariant_differential``;
+    "metric" and "A" themselves; and the residuals of the determining
+    equations with eta: "lie_a" (L_eta A), "conn_eq" (the reduced
+    connection equation) and "conn_eq_full" (A-weighted).
+
+    One checked forward-mode walk (``eval_jets``) gives Gamma, grad(Gamma)
+    (with nabla), the metric, A, eta and grad(eta), each where given, with
+    their first derivatives.  The bodies run on those with numpy's add and
+    subtract, and the derivatives of R and Ricci that nabla Ric needs come
+    from ``_dual_mul``.  Grouped as the trees are, each number is the
+    trees' value: the smart constructors drop only identity operations
+    (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in the same floats, so
+    the two differ at most in the sign of an exact zero.  That also makes a
+    body's number finite wherever every node of the trees is, so a body
+    whose arithmetic overflows (FloatingPointError under np.errstate) has
+    trees that fault, or a fault in a term the trees fold away.
+
+    Where the walk raises ExprError, or once a call's bodies have
+    overflowed, ``values`` builds the named fields' trees in order and walks
+    them, once checked and once unchecked (``eval_arrays``): the error
+    raised is the trees' own, the first in that order."""
+    n = conn.n
+    roots = {"gamma": conn.gamma}
+    if nabla:
+        roots["grad_gamma"] = grad(conn.gamma, n)
+    roots.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
+    if eta is not None:
+        roots["grad_eta"] = grad(eta.comps, n)
+    try:
+        walked = eval_jets(list(roots.values()), pts)
+    except ExprError:
+        jets = None
+    else:  # name -> (values, first derivatives)
+        jets = dict(zip(roots, zip(walked[::2], walked[1::2])))
+    ops = (np.add, np.subtract, np.multiply)
+    memo = {}
+
+    def ricci():  # Ric and S, and where nabla their derivatives, as _dual arrays
+        if "ricci" not in memo:
+            g, dg = jets["gamma"]
+            if nabla:
+                ddg = jets["grad_gamma"][1]
+                R = _curvature_comps(_dual(g, dg), _dual(dg, ddg), np.add, np.subtract, _dual_mul(n))
+            else:
+                R = _curvature_comps(g, dg, *ops)
+            memo["curvature"] = R[: len(pts)]
+            memo["ricci"], memo["s"] = _ricci_contractions(R, np.add)
+        return memo["ricci"]
+
+    def number(name):
+        g, dg = jets["gamma"]
+        if name in ("curvature", "ricci", "s"):
+            ricci()
+            return memo[name][: len(pts)]
+        if name in ("ricci_sym", "ricci_skew"):
+            return _ricci_halves(number("ricci"), *ops, 0.5)[name == "ricci_skew"]
+        if name == "nabla_ricci":
+            return _nabla_terms(g, *_undual(ricci(), n), 0, *ops)
+        if name == "nabla_metric":
+            return _nabla_terms(g, *jets["metric"], 0, *ops)
+        if name in ("metric", "A"):
+            return jets[name][0]
+        a, da = jets.get("A", (None, None))
+        e, de = jets["eta"]
+        if name == "lie_a":
+            return _lie_a_terms(a, da, e, de, *ops)
+        dde = jets["grad_eta"][1]
+        if name == "conn_eq":
+            return _conn_eq_terms(g, dg, e, de, dde, *ops)
+        return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
+
+    def values(names, unchecked=()):
+        nonlocal jets
+        if jets is not None:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return [number(x) for x in (*names, *unchecked)]
+            except FloatingPointError:
+                jets = None
+        trees = [_field_tree(x, conn, metric, A, eta) for x in (*names, *unchecked)]
+        out = eval_arrays(trees[: len(names)], pts, checked=True) if names else []
+        return out + (eval_arrays(trees[len(names) :], pts, checked=False) if unchecked else [])
+
+    return values
 
 
 def metric_connection(g, pts=None):
@@ -269,7 +514,8 @@ def lower_curvature(g, curv):
 def structure_residual(conn, form, pts=None):
     """Max-norm residual of a curvature structure formula at the probe
     points (``as_points``: None gives the 20 sample points).  R and the
-    Ricci split come from one unchecked walk (``eval_arrays``).
+    Ricci split are the values of their trees, unchecked
+    (``_point_values``).
 
     The right-hand side is assembled numerically from the Ricci split:
 
@@ -294,9 +540,14 @@ def structure_residual(conn, form, pts=None):
         raise ValueError("beta_14_1 requires n >= 2")
     if form == "const_curv_19_14" and n < 2:
         raise ValueError("const_curv_19_14 requires n >= 2")
-    parts = ricci_and_s(conn)
-    fields = (curvature(conn), parts["ricci_sym"], parts["ricci_skew"])
-    Rv, rh, rt = eval_arrays([f.comps for f in fields], pts, checked=False)
+    fields = ("curvature", "ricci_sym", "ricci_skew")
+    return _structure_report(form, *_point_values(conn, pts)((), fields), pts)
+
+
+def _structure_report(form, Rv, rh, rt, pts):
+    """structure_residual's report from the values of R, Ricci_sym and
+    Ricci_skew at the points, for a form that applies at their n."""
+    n = rh.shape[-1]
 
     def at(arr, src):  # a (P, n, n) array or the delta on the axes (p, k, s, i, j)
         return bcast(arr, src, "pksij")

@@ -18,13 +18,20 @@ and the connection equation.  For nondegenerate A the latter reduces to
 when det A vanishes somewhere the full A-weighted form is used instead.
 Acceptance is residual-based at sample points, not a symbolic proof.
 
-The pointwise bounds take their rows from Taylor coefficients of A and
-Gamma at the point (``expr.taylor_coefficients``), with the curvature and
-nabla Ric formed as numbers by the same bodies that build their trees in
-``geometry``; where that path faults, the rows come from the derivative
-trees, whose error is the one raised.  The invariance suite and
+The determining residuals and ``classify`` take their values from
+``geometry._point_values``: the bodies that build the residual, curvature
+and Ricci trees, run on the values and first derivatives of Gamma, A, eta
+and grad(eta) from one checked forward-mode walk, equal to the trees'
+values in magnitude to the bit; where that walk or a body faults, the
+trees are built and walked, and their error is the one raised.  The
+pointwise bounds take their rows from Taylor coefficients of A and Gamma
+at the point (``expr.taylor_coefficients``), with the curvature and nabla
+Ric formed as numbers by the same bodies; where that path faults, the rows
+come from the derivative trees.  The invariance suite and
 ``linearization`` stay on the trees' jets, which their reports pin to the
-bit.
+bit: the suite needs the first derivatives of nabla Ric, which the bodies
+would give only on second-order nested duals, and those ran slower than
+the trees' jets at n = 4.
 """
 
 from __future__ import annotations
@@ -39,13 +46,15 @@ from .expr import (
     ExprError,
     compile_exprs,
     coord,
-    eval_many_shared,
     taylor_coefficients,
     taylor_tables,
 )
 from .geometry import (
     _curvature_comps,
+    _field_tree,
     _nabla_terms,
+    _nondegenerate,
+    _point_values,
     _ricci_contractions,
     covariant_differential,
     curvature,
@@ -53,7 +62,7 @@ from .geometry import (
 )
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
-from .tensor import ADD, MUL, SUB, TensorField, bcast, eval_arrays, fold, grad, split_rows
+from .tensor import MUL, SUB, TensorField, bcast, eval_arrays, eval_jets, fold, grad
 from .util import as_points, max_report, sample_points
 
 __all__ = [
@@ -95,54 +104,19 @@ class RankNotConstantError(ValueError):
 
 
 def _lie_a_exprs(sys, eta):
-    """L_eta A as a (1,1) field, summed in the order of the module formula."""
-    n = sys.n
-    A = sys.A.comps
-    deta = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
-    transport = MUL(eta.comps, grad(A, n))
-    upper = MUL(bcast(A, "kj", "ijk"), bcast(deta, "ik", "ijk"))
-    lower = MUL(bcast(A, "ik", "ijk"), bcast(deta, "kj", "ijk"))
-    return TensorField(n, 1, 1, fold(ZERO, (ADD, transport), (SUB, upper), (ADD, lower)))
+    """L_eta A as a (1,1) field, summed in the order of the module formula
+    (``geometry._lie_a_terms``)."""
+    return TensorField(sys.n, 1, 1, _field_tree("lie_a", sys.conn, A=sys.A, eta=eta))
 
 
 def _conn_eq_exprs(conn, eta):
     """Residual of the reduced connection equation (valid for det A != 0)."""
-    n = conn.n
-    G = conn.gamma
-    d1 = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
-    total = ADD.reduce(MUL(bcast(d1, "ik", "irsk"), bcast(G, "krs", "irsk")), axis=-1)
-    total = SUB(total, grad(d1, n))
-    return TensorField(n, 1, 2, fold(total, *((SUB, t) for t in _conn_eq_terms(G, eta, d1))))
+    return TensorField(conn.n, 1, 2, _field_tree("conn_eq", conn, eta=eta))
 
 
 def _conn_eq_full_exprs(sys, eta):
     """Residual of the full A-weighted connection equation (degenerate A)."""
-    n = sys.n
-    A = sys.A.comps
-    G = sys.conn.gamma
-    d1 = grad(eta.comps, n)  # [i, k] = d eta^i / dy^k
-    lhs = SUB(MUL(bcast(d1, "ik", "ijk"), bcast(A, "kj", "ijk")), MUL(grad(A, n), eta.comps))
-    terms = MUL(bcast(lhs, "ijk", "irsjk"), bcast(G, "jrs", "irsjk"))
-    total = ADD.reduce(terms.reshape((n, n, n, n * n)), axis=-1)
-    # for each j: - A^i_j d2 eta^j/dy^r dy^s, then - A^i_j rhs^j_rs(k) for each k
-    t1, t2, t3 = _conn_eq_terms(G, eta, d1)
-    rhs = ADD(ADD(t1, t2), t3)  # [j, r, s, k]
-    second = MUL(bcast(A, "ij", "irsj"), bcast(grad(d1, n), "jrs", "irsj"))
-    per_k = MUL(bcast(A, "ij", "irsjk"), bcast(rhs, "jrsk", "irsjk"))
-    subtracted = np.concatenate([second[..., None], per_k], axis=-1)
-    return TensorField(n, 1, 2, fold(total, (SUB, subtracted.reshape((n, n, n, -1)))))
-
-
-def _conn_eq_terms(G, eta, d1):
-    """The summands over k of the connection equation's right-hand side on
-    the axes [i, r, s, k]: dGamma^i_rs/dy^k eta^k, Gamma^i_ks d1^k_r and
-    Gamma^i_rk d1^k_s, with d1 = d eta / dy."""
-    n = len(eta.comps)
-    return (
-        MUL(grad(G, n), eta.comps),
-        MUL(bcast(G, "iks", "irsk"), bcast(d1, "kr", "irsk")),
-        MUL(bcast(G, "irk", "irsk"), bcast(d1, "ks", "irsk")),
-    )
+    return TensorField(sys.n, 1, 2, _field_tree("conn_eq_full", sys.conn, A=sys.A, eta=eta))
 
 
 def determining_residuals(sys, eta, pts=None):
@@ -150,19 +124,19 @@ def determining_residuals(sys, eta, pts=None):
     points.  Returns {"res_A": ..., "res_Gamma": ...}; eta is accepted as a
     symmetry when both stay within tolerance.  With det A = 0 at a probe
     point the A-weighted connection equation replaces the reduced one.
-    Both are evaluated checked: a residual that is not finite at a probe
+    Both are the values of their trees, evaluated checked
+    (``geometry._point_values``): a residual that is not finite at a probe
     point raises DomainError naming the node.  The points pass
     ``as_points`` (None gives the 20 sample points)."""
     pts = as_points(pts, sys.n)
-    res_a = max_report(_lie_a_exprs(sys, eta).evaluate(pts), pts)
-    if sys.a_nondegenerate(pts):
-        exprs = _conn_eq_exprs(sys.conn, eta)
-        which = "reduced"
-    else:
-        exprs = _conn_eq_full_exprs(sys, eta)
-        which = "full"
-    res_g = max_report(exprs.evaluate(pts), pts, details={"equation": which})
-    return {"res_A": res_a, "res_Gamma": res_g}
+    values = _point_values(sys.conn, pts, A=sys.A, eta=eta)
+    lie_a, a = values(("lie_a",), ("A",))
+    which = "reduced" if _nondegenerate(a) else "full"
+    (res,) = values(("conn_eq" if which == "reduced" else "conn_eq_full",))
+    return {
+        "res_A": max_report(lie_a, pts),
+        "res_Gamma": max_report(res, pts, details={"equation": which}),
+    }
 
 
 def is_symmetry(sys, eta, tol=1e-8):
@@ -300,7 +274,7 @@ def classify(conn, sample=None):
     being resolved silently.  The sample passes ``as_points``.
     """
     sample = as_points(sample, conn.n)
-    return _degeneration(ricci_and_s(conn)["ricci_sym"].evaluate(sample))
+    return _degeneration(_point_values(conn, sample)(("ricci_sym",))[0])
 
 
 def _degeneration(rh):
@@ -325,22 +299,21 @@ def _degeneration(rh):
 
 
 def _jets(arrays, pts):
-    """W and dW/dy^1..n of each Expr array W in ``arrays``, at points
-    (P, n) or one point (n,), n being the points' last dimension: bitwise
-    the list ``eval_arrays([W0, grad(W0, n), W1, grad(W1, n), ...], pts,
-    checked=True)``, from one checked forward-mode walk
-    (``eval_many_shared(..., jets=True)``) that builds no derivative tree.
+    """W and dW/dy^1..n of each Expr array W in ``arrays``, at points (P, n)
+    or one point (n,): ``tensor.eval_jets``, bitwise the list
+    ``eval_arrays([W0, grad(W0, n), W1, grad(W1, n), ...], pts,
+    checked=True)`` from one checked forward-mode walk that builds no
+    derivative tree.
 
     If that walk faults (a flag, a DomainError, a constant that does not
     fold), the trees are built and walked: the walk raises its error,
     naming its node, or, where the fault was in a term the trees fold away,
     returns their values."""
-    n = np.shape(pts)[-1]
     try:
-        vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
+        return eval_jets(arrays, pts)
     except ExprError:
+        n = np.shape(pts)[-1]
         return eval_arrays([x for a in arrays for x in (a, grad(a, n))], pts, checked=True)
-    return [x for v, g in zip(split_rows(vals, arrays), split_rows(grads, arrays)) for x in (v, g)]
 
 
 def _lie_rows(w, dw, r):
@@ -512,7 +485,7 @@ def _invariance(sys, eta, pts, lie_gamma=None):
     parts = ricci_and_s(conn)
     fields = (curvature(conn), parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
     if lie_gamma is None:
-        lie_gamma = max_report(_conn_eq_exprs(conn, eta).evaluate(pts), pts)
+        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
     e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts)
     lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
     keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")

@@ -13,7 +13,8 @@ shape (n,), checked against the field's n by ``util.as_points``:
 ``evaluate`` runs it checked (a value that is not finite raises
 DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
 walk's rows, one per component, go back into tensors by ``split_rows``;
-``eval_arrays`` evaluates several arrays in one walk and cuts it so.
+``eval_arrays`` evaluates several arrays in one walk and cuts it so, and
+``eval_jets`` does the same with each array's first derivatives.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -61,6 +62,7 @@ __all__ = [
     "grad",
     "split_rows",
     "eval_arrays",
+    "eval_jets",
     "TensorField",
     "PointMap",
     "tensor_product",
@@ -139,6 +141,20 @@ def eval_arrays(arrays, pts, *, checked):
     the same order, would raise on, as the nodes an array shares with
     earlier ones have passed by then."""
     return split_rows(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=checked), arrays)
+
+
+def eval_jets(arrays, pts):
+    """W and dW/dy^1..n of each Expr array W in ``arrays``, at points (P,
+    n) or one point (n,) (P = 1), n being the points' last dimension, as
+    the list [W0, dW0, W1, dW1, ...] of arrays of shape (P,) + W.shape and
+    (P,) + W.shape + (n,): bitwise ``eval_arrays([W0, grad(W0, n), W1,
+    grad(W1, n), ...], pts, checked=True)``, from one checked forward-mode
+    walk (``eval_many_shared(..., jets=True)``) that builds no derivative
+    tree.  Where that walk faults it raises its ExprError (a DomainError
+    naming its node, or the error of a constant that does not fold), which
+    may come from a term the trees fold away."""
+    vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
+    return [x for v, g in zip(split_rows(vals, arrays), split_rows(grads, arrays)) for x in (v, g)]
 
 
 class TensorField:

@@ -43,8 +43,9 @@ def test_every_fixture_passes_inspect(capsys):
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
 def test_report_builds_one_curvature(monkeypatch, capsys, name):
-    # the norms, classify and the pointwise bounds share the curvature kept
-    # on the connection
+    # the norms and classify share one run of the curvature body, on the
+    # numbers of one jets walk (or building the trees kept on the
+    # connection, which the pointwise bounds' tree rows share)
     built = []
     comps = geometry._curvature_comps
     monkeypatch.setattr(geometry, "_curvature_comps", lambda *a: built.append(1) or comps(*a))
@@ -56,8 +57,9 @@ def test_report_builds_one_curvature(monkeypatch, capsys, name):
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
 @pytest.mark.parametrize("command", ["report", "canonical"])
 def test_one_ricci_split_per_connection(monkeypatch, capsys, command, name):
-    # the Ricci split is kept on the connection as the curvature is: the
-    # norms, the rank decision and the structure residual share it
+    # the norms, the rank decision and the structure residual share one
+    # run of the Ricci contractions, on numbers or building the split kept
+    # on the connection
     built = []
     contract = geometry._ricci_contractions
     monkeypatch.setattr(geometry, "_ricci_contractions", lambda *a: built.append(1) or contract(*a))
@@ -119,6 +121,28 @@ def test_canonical_self_verification(capsys):
         code, data = run(capsys, "canonical", fixture(name))
         assert code == 0, name
         assert data["passed"] is True
+
+
+def test_canonical_without_a_structure_check_exits_1(tmp_path, capsys):
+    # the intermediate structure formulas need n >= 2: at n = 1 there is no
+    # check to run, which is an input error, not a failed check
+    path = tmp_path / "intermediate_n1.json"
+    path.write_text(json.dumps({"canonical": {"kind": "intermediate_17_19", "n": 1, "m": 1, "u": ["y1"]}}))
+    assert main(["canonical", str(path)]) == 1
+    expected = "error: canonical has no structure check for intermediate_17_19 at n = 1\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_check_symmetry_with_an_overflowing_det_a_does_not_warn(tmp_path, capsys):
+    # det A is beyond the float range at the sample points: infinite, so
+    # nondegenerate, and numpy's overflow warning (an error in this suite)
+    # is not raised
+    spec = {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}
+    path = tmp_path / "huge_det.json"
+    path.write_text(json.dumps({"canonical": spec}))
+    assert main(["check-symmetry", str(path), "--eta=-y2,y1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["equation"] == "reduced"
 
 
 def test_flatten_intermediate(capsys):

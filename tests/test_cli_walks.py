@@ -1,5 +1,5 @@
 """The CLI's shared walks: report, canonical, check-symmetry, curvature and
-classify evaluate what they report in one interpreted walk per mode at the
+classify evaluate what they report in one interpreted walk at the
 document's points, and every number they print is, to the bit, the one the
 library's separate calls give."""
 
@@ -94,17 +94,17 @@ def test_walks_at_the_document_points(monkeypatch, capsys, document):
     if spec is None:
         assert code == 1 and walks == base
     else:
-        # one checked walk; then the metric's unchecked walk (constant
-        # curvature) and the structure residual's (but for maximal)
-        extra = {"maximal": 0, "scalar": 0, "intermediate": 1, "constcurv": 2}[spec.kind.split("_")[0]]
-        assert walks == base + 1 + extra
+        # one checked jets walk: the metric, the structure residual and
+        # nabla Ric come from the same numbers
+        assert walks == base + 1
     for eta in _etas(doc.n):
         argv = ["check-symmetry", document, "--eta=" + eta]
         _code, out, walks = _walks(monkeypatch, capsys, argv, pts)
-        # res_A, det A and res_Gamma; an accepted field's jets, and its
-        # L_eta Gamma only where res_Gamma was the A-weighted equation
+        # res_A, det A and res_Gamma from one jets walk; an accepted field's
+        # jets, and its L_eta Gamma only where res_Gamma was the A-weighted
+        # equation
         accepted = "invariance" in out
-        assert walks == base + 3 + accepted + (accepted and out["equation"] == "full"), eta
+        assert walks == base + 1 + accepted + (accepted and out["equation"] == "full"), eta
 
 
 def _hex(obj):

@@ -19,7 +19,8 @@ change in the last bit of a simulated value shows even where the summaries
 in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
-of parentheses, and a pole where a flatten transport starts.  They are
+of parentheses, a pole where a flatten transport starts, an operator field
+whose determinant overflows, and an intermediate canonical spec at n = 1.  They are
 written to the temporary directory, not to fixtures/, which the tests
 iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
@@ -47,7 +48,9 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # puts on a grid point.  'y²' must be a bad expression (exit 1), the nest
 # must parse (exit 0), and flatten's transport from y1 = 0, where the first
 # slope is infinite, must end in a step underflow (exit 2), not a traceback,
-# and print no warning.
+# and print no warning.  det A overflows on the constant-curvature spec with
+# a = b = 1e300, which must not warn; the intermediate spec at n = 1 has no
+# structure check, which is an input error (exit 1).
 HOSTILE = {
     "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
     "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
@@ -58,6 +61,14 @@ HOSTILE = {
     "hostile_pole.json": (
         {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": {"2": [["1/y1", "0"], ["0", "0"]]}},
         (["flatten", "--at", "0,0.1", "--u0", "0.5,0.5"],),
+    ),
+    "hostile_det_overflow.json": (
+        {"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}},
+        (["check-symmetry", "--eta=-y2,y1"],),
+    ),
+    "hostile_canonical_n1.json": (
+        {"canonical": {"kind": "intermediate_17_19", "n": 1, "m": 1, "u": ["y1"]}},
+        (["canonical"],),
     ),
 }
 
