@@ -376,11 +376,14 @@ def _parse_point(text, n, what):
 
 def cmd_inspect(args):
     doc, sysd, pts = _load(args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_min = float(np.min(np.abs(np.linalg.det(sysd.A.evaluate_many(pts)))))
     out = {
         "n": doc.n,
         "valid": True,
         "gamma_symmetry_residual": doc._gamma_residual,
-        "det_A_min_abs": float(np.min(np.abs(np.linalg.det(sysd.A.evaluate_many(pts))))),
+        # a determinant beyond the float range has no finite minimum
+        "det_A_min_abs": det_min if math.isfinite(det_min) else None,
         "sample_count": len(pts),
     }
     if doc.canonical is not None:

@@ -25,7 +25,7 @@ explicit operand and operator stack.
 
 Derivatives of higher order at one point come from a third walk,
 ``taylor_coefficients``: it carries each node's Taylor polynomial in
-(y - p0) to order k <= 3, with K = C(n+k, k) coefficients laid out by
+(y - p0) to order k, with K = C(n+k, k) coefficients laid out by
 ``taylor_tables`` (built once per (n, k)).  Sums and negation act
 elementwise, products by the truncated Cauchy product, a quotient is
 solved degree by degree, and exp, ln, sqrt, sin, cos and int or Fraction
@@ -33,12 +33,8 @@ powers compose the node's univariate series at its value with (u - u0).
 Each coefficient comes with its magnitude, the same sums taken over the
 absolute values of the terms, which bounds its rounding error.  The walk
 builds no derivative tree and is checked but not bitwise: its numbers
-match the trees' walk to rounding, and it raises DomainError wherever the
-trees of order up to k could meet a value out of range (a magnitude not
-finite or near the float limit, a quotient's, logarithm's or square
-root's derivative trees beyond the float range, a constant denominator
-that powi would fold out of range), so a caller that must report the
-trees' own error walks the trees after that.
+match the trees' walk to rounding, and it raises DomainError naming the
+first node whose magnitude is not finite.
 
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
@@ -69,7 +65,6 @@ import itertools
 import math
 import operator
 import re
-import sys
 import weakref
 from collections.abc import Sequence
 from fractions import Fraction
@@ -885,7 +880,6 @@ def _jet(node, vals, grads, full):
 # Taylor coefficients at one point
 # ---------------------------------------------------------------------------
 
-_FLOAT_MAX = sys.float_info.max
 _TAYLOR_TABLES = {}
 _FLIP = np.array([-1.0, 1.0])  # on a (coefficient, magnitude) pair: negates the coefficient
 
@@ -912,10 +906,6 @@ class TaylorTables:
         bounds = np.searchsorted(degree, np.arange(k + 2))  # degree d is bounds[d]:bounds[d + 1]
         self.size = len(monos)
         self.monomials = np.array(monos, dtype=int).reshape(len(monos), n)
-        self._fact = np.array([math.prod(map(math.factorial, m)) for m in monos], dtype=float)
-        # no derivative alpha! c_alpha of order k or less overflows where
-        # every |c_alpha| is at most this
-        self.limit = _FLOAT_MAX / math.factorial(k)
         # the product's pairs (gamma, alpha, beta), alpha + beta = gamma,
         # sorted by gamma: every gamma has (gamma, 0, gamma) among them
         pairs = sorted(
@@ -973,26 +963,6 @@ class TaylorTables:
         d = x[self._dsrc] * self._dfac.reshape(self._dfac.shape + (1,) * (x.ndim - 1))
         return np.moveaxis(d, 0, -1)
 
-    def quotient_fits(self, num, den, den0, order):
-        """True when the diff_expr trees of a quotient's derivatives, to
-        ``order``, stay in the float range, from the magnitudes ``num`` and
-        ``den`` of its numerator's and denominator's polynomials and the
-        denominator's value den0.  The j-th derivative of a/b is N_j over
-        b^(2^j), where N_j sums at most 2^(j(j+1)/2) products of one
-        derivative of a and 2^j - 1 of b, and (b^(2^j))' sums 2^j products
-        of 2^j derivatives of b; no power of b may vanish either."""
-        if order <= 0:
-            return True
-        if not _repeated_squares_fit(den0, order):
-            return False
-        most = math.log(_FLOAT_MAX)
-        a = float(np.max(num * self._fact))
-        log_b = math.log(float(np.max(den * self._fact)))
-        log_terms = order * (order + 1) / 2 * math.log(2.0) + (2**order - 1) * log_b
-        if a > 0.0 and math.log(a) + log_terms > most:
-            return False
-        return order * math.log(2.0) + 2**order * log_b <= most
-
 
 def taylor_tables(n, k):
     """The TaylorTables of order k on n coordinates, built on first use."""
@@ -1004,7 +974,7 @@ def taylor_tables(n, k):
 
 def taylor_coefficients(exprs, point, k):
     """Taylor coefficients of a flat sequence of R roots at one point of
-    shape (n,), to order k <= 3, and their magnitudes: a pair of (R, K)
+    shape (n,), to order k, and their magnitudes: a pair of (R, K)
     arrays, row r holding root r as a polynomial of ``taylor_tables(n, k)``.
 
     One forward walk over the roots' shared DAG carries each node's
@@ -1020,17 +990,12 @@ def taylor_coefficients(exprs, point, k):
     analysis: Higham, "Accuracy and Stability of Numerical Algorithms",
     2nd ed., 2002, sec. 3.3).
 
-    The walk is checked against what walking the diff_expr trees of order
-    up to k would meet.  It raises DomainError naming the node where a
-    magnitude is not finite or exceeds ``TaylorTables.limit`` (a term of a
-    derivative, up to k! times larger, could overflow), where the trees of
-    a quotient's, a logarithm's or a square root's derivatives could leave
-    the float range (``TaylorTables.quotient_fits``), and where they would
-    fold a constant denominator out of range (powi(c, 2) applied k times,
-    a result of ZERO counting too); and ExprError where a coordinate is out
-    of range for the point."""
-    if not 0 <= k <= 3:
-        raise ValueError(f"order must be 0, 1, 2 or 3, got {k!r}")
+    It raises DomainError naming the node where a magnitude, and so a
+    coefficient, is not finite, or where a power's series leaves the float
+    range; and ExprError where a coordinate is out of range for the
+    point."""
+    if k < 0:
+        raise ValueError(f"order must be at least 0, got {k!r}")
     point = np.asarray(point, dtype=float)
     if point.ndim != 1:
         raise ValueError(f"expected one point of shape (n,), got shape {point.shape}")
@@ -1043,7 +1008,6 @@ def taylor_coefficients(exprs, point, k):
         for node in order:
             op = node.op
             args = node.args
-            quotient = None  # (numerator, denominator, its value, order) of a derivative
             if not args:
                 c = np.zeros((tables.size, 2))
                 if op == "const":
@@ -1070,52 +1034,23 @@ def taylor_coefficients(exprs, point, k):
                 elif op == "neg":
                     c = x * _FLIP
                 elif op == "div":
-                    _check_constant_denominator(node, args[1], k)
                     den = y * -_FLIP  # the magnitudes' quotient adds what the values' subtracts
                     den[0] = y[0, 0], abs(y[0, 0])
                     c = tables.div(x, den)
-                    quotient = x[:, 1], y[:, 1], y[0, 0], k
                 else:
                     g = _series(node, x[0, 0], k)
                     c = tables.compose(np.stack([g, np.abs(g)], axis=1), x)
-                    if op == "ln":  # d ln(a) = a' / a
-                        quotient = x[:, 1], x[:, 1], x[0, 0], k - 1
-                    elif op == "sqrt":  # d sqrt(a) = a' / (2 sqrt(a))
-                        quotient = x[:, 1], 2.0 * c[:, 1], 2.0 * c[0, 0], k - 1
                 for a in args:
                     left = uses[a] - 1
                     if left:
                         uses[a] = left
                     else:
                         del coefs[a]
-            if not c[:, 1].max() <= tables.limit:  # nan fails too
+            if not c[:, 1].max() < np.inf:  # nan fails too
                 raise DomainError("Taylor coefficient out of range", node)
-            if quotient is not None and not tables.quotient_fits(*quotient):
-                raise DomainError("derivative out of range", node)
             coefs[node] = c
     both = np.array([coefs[e] for e in exprs]).reshape(len(exprs), tables.size, 2)
     return both[..., 0], both[..., 1]
-
-
-def _repeated_squares_fit(v, times):
-    """True when v, v^2, v^4, .. (``times`` squarings) stay finite and
-    nonzero, as the values of the trees' pow(.., 2) denominators."""
-    for _ in range(times):
-        v = v * v
-        if not (np.isfinite(v) and v != 0.0):
-            return False
-    return True
-
-
-def _check_constant_denominator(node, b, k):
-    """Raise DomainError where the trees of a quotient's derivatives to
-    order k would fold its constant denominator's square out of range:
-    powi(c, 2) applied k times raises ExprError or folds to ZERO."""
-    if b.op == "const" and k:
-        for _ in range(k):
-            b = powi(b, 2)
-        if b is ZERO:
-            raise DomainError("constant denominator out of range in a derivative", node)
 
 
 def _series(node, u0, k):

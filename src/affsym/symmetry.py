@@ -26,8 +26,9 @@ values in magnitude to the bit; where that walk or a body faults, the
 trees are built and walked, and their error is the one raised.  The
 pointwise bounds take their rows from Taylor coefficients of A and Gamma
 at the point (``expr.taylor_coefficients``), with the curvature and nabla
-Ric formed as numbers by the same bodies; where that path faults, the rows
-come from the derivative trees.  The invariance suite and
+Ric formed as numbers by the same bodies; that is their one path, and it
+refuses, with ExprError, a point where a coefficient is not finite or
+lost six or more digits to cancellation.  The invariance suite and
 ``linearization`` stay on the trees' jets, which their reports pin to the
 bit: the suite needs the first derivatives of nabla Ric, which the bodies
 would give only on second-order nested duals, and those ran slower than
@@ -36,7 +37,6 @@ the trees' jets at n = 4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,15 +360,12 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     order 1 and Gamma to order depth + 1 from one checked walk
     (``expr.taylor_coefficients``), and the curvature and nabla Ric as
     numbers by the formulas of ``geometry``, with no curvature or nabla Ric
-    tree.  Where that path raises ExprError, the rows come from the trees
-    (``_tree_rows``), whose errors are the bound's.  p0 is one point
-    (``as_points``)."""
+    tree.  Where a coefficient is not finite, cancellation took six or more
+    of its digits, or a row overflows, it raises ExprError.  p0 is one
+    point (``as_points``)."""
     n = sys.n
     p0 = as_points(p0, n, one=True)
-    try:
-        rows = _taylor_rows(sys, p0, depth)
-    except ExprError:
-        rows = _tree_rows(sys, p0, depth)
+    rows = _taylor_rows(sys, p0, depth)
     return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
 
 
@@ -380,26 +377,24 @@ def _one_jet(c, n):
 
 # Magnitudes beyond this many times the largest coefficient of their array
 # mean the coefficients lost six or more of their sixteen digits to
-# cancellation; the trees cancel the same terms in another order, so the
-# two differ at that level, and the rows come from the trees.  Fixtures,
+# cancellation, and the rows' rank would be the rounding's.  Fixtures,
 # canonical kinds and benchmark decks stay below 20.
 _CANCELLATION = 1e6
-# R's and nabla Ric's coefficients sum products of at most three of
-# Gamma's: with Gamma's derivatives below this, none comes near the float
-# limit, in these sums or in the trees' own.
-_GAMMA_LIMIT = 1e99
 
 
-def _taylor(comps, p0, k):
-    """An Expr array's Taylor coefficients at p0 to order k, as c[K, slots],
-    and the largest magnitude of a derivative there (from the walk's
-    magnitudes, ``taylor_coefficients``).  Raises ExprError where the walk
-    does, and where cancellation took six or more digits
-    (_CANCELLATION)."""
+def _at(p0):
+    return "y = [" + ", ".join(f"{v:.6g}" for v in p0) + "]"
+
+
+def _taylor(comps, p0, k, name):
+    """The Taylor coefficients at p0 to order k of the Expr array of the
+    field ``name``, as c[K, slots].  Raises ExprError where the walk does
+    (``taylor_coefficients``), and where cancellation took six or more
+    digits (_CANCELLATION)."""
     coefs, mags = taylor_coefficients(comps.reshape(-1), p0, k)
     if mags.max(initial=0.0) / _CANCELLATION > np.abs(coefs).max(initial=0.0):
-        raise ExprError("Taylor coefficients lost to cancellation")
-    return coefs.T.reshape((-1,) + comps.shape), math.factorial(k) * mags.max(initial=0.0)
+        raise ExprError(f"Taylor coefficients lost to cancellation: {name} at {_at(p0)}")
+    return coefs.T.reshape((-1,) + comps.shape)
 
 
 def _taylor_rows(sys, p0, depth):
@@ -408,41 +403,28 @@ def _taylor_rows(sys, p0, depth):
     from which geometry's bodies give R to order depth
     (``_curvature_comps``), then Ric (``_ricci_contractions``) and nabla
     Ric to order 1 (``_nabla_terms``), with numpy's add and subtract and
-    the truncated product as mul.  Raises ExprError where ``_taylor``
-    does, where a derivative of Gamma exceeds _GAMMA_LIMIT, and where a row
-    overflows."""
+    the truncated product as mul.  Each field's rows are formed before the
+    next is computed.  Raises ExprError where ``_taylor`` does, where a
+    body overflows and where a row does."""
     n = sys.n
-    rows = [_lie_rows(*_one_jet(_taylor(sys.A.comps, p0, 1)[0], n), 1)]
+    rows = [_lie_rows(*_one_jet(_taylor(sys.A.comps, p0, 1, "A"), n), 1)]
     if depth < 1:
         return rows
     depth = min(depth, 2)
-    g, largest = _taylor(sys.conn.gamma, p0, depth + 1)
-    if largest > _GAMMA_LIMIT:
-        raise ExprError("Gamma's derivatives too large for the curvature's trees")
+    g = _taylor(sys.conn.gamma, p0, depth + 1, "Gamma")
     low, one = taylor_tables(n, depth), taylor_tables(n, 1)
     ops = (np.add, np.subtract)
-    curv = _curvature_comps(g[: low.size], taylor_tables(n, depth + 1).grad(g), *ops, low.mul)
-    rows.append(_lie_rows(*_one_jet(curv, n), 1))
-    if depth == 2:
-        ric = _ricci_contractions(curv, np.add)[0]
-        nabla = _nabla_terms(g[: one.size], ric[: one.size], low.grad(ric), 0, *ops, one.mul)
-        rows.append(_lie_rows(*_one_jet(nabla, n), 0))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            curv = _curvature_comps(g[: low.size], taylor_tables(n, depth + 1).grad(g), *ops, low.mul)
+            rows.append(_lie_rows(*_one_jet(curv, n), 1))
+            if depth == 2:
+                ric = _ricci_contractions(curv, np.add)[0]
+                nabla = _nabla_terms(g[: one.size], ric[: one.size], low.grad(ric), 0, *ops, one.mul)
+                rows.append(_lie_rows(*_one_jet(nabla, n), 0))
+    except FloatingPointError:
+        raise ExprError(f"the curvature's Taylor coefficients overflow at {_at(p0)}") from None
     return rows
-
-
-def _tree_rows(sys, p0, depth):
-    """The bound's rows from the derivative trees' jets: A, the curvature
-    kept on sys.conn (``curvature``) and nabla Ric, as far as depth asks,
-    each walked on its own (``_jets``, bitwise the walk of its derivative
-    trees) and its rows formed before the next is walked, so that the error
-    raised is the first in that order: rows of A that overflow come before
-    a fault in the curvature's jets."""
-    fields = [sys.A]
-    if depth >= 1:
-        fields.append(curvature(sys.conn))
-    if depth >= 2:
-        fields.append(covariant_differential(sys.conn, ricci_and_s(sys.conn)["ricci"]))
-    return [_lie_rows(*_jets([f.comps], p0), f.r) for f in fields]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_every_fixture_passes_inspect(capsys):
 def test_report_builds_one_curvature(monkeypatch, capsys, name):
     # the norms and classify share one run of the curvature body, on the
     # numbers of one jets walk (or building the trees kept on the
-    # connection, which the pointwise bounds' tree rows share)
+    # connection)
     built = []
     comps = geometry._curvature_comps
     monkeypatch.setattr(geometry, "_curvature_comps", lambda *a: built.append(1) or comps(*a))
@@ -143,6 +143,17 @@ def test_check_symmetry_with_an_overflowing_det_a_does_not_warn(tmp_path, capsys
     assert main(["check-symmetry", str(path), "--eta=-y2,y1"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["equation"] == "reduced"
+
+
+def test_inspect_reports_an_overflowing_det_a_as_null(tmp_path, capsys):
+    # the same document: its determinant's minimum has no float value, so
+    # inspect prints null, without numpy's warning, and exits 0
+    spec = {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}
+    path = tmp_path / "huge_det.json"
+    path.write_text(json.dumps({"canonical": spec}))
+    assert main(["inspect", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["det_A_min_abs"] is None
 
 
 def test_flatten_intermediate(capsys):
@@ -410,8 +421,10 @@ def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comma
 def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
     # Gamma^1_22 is finite at y1 = 1 and so are R and its first derivatives
     # but one: d2 Gamma^1_22/dy1^2 = 0.1*exp(700)*700*700 overflows.  The
-    # bound rows and the invariance suite walk dW checked, so eta^1 = 0
-    # (a ZERO factor in the tree of L_eta W) does not hide it.
+    # invariance suite walks dW checked, so eta^1 = 0 (a ZERO factor in the
+    # tree of L_eta W) does not hide it, and names the tree's node; the
+    # bound's Taylor walk names exp(700*y1), whose second coefficient
+    # exp(700)*700^2/2 is not finite.
     doc = _flat_doc(
         Gamma={"1": [["0", "0"], ["0", "0.1*exp(700*y1)"]], "2": [["0", "0"], ["0", "0"]]},
         sample=[[1.0, 0.0]],
@@ -421,13 +434,15 @@ def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([argv[0], str(path), *argv[1:]]) == 1
-    assert capsys.readouterr() == ("", "error: non-finite value: exp(700*y1)*700*700\n")
+    node = "exp(700*y1)*700*700" if argv[0] == "check-symmetry" else "exp(700*y1)"
+    error = "non-finite value" if argv[0] == "check-symmetry" else "Taylor coefficient out of range"
+    assert capsys.readouterr() == ("", f"error: {error}: {node}\n")
     with pytest.raises(DomainError):
         pointwise_symmetry_bound(SystemDocument.load(str(path)).to_system(), [1.0, 0.0], 1)
 
 
 STEEP_GAMMA = {"1": [["exp(1e110*y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
-STEEP_ERROR = "error: non-finite value: exp(1e+110*y1)*1e+110*1e+110*1e+110\n"
+STEEP_ERROR = "error: Taylor coefficient out of range: exp(1e+110*y1)\n"
 
 
 @pytest.mark.parametrize(
@@ -437,9 +452,9 @@ STEEP_ERROR = "error: non-finite value: exp(1e+110*y1)*1e+110*1e+110*1e+110\n"
 def test_fault_only_in_the_jets_of_nabla_ricci(tmp_path, capsys, argv, code):
     # Gamma^1_11 = exp(1e110*y1) and its first two derivatives are finite
     # at y1 = 0, so A, R, dR/dy and nabla Ric are; the third derivative,
-    # which only d(nabla Ric)/dy holds, overflows.  The bound takes every
-    # field's jets from one walk: depths 0 and 1 must not see the fault,
-    # and depth 2 and report name the node the derivative trees name.
+    # which only d(nabla Ric)/dy holds, overflows.  Depths 0 and 1 walk
+    # Gamma to order 2 at most and must not see the fault; depth 2 and
+    # report walk it to order 3 and name the node.
     doc = _flat_doc(Gamma=STEEP_GAMMA, sample=[[0.0, 0.1]])
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(doc))
@@ -467,21 +482,54 @@ def test_overflowing_rows_of_a_are_reported_before_a_later_fault(tmp_path, capsy
     assert capsys.readouterr() == ("", "error: the linearized Lie derivative overflows at the point\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["bound", "--depth", "1"], ["bound", "--depth", "2"], ["check-symmetry", "--eta=0,1"], ["report"]],
-)
-def test_constant_denominator_out_of_range_in_a_derivative_exits_1(tmp_path, capsys, argv):
-    # the second derivative of y1^3/1e80 divides by the folded constant
-    # (1e160)^2, which overflows: the same error as building its tree
+def _tiny_denominator_document(tmp_path):
     doc = _flat_doc(
         Gamma={"1": [["0", "0"], ["0", "y1^3/1e80"]], "2": [["0", "0"], ["0", "0"]]},
         sample=[[0.3, 0.2]],
     )
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
-    assert main([argv[0], str(path), *argv[1:]]) == 1
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["check-symmetry", "--eta=0,1"]])
+def test_constant_denominator_out_of_range_in_a_derivative_exits_1(tmp_path, capsys, argv):
+    # the second derivative tree of y1^3/1e80 divides by the folded
+    # constant (1e160)^2, which overflows; the invariance suite walks the
+    # derivative trees of nabla Ric and raises that error
+    assert main([argv[0], _tiny_denominator_document(tmp_path), *argv[1:]]) == 1
     assert capsys.readouterr() == ("", "error: constant power out of floating-point range\n")
+
+
+@pytest.mark.parametrize("depth, bound", [("1", 4), ("2", 2)])
+def test_constant_denominator_out_of_range_in_a_derivative_tree_leaves_the_bound(tmp_path, capsys, depth, bound):
+    # the bound's Taylor coefficients of y1^3/1e80 are finite: the bound is
+    # the rows' exact rank (test_symmetry), and report prints it too
+    path = _tiny_denominator_document(tmp_path)
+    code, data = run(capsys, "bound", path, "--depth", depth)
+    assert code == 0 and data["bound"] == bound
+    code, data = run(capsys, "report", path)
+    assert code == 0 and data["pointwise_bound"][f"depth_{depth}"] == bound
+
+
+def test_bound_refuses_where_taylor_coefficients_cancel(tmp_path, capsys):
+    # at y1 = 1e-100 the chain rule of cos(sqrt(1e-80 + y1)) sums terms of
+    # 1.25e79 that cancel; the rank of the rounding is no bound
+    doc = {
+        "n": 2,
+        "A": [["1", "0"], ["0", "1"]],
+        "Gamma": {"2": [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]},
+        "sample": [[1e-100, 0.1]],
+    }
+    path = tmp_path / "cancellation.json"
+    path.write_text(json.dumps(doc))
+    error = "error: Taylor coefficients lost to cancellation: Gamma at y = [1e-100, 0.1]\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["bound", str(path), "--depth", "2", "--at", "1e-100,0.1"]) == 1
+        assert capsys.readouterr() == ("", error)
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr() == ("", error)
 
 
 @pytest.mark.parametrize(

@@ -929,46 +929,44 @@ def test_taylor_coefficients_raise_where_a_coefficient_is_out_of_range():
     with pytest.raises(DomainError, match="Taylor coefficient out of range") as info:
         expr.taylor_coefficients([steep], [0.0], 3)
     assert info.value.subexpr is steep
-    # finite, but its second derivative tree could overflow
+    # finite coefficients at every order, although the second derivative
+    # tree multiplies 1e308 by 0 and 1
     big = mul(const(1e308), y1)
-    assert expr.taylor_coefficients([big], [0.5], 1)[0][0, 1] == 1e308
-    with pytest.raises(ExprError):
-        expr.taylor_coefficients([big], [0.5], 2)
-    with pytest.raises(ExprError):
+    coefs, _ = expr.taylor_coefficients([big], [0.5], 3)
+    assert coefs.tolist() == [[5e307, 1e308, 0.0, 0.0]]
+    with pytest.raises(DomainError, match="non-finite Taylor coefficient"):
         expr.taylor_coefficients([func("ln", y1)], [0.0], 1)
+    # ln's second coefficient -1/(2 y1^2) at 1e-170 is beyond the float range
+    expr.taylor_coefficients([func("ln", y1)], [1e-170], 1)
+    with pytest.raises(DomainError, match="non-finite Taylor coefficient: ln\\(y1\\)"):
+        expr.taylor_coefficients([func("ln", y1)], [1e-170], 2)
 
 
-def test_taylor_coefficients_fold_constant_denominators_as_the_trees_do():
-    # the second derivative tree of y1^3/1e80 divides by powi(1e160, 2)
+def test_taylor_coefficients_are_finite_where_the_derivative_trees_overflow():
+    # the second derivative tree of y1^3/1e80 divides by powi(1e160, 2),
+    # which is out of range; its coefficients are 0.027e-80, 0.27e-80,
+    # 0.9e-80 and 1e-80
     e = parse_expr("y1^3/1e80", 1)
-    expr.taylor_coefficients([e], [0.3], 1)
-    for k in (2, 3):
-        with pytest.raises(ExprError, match="constant power out of floating-point range"):
-            expr.taylor_coefficients([e], [0.3], k)
     with pytest.raises(ExprError, match="constant power out of floating-point range"):
         diff_expr(diff_expr(e, 1), 1)
-    # a square that underflows to ZERO counts too: the trees divide by 0
-    tiny = div(coord(1), const(1e-200))
-    with pytest.raises(DomainError, match="constant denominator out of range"):
-        expr.taylor_coefficients([tiny], [0.3], 1)
-
-
-def test_taylor_coefficients_raise_where_a_quotients_derivative_trees_overflow():
+    coefs, _ = expr.taylor_coefficients([e], [0.3], 3)
+    assert np.allclose(coefs[0], [0.027e-80, 0.27e-80, 0.9e-80, 1e-80], rtol=1e-15, atol=0.0)
+    # the trees of d(y1/1e-200) divide by 1e-400, which folds to 0
+    coefs, _ = expr.taylor_coefficients([div(coord(1), const(1e-200))], [0.3], 1)
+    assert np.allclose(coefs[0], [0.3e200, 1e200], rtol=1e-15, atol=0.0)
     # d(c/b)/dy2 is (0*b - c*1e154)/b^2, and c*1e154 folds beyond the float
-    # range, although the derivative itself is about -2e150
-    e = parse_expr("1.0142320547350045e+304/(1e+154*y2)", 2)
+    # range, although the derivative itself is about -2.07e150
+    c = 1.0142320547350045e304
+    e = parse_expr(f"{c!r}/(1e+154*y2)", 2)
     with pytest.raises(ExprError, match="non-finite constant"):
         diff_expr(e, 2)
-    expr.taylor_coefficients([e], [0.1, -0.7], 0)
-    with pytest.raises(DomainError, match="derivative out of range") as info:
-        expr.taylor_coefficients([e], [0.1, -0.7], 1)
-    assert info.value.subexpr is e
-    # the second derivative tree of ln(y1) divides by y1^2, which underflows
-    with pytest.raises(DomainError):
-        expr.taylor_coefficients([func("ln", coord(1))], [1e-170], 2)
-    with pytest.raises(DomainError, match="division by zero"):
-        eval_expr(diff_expr(diff_expr(func("ln", coord(1)), 1), 1), [1e-170])
-    expr.taylor_coefficients([func("ln", coord(1))], [1e-170], 1)
+    coefs, _ = expr.taylor_coefficients([e], [0.1, -0.7], 1)
+    want = [c / -0.7e154, 0.0, -c / (0.49e154)]
+    assert np.allclose(coefs[0], want, rtol=1e-15, atol=0.0)
+    # orders beyond 3: exp(y1)'s coefficients are e^0.3 / j!
+    coefs, _ = expr.taylor_coefficients([func("exp", coord(1))], [0.3], 6)
+    want = [math.exp(0.3) / math.factorial(j) for j in range(7)]
+    assert np.allclose(coefs[0], want, rtol=1e-15, atol=0.0)
 
 
 def test_taylor_magnitudes_bound_the_terms_that_cancel():

@@ -44,6 +44,7 @@ from affsym.symmetry import (
 from affsym.tensor import PointMap, TensorField, eval_arrays, grad, partial_differential
 from affsym.util import max_report, sample_points
 
+from exact import exact_bounds
 from test_geometry import constcurv_connection, intermediate_connection
 
 
@@ -610,9 +611,50 @@ def test_taylor_rows_are_the_rows_of_the_derivative_trees(name):
         assert pointwise_symmetry_bounds(sysd, p0, depth) == bounds[: depth + 1]
 
 
+STEEP = [["exp(1e110*y1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]
+HUGE_A = [["1.7e308", "0"], ["0", "-1.7e308"]]
+CANCELLING = [["0", "0"], ["0", "0"]], [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]
+# (A, Gamma, point, depth, error, message): documents where the bound's
+# Taylor path faults.  Gamma's third derivative overflows, and only nabla
+# Ric needs it; L_eta A's rows hold A^1_1 - A^2_2, which overflows, before
+# that fault; R ~ 1.4e308 is finite, and a row adds two of its components;
+# with 1.2e155 in place of 1.2e154 the products of Gamma in R overflow; at
+# y1 = 1e-100 the chain rule of cos(sqrt(1e-80 + y1)) sums terms of
+# 1.25e79 that cancel, so the rank would be the rounding's.
+BOUND_FAULTS = {
+    "steep_gamma": (
+        [["1", "0"], ["0", "1"]], STEEP, [0.0, 0.1], 2, DomainError,
+        "Taylor coefficient out of range: exp(1e+110*y1)",
+    ),
+    "huge_a_depth2": (HUGE_A, STEEP, [0.0, 0.1], 2, ExprError, "the linearized Lie derivative overflows at the point"),
+    "huge_a_depth0": (HUGE_A, STEEP, [0.0, 0.1], 0, ExprError, "the linearized Lie derivative overflows at the point"),
+    "huge_curvature": (
+        [["1", "0"], ["0", "1"]],
+        ([["0", "1.2e154 + y2"], ["1.2e154 + y2", "0"]], [["1.2e154 + y1", "0"], ["0", "0"]]),
+        [0.3, 0.2], 1, ExprError, "the linearized Lie derivative overflows at the point",
+    ),
+    "overflowing_curvature": (
+        [["1", "0"], ["0", "1"]],
+        ([["0", "1.2e155 + y2"], ["1.2e155 + y2", "0"]], [["1.2e155 + y1", "0"], ["0", "0"]]),
+        [0.3, 0.2], 1, ExprError, "the curvature's Taylor coefficients overflow at y = [0.3, 0.2]",
+    ),
+    "cancellation": (
+        [["1", "0"], ["0", "1"]], CANCELLING, [1e-100, 0.1], 2, ExprError,
+        "Taylor coefficients lost to cancellation: Gamma at y = [1e-100, 0.1]",
+    ),
+}
+
+
+def _system(a, gamma):
+    return DiffusionSystem(
+        2, TensorField.from_strings(2, 1, 1, a), Connection.from_strings(2, list(gamma)), check=False
+    )
+
+
 def test_the_bound_builds_no_curvature_or_nabla_ricci_tree(monkeypatch):
-    # the bound of a regular system takes its numbers from Taylor
-    # coefficients: neither tree is built, nor kept on the connection
+    # the bound takes its numbers from Taylor coefficients: neither tree is
+    # built, nor kept on the connection, on a regular system or where the
+    # Taylor path faults
     def refuse(*args):
         raise AssertionError("the bound built a tree")
 
@@ -624,56 +666,67 @@ def test_the_bound_builds_no_curvature_or_nabla_ricci_tree(monkeypatch):
         assert len(pointwise_symmetry_bounds(sysd, p0)) == 3
         assert sysd.conn.curv is None
     assert pointwise_symmetry_bounds(constcurv_system(3), [0.1, -0.2, 0.15]) == [12, 6, 6]
+    for a, gamma, p0, depth, error, _message in BOUND_FAULTS.values():
+        sysd = _system(a, gamma)
+        with pytest.raises(error):
+            pointwise_symmetry_bounds(sysd, p0, depth)
+        assert sysd.conn.curv is None
 
 
-STEEP = [["exp(1e110*y1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]
-
-
-@pytest.mark.parametrize(
-    "a, gamma, depth, error, message",
-    [
-        # Gamma's third derivative overflows, and only nabla Ric's jets hold it
-        ([["1", "0"], ["0", "1"]], STEEP, 2, DomainError, "non-finite value: exp(1e+110*y1)*1e+110*1e+110*1e+110"),
-        # L_eta A's rows hold A^1_1 - A^2_2, which overflows, before the fault
-        ([["1.7e308", "0"], ["0", "-1.7e308"]], STEEP, 2, ExprError, "the linearized Lie derivative overflows at the point"),
-        ([["1.7e308", "0"], ["0", "-1.7e308"]], STEEP, 0, ExprError, "the linearized Lie derivative overflows at the point"),
-        # the trees of d2 Gamma divide by the folded constant (1e160)^2
-        ([["1", "0"], ["0", "1"]], ([["0", "0"], ["0", "y1^3/1e80"]], [["0", "0"], ["0", "0"]]), 1, ExprError, "constant power out of floating-point range"),
-        # the tree of dA/dy2 folds 1.01e304*1e154, which is not finite
-        ([["1.0142320547350045e+304/(1e+154*y2)", "0"], ["0", "1"]], STEEP, 0, ExprError, "non-finite constant inf"),
-        # R ~ 1.4e308 is finite, and a row adds two of its components
-        ([["1", "0"], ["0", "1"]], ([["0", "1.2e154 + y2"], ["1.2e154 + y2", "0"]], [["1.2e154 + y1", "0"], ["0", "0"]]), 1, ExprError, "the linearized Lie derivative overflows at the point"),
-    ],
-)
-def test_the_bound_raises_the_trees_error_where_the_taylor_path_faults(a, gamma, depth, error, message):
-    sysd = DiffusionSystem(
-        2, TensorField.from_strings(2, 1, 1, a), Connection.from_strings(2, list(gamma)), check=False
-    )
-    p0 = [0.0, 0.1] if "exp" in gamma[0][0][0] else [0.3, 0.2]
-    with pytest.raises(ExprError):
-        _taylor_rows(sysd, np.array(p0), depth)
+@pytest.mark.parametrize("a, gamma, p0, depth, error, message", BOUND_FAULTS.values(), ids=BOUND_FAULTS)
+def test_the_bound_raises_where_the_taylor_path_faults(a, gamma, p0, depth, error, message):
     with pytest.raises(error) as info:
-        pointwise_symmetry_bounds(sysd, p0, depth)
+        pointwise_symmetry_bounds(_system(a, gamma), p0, depth)
     assert str(info.value) == message
 
 
-def test_the_bound_takes_the_trees_where_taylor_coefficients_cancel():
-    # d2/dy1^2 cos(sqrt(1e-80 + y1)) at y1 = 1e-100 sums chain-rule terms of
-    # 1.25e79 that cancel: the Taylor numbers and the trees' are different
-    # rounding there, so the rows come from the trees
-    sysd = DiffusionSystem(
-        2,
-        TensorField.from_strings(2, 1, 1, [["y2*y1", "y1 + y1 - 7.38905609893065"], ["0", "1"]]),
-        Connection.from_strings(2, [[["700", "0"], ["0", "y2"]], [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]]),
-        check=False,
-    )
-    p0 = np.array([1e-100, -0.7])
-    with pytest.raises(ExprError, match="cancellation"):
-        _taylor_rows(sysd, p0, 1)
-    for depth in (1, 2):
-        rows = symmetry._tree_rows(sysd, p0, depth)
-        want = [6 - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
-        assert pointwise_symmetry_bounds(sysd, p0, depth) == want
+def test_the_bound_refuses_where_taylor_coefficients_cancel():
+    # the chain rule of cos(sqrt(1e-80 + y1)) sums terms that grow as y1
+    # shrinks and cancel: Gamma's coefficients to order 3, which depth 2
+    # walks, lose six digits from y1 = 1e-4 down, and those to order 2,
+    # which depth 1 walks, from y1 = 1e-7; there the bound refuses.  Depth
+    # 0 needs A alone, and where the digits are kept the bounds are those
+    # of every y1 from 1e-1 to 1e-3.
+    sysd = _system([["1", "0"], ["0", "1"]], CANCELLING)
+    for y1 in (1e-1, 1e-2, 1e-3):
+        assert pointwise_symmetry_bounds(sysd, [y1, 0.1]) == [6, 3, 1]
+    assert pointwise_symmetry_bounds(sysd, [1e-4, 0.1], 1) == [6, 3]
+    refused = [(1e-4, 2), (1e-7, 1), (1e-7, 2), (1e-100, 1), (1e-100, 2)]
+    for y1, depth in refused:
+        assert pointwise_symmetry_bounds(sysd, [y1, 0.1], 0) == [6]
+        with pytest.raises(ExprError, match=r"^Taylor coefficients lost to cancellation: Gamma at y = \["):
+            pointwise_symmetry_bounds(sysd, [y1, 0.1], depth)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURES) if n != "constcurv_2d.json"))
+def test_the_bound_is_the_exact_rank_on_rational_fixtures(name):
+    # every coefficient is a rational function, so the rows have an exact
+    # rank at the document's first point (constcurv_2d.json has a sqrt)
+    doc = SystemDocument.load(os.path.join(FIXTURES, name))
+    sysd, p0 = doc.to_system(), doc._points[0]
+    assert pointwise_symmetry_bounds(sysd, p0) == exact_bounds(sysd, p0)
+
+
+def test_the_bound_is_the_exact_rank_at_intermediate_n4_m2():
+    sysd = build_system(CanonicalSpec("intermediate_17_19", n=4, m=2, u=("y1", "y2")))
+    p0 = sample_points(4, 20)[0]
+    assert pointwise_symmetry_bounds(sysd, p0) == exact_bounds(sysd, p0) == [20, 13, 11]
+
+
+@pytest.mark.parametrize(
+    "a, gamma, p0, depth, bounds",
+    [
+        # the second derivative tree of y1^3/1e80 divides by the folded
+        # constant (1e160)^2, which overflows
+        ([["1", "0"], ["0", "1"]], ([["0", "0"], ["0", "y1^3/1e80"]], [["0", "0"], ["0", "0"]]), [0.3, 0.2], 2, [6, 4, 2]),
+        # the tree of dA/dy2 folds 1.01e304*1e154, which is not finite
+        ([["1.0142320547350045e+304/(1e+154*y2)", "0"], ["0", "1"]], STEEP, [0.0, 0.1], 0, [3]),
+    ],
+    ids=["cubic_over_1e80", "quotient_1e304"],
+)
+def test_the_bound_is_the_exact_rank_where_the_derivative_trees_fail(a, gamma, p0, depth, bounds):
+    sysd = _system(a, gamma)
+    assert pointwise_symmetry_bounds(sysd, p0, depth) == exact_bounds(sysd, p0, depth) == bounds
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))

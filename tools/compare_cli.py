@@ -20,7 +20,8 @@ in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
-whose determinant overflows, and an intermediate canonical spec at n = 1.  They are
+whose determinant overflows, an intermediate canonical spec at n = 1, and a
+connection whose Taylor coefficients cancel at the bound's point.  They are
 written to the temporary directory, not to fixtures/, which the tests
 iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
@@ -50,7 +51,9 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # slope is infinite, must end in a step underflow (exit 2), not a traceback,
 # and print no warning.  det A overflows on the constant-curvature spec with
 # a = b = 1e300, which must not warn; the intermediate spec at n = 1 has no
-# structure check, which is an input error (exit 1).
+# structure check, which is an input error (exit 1).  At y1 = 1e-100 the
+# chain rule of cos(sqrt(1e-80 + y1)) sums terms of 1.25e79 that cancel, and
+# the pointwise bound must refuse (exit 1), not print the rounding's rank.
 HOSTILE = {
     "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
     "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
@@ -64,11 +67,20 @@ HOSTILE = {
     ),
     "hostile_det_overflow.json": (
         {"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}},
-        (["check-symmetry", "--eta=-y2,y1"],),
+        (["check-symmetry", "--eta=-y2,y1"], ["inspect"]),
     ),
     "hostile_canonical_n1.json": (
         {"canonical": {"kind": "intermediate_17_19", "n": 1, "m": 1, "u": ["y1"]}},
         (["canonical"],),
+    ),
+    "hostile_cancellation.json": (
+        {
+            "n": 2,
+            "A": [["1", "0"], ["0", "1"]],
+            "Gamma": {"2": [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]},
+            "sample": [[1e-100, 0.1]],
+        },
+        (["bound", "--depth", "2", "--at", "1e-100,0.1"], ["report"]),
     ),
 }
 
