@@ -492,11 +492,19 @@ def _tiny_denominator_document(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [["check-symmetry", "--eta=0,1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-symmetry", "--eta=1,0"],
+        ["check-symmetry", "--eta=y2,0"],
+        ["check-symmetry", "--eta=0,1"],
+        ["check-symmetry", "--eta=y1,y2"],
+    ],
+)
 def test_constant_denominator_out_of_range_in_a_derivative_exits_1(tmp_path, capsys, argv):
     # the second derivative tree of y1^3/1e80 divides by the folded
     # constant (1e160)^2, which overflows; the invariance suite walks the
-    # derivative trees of nabla Ric and raises that error
+    # derivative trees of nabla Ric and raises that error, whatever eta is
     assert main([argv[0], _tiny_denominator_document(tmp_path), *argv[1:]]) == 1
     assert capsys.readouterr() == ("", "error: constant power out of floating-point range\n")
 

@@ -942,20 +942,56 @@ def test_taylor_coefficients_raise_where_a_coefficient_is_out_of_range():
         expr.taylor_coefficients([func("ln", y1)], [1e-170], 2)
 
 
-def test_taylor_coefficients_are_finite_where_the_derivative_trees_overflow():
+def test_taylor_coefficients_fold_constant_denominators_as_the_trees_do():
+    # a quotient by a constant: the coefficients are the trees' values / j!
+    e = parse_expr("y1^3/8", 1)
+    coefs, _ = expr.taylor_coefficients([e], [0.3], 3)
+    trees = [e]
+    for _ in range(3):
+        trees.append(diff_expr(trees[-1], 1))
+    want = [eval_expr(t, [0.3]) / math.factorial(j) for j, t in enumerate(trees)]
+    assert np.allclose(coefs[0], want, rtol=1e-15, atol=0.0)
     # the second derivative tree of y1^3/1e80 divides by powi(1e160, 2),
-    # which is out of range; its coefficients are 0.027e-80, 0.27e-80,
+    # which is out of range; the first is in range and the coefficients
+    # are its values, and they stay finite beyond it: 0.027e-80, 0.27e-80,
     # 0.9e-80 and 1e-80
     e = parse_expr("y1^3/1e80", 1)
     with pytest.raises(ExprError, match="constant power out of floating-point range"):
         diff_expr(diff_expr(e, 1), 1)
+    coefs, _ = expr.taylor_coefficients([e], [0.3], 1)
+    assert np.allclose(coefs[0], [eval_expr(e, [0.3]), eval_expr(diff_expr(e, 1), [0.3])], rtol=1e-15, atol=0.0)
     coefs, _ = expr.taylor_coefficients([e], [0.3], 3)
     assert np.allclose(coefs[0], [0.027e-80, 0.27e-80, 0.9e-80, 1e-80], rtol=1e-15, atol=0.0)
-    # the trees of d(y1/1e-200) divide by 1e-400, which folds to 0
-    coefs, _ = expr.taylor_coefficients([div(coord(1), const(1e-200))], [0.3], 1)
+    # a square that underflows to ZERO: the trees of d(y1/1e-200) divide
+    # by 0, the coefficients do not
+    tiny = div(coord(1), const(1e-200))
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_expr(diff_expr(tiny, 1), [0.3])
+    coefs, _ = expr.taylor_coefficients([tiny], [0.3], 1)
     assert np.allclose(coefs[0], [0.3e200, 1e200], rtol=1e-15, atol=0.0)
-    # d(c/b)/dy2 is (0*b - c*1e154)/b^2, and c*1e154 folds beyond the float
-    # range, although the derivative itself is about -2.07e150
+
+
+def test_taylor_coefficients_raise_where_a_quotients_derivative_trees_overflow():
+    # d(1e300/y1)/dy1 at 1e-5 is -1e310: the trees' value and the
+    # coefficient are both out of range, and the walk names the quotient
+    e = parse_expr("1e300/y1", 1)
+    with pytest.raises(DomainError, match="non-finite value"):
+        eval_expr(diff_expr(e, 1), [1e-5])
+    assert expr.taylor_coefficients([e], [1e-5], 0)[0].tolist() == [[1e305]]
+    with pytest.raises(DomainError, match="Taylor coefficient out of range") as info:
+        expr.taylor_coefficients([e], [1e-5], 1)
+    assert info.value.subexpr is e
+    # the second derivative tree of ln(y1) divides by y1^2, which
+    # underflows at 1e-170; its coefficient -1/(2 y1^2) is out of range
+    ln = func("ln", coord(1))
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_expr(diff_expr(diff_expr(ln, 1), 1), [1e-170])
+    expr.taylor_coefficients([ln], [1e-170], 1)
+    with pytest.raises(DomainError):
+        expr.taylor_coefficients([ln], [1e-170], 2)
+    # only where the derivative itself leaves the range: d(c/b)/dy2 is
+    # (0*b - c*1e154)/b^2, and c*1e154 folds beyond the float range,
+    # although the derivative itself is about -2.07e150
     c = 1.0142320547350045e304
     e = parse_expr(f"{c!r}/(1e+154*y2)", 2)
     with pytest.raises(ExprError, match="non-finite constant"):
@@ -963,10 +999,15 @@ def test_taylor_coefficients_are_finite_where_the_derivative_trees_overflow():
     coefs, _ = expr.taylor_coefficients([e], [0.1, -0.7], 1)
     want = [c / -0.7e154, 0.0, -c / (0.49e154)]
     assert np.allclose(coefs[0], want, rtol=1e-15, atol=0.0)
+
+
+def test_taylor_coefficients_take_any_order():
     # orders beyond 3: exp(y1)'s coefficients are e^0.3 / j!
     coefs, _ = expr.taylor_coefficients([func("exp", coord(1))], [0.3], 6)
     want = [math.exp(0.3) / math.factorial(j) for j in range(7)]
     assert np.allclose(coefs[0], want, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="order must be at least 0"):
+        expr.taylor_coefficients([coord(1)], [0.3], -1)
 
 
 def test_taylor_magnitudes_bound_the_terms_that_cancel():
