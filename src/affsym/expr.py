@@ -15,9 +15,12 @@ array power takes fast paths (x**2, x**0.5) that its scalar power does
 not.  With ``jets=True`` the same walk also carries each node's first
 derivatives in forward mode and returns them as one (R, P, n) array,
 bitwise what walking the roots' diff_expr trees returns, without building
-those trees; a derivative that leaves the finite reals raises DomainError
-("non-finite derivative") naming its node, and a caller that must report
-the trees' own error walks the trees after that.  No walk recurses: all
+those trees; with ``second=s`` the first s roots also carry their second
+derivatives, on their own sub-DAGs only, entry [k, l] bitwise the l-th
+derivative the jets walk of diff_expr(root, k) returns.  A derivative
+that leaves the finite reals raises DomainError ("non-finite
+derivative") naming its node, and a caller that must report the trees'
+own error walks the trees after that.  No walk recurses: all
 run over the iterative ``_postorder`` or, for derivatives, an explicit
 stack, so depth is limited by memory alone.  Parsing does not recurse
 either: ``parse_expr`` is one loop over regular-expression tokens with an
@@ -575,13 +578,17 @@ def eval_many(e, points):
     return eval_many_shared([e], points)[0]
 
 
-def eval_many_shared(exprs, points, *, checked=False, jets=False):
+def eval_many_shared(exprs, points, *, checked=False, jets=False, second=0):
     """Evaluate a flat sequence of R expressions at points of shape (P, n)
     (or one point of shape (n,), P = 1); returns one float array of shape
     (R, P), row r holding root r.  With ``jets=True`` it returns the pair
     (values, gradients): the same array and the roots' first derivatives
     d/dy^1..d/dy^n as one (R, P, n) array, carried through the one walk in
-    forward mode (see _jet).
+    forward mode (see _jet).  With ``second=s`` (which implies jets) the
+    first s roots also carry their second derivatives, and it returns the
+    triple (values, gradients, second derivatives), the last of shape (s,
+    P, n, n): entry [r, p, k, l] is the l-th derivative the jets walk of
+    ``diff_expr(root r, k)`` gives, to the bit (see _jet2).
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
@@ -591,17 +598,18 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False):
     (callers probing residuals assert finiteness instead).  Checked, the
     walk raises DomainError on the first node, in left-to-right postorder,
     whose value is not finite at some point (see _walk); with jets, on the
-    first node whose value or whose derivatives are not (the latter as
-    "non-finite derivative").
+    first node whose value or whose derivatives (of either order) are not
+    (the latter as "non-finite derivative").
     A compiled ``Program`` (see compile_exprs) is accepted in place of the
     sequence and runs its generated code, unchecked (see Program.run).
     """
-    if isinstance(exprs, Program) and not checked and not jets:
+    if isinstance(exprs, Program) and not checked and not jets and not second:
         return exprs.run(points)
-    return _walk(exprs, np.atleast_2d(np.asarray(points, dtype=float)), checked, jets)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _walk(exprs, pts, checked, jets or second > 0, second)
 
 
-def _walk(exprs, pts, checked, jets=False):
+def _walk(exprs, pts, checked, jets=False, second=0):
     """The interpreted walk behind eval_many_shared, over points (P, n).
 
     Checked, it runs with numpy's floating-point flags raised as errors
@@ -610,7 +618,10 @@ def _walk(exprs, pts, checked, jets=False):
     when FloatingPointError arrives is the first out of the domain.
     Coordinates are checked to be finite, and constants are finite already.
     With jets, each node's derivatives follow its value (see _jet) and are
-    dropped with it.
+    dropped with it; so are the second derivatives of the nodes below the
+    first ``second`` roots (see _jet2), and of no other node.  The rows of
+    derivatives are assembled once per distinct root and indexed out to
+    the roots.
 
     At one point (P = 1) each value is a numpy float64, not a (1,) array:
     arithmetic on a numpy scalar costs about a tenth of the same on an
@@ -619,9 +630,12 @@ def _walk(exprs, pts, checked, jets=False):
     still go through a (1,) array (see _pow).
     """
     order, uses = _postorder(exprs)
+    twice = _below(exprs[:second], order) if second else ()
     vals = {}
     grads = {}
+    hess = {}
     npts, dim = pts.shape
+    zeros = (ZERO,) * dim
     if npts == 1:
         columns, full = list(pts[0]), np.float64
     else:
@@ -635,17 +649,19 @@ def _walk(exprs, pts, checked, jets=False):
                     if op == "const":
                         vals[node] = full(node.value)
                         if jets:
-                            grads[node] = (ZERO,) * dim
-                        continue
-                    if node.index > dim:
-                        raise ExprError(
-                            f"coordinate y{node.index} out of range for a point of dimension {dim}"
-                        )
-                    x = vals[node] = columns[node.index - 1]
-                    if checked and not np.isfinite(x).all():
-                        raise DomainError("non-finite value", node)
-                    if jets:
-                        grads[node] = tuple(ONE if k == node.index else ZERO for k in range(1, dim + 1))
+                            grads[node] = zeros
+                    else:
+                        if node.index > dim:
+                            raise ExprError(
+                                f"coordinate y{node.index} out of range for a point of dimension {dim}"
+                            )
+                        x = vals[node] = columns[node.index - 1]
+                        if checked and not np.isfinite(x).all():
+                            raise DomainError("non-finite value", node)
+                        if jets:
+                            grads[node] = tuple(ONE if k == node.index else ZERO for k in range(1, dim + 1))
+                    if node in twice:
+                        hess[node] = (zeros,) * dim
                     continue
                 x = vals[args[0]]
                 if op == "mul":
@@ -665,7 +681,10 @@ def _walk(exprs, pts, checked, jets=False):
                 vals[node] = out
                 if jets:
                     try:
-                        grads[node] = _jet(node, vals, grads, full)
+                        if node in twice:
+                            grads[node], hess[node] = _jet2(node, vals, grads, hess, full)
+                        else:
+                            grads[node] = _jet(node, vals, grads, full)
                     except FloatingPointError:
                         raise DomainError("non-finite derivative", node) from None
                 for a in args:
@@ -676,20 +695,56 @@ def _walk(exprs, pts, checked, jets=False):
                         del vals[a]
                         if jets:
                             del grads[a]
+                            if twice:
+                                hess.pop(a, None)
     except FloatingPointError:
         raise DomainError(_fault(node, [vals[a] for a in node.args]), node) from None
     values = np.array([vals[e] for e in exprs]).reshape(len(exprs), npts)
     if not jets:
         return values
-    jac = np.empty((len(exprs), npts, dim))
-    for r, e in enumerate(exprs):
-        d = grads[e]
-        if type(d) is np.ndarray:
-            jac[r] = d.T
-        else:  # one point's list of scalars, or entries with constant nodes
-            for i, u in enumerate(d):
-                jac[r, :, i] = u.value if isinstance(u, Expr) else u
-    return values, jac
+    jac = _rows(exprs, grads, (npts, dim))
+    if not second:
+        return values, jac
+    return values, jac, _rows(exprs[:second], hess, (npts, dim, dim))
+
+
+def _below(roots, order):
+    """The nodes reachable from ``roots``, given the postorder ``order`` of
+    a root set that holds them: one pass from the parents down."""
+    found = set(roots)
+    for node in reversed(order):
+        if node in found:
+            found.update(node.args)
+    return found
+
+
+def _rows(roots, table, shape):
+    """The roots' derivatives from ``table`` (node -> derivatives, see _jet
+    and _jet2) as one float array of shape (R,) + shape, with shape (P, n)
+    or (P, n, n): each distinct root's rows are written once, then indexed
+    out to every root."""
+    rows = {}
+    index = [rows.setdefault(e, len(rows)) for e in roots]
+    out = np.empty((len(rows),) + shape)
+    for e, r in rows.items():
+        d = table[e]
+        if len(shape) == 2:
+            _fill(out[r], d)
+        elif type(d) is np.ndarray:  # a block, (n, n, P), or (n, n) at one point
+            out[r] = np.moveaxis(d, -1, 0) if d.ndim == 3 else d
+        else:
+            for k, row in enumerate(d):
+                _fill(out[r, :, k], row)
+    return out[index]
+
+
+def _fill(out, d):
+    """Write one node's n derivative entries d (see _jet) into out[P, n]."""
+    if type(d) is np.ndarray:
+        out[...] = d.T
+    else:  # one point's list of scalars, or entries with constant nodes
+        for i, u in enumerate(d):
+            out[:, i] = u.value if isinstance(u, Expr) else u
 
 
 def _pow(x, k):
@@ -721,6 +776,22 @@ def _pow(x, k):
 # a constant node among them are a tuple.  A flag comes from a node the
 # trees have or, rarely, from a term they fold away; callers that need the
 # trees' exact error then walk the trees.
+#
+# Second derivatives go one step further (Griewank and Walther, ch. 13):
+# row k of a node's second derivatives is the derivatives of the tree
+# diff_expr builds for y^k, a sum, difference or product of the arguments
+# and their derivatives, a quotient by b**2, or a factor times the
+# argument's derivative.  _rule gives them from the entries of those terms
+# and their own derivatives (the arguments' rows).  Its formula for a sum,
+# difference, negation or product is also the derivatives of the node the
+# smart constructor folds it to, a constant or one of its arguments: each
+# term with a constant entry folds to ZERO or to the other term.  So only a
+# quotient, whose rule squares its denominator, asks whether the node is
+# built, and carries the pair of entry and derivatives (a dual, _dual and
+# the helpers after it).  Where every entry of both arguments is a value,
+# the second derivatives of an add, sub, mul, div or neg are one (n, n, P)
+# block ((n, n) at one point), written out in _block2 with the same
+# operations in the same order.
 
 
 def _entry(node, vals):
@@ -818,20 +889,28 @@ def _each(rule, d, e=None):
 
 def _jet(node, vals, grads, full):
     """The derivatives of a node with arguments, from its value, its
-    arguments' values and their derivatives: _diff_node's rule for each
-    y^i, on the entries of _jadd and the others above.  When both arguments
+    arguments' values and their derivatives (``_rule``)."""
+    args = node.args
+    a = args[0]
+    x = a if a.op == "const" else vals[a]
+    if len(args) == 1:
+        return _rule(node.op, vals[node], x, None, grads[a], None, full, node.value)
+    b = args[1]
+    return _rule(node.op, vals[node], x, b if b.op == "const" else vals[b], grads[a], grads[b], full)
+
+
+def _rule(op, out, a, b, d, e, full, k=None):
+    """_diff_node's rule for each y^i on the entries of _jadd and the others
+    above: the derivatives of a node of op ``op`` and value ``out`` whose
+    arguments have the entries a and b (b None for one argument) and the
+    derivatives d and e, k being a power's exponent.  When both arguments
     of an add, sub or mul carry blocks, so are not constants, the rule is
     the block's operations written out: the same operations in the same
     order, without the entry-by-entry dispatch."""
-    op = node.op
-    args = node.args
-    d = grads[args[0]]
     if op == "add" or op == "sub" or op == "mul":
-        e = grads[args[1]]
         kind = type(d)
         if kind is type(e) and kind is not tuple:
             if op == "mul":
-                a, b = vals[args[0]], vals[args[1]]
                 if kind is list:
                     return [u * b + a * v for u, v in zip(d, e)]
                 return d * b + a * e
@@ -842,30 +921,25 @@ def _jet(node, vals, grads, full):
             return _each(_jadd, d, e)
         if op == "sub":
             return _each(_jsub, d, e)
-        a = _entry(args[0], vals)
-        b = _entry(args[1], vals)
         return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, e)
     if op == "neg":
         return _each(_jneg, d)
-    a = _entry(args[0], vals)
     if op == "div":
-        b = _entry(args[1], vals)
         den = _jpowi(b, 2)
         rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, full)
-        return _each(rule, d, grads[args[1]])
+        return _each(rule, d, e)
     if op == "ln":
         return _each(lambda u: _jdiv(u, a, full), d)
     if op == "exp":
-        e = vals[node]
-        return _each(lambda u: _jmul(e, u), d)
-    kc = const(float(node.value)) if op == "pow" else None  # built, and checked, in every tree
+        return _each(lambda u: _jmul(out, u), d)
+    kc = const(float(k)) if op == "pow" else None  # built, and checked, in every tree
     if type(d) is tuple and all(u is ZERO for u in d):
         return d  # each rule below is a product with d/dy^i, which folds to ZERO
     if op == "pow":
-        factor = _jmul(kc, _jpowi(a, node.value - 1))
+        factor = _jmul(kc, _jpowi(a, k - 1))
         return _each(lambda u: _jmul(factor, u), d)
     if op == "sqrt":
-        den = _jmul(_TWO, vals[node])
+        den = _jmul(_TWO, out)
         return _each(lambda u: _jdiv(u, den, full), d)
     if op == "sin":
         c = np.cos(a)
@@ -874,6 +948,143 @@ def _jet(node, vals, grads, full):
         s = np.sin(a)
         return _each(lambda u: _jneg(_jmul(s, u)), d)
     raise ExprError(f"cannot differentiate node {op!r}")
+
+
+def _jet2(node, vals, grads, hess, full):
+    """A node's first derivatives (as _jet gives them) and its second: row
+    k holds the derivatives of d node/dy^k, laid out as _jet lays out a
+    node's derivatives, and the rows form an (n, n) block where every entry
+    is a value (see _block2), else a tuple.  Row k is _rule's derivatives
+    of the node _diff_node builds for y^k, from the entries of the
+    arguments, of their derivatives and of the rows of those."""
+    op = node.op
+    args = node.args
+    a = args[0]
+    fa, ha = grads[a], hess[a]
+    if type(ha) is np.ndarray:
+        if op == "neg":
+            return ([-u for u in fa] if type(fa) is list else -fa), -ha
+        if len(args) == 2 and type(hess[args[1]]) is np.ndarray and op in _BINOPS:
+            b = args[1]
+            return _block2(op, vals[a], vals[b], fa, grads[b], ha, hess[b])
+    d = _jet(node, vals, grads, full)
+    n = len(d)
+    zeros = (ZERO,) * n
+    x = (_entry(a, vals), fa)
+    if op in _BINOPS:
+        b = args[1]
+        y = (_entry(b, vals), grads[b])
+        fb, hb = y[1], hess[b]
+    if op == "add" or op == "sub":
+        rows = [_rule(op, None, None, None, ha[k], hb[k], full) for k in range(n)]
+    elif op == "neg":
+        rows = [_rule(op, None, None, None, ha[k], None, full) for k in range(n)]
+    elif op == "mul" or op == "div":
+        # d/dy^k is (da/dy^k * b) + (a * db/dy^k), or that difference over
+        # b**2; a term with a ZERO factor folds to ZERO
+        rows = []
+        if op == "div":
+            den = _dpowi(y, 2, full)
+        for k in range(n):
+            p = zeros if fa[k] is ZERO else _rule("mul", None, fa[k], y[0], ha[k], fb, full)
+            q = zeros if fb[k] is ZERO else _rule("mul", None, x[0], fb[k], fa, hb[k], full)
+            if op == "div":
+                num = _jsub(_jmul(fa[k], y[0]), _jmul(x[0], fb[k]))
+                rows.append(_dual("div", (num, _rule("sub", None, None, None, p, q, full)), den, full)[1])
+            elif p is zeros or q is zeros:
+                rows.append(q if p is zeros else p)
+            else:
+                rows.append(_rule("add", None, None, None, p, q, full))
+    elif op == "ln" or op == "sqrt":
+        # d/dy^k is da/dy^k over a, or over 2 * node
+        den = x if op == "ln" else _dual("mul", (_TWO, zeros), (vals[node], d), full)
+        rows = [_dual("div", (fa[k], ha[k]), den, full)[1] for k in range(n)]
+    else:
+        # d/dy^k is factor * da/dy^k, negated for cos
+        if op == "pow":
+            kc = (const(float(node.value)), zeros)
+            factor = _dual("mul", kc, _dpowi(x, node.value - 1, full), full)
+        elif op == "exp":
+            factor = (vals[node], d)
+        elif op == "sin" or op == "cos":
+            factor = _dfunc("cos" if op == "sin" else "sin", x, full)
+        else:
+            raise ExprError(f"cannot differentiate node {op!r}")
+        rows = [_rule("mul", None, factor[0], fa[k], factor[1], ha[k], full) for k in range(n)]
+        if op == "cos":
+            rows = [_rule("neg", None, None, None, r, None, full) for r in rows]
+    if rows and all(type(r) is not tuple for r in rows):
+        return d, np.array(rows)
+    return d, tuple(rows)
+
+
+def _block2(op, a, b, d, e, ha, hb):
+    """The first and second derivatives of an add, sub, mul or div whose
+    arguments, of values a and b, carry blocks: first derivatives d and e,
+    second ha and hb.  The operations are those _jet2's rows take, in the
+    same order: for a product d(a*b)/dy^k is (d_k a * b) + (a * d_k b), so
+    its derivative by y^l is ((d_kl a * b) + (d_k a * d_l b)) + ((d_l a *
+    d_k b) + (a * d_kl b)); a quotient's is that of
+    (d_k a * b - a * d_k b) / b**2, with (2*b) * d_l b for b**2."""
+    one = type(d) is list  # one point: the first derivatives are lists of scalars
+    if one:
+        d, e = np.array(d), np.array(e)
+    if op == "add":
+        f, h = d + e, ha + hb
+    elif op == "sub":
+        f, h = d - e, ha - hb
+    else:
+        dk, dl, ek, el = d[:, None], d[None], e[:, None], e[None]
+        if op == "mul":
+            f = d * b + a * e
+            h = (ha * b + dk * el) + (dl * ek + a * hb)
+        else:
+            num = d * b - a * e
+            den = _pow(b, 2)
+            f = num / den
+            dnum = (ha * b + dk * el) - (dl * ek + a * hb)
+            dden = (2.0 * b) * e
+            h = (dnum * den - num[:, None] * dden[None]) / _pow(den, 2)
+    return (list(f) if one else f), h
+
+
+def _dual(op, x, y, full):
+    """mul or div on duals (entry, derivatives): the smart constructor's
+    fold where it folds (a constant, or an argument itself), else the node
+    it would build, its value from _jmul or _jdiv and its derivatives from
+    _rule."""
+    (u, du), (v, dv) = x, y
+    w = _jmul(u, v) if op == "mul" else _jdiv(u, v, full)
+    if isinstance(w, Expr):
+        return w, (ZERO,) * len(du)
+    if w is u:
+        return x
+    if w is v:
+        return y
+    return w, _rule(op, w, u, v, du, dv, full)
+
+
+def _dpowi(x, k, full):
+    """powi on a dual, for k != 0.  A constant base that powi leaves as a
+    node (a Fraction power, zero to a negative power) has a value and no
+    derivatives."""
+    if k == 1:
+        return x
+    u, du = x
+    if isinstance(u, Expr):
+        p = powi(u, k)
+        return (p if p.op == "const" else _pow(full(u.value), k)), du
+    w = _pow(u, k)
+    return w, _rule("pow", w, u, None, du, None, full, k)
+
+
+def _dfunc(name, x, full):
+    """sin or cos of a dual; of a constant it is the constant func folds."""
+    u, du = x
+    if isinstance(u, Expr):
+        return func(name, u), du
+    w = _VEC_FUNCS[name](u)
+    return w, _rule(name, w, u, None, du, None, full)
 
 
 # ---------------------------------------------------------------------------

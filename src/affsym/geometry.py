@@ -19,18 +19,22 @@ Expr arrays it builds the trees that ``curvature``, ``ricci_and_s`` and
 ``covariant_differential`` keep or return; on numbers it gives their
 values.  ``_point_values`` runs the bodies on the values and first
 derivatives from one checked forward-mode walk of Gamma (and of the metric,
-A and eta where asked for), which equal the trees' walk in magnitude to
-the bit: ``structure_residual``, ``symmetry.classify``,
-``symmetry.determining_residuals`` and the CLI's report, classify and
-canonical checks take their numbers so, and build the trees only where
-that walk or a body faults, so that the error raised is the trees' own.
-The CLI's ``curvature`` walks the trees, since it prints signed values and
-a body's exact zero may have the other sign; the invariance suite walks
-the jets of the trees of R and nabla Ric (``symmetry.invariance_suite``).
+A and eta where asked for), with the second derivatives of Gamma and eta
+where nabla Ric or the connection equation needs them, which equal the
+trees' walk in magnitude to the bit: ``structure_residual``,
+``symmetry.classify``, ``symmetry.determining_residuals`` and the CLI's
+report, classify and canonical checks take their numbers so, and build the
+trees only where that walk or a body faults, so that the error raised is
+the trees' own.  The CLI's ``curvature`` walks the trees, since it prints
+signed values and a body's exact zero may have the other sign; the
+invariance suite walks R, Ric and S with Ric's second derivatives and
+forms nabla Ric and its derivatives with ``_nabla_terms`` on first-order
+duals (``symmetry.invariance_suite``).
 """
 
 from __future__ import annotations
 
+import itertools
 import string
 
 import numpy as np
@@ -145,6 +149,16 @@ def _nondegenerate(a):
     return bool(np.min(np.abs(dets)) > 1e-12)
 
 
+def _regular(jac):
+    """True when each finite Jacobian jac[p] has its smallest singular
+    value above 1e-12 times its largest.  A Jacobian with an entry that is
+    not finite has no singular values, and passes, as it did when the test
+    was |det| < 1e-12, whose value is then nan."""
+    finite = np.isfinite(jac).all(axis=(-2, -1))
+    sv = np.linalg.svd(jac[finite], compute_uv=False)
+    return bool((sv[:, -1] > 1e-12 * sv[:, 0]).all())
+
+
 def scalar_operator(n, a):
     """A = a * identity."""
     return TensorField.identity(n).scale(a)
@@ -174,9 +188,12 @@ def curvature(conn):
 # subtract give numbers: with numpy's multiply on values at points (p the
 # points), with ``_dual_mul`` on values and first derivatives (p running
 # over (value, d/dy^1..n) x points), and with a truncated product on the
-# Taylor coefficients of ``symmetry.pointwise_symmetry_bounds``.  Every sum
-# is a left fold (``fold``), never numpy's add.reduce, which sums three or
-# more floats pairwise.
+# Taylor coefficients of ``symmetry.pointwise_symmetry_bounds``.  The
+# derivatives of a dual's derivatives (those of dGamma/dy for R's, of
+# dRic/dy for nabla Ric's) are the second derivatives of the forward-mode
+# walk (``eval_jets`` with ``second``), never a tree.  Every sum is a left
+# fold (``fold``), never numpy's add.reduce, which sums three or more
+# floats pairwise.
 
 
 def _tree(body, *arrays):
@@ -394,43 +411,45 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
     equations with eta: "lie_a" (L_eta A), "conn_eq" (the reduced
     connection equation) and "conn_eq_full" (A-weighted).
 
-    One checked forward-mode walk (``eval_jets``) gives Gamma, grad(Gamma)
-    (with nabla), the metric, A, eta and grad(eta), each where given, with
-    their first derivatives.  The bodies run on those with numpy's add and
-    subtract, and the derivatives of R and Ricci that nabla Ric needs come
-    from ``_dual_mul``.  Grouped as the trees are, each number is the
-    trees' value: the smart constructors drop only identity operations
-    (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in the same floats, so
-    the two differ at most in the sign of an exact zero.  That also makes a
-    body's number finite wherever every node of the trees is, so a body
-    whose arithmetic overflows (FloatingPointError under np.errstate) has
-    trees that fault, or a fault in a term the trees fold away.
+    One checked forward-mode walk (``eval_jets``) gives Gamma, the metric,
+    A and eta, each where given, with their first derivatives, and the
+    second derivatives of Gamma (with nabla) and of eta, which are bitwise
+    the derivatives of grad(Gamma) and grad(eta) without their trees.  The
+    bodies run on those with numpy's add and subtract, and the derivatives
+    of R and Ricci that nabla Ric needs come from ``_dual_mul``.  Grouped
+    as the trees are, each number is the trees' value: the smart
+    constructors drop only identity operations (x*0, x*1, x+0, 0-x, -(-x))
+    and fold constants in the same floats, so the two differ at most in the
+    sign of an exact zero.  That also makes a body's number finite wherever
+    every node of the trees is, so a body whose arithmetic overflows
+    (FloatingPointError under np.errstate) has trees that fault, or a fault
+    in a term the trees fold away.
 
-    Where the walk raises ExprError, or once a call's bodies have
-    overflowed, ``values`` builds the named fields' trees in order and walks
-    them, once checked and once unchecked (``eval_arrays``): the error
-    raised is the trees' own, the first in that order."""
+    Where the walk raises ExprError, grad(Gamma) and grad(eta) are built
+    and walked as trees (``_tree_jets``).  Where that walk raises too, or
+    once a call's bodies have overflowed, ``values`` builds the named
+    fields' trees in order and walks them, once checked and once unchecked
+    (``eval_arrays``): the error raised is the trees' own, the first in
+    that order."""
     n = conn.n
-    roots = {"gamma": conn.gamma}
-    if nabla:
-        roots["grad_gamma"] = grad(conn.gamma, n)
-    roots.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
-    if eta is not None:
-        roots["grad_eta"] = grad(eta.comps, n)
+    fields = {"gamma": conn.gamma}
+    fields.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
+    twice = [k for k, on in (("gamma", nabla), ("eta", eta is not None)) if on]
+    names = twice + [k for k in fields if k not in twice]
     try:
-        walked = eval_jets(list(roots.values()), pts)
+        walked = iter(eval_jets([fields[k] for k in names], pts, second=len(twice)))
     except ExprError:
-        jets = None
-    else:  # name -> (values, first derivatives)
-        jets = dict(zip(roots, zip(walked[::2], walked[1::2])))
+        jets = _tree_jets(conn, pts, fields, nabla)
+    else:  # name -> (values, first derivatives[, second derivatives])
+        jets = {k: tuple(itertools.islice(walked, 2 + (k in twice))) for k in names}
     ops = (np.add, np.subtract, np.multiply)
     memo = {}
 
     def ricci():  # Ric and S, and where nabla their derivatives, as _dual arrays
         if "ricci" not in memo:
-            g, dg = jets["gamma"]
+            g, dg = jets["gamma"][:2]
             if nabla:
-                ddg = jets["grad_gamma"][1]
+                ddg = jets["gamma"][2]
                 R = _curvature_comps(_dual(g, dg), _dual(dg, ddg), np.add, np.subtract, _dual_mul(n))
             else:
                 R = _curvature_comps(g, dg, *ops)
@@ -439,7 +458,7 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
         return memo["ricci"]
 
     def number(name):
-        g, dg = jets["gamma"]
+        g, dg = jets["gamma"][:2]
         if name in ("curvature", "ricci", "s"):
             ricci()
             return memo[name][: len(pts)]
@@ -452,10 +471,9 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
         if name in ("metric", "A"):
             return jets[name][0]
         a, da = jets.get("A", (None, None))
-        e, de = jets["eta"]
+        e, de, dde = jets["eta"]
         if name == "lie_a":
             return _lie_a_terms(a, da, e, de, *ops)
-        dde = jets["grad_eta"][1]
         if name == "conn_eq":
             return _conn_eq_terms(g, dg, e, de, dde, *ops)
         return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
@@ -473,6 +491,29 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
         return out + (eval_arrays(trees[len(names) :], pts, checked=False) if unchecked else [])
 
     return values
+
+
+def _tree_jets(conn, pts, fields, nabla):
+    """``_point_values``' walk where the second-order walk faults: the
+    trees grad(Gamma) (with nabla) and grad(eta) are built, in that order
+    (an error building them is raised), and walked with the named
+    ``fields``; the second derivatives are their first.  Returns the same
+    dict as that walk, or None where this walk raises ExprError too."""
+    n = conn.n
+    trees = {}
+    if nabla:
+        trees["gamma"] = grad(conn.gamma, n)
+    if "eta" in fields:
+        trees["eta"] = grad(fields["eta"], n)
+    names = list(fields)
+    try:
+        walked = eval_jets([fields[k] for k in names] + list(trees.values()), pts)
+    except ExprError:
+        return None
+    jets = {k: (walked[2 * i], walked[2 * i + 1]) for i, k in enumerate(names)}
+    for i, k in enumerate(trees, len(names)):
+        jets[k] += (walked[2 * i + 1],)
+    return jets
 
 
 def metric_connection(g, pts=None):
@@ -620,12 +661,15 @@ def transform_connection(conn, pmap):
 def transform_system(sys, pmap, check_points=None):
     """Carry a system to new coordinates: A by the (1,1) tensor rule, the
     connection with its inhomogeneous term.  The map must supply its inverse
-    and have a nonsingular Jacobian at the probe points (``as_points``)."""
+    and have a nonsingular Jacobian at the probe points (``as_points``):
+    at each point its smallest singular value must exceed 1e-12 times its
+    largest, a test that does not depend on the map's scale (y -> c*y
+    passes for every c != 0), where a determinant's size does."""
     n = sys.n
     pts = as_points(check_points, n)
     pmap.require_inverse()
     jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate_many(pts)
-    if np.min(np.abs(np.linalg.det(jac))) < 1e-12:
+    if not _regular(jac):
         raise ValueError("map Jacobian is singular at a probe point")
     a_new = pushforward(sys.A, pmap)
     conn_new = transform_connection(sys.conn, pmap)

@@ -29,10 +29,16 @@ at the point (``expr.taylor_coefficients``), with the curvature and nabla
 Ric formed as numbers by the same bodies; that is their one path, and it
 refuses, with ExprError, a point where a coefficient is not finite or
 lost six or more digits to cancellation.  The invariance suite and
-``linearization`` stay on the trees' jets, which their reports pin to the
-bit: the suite needs the first derivatives of nabla Ric, which the bodies
-would give only on second-order nested duals, and those ran slower than
-the trees' jets at n = 4.
+``linearization`` take W and dW/dy from the forward-mode walk of the
+trees of W, which their reports pin to the bit.  The suite walks eta,
+Gamma, R, Ric and S once, with Ric's second derivatives (``second`` in
+``expr.eval_many_shared``), and forms nabla Ric and its first
+derivatives by ``geometry._nabla_terms`` on first-order duals, with no
+tree of nabla Ric or of Ric's derivatives; where that walk or the body
+faults, it walks the trees of nabla Ric, and their error is the one
+raised.  (Nested duals on all of geometry's bodies give the same numbers
+but ran slower than the trees' jets at n = 4; forward mode on the trees
+keeps their sparsity.)
 """
 
 from __future__ import annotations
@@ -51,11 +57,14 @@ from .expr import (
 )
 from .geometry import (
     _curvature_comps,
+    _dual,
+    _dual_mul,
     _field_tree,
     _nabla_terms,
     _nondegenerate,
     _point_values,
     _ricci_contractions,
+    _undual,
     covariant_differential,
     curvature,
     ricci_and_s,
@@ -440,9 +449,12 @@ def invariance_suite(sys, eta, pts=None):
     The curvature is the one kept on sys.conn (``curvature``).  The four
     tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the formula of
     ``lie_derivative``) on eta, d eta, W and dW/dy from one checked
-    forward-mode walk (``_jets``), which builds no derivative tree unless it
-    faults; then the trees' walk raises its error, naming its node.  The
-    L_eta Gamma residual is evaluated, checked, before that walk.
+    forward-mode walk, which builds no derivative tree unless it faults:
+    for nabla Ric, W and dW/dy are the body of ``covariant_differential``
+    on the walk's Gamma, Ric and their derivatives, Ric's second ones
+    included (see ``_invariance``).  Where the walk or that body faults,
+    the trees of nabla Ric are walked, and raise their error, naming its
+    node, after the L_eta Gamma residual has been evaluated, checked.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -462,7 +474,38 @@ def _invariance(sys, eta, pts, lie_gamma=None):
     """``invariance_suite`` at checked points, with lie_gamma the report of
     the reduced connection residual there when the caller has it already
     (``determining_residuals``' res_Gamma on the reduced equation: the same
-    trees, points and checked walk); else it is evaluated here."""
+    trees, points and checked walk); else it is evaluated here.
+
+    One checked walk (``eval_jets``) gives eta, Gamma, R, Ric and S with
+    their first derivatives, and Ric's second ones; nabla Ric and its first
+    derivatives are ``geometry._nabla_terms`` on those, as ``_dual`` arrays
+    under ``_dual_mul``, equal to the jets of its trees in magnitude to the
+    bit.  Where the walk raises ExprError or the body overflows, the suite
+    is ``_invariance_trees``, so its error is the trees' own."""
+    conn = sys.conn
+    n = conn.n
+    parts = ricci_and_s(conn)
+    roots = (parts["ricci"], conn.field, eta, curvature(conn), parts["s"])
+    try:
+        ric, dric, ddric, g, dg, e, de, r, dr, s, ds = eval_jets([f.comps for f in roots], pts, second=1)
+        with np.errstate(over="raise", invalid="raise"):
+            duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
+            terms = _nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n))
+    except (ExprError, FloatingPointError):
+        return _invariance_trees(sys, eta, pts, lie_gamma)
+    if lie_gamma is None:
+        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
+    jets = ((r, dr, 1), (ric, dric, 0), (s, ds, 0), (*_undual(terms, n), 0))  # W, dW/dy, W's upper slots
+    lies = [lie_terms(w, dw, e, de, upper) for w, dw, upper in jets]
+    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
+    return {**{key: max_report(v, pts) for key, v in zip(keys, lies)}, "lie_gamma": lie_gamma}
+
+
+def _invariance_trees(sys, eta, pts, lie_gamma):
+    """``_invariance`` on the trees of nabla Ric, where the walk of its
+    second-order path faults: R, Ric, S and nabla Ric
+    (``covariant_differential``) are walked with eta by ``_jets``, after
+    the L_eta Gamma residual, when it is not given."""
     conn = sys.conn
     parts = ricci_and_s(conn)
     fields = (curvature(conn), parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))

@@ -14,7 +14,8 @@ shape (n,), checked against the field's n by ``util.as_points``:
 DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
 walk's rows, one per component, go back into tensors by ``split_rows``;
 ``eval_arrays`` evaluates several arrays in one walk and cuts it so, and
-``eval_jets`` does the same with each array's first derivatives.
+``eval_jets`` does the same with each array's first derivatives, and the
+second derivatives of the arrays that ask for them.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -143,18 +144,29 @@ def eval_arrays(arrays, pts, *, checked):
     return split_rows(eval_many_shared([e for a in arrays for e in a.flat], pts, checked=checked), arrays)
 
 
-def eval_jets(arrays, pts):
+def eval_jets(arrays, pts, second=0):
     """W and dW/dy^1..n of each Expr array W in ``arrays``, at points (P,
     n) or one point (n,) (P = 1), n being the points' last dimension, as
     the list [W0, dW0, W1, dW1, ...] of arrays of shape (P,) + W.shape and
     (P,) + W.shape + (n,): bitwise ``eval_arrays([W0, grad(W0, n), W1,
     grad(W1, n), ...], pts, checked=True)``, from one checked forward-mode
     walk (``eval_many_shared(..., jets=True)``) that builds no derivative
-    tree.  Where that walk faults it raises its ExprError (a DomainError
-    naming its node, or the error of a constant that does not fold), which
-    may come from a term the trees fold away."""
-    vals, grads = eval_many_shared([e for a in arrays for e in a.flat], pts, checked=True, jets=True)
-    return [x for v, g in zip(split_rows(vals, arrays), split_rows(grads, arrays)) for x in (v, g)]
+    tree.  The first ``second`` arrays also carry their second derivatives,
+    each listed after its dW as ddW, of shape (P,) + W.shape + (n, n):
+    bitwise the derivatives of grad(W, n) in the same walk, ddW[..., k, l]
+    being d(dW/dy^k)/dy^l.  Where that walk faults it raises its ExprError
+    (a DomainError naming its node, or the error of a constant that does
+    not fold), which may come from a term the trees fold away."""
+    flat = [e for a in arrays for e in a.flat]
+    twice = sum(a.size for a in arrays[:second])
+    vals, grads, *hess = eval_many_shared(flat, pts, checked=True, jets=True, second=twice)
+    if not twice:  # the walk returns no second derivatives for no component
+        hess = [np.empty((0,) + grads.shape[1:] + grads.shape[2:])]
+    hess = split_rows(hess[0], arrays[:second])
+    out = []
+    for k, (v, g) in enumerate(zip(split_rows(vals, arrays), split_rows(grads, arrays))):
+        out += (v, g, hess[k]) if k < second else (v, g)
+    return out
 
 
 class TensorField:

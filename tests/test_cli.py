@@ -468,6 +468,21 @@ def test_fault_only_in_the_jets_of_nabla_ricci(tmp_path, capsys, argv, code):
         assert json.loads(out)["bound"] == 6 and err == ""
 
 
+def test_fault_only_in_the_second_derivatives_of_ricci(tmp_path, capsys):
+    # Gamma^1_22 = y1^-28 and its first two derivatives are finite at y1 =
+    # 1e-10, so the document, the determining residuals, R, Ric and nabla Ric
+    # are; the third derivative, which only d(nabla Ric)/dy holds, overflows.
+    # d/dy2 is accepted, and the invariance suite walks the trees of nabla
+    # Ric after the second-order walk faults: their error is printed
+    doc = _flat_doc(Gamma={"1": [["0", "0"], ["0", "y1^-28"]]}, sample=[[1e-10, 0.1], [0.2, 0.3]])
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check-symmetry", str(path), "--eta=0,1"]) == 1
+    assert capsys.readouterr() == ("", "error: overflow: y1^-31\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "1", "2"])
 def test_overflowing_rows_of_a_are_reported_before_a_later_fault(tmp_path, capsys, depth):
     # L_eta A's rows at y = (0, 0.1) hold A^1_1 - A^2_2, which overflows,

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from affsym import expr
+from affsym import expr, geometry, symmetry, tensor
 from affsym.canonical import build_system, constcurv_metric
 from affsym.cli import SystemDocument, main
 from affsym.geometry import covariant_differential, curvature, ricci_and_s, structure_residual
@@ -70,10 +70,10 @@ def _walks(monkeypatch, capsys, argv, pts):
     walks = []
     walk = expr._walk
 
-    def counted(exprs, at, checked, jets=False):
+    def counted(exprs, at, *options):
         if at.shape == pts.shape and np.array_equal(at, pts):
             walks.append(exprs)
-        return walk(exprs, at, checked, jets)
+        return walk(exprs, at, *options)
 
     monkeypatch.setattr(expr, "_walk", counted)
     return (*_run(capsys, argv), len(walks))
@@ -175,3 +175,41 @@ def test_cli_numbers_are_the_library_calls(capsys, document):
         if "invariance" in out:
             suite = {k: v.max_abs for k, v in invariance_suite(sysd, eta, pts).items()}
             assert _hex(out["invariance"]) == _hex(suite)
+
+
+@pytest.mark.parametrize("document", sorted(FIXTURE_PATHS) + sorted(DOCUMENTS), indirect=True)
+def test_no_derivative_trees_of_ricci_gamma_or_eta(monkeypatch, capsys, document):
+    # check-symmetry's invariance suite takes nabla Ric and its derivatives
+    # from Ric's second derivatives in the walk, canonical's nabla Ric from
+    # Gamma's, and the determining residuals d2 eta from eta's: no
+    # covariant_differential, and no component of Ric, Gamma or eta
+    # differentiated through grad (curvature's own grad(Gamma) aside)
+    doc = SystemDocument.load(document)
+    sysd, pts = doc.to_system(), doc._points
+    ricci = ricci_and_s(sysd.conn)["ricci"].comps
+
+    def variable(comps):
+        return {e for e in comps.flat if e.op != "const"}
+
+    called, differentiated = [], []
+    real_diff = tensor.diff_expr
+    monkeypatch.setattr(tensor, "diff_expr", lambda e, i: differentiated.append(e) or real_diff(e, i))
+    for module in (geometry, symmetry):
+        real = module.covariant_differential
+        wrapped = lambda *a, real=real: called.append(a) or real(*a)
+        monkeypatch.setattr(module, "covariant_differential", wrapped)
+
+    accepted = 0
+    for text in _etas(doc.n):
+        _code, out = _run(capsys, ["check-symmetry", document, "--eta=" + text])
+        accepted += "invariance" in out
+        assert not called and not variable(ricci) & set(differentiated), text
+        eta = VectorField.from_strings(doc.n, text.split(","))
+        del differentiated[:]
+        determining_residuals(sysd, eta, pts)
+        assert not (variable(sysd.conn.gamma) | variable(eta.comps)) & set(differentiated), text
+    assert accepted or doc.n == 1  # d/dy1 is no symmetry of scalar_23_1 with u = y1
+    if doc.canonical is not None:
+        del differentiated[:]
+        _run(capsys, ["canonical", document])
+        assert not called and not variable(sysd.conn.gamma) & set(differentiated)

@@ -843,6 +843,63 @@ def test_jets_name_the_node_whose_derivative_is_not_finite():
         eval_many_shared([e, diff_expr(e, 1)], [0.0], checked=True)
 
 
+def _second_corpus(case):
+    """_jet_corpus's random DAGs and points, or the components of A, Gamma,
+    R, Ric and S of a fixture or of a JET_SPECS system at 5 sample points."""
+    if case.startswith("random"):
+        return _jet_corpus(case)
+    path = os.path.join(FIXTURES, case)
+    sysd = canonical.build_system(JET_SPECS[case]) if case in JET_SPECS else (
+        SystemDocument.load(path).to_system()
+    )
+    parts = ricci_and_s(sysd.conn)
+    fields = (sysd.A, sysd.conn.field, curvature(sysd.conn), parts["ricci"], parts["s"])
+    return [e for f in fields for e in f.comps.flat], sample_points(sysd.n, 5)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random_n1", "random_n2", "random_n3"]
+    + sorted(os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "*.json")))
+    + sorted(JET_SPECS),
+)
+def test_second_derivatives_are_bitwise_the_jets_of_the_derivative_trees(case):
+    # entry [k, l] of a root is derivative l of the jets walk of its tree
+    # d root/dy^k (all those trees in one walk), signed zeros included; the
+    # values and first derivatives are the first-order walk's
+    roots, pts = _second_corpus(case)
+    n = pts.shape[1]
+    vals, grads, hess = eval_many_shared(roots, pts, checked=True, jets=True, second=len(roots))
+    assert hess.shape == (len(roots), len(pts), n, n)
+    first = eval_many_shared(roots, pts, checked=True, jets=True)
+    assert vals.tobytes() == first[0].tobytes() and grads.tobytes() == first[1].tobytes()
+    trees = [diff_expr(e, k) for e in roots for k in range(1, n + 1)]
+    want = eval_many_shared(trees, pts, checked=True, jets=True)[1].reshape(len(roots), n, len(pts), n)
+    for r, e in enumerate(roots):
+        for k in range(n):
+            assert _hex(hess[r, :, k].ravel()) == _hex(want[r, k].ravel()), (str(e), k + 1)
+    # the first roots alone carry the same second derivatives
+    some = eval_many_shared(roots, pts, checked=True, jets=True, second=len(roots) // 3)[2]
+    assert some.tobytes() == hess[: len(roots) // 3].tobytes()
+    # at one point (the random corpus' signed zeros), the first row of a
+    # two-point walk
+    one = eval_many_shared(roots, pts[-1], checked=True, jets=True, second=len(roots))
+    two = eval_many_shared(roots, pts[[-1, 0]], checked=True, jets=True, second=len(roots))
+    for a, b in zip(one, two):
+        assert _hex(a.ravel()) == _hex(b[:, :1].ravel())
+
+
+def test_second_derivatives_fault_where_the_trees_do():
+    # the second derivative of 1/y1 overflows where its first does not
+    e = parse_expr("1/y1", 1)
+    x = 1e-103
+    eval_many_shared([e], [x], checked=True, jets=True)
+    with pytest.raises(DomainError, match="non-finite derivative"):
+        eval_many_shared([e], [x], checked=True, jets=True, second=1)
+    with pytest.raises(DomainError):
+        eval_many_shared([e, diff_expr(e, 1)], [x], checked=True, jets=True)
+
+
 TAYLOR_SPECS = {
     f"{kind}_n{n}": canonical.CanonicalSpec(kind, n=n, **kw)
     for n in (1, 2, 3, 4)

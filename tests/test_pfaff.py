@@ -474,3 +474,26 @@ def test_transport_blowup_raises():
     prob = riccati_problem(1.0)  # pole of the closed form at y = 1
     with pytest.raises(TransportError):
         transport_to(prob, [1.5])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_flattening_transport_stops_where_the_flat_chart_ends(n):
+    # On constant curvature (epsilons 1) the flattening covector from zero
+    # data at the origin is u = 4(n-1) y / (1 - s^2), s = (n-1)|y|^2: it
+    # blows up on the sphere s = 1, where the flat chart ends, and along the
+    # segment t*y it reaches that sphere at t = sqrt(1/s)
+    conn = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=n)).conn
+    prob = named_system("covector_14", conn=conn, p0=np.zeros(n), u0=np.zeros(n))
+    outside = 0
+    for y in sample_points(n, 5, seed=11):
+        s = (n - 1) * float(y @ y)
+        if s > 1.0:
+            outside += 1
+            with pytest.raises(TransportError) as info:
+                transport_to(prob, y)
+            assert info.value.status == 1
+            assert abs(info.value.t_reached - np.sqrt(1.0 / s)) <= 1e-6
+        else:
+            want = 4 * (n - 1) * y / (1.0 - s * s)
+            assert np.max(np.abs(transport_to(prob, y) - want)) <= 1e-7 * np.max(np.abs(want))
+    assert outside == {4: 1, 5: 2, 6: 5}[n]

@@ -322,3 +322,30 @@ def test_transform_rejects_singular_jacobian():
     pm = PointMap.from_strings(2, ["y1^2", "y2"], ["sqrt(y1)", "y2"])
     with pytest.raises(ValueError, match="singular"):
         transform_system(sys, pm, check_points=np.array([[0.0, 0.1], [0.2, 0.3]]))
+
+
+def test_transform_accepts_a_small_regular_scaling():
+    # y -> 2^-10 y is regular, with det 2^-40 far below 1e-12 at n = 4:
+    # carried there and back, A and Gamma come back exactly
+    from affsym.canonical import CanonicalSpec, build_system
+
+    sysd = build_system(CanonicalSpec("constcurv_22_13", n=4))
+    ys = [f"y{i}" for i in range(1, 5)]
+    small, large = [f"{2.0**-10!r}*{y}" for y in ys], [f"{2.0**10!r}*{y}" for y in ys]
+    there, back = PointMap.from_strings(4, small, large), PointMap.from_strings(4, large, small)
+    moved = transform_system(transform_system(sysd, there), back)
+    pts = sample_points(4, 20)
+    for got, want in ((moved.A, sysd.A), (moved.conn.field, sysd.conn.field)):
+        assert got.evaluate(pts).tobytes() == want.evaluate(pts).tobytes()
+
+
+def test_transform_judges_the_jacobian_relative_to_its_scale():
+    sys = flat_system(2)
+    # singular at the check point y1 = 0 at any scale
+    pm = PointMap.from_strings(2, ["1e6*y1^2", "1e6*y2"], ["sqrt(1e-6*y1)", "1e-6*y2"])
+    with pytest.raises(ValueError, match="singular"):
+        transform_system(sys, pm, check_points=np.array([[0.0, 0.1], [0.2, 0.3]]))
+    # det 10, but the smallest singular value is 1e-13 times the largest
+    pm = PointMap.from_strings(2, ["1e7*y1", "1e-6*y2"], ["1e-7*y1", "1e6*y2"])
+    with pytest.raises(ValueError, match="singular"):
+        transform_system(sys, pm)

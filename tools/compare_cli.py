@@ -21,9 +21,13 @@ also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
 whose determinant overflows, an intermediate canonical spec at n = 1, and a
-connection whose Taylor coefficients cancel at the bound's point.  They are
-written to the temporary directory, not to fixtures/, which the tests
-iterate over.  Each command and demo runs in a fresh interpreter with
+connection whose Taylor coefficients cancel at the bound's point.  No
+fixture has n = 4, so three documents there (WIDE) run too: the
+constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
+(check-symmetry with a rotation, canonical) and an intermediate spec with
+m = 2 (check-symmetry, bound); their invariance values are at rounding
+level, so they pin the suite's bits at n = 4.  Both sets are written to the
+temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
 checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
@@ -84,6 +88,18 @@ HOSTILE = {
     ),
 }
 
+CONSTCURV_N4 = (["check-symmetry", "--eta=-y2,y1,0,0"], ["canonical"])
+WIDE = {
+    "n4_constcurv.json": ({"canonical": {"kind": "constcurv_22_13", "n": 4}}, CONSTCURV_N4),
+    "n4_constcurv_split.json": (
+        {"canonical": {"kind": "constcurv_22_13", "n": 4, "epsilons": [1, 1, -1, -1]}}, CONSTCURV_N4
+    ),
+    "n4_intermediate.json": (
+        {"canonical": {"kind": "intermediate_17_19", "n": 4, "m": 2, "u": ["y1", "y2"]}},
+        (["check-symmetry", "--eta=0,0,y4,-y3"], ["bound"]),
+    ),
+}
+
 
 def commands(tmp):
     for name in sorted(os.listdir(FIXTURES)):
@@ -125,7 +141,7 @@ def commands(tmp):
             ],
         ):
             yield name, [argv[0], path] + argv[1:]
-    for name, (doc, argvs) in HOSTILE.items():
+    for name, (doc, argvs) in {**HOSTILE, **WIDE}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
