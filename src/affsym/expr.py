@@ -19,8 +19,8 @@ those trees; with ``second=s`` the first s roots also carry their second
 derivatives, on their own sub-DAGs only, entry [k, l] bitwise the l-th
 derivative the jets walk of diff_expr(root, k) returns.  A derivative
 that leaves the finite reals raises DomainError ("non-finite
-derivative") naming its node, and a caller that must report the trees'
-own error walks the trees after that.  No walk recurses: all
+derivative") naming its node, which may be a term the trees fold away;
+that is the error its callers report.  No walk recurses: all
 run over the iterative ``_postorder`` or, for derivatives, an explicit
 stack, so depth is limited by memory alone.  Parsing does not recurse
 either: ``parse_expr`` is one loop over regular-expression tokens with an
@@ -774,8 +774,8 @@ def _pow(x, k):
 # block: an (n, P) array, on which each rule runs once (elementwise, that is
 # the same operations), or at one point the list of n scalars.  Entries with
 # a constant node among them are a tuple.  A flag comes from a node the
-# trees have or, rarely, from a term they fold away; callers that need the
-# trees' exact error then walk the trees.
+# trees have or, rarely, from a term they fold away, and the walk raises
+# it as a DomainError naming the node whose derivative it computes.
 #
 # Second derivatives go one step further (Griewank and Walther, ch. 13):
 # row k of a node's second derivatives is the derivatives of the tree

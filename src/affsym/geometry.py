@@ -23,13 +23,15 @@ A and eta where asked for), with the second derivatives of Gamma and eta
 where nabla Ric or the connection equation needs them, which equal the
 trees' walk in magnitude to the bit: ``structure_residual``,
 ``symmetry.classify``, ``symmetry.determining_residuals`` and the CLI's
-report, classify and canonical checks take their numbers so, and build the
-trees only where that walk or a body faults, so that the error raised is
-the trees' own.  The CLI's ``curvature`` walks the trees, since it prints
-signed values and a body's exact zero may have the other sign; the
-invariance suite walks R, Ric and S with Ric's second derivatives and
-forms nabla Ric and its derivatives with ``_nabla_terms`` on first-order
-duals (``symmetry.invariance_suite``).
+report, classify and canonical checks take their numbers so, and that is
+their one path.  A fault of the walk raises its DomainError naming its
+node ("non-finite derivative: sqrt(y1)"), and a checked field whose body
+overflows raises ExprError naming the field and the point ("curvature is
+not finite at y = [...]").  The CLI's ``curvature`` walks the trees,
+since it prints signed values and a body's exact zero may have the other
+sign; the invariance suite walks R, Ric and S with Ric's second
+derivatives and forms nabla Ric and its derivatives with ``_nabla_terms``
+on first-order duals (``symmetry.invariance_suite``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .tensor import (
     SUB,
     TensorField,
     bcast,
-    eval_arrays,
     eval_jets,
     fold,
     grad,
@@ -150,12 +151,9 @@ def _nondegenerate(a):
 
 
 def _regular(jac):
-    """True when each finite Jacobian jac[p] has its smallest singular
-    value above 1e-12 times its largest.  A Jacobian with an entry that is
-    not finite has no singular values, and passes, as it did when the test
-    was |det| < 1e-12, whose value is then nan."""
-    finite = np.isfinite(jac).all(axis=(-2, -1))
-    sv = np.linalg.svd(jac[finite], compute_uv=False)
+    """True when each Jacobian jac[p] has its smallest singular value
+    above 1e-12 times its largest."""
+    sv = np.linalg.svd(jac, compute_uv=False)
     return bool((sv[:, -1] > 1e-12 * sv[:, 0]).all())
 
 
@@ -414,34 +412,26 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
     One checked forward-mode walk (``eval_jets``) gives Gamma, the metric,
     A and eta, each where given, with their first derivatives, and the
     second derivatives of Gamma (with nabla) and of eta, which are bitwise
-    the derivatives of grad(Gamma) and grad(eta) without their trees.  The
-    bodies run on those with numpy's add and subtract, and the derivatives
-    of R and Ricci that nabla Ric needs come from ``_dual_mul``.  Grouped
-    as the trees are, each number is the trees' value: the smart
-    constructors drop only identity operations (x*0, x*1, x+0, 0-x, -(-x))
-    and fold constants in the same floats, so the two differ at most in the
-    sign of an exact zero.  That also makes a body's number finite wherever
-    every node of the trees is, so a body whose arithmetic overflows
-    (FloatingPointError under np.errstate) has trees that fault, or a fault
-    in a term the trees fold away.
-
-    Where the walk raises ExprError, grad(Gamma) and grad(eta) are built
-    and walked as trees (``_tree_jets``).  Where that walk raises too, or
-    once a call's bodies have overflowed, ``values`` builds the named
-    fields' trees in order and walks them, once checked and once unchecked
-    (``eval_arrays``): the error raised is the trees' own, the first in
-    that order."""
+    the derivatives of grad(Gamma) and grad(eta) without their trees.  It
+    raises its ExprError where a value or derivative is not finite
+    ("non-finite derivative: sqrt(y1)").  The bodies run on those with
+    numpy's add and subtract, and the derivatives of R and Ricci that
+    nabla Ric needs come from ``_dual_mul``.  Grouped as the trees are,
+    each number is the trees' value: the smart constructors drop only
+    identity operations (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in
+    the same floats, so the two differ at most in the sign of an exact
+    zero.  The bodies only add, subtract and multiply finite numbers, so a
+    checked name that is not finite overflowed, and raises ExprError
+    naming it and its first such point ("curvature is not finite at y =
+    [...]"); unchecked names keep their IEEE values."""
     n = conn.n
     fields = {"gamma": conn.gamma}
     fields.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
     twice = [k for k, on in (("gamma", nabla), ("eta", eta is not None)) if on]
     names = twice + [k for k in fields if k not in twice]
-    try:
-        walked = iter(eval_jets([fields[k] for k in names], pts, second=len(twice)))
-    except ExprError:
-        jets = _tree_jets(conn, pts, fields, nabla)
-    else:  # name -> (values, first derivatives[, second derivatives])
-        jets = {k: tuple(itertools.islice(walked, 2 + (k in twice))) for k in names}
+    walked = iter(eval_jets([fields[k] for k in names], pts, second=len(twice)))
+    # name -> (values, first derivatives[, second derivatives])
+    jets = {k: tuple(itertools.islice(walked, 2 + (k in twice))) for k in names}
     ops = (np.add, np.subtract, np.multiply)
     memo = {}
 
@@ -479,41 +469,26 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
         return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
 
     def values(names, unchecked=()):
-        nonlocal jets
-        if jets is not None:
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    return [number(x) for x in (*names, *unchecked)]
-            except FloatingPointError:
-                jets = None
-        trees = [_field_tree(x, conn, metric, A, eta) for x in (*names, *unchecked)]
-        out = eval_arrays(trees[: len(names)], pts, checked=True) if names else []
-        return out + (eval_arrays(trees[len(names) :], pts, checked=False) if unchecked else [])
+        with np.errstate(all="ignore"):
+            out = [number(x) for x in (*names, *unchecked)]
+        for name, v in zip(names, out):
+            _require_finite(name, pts, v)
+        return out
 
     return values
 
 
-def _tree_jets(conn, pts, fields, nabla):
-    """``_point_values``' walk where the second-order walk faults: the
-    trees grad(Gamma) (with nabla) and grad(eta) are built, in that order
-    (an error building them is raised), and walked with the named
-    ``fields``; the second derivatives are their first.  Returns the same
-    dict as that walk, or None where this walk raises ExprError too."""
-    n = conn.n
-    trees = {}
-    if nabla:
-        trees["gamma"] = grad(conn.gamma, n)
-    if "eta" in fields:
-        trees["eta"] = grad(fields["eta"], n)
-    names = list(fields)
-    try:
-        walked = eval_jets([fields[k] for k in names] + list(trees.values()), pts)
-    except ExprError:
-        return None
-    jets = {k: (walked[2 * i], walked[2 * i + 1]) for i, k in enumerate(names)}
-    for i, k in enumerate(trees, len(names)):
-        jets[k] += (walked[2 * i + 1],)
-    return jets
+def _at(p):
+    """A point as error lines name it: y = [p1, p2, ...]."""
+    return "y = [" + ", ".join(f"{v:.6g}" for v in p) + "]"
+
+
+def _require_finite(name, pts, *arrays):
+    """Raise ExprError naming the field ``name`` and the first of the
+    points pts (P, n) where an entry of an array (P, ...) is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(a.reshape(len(pts), -1)).all(axis=1) for a in arrays])
+    if not finite.all():
+        raise ExprError(f"{name} is not finite at {_at(pts[np.argmin(finite)])}")
 
 
 def metric_connection(g, pts=None):
@@ -555,8 +530,10 @@ def lower_curvature(g, curv):
 def structure_residual(conn, form, pts=None):
     """Max-norm residual of a curvature structure formula at the probe
     points (``as_points``: None gives the 20 sample points).  R and the
-    Ricci split are the values of their trees, unchecked
-    (``_point_values``).
+    Ricci split come from the checked walk of Gamma (``_point_values``):
+    a probe point where Gamma or its first derivatives are not finite
+    raises DomainError naming the node; R and the Ricci split themselves
+    are unchecked, so a product that overflows reads inf.
 
     The right-hand side is assembled numerically from the Ricci split:
 
@@ -664,11 +641,13 @@ def transform_system(sys, pmap, check_points=None):
     and have a nonsingular Jacobian at the probe points (``as_points``):
     at each point its smallest singular value must exceed 1e-12 times its
     largest, a test that does not depend on the map's scale (y -> c*y
-    passes for every c != 0), where a determinant's size does."""
+    passes for every c != 0), where a determinant's size does.  The
+    Jacobian is evaluated checked: an entry that is not finite at a probe
+    point raises DomainError naming its node."""
     n = sys.n
     pts = as_points(check_points, n)
     pmap.require_inverse()
-    jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate_many(pts)
+    jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate(pts)
     if not _regular(jac):
         raise ValueError("map Jacobian is singular at a probe point")
     a_new = pushforward(sys.A, pmap)

@@ -20,25 +20,28 @@ Acceptance is residual-based at sample points, not a symbolic proof.
 
 The determining residuals and ``classify`` take their values from
 ``geometry._point_values``: the bodies that build the residual, curvature
-and Ricci trees, run on the values and first derivatives of Gamma, A, eta
-and grad(eta) from one checked forward-mode walk, equal to the trees'
-values in magnitude to the bit; where that walk or a body faults, the
-trees are built and walked, and their error is the one raised.  The
-pointwise bounds take their rows from Taylor coefficients of A and Gamma
-at the point (``expr.taylor_coefficients``), with the curvature and nabla
-Ric formed as numbers by the same bodies; that is their one path, and it
-refuses, with ExprError, a point where a coefficient is not finite or
-lost six or more digits to cancellation.  The invariance suite and
-``linearization`` take W and dW/dy from the forward-mode walk of the
-trees of W, which their reports pin to the bit.  The suite walks eta,
-Gamma, R, Ric and S once, with Ric's second derivatives (``second`` in
-``expr.eval_many_shared``), and forms nabla Ric and its first
-derivatives by ``geometry._nabla_terms`` on first-order duals, with no
-tree of nabla Ric or of Ric's derivatives; where that walk or the body
-faults, it walks the trees of nabla Ric, and their error is the one
-raised.  (Nested duals on all of geometry's bodies give the same numbers
-but ran slower than the trees' jets at n = 4; forward mode on the trees
-keeps their sparsity.)
+and Ricci trees, run on the values and derivatives of Gamma, A and eta
+from one checked forward-mode walk, equal to the trees' values in
+magnitude to the bit.  The pointwise bounds take their rows from Taylor
+coefficients of A and Gamma at the point (``expr.taylor_coefficients``),
+with the curvature and nabla Ric formed as numbers by the same bodies.
+The invariance suite and ``linearization`` take W and dW/dy from the
+forward-mode walk of the trees of W (``tensor.eval_jets``), which their
+reports pin to the bit.  The suite walks eta, Gamma, R, Ric and S once,
+with Ric's second derivatives (``second`` in ``expr.eval_many_shared``),
+and forms nabla Ric and its first derivatives by
+``geometry._nabla_terms`` on first-order duals, with no tree of nabla Ric
+or of Ric's derivatives.  (Nested duals on all of geometry's bodies give
+the same numbers but ran slower than the trees' jets at n = 4; forward
+mode on the trees keeps their sparsity.)
+
+Each of these is the one path to its numbers, and its errors are the
+error lines: a walk raises DomainError naming the first node whose value
+or derivative is not finite ("non-finite derivative: sqrt(y1)"), a body
+that overflows raises ExprError naming the field and the point
+("curvature is not finite at y = [...]"), and the bounds also refuse,
+with ExprError, a point where a Taylor coefficient lost six or more
+digits to cancellation.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .expr import (
     taylor_tables,
 )
 from .geometry import (
+    _at,
     _curvature_comps,
     _dual,
     _dual_mul,
@@ -63,6 +67,7 @@ from .geometry import (
     _nabla_terms,
     _nondegenerate,
     _point_values,
+    _require_finite,
     _ricci_contractions,
     _undual,
     covariant_differential,
@@ -71,7 +76,7 @@ from .geometry import (
 )
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
-from .tensor import MUL, SUB, TensorField, bcast, eval_arrays, eval_jets, fold, grad
+from .tensor import MUL, SUB, TensorField, bcast, eval_jets, fold
 from .util import as_points, max_report, sample_points
 
 __all__ = [
@@ -214,11 +219,11 @@ class LinearizationMatrix:
 def linearization(eta, p0):
     """d(eta)/dy at p0, which must be stationary: |eta(p0)| <= 1e-10.
 
-    eta and its derivatives come from one checked walk (``_jets``): one
+    eta and its derivatives come from one checked walk (``eval_jets``): one
     that is not finite at p0 raises DomainError naming its node; p0 is one
     point (``as_points``)."""
     p0 = as_points(p0, eta.n, one=True)
-    v, F = (a[0] for a in _jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
+    v, F = (a[0] for a in eval_jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
             f"point is not stationary: |eta| = {np.max(np.abs(v)):.3e} exceeds 1e-10"
@@ -307,27 +312,9 @@ def _degeneration(rh):
     )
 
 
-def _jets(arrays, pts):
-    """W and dW/dy^1..n of each Expr array W in ``arrays``, at points (P, n)
-    or one point (n,): ``tensor.eval_jets``, bitwise the list
-    ``eval_arrays([W0, grad(W0, n), W1, grad(W1, n), ...], pts,
-    checked=True)`` from one checked forward-mode walk that builds no
-    derivative tree.
-
-    If that walk faults (a flag, a DomainError, a constant that does not
-    fold), the trees are built and walked: the walk raises its error,
-    naming its node, or, where the fault was in a term the trees fold away,
-    returns their values."""
-    try:
-        return eval_jets(arrays, pts)
-    except ExprError:
-        n = np.shape(pts)[-1]
-        return eval_arrays([x for a in arrays for x in (a, grad(a, n))], pts, checked=True)
-
-
 def _lie_rows(w, dw, r):
     """The linearized Lie derivative of a tensor field W with r upper slots
-    at a point p0, from W and dW/dy there (``_jets`` or ``_one_jet`` at
+    at a point p0, from W and dW/dy there (``eval_jets`` or ``_one_jet`` at
     p0, arrays with a leading axis of length 1): one row per component of
     W, in row-major order, over the unknowns eta^k (columns 0..n-1) and
     F^i_k = d eta^i/dy^k (column n + i*n + k), so that row . (eta(p0),
@@ -391,10 +378,6 @@ def _one_jet(c, n):
 _CANCELLATION = 1e6
 
 
-def _at(p0):
-    return "y = [" + ", ".join(f"{v:.6g}" for v in p0) + "]"
-
-
 def _taylor(comps, p0, k, name):
     """The Taylor coefficients at p0 to order k of the Expr array of the
     field ``name``, as c[K, slots].  Raises ExprError where the walk does
@@ -449,12 +432,13 @@ def invariance_suite(sys, eta, pts=None):
     The curvature is the one kept on sys.conn (``curvature``).  The four
     tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the formula of
     ``lie_derivative``) on eta, d eta, W and dW/dy from one checked
-    forward-mode walk, which builds no derivative tree unless it faults:
-    for nabla Ric, W and dW/dy are the body of ``covariant_differential``
-    on the walk's Gamma, Ric and their derivatives, Ric's second ones
-    included (see ``_invariance``).  Where the walk or that body faults,
-    the trees of nabla Ric are walked, and raise their error, naming its
-    node, after the L_eta Gamma residual has been evaluated, checked.
+    forward-mode walk, which builds no derivative tree: for nabla Ric, W
+    and dW/dy are the body of ``covariant_differential`` on the walk's
+    Gamma, Ric and their derivatives, Ric's second ones included (see
+    ``_invariance``).  The L_eta Gamma residual is evaluated, checked,
+    before that walk.  Where the walk faults it raises DomainError naming
+    its node ("non-finite derivative: y1^-29"); where the body overflows,
+    ExprError names nabla_ricci and the point.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -474,44 +458,27 @@ def _invariance(sys, eta, pts, lie_gamma=None):
     """``invariance_suite`` at checked points, with lie_gamma the report of
     the reduced connection residual there when the caller has it already
     (``determining_residuals``' res_Gamma on the reduced equation: the same
-    trees, points and checked walk); else it is evaluated here.
+    trees, points and checked walk); else it is evaluated here, first.
 
     One checked walk (``eval_jets``) gives eta, Gamma, R, Ric and S with
     their first derivatives, and Ric's second ones; nabla Ric and its first
     derivatives are ``geometry._nabla_terms`` on those, as ``_dual`` arrays
     under ``_dual_mul``, equal to the jets of its trees in magnitude to the
-    bit.  Where the walk raises ExprError or the body overflows, the suite
-    is ``_invariance_trees``, so its error is the trees' own."""
+    bit.  The walk raises its ExprError where a value or derivative is not
+    finite; where the body overflows, ExprError names nabla_ricci and the
+    point."""
     conn = sys.conn
     n = conn.n
+    if lie_gamma is None:
+        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
     parts = ricci_and_s(conn)
     roots = (parts["ricci"], conn.field, eta, curvature(conn), parts["s"])
-    try:
-        ric, dric, ddric, g, dg, e, de, r, dr, s, ds = eval_jets([f.comps for f in roots], pts, second=1)
-        with np.errstate(over="raise", invalid="raise"):
-            duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
-            terms = _nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n))
-    except (ExprError, FloatingPointError):
-        return _invariance_trees(sys, eta, pts, lie_gamma)
-    if lie_gamma is None:
-        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
-    jets = ((r, dr, 1), (ric, dric, 0), (s, ds, 0), (*_undual(terms, n), 0))  # W, dW/dy, W's upper slots
+    ric, dric, ddric, g, dg, e, de, r, dr, s, ds = eval_jets([f.comps for f in roots], pts, second=1)
+    with np.errstate(all="ignore"):
+        duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
+        nabla = _undual(_nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n)), n)
+    _require_finite("nabla_ricci", pts, *nabla)
+    jets = ((r, dr, 1), (ric, dric, 0), (s, ds, 0), (*nabla, 0))  # W, dW/dy, W's upper slots
     lies = [lie_terms(w, dw, e, de, upper) for w, dw, upper in jets]
-    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
-    return {**{key: max_report(v, pts) for key, v in zip(keys, lies)}, "lie_gamma": lie_gamma}
-
-
-def _invariance_trees(sys, eta, pts, lie_gamma):
-    """``_invariance`` on the trees of nabla Ric, where the walk of its
-    second-order path faults: R, Ric, S and nabla Ric
-    (``covariant_differential``) are walked with eta by ``_jets``, after
-    the L_eta Gamma residual, when it is not given."""
-    conn = sys.conn
-    parts = ricci_and_s(conn)
-    fields = (curvature(conn), parts["ricci"], parts["s"], covariant_differential(conn, parts["ricci"]))
-    if lie_gamma is None:
-        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
-    e, de, *vals = _jets([eta.comps, *(f.comps for f in fields)], pts)
-    lies = [lie_terms(w, dw, e, de, f.r) for f, w, dw in zip(fields, vals[::2], vals[1::2])]
     keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
     return {**{key: max_report(v, pts) for key, v in zip(keys, lies)}, "lie_gamma": lie_gamma}

@@ -155,8 +155,9 @@ def eval_jets(arrays, pts, second=0):
     each listed after its dW as ddW, of shape (P,) + W.shape + (n, n):
     bitwise the derivatives of grad(W, n) in the same walk, ddW[..., k, l]
     being d(dW/dy^k)/dy^l.  Where that walk faults it raises its ExprError
-    (a DomainError naming its node, or the error of a constant that does
-    not fold), which may come from a term the trees fold away."""
+    (a DomainError naming its node, "non-finite derivative: sqrt(y1)", or
+    the error of a constant that does not fold), which may come from a
+    term the trees fold away; no caller walks the trees after it."""
     flat = [e for a in arrays for e in a.flat]
     twice = sum(a.size for a in arrays[:second])
     vals, grads, *hess = eval_many_shared(flat, pts, checked=True, jets=True, second=twice)

@@ -19,6 +19,8 @@ from affsym.symmetry import flow, pointwise_symmetry_bound
 from affsym.pdesim import evolve, make_grid
 from affsym.util import sample_points
 
+from test_point_values import assert_trees_refuse
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -412,7 +414,11 @@ def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comma
     path.write_text(json.dumps(doc))
     extra = {"check-symmetry": ["--eta=1,0"]}.get(command, [])
     assert main([command, str(path), *extra]) == 1
-    assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
+    if command == "curvature":  # curvature walks the trees
+        assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
+    else:
+        assert capsys.readouterr() == ("", "error: non-finite derivative: sqrt(y1)\n")
+        assert_trees_refuse(path, [command, *extra])
 
 
 @pytest.mark.parametrize(
@@ -422,7 +428,8 @@ def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
     # Gamma^1_22 is finite at y1 = 1 and so are R and its first derivatives
     # but one: d2 Gamma^1_22/dy1^2 = 0.1*exp(700)*700*700 overflows.  The
     # invariance suite walks dW checked, so eta^1 = 0 (a ZERO factor in the
-    # tree of L_eta W) does not hide it, and names the tree's node; the
+    # tree of L_eta W) does not hide it, and the walk names the node whose
+    # derivative is not finite, as the trees' walk refuses it too; the
     # bound's Taylor walk names exp(700*y1), whose second coefficient
     # exp(700)*700^2/2 is not finite.
     doc = _flat_doc(
@@ -434,9 +441,10 @@ def test_invariant_derivative_not_finite_exits_1(tmp_path, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([argv[0], str(path), *argv[1:]]) == 1
-    node = "exp(700*y1)*700*700" if argv[0] == "check-symmetry" else "exp(700*y1)"
-    error = "non-finite value" if argv[0] == "check-symmetry" else "Taylor coefficient out of range"
-    assert capsys.readouterr() == ("", f"error: {error}: {node}\n")
+    error = "non-finite derivative" if argv[0] == "check-symmetry" else "Taylor coefficient out of range"
+    assert capsys.readouterr() == ("", f"error: {error}: exp(700*y1)\n")
+    if argv[0] == "check-symmetry":
+        assert_trees_refuse(path, argv[:2], jets=("nabla_ricci",))
     with pytest.raises(DomainError):
         pointwise_symmetry_bound(SystemDocument.load(str(path)).to_system(), [1.0, 0.0], 1)
 
@@ -472,15 +480,16 @@ def test_fault_only_in_the_second_derivatives_of_ricci(tmp_path, capsys):
     # Gamma^1_22 = y1^-28 and its first two derivatives are finite at y1 =
     # 1e-10, so the document, the determining residuals, R, Ric and nabla Ric
     # are; the third derivative, which only d(nabla Ric)/dy holds, overflows.
-    # d/dy2 is accepted, and the invariance suite walks the trees of nabla
-    # Ric after the second-order walk faults: their error is printed
+    # d/dy2 is accepted, and the invariance suite's second-order walk names
+    # the node, as the walk of the trees of d(nabla Ric)/dy refuses it too
     doc = _flat_doc(Gamma={"1": [["0", "0"], ["0", "y1^-28"]]}, sample=[[1e-10, 0.1], [0.2, 0.3]])
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["check-symmetry", str(path), "--eta=0,1"]) == 1
-    assert capsys.readouterr() == ("", "error: overflow: y1^-31\n")
+    assert capsys.readouterr() == ("", "error: non-finite derivative: y1^-29\n")
+    assert_trees_refuse(path, ["check-symmetry", "--eta=0,1"], jets=("nabla_ricci",))
 
 
 @pytest.mark.parametrize("depth", ["0", "1", "2"])

@@ -4,7 +4,7 @@ structure residuals."""
 import numpy as np
 import pytest
 
-from affsym.expr import const, coord, parse_expr
+from affsym.expr import DomainError, const, coord, parse_expr
 from affsym.geometry import (
     Connection,
     bianchi_padov_residual,
@@ -229,6 +229,22 @@ def test_structure_residual_intermediate():
     assert rep.max_abs <= 1e-8
     rep2 = structure_residual(intermediate_connection(2, 1), "two_dim_12_1")
     assert rep2.max_abs <= 1e-8
+
+
+def test_structure_residual_refuses_a_pole_of_gamma():
+    # Gamma^1_11 = 1/y1 is infinite at the probe point y1 = 0: the checked
+    # walk of Gamma names the node; away from the pole the residual is finite
+    conn = Connection.from_strings(2, [[["1/y1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+    with pytest.raises(DomainError, match=r"^division by zero: 1/y1$"):
+        structure_residual(conn, "two_dim_12_1", [[0.0, 0.1], [0.2, 0.3]])
+    assert np.isfinite(structure_residual(conn, "two_dim_12_1", [[0.2, 0.3]]).max_abs)
+
+
+def test_structure_residual_of_an_overflowing_curvature_is_inf():
+    # Gamma and its derivatives are finite, R's products overflow: R is
+    # unchecked, so the residual reads inf
+    conn = Connection.from_strings(2, [[["1e200*y1", "0"], ["0", "0"]], [["0", "1e200*y2"], ["1e200*y2", "0"]]])
+    assert structure_residual(conn, "two_dim_12_1").max_abs == float("inf")
 
 
 def test_structure_residual_dimension_checks():

@@ -1,7 +1,9 @@
 """The fields' values at points from geometry's bodies on jets
 (``geometry._point_values``) against the walk of their trees: equal in
 magnitude to the bit on fixtures, canonical kinds and point-mapped systems,
-and where the bodies or the walk fault, the CLI prints the trees' error."""
+with no derivative tree built; and where the walk or a body faults, the
+CLI prints the walk's error or names the field and the point, on documents
+whose trees' checked walk refuses them too."""
 
 import json
 import os
@@ -12,10 +14,10 @@ import pytest
 from affsym import geometry
 from affsym.canonical import CanonicalSpec, build_system, constcurv_metric
 from affsym.cli import SystemDocument, main
-from affsym.expr import DomainError
+from affsym.expr import DomainError, ExprError
 from affsym.geometry import _field_tree, _point_values, transform_system
 from affsym.liefn import VectorField
-from affsym.tensor import PointMap, TensorField, eval_arrays
+from affsym.tensor import PointMap, TensorField, eval_arrays, grad
 from affsym.util import sample_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -82,11 +84,11 @@ def test_point_values_are_the_trees_values(monkeypatch, name):
     kw = dict(nabla=True, metric=_metric(n), A=sysd.A, eta=_eta(n))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the trees were walked")
+        raise AssertionError("a derivative tree was built")
 
-    # the numbers, with the trees' walk refused: no fallback was taken
+    # the numbers, with no derivative tree built
     with monkeypatch.context() as m:
-        m.setattr(geometry, "eval_arrays", refuse)
+        m.setattr(geometry, "grad", refuse)
         got = _point_values(sysd.conn, pts, **kw)(NAMES)
     trees = [_field_tree(x, sysd.conn, kw["metric"], sysd.A, kw["eta"]) for x in NAMES]
     want = eval_arrays(trees, pts, checked=True)
@@ -109,70 +111,98 @@ def test_unchecked_values_are_the_trees_values(name):
         assert np.abs(a).tobytes() == np.abs(b).tobytes()
 
 
-def test_an_overflowing_body_falls_back_to_the_trees():
-    # R's products overflow at the points: the trees' walk names the node
+def test_an_overflowing_body_names_the_field_and_the_point():
+    # R's products overflow at the points: the error names the field and
+    # the first point, where the trees' walk names the node
     conn = geometry.Connection.from_strings(
         2, [[["1e200*y1", "0"], ["0", "0"]], [["0", "1e200*y2"], ["1e200*y2", "0"]]]
     )
-    values = _point_values(conn, sample_points(2, 5))
-    with pytest.raises(DomainError) as info:
+    pts = sample_points(2, 5)
+    values = _point_values(conn, pts)
+    with pytest.raises(ExprError) as info:
         values(("curvature",))
-    assert str(info.value) == "non-finite value: 1e+200*y1*(1e+200*y1)"
-    # unchecked, the trees' IEEE values
+    assert str(info.value) == "curvature is not finite at y = [-0.375406, -0.265234]"
+    tree = _field_tree("curvature", conn)
+    with pytest.raises(DomainError, match=r"^non-finite value: 1e\+200\*y1\*\(1e\+200\*y1\)$"):
+        eval_arrays([tree], pts, checked=True)
+    # unchecked, the IEEE values, the trees' in magnitude
     (R,) = values((), ("curvature",))
     assert not np.isfinite(R).all()
+    (want,) = eval_arrays([tree], pts, checked=False)
+    assert np.array_equal(np.abs(R), np.abs(want), equal_nan=True)
 
 
 BIG = {"1": [["1e200*y1", "0"], ["0", "0"]], "2": [["0", "1e200*y2"], ["1e200*y2", "0"]]}
 SQRT = {"1": [["sqrt(y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
 SAMPLE = [[0.0, 0.1], [0.2, 0.3]]  # d sqrt(y1)/dy1 divides by zero at the first
 ONE = [["1", "0"], ["0", "1"]]
+AT = "at y = [-0.375406, -0.265234]"  # the first of the 20 sample points
 
-# (document, argv, exit code, error line), each as the parent of the bodies
-# on jets printed it
+# (document, argv, exit code, error line): a fault of the walk names its
+# node, a body that overflows names the field and the first point
 FAULTS = {
-    "report_big": ({"n": 2, "A": ONE, "Gamma": BIG}, ["report"], 1, "non-finite value: 1e+200*y1*(1e+200*y1)"),
+    "report_big": ({"n": 2, "A": ONE, "Gamma": BIG}, ["report"], 1, f"curvature is not finite {AT}"),
     "report_sqrt": (
-        {"n": 2, "A": ONE, "Gamma": SQRT, "sample": SAMPLE}, ["report"], 1, "division by zero: 1/(2*sqrt(y1))",
+        {"n": 2, "A": ONE, "Gamma": SQRT, "sample": SAMPLE}, ["report"], 1, "non-finite derivative: sqrt(y1)",
     ),
-    "classify_big": (
-        {"n": 2, "A": ONE, "Gamma": BIG}, ["classify"], 1, "non-finite value: 1e+200*y1*(1e+200*y1)",
-    ),
+    "classify_big": ({"n": 2, "A": ONE, "Gamma": BIG}, ["classify"], 1, f"ricci_sym is not finite {AT}"),
     "canonical_big": (
         {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": ["1e200*y1"]}},
-        ["canonical"], 1, "non-finite value: (-(1e+200*y1) - 1e+200*y1)*(-(1e+200*y1) - 1e+200*y1)",
+        ["canonical"], 1, f"ricci_sym is not finite {AT}",
     ),
     "canonical_big_n3": (
         {"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["1e200*y1"]}},
-        ["canonical"], 1, "non-finite value: (-(1e+200*y1) - 1e+200*y1)*(-(1e+200*y1) - 1e+200*y1)",
+        ["canonical"], 1, "ricci_sym is not finite at y = [-0.375406, -0.265234, -0.16484]",
     ),
     "canonical_sqrt": (
         {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": ["sqrt(y1)"]}, "sample": SAMPLE},
-        ["canonical"], 1, "division by zero: 1/(2*sqrt(y1))",
+        ["canonical"], 1, "non-finite derivative: sqrt(y1)",
     ),
     "check_symmetry_big_walk": (
-        {"n": 2, "A": ONE, "Gamma": BIG}, ["check-symmetry", "--eta=1e200*y1,0"], 1,
-        "non-finite value: 1e+200*(1e+200*y1)",
+        {"n": 2, "A": ONE, "Gamma": BIG}, ["check-symmetry", "--eta=1e200*y1,0"], 1, f"conn_eq is not finite {AT}",
     ),
     "check_symmetry_big_constant": (
-        {"n": 2, "A": ONE, "Gamma": BIG}, ["check-symmetry", "--eta=1e200,0"], 1, "non-finite constant inf",
+        {"n": 2, "A": ONE, "Gamma": BIG}, ["check-symmetry", "--eta=1e200,0"], 1, f"conn_eq is not finite {AT}",
     ),
     "check_symmetry_big_second": (
         {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": ["1e200*y1"]}},
-        ["check-symmetry", "--eta=1e150*y1^2,0"], 1,
-        "non-finite value: 1e+150*(2*y1)*(-(1e+200*y1) - 1e+200*y1)",
+        ["check-symmetry", "--eta=1e150*y1^2,0"], 1, f"conn_eq is not finite {AT}",
     ),
     "check_symmetry_sqrt": (
         {"n": 2, "A": ONE, "Gamma": SQRT, "sample": SAMPLE}, ["check-symmetry", "--eta=-y2,y1"], 1,
-        "division by zero: 1/(2*sqrt(y1))",
+        "non-finite derivative: sqrt(y1)",
     ),
 }
 
+# the checked fields each command takes from _point_values
+CHECKED = {
+    "report": ("curvature", "ricci", "s", "ricci_sym"),
+    "classify": ("ricci_sym",),
+    "canonical": ("ricci_sym", "ricci"),  # the intermediate kinds'
+    "check-symmetry": ("lie_a", "conn_eq"),
+}
+
+
+def assert_trees_refuse(path, argv, jets=()):
+    """The trees' checked walk refuses the document at path as well: the
+    trees (``_field_tree``) of the checked fields argv's command takes
+    (CHECKED), then the derivative trees of the fields named in jets."""
+    doc = SystemDocument.load(str(path))
+    sysd, n = doc.to_system(), doc.n
+    eta = None
+    if argv[0] == "check-symmetry":
+        eta = VectorField.from_strings(n, argv[1].removeprefix("--eta=").split(","))
+    with pytest.raises(ExprError):
+        trees = [_field_tree(x, sysd.conn, A=sysd.A, eta=eta) for x in CHECKED[argv[0]]]
+        trees += [grad(_field_tree(x, sysd.conn), n) for x in jets]
+        eval_arrays(trees, doc._points, checked=True)
+
 
 @pytest.mark.parametrize("case", sorted(FAULTS))
-def test_faults_print_the_trees_error(tmp_path, capsys, case):
+def test_faults_print_the_walks_error(tmp_path, capsys, case):
     doc, argv, code, error = FAULTS[case]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([argv[0], str(path), *argv[1:]]) == code
     assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert_trees_refuse(path, argv)

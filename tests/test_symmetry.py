@@ -36,12 +36,11 @@ from affsym.symmetry import (
     linearization,
     pointwise_symmetry_bound,
     pointwise_symmetry_bounds,
-    _jets,
     _lie_rows,
     _matrix_rank,
     _taylor_rows,
 )
-from affsym.tensor import PointMap, TensorField, eval_arrays, grad, partial_differential
+from affsym.tensor import PointMap, TensorField, eval_arrays, eval_jets, grad, partial_differential
 from affsym.util import max_report, sample_points
 
 from exact import exact_bounds
@@ -210,11 +209,15 @@ def test_linearization_requires_stationary_point():
 
 
 def test_linearization_names_a_derivative_that_is_not_finite():
-    # sqrt(y1^2) is 0 at the stationary point, its derivative 2*y1/(2*0)
+    # sqrt(y1^2) is 0 at the stationary point, its derivative 2*y1/(2*0):
+    # the walk names the node, and the walk of the derivative trees
+    # refuses the point too
     y1, y2 = coord(1), coord(2)
     eta = VectorField(2, [func("sqrt", powi(y1, 2)), y2])
-    with pytest.raises(DomainError, match=r"division by zero: 2\*y1/\(2\*sqrt\(y1\^2\)\)"):
+    with pytest.raises(DomainError, match=r"^non-finite derivative: sqrt\(y1\^2\)$"):
         linearization(eta, [0.0, 0.0])
+    with pytest.raises(DomainError, match=r"^division by zero: 2\*y1/\(2\*sqrt\(y1\^2\)\)$"):
+        eval_arrays([grad(eta.comps, 2)], np.zeros((1, 2)), checked=True)
 
 
 def test_a_point_of_the_wrong_dimension_is_refused():
@@ -442,7 +445,7 @@ def test_lie_rows_apply_the_lie_derivative_to_the_one_jet(name):
     ricci = ricci_and_s(sysd.conn)["ricci"]
     for W in (sysd.A, curvature(sysd.conn), covariant_differential(sysd.conn, ricci)):
         want = lie_derivative(eta, W).evaluate(p0).ravel()
-        rows = _lie_rows(*_jets([W.comps], p0), W.r)
+        rows = _lie_rows(*eval_jets([W.comps], p0), W.r)
         assert np.max(np.abs(rows @ jet - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
 
@@ -536,7 +539,7 @@ def test_lie_rows_equal_the_rows_of_the_derivative_trees(name):
     nabla = covariant_differential(conn, ricci_and_s(conn)["ricci"])
     rows = [_tree_rows(W, p0) for W in (sysd.A, curv, nabla)]
     for W, want in zip((sysd.A, curv, nabla), rows):
-        assert _lie_rows(*_jets([W.comps], p0), W.r).tobytes() == want.tobytes()
+        assert _lie_rows(*eval_jets([W.comps], p0), W.r).tobytes() == want.tobytes()
     want = [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(3)]
     assert pointwise_symmetry_bounds(sysd, p0) == want
 
@@ -602,7 +605,7 @@ def test_taylor_rows_are_the_rows_of_the_derivative_trees(name):
     n = sysd.n
     rows = _taylor_rows(sysd, p0, 2)
     nabla = covariant_differential(sysd.conn, ricci_and_s(sysd.conn)["ricci"])
-    want = [_lie_rows(*_jets([W.comps], p0), W.r) for W in (sysd.A, curvature(sysd.conn), nabla)]
+    want = [_lie_rows(*eval_jets([W.comps], p0), W.r) for W in (sysd.A, curvature(sysd.conn), nabla)]
     for got, tree in zip(rows, want):
         assert got.shape == tree.shape
         assert np.max(np.abs(got - tree)) <= 1e-12 * (1 + np.max(np.abs(tree)))

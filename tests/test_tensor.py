@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from affsym.expr import ZERO, const, coord, parse_expr
+from affsym.expr import ZERO, DomainError, const, coord, parse_expr
 from affsym.geometry import Connection, DiffusionSystem, curvature, transform_connection, transform_system
 from affsym.liefn import VectorField, lie_derivative
 from affsym.tensor import (
@@ -322,6 +322,16 @@ def test_transform_rejects_singular_jacobian():
     pm = PointMap.from_strings(2, ["y1^2", "y2"], ["sqrt(y1)", "y2"])
     with pytest.raises(ValueError, match="singular"):
         transform_system(sys, pm, check_points=np.array([[0.0, 0.1], [0.2, 0.3]]))
+
+
+def test_transform_refuses_a_jacobian_that_is_not_finite():
+    # the Jacobian -1/y1^2 of y1 -> 1/y1 is infinite at the check point y1 = 0
+    from affsym.canonical import CanonicalSpec, build_system
+
+    sysd = build_system(CanonicalSpec("constcurv_22_13", n=2))
+    pm = PointMap.from_strings(2, ["1/y1", "y2"], ["1/y1", "y2"])
+    with pytest.raises(DomainError, match=r"^division by zero: \(-1\)/y1\^2$"):
+        transform_system(sysd, pm, check_points=np.array([[0.0, 0.1], [0.2, 0.3]]))
 
 
 def test_transform_accepts_a_small_regular_scaling():

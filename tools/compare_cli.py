@@ -20,8 +20,10 @@ in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
-whose determinant overflows, an intermediate canonical spec at n = 1, and a
-connection whose Taylor coefficients cancel at the bound's point.  No
+whose determinant overflows, an intermediate canonical spec at n = 1, a
+connection whose Taylor coefficients cancel at the bound's point, one whose
+derivative is not finite at a sample point, and one whose curvature
+overflows.  No
 fixture has n = 4, so three documents there (WIDE) run too: the
 constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
 (check-symmetry with a rotation, canonical) and an intermediate spec with
@@ -58,6 +60,13 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # structure check, which is an input error (exit 1).  At y1 = 1e-100 the
 # chain rule of cos(sqrt(1e-80 + y1)) sums terms of 1.25e79 that cancel, and
 # the pointwise bound must refuse (exit 1), not print the rounding's rank.
+# sqrt(y1) is finite at the sample point y1 = 0 and its derivative is not,
+# which report, classify and check-symmetry must refuse naming the node
+# (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
+# finite and R's products overflow, which report must refuse naming the
+# field and the point (exit 1).
+BRANCH_GAMMA = {"1": [["sqrt(y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
+OVERFLOW_GAMMA = {"1": [["1e200*y1", "0"], ["0", "0"]], "2": [["0", "1e200*y2"], ["1e200*y2", "0"]]}
 HOSTILE = {
     "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
     "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
@@ -86,6 +95,11 @@ HOSTILE = {
         },
         (["bound", "--depth", "2", "--at", "1e-100,0.1"], ["report"]),
     ),
+    "hostile_branch.json": (
+        {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": BRANCH_GAMMA, "sample": [[0.0, 0.1], [0.2, 0.3]]},
+        (["report"], ["classify"], ["check-symmetry", "--eta=1,0"]),
+    ),
+    "hostile_overflow.json": ({"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": OVERFLOW_GAMMA}, (["report"],)),
 }
 
 CONSTCURV_N4 = (["check-symmetry", "--eta=-y2,y1,0,0"], ["canonical"])
