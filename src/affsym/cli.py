@@ -46,6 +46,7 @@ from .geometry import (
     Connection,
     DiffusionSystem,
     _point_values,
+    _regular,
     _structure_report,
     curvature,
     ricci_and_s,
@@ -271,8 +272,7 @@ def from_diffusional(a_rows, sample=None):
     n = arr.shape[0]
     a_field = TensorField.from_strings(n, 1, 1, arr)
     pts = as_points(sample, n)
-    dets = np.linalg.det(a_field.evaluate_many(pts))
-    if np.min(np.abs(dets)) < 1e-12:
+    if not _regular(a_field.evaluate_many(pts)):
         raise InputError("A is singular at a sample point")
     dA = grad(a_field.comps, n)  # [i, r, s] = dA^i_r / dy^s
     sym = MUL(const(0.5), ADD(dA, dA.transpose(0, 2, 1)))

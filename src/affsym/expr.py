@@ -630,16 +630,17 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     still go through a (1,) array (see _pow).
     """
     order, uses = _postorder(exprs)
-    twice = _below(exprs[:second], order) if second else ()
+    npts, dim = pts.shape
+    twice = _below(exprs[:second], order) if second and dim else ()  # none at dimension 0
     vals = {}
     grads = {}
     hess = {}
-    npts, dim = pts.shape
     zeros = (ZERO,) * dim
     if npts == 1:
         columns, full = list(pts[0]), np.float64
     else:
         columns, full = pts.T, partial(np.full, npts)
+    kit = _Kit(dim, npts, full) if twice else None
     try:
         with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
             for node in order:
@@ -661,7 +662,7 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                         if jets:
                             grads[node] = tuple(ONE if k == node.index else ZERO for k in range(1, dim + 1))
                     if node in twice:
-                        hess[node] = (zeros,) * dim
+                        hess[node] = kit.mat.zero, _masked(grads[node], kit.vec)
                     continue
                 x = vals[args[0]]
                 if op == "mul":
@@ -682,7 +683,7 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                 if jets:
                     try:
                         if node in twice:
-                            grads[node], hess[node] = _jet2(node, vals, grads, hess, full)
+                            grads[node], hess[node] = _jet2(node, vals, grads, hess, kit)
                         else:
                             grads[node] = _jet(node, vals, grads, full)
                     except FloatingPointError:
@@ -705,7 +706,9 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     jac = _rows(exprs, grads, (npts, dim))
     if not second:
         return values, jac
-    return values, jac, _rows(exprs[:second], hess, (npts, dim, dim))
+    if not twice:  # no roots, or points of dimension 0
+        return values, jac, np.zeros((len(exprs[:second]), npts, dim, dim))
+    return values, jac, _rows(exprs[:second], hess, (npts, dim, dim), kit)
 
 
 def _below(roots, order):
@@ -718,23 +721,24 @@ def _below(roots, order):
     return found
 
 
-def _rows(roots, table, shape):
-    """The roots' derivatives from ``table`` (node -> derivatives, see _jet
-    and _jet2) as one float array of shape (R,) + shape, with shape (P, n)
-    or (P, n, n): each distinct root's rows are written once, then indexed
-    out to every root."""
+def _rows(roots, table, shape, kit=None):
+    """The roots' derivatives from ``table`` as one float array of shape
+    (R,) + shape: first derivatives (node -> entries, see _jet) with shape
+    (P, n), or second (node -> masked blocks, see _jet2) with shape
+    (P, n, n), a ZERO entry being +0.  Each distinct root's rows are
+    written once, then indexed out to every root."""
     rows = {}
     index = [rows.setdefault(e, len(rows)) for e in roots]
     out = np.empty((len(rows),) + shape)
     for e, r in rows.items():
-        d = table[e]
-        if len(shape) == 2:
-            _fill(out[r], d)
-        elif type(d) is np.ndarray:  # a block, (n, n, P), or (n, n) at one point
-            out[r] = np.moveaxis(d, -1, 0) if d.ndim == 3 else d
-        else:
-            for k, row in enumerate(d):
-                _fill(out[r, :, k], row)
+        if kit is None:
+            _fill(out[r], table[e])
+            continue
+        h = table[e][0]
+        v = _values(h, kit.mat)
+        out[r] = v if kit.one else np.moveaxis(v, -1, 0)
+        if h[2] and h[0] is not None:
+            np.copyto(out[r], 0.0, where=_where(h[2], kit.mat).reshape(shape[1:]))
     return out[index]
 
 
@@ -779,19 +783,26 @@ def _pow(x, k):
 #
 # Second derivatives go one step further (Griewank and Walther, ch. 13):
 # row k of a node's second derivatives is the derivatives of the tree
-# diff_expr builds for y^k, a sum, difference or product of the arguments
-# and their derivatives, a quotient by b**2, or a factor times the
-# argument's derivative.  _rule gives them from the entries of those terms
-# and their own derivatives (the arguments' rows).  Its formula for a sum,
-# difference, negation or product is also the derivatives of the node the
-# smart constructor folds it to, a constant or one of its arguments: each
-# term with a constant entry folds to ZERO or to the other term.  So only a
-# quotient, whose rule squares its denominator, asks whether the node is
-# built, and carries the pair of entry and derivatives (a dual, _dual and
-# the helpers after it).  Where every entry of both arguments is a value,
-# the second derivatives of an add, sub, mul, div or neg are one (n, n, P)
-# block ((n, n) at one point), written out in _block2 with the same
-# operations in the same order.
+# diff_expr builds for y^k.  A node below the roots that ask for them keeps
+# its first and second derivatives as masked blocks (v, m, z, c): v holds
+# the entries' values, one (n, P) or (n, n, P) array ((n,) or (n, n) at one
+# point), m has bit i (k*n + l for entry [k, l]) set where the entry is a
+# constant node, z where that node is ZERO, and c maps every other constant
+# entry to its value.  v holds those constants too, so that an operation
+# with a value is the walk of the tree; at a ZERO entry it holds a zero of
+# either sign (a nan, unchecked), which no operation reads.  Where every
+# entry is a constant v may be None, made from c when a value needs it.
+# The _m* helpers apply _jadd, _jsub, _jmul, _jdiv and _jneg to every
+# entry at once: the constants fold in Python floats, as the smart
+# constructors fold them (ExprError on a non-finite result, ZERO for a
+# zero), before the values are one numpy operation on the block; where a
+# fold returns an argument (x + ZERO is x, also for x = -0; ZERO - x is -x)
+# that argument is copied in.  So the rules of add, sub, mul, div and neg,
+# differentiated once more, are a handful of block operations whatever
+# constants their arguments' entries hold (_jet2), and the first
+# derivatives in grads are read off the masked ones.  The other nodes
+# follow _diff_node's rule for each y^k on the entries (_rule, and _dual
+# for a denominator the rule squares), and their rows are masked once.
 
 
 def _entry(node, vals):
@@ -866,11 +877,12 @@ def _jpowi(x, k):
 
 
 def _each(rule, d, e=None):
-    """``rule`` over a node's derivatives ``d`` (and ``e``, its second
-    argument's): once on the (n, P) blocks when both are arrays, the rule
-    then being elementwise numpy operations, else entry by entry, the
-    result a block when no entry is a constant node (an array of the
-    entries' arrays, or one point's list of scalars), else a tuple."""
+    """``rule`` over a node's first derivatives ``d`` (and ``e``, its second
+    argument's), or over a row of second derivatives: once on the (n, P)
+    blocks when both are arrays, the rule then being elementwise numpy
+    operations, else entry by entry, the result a block when no entry is a
+    constant node (an array of the entries' arrays, or one point's list of
+    scalars), else a tuple."""
     if e is None:
         if type(d) is np.ndarray:
             return rule(d)
@@ -950,102 +962,415 @@ def _rule(op, out, a, b, d, e, full, k=None):
     raise ExprError(f"cannot differentiate node {op!r}")
 
 
-def _jet2(node, vals, grads, hess, full):
-    """A node's first derivatives (as _jet gives them) and its second: row
-    k holds the derivatives of d node/dy^k, laid out as _jet lays out a
-    node's derivatives, and the rows form an (n, n) block where every entry
-    is a value (see _block2), else a tuple.  Row k is _rule's derivatives
-    of the node _diff_node builds for y^k, from the entries of the
-    arguments, of their derivatives and of the rows of those."""
+_NONE = {}  # the constants of a block that has none other than ZERO; never written to
+# Memos of _bits, _where and _moved, kept across walks: a walk meets a few
+# dozen patterns of constant entries, the same in every walk of a system.
+_BITS, _MASKS, _MOVED = {}, {}, {}
+
+
+class _Layout:
+    """Masked blocks of one shape of entries: ``size`` entries (n first
+    derivatives, or n*n second), ``every`` the bits of them all, ``shape``
+    that of an array of constants (with a trailing axis of 1 for the
+    points, none at one point), ``full`` that of an array of values, and
+    ``zero`` the block whose entries are all ZERO."""
+
+    __slots__ = ("size", "every", "shape", "full", "zero")
+
+    def __init__(self, entries, npts):
+        self.size = math.prod(entries)
+        self.every = (1 << self.size) - 1
+        self.shape = entries if npts == 1 else entries + (1,)
+        self.full = entries if npts == 1 else entries + (npts,)
+        self.zero = (None, self.every, self.every, _NONE)
+
+
+class _Kit:
+    """What one walk's masked blocks share: the dimension n, ``full`` (see
+    _walk), and the layouts of first (``vec``) and second derivatives
+    (``mat``)."""
+
+    __slots__ = ("n", "one", "full", "vec", "mat")
+
+    def __init__(self, n, npts, full):
+        self.n, self.one, self.full = n, npts == 1, full
+        self.vec = _Layout((n,), npts)
+        self.mat = _Layout((n, n), npts)
+
+
+def _keep(memo, key, value):
+    if len(memo) > 1 << 16:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _bits(b):
+    """The set bits of ``b``, lowest first."""
+    out = _BITS.get(b)
+    if out is None:
+        out = _keep(_BITS, b, tuple(i for i in range(b.bit_length()) if b >> i & 1))
+    return out
+
+
+def _where(bits, lay):
+    """A bool array of the layout's ``shape``, true at the entries whose
+    bits are set."""
+    out = _MASKS.get((bits, lay.shape))
+    if out is None:
+        out = np.zeros(lay.size, dtype=bool)
+        out[list(_bits(bits))] = True
+        out.flags.writeable = False
+        out = _keep(_MASKS, (bits, lay.shape), out.reshape(lay.shape))
+    return out
+
+
+def _moved(b, how, n):
+    """The bits of the (n, n) block made from a block with the bits b:
+    ``how`` 0 or 1 spreads n entries along that axis (see _spread), 2
+    transposes an (n, n) block."""
+    out = _MOVED.get((b, how, n))
+    if out is None:
+        if how == 0:
+            out = sum(((1 << n) - 1) << i * n for i in _bits(b))
+        elif how == 1:
+            out = sum(1 << k * n + i for i in _bits(b) for k in range(n))
+        else:
+            out = sum(1 << (i % n) * n + i // n for i in _bits(b))
+        _keep(_MOVED, (b, how, n), out)
+    return out
+
+
+def _values(x, lay):
+    """The values of a masked block x: its array, or an array of its
+    constants where every entry is one."""
+    v = x[0]
+    if v is None:
+        v = np.zeros(lay.size)
+        for i, u in x[3].items():
+            v[i] = u
+        v = v.reshape(lay.shape)
+    return v
+
+
+def _folded(i, r, z, c):
+    """Record r, the Python float of a folded constant at entry i, in the
+    ZERO bits z and the constants c of a block; returns z.  As ``const``
+    has it, a zero is ZERO and a result that is not finite an ExprError."""
+    if r == 0.0:
+        return z | 1 << i
+    if not math.isfinite(r):
+        raise ExprError(f"non-finite constant {r!r}")
+    c[i] = r
+    return z
+
+
+def _madd(x, y, lay):
+    """_jadd on each entry of the masked blocks x and y."""
+    vx, mx, zx, cx = x
+    vy, my, zy, cy = y
+    if zx == lay.every:
+        return y
+    if zy == lay.every:
+        return x
+    if not (mx | my):
+        return vx + vy, 0, 0, _NONE
+    m, z, c = mx & my, zx & zy, {}
+    for i in _bits(m & ~z):  # ZERO + c is c
+        z = _folded(i, cx.get(i, 0.0) + cy.get(i, 0.0), z, c)
+    if m == lay.every:
+        return None, m, z, c
+    vx, vy = _values(x, lay), _values(y, lay)
+    v = vx + vy
+    if zx & ~zy:
+        np.copyto(v, vy, where=_where(zx & ~zy, lay))
+    if zy & ~zx:
+        np.copyto(v, vx, where=_where(zy & ~zx, lay))
+    return v, m, z, c
+
+
+def _msub(x, y, lay):
+    """_jsub on each entry of the masked blocks x and y."""
+    vx, mx, zx, cx = x
+    vy, my, zy, cy = y
+    if zy == lay.every:
+        return x
+    if zx == lay.every:
+        return _mneg(y)
+    if not (mx | my):
+        return vx - vy, 0, 0, _NONE
+    m, z, c = mx & my, zx & zy, {}
+    for i in _bits(m & ~z):
+        z = _folded(i, cx.get(i, 0.0) - cy.get(i, 0.0), z, c)
+    if m == lay.every:
+        return None, m, z, c
+    vx, vy = _values(x, lay), _values(y, lay)
+    v = vx - vy
+    if zy & ~zx:
+        np.copyto(v, vx, where=_where(zy & ~zx, lay))
+    if zx & ~zy:
+        np.negative(vy, out=v, where=_where(zx & ~zy, lay))
+    return v, m, z, c
+
+
+def _mneg(x):
+    """_jneg on each entry of a masked block."""
+    v, m, z, c = x
+    return (None if v is None else -v), m, z, {i: -u for i, u in c.items()}
+
+
+def _mmul(x, y, lay):
+    """_jmul on each entry of the masked blocks x and y."""
+    vx, mx, zx, cx = x
+    vy, my, zy, cy = y
+    if not (mx | my):
+        return vx * vy, 0, 0, _NONE
+    z = zx | zy
+    if z == lay.every:
+        return lay.zero
+    m, c = mx & my | z, {}
+    for i in _bits(m & ~z):
+        z = _folded(i, cx[i] * cy[i], z, c)
+    if m == lay.every:
+        return None, m, z, c
+    return _values(x, lay) * _values(y, lay), m, z, c
+
+
+def _mscale(x, s, lay):
+    """_jmul(u, s) on each entry u of the masked block x, for one entry s
+    (a node's, the same at every index)."""
+    vx, mx, zx, cx = x
+    if isinstance(s, Expr):
+        if s is ZERO:
+            return lay.zero
+        if s is ONE:
+            return x
+        if s is _MINUS_ONE:
+            return _mneg(x)
+        k, z, c = s.value, zx, {}
+        for i, u in cx.items():
+            z = _folded(i, u * k, z, c)
+        return (None if mx == lay.every else _values(x, lay) * k), mx, z, c
+    if zx == lay.every:
+        return x
+    if not mx:
+        return vx * s, 0, 0, _NONE
+    return _values(x, lay) * s, zx, zx, _NONE  # a constant times a value is a value
+
+
+def _mdiv(x, s, lay, full):
+    """_jdiv(u, s, full) on each entry u of the masked block x, for one
+    entry s (a denominator, the same at every index)."""
+    vx, mx, zx, cx = x
+    if isinstance(s, Expr):
+        if s is ONE:
+            return x
+        if s is ZERO:  # div(c, ZERO) is a node: every entry is a value
+            return _values(x, lay) / full(0.0), 0, 0, _NONE
+        k, z, c = s.value, zx, {}
+        for i, u in cx.items():
+            z = _folded(i, u / k, z, c)
+        return (None if mx == lay.every else _values(x, lay) / k), mx, z, c
+    if zx == lay.every:
+        return x
+    if not mx:
+        return vx / s, 0, 0, _NONE
+    return _values(x, lay) / s, zx, zx, _NONE
+
+
+def _spread(f, axis, kit):
+    """Masked first derivatives f as a masked (n, n) block whose entry
+    [k, l] is f's entry k (``axis`` 0) or l (``axis`` 1)."""
+    v, m, z, c = f
+    if v is not None:
+        v = v[:, None] if axis == 0 else v[None]
+    if not m:
+        return v, 0, 0, _NONE
+    n = kit.n
+    if axis == 0:
+        c = {k * n + l: u for k, u in c.items() for l in range(n)}
+    else:
+        c = {k * n + l: u for l, u in c.items() for k in range(n)}
+    return v, _moved(m, axis, n), _moved(z, axis, n), c
+
+
+def _transpose(x, kit):
+    """A masked (n, n) block transposed."""
+    v, m, z, c = x
+    if v is not None:
+        v = v.swapaxes(0, 1)
+    if not m:
+        return v, 0, 0, _NONE
+    n = kit.n
+    c = {(i % n) * n + i // n: u for i, u in c.items()}
+    return v, _moved(m, 2, n), _moved(z, 2, n), c
+
+
+def _filled(x, lay):
+    """A masked block whose constants, where every entry is one and some
+    is not ZERO, are made an array (see _values)."""
+    if x[0] is None and x[2] != lay.every:
+        return (_values(x, lay),) + x[1:]
+    return x
+
+
+def _masked(d, lay, rows=False):
+    """Derivative entries as grads or _rule hold them (a block, a list of
+    scalars, a tuple with constant nodes) as a masked block of layout lay;
+    with ``rows``, d is the list of a node's n rows of second derivatives."""
+    if rows:
+        if all(type(row) is not tuple for row in d):
+            return np.array(d), 0, 0, _NONE
+        d = [u for row in d for u in row]
+    elif type(d) is np.ndarray:
+        return d, 0, 0, _NONE
+    elif type(d) is list:
+        return np.array(d), 0, 0, _NONE
+    m = z = 0
+    c = {}
+    for i, u in enumerate(d):
+        if isinstance(u, Expr):
+            m |= 1 << i
+            if u is ZERO:
+                z |= 1 << i
+            else:
+                c[i] = u.value
+    if m == lay.every:
+        return None, m, z, c
+    v = np.empty(lay.full)
+    flat = v.reshape(lay.size, -1)
+    for i, u in enumerate(d):
+        flat[i] = u.value if isinstance(u, Expr) else u
+    return v, m, z, c
+
+
+def _unmasked(f, kit, row=None):
+    """A masked block's entries as _rule takes them (see _each): of first
+    derivatives f, or of row ``row`` of second derivatives f."""
+    v, m, z, c = f
+    n = kit.n
+    if row is not None:
+        lo = row * n
+        v = None if v is None else v[row]
+        m, z = m >> lo & kit.vec.every, z >> lo & kit.vec.every
+        c = {i - lo: u for i, u in c.items() if lo <= i < lo + n}
+    if not m:
+        return list(v) if kit.one else v
+    return tuple(
+        (ZERO if z >> i & 1 else const(c[i])) if m >> i & 1 else v[i] for i in range(n)
+    )
+
+
+def _jet2(node, vals, grads, hess, kit):
+    """A node's first derivatives, as _jet gives them, and its masked first
+    and second derivatives (see the note above _entry): row k of the
+    second holds the derivatives of d node/dy^k.  An add, sub, mul, div or
+    neg takes them as masked block operations from its arguments' (their
+    entries, first and second derivatives), in the order of the terms of
+    the trees _diff_node builds for them; any other node takes them entry
+    by entry, row k from _rule on the node _diff_node builds for y^k."""
     op = node.op
     args = node.args
     a = args[0]
-    fa, ha = grads[a], hess[a]
-    if type(ha) is np.ndarray:
-        if op == "neg":
-            return ([-u for u in fa] if type(fa) is list else -fa), -ha
-        if len(args) == 2 and type(hess[args[1]]) is np.ndarray and op in _BINOPS:
-            b = args[1]
-            return _block2(op, vals[a], vals[b], fa, grads[b], ha, hess[b])
-    d = _jet(node, vals, grads, full)
-    n = len(d)
-    zeros = (ZERO,) * n
-    x = (_entry(a, vals), fa)
-    if op in _BINOPS:
+    ha, fa = hess[a]
+    vec, mat = kit.vec, kit.mat
+    if op == "neg":
+        f, h = _mneg(fa), _mneg(ha)
+    elif op in _BINOPS:
         b = args[1]
-        y = (_entry(b, vals), grads[b])
-        fb, hb = y[1], hess[b]
-    if op == "add" or op == "sub":
-        rows = [_rule(op, None, None, None, ha[k], hb[k], full) for k in range(n)]
-    elif op == "neg":
-        rows = [_rule(op, None, None, None, ha[k], None, full) for k in range(n)]
-    elif op == "mul" or op == "div":
-        # d/dy^k is (da/dy^k * b) + (a * db/dy^k), or that difference over
-        # b**2; a term with a ZERO factor folds to ZERO
-        rows = []
-        if op == "div":
-            den = _dpowi(y, 2, full)
-        for k in range(n):
-            p = zeros if fa[k] is ZERO else _rule("mul", None, fa[k], y[0], ha[k], fb, full)
-            q = zeros if fb[k] is ZERO else _rule("mul", None, x[0], fb[k], fa, hb[k], full)
-            if op == "div":
-                num = _jsub(_jmul(fa[k], y[0]), _jmul(x[0], fb[k]))
-                rows.append(_dual("div", (num, _rule("sub", None, None, None, p, q, full)), den, full)[1])
-            elif p is zeros or q is zeros:
-                rows.append(q if p is zeros else p)
+        hb, fb = hess[b]
+        if op == "add":
+            f, h = _madd(fa, fb, vec), _madd(ha, hb, mat)
+        elif op == "sub":
+            f, h = _msub(fa, fb, vec), _msub(ha, hb, mat)
+        else:
+            # d/dy^k of a product is (d_k a * b) + (a * d_k b), and its
+            # derivative by y^l is p + q, p = (d_kl a * b) + (d_k a * d_l b)
+            # and q = (d_l a * d_k b) + (a * d_kl b), whose middle terms are
+            # each other's transpose; a quotient's is (d_k a * b - a * d_k b)
+            # over b**2, whose numerator has the derivatives p - q.  The
+            # arguments' constants that meet values are made arrays once.
+            x, y = _entry(a, vals), _entry(b, vals)
+            if (hb[0] is None or fb[0] is None) and not isinstance(x, Expr):
+                hess[b] = hb, fb = _filled(hb, mat), _filled(fb, vec)
+            if (ha[0] is None or fa[0] is None) and not isinstance(y, Expr):
+                hess[a] = ha, fa = _filled(ha, mat), _filled(fa, vec)
+            if op == "mul":
+                f = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
             else:
-                rows.append(_rule("add", None, None, None, p, q, full))
-    elif op == "ln" or op == "sqrt":
+                den = _jpowi(y, 2)
+                num = _msub(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
+                f = _mdiv(num, den, vec, kit.full)
+                # the rows k where num_k / den folds to a constant (ZERO over
+                # a value, a constant over a constant); den**2 is built, as
+                # in the trees, where some row does not fold
+                folded = num[2] if not isinstance(den, Expr) else 0 if den is ZERO else num[1]
+                den2 = None if den is ONE or folded == vec.every else _jpowi(den, 2)
+            outer = _mmul(_spread(fa, 0, kit), _spread(fb, 1, kit), mat)
+            p = _madd(_mscale(ha, y, mat), outer, mat)
+            q = _madd(_transpose(outer, kit), _mscale(hb, x, mat), mat)
+            if op == "mul":
+                h = _madd(p, q, mat)
+            else:
+                h = _quotient2(num, _msub(p, q, mat), den, den2, folded, y, fb, kit)
+    else:
+        d = _jet(node, vals, grads, kit.full)
+        rows = _rows2(node, vals, grads[a], d, [_unmasked(ha, kit, k) for k in range(kit.n)], kit)
+        return d, (_masked(rows, mat, True), _masked(d, vec))
+    return _unmasked(f, kit), (h, f)
+
+
+def _quotient2(num, dnum, den, den2, folded, b, db, kit):
+    """The second derivatives of a quotient by b, from the numerators num of
+    its first derivatives (over den = b**2) and their derivatives dnum, and
+    from b's first derivatives db: row k is the derivatives of num_k / den,
+    (dnum_k * den - num_k * dden) / den2 with dden = (2 * b) * db and
+    den2 = den**2.  Where num_k / den folds, as div folds it, row k is the
+    derivatives of the node it folds to: num_k itself by a denominator ONE,
+    else a constant, whose rows ``folded`` are ZERO (den2 None where every
+    row folds)."""
+    mat = kit.mat
+    if den is ONE:
+        return dnum
+    if den2 is None:
+        return mat.zero
+    dden = kit.vec.zero if isinstance(b, Expr) else _mscale(db, 2.0 * b, kit.vec)
+    top = _msub(_mscale(dnum, den, mat), _mmul(_spread(num, 0, kit), _spread(dden, 1, kit), mat), mat)
+    v, m, z, c = _mdiv(top, den2, mat, kit.full)
+    if not folded:
+        return v, m, z, c
+    rows = _moved(folded, 0, kit.n)  # which a division by a ZERO den2 leaves values
+    return v, m | rows, z | rows, {i: u for i, u in c.items() if not rows >> i & 1}
+
+
+def _rows2(node, vals, fa, d, ha, kit):
+    """The rows of second derivatives of a node of one argument (a pow or a
+    function) entry by entry: row k is _rule's derivatives of the node
+    _diff_node builds for y^k, from the argument's entry, its first
+    derivatives fa and their rows ha, and the node's value and first
+    derivatives d."""
+    op = node.op
+    full = kit.full
+    zeros = (ZERO,) * kit.n
+    x = (_entry(node.args[0], vals), fa)
+    if op == "ln" or op == "sqrt":
         # d/dy^k is da/dy^k over a, or over 2 * node
         den = x if op == "ln" else _dual("mul", (_TWO, zeros), (vals[node], d), full)
-        rows = [_dual("div", (fa[k], ha[k]), den, full)[1] for k in range(n)]
+        return [_dual("div", (fa[k], ha[k]), den, full)[1] for k in range(kit.n)]
+    # d/dy^k is factor * da/dy^k, negated for cos
+    if op == "pow":
+        kc = (const(float(node.value)), zeros)
+        factor = _dual("mul", kc, _dpowi(x, node.value - 1, full), full)
+    elif op == "exp":
+        factor = (vals[node], d)
+    elif op == "sin" or op == "cos":
+        factor = _dfunc("cos" if op == "sin" else "sin", x, full)
     else:
-        # d/dy^k is factor * da/dy^k, negated for cos
-        if op == "pow":
-            kc = (const(float(node.value)), zeros)
-            factor = _dual("mul", kc, _dpowi(x, node.value - 1, full), full)
-        elif op == "exp":
-            factor = (vals[node], d)
-        elif op == "sin" or op == "cos":
-            factor = _dfunc("cos" if op == "sin" else "sin", x, full)
-        else:
-            raise ExprError(f"cannot differentiate node {op!r}")
-        rows = [_rule("mul", None, factor[0], fa[k], factor[1], ha[k], full) for k in range(n)]
-        if op == "cos":
-            rows = [_rule("neg", None, None, None, r, None, full) for r in rows]
-    if rows and all(type(r) is not tuple for r in rows):
-        return d, np.array(rows)
-    return d, tuple(rows)
-
-
-def _block2(op, a, b, d, e, ha, hb):
-    """The first and second derivatives of an add, sub, mul or div whose
-    arguments, of values a and b, carry blocks: first derivatives d and e,
-    second ha and hb.  The operations are those _jet2's rows take, in the
-    same order: for a product d(a*b)/dy^k is (d_k a * b) + (a * d_k b), so
-    its derivative by y^l is ((d_kl a * b) + (d_k a * d_l b)) + ((d_l a *
-    d_k b) + (a * d_kl b)); a quotient's is that of
-    (d_k a * b - a * d_k b) / b**2, with (2*b) * d_l b for b**2."""
-    one = type(d) is list  # one point: the first derivatives are lists of scalars
-    if one:
-        d, e = np.array(d), np.array(e)
-    if op == "add":
-        f, h = d + e, ha + hb
-    elif op == "sub":
-        f, h = d - e, ha - hb
-    else:
-        dk, dl, ek, el = d[:, None], d[None], e[:, None], e[None]
-        if op == "mul":
-            f = d * b + a * e
-            h = (ha * b + dk * el) + (dl * ek + a * hb)
-        else:
-            num = d * b - a * e
-            den = _pow(b, 2)
-            f = num / den
-            dnum = (ha * b + dk * el) - (dl * ek + a * hb)
-            dden = (2.0 * b) * e
-            h = (dnum * den - num[:, None] * dden[None]) / _pow(den, 2)
-    return (list(f) if one else f), h
+        raise ExprError(f"cannot differentiate node {op!r}")
+    rows = [_rule("mul", None, factor[0], fa[k], factor[1], ha[k], full) for k in range(kit.n)]
+    if op == "cos":
+        rows = [_rule("neg", None, None, None, r, None, full) for r in rows]
+    return rows
 
 
 def _dual(op, x, y, full):

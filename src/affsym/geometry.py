@@ -137,23 +137,20 @@ class DiffusionSystem:
             conn.check_symmetric()
 
     def a_nondegenerate(self, pts):
-        """True when |det A| exceeds 1e-12 at every probe point (``as_points``)."""
-        return _nondegenerate(self.A.evaluate_many(pts))
+        """True when A is regular at every probe point (``as_points``), as
+        ``_regular`` judges it."""
+        return _regular(self.A.evaluate_many(pts))
 
 
-def _nondegenerate(a):
-    """True when |det A| exceeds 1e-12 at every point, from A's values a[P,
-    n, n].  A determinant beyond the float range is infinite, and counts as
-    nondegenerate, without numpy's overflow warning."""
-    with np.errstate(over="ignore"):
-        dets = np.linalg.det(a)
-    return bool(np.min(np.abs(dets)) > 1e-12)
-
-
-def _regular(jac):
-    """True when each Jacobian jac[p] has its smallest singular value
-    above 1e-12 times its largest."""
-    sv = np.linalg.svd(jac, compute_uv=False)
+def _regular(mats):
+    """True when each matrix mats[p] is finite and has its smallest singular
+    value above 1e-12 times its largest.  The test does not depend on the
+    matrix's scale (c * M passes for every c != 0 where M does), where a
+    determinant's size does, and a determinant beyond the float range
+    does not arise."""
+    if not np.isfinite(mats).all():
+        return False
+    sv = np.linalg.svd(mats, compute_uv=False)
     return bool((sv[:, -1] > 1e-12 * sv[:, 0]).all())
 
 
@@ -497,8 +494,8 @@ def metric_connection(g, pts=None):
     Gamma^k_ij = sum_s g^{ks}/2 (d g_sj/dy^i + d g_is/dy^j - d g_ij/dy^s),
 
     the unique symmetric connection with nabla g = 0.  g must pass
-    ``is_symmetric`` and be nonsingular at the probe points (``as_points``:
-    None gives the 20 sample points).
+    ``is_symmetric`` and be regular (``_regular``) at the probe points
+    (``as_points``: None gives the 20 sample points).
     """
     n = g.n
     pts = as_points(pts, n)
@@ -506,8 +503,7 @@ def metric_connection(g, pts=None):
         raise ValueError("metric must be a (0,2) field")
     if not g.is_symmetric():
         raise ValueError("metric is not symmetric")
-    dets = np.linalg.det(g.evaluate_many(pts))
-    if np.min(np.abs(dets)) < 1e-12:
+    if not _regular(g.evaluate_many(pts)):
         raise ValueError("metric is singular at a probe point")
     ginv = sym_matrix_inverse(g.comps)
     dg = grad(g.comps, n)  # [a, b, c] = d g_ab / dy^c

@@ -65,8 +65,8 @@ from .geometry import (
     _dual_mul,
     _field_tree,
     _nabla_terms,
-    _nondegenerate,
     _point_values,
+    _regular,
     _require_finite,
     _ricci_contractions,
     _undual,
@@ -136,8 +136,10 @@ def _conn_eq_full_exprs(sys, eta):
 def determining_residuals(sys, eta, pts=None):
     """Max-norm residuals of the two determining equations over sample
     points.  Returns {"res_A": ..., "res_Gamma": ...}; eta is accepted as a
-    symmetry when both stay within tolerance.  With det A = 0 at a probe
-    point the A-weighted connection equation replaces the reduced one.
+    symmetry when both stay within tolerance.  Where A is not regular at a
+    probe point (``geometry._regular``: its smallest singular value at most
+    1e-12 times its largest) the A-weighted connection equation replaces
+    the reduced one.
     Both are the values of their trees, evaluated checked
     (``geometry._point_values``): a residual that is not finite at a probe
     point raises DomainError naming the node.  The points pass
@@ -145,7 +147,7 @@ def determining_residuals(sys, eta, pts=None):
     pts = as_points(pts, sys.n)
     values = _point_values(sys.conn, pts, A=sys.A, eta=eta)
     lie_a, a = values(("lie_a",), ("A",))
-    which = "reduced" if _nondegenerate(a) else "full"
+    which = "reduced" if _regular(a) else "full"
     (res,) = values(("conn_eq" if which == "reduced" else "conn_eq_full",))
     return {
         "res_A": max_report(lie_a, pts),

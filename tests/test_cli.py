@@ -12,10 +12,11 @@ import pytest
 from affsym import cli, geometry
 from affsym.canonical import CANONICAL_KINDS
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
-from affsym.expr import DomainError, parse_expr
+from affsym.expr import ZERO, DomainError, parse_expr
 from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
 from affsym.symmetry import flow, pointwise_symmetry_bound
+from affsym.tensor import TensorField
 from affsym.pdesim import evolve, make_grid
 from affsym.util import sample_points
 
@@ -863,6 +864,31 @@ def test_from_diffusional_n3_symbolic():
 def test_from_diffusional_rejects_singular():
     with pytest.raises(InputError):
         from_diffusional([["y1"]], sample=[[0.0], [0.2]])
+
+
+@pytest.mark.parametrize("rows, c", [
+    ([["1 + y1*y1", "0"], ["0", "1"]], 2.0**-24),
+    ([["1 + y1*y1"]], 2.0**1000),
+])
+def test_from_diffusional_judges_a_singular_a_relative_to_its_scale(rows, c):
+    # Gamma = A^-1 (dA + dA^T)/2 does not change under A -> c*A; a power of
+    # two keeps the scaled constants exact, so the expansion's Gamma is the
+    # unscaled one to the bit, and A stays nondegenerate
+    n = len(rows)
+    pts = sample_points(n, 20)
+    scaled = from_diffusional([[f"{c!r}*({t})" for t in row] for row in rows]).to_system()
+    want = from_diffusional(rows).to_system().conn.evaluate_many(pts)
+    assert scaled.conn.evaluate_many(pts).tobytes() == want.tobytes()
+    assert scaled.a_nondegenerate(pts)
+
+
+def test_a_scaled_beyond_the_range_of_its_determinant_is_nondegenerate():
+    # |det A| is c^2 (1 + y1^2) here, beyond the float range; the judgement
+    # reads singular values and warns of nothing
+    c = 2.0**1000
+    a = TensorField.from_strings(2, 1, 1, [[f"{c!r}*(1 + y1*y1)", "0"], ["0", f"{c!r}"]])
+    sysd = geometry.DiffusionSystem(2, a, geometry.Connection(2, np.full((2, 2, 2), ZERO)))
+    assert sysd.a_nondegenerate(sample_points(2, 20))
 
 
 def test_from_diffusional_rejects_a_non_square_matrix():

@@ -845,7 +845,9 @@ def test_jets_name_the_node_whose_derivative_is_not_finite():
 
 def _second_corpus(case):
     """_jet_corpus's random DAGs and points, or the components of A, Gamma,
-    R, Ric and S of a fixture or of a JET_SPECS system at 5 sample points."""
+    R, Ric and S of a fixture or of a JET_SPECS system at 5 sample points
+    and the points (0, -0, 0, ...) and (-0, 0, -0, ...), where the terms
+    that the trees fold away would carry the other sign of zero."""
     if case.startswith("random"):
         return _jet_corpus(case)
     path = os.path.join(FIXTURES, case)
@@ -854,7 +856,9 @@ def _second_corpus(case):
     )
     parts = ricci_and_s(sysd.conn)
     fields = (sysd.A, sysd.conn.field, curvature(sysd.conn), parts["ricci"], parts["s"])
-    return [e for f in fields for e in f.comps.flat], sample_points(sysd.n, 5)
+    n = sysd.n
+    signed = [[(0.0, -0.0)[(k + s) % 2] for k in range(n)] for s in (0, 1)]
+    return [e for f in fields for e in f.comps.flat], np.vstack([sample_points(n, 5), signed])
 
 
 @pytest.mark.parametrize(
@@ -898,6 +902,42 @@ def test_second_derivatives_fault_where_the_trees_do():
         eval_many_shared([e], [x], checked=True, jets=True, second=1)
     with pytest.raises(DomainError):
         eval_many_shared([e, diff_expr(e, 1)], [x], checked=True, jets=True)
+
+
+@pytest.mark.parametrize("kind, n", [("constcurv_22_13", 3), ("constcurv_22_13", 4), ("constcurv_2d_22_14", 2)])
+def test_sums_products_and_quotients_take_their_second_derivatives_as_blocks(kind, n, monkeypatch):
+    # the invariance suite's walk (Ric with its second derivatives, Gamma,
+    # a rotation eta, R and S): an add, sub, mul, div or neg node forms its
+    # derivatives by block operations, also where its arguments' entries
+    # hold constant nodes (ZERO, ONE, 0.5), and never entry by entry
+    # through _rule; the walk does reach such nodes
+    sysd = canonical.build_system(canonical.CanonicalSpec(kind, n=n))
+    parts = ricci_and_s(sysd.conn)
+    eta = [neg(coord(2)), coord(1)] + [expr.ZERO] * (n - 2)
+    ric = list(parts["ricci"].comps.flat)
+    roots = ric + list(sysd.conn.gamma.flat) + eta
+    roots += list(curvature(sysd.conn).comps.flat) + list(parts["s"].comps.flat)
+    inside, walked, entries = [], set(), []
+    jet2, rule = expr._jet2, expr._rule
+
+    def watched_jet2(node, *args):
+        inside.append(node)
+        walked.add(node.op)
+        try:
+            return jet2(node, *args)
+        finally:
+            inside.pop()
+
+    def watched_rule(*args, **kwargs):
+        if inside and inside[-1].op in ("add", "sub", "mul", "div", "neg"):
+            entries.append(inside[-1])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "_jet2", watched_jet2)
+    monkeypatch.setattr(expr, "_rule", watched_rule)
+    eval_many_shared(roots, _second_corpus(f"{kind}_n{n}")[1], checked=True, jets=True, second=len(ric))
+    assert {"add", "sub", "mul", "div", "neg"} <= walked
+    assert entries == []
 
 
 TAYLOR_SPECS = {

@@ -4,6 +4,7 @@ structure residuals."""
 import numpy as np
 import pytest
 
+from affsym import geometry
 from affsym.expr import DomainError, const, coord, parse_expr
 from affsym.geometry import (
     Connection,
@@ -101,6 +102,38 @@ def test_curvature_skew_and_first_bianchi():
     # cyclic identity over the three lower slots
     cyc = R + R.transpose(0, 1, 3, 4, 2) + R.transpose(0, 1, 4, 2, 3)
     assert np.max(np.abs(cyc)) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [2.0**-24, 2.0**1000])
+def test_metric_connection_judges_a_singular_metric_relative_to_its_scale(c):
+    # |det(c g)| is c^2 |det g|: 2^-48 is below an absolute 1e-12 and
+    # 2^2000 beyond the float range, and neither makes g singular.  A power
+    # of two keeps every scaled constant exact, so the Christoffel symbols
+    # of c g are those of g to the bit, where the symbolic inverse of c g
+    # stays in range: at n = 2 for 2^-24, at n = 1 (the inverse is 1/g) for
+    # both
+    rows = [["1 + y1*y1", "0.5*y2"], ["0.5*y2", "2"]]
+    pts = sample_points(2, 20)
+    conn = metric_connection(TensorField.from_strings(2, 0, 2, [[f"{c!r}*({t})" for t in r] for r in rows]))
+    if c < 1.0:
+        want = metric_connection(TensorField.from_strings(2, 0, 2, rows)).evaluate_many(pts)
+        assert conn.evaluate_many(pts).tobytes() == want.tobytes()
+    one = metric_connection(TensorField.from_strings(1, 0, 2, [[[f"{c!r}*exp(2*y1)"]]]))
+    want = metric_connection(TensorField.from_strings(1, 0, 2, [[["exp(2*y1)"]]]))
+    pts = sample_points(1, 10)
+    assert one.evaluate_many(pts).tobytes() == want.evaluate_many(pts).tobytes()
+
+
+def test_regular_matrices_are_judged_by_their_singular_values():
+    # the smallest singular value over the largest: any nonzero scale
+    # passes, a rank-deficient or non-finite matrix does not
+    base = np.array([[[1.0, 0.5], [0.5, 2.0]], [[3.0, 0.0], [0.0, 1e-3]]])
+    for c in (2.0**-1000, 2.0**-24, 1.0, 2.0**1000, -(2.0**1000)):
+        assert geometry._regular(c * base)
+    assert not geometry._regular(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+    assert not geometry._regular(np.array([[[1.0, 0.0], [0.0, 1e-13]]]))
+    assert not geometry._regular(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
+    assert not geometry._regular(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 def test_constant_metric_gives_flat_connection():

@@ -28,7 +28,10 @@ fixture has n = 4, so three documents there (WIDE) run too: the
 constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
 (check-symmetry with a rotation, canonical) and an intermediate spec with
 m = 2 (check-symmetry, bound); their invariance values are at rounding
-level, so they pin the suite's bits at n = 4.  Both sets are written to the
+level, so they pin the suite's bits at n = 4.  Two more (SIGNED), the
+constant-curvature specs at n = 3 and in 2-D, sample points with 0.0 and
+-0.0 coordinates (check-symmetry with a rotation, canonical), where the
+second derivatives' signed zeros show.  The three sets are written to the
 temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
@@ -113,6 +116,22 @@ WIDE = {
         (["check-symmetry", "--eta=0,0,y4,-y3"], ["bound"]),
     ),
 }
+# Sample points with coordinates 0.0 and -0.0, where a term the trees fold
+# away (x + 0, 0*x) would carry the other sign of zero into the suite's and
+# canonical's second derivatives.
+SIGNED = {
+    "signed_constcurv_n3.json": (
+        {
+            "canonical": {"kind": "constcurv_22_13", "n": 3},
+            "sample": [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.1, -0.2, 0.25]],
+        },
+        (["check-symmetry", "--eta=-y2,y1,0"], ["canonical"]),
+    ),
+    "signed_constcurv_2d.json": (
+        {"canonical": {"kind": "constcurv_2d_22_14", "n": 2}, "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]]},
+        (["check-symmetry", "--eta=-y2,y1"], ["canonical"]),
+    ),
+}
 
 
 def commands(tmp):
@@ -155,7 +174,7 @@ def commands(tmp):
             ],
         ):
             yield name, [argv[0], path] + argv[1:]
-    for name, (doc, argvs) in {**HOSTILE, **WIDE}.items():
+    for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
