@@ -584,11 +584,13 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False, second=0):
     (R, P), row r holding root r.  With ``jets=True`` it returns the pair
     (values, gradients): the same array and the roots' first derivatives
     d/dy^1..d/dy^n as one (R, P, n) array, carried through the one walk in
-    forward mode (see _jet).  With ``second=s`` (which implies jets) the
-    first s roots also carry their second derivatives, and it returns the
-    triple (values, gradients, second derivatives), the last of shape (s,
-    P, n, n): entry [r, p, k, l] is the l-th derivative the jets walk of
-    ``diff_expr(root r, k)`` gives, to the bit (see _jet2).
+    forward mode, each to the bit the walk of ``diff_expr(root r, i)``
+    (see the note above _entry).  With ``second=s`` (which implies jets)
+    the first s roots also carry their second derivatives, and it returns
+    the triple (values, gradients, second derivatives), the last of shape
+    (s, P, n, n): entry [r, p, k, l] is the l-th derivative the jets walk
+    of ``diff_expr(root r, k)`` gives, to the bit.  At points of dimension
+    0 no derivatives are taken: the arrays have no entries.
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
@@ -617,11 +619,12 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     exactly when its operation raises a flag, so the node being computed
     when FloatingPointError arrives is the first out of the domain.
     Coordinates are checked to be finite, and constants are finite already.
-    With jets, each node's derivatives follow its value (see _jet) and are
-    dropped with it; so are the second derivatives of the nodes below the
-    first ``second`` roots (see _jet2), and of no other node.  The rows of
-    derivatives are assembled once per distinct root and indexed out to
-    the roots.
+    With jets, each node's first derivatives follow its value as a masked
+    block (see _forward and the note above _entry) and are dropped with
+    it; so are the second derivatives of the nodes below the first
+    ``second`` roots, and of no other node.  The rows of derivatives are
+    assembled once per distinct root and indexed out to the roots (see
+    _rows).
 
     At one point (P = 1) each value is a numpy float64, not a (1,) array:
     arithmetic on a numpy scalar costs about a tenth of the same on an
@@ -631,16 +634,15 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     """
     order, uses = _postorder(exprs)
     npts, dim = pts.shape
-    twice = _below(exprs[:second], order) if second and dim else ()  # none at dimension 0
     vals = {}
     grads = {}
     hess = {}
-    zeros = (ZERO,) * dim
     if npts == 1:
         columns, full = list(pts[0]), np.float64
     else:
         columns, full = pts.T, partial(np.full, npts)
-    kit = _Kit(dim, npts, full) if twice else None
+    kit = _Kit(dim, npts, full) if jets and dim else None  # no derivatives at dimension 0
+    twice = _below(exprs[:second], order) if second and kit else ()
     try:
         with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
             for node in order:
@@ -649,8 +651,8 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                 if not args:
                     if op == "const":
                         vals[node] = full(node.value)
-                        if jets:
-                            grads[node] = zeros
+                        if kit:
+                            grads[node] = kit.vec.zero
                     else:
                         if node.index > dim:
                             raise ExprError(
@@ -659,10 +661,11 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                         x = vals[node] = columns[node.index - 1]
                         if checked and not np.isfinite(x).all():
                             raise DomainError("non-finite value", node)
-                        if jets:
-                            grads[node] = tuple(ONE if k == node.index else ZERO for k in range(1, dim + 1))
+                        if kit:
+                            i = node.index - 1  # ONE at i, ZERO elsewhere
+                            grads[node] = None, kit.vec.every, kit.vec.every ^ 1 << i, {i: 1.0}
                     if node in twice:
-                        hess[node] = kit.mat.zero, _masked(grads[node], kit.vec)
+                        hess[node] = kit.mat.zero
                     continue
                 x = vals[args[0]]
                 if op == "mul":
@@ -680,12 +683,12 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                 else:
                     out = _VEC_FUNCS[op](x)
                 vals[node] = out
-                if jets:
+                if kit:
                     try:
                         if node in twice:
-                            grads[node], hess[node] = _jet2(node, vals, grads, hess, kit)
+                            grads[node], hess[node] = _forward(node, vals, grads, hess, kit)
                         else:
-                            grads[node] = _jet(node, vals, grads, full)
+                            grads[node] = _forward(node, vals, grads, None, kit)[0]
                     except FloatingPointError:
                         raise DomainError("non-finite derivative", node) from None
                 for a in args:
@@ -694,7 +697,7 @@ def _walk(exprs, pts, checked, jets=False, second=0):
                         uses[a] = left
                     else:
                         del vals[a]
-                        if jets:
+                        if kit:
                             del grads[a]
                             if twice:
                                 hess.pop(a, None)
@@ -703,12 +706,13 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     values = np.array([vals[e] for e in exprs]).reshape(len(exprs), npts)
     if not jets:
         return values
-    jac = _rows(exprs, grads, (npts, dim))
+    if not kit:  # points of dimension 0: derivatives without entries
+        out = values, np.zeros((len(exprs), npts, 0)), np.zeros((len(exprs[:second]), npts, 0, 0))
+        return out if second else out[:2]
+    jac = _rows(exprs, grads, kit.vec, kit)
     if not second:
         return values, jac
-    if not twice:  # no roots, or points of dimension 0
-        return values, jac, np.zeros((len(exprs[:second]), npts, dim, dim))
-    return values, jac, _rows(exprs[:second], hess, (npts, dim, dim), kit)
+    return values, jac, _rows(exprs[:second], hess, kit.mat, kit)
 
 
 def _below(roots, order):
@@ -721,34 +725,22 @@ def _below(roots, order):
     return found
 
 
-def _rows(roots, table, shape, kit=None):
-    """The roots' derivatives from ``table`` as one float array of shape
-    (R,) + shape: first derivatives (node -> entries, see _jet) with shape
-    (P, n), or second (node -> masked blocks, see _jet2) with shape
-    (P, n, n), a ZERO entry being +0.  Each distinct root's rows are
-    written once, then indexed out to every root."""
+def _rows(roots, table, lay, kit):
+    """The roots' derivatives from ``table`` (node -> masked block of layout
+    lay, see the note above _entry) as one float array of shape (R, P) +
+    lay.entries: (R, P, n) for first derivatives, (R, P, n, n) for second,
+    a ZERO entry being +0.  Each distinct root's rows are written once,
+    then indexed out to every root."""
     rows = {}
     index = [rows.setdefault(e, len(rows)) for e in roots]
-    out = np.empty((len(rows),) + shape)
+    out = np.empty((len(rows), kit.npts) + lay.entries)
     for e, r in rows.items():
-        if kit is None:
-            _fill(out[r], table[e])
-            continue
-        h = table[e][0]
-        v = _values(h, kit.mat)
+        x = table[e]
+        v = _values(x, lay)
         out[r] = v if kit.one else np.moveaxis(v, -1, 0)
-        if h[2] and h[0] is not None:
-            np.copyto(out[r], 0.0, where=_where(h[2], kit.mat).reshape(shape[1:]))
+        if x[2] and x[0] is not None:
+            np.copyto(out[r], 0.0, where=_where(x[2], lay).reshape(lay.entries))
     return out[index]
-
-
-def _fill(out, d):
-    """Write one node's n derivative entries d (see _jet) into out[P, n]."""
-    if type(d) is np.ndarray:
-        out[...] = d.T
-    else:  # one point's list of scalars, or entries with constant nodes
-        for i, u in enumerate(d):
-            out[:, i] = u.value if isinstance(u, Expr) else u
 
 
 def _pow(x, k):
@@ -764,45 +756,36 @@ def _pow(x, k):
 
 
 # Forward mode: each node's derivatives d/dy^1..d/dy^n ride along with its
-# value (Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008, ch. 3).
-# Each derivative is an entry that stands for the tree diff_expr would build:
-# the constant node where that tree is one (ZERO, ONE, a folded constant), a
-# value (an array, or a scalar at one point) otherwise.  The _j* helpers are
-# the smart constructors on entries: they fold and simplify exactly where
-# add, sub, mul, div, neg and powi do (a constant denominator is squared by
-# powi), and otherwise apply the node's operation to values, as the walk of
-# the tree does.  A constant argument's derivatives are all ZERO, so the
-# rules of the unary nodes see only values.  So _jet repeats _diff_node term
-# for term, and each derivative is bitwise the walk of its tree, signed
-# zeros included.  A node whose n entries are all values keeps them as one
-# block: an (n, P) array, on which each rule runs once (elementwise, that is
-# the same operations), or at one point the list of n scalars.  Entries with
-# a constant node among them are a tuple.  A flag comes from a node the
-# trees have or, rarely, from a term they fold away, and the walk raises
-# it as a DomainError naming the node whose derivative it computes.
+# value (Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008,
+# ch. 3 and 13).  Each derivative is an entry that stands for the tree
+# diff_expr would build: the constant node where that tree is one (ZERO,
+# ONE, a folded constant), a value otherwise.  A node keeps its n first
+# derivatives as one masked block (v, m, z, c): v holds the entries'
+# values, an (n, P) array ((n,) at one point), m has bit i set where entry
+# i is a constant node, z where that node is ZERO, and c maps every other
+# constant entry to its value.  v holds those constants too, so that an
+# operation with a value is the walk of the tree; at a ZERO entry it holds
+# a zero of either sign (a nan, unchecked), which no operation reads.
+# Where every entry is a constant v may be None, made from c when a value
+# needs it.  A node below the roots that ask for second derivatives also
+# keeps them as a masked (n, n) block (values (n, n, P), bit k*n + l for
+# entry [k, l]): row k is the derivatives of the tree diff_expr builds for
+# y^k.
 #
-# Second derivatives go one step further (Griewank and Walther, ch. 13):
-# row k of a node's second derivatives is the derivatives of the tree
-# diff_expr builds for y^k.  A node below the roots that ask for them keeps
-# its first and second derivatives as masked blocks (v, m, z, c): v holds
-# the entries' values, one (n, P) or (n, n, P) array ((n,) or (n, n) at one
-# point), m has bit i (k*n + l for entry [k, l]) set where the entry is a
-# constant node, z where that node is ZERO, and c maps every other constant
-# entry to its value.  v holds those constants too, so that an operation
-# with a value is the walk of the tree; at a ZERO entry it holds a zero of
-# either sign (a nan, unchecked), which no operation reads.  Where every
-# entry is a constant v may be None, made from c when a value needs it.
-# The _m* helpers apply _jadd, _jsub, _jmul, _jdiv and _jneg to every
-# entry at once: the constants fold in Python floats, as the smart
-# constructors fold them (ExprError on a non-finite result, ZERO for a
-# zero), before the values are one numpy operation on the block; where a
-# fold returns an argument (x + ZERO is x, also for x = -0; ZERO - x is -x)
-# that argument is copied in.  So the rules of add, sub, mul, div and neg,
-# differentiated once more, are a handful of block operations whatever
-# constants their arguments' entries hold (_jet2), and the first
-# derivatives in grads are read off the masked ones.  The other nodes
-# follow _diff_node's rule for each y^k on the entries (_rule, and _dual
-# for a denominator the rule squares), and their rows are masked once.
+# The _m* helpers are the smart constructors on every entry of a block at
+# once: the constants fold in Python floats, as add, sub, mul, div and neg
+# fold them (ExprError on a non-finite result, ZERO for a zero), before the
+# values are one numpy operation on the block; where a fold returns an
+# argument (x + ZERO is x, also for x = -0; ZERO - x is -x) that argument
+# is copied in.  _forward follows _diff_node's rule for the node, term for
+# term, on blocks: an add, sub, mul, div or neg combines its arguments'
+# blocks, and each derivative of a pow or a function is a product or a
+# quotient of its argument's by one per-point factor, whose derivatives
+# give the second by the product or the quotient rule (_quotient2).  A constant denominator is
+# squared by powi.  So each derivative is bitwise the walk of its tree,
+# signed zeros included.  A flag comes from a node the trees have or,
+# rarely, from a term they fold away, and the walk raises it as a
+# DomainError naming the node whose derivative it computes.
 
 
 def _entry(node, vals):
@@ -810,63 +793,8 @@ def _entry(node, vals):
     return node if node.op == "const" else vals[node]
 
 
-def _jadd(x, y):
-    if isinstance(x, Expr):
-        if isinstance(y, Expr):
-            return add(x, y)
-        return y if x is ZERO else x.value + y
-    if isinstance(y, Expr):
-        return x if y is ZERO else x + y.value
-    return x + y
-
-
-def _jsub(x, y):
-    if isinstance(y, Expr):
-        if isinstance(x, Expr):
-            return sub(x, y)
-        return x if y is ZERO else x - y.value
-    if isinstance(x, Expr):
-        return -y if x is ZERO else x.value - y
-    return x - y
-
-
-def _jmul(x, y):
-    if isinstance(x, Expr):
-        if isinstance(y, Expr):
-            return mul(x, y)
-        if x is ZERO:
-            return ZERO
-        if x is ONE:
-            return y
-        return -y if x is _MINUS_ONE else x.value * y
-    if isinstance(y, Expr):
-        if y is ZERO:
-            return ZERO
-        if y is ONE:
-            return x
-        return -x if y is _MINUS_ONE else x * y.value
-    return x * y
-
-
-def _jneg(x):
-    return neg(x) if isinstance(x, Expr) else -x
-
-
-def _jdiv(x, y, full):
-    """div on entries; ``full`` makes a value of a constant (the walk's
-    constant at every point)."""
-    if isinstance(y, Expr):
-        if isinstance(x, Expr):
-            out = div(x, y)
-            return out if out.op == "const" else full(x.value) / y.value
-        return x if y is ONE else x / y.value
-    if isinstance(x, Expr):
-        return ZERO if x is ZERO else x.value / y
-    return x / y
-
-
 def _jpowi(x, k):
-    """powi on an entry.  The only constant entry it gets is a division's
+    """powi on an entry.  The only constant entry it gets is a quotient's
     denominator, squared, which powi always folds (or rejects with its
     ExprError); a value is raised to k as the walk raises it."""
     if isinstance(x, Expr):
@@ -876,92 +804,6 @@ def _jpowi(x, k):
     return _pow(x, k)
 
 
-def _each(rule, d, e=None):
-    """``rule`` over a node's first derivatives ``d`` (and ``e``, its second
-    argument's), or over a row of second derivatives: once on the (n, P)
-    blocks when both are arrays, the rule then being elementwise numpy
-    operations, else entry by entry, the result a block when no entry is a
-    constant node (an array of the entries' arrays, or one point's list of
-    scalars), else a tuple."""
-    if e is None:
-        if type(d) is np.ndarray:
-            return rule(d)
-        out = [rule(u) for u in d]
-    elif type(d) is np.ndarray and type(e) is np.ndarray:
-        return rule(d, e)
-    else:
-        out = [rule(u, v) for u, v in zip(d, e)]
-    if not out:
-        return ()  # a point of dimension 0 has no derivatives
-    for u in out:
-        if isinstance(u, Expr):
-            return tuple(out)
-    return np.array(out) if type(out[0]) is np.ndarray else out
-
-
-def _jet(node, vals, grads, full):
-    """The derivatives of a node with arguments, from its value, its
-    arguments' values and their derivatives (``_rule``)."""
-    args = node.args
-    a = args[0]
-    x = a if a.op == "const" else vals[a]
-    if len(args) == 1:
-        return _rule(node.op, vals[node], x, None, grads[a], None, full, node.value)
-    b = args[1]
-    return _rule(node.op, vals[node], x, b if b.op == "const" else vals[b], grads[a], grads[b], full)
-
-
-def _rule(op, out, a, b, d, e, full, k=None):
-    """_diff_node's rule for each y^i on the entries of _jadd and the others
-    above: the derivatives of a node of op ``op`` and value ``out`` whose
-    arguments have the entries a and b (b None for one argument) and the
-    derivatives d and e, k being a power's exponent.  When both arguments
-    of an add, sub or mul carry blocks, so are not constants, the rule is
-    the block's operations written out: the same operations in the same
-    order, without the entry-by-entry dispatch."""
-    if op == "add" or op == "sub" or op == "mul":
-        kind = type(d)
-        if kind is type(e) and kind is not tuple:
-            if op == "mul":
-                if kind is list:
-                    return [u * b + a * v for u, v in zip(d, e)]
-                return d * b + a * e
-            if op == "add":
-                return [u + v for u, v in zip(d, e)] if kind is list else d + e
-            return [u - v for u, v in zip(d, e)] if kind is list else d - e
-        if op == "add":
-            return _each(_jadd, d, e)
-        if op == "sub":
-            return _each(_jsub, d, e)
-        return _each(lambda u, v: _jadd(_jmul(u, b), _jmul(a, v)), d, e)
-    if op == "neg":
-        return _each(_jneg, d)
-    if op == "div":
-        den = _jpowi(b, 2)
-        rule = lambda u, v: _jdiv(_jsub(_jmul(u, b), _jmul(a, v)), den, full)
-        return _each(rule, d, e)
-    if op == "ln":
-        return _each(lambda u: _jdiv(u, a, full), d)
-    if op == "exp":
-        return _each(lambda u: _jmul(out, u), d)
-    kc = const(float(k)) if op == "pow" else None  # built, and checked, in every tree
-    if type(d) is tuple and all(u is ZERO for u in d):
-        return d  # each rule below is a product with d/dy^i, which folds to ZERO
-    if op == "pow":
-        factor = _jmul(kc, _jpowi(a, k - 1))
-        return _each(lambda u: _jmul(factor, u), d)
-    if op == "sqrt":
-        den = _jmul(_TWO, out)
-        return _each(lambda u: _jdiv(u, den, full), d)
-    if op == "sin":
-        c = np.cos(a)
-        return _each(lambda u: _jmul(c, u), d)
-    if op == "cos":
-        s = np.sin(a)
-        return _each(lambda u: _jneg(_jmul(s, u)), d)
-    raise ExprError(f"cannot differentiate node {op!r}")
-
-
 _NONE = {}  # the constants of a block that has none other than ZERO; never written to
 # Memos of _bits, _where and _moved, kept across walks: a walk meets a few
 # dozen patterns of constant entries, the same in every walk of a system.
@@ -969,31 +811,31 @@ _BITS, _MASKS, _MOVED = {}, {}, {}
 
 
 class _Layout:
-    """Masked blocks of one shape of entries: ``size`` entries (n first
-    derivatives, or n*n second), ``every`` the bits of them all, ``shape``
-    that of an array of constants (with a trailing axis of 1 for the
-    points, none at one point), ``full`` that of an array of values, and
-    ``zero`` the block whose entries are all ZERO."""
+    """Masked blocks of one shape of ``entries``, (n,) for first derivatives
+    or (n, n) for second: ``size`` entries, ``every`` the bits of them all,
+    ``shape`` that of an array of constants (with a trailing axis of 1 for
+    the points, none at one point), and ``zero`` the block whose entries
+    are all ZERO."""
 
-    __slots__ = ("size", "every", "shape", "full", "zero")
+    __slots__ = ("entries", "size", "every", "shape", "zero")
 
     def __init__(self, entries, npts):
+        self.entries = entries
         self.size = math.prod(entries)
         self.every = (1 << self.size) - 1
         self.shape = entries if npts == 1 else entries + (1,)
-        self.full = entries if npts == 1 else entries + (npts,)
         self.zero = (None, self.every, self.every, _NONE)
 
 
 class _Kit:
-    """What one walk's masked blocks share: the dimension n, ``full`` (see
-    _walk), and the layouts of first (``vec``) and second derivatives
-    (``mat``)."""
+    """What one walk's masked blocks share: the dimension n, the number of
+    points (``one`` at one point), ``full`` (see _walk), and the layouts of
+    first (``vec``) and second derivatives (``mat``)."""
 
-    __slots__ = ("n", "one", "full", "vec", "mat")
+    __slots__ = ("n", "npts", "one", "full", "vec", "mat")
 
     def __init__(self, n, npts, full):
-        self.n, self.one, self.full = n, npts == 1, full
+        self.n, self.npts, self.one, self.full = n, npts, npts == 1, full
         self.vec = _Layout((n,), npts)
         self.mat = _Layout((n, n), npts)
 
@@ -1066,7 +908,7 @@ def _folded(i, r, z, c):
 
 
 def _madd(x, y, lay):
-    """_jadd on each entry of the masked blocks x and y."""
+    """add on each entry of the masked blocks x and y."""
     vx, mx, zx, cx = x
     vy, my, zy, cy = y
     if zx == lay.every:
@@ -1090,7 +932,7 @@ def _madd(x, y, lay):
 
 
 def _msub(x, y, lay):
-    """_jsub on each entry of the masked blocks x and y."""
+    """sub on each entry of the masked blocks x and y."""
     vx, mx, zx, cx = x
     vy, my, zy, cy = y
     if zy == lay.every:
@@ -1114,13 +956,13 @@ def _msub(x, y, lay):
 
 
 def _mneg(x):
-    """_jneg on each entry of a masked block."""
+    """neg on each entry of a masked block."""
     v, m, z, c = x
     return (None if v is None else -v), m, z, {i: -u for i, u in c.items()}
 
 
 def _mmul(x, y, lay):
-    """_jmul on each entry of the masked blocks x and y."""
+    """mul on each entry of the masked blocks x and y."""
     vx, mx, zx, cx = x
     vy, my, zy, cy = y
     if not (mx | my):
@@ -1137,8 +979,8 @@ def _mmul(x, y, lay):
 
 
 def _mscale(x, s, lay):
-    """_jmul(u, s) on each entry u of the masked block x, for one entry s
-    (a node's, the same at every index)."""
+    """mul(u, s) on each entry u of the masked block x, for one entry s (a
+    node as a derivative entry, see _entry; the same at every index)."""
     vx, mx, zx, cx = x
     if isinstance(s, Expr):
         if s is ZERO:
@@ -1159,8 +1001,9 @@ def _mscale(x, s, lay):
 
 
 def _mdiv(x, s, lay, full):
-    """_jdiv(u, s, full) on each entry u of the masked block x, for one
-    entry s (a denominator, the same at every index)."""
+    """div(u, s) on each entry u of the masked block x, for one entry s (a
+    denominator, the same at every index); ``full`` makes a value of a
+    constant (the walk's constant at every point)."""
     vx, mx, zx, cx = x
     if isinstance(s, Expr):
         if s is ONE:
@@ -1214,202 +1057,131 @@ def _filled(x, lay):
     return x
 
 
-def _masked(d, lay, rows=False):
-    """Derivative entries as grads or _rule hold them (a block, a list of
-    scalars, a tuple with constant nodes) as a masked block of layout lay;
-    with ``rows``, d is the list of a node's n rows of second derivatives."""
-    if rows:
-        if all(type(row) is not tuple for row in d):
-            return np.array(d), 0, 0, _NONE
-        d = [u for row in d for u in row]
-    elif type(d) is np.ndarray:
-        return d, 0, 0, _NONE
-    elif type(d) is list:
-        return np.array(d), 0, 0, _NONE
-    m = z = 0
-    c = {}
-    for i, u in enumerate(d):
-        if isinstance(u, Expr):
-            m |= 1 << i
-            if u is ZERO:
-                z |= 1 << i
-            else:
-                c[i] = u.value
-    if m == lay.every:
-        return None, m, z, c
-    v = np.empty(lay.full)
-    flat = v.reshape(lay.size, -1)
-    for i, u in enumerate(d):
-        flat[i] = u.value if isinstance(u, Expr) else u
-    return v, m, z, c
-
-
-def _unmasked(f, kit, row=None):
-    """A masked block's entries as _rule takes them (see _each): of first
-    derivatives f, or of row ``row`` of second derivatives f."""
-    v, m, z, c = f
-    n = kit.n
-    if row is not None:
-        lo = row * n
-        v = None if v is None else v[row]
-        m, z = m >> lo & kit.vec.every, z >> lo & kit.vec.every
-        c = {i - lo: u for i, u in c.items() if lo <= i < lo + n}
-    if not m:
-        return list(v) if kit.one else v
-    return tuple(
-        (ZERO if z >> i & 1 else const(c[i])) if m >> i & 1 else v[i] for i in range(n)
-    )
-
-
-def _jet2(node, vals, grads, hess, kit):
-    """A node's first derivatives, as _jet gives them, and its masked first
-    and second derivatives (see the note above _entry): row k of the
-    second holds the derivatives of d node/dy^k.  An add, sub, mul, div or
-    neg takes them as masked block operations from its arguments' (their
-    entries, first and second derivatives), in the order of the terms of
-    the trees _diff_node builds for them; any other node takes them entry
-    by entry, row k from _rule on the node _diff_node builds for y^k."""
+def _forward(node, vals, grads, hess, kit):
+    """A node's masked first derivatives from its value and its arguments'
+    entries, values and first derivatives (``grads``), and, given the table
+    ``hess`` of its arguments' second derivatives, its own (else None): row
+    k of the second holds the derivatives of d node/dy^k.  Both are block
+    operations in the order of the terms of the trees _diff_node builds
+    (see the note above _entry)."""
     op = node.op
-    args = node.args
-    a = args[0]
-    ha, fa = hess[a]
+    a = node.args[0]
+    fa = grads[a]
+    ha = None if hess is None else hess[a]
     vec, mat = kit.vec, kit.mat
-    if op == "neg":
-        f, h = _mneg(fa), _mneg(ha)
-    elif op in _BINOPS:
-        b = args[1]
-        hb, fb = hess[b]
-        if op == "add":
-            f, h = _madd(fa, fb, vec), _madd(ha, hb, mat)
-        elif op == "sub":
-            f, h = _msub(fa, fb, vec), _msub(ha, hb, mat)
+    if op == "add" or op == "sub" or op == "mul" or op == "div":
+        b = node.args[1]
+        fb = grads[b]
+        if op == "add" or op == "sub":
+            rule = _madd if op == "add" else _msub
+            return rule(fa, fb, vec), None if ha is None else rule(ha, hess[b], mat)
+        # the arguments' constants that meet values are made arrays once
+        x, y = _entry(a, vals), _entry(b, vals)
+        if not isinstance(x, Expr):
+            grads[b] = fb = _filled(fb, vec)
+        if not isinstance(y, Expr):
+            grads[a] = fa = _filled(fa, vec)
+        if op == "mul":
+            f = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
         else:
-            # d/dy^k of a product is (d_k a * b) + (a * d_k b), and its
-            # derivative by y^l is p + q, p = (d_kl a * b) + (d_k a * d_l b)
-            # and q = (d_l a * d_k b) + (a * d_kl b), whose middle terms are
-            # each other's transpose; a quotient's is (d_k a * b - a * d_k b)
-            # over b**2, whose numerator has the derivatives p - q.  The
-            # arguments' constants that meet values are made arrays once.
-            x, y = _entry(a, vals), _entry(b, vals)
-            if (hb[0] is None or fb[0] is None) and not isinstance(x, Expr):
-                hess[b] = hb, fb = _filled(hb, mat), _filled(fb, vec)
-            if (ha[0] is None or fa[0] is None) and not isinstance(y, Expr):
-                hess[a] = ha, fa = _filled(ha, mat), _filled(fa, vec)
-            if op == "mul":
-                f = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
-            else:
-                den = _jpowi(y, 2)
-                num = _msub(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
-                f = _mdiv(num, den, vec, kit.full)
-                # the rows k where num_k / den folds to a constant (ZERO over
-                # a value, a constant over a constant); den**2 is built, as
-                # in the trees, where some row does not fold
-                folded = num[2] if not isinstance(den, Expr) else 0 if den is ZERO else num[1]
-                den2 = None if den is ONE or folded == vec.every else _jpowi(den, 2)
-            outer = _mmul(_spread(fa, 0, kit), _spread(fb, 1, kit), mat)
-            p = _madd(_mscale(ha, y, mat), outer, mat)
-            q = _madd(_transpose(outer, kit), _mscale(hb, x, mat), mat)
-            if op == "mul":
-                h = _madd(p, q, mat)
-            else:
-                h = _quotient2(num, _msub(p, q, mat), den, den2, folded, y, fb, kit)
+            den = _jpowi(y, 2)
+            num = _msub(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
+            f = _mdiv(num, den, vec, kit.full)
+        if ha is None:
+            return f, None
+        hb = hess[b]
+        if not isinstance(x, Expr):
+            hess[b] = hb = _filled(hb, mat)
+        if not isinstance(y, Expr):
+            hess[a] = ha = _filled(ha, mat)
+        # d/dy^k of a product is (d_k a * b) + (a * d_k b), and its
+        # derivative by y^l is p + q, p = (d_kl a * b) + (d_k a * d_l b) and
+        # q = (d_l a * d_k b) + (a * d_kl b), whose middle terms are each
+        # other's transpose; a quotient's is (d_k a * b - a * d_k b) over
+        # b**2, whose numerator has the derivatives p - q, and b**2 the
+        # derivatives (2 * b) * d_l b
+        outer = _mmul(_spread(fa, 0, kit), _spread(fb, 1, kit), mat)
+        p = _madd(_mscale(ha, y, mat), outer, mat)
+        q = _madd(_transpose(outer, kit), _mscale(hb, x, mat), mat)
+        if op == "mul":
+            return f, _madd(p, q, mat)
+        dden = vec.zero if isinstance(y, Expr) else _mscale(fb, 2.0 * y, vec)
+        return f, _quotient2(num, _msub(p, q, mat), den, dden, kit)
+    if op == "neg":
+        return _mneg(fa), None if ha is None else _mneg(ha)
+    if op == "pow":
+        kc = const(float(node.value))  # built, and checked, in every tree
+    if fa[2] == vec.every and op != "ln":
+        # each rule below is a product with d a/dy^k, or a quotient of it,
+        # which folds to ZERO; so is ln's but of ZERO, div(ZERO, ZERO)
+        # being a node, so ln takes its rule
+        return fa, ha
+    x, out = _entry(a, vals), vals[node]
+    if op == "ln" or op == "sqrt":
+        # d/dy^k is d a/dy^k over a, or over 2 * node, whose derivatives
+        # are a's, or 2 times the node's
+        den = x if op == "ln" else 2.0 * out
+        f = _mdiv(fa, den, vec, kit.full)
+        if ha is None:
+            return f, None
+        return f, _quotient2(fa, ha, den, fa if op == "ln" else _mscale(f, _TWO, vec), kit)
+    # d/dy^k is factor * d a/dy^k, negated for cos
+    if op == "pow":
+        k = node.value
+        p = _jpowi(x, k - 1)
+        factor = -p if kc is _MINUS_ONE else kc.value * p  # kc * a**(k - 1)
+    elif op == "exp":
+        factor = out
+    elif op == "sin" or op == "cos":
+        factor = np.cos(x) if op == "sin" else np.sin(x)
     else:
-        d = _jet(node, vals, grads, kit.full)
-        rows = _rows2(node, vals, grads[a], d, [_unmasked(ha, kit, k) for k in range(kit.n)], kit)
-        return d, (_masked(rows, mat, True), _masked(d, vec))
-    return _unmasked(f, kit), (h, f)
+        raise ExprError(f"cannot differentiate node {op!r}")
+    f = _mscale(fa, factor, vec)
+    if ha is None:
+        return (_mneg(f) if op == "cos" else f), None
+    # the factor's derivatives: for a power kc times those of a**(k - 1),
+    # which are a's for k = 2, else ((k - 1) * a**(k - 2)) times a's; for
+    # exp the node's; for sin and cos those of cos a and sin a, which are
+    # -(sin a * d a) and cos a * d a, the node being sin a or cos a
+    if op == "pow":
+        dp = fa if k == 2 else _mscale(fa, float(k - 1) * _jpowi(x, k - 2), vec)
+        dfactor = _mscale(dp, kc, vec)
+    elif op == "exp":
+        dfactor = f
+    else:
+        dfactor = _mscale(fa, out, vec)
+        if op == "sin":
+            dfactor = _mneg(dfactor)
+    # row k is the derivatives of factor * d a/dy^k:
+    # (d factor * d a/dy^k) + (factor * d(d a/dy^k))
+    terms = _mmul(_spread(dfactor, 1, kit), _spread(fa, 0, kit), mat)
+    h = _madd(terms, _mscale(ha, factor, mat), mat)
+    return (_mneg(f), _mneg(h)) if op == "cos" else (f, h)
 
 
-def _quotient2(num, dnum, den, den2, folded, b, db, kit):
-    """The second derivatives of a quotient by b, from the numerators num of
-    its first derivatives (over den = b**2) and their derivatives dnum, and
-    from b's first derivatives db: row k is the derivatives of num_k / den,
-    (dnum_k * den - num_k * dden) / den2 with dden = (2 * b) * db and
-    den2 = den**2.  Where num_k / den folds, as div folds it, row k is the
-    derivatives of the node it folds to: num_k itself by a denominator ONE,
-    else a constant, whose rows ``folded`` are ZERO (den2 None where every
-    row folds)."""
+def _quotient2(num, dnum, den, dden, kit):
+    """The second derivatives of a node whose first derivatives are num_k
+    over den (an entry), from the derivatives dnum of the numerators num
+    and dden of the denominator: row k is the derivatives of num_k / den,
+    (dnum_k * den - num_k * dden) / den**2.  Where num_k / den folds, as
+    div folds it, row k is the derivatives of the node it folds to: num_k
+    itself by a denominator ONE, else a constant, whose row is ZERO.
+    den**2 is built, as in the trees, where some row does not fold."""
     mat = kit.mat
     if den is ONE:
         return dnum
-    if den2 is None:
+    # the rows that fold: ZERO over a value, a constant over a constant
+    # other than ZERO
+    folded = num[2] if not isinstance(den, Expr) else 0 if den is ZERO else num[1]
+    if folded == kit.vec.every:
         return mat.zero
-    dden = kit.vec.zero if isinstance(b, Expr) else _mscale(db, 2.0 * b, kit.vec)
+    den2 = _jpowi(den, 2)
     top = _msub(_mscale(dnum, den, mat), _mmul(_spread(num, 0, kit), _spread(dden, 1, kit), mat), mat)
     v, m, z, c = _mdiv(top, den2, mat, kit.full)
     if not folded:
         return v, m, z, c
     rows = _moved(folded, 0, kit.n)  # which a division by a ZERO den2 leaves values
     return v, m | rows, z | rows, {i: u for i, u in c.items() if not rows >> i & 1}
-
-
-def _rows2(node, vals, fa, d, ha, kit):
-    """The rows of second derivatives of a node of one argument (a pow or a
-    function) entry by entry: row k is _rule's derivatives of the node
-    _diff_node builds for y^k, from the argument's entry, its first
-    derivatives fa and their rows ha, and the node's value and first
-    derivatives d."""
-    op = node.op
-    full = kit.full
-    zeros = (ZERO,) * kit.n
-    x = (_entry(node.args[0], vals), fa)
-    if op == "ln" or op == "sqrt":
-        # d/dy^k is da/dy^k over a, or over 2 * node
-        den = x if op == "ln" else _dual("mul", (_TWO, zeros), (vals[node], d), full)
-        return [_dual("div", (fa[k], ha[k]), den, full)[1] for k in range(kit.n)]
-    # d/dy^k is factor * da/dy^k, negated for cos
-    if op == "pow":
-        kc = (const(float(node.value)), zeros)
-        factor = _dual("mul", kc, _dpowi(x, node.value - 1, full), full)
-    elif op == "exp":
-        factor = (vals[node], d)
-    elif op == "sin" or op == "cos":
-        factor = _dfunc("cos" if op == "sin" else "sin", x, full)
-    else:
-        raise ExprError(f"cannot differentiate node {op!r}")
-    rows = [_rule("mul", None, factor[0], fa[k], factor[1], ha[k], full) for k in range(kit.n)]
-    if op == "cos":
-        rows = [_rule("neg", None, None, None, r, None, full) for r in rows]
-    return rows
-
-
-def _dual(op, x, y, full):
-    """mul or div on duals (entry, derivatives): the smart constructor's
-    fold where it folds (a constant, or an argument itself), else the node
-    it would build, its value from _jmul or _jdiv and its derivatives from
-    _rule."""
-    (u, du), (v, dv) = x, y
-    w = _jmul(u, v) if op == "mul" else _jdiv(u, v, full)
-    if isinstance(w, Expr):
-        return w, (ZERO,) * len(du)
-    if w is u:
-        return x
-    if w is v:
-        return y
-    return w, _rule(op, w, u, v, du, dv, full)
-
-
-def _dpowi(x, k, full):
-    """powi on a dual, for k != 0.  A constant base that powi leaves as a
-    node (a Fraction power, zero to a negative power) has a value and no
-    derivatives."""
-    if k == 1:
-        return x
-    u, du = x
-    if isinstance(u, Expr):
-        p = powi(u, k)
-        return (p if p.op == "const" else _pow(full(u.value), k)), du
-    w = _pow(u, k)
-    return w, _rule("pow", w, u, None, du, None, full, k)
-
-
-def _dfunc(name, x, full):
-    """sin or cos of a dual; of a constant it is the constant func folds."""
-    u, du = x
-    if isinstance(u, Expr):
-        return func(name, u), du
-    w = _VEC_FUNCS[name](u)
-    return w, _rule(name, w, u, None, du, None, full)
 
 
 # ---------------------------------------------------------------------------

@@ -685,30 +685,21 @@ def _hex(values):
 )
 def test_jets_are_bitwise_the_derivative_trees(case):
     # the forward-mode walk against walking [e, d e/dy^1, ..., d e/dy^n]:
-    # values and derivatives agree to the last bit, signed zeros included
-    if case.startswith("random"):
-        n = int(case[-1])
-        rng = np.random.default_rng(1800 + n)
-        odd = _squares_apart(rng, 4)
-        roots = [_random_tree(rng, n, int(rng.integers(1, 5)), odd) for _ in range(60)]
-        roots += [div(coord(1), const(c)) for c in odd] + [coord(n), const(0.5), neg(coord(1))]
-        # the points where y is 0 and -0 reach the signs of zero terms
-        pts = np.vstack([sample_points(n, 4), [[0.0, -0.0, 0.0][k % 3] for k in range(n)]])
-    else:
-        path = os.path.join(FIXTURES, case)
-        sysd = canonical.build_system(JET_SPECS[case]) if case in JET_SPECS else (
-            SystemDocument.load(path).to_system()
-        )
-        n, roots = sysd.n, _invariant_roots(sysd)
-        pts = sample_points(n, 4)
-    vals, grads = eval_many_shared(roots, pts, checked=True, jets=True)
-    assert len(vals) == len(grads) == len(roots)
-    for e, v, g in zip(roots, vals, grads):
-        want = eval_many_shared([e, *(diff_expr(e, i) for i in range(1, n + 1))], pts, checked=True)
-        assert g.shape == (len(pts), n)
-        assert _hex(v) == _hex(want[0]), str(e)
-        for i in range(n):
-            assert _hex(g[:, i]) == _hex(want[i + 1]), (str(e), i + 1)
+    # values and derivatives agree to the last bit, signed zeros included;
+    # a fixture or system also runs _second_corpus's A, Gamma, R, Ric and S,
+    # whose points (0, -0, ...) and (-0, 0, ...) give first derivatives of
+    # either sign of zero
+    corpora = [_jet_corpus(case)] + ([] if case.startswith("random") else [_second_corpus(case)])
+    for roots, pts in corpora:
+        n = pts.shape[1]
+        vals, grads = eval_many_shared(roots, pts, checked=True, jets=True)
+        assert len(vals) == len(grads) == len(roots)
+        for e, v, g in zip(roots, vals, grads):
+            want = eval_many_shared([e, *(diff_expr(e, i) for i in range(1, n + 1))], pts, checked=True)
+            assert g.shape == (len(pts), n)
+            assert _hex(v) == _hex(want[0]), str(e)
+            for i in range(n):
+                assert _hex(g[:, i]) == _hex(want[i + 1]), (str(e), i + 1)
 
 
 def _jet_corpus(case):
@@ -719,6 +710,12 @@ def _jet_corpus(case):
         odd = _squares_apart(rng, 4)
         roots = [_random_tree(rng, n, int(rng.integers(1, 5)), odd) for _ in range(60)]
         roots += [div(coord(1), const(c)) for c in odd] + [coord(n), const(0.5), neg(coord(1))]
+        # a constant's Fraction power, a node and not a constant, times y1;
+        # and pow and the functions of a node whose derivatives all fold to
+        # ZERO, alone and times y^n
+        flat = add(const(0.75), sub(coord(1), coord(1)))
+        ofs = [powi(flat, 3), powi(flat, -2)] + [func(name, flat) for name in expr.FUNCS]
+        roots += [mul(powi(const(2.0), Fraction(1, 3)), coord(1))] + ofs + [mul(f, coord(n)) for f in ofs]
         pts = np.vstack([sample_points(n, 4), [[0.0, -0.0, 0.0][k % 3] for k in range(n)]])
         return roots, pts
     path = os.path.join(FIXTURES, case)
@@ -904,40 +901,56 @@ def test_second_derivatives_fault_where_the_trees_do():
         eval_many_shared([e, diff_expr(e, 1)], [x], checked=True, jets=True)
 
 
+def test_second_derivatives_do_not_fault_where_the_trees_do_not():
+    # 0^(1/2) is a node whose derivatives are ZERO: the trees never raise
+    # it to the power -1/2, which is not finite
+    e = mul(powi(expr.ZERO, Fraction(1, 2)), coord(1))
+    hess = eval_many_shared([e], [0.3], checked=True, jets=True, second=1)[2]
+    assert hess.tobytes() == eval_many_shared([diff_expr(e, 1)], [0.3], checked=True, jets=True)[1].tobytes()
+
+
 @pytest.mark.parametrize("kind, n", [("constcurv_22_13", 3), ("constcurv_22_13", 4), ("constcurv_2d_22_14", 2)])
 def test_sums_products_and_quotients_take_their_second_derivatives_as_blocks(kind, n, monkeypatch):
     # the invariance suite's walk (Ric with its second derivatives, Gamma,
-    # a rotation eta, R and S): an add, sub, mul, div or neg node forms its
-    # derivatives by block operations, also where its arguments' entries
-    # hold constant nodes (ZERO, ONE, 0.5), and never entry by entry
-    # through _rule; the walk does reach such nodes
+    # a rotation eta, R and S): every node forms its derivatives by block
+    # operations, also where its arguments' entries hold constant nodes
+    # (ZERO, ONE, 0.5), and builds no constant node for an entry.  const is
+    # called for a power's exponent, once per pow node, and for the squares
+    # c**2 and c**4 of a constant denominator c, and for nothing else; the
+    # walk reaches every op of its roots: add, sub, mul, div, neg and pow
     sysd = canonical.build_system(canonical.CanonicalSpec(kind, n=n))
     parts = ricci_and_s(sysd.conn)
     eta = [neg(coord(2)), coord(1)] + [expr.ZERO] * (n - 2)
     ric = list(parts["ricci"].comps.flat)
     roots = ric + list(sysd.conn.gamma.flat) + eta
     roots += list(curvature(sysd.conn).comps.flat) + list(parts["s"].comps.flat)
-    inside, walked, entries = [], set(), []
-    jet2, rule = expr._jet2, expr._rule
+    inside, walked, built = [], set(), {}
+    forward, build = expr._forward, expr.const
 
-    def watched_jet2(node, *args):
+    def watched_forward(node, *args):
         inside.append(node)
         walked.add(node.op)
         try:
-            return jet2(node, *args)
+            return forward(node, *args)
         finally:
             inside.pop()
 
-    def watched_rule(*args, **kwargs):
-        if inside and inside[-1].op in ("add", "sub", "mul", "div", "neg"):
-            entries.append(inside[-1])
-        return rule(*args, **kwargs)
+    def watched_const(v):
+        node = inside[-1] if inside else None
+        built[node] = built.get(node, 0) + 1
+        return build(v)
 
-    monkeypatch.setattr(expr, "_jet2", watched_jet2)
-    monkeypatch.setattr(expr, "_rule", watched_rule)
+    monkeypatch.setattr(expr, "_forward", watched_forward)
+    monkeypatch.setattr(expr, "const", watched_const)
     eval_many_shared(roots, _second_corpus(f"{kind}_n{n}")[1], checked=True, jets=True, second=len(ric))
     assert {"add", "sub", "mul", "div", "neg"} <= walked
-    assert entries == []
+    assert walked == {node.op for node in expr._postorder(roots)[0] if node.args} >= {"pow"}
+    for node, count in built.items():
+        assert node is not None, count
+        if node.op == "pow":
+            assert count == 1, str(node)
+        else:
+            assert node.op in ("div", "ln") and node.args[-1].op == "const" and count <= 2, (str(node), count)
 
 
 TAYLOR_SPECS = {
