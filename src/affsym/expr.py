@@ -8,21 +8,18 @@ Unchecked, it returns IEEE 754's inf or nan outside the real domain; with
 ``checked=True`` numpy's IEEE exception flags (IEEE 754-2019, section 7)
 are raised as errors, and the first node to leave the finite reals raises
 DomainError naming it.  ``eval_expr`` is that checked walk at one point.
-At one point the walk holds numpy float64 scalars, whose arithmetic costs
-about a tenth of that on (1,) arrays and gives the same bits under the
-same error flags; powers still go through a (1,) array, since numpy's
-array power takes fast paths (x**2, x**0.5) that its scalar power does
-not.  With ``jets=True`` the same walk also carries each node's first
-derivatives in forward mode and returns them as one (R, P, n) array,
-bitwise what walking the roots' diff_expr trees returns, without building
-those trees; with ``second=s`` the first s roots also carry their second
-derivatives, on their own sub-DAGs only, entry [k, l] bitwise the l-th
-derivative the jets walk of diff_expr(root, k) returns.  A derivative
-that leaves the finite reals raises DomainError ("non-finite
-derivative") naming its node, which may be a term the trees fold away;
-that is the error its callers report.  No walk recurses: all
-run over the iterative ``_postorder`` or, for derivatives, an explicit
-stack, so depth is limited by memory alone.  Parsing does not recurse
+Every node's value is a (P,) array, one point being P = 1.  With
+``jets=True`` the same walk also carries each node's first derivatives in
+forward mode and returns them as one (R, P, n) array, bitwise what walking
+the roots' diff_expr trees returns, without building those trees; with
+``second=s`` the first s roots also carry their second derivatives, on
+their own sub-DAGs only, entry [k, l] bitwise the l-th derivative the
+jets walk of diff_expr(root, k) returns.  A derivative that leaves the
+finite reals raises DomainError ("non-finite derivative") naming its
+node, which may be a term the trees fold away; that is the error its
+callers report.  No walk recurses: all run over the iterative
+``_postorder`` or, for derivatives, an explicit stack, so depth is
+limited by memory alone.  Parsing does not recurse
 either: ``parse_expr`` is one loop over regular-expression tokens with an
 explicit operand and operator stack.
 
@@ -594,10 +591,9 @@ def eval_many_shared(exprs, points, *, checked=False, jets=False, second=0):
 
     Each distinct node, within one root or across roots, is evaluated once
     (nodes are interned, so identity is structural equality), and its array
-    is dropped as soon as its last parent has used it.  At one point the
-    walk holds numpy float64 scalars in place of (1,) arrays (see _walk).
-    Unchecked, out-of-domain inputs yield inf/nan per IEEE semantics
-    (callers probing residuals assert finiteness instead).  Checked, the
+    is dropped as soon as its last parent has used it.  Unchecked,
+    out-of-domain inputs yield inf/nan per IEEE semantics (callers probing
+    residuals assert finiteness instead).  Checked, the
     walk raises DomainError on the first node, in left-to-right postorder,
     whose value is not finite at some point (see _walk); with jets, on the
     first node whose value or whose derivatives (of either order) are not
@@ -624,25 +620,17 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     it; so are the second derivatives of the nodes below the first
     ``second`` roots, and of no other node.  The rows of derivatives are
     assembled once per distinct root and indexed out to the roots (see
-    _rows).
-
-    At one point (P = 1) each value is a numpy float64, not a (1,) array:
-    arithmetic on a numpy scalar costs about a tenth of the same on an
-    array, runs the same loop, so gives the same bits, and obeys the same
-    np.errstate, so the same node raises.  Powers are the exception and
-    still go through a (1,) array (see _pow).
+    _rows).  Every value is a (P,) array, at one point too, and every
+    block has a trailing axis of P.
     """
     order, uses = _postorder(exprs)
     npts, dim = pts.shape
     vals = {}
     grads = {}
     hess = {}
-    if npts == 1:
-        columns, full = list(pts[0]), np.float64
-    else:
-        columns, full = pts.T, partial(np.full, npts)
-    kit = _Kit(dim, npts, full) if jets and dim else None  # no derivatives at dimension 0
-    twice = _below(exprs[:second], order) if second and kit else ()
+    columns, full = pts.T, partial(np.full, npts)
+    kit = _Kit(dim, npts, full) if jets else None
+    twice = _below(exprs[:second], order) if second else ()
     try:
         with np.errstate(all="raise", under="ignore") if checked else np.errstate(all="ignore"):
             for node in order:
@@ -706,9 +694,6 @@ def _walk(exprs, pts, checked, jets=False, second=0):
     values = np.array([vals[e] for e in exprs]).reshape(len(exprs), npts)
     if not jets:
         return values
-    if not kit:  # points of dimension 0: derivatives without entries
-        out = values, np.zeros((len(exprs), npts, 0)), np.zeros((len(exprs[:second]), npts, 0, 0))
-        return out if second else out[:2]
     jac = _rows(exprs, grads, kit.vec, kit)
     if not second:
         return values, jac
@@ -737,7 +722,7 @@ def _rows(roots, table, lay, kit):
     for e, r in rows.items():
         x = table[e]
         v = _values(x, lay)
-        out[r] = v if kit.one else np.moveaxis(v, -1, 0)
+        out[r] = np.moveaxis(v, -1, 0)
         if x[2] and x[0] is not None:
             np.copyto(out[r], 0.0, where=_where(x[2], lay).reshape(lay.entries))
     return out[index]
@@ -745,10 +730,11 @@ def _rows(roots, table, lay, kit):
 
 def _pow(x, k):
     """x ** k as the walk and both bodies of a Program compute it, for x an
-    array or a scalar (one point) and an exponent k (an int or a Fraction,
-    taken as a float).  A scalar is raised as a (1,) array: numpy's array
-    power takes fast paths (x**2 is x*x, x**0.5 is sqrt, which keeps -0.0)
-    that differ from its scalar pow in the last bit."""
+    array or a scalar and an exponent k (an int or a Fraction, taken as a
+    float).  The walk's values are arrays; a scalar (a Program on Python
+    floats, a Taylor walk's series) is raised as a (1,) array: numpy's
+    array power takes fast paths (x**2 is x*x, x**0.5 is sqrt, which keeps
+    -0.0) that differ from its scalar pow in the last bit."""
     k = float(k) if isinstance(k, Fraction) else k
     if type(x) is np.ndarray:
         return x**k
@@ -761,11 +747,11 @@ def _pow(x, k):
 # diff_expr would build: the constant node where that tree is one (ZERO,
 # ONE, a folded constant), a value otherwise.  A node keeps its n first
 # derivatives as one masked block (v, m, z, c): v holds the entries'
-# values, an (n, P) array ((n,) at one point), m has bit i set where entry
-# i is a constant node, z where that node is ZERO, and c maps every other
-# constant entry to its value.  v holds those constants too, so that an
-# operation with a value is the walk of the tree; at a ZERO entry it holds
-# a zero of either sign (a nan, unchecked), which no operation reads.
+# values, an (n, P) array, m has bit i set where entry i is a constant
+# node, z where that node is ZERO, and c maps every other constant entry
+# to its value.  v holds those constants too, so that an operation with a
+# value is the walk of the tree; at a ZERO entry it holds a zero of either
+# sign (a nan, unchecked), which no operation reads.
 # Where every entry is a constant v may be None, made from c when a value
 # needs it.  A node below the roots that ask for second derivatives also
 # keeps them as a masked (n, n) block (values (n, n, P), bit k*n + l for
@@ -781,10 +767,11 @@ def _pow(x, k):
 # term, on blocks: an add, sub, mul, div or neg combines its arguments'
 # blocks, and each derivative of a pow or a function is a product or a
 # quotient of its argument's by one per-point factor, whose derivatives
-# give the second by the product or the quotient rule (_quotient2).  A constant denominator is
-# squared by powi.  So each derivative is bitwise the walk of its tree,
-# signed zeros included.  A flag comes from a node the trees have or,
-# rarely, from a term they fold away, and the walk raises it as a
+# give the second by the product or the quotient rule (_quotient2).  A
+# constant denominator is squared by powi, a value only where some
+# numerator is not ZERO.  So each derivative is bitwise the walk of its
+# tree, signed zeros included.  A flag comes from a node the trees have
+# or, rarely, from a term they fold away, and the walk raises it as a
 # DomainError naming the node whose derivative it computes.
 
 
@@ -814,30 +801,29 @@ class _Layout:
     """Masked blocks of one shape of ``entries``, (n,) for first derivatives
     or (n, n) for second: ``size`` entries, ``every`` the bits of them all,
     ``shape`` that of an array of constants (with a trailing axis of 1 for
-    the points, none at one point), and ``zero`` the block whose entries
-    are all ZERO."""
+    the points), and ``zero`` the block whose entries are all ZERO."""
 
     __slots__ = ("entries", "size", "every", "shape", "zero")
 
-    def __init__(self, entries, npts):
+    def __init__(self, entries):
         self.entries = entries
         self.size = math.prod(entries)
         self.every = (1 << self.size) - 1
-        self.shape = entries if npts == 1 else entries + (1,)
+        self.shape = entries + (1,)
         self.zero = (None, self.every, self.every, _NONE)
 
 
 class _Kit:
     """What one walk's masked blocks share: the dimension n, the number of
-    points (``one`` at one point), ``full`` (see _walk), and the layouts of
-    first (``vec``) and second derivatives (``mat``)."""
+    points, ``full`` (see _walk), and the layouts of first (``vec``) and
+    second derivatives (``mat``)."""
 
-    __slots__ = ("n", "npts", "one", "full", "vec", "mat")
+    __slots__ = ("n", "npts", "full", "vec", "mat")
 
     def __init__(self, n, npts, full):
-        self.n, self.npts, self.one, self.full = n, npts, npts == 1, full
-        self.vec = _Layout((n,), npts)
-        self.mat = _Layout((n, n), npts)
+        self.n, self.npts, self.full = n, npts, full
+        self.vec = _Layout((n,))
+        self.mat = _Layout((n, n))
 
 
 def _keep(memo, key, value):
@@ -965,11 +951,11 @@ def _mmul(x, y, lay):
     """mul on each entry of the masked blocks x and y."""
     vx, mx, zx, cx = x
     vy, my, zy, cy = y
-    if not (mx | my):
-        return vx * vy, 0, 0, _NONE
     z = zx | zy
     if z == lay.every:
         return lay.zero
+    if not (mx | my):
+        return vx * vy, 0, 0, _NONE
     m, c = mx & my | z, {}
     for i in _bits(m & ~z):
         z = _folded(i, cx[i] * cy[i], z, c)
@@ -1084,8 +1070,15 @@ def _forward(node, vals, grads, hess, kit):
         if op == "mul":
             f = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
         else:
-            den = _jpowi(y, 2)
+            # a constant denominator is squared first, as building the tree
+            # folds powi; a value only where some numerator is not ZERO, as
+            # the trees' div(ZERO, b**2) folds to ZERO unevaluated
+            den = _jpowi(y, 2) if isinstance(y, Expr) else None
             num = _msub(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
+            if den is None:
+                if num[2] == vec.every:
+                    return vec.zero, None if ha is None else mat.zero
+                den = _jpowi(y, 2)
             f = _mdiv(num, den, vec, kit.full)
         if ha is None:
             return f, None

@@ -344,8 +344,6 @@ def pointwise_symmetry_bound(sys, p0, depth=2):
     differential of the Ricci tensor.  Returns (n^2 + n) - rank of the
     stacked rows; monotone nonincreasing in depth.
     """
-    if depth not in (0, 1, 2):
-        raise ValueError("depth must be 0, 1 or 2")
     return pointwise_symmetry_bounds(sys, p0, depth)[depth]
 
 
@@ -360,7 +358,9 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     numbers by the formulas of ``geometry``, with no curvature or nabla Ric
     tree.  Where a coefficient is not finite, cancellation took six or more
     of its digits, or a row overflows, it raises ExprError.  p0 is one
-    point (``as_points``)."""
+    point (``as_points``), and depth 0, 1 or 2 (else ValueError)."""
+    if depth not in (0, 1, 2):
+        raise ValueError("depth must be 0, 1 or 2")
     n = sys.n
     p0 = as_points(p0, n, one=True)
     rows = _taylor_rows(sys, p0, depth)
@@ -404,7 +404,6 @@ def _taylor_rows(sys, p0, depth):
     rows = [_lie_rows(*_one_jet(_taylor(sys.A.comps, p0, 1, "A"), n), 1)]
     if depth < 1:
         return rows
-    depth = min(depth, 2)
     g = _taylor(sys.conn.gamma, p0, depth + 1, "Gamma")
     low, one = taylor_tables(n, depth), taylor_tables(n, 1)
     ops = (np.add, np.subtract)

@@ -161,9 +161,9 @@ def eval_jets(arrays, pts, second=0):
     flat = [e for a in arrays for e in a.flat]
     twice = sum(a.size for a in arrays[:second])
     vals, grads, *hess = eval_many_shared(flat, pts, checked=True, jets=True, second=twice)
-    if not twice:  # the walk returns no second derivatives for no component
-        hess = [np.empty((0,) + grads.shape[1:] + grads.shape[2:])]
-    hess = split_rows(hess[0], arrays[:second])
+    if second:  # the walk returns none where the first ``second`` arrays are empty
+        rows = hess[0] if twice else np.empty((0,) + grads.shape[1:] + grads.shape[2:])
+        hess = split_rows(rows, arrays[:second])
     out = []
     for k, (v, g) in enumerate(zip(split_rows(vals, arrays), split_rows(grads, arrays))):
         out += (v, g, hess[k]) if k < second else (v, g)

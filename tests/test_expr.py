@@ -41,7 +41,7 @@ from affsym.expr import (
     to_string,
 )
 from affsym.geometry import covariant_differential, curvature, ricci_and_s
-from affsym.tensor import TensorField
+from affsym.tensor import TensorField, eval_jets
 from affsym.util import sample_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -749,8 +749,8 @@ def _first_row(roots, pts, **mode):
     + sorted(JET_SPECS),
 )
 def test_one_point_walk_is_the_first_row_of_two(case):
-    # the walk at one point holds float64 scalars, at two points arrays: the
-    # same bits in every mode, signed zeros included
+    # the walk at one point is the first row of the walk at two: the same
+    # bits in every mode, signed zeros included
     roots, pts = _jet_corpus(case)
     for p in pts:
         for mode in WALK_MODES:
@@ -785,10 +785,48 @@ def test_jets_fold_constant_denominators_as_powi_does():
 
 
 def test_jets_at_points_of_dimension_0():
-    # 1/0 is left unfolded, and its gradient has no entries at any count
+    # 1/0 is left unfolded, and its gradient has no entries at any count;
+    # a product, exp, a power and a quotient of it take second derivatives
+    # without entries too
+    inf = div(ONE, expr.ZERO)
+    roots = [mul(inf, inf), func("exp", inf), powi(inf, 3), div(inf, inf)]
     for npts in (1, 3):
-        vals, grads = eval_many_shared([div(ONE, expr.ZERO)], np.zeros((npts, 0)), jets=True)
+        pts = np.zeros((npts, 0))
+        vals, grads = eval_many_shared([inf], pts, jets=True)
         assert vals[0].shape == (npts,) and grads[0].shape == (npts, 0)
+        for s in (1, 4):
+            vals, grads, hess = eval_many_shared(roots, pts, second=s)
+            assert vals.tobytes() == eval_many_shared(roots, pts).tobytes()
+            assert grads.shape == (4, npts, 0) and hess.shape == (s, npts, 0, 0)
+        # eval_jets (a checked walk, so of finite arrays), with an empty
+        # array first, last or alone among those that take second derivatives
+        arrays = [np.array([const(2.0), ONE], dtype=object), np.empty((0, 0), dtype=object)]
+        for some in (arrays, arrays[::-1], arrays[1:]):
+            out = eval_jets(some, pts, second=len(some))
+            assert [x.shape for x in out] == [(npts,) + a.shape + (0,) * k for a in some for k in range(3)]
+        out = eval_jets(arrays, pts)
+        assert [x.shape for x in out] == [(npts, 2), (npts, 2, 0), (npts, 0, 0), (npts, 0, 0, 0)]
+
+
+def test_a_quotient_whose_numerators_fold_to_zero_takes_no_square():
+    # every d/dy^k of 1/(1e200 + (y1 - y1)) folds to ZERO in the trees,
+    # which never evaluate the denominator's square (it overflows): the
+    # walk gives their ZERO too, first and second derivatives, at one point
+    # and at two
+    e = div(ONE, add(const(1e200), sub(coord(1), coord(1))))
+    for pts in ([[0.3]], [[0.3], [-0.0]]):
+        want = eval_many_shared([diff_expr(e, 1)], pts, checked=True, jets=True)
+        vals, grads = eval_many_shared([e], pts, checked=True, jets=True)
+        assert vals.tobytes() == eval_many_shared([e], pts, checked=True).tobytes()
+        assert grads[0, :, 0].tobytes() == want[0][0].tobytes()
+        hess = eval_many_shared([e], pts, checked=True, jets=True, second=1)[2]
+        assert hess[0, :, 0, 0].tobytes() == want[1][0, :, 0].tobytes()
+    # a constant denominator is still squared first, as its tree folds powi
+    # before the numerator overflows
+    big = div(powi(coord(1), Fraction(-1, 3)), const(-1e200))
+    for walk in (lambda: diff_expr(big, 1), lambda: eval_many_shared([big], [1e-160], checked=True, jets=True)):
+        with pytest.raises(ExprError, match="constant power out of floating-point range"):
+            walk()
 
 
 def test_the_walk_returns_one_array_row_r_holding_root_r():

@@ -614,6 +614,17 @@ def test_taylor_rows_are_the_rows_of_the_derivative_trees(name):
         assert pointwise_symmetry_bounds(sysd, p0, depth) == bounds[: depth + 1]
 
 
+def test_the_bounds_take_depth_0_1_or_2():
+    # a depth beyond 2 would repeat depth 2's rows, and a negative one give
+    # no bound: both are refused, by the plural function as by the singular
+    sysd = build_system(CanonicalSpec("constcurv_22_13", n=2))
+    assert pointwise_symmetry_bounds(sysd, [0.1, 0.2], 2) == [6, 3, 3]
+    for depth in (-1, 3, 4):
+        for bound in (pointwise_symmetry_bound, pointwise_symmetry_bounds):
+            with pytest.raises(ValueError, match="depth must be 0, 1 or 2"):
+                bound(sysd, [0.1, 0.2], depth)
+
+
 STEEP = [["exp(1e110*y1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]
 HUGE_A = [["1.7e308", "0"], ["0", "-1.7e308"]]
 CANCELLING = [["0", "0"], ["0", "0"]], [["0", "0"], ["0", "cos(sqrt(1e-80 + y1))"]]

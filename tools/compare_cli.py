@@ -28,13 +28,15 @@ fixture has n = 4, so three documents there (WIDE) run too: the
 constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
 (check-symmetry with a rotation, canonical) and an intermediate spec with
 m = 2 (check-symmetry, bound); their invariance values are at rounding
-level, so they pin the suite's bits at n = 4.  Three more (SIGNED) sample
+level, so they pin the suite's bits at n = 4.  Five more (SIGNED) sample
 points with 0.0 and -0.0 coordinates, where the second derivatives' signed
 zeros show: the constant-curvature specs at n = 3 and in 2-D
 (check-symmetry with a rotation, canonical), and a radial 2-D document,
 A = f(y1^2 + y2^2) I with f a sum of exp, sqrt, ln, sin and cos
 (check-symmetry with the rotation, which takes second derivatives through
-pow and every function, and report).  The three sets are written to the
+pow and every function, and report); the 2-D spec and the radial document
+also sample one point alone, so the second-order walk runs at P = 1.  The
+three sets are written to the
 temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
@@ -131,6 +133,14 @@ RADIAL_H = (
     f"((exp({RADIAL_S}) + 1/(2*sqrt(1 + {RADIAL_S})) + 1/(2 + {RADIAL_S}) + cos({RADIAL_S}) - sin({RADIAL_S}))"
     f"/{RADIAL_F})"
 )
+RADIAL = {
+    "n": 2,
+    "A": [[RADIAL_F, "0"], ["0", RADIAL_F]],
+    "Gamma": {
+        "1": [[f"2*y1*{RADIAL_H}", f"y2*{RADIAL_H}"], [f"y2*{RADIAL_H}", "0"]],
+        "2": [["0", f"y1*{RADIAL_H}"], [f"y1*{RADIAL_H}", f"2*y2*{RADIAL_H}"]],
+    },
+}
 SIGNED = {
     "signed_constcurv_n3.json": (
         {
@@ -144,15 +154,15 @@ SIGNED = {
         (["check-symmetry", "--eta=-y2,y1"], ["canonical"]),
     ),
     "signed_radial.json": (
-        {
-            "n": 2,
-            "A": [[RADIAL_F, "0"], ["0", RADIAL_F]],
-            "Gamma": {
-                "1": [[f"2*y1*{RADIAL_H}", f"y2*{RADIAL_H}"], [f"y2*{RADIAL_H}", "0"]],
-                "2": [["0", f"y1*{RADIAL_H}"], [f"y1*{RADIAL_H}", f"2*y2*{RADIAL_H}"]],
-            },
-            "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]],
-        },
+        {**RADIAL, "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]]},
+        (["check-symmetry", "--eta=-y2,y1"], ["report"]),
+    ),
+    "signed_constcurv_2d_one_point.json": (
+        {"canonical": {"kind": "constcurv_2d_22_14", "n": 2}, "sample": [[-0.0, 0.0]]},
+        (["check-symmetry", "--eta=-y2,y1"], ["canonical"]),
+    ),
+    "signed_radial_one_point.json": (
+        {**RADIAL, "sample": [[0.0, -0.0]]},
         (["check-symmetry", "--eta=-y2,y1"], ["report"]),
     ),
 }
