@@ -113,7 +113,7 @@ class CanonicalSpec:
             if self.n < 2:
                 raise ValueError("constant-curvature construction needs n >= 2")
             eps = self.epsilons or tuple([1] * self.n)
-            if len(eps) != self.n or any(e not in (1, -1, 1.0, -1.0) for e in eps):
+            if len(eps) != self.n or any(isinstance(e, bool) or e not in (1, -1) for e in eps):
                 raise ValueError("epsilons must be n entries of +/-1")
             self.epsilons = tuple(int(e) for e in eps)
         if self.b != 0.0 and self.kind != "constcurv_2d_22_14":

@@ -759,20 +759,22 @@ def _pow(x, k):
 # y^k.
 #
 # The _m* helpers are the smart constructors on every entry of a block at
-# once: the constants fold in Python floats, as add, sub, mul, div and neg
-# fold them (ExprError on a non-finite result, ZERO for a zero), before the
-# values are one numpy operation on the block; where a fold returns an
-# argument (x + ZERO is x, also for x = -0; ZERO - x is -x) that argument
-# is copied in.  _forward follows _diff_node's rule for the node, term for
-# term, on blocks: an add, sub, mul, div or neg combines its arguments'
-# blocks, and each derivative of a pow or a function is a product or a
-# quotient of its argument's by one per-point factor, whose derivatives
-# give the second by the product or the quotient rule (_quotient2).  A
-# constant denominator is squared by powi, a value only where some
-# numerator is not ZERO.  So each derivative is bitwise the walk of its
-# tree, signed zeros included.  A flag comes from a node the trees have
-# or, rarely, from a term they fold away, and the walk raises it as a
-# DomainError naming the node whose derivative it computes.
+# once: _madd is add on two blocks, or sub given ``sub``; _mscale is mul by
+# one entry, or div given ``full``; _mmul is mul on two blocks and _mneg is
+# neg.  The constants fold in Python floats, as those constructors fold them
+# (ExprError on a non-finite result, ZERO for a zero), before the values are
+# one numpy operation on the block; where a fold returns an argument (x +
+# ZERO is x, also for x = -0; ZERO - x is -x) that argument is copied in.
+# _forward follows _diff_node's rule for the node, term for term, on blocks:
+# an add, sub, mul, div or neg combines its arguments' blocks, and each
+# derivative of a pow or a function is a product or a quotient of its
+# argument's by one per-point factor, whose derivatives give the second by
+# the product or the quotient rule (_quotient2).  A constant denominator is
+# squared by powi, a value only where some numerator is not ZERO.  So each
+# derivative is bitwise the walk of its tree, signed zeros included.  A flag
+# comes from a node the trees have or, rarely, from a term they fold away,
+# and the walk raises it as a DomainError naming the node whose derivative
+# it computes.
 
 
 def _entry(node, vals):
@@ -893,51 +895,31 @@ def _folded(i, r, z, c):
     return z
 
 
-def _madd(x, y, lay):
-    """add on each entry of the masked blocks x and y."""
-    vx, mx, zx, cx = x
-    vy, my, zy, cy = y
-    if zx == lay.every:
-        return y
-    if zy == lay.every:
-        return x
-    if not (mx | my):
-        return vx + vy, 0, 0, _NONE
-    m, z, c = mx & my, zx & zy, {}
-    for i in _bits(m & ~z):  # ZERO + c is c
-        z = _folded(i, cx.get(i, 0.0) + cy.get(i, 0.0), z, c)
-    if m == lay.every:
-        return None, m, z, c
-    vx, vy = _values(x, lay), _values(y, lay)
-    v = vx + vy
-    if zx & ~zy:
-        np.copyto(v, vy, where=_where(zx & ~zy, lay))
-    if zy & ~zx:
-        np.copyto(v, vx, where=_where(zy & ~zx, lay))
-    return v, m, z, c
-
-
-def _msub(x, y, lay):
-    """sub on each entry of the masked blocks x and y."""
+def _madd(x, y, lay, sub=False):
+    """add on each entry of the masked blocks x and y, or sub given ``sub``."""
     vx, mx, zx, cx = x
     vy, my, zy, cy = y
     if zy == lay.every:
         return x
     if zx == lay.every:
-        return _mneg(y)
+        return _mneg(y) if sub else y
+    op = operator.sub if sub else operator.add
     if not (mx | my):
-        return vx - vy, 0, 0, _NONE
+        return op(vx, vy), 0, 0, _NONE
     m, z, c = mx & my, zx & zy, {}
-    for i in _bits(m & ~z):
-        z = _folded(i, cx.get(i, 0.0) - cy.get(i, 0.0), z, c)
+    for i in _bits(m & ~z):  # a ZERO entry folds as 0.0
+        z = _folded(i, op(cx.get(i, 0.0), cy.get(i, 0.0)), z, c)
     if m == lay.every:
         return None, m, z, c
     vx, vy = _values(x, lay), _values(y, lay)
-    v = vx - vy
+    v = op(vx, vy)
     if zy & ~zx:
         np.copyto(v, vx, where=_where(zy & ~zx, lay))
-    if zx & ~zy:
-        np.negative(vy, out=v, where=_where(zx & ~zy, lay))
+    if zx & ~zy:  # ZERO + u is u, ZERO - u is -u
+        if sub:
+            np.negative(vy, out=v, where=_where(zx & ~zy, lay))
+        else:
+            np.copyto(v, vy, where=_where(zx & ~zy, lay))
     return v, m, z, c
 
 
@@ -964,47 +946,29 @@ def _mmul(x, y, lay):
     return _values(x, lay) * _values(y, lay), m, z, c
 
 
-def _mscale(x, s, lay):
+def _mscale(x, s, lay, full=None):
     """mul(u, s) on each entry u of the masked block x, for one entry s (a
-    node as a derivative entry, see _entry; the same at every index)."""
-    vx, mx, zx, cx = x
+    node as a derivative entry, see _entry; the same at every index), or
+    div(u, s) given ``full``, which makes a value of a constant (the walk's
+    constant at every point)."""
+    _, mx, zx, cx = x
+    op = operator.mul if full is None else operator.truediv
     if isinstance(s, Expr):
-        if s is ZERO:
-            return lay.zero
         if s is ONE:
             return x
-        if s is _MINUS_ONE:
+        if s is ZERO:
+            if full is None:
+                return lay.zero
+            return _values(x, lay) / full(0.0), 0, 0, _NONE  # div(c, ZERO) is a node
+        if s is _MINUS_ONE and full is None:
             return _mneg(x)
         k, z, c = s.value, zx, {}
         for i, u in cx.items():
-            z = _folded(i, u * k, z, c)
-        return (None if mx == lay.every else _values(x, lay) * k), mx, z, c
+            z = _folded(i, op(u, k), z, c)
+        return (None if mx == lay.every else op(_values(x, lay), k)), mx, z, c
     if zx == lay.every:
         return x
-    if not mx:
-        return vx * s, 0, 0, _NONE
-    return _values(x, lay) * s, zx, zx, _NONE  # a constant times a value is a value
-
-
-def _mdiv(x, s, lay, full):
-    """div(u, s) on each entry u of the masked block x, for one entry s (a
-    denominator, the same at every index); ``full`` makes a value of a
-    constant (the walk's constant at every point)."""
-    vx, mx, zx, cx = x
-    if isinstance(s, Expr):
-        if s is ONE:
-            return x
-        if s is ZERO:  # div(c, ZERO) is a node: every entry is a value
-            return _values(x, lay) / full(0.0), 0, 0, _NONE
-        k, z, c = s.value, zx, {}
-        for i, u in cx.items():
-            z = _folded(i, u / k, z, c)
-        return (None if mx == lay.every else _values(x, lay) / k), mx, z, c
-    if zx == lay.every:
-        return x
-    if not mx:
-        return vx / s, 0, 0, _NONE
-    return _values(x, lay) / s, zx, zx, _NONE
+    return op(_values(x, lay), s), zx, zx, _NONE  # a constant times a value is a value
 
 
 def _spread(f, axis, kit):
@@ -1059,8 +1023,8 @@ def _forward(node, vals, grads, hess, kit):
         b = node.args[1]
         fb = grads[b]
         if op == "add" or op == "sub":
-            rule = _madd if op == "add" else _msub
-            return rule(fa, fb, vec), None if ha is None else rule(ha, hess[b], mat)
+            sub = op == "sub"
+            return _madd(fa, fb, vec, sub), None if ha is None else _madd(ha, hess[b], mat, sub)
         # the arguments' constants that meet values are made arrays once
         x, y = _entry(a, vals), _entry(b, vals)
         if not isinstance(x, Expr):
@@ -1074,12 +1038,12 @@ def _forward(node, vals, grads, hess, kit):
             # folds powi; a value only where some numerator is not ZERO, as
             # the trees' div(ZERO, b**2) folds to ZERO unevaluated
             den = _jpowi(y, 2) if isinstance(y, Expr) else None
-            num = _msub(_mscale(fa, y, vec), _mscale(fb, x, vec), vec)
+            num = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec, True)
             if den is None:
                 if num[2] == vec.every:
                     return vec.zero, None if ha is None else mat.zero
                 den = _jpowi(y, 2)
-            f = _mdiv(num, den, vec, kit.full)
+            f = _mscale(num, den, vec, kit.full)
         if ha is None:
             return f, None
         hb = hess[b]
@@ -1099,7 +1063,7 @@ def _forward(node, vals, grads, hess, kit):
         if op == "mul":
             return f, _madd(p, q, mat)
         dden = vec.zero if isinstance(y, Expr) else _mscale(fb, 2.0 * y, vec)
-        return f, _quotient2(num, _msub(p, q, mat), den, dden, kit)
+        return f, _quotient2(num, _madd(p, q, mat, True), den, dden, kit)
     if op == "neg":
         return _mneg(fa), None if ha is None else _mneg(ha)
     if op == "pow":
@@ -1114,7 +1078,7 @@ def _forward(node, vals, grads, hess, kit):
         # d/dy^k is d a/dy^k over a, or over 2 * node, whose derivatives
         # are a's, or 2 times the node's
         den = x if op == "ln" else 2.0 * out
-        f = _mdiv(fa, den, vec, kit.full)
+        f = _mscale(fa, den, vec, kit.full)
         if ha is None:
             return f, None
         return f, _quotient2(fa, ha, den, fa if op == "ln" else _mscale(f, _TWO, vec), kit)
@@ -1169,8 +1133,8 @@ def _quotient2(num, dnum, den, dden, kit):
     if folded == kit.vec.every:
         return mat.zero
     den2 = _jpowi(den, 2)
-    top = _msub(_mscale(dnum, den, mat), _mmul(_spread(num, 0, kit), _spread(dden, 1, kit), mat), mat)
-    v, m, z, c = _mdiv(top, den2, mat, kit.full)
+    top = _madd(_mscale(dnum, den, mat), _mmul(_spread(num, 0, kit), _spread(dden, 1, kit), mat), mat, True)
+    v, m, z, c = _mscale(top, den2, mat, kit.full)
     if not folded:
         return v, m, z, c
     rows = _moved(folded, 0, kit.n)  # which a division by a ZERO den2 leaves values

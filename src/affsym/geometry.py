@@ -372,7 +372,9 @@ def _dual(v, d):
 
 
 def _undual(x, n):
-    """The values x[P, ...] and derivatives [P, ..., n] of a ``_dual`` array."""
+    """The values x[P, ...] and derivatives [P, ..., n] of an order-1 jet
+    laid out as the value, then d/dy^1..n: a ``_dual`` array, or a Taylor
+    polynomial's first n + 1 coefficients (P = 1)."""
     x = x.reshape((n + 1, -1) + x.shape[1:])
     return x[0], np.moveaxis(x[1:], 0, -1)
 

@@ -63,7 +63,6 @@ from .geometry import (
     _curvature_comps,
     _dual,
     _dual_mul,
-    _field_tree,
     _nabla_terms,
     _point_values,
     _regular,
@@ -115,22 +114,6 @@ class RankNotConstantError(ValueError):
 # ---------------------------------------------------------------------------
 # Determining equations
 # ---------------------------------------------------------------------------
-
-
-def _lie_a_exprs(sys, eta):
-    """L_eta A as a (1,1) field, summed in the order of the module formula
-    (``geometry._lie_a_terms``)."""
-    return TensorField(sys.n, 1, 1, _field_tree("lie_a", sys.conn, A=sys.A, eta=eta))
-
-
-def _conn_eq_exprs(conn, eta):
-    """Residual of the reduced connection equation (valid for det A != 0)."""
-    return TensorField(conn.n, 1, 2, _field_tree("conn_eq", conn, eta=eta))
-
-
-def _conn_eq_full_exprs(sys, eta):
-    """Residual of the full A-weighted connection equation (degenerate A)."""
-    return TensorField(sys.n, 1, 2, _field_tree("conn_eq_full", sys.conn, A=sys.A, eta=eta))
 
 
 def determining_residuals(sys, eta, pts=None):
@@ -191,17 +174,14 @@ def flow(eta, p, tau):
     phi_0 is the identity and the group property holds to integrator
     tolerance.  Leaving |y| <= ode.BLOWUP or a step underflow raises
     FlowError with the time reached.  eta's components are compiled once
-    for all solver stages.  p is one point (``as_points``).
+    for all solver stages, and the state is integrated on Python floats.
+    p is one point (``as_points``).
     """
     p = as_points(p, eta.n, one=True)
     if tau == 0.0:
         return p.copy()
     program = compile_exprs(eta.comps.reshape(-1))
-
-    def rhs(_t, y):
-        return program.at(y.tolist())
-
-    sol = solve_ivp(rhs, (0.0, tau), p, rtol=1e-9, atol=1e-10)
+    sol = solve_ivp(lambda _t, y: program.at(y), (0.0, tau), p.tolist(), rtol=1e-9, atol=1e-10)
     if sol.status == 1:
         raise FlowError("flow left the working region (blow-up guard)", sol)
     if sol.status != 0:
@@ -316,8 +296,9 @@ def _degeneration(rh):
 
 def _lie_rows(w, dw, r):
     """The linearized Lie derivative of a tensor field W with r upper slots
-    at a point p0, from W and dW/dy there (``eval_jets`` or ``_one_jet`` at
-    p0, arrays with a leading axis of length 1): one row per component of
+    at a point p0, from W and dW/dy there (``eval_jets`` at p0, or
+    ``geometry._undual`` on W's first n + 1 Taylor coefficients there:
+    arrays with a leading axis of length 1): one row per component of
     W, in row-major order, over the unknowns eta^k (columns 0..n-1) and
     F^i_k = d eta^i/dy^k (column n + i*n + k), so that row . (eta(p0),
     F(p0)) is (L_eta W)(p0).
@@ -367,12 +348,6 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
 
 
-def _one_jet(c, n):
-    """W and dW/dy at p0 (arrays with a leading axis of length 1, as
-    ``_lie_rows`` takes them) from W's Taylor coefficients c[K, slots]."""
-    return c[:1], np.moveaxis(c[1 : n + 1], 0, -1)[None]
-
-
 # Magnitudes beyond this many times the largest coefficient of their array
 # mean the coefficients lost six or more of their sixteen digits to
 # cancellation, and the rows' rank would be the rounding's.  Fixtures,
@@ -401,7 +376,7 @@ def _taylor_rows(sys, p0, depth):
     next is computed.  Raises ExprError where ``_taylor`` does, where a
     body overflows and where a row does."""
     n = sys.n
-    rows = [_lie_rows(*_one_jet(_taylor(sys.A.comps, p0, 1, "A"), n), 1)]
+    rows = [_lie_rows(*_undual(_taylor(sys.A.comps, p0, 1, "A")[: n + 1], n), 1)]
     if depth < 1:
         return rows
     g = _taylor(sys.conn.gamma, p0, depth + 1, "Gamma")
@@ -410,11 +385,11 @@ def _taylor_rows(sys, p0, depth):
     try:
         with np.errstate(over="raise", invalid="raise"):
             curv = _curvature_comps(g[: low.size], taylor_tables(n, depth + 1).grad(g), *ops, low.mul)
-            rows.append(_lie_rows(*_one_jet(curv, n), 1))
+            rows.append(_lie_rows(*_undual(curv[: n + 1], n), 1))
             if depth == 2:
                 ric = _ricci_contractions(curv, np.add)[0]
                 nabla = _nabla_terms(g[: one.size], ric[: one.size], low.grad(ric), 0, *ops, one.mul)
-                rows.append(_lie_rows(*_one_jet(nabla, n), 0))
+                rows.append(_lie_rows(*_undual(nabla[: n + 1], n), 0))
     except FloatingPointError:
         raise ExprError(f"the curvature's Taylor coefficients overflow at {_at(p0)}") from None
     return rows

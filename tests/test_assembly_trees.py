@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from affsym import canonical, geometry, liefn, pfaff, symmetry, tensor
+from affsym import canonical, geometry, liefn, pfaff, tensor
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument, from_diffusional
 from affsym.expr import Expr, ONE, ZERO, add, coord, mul, parse_expr, sub
@@ -170,10 +170,10 @@ def case_determining(n):
         n, _field(n, 1, 1, 17), sysd.conn, check=False
     )
     return {
-        "lie_a": symmetry._lie_a_exprs(sysd, eta).comps,
-        "lie_a_general": symmetry._lie_a_exprs(degenerate, eta).comps,
-        "conn_eq": symmetry._conn_eq_exprs(sysd.conn, eta).comps,
-        "conn_eq_full": symmetry._conn_eq_full_exprs(degenerate, eta).comps,
+        "lie_a": geometry._field_tree("lie_a", sysd.conn, A=sysd.A, eta=eta),
+        "lie_a_general": geometry._field_tree("lie_a", degenerate.conn, A=degenerate.A, eta=eta),
+        "conn_eq": geometry._field_tree("conn_eq", sysd.conn, eta=eta),
+        "conn_eq_full": geometry._field_tree("conn_eq_full", degenerate.conn, A=degenerate.A, eta=eta),
     }
 
 

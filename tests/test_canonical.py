@@ -92,6 +92,8 @@ def test_spec_validation():
         CanonicalSpec("constcurv_2d_22_14", n=3, a=1.0, b=0.5)
     with pytest.raises(ValueError):
         CanonicalSpec("constcurv_22_13", n=3, a=1.0, epsilons=(1, 2, 1))
+    with pytest.raises(ValueError, match="epsilons"):  # True == 1, but a bool is no sign
+        CanonicalSpec("constcurv_22_13", n=2, a=1.0, epsilons=(True, -1))
     with pytest.raises(ValueError):
         CanonicalSpec("bogus", n=2)
     with pytest.raises(ValueError):

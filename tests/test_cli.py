@@ -1038,6 +1038,11 @@ def assert_input_error(capsys, argv, error):
             ["inspect"],
             "invalid canonical spec: u and psi entries must be expression strings, got 3",
         ),
+        (
+            {"canonical": {"kind": "constcurv_22_13", "n": 2, "epsilons": [True, True]}},
+            ["inspect"],
+            "invalid canonical spec: epsilons must be n entries of +/-1",
+        ),
         ({"canonical": "x"}, ["inspect"], "invalid canonical spec: it must be a JSON object"),
         (
             {"canonical": {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["y2"]}},
@@ -1124,6 +1129,7 @@ def assert_input_error(capsys, argv, error):
         "canonical-a-string",
         "canonical-u-number",
         "canonical-psi-number",
+        "canonical-epsilons-bool",
         "canonical-not-object",
         "canonical-u-beyond-m",
         "canonical-psi-missing",

@@ -784,6 +784,29 @@ def test_jets_fold_constant_denominators_as_powi_does():
             walk()
 
 
+@pytest.mark.parametrize("pts", [[[-0.0, 0.0]], [[0.3, -0.7], [0.0, -0.0], [-0.0, 0.0]]], ids=["P1", "P3"])
+def test_jets_of_a_quotient_by_minus_one_are_the_trees(pts):
+    # div folds only ONE, so a/(-1) is a node whose squared denominator
+    # powi folds to ONE: each derivative is its numerator, unscaled, and the
+    # first and second derivatives are the walks of their trees to the bit,
+    # signed zeros included
+    y1, y2 = coord(1), coord(2)
+    tops = [y1, mul(y1, y2), func("exp", y1), sub(powi(y1, 3), func("sin", y2))]
+    roots = [div(top, const(-1.0)) for top in tops]
+    assert all(e.op == "div" for e in roots)
+    pts = np.array(pts)
+    for second in (0, len(roots)):
+        vals, grads, *hess = eval_many_shared(roots, pts, checked=True, jets=True, second=second)
+        assert vals.tobytes() == eval_many_shared(roots, pts, checked=True).tobytes()
+        for r, e in enumerate(roots):
+            for k in (1, 2):
+                d = diff_expr(e, k)
+                assert _hex(grads[r, :, k - 1]) == _hex(eval_many_shared([d], pts, checked=True)[0]), (str(e), k)
+                for l in (1, 2) if hess else ():
+                    want = eval_many_shared([diff_expr(d, l)], pts, checked=True)[0]
+                    assert _hex(hess[0][r, :, k - 1, l - 1]) == _hex(want), (str(e), k, l)
+
+
 def test_jets_at_points_of_dimension_0():
     # 1/0 is left unfolded, and its gradient has no entries at any count;
     # a product, exp, a power and a quotient of it take second derivatives

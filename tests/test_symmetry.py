@@ -15,6 +15,7 @@ from affsym.expr import DomainError, ExprError, const, coord, func, parse_expr, 
 from affsym.geometry import (
     Connection,
     DiffusionSystem,
+    _field_tree,
     covariant_differential,
     curvature,
     ricci_and_s,
@@ -777,8 +778,6 @@ def test_invariance_suite_equals_the_lie_derivative_trees(name):
 def test_lie_nabla_commutator_is_the_lie_derivative_of_gamma(r, s, comps):
     # (L_eta nabla - nabla L_eta) W = (L_eta Gamma) . W for a torsion-free
     # connection, on a field eta that is no symmetry, where both sides are O(1)
-    from affsym.symmetry import _conn_eq_exprs
-
     sysd = build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))
     conn = sysd.conn
     eta = VectorField.from_strings(3, ["y1^2", "y2*y3", "sin(y1)"])
@@ -787,7 +786,8 @@ def test_lie_nabla_commutator_is_the_lie_derivative_of_gamma(r, s, comps):
     lhs = lie_derivative(eta, covariant_differential(conn, w)).evaluate_many(pts)
     rhs = covariant_differential(conn, lie_derivative(eta, w)).evaluate_many(pts)
     comm = lhs - rhs  # [p, i, k]: upper slot, then the derivative slot k
-    C = -_conn_eq_exprs(conn, eta).evaluate_many(pts)  # [p, i, r, s] = (L_eta Gamma)^i_rs
+    # C[p, i, r, s] = (L_eta Gamma)^i_rs
+    C = -eval_arrays([_field_tree("conn_eq", conn, eta=eta)], pts, checked=False)[0]
     W = w.evaluate_many(pts)
     if r == 1:
         want = np.einsum("pikj,pj->pik", C, W)
@@ -800,12 +800,10 @@ def test_lie_nabla_commutator_is_the_lie_derivative_of_gamma(r, s, comps):
 def test_full_equation_consistent_with_reduced_for_scalar_a():
     # with A = a * id constant, the A-weighted equation is a times the
     # reduced one; check the residual expressions agree componentwise
-    from affsym.symmetry import _conn_eq_exprs, _conn_eq_full_exprs
-
     a = 2.0
     sys = flat_system(2, a=a)
     eta = VectorField.from_strings(2, ["y1^2", "y2*y1"])
     pts = sample_points(2, 10)
-    reduced = _conn_eq_exprs(sys.conn, eta).evaluate_many(pts)
-    full = _conn_eq_full_exprs(sys, eta).evaluate_many(pts)
+    trees = [_field_tree("conn_eq", sys.conn, eta=eta), _field_tree("conn_eq_full", sys.conn, A=sys.A, eta=eta)]
+    reduced, full = eval_arrays(trees, pts, checked=False)
     assert np.max(np.abs(full - a * reduced)) <= 1e-12

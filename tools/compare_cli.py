@@ -22,16 +22,18 @@ value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
 whose determinant overflows, an intermediate canonical spec at n = 1, a
 connection whose Taylor coefficients cancel at the bound's point, one whose
-derivative is not finite at a sample point, and one whose curvature
-overflows.  No
-fixture has n = 4, so three documents there (WIDE) run too: the
+derivative is not finite at a sample point, one whose curvature
+overflows, and a constant-curvature spec whose epsilons are JSON
+booleans.  No fixture has n = 4, so three documents there (WIDE) run too: the
 constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
 (check-symmetry with a rotation, canonical) and an intermediate spec with
 m = 2 (check-symmetry, bound); their invariance values are at rounding
 level, so they pin the suite's bits at n = 4.  Five more (SIGNED) sample
 points with 0.0 and -0.0 coordinates, where the second derivatives' signed
 zeros show: the constant-curvature specs at n = 3 and in 2-D
-(check-symmetry with a rotation, canonical), and a radial 2-D document,
+(check-symmetry with a rotation, canonical; in 2-D also with the rotation
+written -y2 as y2/(-1), a quotient by the constant -1, whose squared
+denominator folds to ONE), and a radial 2-D document,
 A = f(y1^2 + y2^2) I with f a sum of exp, sqrt, ln, sin and cos
 (check-symmetry with the rotation, which takes second derivatives through
 pow and every function, and report); the 2-D spec and the radial document
@@ -72,7 +74,8 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # which report, classify and check-symmetry must refuse naming the node
 # (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
 # finite and R's products overflow, which report must refuse naming the
-# field and the point (exit 1).
+# field and the point (exit 1).  JSON booleans are no epsilons, although
+# True == 1 in Python (exit 1).
 BRANCH_GAMMA = {"1": [["sqrt(y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
 OVERFLOW_GAMMA = {"1": [["1e200*y1", "0"], ["0", "0"]], "2": [["0", "1e200*y2"], ["1e200*y2", "0"]]}
 HOSTILE = {
@@ -108,6 +111,9 @@ HOSTILE = {
         (["report"], ["classify"], ["check-symmetry", "--eta=1,0"]),
     ),
     "hostile_overflow.json": ({"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": OVERFLOW_GAMMA}, (["report"],)),
+    "hostile_epsilons_bool.json": (
+        {"canonical": {"kind": "constcurv_22_13", "n": 2, "epsilons": [True, True]}}, (["inspect"],)
+    ),
 }
 
 CONSTCURV_N4 = (["check-symmetry", "--eta=-y2,y1,0,0"], ["canonical"])
@@ -151,7 +157,7 @@ SIGNED = {
     ),
     "signed_constcurv_2d.json": (
         {"canonical": {"kind": "constcurv_2d_22_14", "n": 2}, "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]]},
-        (["check-symmetry", "--eta=-y2,y1"], ["canonical"]),
+        (["check-symmetry", "--eta=-y2,y1"], ["check-symmetry", "--eta=y2/(-1),y1"], ["canonical"]),
     ),
     "signed_radial.json": (
         {**RADIAL, "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]]},
