@@ -31,6 +31,7 @@ from .geometry import (
     Connection,
     DiffusionSystem,
     _add_quadratic,
+    _at,
     _curvature_comps,
     covariant_differential,
     curvature,
@@ -323,7 +324,7 @@ def projective_flatten(conn, p0, u0):
     p0 = as_points(p0, n, one=True)
     u0 = _initial_data(u0, n)
     pre_structure = structure_residual(conn, "beta_14_1")
-    nb = covariant_differential(conn, _beta_field(conn))
+    nb = covariant_differential(conn, TensorField(n, 0, 2, _beta_from_connection(conn)))
     pts = sample_points(n, 20)
     nbv = nb.evaluate_many(pts)
     pre_symmetry = max_report(nbv - nbv.transpose(0, 2, 1, 3), pts)
@@ -352,14 +353,9 @@ def projective_flatten(conn, p0, u0):
             straight.append(transport_to(prob, y))
             corner.append(pfaff_integrate(prob, [p0, [y[0], *p0[1:]], y])[-1])
         except TransportError as exc:
-            point = ", ".join(f"{v:.6g}" for v in y)
-            exc.args = (f"{exc} on the path to probe y = [{point}]",)
+            exc.args = (f"{exc} on the path to probe {_at(y)}",)
             raise
     block = np.concatenate([straight, probe], axis=1)
     report["flat_curvature"] = max_report(eval_many_shared(rbar, block).T, probe)
     report["path_gap"] = max_report(np.subtract(straight, corner), probe)
     return FlattenResult(u=partial(transport_to, prob), report=report)
-
-
-def _beta_field(conn):
-    return TensorField(conn.n, 0, 2, _beta_from_connection(conn))

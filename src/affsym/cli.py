@@ -69,7 +69,7 @@ from .symmetry import (
     pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, eval_arrays, grad, sym_matrix_inverse
-from .util import as_points, sample_points
+from .util import _env_seed, as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 
@@ -85,6 +85,11 @@ DEFAULT_TOLERANCES = {
 # simulate's largest --grid: 2**20 points keep each state array of n = 3
 # within 25 MB and are checked before anything is allocated
 GRID_MAX = 2**20
+
+# the largest dimension a document may declare: at n = 32 the curvature's
+# (20, n, n, n, n) float array at the sample points takes 168 MB, and n is
+# checked before anything is built
+N_MAX = 32
 
 
 class InputError(ValueError):
@@ -108,6 +113,8 @@ class SystemDocument:
     def __init__(self, n, a_rows=None, gamma=None, canonical=None, sample=None, tolerances=None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputError(f"dimension n must be an integer >= 1, got {n!r}")
+        if n > N_MAX:
+            raise InputError(f"dimension n = {n} exceeds the largest supported, {N_MAX}")
         self.n = n
         self.canonical = canonical
         self.a_rows = a_rows
@@ -648,6 +655,11 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
+    try:
+        _env_seed()  # a malformed AFFSYM_SEED is input, refused before any work
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     try:
         report, code = args.func(args)
         text = render_json(report)

@@ -36,7 +36,6 @@ on first-order duals (``symmetry.invariance_suite``).
 
 from __future__ import annotations
 
-import itertools
 import string
 
 import numpy as np
@@ -111,14 +110,20 @@ class Connection:
         return self.field.evaluate_many(points)
 
     def symmetry_residual(self):
-        """max |Gamma^k_rs - Gamma^k_sr| at the 20 sample points."""
+        """max |Gamma^k_rs - Gamma^k_sr| at the 20 sample points.  Two
+        equal entries count 0, and so do two nans: a coefficient undefined
+        at a point in both places is symmetric there.  nan against a number
+        gives nan."""
         g = self.evaluate_many(sample_points(self.n, 20))
-        return float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
+        gt = g.transpose(0, 1, 3, 2)
+        same = (g == gt) | (np.isnan(g) & np.isnan(gt))
+        with np.errstate(invalid="ignore"):  # inf - inf where both are inf
+            return float(np.max(np.where(same, 0.0, np.abs(g - gt))))
 
     def check_symmetric(self):
-        """Raise ValueError when symmetry_residual exceeds 1e-12."""
+        """Raise ValueError when symmetry_residual exceeds 1e-12 or is nan."""
         res = self.symmetry_residual()
-        if res > 1e-12:
+        if not res <= 1e-12:
             raise ValueError(f"connection coefficients not symmetric: residual {res:.3e}")
 
 
@@ -142,16 +147,20 @@ class DiffusionSystem:
         return _regular(self.A.evaluate_many(pts))
 
 
-def _regular(mats):
-    """True when each matrix mats[p] is finite and has its smallest singular
-    value above 1e-12 times its largest.  The test does not depend on the
-    matrix's scale (c * M passes for every c != 0 where M does), where a
-    determinant's size does, and a determinant beyond the float range
-    does not arise."""
-    if not np.isfinite(mats).all():
-        return False
+def _ranks(mats, rtol):
+    """The rank of each matrix of a stack mats[..., rows, cols]: the number
+    of its singular values above rtol times its largest.  The count does not
+    depend on the matrix's scale (c * M has M's rank for every c != 0),
+    where a determinant's size does, and a determinant beyond the float
+    range does not arise."""
     sv = np.linalg.svd(mats, compute_uv=False)
-    return bool((sv[:, -1] > 1e-12 * sv[:, 0]).all())
+    return np.count_nonzero(sv > rtol * sv[..., :1], axis=-1)
+
+
+def _regular(mats):
+    """True when each matrix mats[p] (n, n) is finite and of rank n at
+    relative cutoff 1e-12 (``_ranks``)."""
+    return bool(np.isfinite(mats).all() and (_ranks(mats, 1e-12) == mats.shape[-1]).all())
 
 
 def scalar_operator(n, a):
@@ -428,9 +437,8 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
     fields.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
     twice = [k for k, on in (("gamma", nabla), ("eta", eta is not None)) if on]
     names = twice + [k for k in fields if k not in twice]
-    walked = iter(eval_jets([fields[k] for k in names], pts, second=len(twice)))
     # name -> (values, first derivatives[, second derivatives])
-    jets = {k: tuple(itertools.islice(walked, 2 + (k in twice))) for k in names}
+    jets = dict(zip(names, eval_jets([fields[k] for k in names], pts, second=len(twice))))
     ops = (np.add, np.subtract, np.multiply)
     memo = {}
 
@@ -621,7 +629,6 @@ def transform_connection(conn, pmap):
     Jacobian of the inverse; the second term is the inhomogeneous part that
     makes the object a connection rather than a tensor.
     """
-    pmap.require_inverse()
     n = conn.n
     Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()
@@ -635,16 +642,15 @@ def transform_connection(conn, pmap):
 
 def transform_system(sys, pmap, check_points=None):
     """Carry a system to new coordinates: A by the (1,1) tensor rule, the
-    connection with its inhomogeneous term.  The map must supply its inverse
-    and have a nonsingular Jacobian at the probe points (``as_points``):
-    at each point its smallest singular value must exceed 1e-12 times its
-    largest, a test that does not depend on the map's scale (y -> c*y
-    passes for every c != 0), where a determinant's size does.  The
+    connection with its inhomogeneous term.  The map must have a
+    nonsingular Jacobian at the probe points (``as_points``): at each
+    point its smallest singular value must exceed 1e-12 times its largest
+    (``_regular``), a test that does not depend on the map's scale (y ->
+    c*y passes for every c != 0), where a determinant's size does.  The
     Jacobian is evaluated checked: an entry that is not finite at a probe
     point raises DomainError naming its node."""
     n = sys.n
     pts = as_points(check_points, n)
-    pmap.require_inverse()
     jac = TensorField(n, 1, 1, pmap.jac_forward()).evaluate(pts)
     if not _regular(jac):
         raise ValueError("map Jacobian is singular at a probe point")

@@ -29,13 +29,12 @@ from .tensor import (
     MUL,
     SUB,
     TensorField,
-    alternate,
     bcast,
     exterior_derivative,
     fold,
     grad,
     sym_matrix_inverse,
-    tensor_product,
+    wedge,
 )
 from .util import as_points
 
@@ -133,14 +132,6 @@ def _basis_interior(form, j):
     return TensorField(form.n, 0, p - 1, MUL(const(float(p)), form.comps[j]))
 
 
-def _wedge_nc(a, b):
-    return alternate(tensor_product(a, b))
-
-
-def _accumulate(out, i, form):
-    out[i] = ADD(out[i], form.comps)
-
-
 def fn_bracket(b_field, c_field, check=True):
     """Bracket {B,C} of fully skew (1,p) and (1,q) fields -> (1,p+q).
 
@@ -170,16 +161,16 @@ def fn_bracket(b_field, c_field, check=True):
         for j in range(n):
             gamma = gammas[j]
             # [e_i, e_j] = 0: first term of the decomposable formula drops.
-            t2 = _wedge_nc(_partial_form(beta, j), gamma)
-            _accumulate(out, i, t2.scale(-1.0))
-            t3 = _wedge_nc(beta, _partial_form(gamma, i))
-            _accumulate(out, j, t3)
+            t2 = wedge(_partial_form(beta, j), gamma, check=False)
+            out[i] = ADD(out[i], t2.scale(-1.0).comps)
+            t3 = wedge(beta, _partial_form(gamma, i), check=False)
+            out[j] = ADD(out[j], t3.comps)
             if p >= 1:
-                t4 = _wedge_nc(_basis_interior(beta, j), dgammas[j]).scale(sign)
-                _accumulate(out, i, t4)
+                t4 = wedge(_basis_interior(beta, j), dgammas[j], check=False).scale(sign)
+                out[i] = ADD(out[i], t4.comps)
             if q >= 1:
-                t5 = _wedge_nc(dbetas[i], _basis_interior(gamma, i)).scale(sign)
-                _accumulate(out, j, t5)
+                t5 = wedge(dbetas[i], _basis_interior(gamma, i), check=False).scale(sign)
+                out[j] = ADD(out[j], t5.comps)
     return TensorField(n, 1, p + q, out)
 
 

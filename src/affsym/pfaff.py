@@ -79,7 +79,7 @@ class PfaffProblem:
 
     rhs is a (k, n) object array of Exprs over the combined block: coordinate
     indices 1..k refer to U, k+1..k+n to y.  Restrictions must hold at the
-    initial data within 1e-10.  ``rhs_values`` and ``restriction_values``
+    initial data within 1e-10 (a nan does not).  ``rhs_values`` and ``restriction_values``
     compile their roots into a Program on their first call and reuse it, so
     ``rhs`` and ``restrictions`` must not change after that.  Each call is
     one run of that Program at one point (``Program.at``).
@@ -96,7 +96,7 @@ class PfaffProblem:
         self.restrictions = list(restrictions)
         self._rhs_program = self._restriction_program = None
         init = self.restriction_values(self.u0, self.p0)
-        if init.size and np.max(np.abs(init)) > 1e-10:
+        if init.size and not np.max(np.abs(init)) <= 1e-10:
             raise ValueError(
                 f"restrictions violated at the initial data: max {np.max(np.abs(init)):.3e}"
             )
@@ -149,9 +149,9 @@ def pfaff_integrate(prob, path):
     with the Dormand-Prince 5(4) pair of ``affsym.ode`` at rtol 1e-9 and
     atol 1e-10.  A segment that leaves |U| <= ode.BLOWUP or whose step
     underflows raises TransportError.  Restrictions are evaluated on the
-    segment's dense output at t = 1/6, 2/6, .., 1; drift beyond 1e-7 raises
-    RestrictionDriftError.  A path with no points, or with a vertex that is
-    not finite, raises ValueError.
+    segment's dense output at t = 1/6, 2/6, .., 1; drift beyond 1e-7, or
+    nan, raises RestrictionDriftError.  A path with no points, or with a
+    vertex that is not finite, raises ValueError.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != prob.n:
@@ -190,7 +190,7 @@ def pfaff_integrate(prob, path):
             for t in np.linspace(0.0, 1.0, 7)[1:]:
                 vals = prob.restriction_values(sol.sol(t), a + t * dy)
                 drift = float(np.max(np.abs(vals))) if vals.size else 0.0
-                if drift > _RESTRICTION_TOL:
+                if not drift <= _RESTRICTION_TOL:
                     raise RestrictionDriftError(drift, _RESTRICTION_TOL)
         u = sol.y[:, -1]
         out.append(u.copy())

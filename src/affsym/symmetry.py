@@ -65,6 +65,7 @@ from .geometry import (
     _dual_mul,
     _nabla_terms,
     _point_values,
+    _ranks,
     _regular,
     _require_finite,
     _ricci_contractions,
@@ -205,7 +206,7 @@ def linearization(eta, p0):
     that is not finite at p0 raises DomainError naming its node; p0 is one
     point (``as_points``)."""
     p0 = as_points(p0, eta.n, one=True)
-    v, F = (a[0] for a in eval_jets([eta.comps], p0))  # F[i, j] = d eta^i / dy^j
+    v, F = (a[0] for a in eval_jets([eta.comps], p0)[0])  # F[i, j] = d eta^i / dy^j
     if np.max(np.abs(v)) > 1e-10:
         raise ValueError(
             f"point is not stationary: |eta| = {np.max(np.abs(v)):.3e} exceeds 1e-10"
@@ -255,13 +256,6 @@ def degeneration_bound(n, m):
     return n * (n + 1 - m) + (m * (m - 1)) // 2
 
 
-def _matrix_rank(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
 def classify(conn, sample=None):
     """Degeneration case from the rank of the symmetric Ricci part.
 
@@ -277,7 +271,7 @@ def _degeneration(rh):
     """classify's decision from the symmetric Ricci part's values rh[P, n,
     n] at the sample points."""
     n = rh.shape[-1]
-    ranks = [_matrix_rank(m) for m in rh]
+    ranks = _ranks(rh, RANK_RTOL).tolist()
     if len(set(ranks)) != 1:
         raise RankNotConstantError(
             f"rank not constant over the sample: observed {sorted(set(ranks))}"
@@ -345,7 +339,7 @@ def pointwise_symmetry_bounds(sys, p0, depth=2):
     n = sys.n
     p0 = as_points(p0, n, one=True)
     rows = _taylor_rows(sys, p0, depth)
-    return [n * n + n - _matrix_rank(np.concatenate(rows[: d + 1])) for d in range(depth + 1)]
+    return [n * n + n - int(_ranks(np.concatenate(rows[: d + 1]), RANK_RTOL)) for d in range(depth + 1)]
 
 
 # Magnitudes beyond this many times the largest coefficient of their array
@@ -449,7 +443,8 @@ def _invariance(sys, eta, pts, lie_gamma=None):
         lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
     parts = ricci_and_s(conn)
     roots = (parts["ricci"], conn.field, eta, curvature(conn), parts["s"])
-    ric, dric, ddric, g, dg, e, de, r, dr, s, ds = eval_jets([f.comps for f in roots], pts, second=1)
+    walked = eval_jets([f.comps for f in roots], pts, second=1)
+    (ric, dric, ddric), (g, dg), (e, de), (r, dr), (s, ds) = walked
     with np.errstate(all="ignore"):
         duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
         nabla = _undual(_nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n)), n)

@@ -15,7 +15,7 @@ DomainError naming the node), ``evaluate_many`` unchecked (IEEE).  The
 walk's rows, one per component, go back into tensors by ``split_rows``;
 ``eval_arrays`` evaluates several arrays in one walk and cuts it so, and
 ``eval_jets`` does the same with each array's first derivatives, and the
-second derivatives of the arrays that ask for them.
+second derivatives of the arrays that ask for them, one tuple per array.
 
 Differential forms are fully skew (0,r) fields.  The exterior derivative,
 interior product and wedge carry explicit normalizations:
@@ -147,12 +147,12 @@ def eval_arrays(arrays, pts, *, checked):
 def eval_jets(arrays, pts, second=0):
     """W and dW/dy^1..n of each Expr array W in ``arrays``, at points (P,
     n) or one point (n,) (P = 1), n being the points' last dimension, as
-    the list [W0, dW0, W1, dW1, ...] of arrays of shape (P,) + W.shape and
-    (P,) + W.shape + (n,): bitwise ``eval_arrays([W0, grad(W0, n), W1,
-    grad(W1, n), ...], pts, checked=True)``, from one checked forward-mode
-    walk (``eval_many_shared(..., jets=True)``) that builds no derivative
-    tree.  The first ``second`` arrays also carry their second derivatives,
-    each listed after its dW as ddW, of shape (P,) + W.shape + (n, n):
+    one tuple (W, dW) per array, of shapes (P,) + W.shape and (P,) +
+    W.shape + (n,): bitwise ``eval_arrays([W, grad(W, n)], pts,
+    checked=True)``, from one checked forward-mode walk of all the arrays
+    (``eval_many_shared(..., jets=True)``) that builds no derivative tree.
+    The tuples of the first ``second`` arrays also carry the second
+    derivatives, (W, dW, ddW) with ddW of shape (P,) + W.shape + (n, n):
     bitwise the derivatives of grad(W, n) in the same walk, ddW[..., k, l]
     being d(dW/dy^k)/dy^l.  Where that walk faults it raises its ExprError
     (a DomainError naming its node, "non-finite derivative: sqrt(y1)", or
@@ -164,10 +164,8 @@ def eval_jets(arrays, pts, second=0):
     if second:  # the walk returns none where the first ``second`` arrays are empty
         rows = hess[0] if twice else np.empty((0,) + grads.shape[1:] + grads.shape[2:])
         hess = split_rows(rows, arrays[:second])
-    out = []
-    for k, (v, g) in enumerate(zip(split_rows(vals, arrays), split_rows(grads, arrays))):
-        out += (v, g, hess[k]) if k < second else (v, g)
-    return out
+    pairs = zip(split_rows(vals, arrays), split_rows(grads, arrays))
+    return [(v, g, hess[k]) if k < second else (v, g) for k, (v, g) in enumerate(pairs)]
 
 
 class TensorField:
@@ -472,34 +470,27 @@ def sym_matrix_inverse(m):
 
 
 class PointMap:
-    """Coordinate change y -> ytilde on one chart, with optional inverse.
+    """Coordinate change y -> ytilde on one chart, with its inverse.
 
-    forward holds n Exprs ytilde^i(y); inverse, when present, holds n Exprs
-    y^i(ytilde).  Transformation of systems requires the inverse (symbolic
-    inversion is not attempted).
+    forward holds n Exprs ytilde^i(y), inverse n Exprs y^i(ytilde); the
+    transformation rules need both (symbolic inversion is not attempted).
     """
 
-    def __init__(self, n, forward, inverse=None):
+    def __init__(self, n, forward, inverse):
         self.n = int(n)
         self.forward = [_as_expr(e) for e in forward]
-        self.inverse = [_as_expr(e) for e in inverse] if inverse is not None else None
-        if len(self.forward) != n or (self.inverse is not None and len(self.inverse) != n):
+        self.inverse = [_as_expr(e) for e in inverse]
+        if len(self.forward) != n or len(self.inverse) != n:
             raise ValueError("component count does not match dimension")
 
     @classmethod
-    def from_strings(cls, n, forward, inverse=None):
-        fw = [parse_expr(t, n) for t in forward]
-        inv = [parse_expr(t, n) for t in inverse] if inverse is not None else None
-        return cls(n, fw, inv)
+    def from_strings(cls, n, forward, inverse):
+        return cls(n, [parse_expr(t, n) for t in forward], [parse_expr(t, n) for t in inverse])
 
     @classmethod
     def identity(cls, n):
         ids = [coord(i + 1) for i in range(n)]
         return cls(n, ids, list(ids))
-
-    def require_inverse(self):
-        if self.inverse is None:
-            raise ValueError("this operation needs an explicit inverse map")
 
     def jac_forward(self):
         """T^i_j = d ytilde^i / dy^j, Exprs in y."""
@@ -507,14 +498,12 @@ class PointMap:
 
     def jac_inverse(self):
         """S^i_j = d y^i / d ytilde^j, Exprs in ytilde."""
-        self.require_inverse()
         return partial_differential(TensorField(self.n, 1, 0, self.inverse)).comps
 
     def apply(self, points):
         return _map_points(self.n, self.forward, points)
 
     def apply_inverse(self, points):
-        self.require_inverse()
         return _map_points(self.n, self.inverse, points)
 
     def roundtrip_residual(self):
@@ -526,7 +515,6 @@ class PointMap:
     def substitute_inverse(self, e):
         """Compose an Expr (or an object array of them) in y with
         y = inverse(ytilde)."""
-        self.require_inverse()
         return subst(e, {i + 1: self.inverse[i] for i in range(self.n)})
 
 
@@ -540,7 +528,6 @@ def pushforward(w, pmap):
     """Transform a tensor field by the (r,s) tensor rule, expressed in the
     new coordinates.  Upper slots contract with T = d(ytilde)/dy, lower slots
     with S = dy/d(ytilde)."""
-    pmap.require_inverse()
     m = w.r + w.s
     Tbar = pmap.substitute_inverse(pmap.jac_forward())
     S = pmap.jac_inverse()

@@ -17,11 +17,22 @@ DEFAULT_SEED = 1729
 SAMPLE_BOX = 0.4
 
 
+def _env_seed():
+    """The sample seed: AFFSYM_SEED where set, else DEFAULT_SEED.  A value
+    that is not a non-negative integer raises ValueError naming it."""
+    text = os.environ.get("AFFSYM_SEED", str(DEFAULT_SEED))
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"AFFSYM_SEED must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def sample_points(n, count=20, seed=None):
     """count points uniform in [-0.4, 0.4]^n as an array of shape (count, n)."""
-    if seed is None:
-        seed = int(os.environ.get("AFFSYM_SEED", DEFAULT_SEED))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_env_seed() if seed is None else seed)
     return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, n))
 
 

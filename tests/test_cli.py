@@ -801,12 +801,48 @@ def test_simulate_grid_ceiling_is_checked_before_allocating(monkeypatch, capsys)
     assert capsys.readouterr().err == f"error: bad profile: make_grid reached with N = {cli.GRID_MAX}\n"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"n": 100000}, {"canonical": {"kind": "maximal_7_11", "n": 10000000}}],
+    ids=["explicit", "canonical"],
+)
+def test_dimension_ceiling_is_checked_before_building(tmp_path, monkeypatch, capsys, doc):
+    # a dimension beyond the ceiling is input (exit 1), refused before
+    # anything of size n is built: not numpy's memory error or array size
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["inspect", str(path)]) == 1
+    n = doc.get("n") or doc["canonical"]["n"]
+    assert capsys.readouterr().err == f"error: dimension n = {n} exceeds the largest supported, {cli.N_MAX}\n"
+
+    # the ceiling itself passes the check and reaches the build
+    def no_build(self):
+        raise InputError(f"build reached with n = {self.n}")
+
+    monkeypatch.setattr(SystemDocument, "_build", no_build)
+    with pytest.raises(InputError, match=f"build reached with n = {cli.N_MAX}"):
+        SystemDocument(cli.N_MAX)
+
+
 def test_seed_env_var_changes_samples(monkeypatch):
     base = sample_points(2, 5)
     monkeypatch.setenv("AFFSYM_SEED", "99")
     changed = sample_points(2, 5)
     monkeypatch.delenv("AFFSYM_SEED")
     assert not np.allclose(base, changed)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
+def test_malformed_seed_env_var_is_an_input_error(monkeypatch, capsys, value):
+    # refused before the subcommand runs, as input (exit 1), not as a
+    # failed check; the library raises ValueError naming the value
+    monkeypatch.setenv("AFFSYM_SEED", value)
+    assert main(["report", fixture("flat_n2.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: AFFSYM_SEED must be a non-negative integer, got {value!r}\n"
+    with pytest.raises(ValueError, match="AFFSYM_SEED must be a non-negative integer"):
+        sample_points(2, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -826,9 +826,11 @@ def test_jets_at_points_of_dimension_0():
         arrays = [np.array([const(2.0), ONE], dtype=object), np.empty((0, 0), dtype=object)]
         for some in (arrays, arrays[::-1], arrays[1:]):
             out = eval_jets(some, pts, second=len(some))
-            assert [x.shape for x in out] == [(npts,) + a.shape + (0,) * k for a in some for k in range(3)]
+            assert [[x.shape for x in jet] for jet in out] == [
+                [(npts,) + a.shape + (0,) * k for k in range(3)] for a in some
+            ]
         out = eval_jets(arrays, pts)
-        assert [x.shape for x in out] == [(npts, 2), (npts, 2, 0), (npts, 0, 0), (npts, 0, 0, 0)]
+        assert [[x.shape for x in jet] for jet in out] == [[(npts, 2), (npts, 2, 0)], [(npts, 0, 0), (npts, 0, 0, 0)]]
 
 
 def test_a_quotient_whose_numerators_fold_to_zero_takes_no_square():

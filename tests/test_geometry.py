@@ -8,6 +8,7 @@ from affsym import geometry
 from affsym.expr import DomainError, const, coord, parse_expr
 from affsym.geometry import (
     Connection,
+    DiffusionSystem,
     bianchi_padov_residual,
     covariant_differential,
     curvature,
@@ -134,6 +135,29 @@ def test_regular_matrices_are_judged_by_their_singular_values():
     assert not geometry._regular(np.array([[[1.0, 0.0], [0.0, 1e-13]]]))
     assert not geometry._regular(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
     assert not geometry._regular(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+def test_ranks_of_a_stack_are_the_ranks_of_its_matrices():
+    # one call on a stack counts what one call per matrix counts, to the
+    # same cutoff relative to each matrix's largest singular value
+    mats = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1e-300, 0.0], [0.0, 1e-300]], np.zeros((2, 2))])
+    assert geometry._ranks(mats, 1e-7).tolist() == [1, 2, 0]
+    assert [int(geometry._ranks(m, 1e-7)) for m in mats] == [1, 2, 0]
+    assert geometry._ranks(np.diag([1.0, 1e-8]), 1e-7) == 1
+    assert geometry._ranks(np.diag([1.0, 1e-6]), 1e-7) == 2
+
+
+def test_a_connection_not_symmetric_where_it_is_defined_is_refused():
+    # Gamma^1_12 - Gamma^1_21 = y2 where y1 >= 0, and both are nan at the
+    # sample points with y1 < 0, which must not hide the difference; nan
+    # against a number is a difference too
+    for g12, g21, res in (("sqrt(y1) + y2", "sqrt(y1)", "[1-9]"), ("sqrt(y1 - 1)", "0", "nan")):
+        c = Connection.from_strings(2, [[["0", g12], [g21, "0"]], [["0", "0"], ["0", "0"]]])
+        with pytest.raises(ValueError, match=f"connection coefficients not symmetric: residual {res}"):
+            DiffusionSystem(2, TensorField.identity(2), c)
+    # a coefficient nan at a sample point in both places is symmetric there
+    c = Connection.from_strings(2, [[["0", "sqrt(y1)"], ["sqrt(y1)", "0"]], [["0", "0"], ["0", "0"]]])
+    assert c.symmetry_residual() == 0.0
 
 
 def test_constant_metric_gives_flat_connection():

@@ -378,6 +378,14 @@ def test_frame_restriction_violation_raises_at_init():
         named_system("frame_17", conn=conn, u0=np.array([0.0, 0.0, 1.0, 0.0]))
 
 
+def test_nan_restrictions_at_the_initial_data_raise():
+    # Gamma^1_11 = sqrt(y1 - 1) is nan at the origin, and so is the first
+    # restriction there: nan is not within the tolerance
+    gamma = [[["sqrt(y1 - 1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    with pytest.raises(ValueError, match="restrictions violated at the initial data: max nan"):
+        named_system("frame_17", conn=Connection.from_strings(2, gamma))
+
+
 def test_frames_and_xfields_commute():
     # Transported frames commute with each other and with the X-fields; the
     # commutators are evaluated from the transported values and the systems'

@@ -23,10 +23,11 @@ of parentheses, a pole where a flatten transport starts, an operator field
 whose determinant overflows, an intermediate canonical spec at n = 1, a
 connection whose Taylor coefficients cancel at the bound's point, one whose
 derivative is not finite at a sample point, one whose curvature
-overflows, and a constant-curvature spec whose epsilons are JSON
-booleans.  No fixture has n = 4, so three documents there (WIDE) run too: the
-constant-curvature spec with the default epsilons and with [1, 1, -1, -1]
-(check-symmetry with a rotation, canonical) and an intermediate spec with
+overflows, a constant-curvature spec whose epsilons are JSON
+booleans, and an explicit document and a canonical spec whose dimension n
+is beyond the largest supported.  No fixture has n = 4, so three documents
+there (WIDE) run too: the constant-curvature spec with the default epsilons
+and with [1, 1, -1, -1] (check-symmetry with a rotation, canonical) and an intermediate spec with
 m = 2 (check-symmetry, bound); their invariance values are at rounding
 level, so they pin the suite's bits at n = 4.  Five more (SIGNED) sample
 points with 0.0 and -0.0 coordinates, where the second derivatives' signed
@@ -75,7 +76,9 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
 # finite and R's products overflow, which report must refuse naming the
 # field and the point (exit 1).  JSON booleans are no epsilons, although
-# True == 1 in Python (exit 1).
+# True == 1 in Python (exit 1).  A dimension beyond the ceiling is refused
+# before anything of size n is built (exit 1), where Gamma's n^3 entries
+# would not fit in memory and numpy would refuse a canonical array's size.
 BRANCH_GAMMA = {"1": [["sqrt(y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
 OVERFLOW_GAMMA = {"1": [["1e200*y1", "0"], ["0", "0"]], "2": [["0", "1e200*y2"], ["1e200*y2", "0"]]}
 HOSTILE = {
@@ -113,6 +116,10 @@ HOSTILE = {
     "hostile_overflow.json": ({"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": OVERFLOW_GAMMA}, (["report"],)),
     "hostile_epsilons_bool.json": (
         {"canonical": {"kind": "constcurv_22_13", "n": 2, "epsilons": [True, True]}}, (["inspect"],)
+    ),
+    "hostile_dimension.json": ({"n": 100_000}, (["inspect"],)),
+    "hostile_dimension_canonical.json": (
+        {"canonical": {"kind": "maximal_7_11", "n": 10_000_000}}, (["inspect"],)
     ),
 }
 
