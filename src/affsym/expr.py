@@ -53,7 +53,7 @@ A root set evaluated many times (a Pfaff right-hand side at every solver
 step, the simulator's right-hand side at every Runge-Kutta stage) is compiled
 once by ``compile_exprs`` into a ``Program``: straight-line Python with one
 statement per node, run on Python floats for one point and on numpy columns
-for many, where each statement writes into an array the run holds.
+for many, where each statement writes into an array the program keeps.
 ``eval_many_shared(program, points)`` runs it and returns bitwise what the
 interpreted walk returns, in the same (R, P) layout.  Roots evaluated once
 stay interpreted, since generating the code costs a few interpreted calls.
@@ -1397,12 +1397,16 @@ def _on_float(f):
 # fast paths (x**0.5 is sqrt, keeping -0.0) that np.power on a float does
 # not, and numpy's pow differs from Python's in the last bit.  The array
 # body writes each value into its name's array with the ufunc's ``out``
-# argument: _add .. _neg are the ufuncs of + - * / and unary -.
+# argument: _add .. _neg are the ufuncs of + - * / and unary -.  Its
+# constant operands are 0-d float64 arrays, which a ufunc takes as they are
+# where it converts a Python float on every call, with the same bits: _one
+# is the 1.0 of 1.0/x.
 _SCALAR_NS = {f"_{name}": _on_float(f) for name, f in _VEC_FUNCS.items()}
 _SCALAR_NS["_pw"] = lambda x, k: float(_pow(x, k))
 _ARRAY_NS = {f"_{name}": f for name, f in _VEC_FUNCS.items()}
 _ARRAY_NS.update(
-    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative, _pw=_pow
+    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative, _pw=_pow,
+    _one=np.array(1.0),
 )
 
 
@@ -1437,7 +1441,7 @@ def _array_statement(v, node, a):
         if k == 2:
             return f"_mul({a[0]}, {a[0]}, {v})"
         if k == -1:
-            return f"_div(1.0, {a[0]}, {v})"
+            return f"_div(_one, {a[0]}, {v})"
         return f"{v} = names[{v[1:]}] = {_statement(node, a)}"
     return f"_{op}({', '.join(a)}, {v})"
 
@@ -1462,41 +1466,58 @@ class Program(Sequence):
     zero, a missing coordinate) is redone on arrays.
 
     The code is one list of steps, written out as two bodies.  The scalar
-    body (``source``, run by ``at``) assigns each value to its name.  The
-    array body (run by ``run``) gives each name its own (P,) array once per
-    call, and each step writes into that array through the ufunc's ``out``
-    argument: the same ufunc on the same operands in the same order as the
-    walk, so the same bits, without a new array per step.  A root that is
-    stored once and read by no later step is written by its last step
+    body (``source``, run by ``at``) assigns each value to its name, with
+    constants as Python floats.  The array body (run by ``run``) gives each
+    name its own (P,) array, and each step writes into that array through
+    the ufunc's ``out`` argument: the same ufunc on the same operands in the
+    same order as the walk, so the same bits, without a new array per step.
+    Its constants are 0-d float64 arrays.  The name arrays are kept between
+    runs at the same point count P and made anew when P changes, so a
+    Program is not thread-safe; each run returns a new ``out``.  A root that
+    is stored once and read by no later step is written by its last step
     straight into its row of ``out``, where the scalar body assigns it and
     then stores it.  A power other than 2 and -1 still allocates, since
     numpy's ``x**k`` fast paths (sqrt for 0.5, which keeps -0.0) are not
-    taken by np.power with ``out``, so a root that is such a power is copied
-    into its row.  The array body is generated and compiled on the first
-    ``run``, in functions of at most _PART steps that share the list of
-    names: a program run only through ``at``, as every Pfaff right-hand side
-    is, never pays for it.
+    taken by np.power with ``out``: it rebinds its name to the new array,
+    which is kept in place of the old one, and a root that is such a power
+    is copied into its row.  The array body is generated and compiled on
+    the first ``run``, in functions of at most _PART steps that share the
+    list of names: a program run only through ``at``, as every Pfaff
+    right-hand side is, never pays for it.
     """
 
     def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
         self.roots = tuple(roots)
         self._coords = coords  # in the walk's order, which names the first one missing
+        self._top = max(coords, default=0)
         self._head = [f"y{i} = x[{i - 1}]" for i in sorted(coords)]
         self._nvars = nvars
         self._steps = steps
-        self._constants = constants
+        self._constants = constants  # the values of _k0, _k1, ...
+        # the scalar body writes a finite constant as its literal, which
+        # Python loads faster than a global name; inf and nan stay names
+        inline = {
+            f"_k{j}": repr(c) if c >= 0.0 else f"({c!r})"
+            for j, c in enumerate(constants)
+            if math.isfinite(c)
+        }
         body = []
         for v, node, a, row in steps:
-            body.append(f"{v} = {a if node is None else _statement(node, a)}")
+            if node is None:
+                body.append(f"{v} = {inline.get(a, a)}")
+            else:
+                body.append(f"{v} = {_statement(node, [inline.get(t, t) for t in a])}")
             if row is not None:
                 body.append(f"{row} = {v}")
         self.source = _function("x, out", self._head + body)
-        self._scalar = self._bind(self.source, _SCALAR_NS)
+        self._scalar = self._bind(self.source, _SCALAR_NS, float)
         self._array = None
+        self._names, self._npts = [], None  # the array body's names, at npts points
         self._numpy_calls = numpy_calls
 
-    def _bind(self, source, helpers):
-        namespace = dict(helpers, **self._constants)
+    def _bind(self, source, helpers, kind):
+        namespace = dict(helpers)
+        namespace.update((f"_k{j}", kind(c)) for j, c in enumerate(self._constants))
         exec(compile(source, "<affsym program>", "exec"), namespace)
         return namespace["program"]
 
@@ -1523,21 +1544,22 @@ class Program(Sequence):
         return self.roots[i]
 
     def run(self, points):
-        """The roots' values as an (R, P) array at points of shape (P, n), or
-        at one point of shape (n,) (P = 1), computed on numpy columns.  A
+        """The roots' values as a new (R, P) array at points of shape (P, n),
+        or at one point of shape (n,) (P = 1), computed on numpy columns.  A
         coordinate missing from the points raises the walk's ExprError."""
         columns = np.atleast_2d(np.asarray(points, dtype=float)).T
         dim, npts = columns.shape
-        missing = [i for i in self._coords if i > dim]
-        if missing:
-            raise ExprError(f"coordinate y{missing[0]} out of range for a point of dimension {dim}")
+        if self._top > dim:
+            first = next(i for i in self._coords if i > dim)
+            raise ExprError(f"coordinate y{first} out of range for a point of dimension {dim}")
         out = np.empty((len(self.roots), npts))
         if self._array is None:
-            self._array = [self._bind(source, _ARRAY_NS) for source in self._array_sources()]
-        names = [np.empty(npts) for _ in range(self._nvars)]
+            self._array = [self._bind(source, _ARRAY_NS, np.array) for source in self._array_sources()]
+        if npts != self._npts:
+            self._names, self._npts = [np.empty(npts) for _ in range(self._nvars)], npts
         with np.errstate(all="ignore"):
             for part in self._array:
-                part(columns, out, names)
+                part(columns, out, self._names)
         return out
 
     def at(self, x):
@@ -1566,10 +1588,12 @@ def compile_exprs(roots):
     A name is reused once its value has had its last use, so no more names
     are live than arrays in the interpreted walk, and each root is stored as
     soon as it is computed.  The array body writes into each name's own
-    array and never into the points.  Subtrees without coordinates
-    (constants the smart constructors left unfolded, such as 1/0) are
-    evaluated here, once.  Generating the code costs a few interpreted
-    calls, so compile only roots that are evaluated many times.
+    array and never into the points.  Constants and subtrees without
+    coordinates (constants the smart constructors left unfolded, such as
+    1/0) are evaluated here, once, and bound by name: as Python floats for
+    the scalar body, as 0-d arrays for the array body.  Generating the code
+    costs a few interpreted calls, so compile only roots that are evaluated
+    many times.
     """
     roots = list(roots)
     order, uses = _postorder(roots)
@@ -1578,8 +1602,7 @@ def compile_exprs(roots):
         slots.setdefault(root, []).append(r)
     ref = {}  # node -> source text of its value
     temps = set()  # nodes held in a reusable name
-    constant = set()
-    folded = []  # coordinate-free subtrees, bound as _k0, _k1, ...
+    constant = {}  # constants and coordinate-free subtrees -> _k0, _k1, ...
     coords = []  # coordinate indices, in the walk's order
     # (target, node, argument texts, row): a root's store has node None; a
     # root's only use is its store when row is its row of out
@@ -1598,13 +1621,8 @@ def compile_exprs(roots):
         if op == "coord":
             coords.append(node.index)
             text = f"y{node.index}"
-        elif op == "const":
-            constant.add(node)
-            text = repr(node.value) if node.value >= 0.0 else f"({node.value!r})"
-        elif all(a in constant for a in node.args):
-            constant.add(node)
-            text = f"_k{len(folded)}"
-            folded.append(node)
+        elif all(a in constant for a in node.args):  # a const node has none
+            text = constant[node] = f"_k{len(constant)}"
         else:
             args = [ref[a] for a in node.args]
             for a in node.args:
@@ -1628,10 +1646,9 @@ def compile_exprs(roots):
             steps.append((f"out[{r}]", None, text, None))
             release(node)
 
-    constants = {}
-    if folded:
-        values = eval_many_shared(folded, np.zeros((1, 0)))
-        constants = {f"_k{j}": float(v[0]) for j, v in enumerate(values)}
+    folded = [c for c in constant if c.op != "const"]
+    values = dict(zip(folded, eval_many_shared(folded, np.zeros((1, 0)))[:, 0])) if folded else {}
+    constants = [float(values[c]) if c in values else c.value for c in constant]
     return Program(roots, coords, nvars, steps, constants, numpy_calls)
 
 

@@ -7,14 +7,16 @@ expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
 2nd-order central differences; classic fixed-step RK4 in time, periodic
 wrap throughout.  The integrator keeps its data in rows, one contiguous
 row of N values per component: the RK4 state is an (N, n) view of (n, N)
-storage, and each right-hand side call fills one (3n, N + 2) block whose
+storage, and each right-hand side call fills a (3n, N + 2) block whose
 first n rows hold u between two ghost columns (the periodic wrap), so the
 stencils read shifted slices of those rows and write u_x and u_xx into the
 rows below; the compiled program reads the block's N interior columns.
-Each step's stage inputs and weighted sum are written into two buffers of
-the state's layout, held for the whole evolve; the state itself is a new
-array each step, since a snapshot may hold it.  Snapshots are stored
-C-ordered, (N, n), whatever the state's layout.
+One block serves every stage of an evolve, and the program keeps its name
+arrays between stages at the same N (see Program), so a stage allocates
+only the program's result.  Each step's stage inputs and weighted sum are
+written into two buffers of the state's layout, held for the whole evolve;
+the state itself is a new array each step, since a snapshot may hold it.
+Snapshots are stored C-ordered, (N, n), whatever the state's layout.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -23,6 +25,7 @@ never trusted by fiat).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -56,7 +59,7 @@ class SolutionGrid:
 
     def __init__(self, N, L, t, values):
         self.N = int(N)
-        self.L = float(L)
+        self.L = _length(L)
         self.t = float(t)
         # C-ordered whatever the caller's layout, so reductions over the
         # grid (values.mean(axis=0)) sum in one fixed order
@@ -89,10 +92,18 @@ class SolutionGrid:
         )
 
 
+def _length(L):
+    """L as a float, refused unless it is finite and > 0."""
+    L = float(L)
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"grid length L must be finite and > 0, got {L!r}")
+    return L
+
+
 def make_grid(profiles, N, L):
     """Sample callables x -> value (one per component) on the periodic grid
     at t = 0."""
-    x = np.arange(N) * (L / N)
+    x = np.arange(N) * (_length(L) / N)
     vals = np.stack([np.asarray(p(x), dtype=float) for p in profiles], axis=-1)
     return SolutionGrid(N, L, 0.0, vals)
 
@@ -102,9 +113,10 @@ def _coeff_evaluators(sys):
     row per coordinate y1..y3n (the interior columns of _rhs's ghost-padded
     block), to the right-hand side F (N, n).  F is compiled into one
     Program on first use and kept on the system, so every evolve and
-    residual of one system runs the same code.  The block goes in as the
-    (N, 3n) points the Program takes, its transpose, which Program.run
-    transposes back: the generated code reads contiguous rows."""
+    residual of one system runs the same code, and the Program's name
+    arrays, kept per point count, serve every stage at one N.  The block
+    goes in as the (N, 3n) points the Program takes, its transpose, which
+    Program.run transposes back: the generated code reads contiguous rows."""
     if sys.coeff_program is None:
         n = sys.n
         d1, d2 = _coords(n + 1, n), _coords(2 * n + 1, n)
@@ -131,11 +143,13 @@ def _wrap(block, u):
     return block[:, 2:], block[:, 1:-1], block[:, :-2]
 
 
-def _rhs(coeffs, values, dx):
+def _rhs(coeffs, values, dx, block=None):
     """F (N, n) at the grid values (N, n): central differences of the
-    ghost-padded rows of u, written into the rows below them, fed to coeffs."""
+    ghost-padded rows of u, written into the rows below them in ``block``,
+    a (3n, N + 2) scratch array (a new one if None), fed to coeffs."""
     N, n = values.shape
-    block = np.empty((3 * n, N + 2))
+    if block is None:
+        block = np.empty((3 * n, N + 2))
     up, u, dn = _wrap(block[:n], values.T)
     # (up - dn) / (2 dx) and ((up - 2 u) + dn) / dx^2, operation by operation
     d1 = np.subtract(up, dn, out=block[n : 2 * n, 1:-1])
@@ -178,16 +192,22 @@ def evolve_snapshots(sys, grid, dt, steps, every):
 
     Violating the explicit-stability heuristic with a step of either sign
     warns (not an error); non-finite values abort with the step index,
-    counted from the start.
+    counted from the start.  A dt that is not finite or a negative step
+    count is refused (a negative finite dt steps backwards).
 
     The stages are summed into two buffers held for the whole evolve, with
     the operations, operands and order of ``y + 0.5*dt*k1`` and the other
     sums, so the values are those of the expressions.  The state ``y`` is
     a new array each step: SolutionGrid keeps an (N, 1) array as it is, so
-    a snapshot of a one-component system holds y itself.
+    a snapshot of a one-component system holds y itself.  Every stage
+    fills the same ghost block (see _rhs).
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps!r}")
     if every < 1:
         raise ValueError(f"every must be at least 1, got {every!r}")
     coeffs = _coeff_evaluators(sys)
@@ -203,6 +223,7 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     y = np.ascontiguousarray(grid.values.T).T
     stage = np.empty(y.shape[::-1]).T
     total = np.empty(y.shape[::-1]).T
+    block = np.empty((3 * grid.n, grid.N + 2))
     dx = grid.dx
     out = [grid.copy()]
     done = 0
@@ -210,13 +231,13 @@ def evolve_snapshots(sys, grid, dt, steps, every):
         with np.errstate(over="ignore", invalid="ignore"):
             # y + 0.5*dt*k1 .. y + dt*k3 and y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4),
             # operation by operation in that order
-            k1 = _rhs(coeffs, y, dx)
+            k1 = _rhs(coeffs, y, dx, block)
             np.multiply(0.5 * dt, k1, stage)
-            k2 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            k2 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
             np.multiply(0.5 * dt, k2, stage)
-            k3 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            k3 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
             np.multiply(dt, k3, stage)
-            k4 = _rhs(coeffs, np.add(y, stage, stage), dx)
+            k4 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
             np.multiply(2, k2, total)
             np.add(k1, total, total)
             np.add(total, np.multiply(2, k3, stage), total)
@@ -241,7 +262,8 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     spatial stencil; a defect that is nan (or inf) at any point makes the
     result nan (or inf).  The result shrinks at 2nd order under joint
     refinement.  For data that is not genuinely periodic, exclude_boundary
-    masks that many points on each side of the wrap seam.
+    masks that many points on each side of the wrap seam: an int k with
+    0 <= 2k < N, so that some point is left.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
@@ -255,10 +277,13 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     dt = dts[0]
     if dt == 0.0:
         raise ValueError("snapshots do not advance in time")
+    edge = exclude_boundary
+    if isinstance(edge, bool) or not isinstance(edge, (int, np.integer)) or not 0 <= 2 * edge < N:
+        raise ValueError(f"exclude_boundary must be an int k with 0 <= 2k < N = {N}, got {edge!r}")
     keep = np.ones(N, dtype=bool)
-    if exclude_boundary:
-        keep[:exclude_boundary] = False
-        keep[-exclude_boundary:] = False
+    if edge:
+        keep[:edge] = False
+        keep[-edge:] = False
     coeffs = _coeff_evaluators(sys)
     worst = []
     for k in range(1, len(snapshots) - 1):

@@ -3,8 +3,10 @@ edge cases, memory, and where Pfaff transport and the simulator compile."""
 
 import glob
 import importlib.util
+import io
 import os
 import re
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +204,55 @@ def test_in_place_program_is_stateless_and_leaves_its_points_alone():
             second = eval_many_shared(prog, points)
             assert points.tobytes() == before, npts
             assert first.tobytes() == second.tobytes() == want, npts
+
+
+def float_literals(source):
+    return [
+        t.string
+        for t in tokenize.generate_tokens(io.StringIO(source).readline)
+        if t.type == tokenize.NUMBER and not t.string.isdigit()
+    ]
+
+
+def test_program_keeps_its_names_per_point_count():
+    # the array body's names are kept between runs at one point count, all
+    # but the one that x**(5/2) rebinds, and made anew when it changes;
+    # every run returns a new out, which shares no memory with another
+    # result or with a kept name
+    n = 2
+    power = powi(parse_expr("1 + y1^2", n), Fraction(5, 2))
+    with_names = [
+        power * coord(2) + parse_expr("2.5*y1 - 0.75", n),
+        div(func("exp", coord(1)), power),
+        parse_expr("y2^-1 + 1/3", n),
+        power,
+    ]
+    without_names = [coord(2), parse_expr("3", n), coord(1)]
+    for roots in (with_names, without_names):
+        prog = compile_exprs(roots)
+        rebound = prog.source.count("_pw(")
+        results, kept = [], []
+        for npts in (1, 15, 4096, 15, 1):
+            pts = sample_points(n, npts, seed=npts)
+            want = np.array(eval_many_shared(roots, pts)).tobytes()
+            for points in (pts, np.ascontiguousarray(pts.T).T):  # columns, then rows
+                names = list(prog._names)
+                got = eval_many_shared(prog, points)
+                assert got.tobytes() == want, npts
+                assert [a.shape for a in prog._names] == [(npts,)] * prog._nvars
+                if points is not pts:  # the second run at this count
+                    same = sum(a is b for a, b in zip(names, prog._names))
+                    assert same == prog._nvars - rebound, npts
+                results.append(got)
+                kept.extend(prog._names)
+        for i, a in enumerate(results):
+            assert not any(np.shares_memory(a, b) for b in results[i + 1 :] + kept)
+        # constants are operands bound as 0-d arrays; an exponent is part of
+        # its power's operation and stays a Python number, for numpy's x**k
+        operands = re.sub(r"_pw\(\w+, [^)]+\)", "_pw()", "".join(prog._array_sources()))
+        assert float_literals(operands) == []
+    assert prog._nvars == 0 and "_k0" in operands
+    assert compile_exprs(with_names)._nvars > 0
 
 
 def counting_compiles(monkeypatch, module):

@@ -3,6 +3,7 @@ chain on the sphere."""
 
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ def test_snapshot_spacing_must_be_positive():
             evolve_snapshots(sys, grid, 0.01, 3, every)
     out = evolve(sys, grid, 0.01, 0)
     assert out.t == 0.0 and np.array_equal(out.values, grid.values)
+
+
+def test_evolve_refuses_a_step_that_is_not_finite_and_a_negative_count():
+    # a nan or infinite dt would blow up at step 1, a negative count return
+    # the initial grid; a negative finite dt steps backwards
+    sys = heat_system()
+    grid = make_grid([np.sin], 16, L)
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=re.escape(f"dt must be finite, got {dt!r}")):
+            evolve_snapshots(sys, grid, dt, 3, 1)
+    for call in (evolve, lambda *a: evolve_snapshots(*a, 1)):
+        with pytest.raises(ValueError, match="steps must be at least 0, got -1"):
+            call(sys, grid, 0.01, -1)
+    back = evolve(sys, evolve(sys, grid, 1e-4, 2), -1e-4, 2)
+    assert np.max(np.abs(back.values - grid.values)) < 1e-9
 
 
 def einsum_rhs(sys, values, dx):
@@ -287,6 +303,17 @@ def test_pde_residual_input_checks():
         pde_residual(sys, [s1, s2, s3])
 
 
+@pytest.mark.parametrize("edge", [-1, 8, 9, 100, 2.5, np.float64(2.0), True])
+def test_pde_residual_refuses_a_mask_that_is_not_an_int_below_half_the_grid(edge):
+    sys = heat_system()
+    snaps = [make_grid([np.sin], 16, L).copy(t=k * 0.01) for k in range(3)]
+    message = f"exclude_boundary must be an int k with 0 <= 2k < N = 16, got {edge!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pde_residual(sys, snaps, exclude_boundary=edge)
+    for edge in (0, 7, np.int64(7)):  # 7 leaves the two points 7 and 8
+        assert np.isfinite(pde_residual(sys, snaps, exclude_boundary=edge))
+
+
 def test_pde_residual_refuses_snapshots_that_do_not_advance():
     sys = heisenberg_system()
     g = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(x)], 64, L)
@@ -438,6 +465,17 @@ def test_grid_validation():
         SolutionGrid(4, 1.0, 0.0, np.zeros((4, 1)))
     with pytest.raises(ValueError):
         SolutionGrid(8, 1.0, 0.0, np.full((8, 1), np.nan))
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, -0.0, np.inf, -np.inf, np.nan])
+def test_grid_length_must_be_finite_and_positive(length):
+    # refused before the profiles are sampled, so no numpy warning, no
+    # stability limit of zero and no evolve on a negative dx
+    message = f"grid length L must be finite and > 0, got {float(length)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_grid([np.sin], 16, length)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolutionGrid(8, length, 0.0, np.zeros((8, 1)))
 
 
 def test_transport_entire_flat_basis_equivariant():

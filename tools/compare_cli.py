@@ -5,6 +5,10 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
+It runs 181 commands and the six demos: 145 commands on fixtures/ (18 on
+each fixture and one more on TRANSPORT_1024), 19 on HOSTILE, 6 on WIDE and
+11 on SIGNED.
+
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
 ("strict_json": no NaN or Infinity).  The other stderr lines (warnings,
@@ -13,10 +17,13 @@ usage) are recorded as their count and a sha256 ("stderr_lines",
 SRC_PLACEHOLDER and its file without the line number, so a new warning
 shows as a difference and a moved one does not.  The grid-1024 `simulate`
 commands also write their snapshots with `--csv` into a temporary
-directory; the record holds the file's sha256 ("csv_sha256"), and its
-stdout names the file as CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits there, so a
-change in the last bit of a simulated value shows even where the summaries
-in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
+directory (one of them, on TRANSPORT_1024, also runs the transport check
+of a translation, whose grid flows run a Program on the 1024 points
+between evolve's runs and whose transport_gap is printed to 17 digits);
+the record holds the file's sha256 ("csv_sha256"), and its stdout names
+the file as CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits
+there, so a change in the last bit of a simulated value shows even where
+the summaries in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
@@ -181,6 +188,10 @@ SIGNED = {
 }
 
 
+# the translation y1 -> y1 + tau passes the determining equations here
+TRANSPORT_1024 = "intermediate_const_u.json"
+
+
 def commands(tmp):
     for name in sorted(os.listdir(FIXTURES)):
         path = os.path.join(FIXTURES, name)
@@ -221,6 +232,11 @@ def commands(tmp):
             ],
         ):
             yield name, [argv[0], path] + argv[1:]
+        if name == TRANSPORT_1024:
+            yield name, [
+                "simulate", path, "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
+                "--transport=" + trans, "--csv", CSV_PLACEHOLDER,
+            ]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
