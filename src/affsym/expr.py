@@ -1455,6 +1455,26 @@ def _function(params, lines):
 # run, so its parts keep that to about 0.25 MB beside the run's arrays.
 _PART = 64
 
+_LINE = 8  # float64 values in a 64-byte cache line
+_FLOAT = np.dtype(float)
+
+
+def _aligned_rows(m, n, lead=0):
+    """A new (m, n) float64 array, a view of one buffer, whose column
+    ``lead`` starts every row on a 64-byte boundary, so a ufunc over the
+    rows from that column on loads no value split across two cache lines.
+    The row stride is the row, with the few values before it that align
+    column ``lead``, rounded up to an odd number of whole lines: rows fewer
+    than 64 apart are then never a multiple of 4 KiB apart, where
+    a load from one row would wait on a store to another with the same low
+    address bits (4K aliasing)."""
+    pad = -lead % _LINE
+    lines = -(-(pad + n) // _LINE) | 1
+    stride = lines * _LINE
+    buf = np.empty(m * stride + _LINE - 1)
+    start = -buf.__array_interface__["data"][0] // 8 % _LINE
+    return buf[start : start + m * stride].reshape(m, stride)[:, pad : pad + n]
+
 
 class Program(Sequence):
     """Straight-line code for a fixed sequence of roots, from compile_exprs.
@@ -1471,16 +1491,17 @@ class Program(Sequence):
     name its own (P,) array, and each step writes into that array through
     the ufunc's ``out`` argument: the same ufunc on the same operands in the
     same order as the walk, so the same bits, without a new array per step.
-    Its constants are 0-d float64 arrays.  The name arrays are kept between
-    runs at the same point count P and made anew when P changes, so a
-    Program is not thread-safe; each run returns a new ``out``.  A root that
-    is stored once and read by no later step is written by its last step
-    straight into its row of ``out``, where the scalar body assigns it and
-    then stores it.  A power other than 2 and -1 still allocates, since
-    numpy's ``x**k`` fast paths (sqrt for 0.5, which keeps -0.0) are not
-    taken by np.power with ``out``: it rebinds its name to the new array,
-    which is kept in place of the old one, and a root that is such a power
-    is copied into its row.  The array body is generated and compiled on
+    Its constants are 0-d float64 arrays.  The name arrays are the rows of
+    one block from _aligned_rows, each starting on a cache line; they are
+    kept between runs at the same point count P and made anew when P
+    changes, so a Program is not thread-safe; each run returns a new
+    ``out``.  A root that is stored once and read by no later step is
+    written by its last step straight into its row of ``out``, where the
+    scalar body assigns it and then stores it.  A power other than 2 and -1
+    still allocates, since numpy's ``x**k`` fast paths (sqrt for 0.5, which
+    keeps -0.0) are not taken by np.power with ``out``: it rebinds its name
+    to the new array, which is kept in place of the old row, and a root
+    that is such a power is copied into its row.  The array body is generated and compiled on
     the first ``run``, in functions of at most _PART steps that share the
     list of names: a program run only through ``at``, as every Pfaff
     right-hand side is, never pays for it.
@@ -1546,8 +1567,12 @@ class Program(Sequence):
     def run(self, points):
         """The roots' values as a new (R, P) array at points of shape (P, n),
         or at one point of shape (n,) (P = 1), computed on numpy columns.  A
-        coordinate missing from the points raises the walk's ExprError."""
-        columns = np.atleast_2d(np.asarray(points, dtype=float)).T
+        2-D float64 ndarray is read as it is; anything else is converted
+        first.  A coordinate missing from the points raises the walk's
+        ExprError."""
+        if type(points) is not np.ndarray or points.ndim != 2 or points.dtype is not _FLOAT:
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+        columns = points.T
         dim, npts = columns.shape
         if self._top > dim:
             first = next(i for i in self._coords if i > dim)
@@ -1556,7 +1581,7 @@ class Program(Sequence):
         if self._array is None:
             self._array = [self._bind(source, _ARRAY_NS, np.array) for source in self._array_sources()]
         if npts != self._npts:
-            self._names, self._npts = [np.empty(npts) for _ in range(self._nvars)], npts
+            self._names, self._npts = list(_aligned_rows(self._nvars, npts)), npts
         with np.errstate(all="ignore"):
             for part in self._array:
                 part(columns, out, self._names)

@@ -6,17 +6,17 @@ The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
 expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
 2nd-order central differences; classic fixed-step RK4 in time, periodic
 wrap throughout.  The integrator keeps its data in rows, one contiguous
-row of N values per component: the RK4 state is an (N, n) view of (n, N)
-storage, and each right-hand side call fills a (3n, N + 2) block whose
-first n rows hold u between two ghost columns (the periodic wrap), so the
-stencils read shifted slices of those rows and write u_x and u_xx into the
-rows below; the compiled program reads the block's N interior columns.
-One block serves every stage of an evolve, and the program keeps its name
-arrays between stages at the same N (see Program), so a stage allocates
-only the program's result.  Each step's stage inputs and weighted sum are
-written into two buffers of the state's layout, held for the whole evolve;
-the state itself is a new array each step, since a snapshot may hold it.
-Snapshots are stored C-ordered, (N, n), whatever the state's layout.
+row of N values per component, and each right-hand side reads a
+(3n, N + 2) ghost block whose first n rows hold u between two ghost columns
+(the periodic wrap): the stencils read shifted slices of those rows and
+write u_x and u_xx into the rows below, and the compiled program reads the
+block's N interior columns.  An evolve allocates one arena, whose rows
+start their interior on a cache line (see expr._aligned_rows): the ghost
+block, two state buffers that alternate, and the stage input and weighted
+sum.  Each stage input is written straight into the block's u rows, and
+the program keeps its name arrays between stages at the same N (see
+Program), so a stage allocates only the program's result.  Snapshots are
+C-ordered (N, n) copies.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .expr import compile_exprs, eval_many_shared
+from .expr import _aligned_rows, compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
 from .ode import IntegrationError, solve_ivp
 from .pfaff import _coords
@@ -110,8 +110,8 @@ def make_grid(profiles, N, L):
 
 def _coeff_evaluators(sys):
     """Callable mapping the row block (3n, N) = (u, u_x, u_xx), one grid
-    row per coordinate y1..y3n (the interior columns of _rhs's ghost-padded
-    block), to the right-hand side F (N, n).  F is compiled into one
+    row per coordinate y1..y3n (the interior columns of the ghost block, see
+    _stencil), to the right-hand side F (N, n).  F is compiled into one
     Program on first use and kept on the system, so every evolve and
     residual of one system runs the same code, and the Program's name
     arrays, kept per point count, serve every stage at one N.  The block
@@ -133,32 +133,43 @@ def _coeff_evaluators(sys):
     return rhs
 
 
-def _wrap(block, u):
-    """Write the rows u (m, N) into block (m, N + 2) between one ghost
-    column on each side, each a copy of the opposite end (the periodic
-    wrap); returns the shifted views (up, u, dn) of u_{k+1}, u_k, u_{k-1}."""
-    block[:, 1:-1] = u
-    block[:, 0] = u[:, -1]
-    block[:, -1] = u[:, 0]
-    return block[:, 2:], block[:, 1:-1], block[:, :-2]
+def _stencil(block, n, dx):
+    """The stencil on a ghost block: ``block`` is (3n, N + 2), its first n
+    rows holding u in columns 1..N.  Returns a function of no arguments
+    that copies each end of those rows into the ghost column beyond the
+    other end (the periodic wrap), writes u_x and u_xx by central
+    differences into the interior of the rows below, and returns the
+    (3n, N) interior.  The views are made here, once, so each call reads
+    whatever the u rows then hold."""
+    up, u, dn = block[:n, 2:], block[:n, 1:-1], block[:n, :-2]
+    d1, d2 = block[n : 2 * n, 1:-1], block[2 * n :, 1:-1]
+    left, last = block[:n, 0], block[:n, -2]
+    right, first = block[:n, -1], block[:n, 1]
+    interior = block[:, 1:-1]
+    h1, h2 = 2.0 * dx, dx**2
+
+    def fill():
+        np.copyto(left, last)
+        np.copyto(right, first)
+        # (up - dn) / (2 dx) and ((up - 2 u) + dn) / dx^2, operation by operation
+        np.subtract(up, dn, d1)
+        np.divide(d1, h1, d1)
+        np.multiply(2.0, u, d2)
+        np.subtract(up, d2, d2)
+        np.add(d2, dn, d2)
+        np.divide(d2, h2, d2)
+        return interior
+
+    return fill
 
 
-def _rhs(coeffs, values, dx, block=None):
-    """F (N, n) at the grid values (N, n): central differences of the
-    ghost-padded rows of u, written into the rows below them in ``block``,
-    a (3n, N + 2) scratch array (a new one if None), fed to coeffs."""
+def _rhs(coeffs, values, dx):
+    """coeffs of the stencil at the grid values (N, n), written into the u
+    rows of a new ghost block; with _coeff_evaluators' coeffs, F (N, n)."""
     N, n = values.shape
-    if block is None:
-        block = np.empty((3 * n, N + 2))
-    up, u, dn = _wrap(block[:n], values.T)
-    # (up - dn) / (2 dx) and ((up - 2 u) + dn) / dx^2, operation by operation
-    d1 = np.subtract(up, dn, out=block[n : 2 * n, 1:-1])
-    np.divide(d1, 2.0 * dx, out=d1)
-    d2 = np.multiply(2.0, u, out=block[2 * n :, 1:-1])
-    np.subtract(up, d2, out=d2)
-    np.add(d2, dn, out=d2)
-    np.divide(d2, dx**2, out=d2)
-    return coeffs(block[:, 1:-1])
+    block = _aligned_rows(3 * n, N + 2, 1)
+    block[:n, 1:-1] = values.T
+    return coeffs(_stencil(block, n, dx)())
 
 
 def stability_limit(sys, grid):
@@ -183,7 +194,17 @@ def stability_limit(sys, grid):
 def evolve(sys, grid, dt, steps):
     """The grid advanced by RK4 with fixed step dt: evolve_snapshots' last
     snapshot."""
-    return evolve_snapshots(sys, grid, dt, steps, max(1, steps))[-1]
+    return evolve_snapshots(sys, grid, dt, steps, max(1, _count("steps", steps, 0)))[-1]
+
+
+def _count(name, value, least):
+    """value, refused unless it is an int (a bool is not) of at least
+    ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
 
 
 def evolve_snapshots(sys, grid, dt, steps, every):
@@ -192,24 +213,21 @@ def evolve_snapshots(sys, grid, dt, steps, every):
 
     Violating the explicit-stability heuristic with a step of either sign
     warns (not an error); non-finite values abort with the step index,
-    counted from the start.  A dt that is not finite or a negative step
-    count is refused (a negative finite dt steps backwards).
+    counted from the start.  A dt that is not finite, or a steps or every
+    that is not an int (bools included) or is out of range, is refused (a
+    negative finite dt steps backwards).
 
-    The stages are summed into two buffers held for the whole evolve, with
-    the operations, operands and order of ``y + 0.5*dt*k1`` and the other
-    sums, so the values are those of the expressions.  The state ``y`` is
-    a new array each step: SolutionGrid keeps an (N, 1) array as it is, so
-    a snapshot of a one-component system holds y itself.  Every stage
-    fills the same ghost block (see _rhs).
+    Every buffer is a block of rows in one arena held for the whole evolve
+    (see the module docstring).  The stages are computed with the
+    operations, operands and order of ``y + 0.5*dt*k1`` and the other sums,
+    so the values are those of the expressions.
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps!r}")
-    if every < 1:
-        raise ValueError(f"every must be at least 1, got {every!r}")
+    _count("steps", steps, 0)
+    _count("every", every, 1)
     coeffs = _coeff_evaluators(sys)
     limit = stability_limit(sys, grid)
     if abs(dt) > limit:
@@ -218,39 +236,46 @@ def evolve_snapshots(sys, grid, dt, steps, every):
             RuntimeWarning,
             stacklevel=2,
         )
-    # rows layout: y and the two buffers are (N, n) views of (n, N) storage,
-    # and every stage combination below keeps it
-    y = np.ascontiguousarray(grid.values.T).T
-    stage = np.empty(y.shape[::-1]).T
-    total = np.empty(y.shape[::-1]).T
-    block = np.empty((3 * grid.n, grid.N + 2))
-    dx = grid.dx
+    # one arena, every row aligned at column 1: the ghost block (3n rows),
+    # then the state, the spare state, the stage increment and the weighted sum,
+    # each n rows read from column 1 to N
+    n = grid.n
+    arena = _aligned_rows(7 * n, grid.N + 2, 1)
+    block = arena[: 3 * n]
+    u = block[:n, 1:-1]
+    y, spare, stage, total = (arena[k * n : (k + 1) * n, 1:-1] for k in range(3, 7))
+    fill = _stencil(block, n, grid.dx)
+    np.copyto(y, grid.values.T)
     out = [grid.copy()]
     done = 0
-    for step in range(1, steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # y + 0.5*dt*k1 .. y + dt*k3 and y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4),
-            # operation by operation in that order
-            k1 = _rhs(coeffs, y, dx, block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            # y + 0.5*dt*k1 .. y + dt*k3, each written into the u rows, and
+            # y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), operation by operation in
+            # that order; each k is F transposed to rows
+            np.copyto(u, y)
+            k1 = coeffs(fill()).T
             np.multiply(0.5 * dt, k1, stage)
-            k2 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
+            np.add(y, stage, u)
+            k2 = coeffs(fill()).T
             np.multiply(0.5 * dt, k2, stage)
-            k3 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
+            np.add(y, stage, u)
+            k3 = coeffs(fill()).T
             np.multiply(dt, k3, stage)
-            k4 = _rhs(coeffs, np.add(y, stage, stage), dx, block)
+            np.add(y, stage, u)
+            k4 = coeffs(fill()).T
             np.multiply(2, k2, total)
             np.add(k1, total, total)
             np.add(total, np.multiply(2, k3, stage), total)
             np.add(total, k4, total)
             np.multiply(dt / 6.0, total, total)
-            # a fresh y: a snapshot of n = 1 values keeps y's storage
-            y = y + total
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"solution blew up at step {step}")
-        if step % every == 0 or step == steps:
-            # t = previous t + chunk * dt, the spacing pde_residual checks
-            out.append(grid.copy(t=out[-1].t + (step - done) * dt, values=y))
-            done = step
+            y, spare = np.add(y, total, spare), y
+            if not np.all(np.isfinite(y)):
+                raise RuntimeError(f"solution blew up at step {step}")
+            if step % every == 0 or step == steps:
+                # t = previous t + chunk * dt, the spacing pde_residual checks
+                out.append(grid.copy(t=out[-1].t + (step - done) * dt, values=y.T.copy()))
+                done = step
     return out
 
 
@@ -408,8 +433,8 @@ def heisenberg_embedding_residual(grid, dt, sys=None):
     bw = evolve(sys, grid, -dt, 1)
     s_now = stereo_to_sphere(grid.values)
     s_dot = (stereo_to_sphere(fw.values) - stereo_to_sphere(bw.values)) / (2.0 * dt)
-    up, s, dn = _wrap(np.empty((3, grid.N + 2)), s_now.T)
-    s_xx = ((up - 2 * s + dn) / grid.dx**2).T
+    # the stencil's u_xx rows of the three components of S
+    s_xx = _rhs(lambda rows: rows[6:].T, s_now, grid.dx)
     return float(np.max(np.abs(s_dot - np.cross(s_now, s_xx))))
 
 

@@ -3,6 +3,7 @@ edge cases, memory, and where Pfaff transport and the simulator compile."""
 
 import glob
 import importlib.util
+import itertools
 import io
 import os
 import re
@@ -17,6 +18,7 @@ from affsym.cli import main
 from affsym.expr import (
     ExprError,
     Program,
+    _aligned_rows,
     compile_exprs,
     coord,
     div,
@@ -253,6 +255,38 @@ def test_program_keeps_its_names_per_point_count():
         assert float_literals(operands) == []
     assert prog._nvars == 0 and "_k0" in operands
     assert compile_exprs(with_names)._nvars > 0
+
+
+def assert_cache_rows(rows):
+    """Each row starts on a 64-byte cache line, and no two rows are a
+    multiple of 4 KiB apart (4K aliasing between their loads and stores)."""
+    starts = [row.__array_interface__["data"][0] for row in rows]
+    assert all(a % 64 == 0 for a in starts), starts
+    assert all((b - a) % 4096 for a, b in itertools.combinations(starts, 2)), starts
+
+
+@pytest.mark.parametrize("N", [8, 64, 1001, 1024, 4096])
+def test_aligned_rows_start_on_cache_lines(N):
+    for m, lead in ((1, 0), (7, 0), (21, 1), (3, 7)):
+        block = _aligned_rows(m, N, lead)
+        assert block.shape == (m, N) and block.dtype == np.float64
+        assert_cache_rows(block[:, lead:])
+        assert block.strides[0] % 64 == 0 and block.strides[0] % 4096
+        block[...] = np.arange(m)[:, None]  # the rows do not overlap
+        assert np.array_equal(block, np.broadcast_to(np.arange(m)[:, None], (m, N)))
+
+
+@pytest.mark.parametrize("N", [8, 64, 1001, 1024, 4096])
+def test_program_names_start_on_cache_lines(N):
+    sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=3))
+    rows = sample_points(9, N, seed=N).T
+    want = pdesim._coeff_evaluators(sysd)(rows)
+    prog = sysd.coeff_program
+    assert prog._nvars > 1
+    assert_cache_rows(prog._names)
+    got = eval_many_shared(prog, np.ascontiguousarray(rows.T))
+    assert got.T.tobytes() == want.tobytes()
+    assert_cache_rows(prog._names)
 
 
 def counting_compiles(monkeypatch, module):

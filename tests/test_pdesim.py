@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from affsym import pdesim
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument
 from affsym.expr import eval_many_shared
@@ -32,6 +33,7 @@ from affsym.pdesim import (
     transport_convergence,
 )
 from affsym.tensor import TensorField
+from test_compile import assert_cache_rows
 
 L = 2 * np.pi
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -123,6 +125,24 @@ def test_evolve_refuses_a_step_that_is_not_finite_and_a_negative_count():
             call(sys, grid, 0.01, -1)
     back = evolve(sys, evolve(sys, grid, 1e-4, 2), -1e-4, 2)
     assert np.max(np.abs(back.values - grid.values)) < 1e-9
+
+
+def test_evolve_refuses_a_count_that_is_not_an_int():
+    # every = 2.5 kept only the first and last grids, and evolve with
+    # steps = 2.5 failed in range with a bare TypeError
+    sys = heat_system()
+    grid = make_grid([np.sin], 16, L)
+    for bad in (2.5, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match=re.escape(f"every must be an int, got {bad!r}")):
+            evolve_snapshots(sys, grid, 0.01, 4, bad)
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an int, got {bad!r}")):
+            evolve_snapshots(sys, grid, 0.01, bad, 1)
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an int, got {bad!r}")):
+            evolve(sys, grid, 1e-3, bad)
+    snaps = evolve_snapshots(sys, grid, 0.01, np.int64(4), np.int32(2))
+    want = evolve_snapshots(sys, grid, 0.01, 4, 2)
+    assert [s.t for s in snaps] == [s.t for s in want] == [0.0, 0.02, 0.04]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(snaps, want))
 
 
 def einsum_rhs(sys, values, dx):
@@ -234,6 +254,54 @@ def test_row_layout_run_is_bitwise_the_column_route():
         )
         worst = max(float(np.max(np.abs(d))) for d in defects)
         assert pde_residual(sys, snaps).hex() == worst.hex(), N
+
+
+def test_padded_rows_run_is_bitwise_the_column_route():
+    # N = 1001 is not a multiple of the 8 values in a cache line, so every
+    # row of the arena ends in padding; N = 8 is the smallest grid.  With a
+    # snapshot every step the two state buffers alternate under them
+    hexes = np.frompyfunc(float.hex, 1, 1)
+    systems = [heat_system(), build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))]
+    for sys, N in itertools.product(systems, (8, 1001)):
+        profiles = [
+            lambda x, k=k: 0.3 * np.sin(x + k) + 0.1 * np.cos(2 * x) for k in range(sys.n)
+        ]
+        grid = make_grid(profiles, N, L)
+        dt = 0.5 * stability_limit(sys, grid)
+        snaps = evolve_snapshots(sys, grid, dt, 5, 1)
+        times, values = column_evolve(sys, grid, dt, 5, 1)
+        assert [s.t for s in snaps] == times
+        for a, b in itertools.combinations(snaps, 2):
+            assert not np.shares_memory(a.values, b.values), (sys.n, N)
+        for snap, want in zip(snaps, values):
+            assert snap.values.flags.c_contiguous, (sys.n, N)
+            assert np.array_equal(hexes(snap.values), hexes(want)), (sys.n, N)
+
+
+@pytest.mark.parametrize("N", [8, 64, 1001, 1024, 4096])
+def test_every_stage_reads_one_ghost_block_from_cache_lines(monkeypatch, N):
+    # the (3n, N) interior that each stage hands to the coefficients starts
+    # every row on a cache line, and all the stages of an evolve share it
+    seen = []
+    evaluators = pdesim._coeff_evaluators
+
+    def spy(sys):
+        rhs = evaluators(sys)
+
+        def recorded(rows):
+            seen.append(rows)
+            return rhs(rows)
+
+        return recorded
+
+    monkeypatch.setattr(pdesim, "_coeff_evaluators", spy)
+    sys = build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))
+    grid = make_grid([lambda x, k=k: 0.2 * np.sin(x + k) for k in range(3)], N, L)
+    evolve(sys, grid, 0.5 * stability_limit(sys, grid), 2)
+    assert len(seen) == 8
+    assert len({rows.__array_interface__["data"][0] for rows in seen}) == 1
+    assert seen[0].shape == (9, N)
+    assert_cache_rows(seen[0])
 
 
 def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):

@@ -5,9 +5,9 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 181 commands and the six demos: 145 commands on fixtures/ (18 on
-each fixture and one more on TRANSPORT_1024), 19 on HOSTILE, 6 on WIDE and
-11 on SIGNED.
+It runs 182 commands and the six demos: 146 commands on fixtures/ (18 on
+each fixture, one more on TRANSPORT_1024 and one on PADDED_1001), 19 on
+HOSTILE, 6 on WIDE and 11 on SIGNED.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
@@ -19,7 +19,9 @@ shows as a difference and a moved one does not.  The grid-1024 `simulate`
 commands also write their snapshots with `--csv` into a temporary
 directory (one of them, on TRANSPORT_1024, also runs the transport check
 of a translation, whose grid flows run a Program on the 1024 points
-between evolve's runs and whose transport_gap is printed to 17 digits);
+between evolve's runs and whose transport_gap is printed to 17 digits), and
+so does one at grid 1001 on PADDED_1001, where the simulator's rows end in
+padding;
 the record holds the file's sha256 ("csv_sha256"), and its stdout names
 the file as CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits
 there, so a change in the last bit of a simulated value shows even where
@@ -190,6 +192,9 @@ SIGNED = {
 
 # the translation y1 -> y1 + tau passes the determining equations here
 TRANSPORT_1024 = "intermediate_const_u.json"
+# 1001 points are not a whole number of 64-byte cache lines, so every row of
+# the simulator's arena ends in padding; n = 3 with a curved connection
+PADDED_1001 = "constcurv_n3.json"
 
 
 def commands(tmp):
@@ -236,6 +241,11 @@ def commands(tmp):
             yield name, [
                 "simulate", path, "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
                 "--transport=" + trans, "--csv", CSV_PLACEHOLDER,
+            ]
+        if name == PADDED_1001:
+            yield name, [
+                "simulate", path, "--grid", "1001", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
+                "--csv", CSV_PLACEHOLDER,
             ]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED}.items():
         path = os.path.join(tmp, name)
