@@ -53,6 +53,7 @@ from .geometry import (
 )
 from .liefn import VectorField
 from .pdesim import (
+    _spacing,
     dump_csv,
     evolve_snapshots,
     make_grid,
@@ -528,6 +529,10 @@ def cmd_simulate(args):
         raise InputError(f"--steps must be at least 1, got {args.steps}")
     if not 8 <= args.grid <= GRID_MAX:
         raise InputError(f"--grid must be between 8 and {GRID_MAX} points, got {args.grid}")
+    try:
+        _spacing(args.grid, args.length)
+    except ValueError as exc:
+        raise InputError(f"--length {args.length!r} does not fit --grid {args.grid}: {exc}") from exc
     doc, sysd, _pts = _load(args)
     n, length = doc.n, args.length
     if args.initial:

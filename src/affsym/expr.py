@@ -1459,19 +1459,23 @@ _LINE = 8  # float64 values in a 64-byte cache line
 _FLOAT = np.dtype(float)
 
 
+def _odd_lines(n):
+    """n values rounded up to an odd number of whole 64-byte cache lines, in
+    values: rows that many values apart and fewer than 64 apart are never a
+    multiple of 4 KiB apart, where a load from one row would wait on a store
+    to another with the same low address bits (4K aliasing)."""
+    return (-(-n // _LINE) | 1) * _LINE
+
+
 def _aligned_rows(m, n, lead=0):
-    """A new (m, n) float64 array, a view of one buffer, whose column
+    """A new zeroed (m, n) float64 array, a view of one buffer, whose column
     ``lead`` starts every row on a 64-byte boundary, so a ufunc over the
     rows from that column on loads no value split across two cache lines.
     The row stride is the row, with the few values before it that align
-    column ``lead``, rounded up to an odd number of whole lines: rows fewer
-    than 64 apart are then never a multiple of 4 KiB apart, where
-    a load from one row would wait on a store to another with the same low
-    address bits (4K aliasing)."""
+    column ``lead``, rounded up by _odd_lines."""
     pad = -lead % _LINE
-    lines = -(-(pad + n) // _LINE) | 1
-    stride = lines * _LINE
-    buf = np.empty(m * stride + _LINE - 1)
+    stride = _odd_lines(pad + n)
+    buf = np.zeros(m * stride + _LINE - 1)
     start = -buf.__array_interface__["data"][0] // 8 % _LINE
     return buf[start : start + m * stride].reshape(m, stride)[:, pad : pad + n]
 
@@ -1503,8 +1507,10 @@ class Program(Sequence):
     to the new array, which is kept in place of the old row, and a root
     that is such a power is copied into its row.  The array body is generated and compiled on
     the first ``run``, in functions of at most _PART steps that share the
-    list of names: a program run only through ``at``, as every Pfaff
-    right-hand side is, never pays for it.
+    list of names, bound into one function that runs them under
+    ``np.errstate(all="ignore")``: a program run only through ``at``, as
+    every Pfaff right-hand side is, never pays for it.  Each run hands them
+    the points' coordinate rows as one list, made once.
     """
 
     def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
@@ -1543,9 +1549,9 @@ class Program(Sequence):
         return namespace["program"]
 
     def _array_sources(self):
-        """The array body's source as functions of (x, out, names), in order.
-        A root's store (node None) copies its value into its row of ``out``;
-        a step with a row writes its value there."""
+        """The array body's source as functions of (x, out, names), in order,
+        x a list of coordinate rows.  A root's store (node None) copies its
+        value into its row of ``out``; a step with a row writes its value there."""
         head = list(self._head)
         if self._nvars:
             head.append(", ".join(f"v{k}" for k in range(self._nvars)) + ", = names")
@@ -1579,12 +1585,21 @@ class Program(Sequence):
             raise ExprError(f"coordinate y{first} out of range for a point of dimension {dim}")
         out = np.empty((len(self.roots), npts))
         if self._array is None:
-            self._array = [self._bind(source, _ARRAY_NS, np.array) for source in self._array_sources()]
+            parts = [self._bind(source, _ARRAY_NS, np.array) for source in self._array_sources()]
+            # one list of the rows the parts read, at half the cost of list(columns)
+            used = ", ".join(f"x[{i}]" if i + 1 in self._coords else "None" for i in range(self._top))
+            rows = eval(f"lambda x: [{used}]")
+
+            @np.errstate(all="ignore")  # at about half the cost of a with block per call
+            def array(columns, out, names):
+                x = rows(columns)
+                for part in parts:
+                    part(x, out, names)
+
+            self._array = array
         if npts != self._npts:
             self._names, self._npts = list(_aligned_rows(self._nvars, npts)), npts
-        with np.errstate(all="ignore"):
-            for part in self._array:
-                part(columns, out, self._names)
+        self._array(columns, out, self._names)
         return out
 
     def at(self, x):

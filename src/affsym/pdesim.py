@@ -5,18 +5,18 @@ and the spin-chain example on the sphere.
 The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
 expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
 2nd-order central differences; classic fixed-step RK4 in time, periodic
-wrap throughout.  The integrator keeps its data in rows, one contiguous
-row of N values per component, and each right-hand side reads a
-(3n, N + 2) ghost block whose first n rows hold u between two ghost columns
-(the periodic wrap): the stencils read shifted slices of those rows and
-write u_x and u_xx into the rows below, and the compiled program reads the
-block's N interior columns.  An evolve allocates one arena, whose rows
-start their interior on a cache line (see expr._aligned_rows): the ghost
-block, two state buffers that alternate, and the stage input and weighted
-sum.  Each stage input is written straight into the block's u rows, and
-the program keeps its name arrays between stages at the same N (see
-Program), so a stage allocates only the program's result.  Snapshots are
-C-ordered (N, n) copies.
+wrap throughout.  An evolve keeps its data in one zeroed buffer (see
+_buffer).  Each right-hand side reads a ghost block of 3n padded rows whose
+first n hold u between two ghost columns (the periodic wrap): the stencil
+writes u_x and u_xx into the rows below, one ufunc call per operation over
+the flat strip of those rows, padding included, and the compiled program
+reads the N interior columns.  Four contiguous (n, N) strips follow: two
+states that alternate, the stage increment and the weighted sum, so every
+RK4 operation that does not write the block is one loop.  Each stage input
+is written straight into the block's u rows, and the program keeps its name
+arrays between stages at the same N (see Program), so a stage allocates
+only the program's result.  Nothing reads the values left in padding.
+Snapshots are C-ordered (N, n) copies.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .expr import _aligned_rows, compile_exprs, eval_many_shared
+from .expr import _LINE, _aligned_rows, _odd_lines, compile_exprs, eval_many_shared
 from .geometry import Connection, DiffusionSystem
 from .ode import IntegrationError, solve_ivp
 from .pfaff import _coords
@@ -66,6 +66,7 @@ class SolutionGrid:
         self.values = np.ascontiguousarray(values, dtype=float)
         if self.N < 8:
             raise ValueError("grid needs at least 8 points")
+        _spacing(self.N, self.L)
         if self.values.shape[0] != self.N or self.values.ndim != 2:
             raise ValueError("values must have shape (N, n)")
         if not np.all(np.isfinite(self.values)):
@@ -90,6 +91,13 @@ class SolutionGrid:
             self.t if t is None else t,
             self.values.copy() if values is None else values,
         )
+
+
+def _spacing(N, L):
+    """Refuse a grid whose (L/N)**2, by which the stencil and stability_limit
+    divide, is not a finite normal float."""
+    if not np.finfo(float).tiny <= (L / N) * (L / N) < math.inf:
+        raise ValueError(f"(L/N)**2 is not a finite normal float for L = {L!r}, N = {N}")
 
 
 def _length(L):
@@ -133,20 +141,36 @@ def _coeff_evaluators(sys):
     return rhs
 
 
-def _stencil(block, n, dx):
-    """The stencil on a ghost block: ``block`` is (3n, N + 2), its first n
-    rows holding u in columns 1..N.  Returns a function of no arguments
-    that copies each end of those rows into the ghost column beyond the
-    other end (the periodic wrap), writes u_x and u_xx by central
-    differences into the interior of the rows below, and returns the
-    (3n, N) interior.  The views are made here, once, so each call reads
-    whatever the u rows then hold."""
-    up, u, dn = block[:n, 2:], block[:n, 1:-1], block[:n, :-2]
-    d1, d2 = block[n : 2 * n, 1:-1], block[2 * n :, 1:-1]
-    left, last = block[:n, 0], block[:n, -2]
-    right, first = block[:n, -1], block[:n, 1]
-    interior = block[:, 1:-1]
-    h1, h2 = 2.0 * dx, dx**2
+def _buffer(n, N, strips):
+    """One new zeroed buffer for n components on N points: the ghost block,
+    (3n, S) with S the N + 2 values of a row rounded up by expr._odd_lines
+    and each row's column 1 on a cache line (columns 0 and N + 1 are ghost
+    columns, those after them padding), then ``strips`` contiguous (n, N)
+    strips, each on a cache line an odd number of lines after the row or
+    strip before it.  Returns the block and the list of strips."""
+    S, T = _odd_lines(N + 2), _odd_lines(n * N)
+    head = 3 * n * S + _LINE  # the first strip; row 0's column 1 is at _LINE
+    buf = _aligned_rows(1, head + strips * T)[0]
+    rows = buf[_LINE - 1 : head - 1].reshape(3 * n, S)
+    return rows, [buf[k : k + n * N].reshape(n, N) for k in range(head, head + strips * T, T)]
+
+
+def _stencil(rows, n, N, dx):
+    """The stencil on a ghost block from _buffer, its first n rows holding u
+    in columns 1..N.  Returns a function of no arguments that copies each
+    end of those rows into the ghost column beyond the other end (the
+    periodic wrap), writes u_x and u_xx by central differences into the
+    interior of the rows below, and returns the (3n, N) interior.  Each
+    operation is one ufunc call over the flat strip of the target rows and
+    the u rows' strip shifted by -1, 0 or 1, padding included, which nothing
+    reads.  The views are made once, so each call reads the u rows anew."""
+    S = rows.shape[1]
+    flat, size = rows.reshape(-1), (n - 1) * S + N
+    up, u, dn = flat[2 : size + 2], flat[1 : size + 1], flat[:size]
+    d1, d2 = flat[n * S + 1 :][:size], flat[2 * n * S + 1 :][:size]
+    left, last, right, first = rows[:n, 0], rows[:n, N], rows[:n, N + 1], rows[:n, 1]
+    interior = rows[:, 1 : N + 1]
+    h1, h2, two = (np.array(c) for c in (2.0 * dx, dx**2, 2.0))  # 0-d, as in evolve
 
     def fill():
         np.copyto(left, last)
@@ -154,7 +178,7 @@ def _stencil(block, n, dx):
         # (up - dn) / (2 dx) and ((up - 2 u) + dn) / dx^2, operation by operation
         np.subtract(up, dn, d1)
         np.divide(d1, h1, d1)
-        np.multiply(2.0, u, d2)
+        np.multiply(two, u, d2)
         np.subtract(up, d2, d2)
         np.add(d2, dn, d2)
         np.divide(d2, h2, d2)
@@ -165,11 +189,14 @@ def _stencil(block, n, dx):
 
 def _rhs(coeffs, values, dx):
     """coeffs of the stencil at the grid values (N, n), written into the u
-    rows of a new ghost block; with _coeff_evaluators' coeffs, F (N, n)."""
+    rows of a new ghost block from _buffer, under evolve's error state as
+    the stencil also computes in padding; with _coeff_evaluators' coeffs, F
+    (N, n)."""
     N, n = values.shape
-    block = _aligned_rows(3 * n, N + 2, 1)
-    block[:n, 1:-1] = values.T
-    return coeffs(_stencil(block, n, dx)())
+    rows, _ = _buffer(n, N, 0)
+    rows[:n, 1 : N + 1] = values.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coeffs(_stencil(rows, n, N, dx)())
 
 
 def stability_limit(sys, grid):
@@ -217,7 +244,7 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     that is not an int (bools included) or is out of range, is refused (a
     negative finite dt steps backwards).
 
-    Every buffer is a block of rows in one arena held for the whole evolve
+    Every buffer is part of one from _buffer, held for the whole evolve
     (see the module docstring).  The stages are computed with the
     operations, operands and order of ``y + 0.5*dt*k1`` and the other sums,
     so the values are those of the expressions.
@@ -236,39 +263,38 @@ def evolve_snapshots(sys, grid, dt, steps, every):
             RuntimeWarning,
             stacklevel=2,
         )
-    # one arena, every row aligned at column 1: the ghost block (3n rows),
-    # then the state, the spare state, the stage increment and the weighted sum,
-    # each n rows read from column 1 to N
-    n = grid.n
-    arena = _aligned_rows(7 * n, grid.N + 2, 1)
-    block = arena[: 3 * n]
-    u = block[:n, 1:-1]
-    y, spare, stage, total = (arena[k * n : (k + 1) * n, 1:-1] for k in range(3, 7))
-    fill = _stencil(block, n, grid.dx)
+    # the ghost block, then the state, the spare state, the stage increment
+    # and the weighted sum
+    n, N = grid.n, grid.N
+    rows, (y, spare, stage, total) = _buffer(n, N, 4)
+    u = rows[:n, 1 : N + 1]
+    fill = _stencil(rows, n, N, grid.dx)
     np.copyto(y, grid.values.T)
+    # 0-d arrays, where a ufunc converts a Python number on every call
+    half, whole, sixth, two = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
     out = [grid.copy()]
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             # y + 0.5*dt*k1 .. y + dt*k3, each written into the u rows, and
             # y + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), operation by operation in
-            # that order; each k is F transposed to rows
+            # that order; each k is F transposed to a contiguous (n, N) strip
             np.copyto(u, y)
             k1 = coeffs(fill()).T
-            np.multiply(0.5 * dt, k1, stage)
+            np.multiply(half, k1, stage)
             np.add(y, stage, u)
             k2 = coeffs(fill()).T
-            np.multiply(0.5 * dt, k2, stage)
+            np.multiply(half, k2, stage)
             np.add(y, stage, u)
             k3 = coeffs(fill()).T
-            np.multiply(dt, k3, stage)
+            np.multiply(whole, k3, stage)
             np.add(y, stage, u)
             k4 = coeffs(fill()).T
-            np.multiply(2, k2, total)
+            np.multiply(two, k2, total)
             np.add(k1, total, total)
-            np.add(total, np.multiply(2, k3, stage), total)
+            np.add(total, np.multiply(two, k3, stage), total)
             np.add(total, k4, total)
-            np.multiply(dt / 6.0, total, total)
+            np.multiply(sixth, total, total)
             y, spare = np.add(y, total, spare), y
             if not np.all(np.isfinite(y)):
                 raise RuntimeError(f"solution blew up at step {step}")

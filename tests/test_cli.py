@@ -1309,6 +1309,19 @@ def test_bad_numeric_flags_exit_1(capsys, argv, error):
     assert_input_error(capsys, argv, error)
 
 
+@pytest.mark.parametrize("length", ["1e300", "1e-300"])
+def test_simulate_refuses_a_length_whose_grid_spacing_squared_is_not_normal(capsys, length):
+    # a traceback from dx**2's OverflowError, and "solution blew up at step
+    # 1" after the stencil divided by a dx**2 of 0
+    argv = ["simulate", fixture("heat_n1.json"), *SIM, "--grid", "16", "--length", length]
+    L = float(length)
+    error = (
+        f"--length {L!r} does not fit --grid 16: "
+        f"(L/N)**2 is not a finite normal float for L = {L!r}, N = 16"
+    )
+    assert_input_error(capsys, argv, error)
+
+
 def test_smallest_valid_simulation_flags(capsys):
     code, data = run(
         capsys, "simulate", fixture("heat_n1.json"), "--dt", "0.001", "--steps", "1", "--grid", "8"

@@ -8,6 +8,7 @@ import io
 import os
 import re
 import tokenize
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,26 @@ def test_program_raises_the_walks_error_for_a_missing_coordinate():
         with pytest.raises(ExprError) as got:
             call()
         assert str(got.value) == str(walk.value)
+
+
+@pytest.mark.parametrize("npts", [1, 64])
+def test_program_run_keeps_the_callers_error_state_and_warns_of_nothing(npts):
+    # 1/0, an overflow and 0/0 in the last of several parts give inf, inf
+    # and nan without a warning, also where the caller raises on every flag
+    roots = [parse_expr(" + ".join(["y3"] * 150), 3)] + [
+        parse_expr(text, 3) for text in ("1/y1", "exp(y3)", "y1/y2")
+    ]
+    prog = compile_exprs(roots)
+    assert len(prog._array_sources()) > 1
+    points = np.tile([0.0, 0.0, 1000.0], (npts, 1))
+    for outer in ({}, {"all": "raise"}):
+        with np.errstate(**outer):
+            state = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = prog.run(points)
+            assert np.geterr() == state
+        assert np.all(got[0] == 150000.0) and np.all(np.isposinf(got[1:3])) and np.all(np.isnan(got[3]))
 
 
 def test_program_of_constant_subtrees():

@@ -278,6 +278,64 @@ def test_padded_rows_run_is_bitwise_the_column_route():
             assert np.array_equal(hexes(snap.values), hexes(want)), (sys.n, N)
 
 
+def test_two_and_four_components_run_bitwise_the_column_route():
+    # n = 2 with A's complex spectrum (the spin chain) and n = 4, on the
+    # smallest grid and on one whose rows end in padding, a snapshot every step
+    hexes = np.frompyfunc(float.hex, 1, 1)
+    systems = [heisenberg_system(), build_system(CanonicalSpec("constcurv_22_13", n=4, a=1.0))]
+    for sys, N in itertools.product(systems, (8, 1001)):
+        profiles = [
+            lambda x, k=k: 0.3 * np.sin(x + k) + 0.1 * np.cos(2 * x) for k in range(sys.n)
+        ]
+        grid = make_grid(profiles, N, L)
+        dt = 0.5 * stability_limit(sys, grid)
+        snaps = evolve_snapshots(sys, grid, dt, 5, 1)
+        times, values = column_evolve(sys, grid, dt, 5, 1)
+        assert [s.t for s in snaps] == times
+        for snap, want in zip(snaps, values):
+            assert np.array_equal(hexes(snap.values), hexes(want)), (sys.n, N)
+
+
+def nan_padded(buffer):
+    """_buffer with every value outside the block's interior columns and
+    the strips set to nan."""
+
+    def padded(n, N, strips):
+        rows, arrays = buffer(n, N, strips)
+        rows.base[...] = np.nan
+        rows[:, 1 : N + 1] = 0.0
+        for strip in arrays:
+            strip[...] = 0.0
+        return rows, arrays
+
+    return padded
+
+
+def test_padding_and_ghost_columns_are_never_read_before_they_are_written(monkeypatch):
+    # the stencil's calls run over padding too; a nan read from there into
+    # an interior value would show in the snapshots or blow the run up
+    monkeypatch.setattr(pdesim, "_buffer", nan_padded(pdesim._buffer))
+    hexes = np.frompyfunc(float.hex, 1, 1)
+    systems = [heat_system(), build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))]
+    for sys, N in itertools.product(systems, (8, 1001)):
+        profiles = [
+            lambda x, k=k: 0.3 * np.sin(x + k) + 0.1 * np.cos(2 * x) for k in range(sys.n)
+        ]
+        grid = make_grid(profiles, N, L)
+        dt = 0.5 * stability_limit(sys, grid)
+        snaps = evolve_snapshots(sys, grid, dt, 5, 1)
+        times, values = column_evolve(sys, grid, dt, 5, 1)
+        for snap, want in zip(snaps, values):
+            assert np.array_equal(hexes(snap.values), hexes(want)), (sys.n, N)
+        defects = (
+            (values[k + 1] - values[k - 1]) / (2.0 * (times[1] - times[0]))
+            - column_rhs(sys, values[k], grid.dx)
+            for k in range(1, len(values) - 1)
+        )
+        worst = max(float(np.max(np.abs(d))) for d in defects)
+        assert pde_residual(sys, snaps).hex() == worst.hex(), (sys.n, N)
+
+
 @pytest.mark.parametrize("N", [8, 64, 1001, 1024, 4096])
 def test_every_stage_reads_one_ghost_block_from_cache_lines(monkeypatch, N):
     # the (3n, N) interior that each stage hands to the coefficients starts
@@ -544,6 +602,23 @@ def test_grid_length_must_be_finite_and_positive(length):
         make_grid([np.sin], 16, length)
     with pytest.raises(ValueError, match=re.escape(message)):
         SolutionGrid(8, length, 0.0, np.zeros((8, 1)))
+
+
+@pytest.mark.parametrize(
+    "length, passes",
+    [(16 * 2.0**511, True), (16 * 2.0**512, False), (1e300, False),
+     (16 * 2.0**-511, True), (16 * 2.0**-512, False), (1e-300, False)],
+)
+def test_grid_spacing_squared_must_be_a_finite_normal_float(length, passes):
+    # stability_limit's dx**2 raised OverflowError beyond the largest float,
+    # and the stencil divided by a dx**2 of 0 below the smallest normal one
+    values = np.zeros((16, 1))
+    if passes:
+        assert stability_limit(heat_system(), SolutionGrid(16, length, 0.0, values)) > 0.0
+        return
+    message = f"(L/N)**2 is not a finite normal float for L = {length!r}, N = 16"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolutionGrid(16, length, 0.0, values)
 
 
 def test_transport_entire_flat_basis_equivariant():

@@ -5,9 +5,10 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 182 commands and the six demos: 146 commands on fixtures/ (18 on
-each fixture, one more on TRANSPORT_1024 and one on PADDED_1001), 19 on
-HOSTILE, 6 on WIDE and 11 on SIGNED.
+It runs 185 commands and the six demos: 149 commands on fixtures/ (18 on
+each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one at the
+smallest grid on SMALLEST_8 and two at extreme grid lengths on
+EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE and 11 on SIGNED.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
@@ -21,7 +22,8 @@ directory (one of them, on TRANSPORT_1024, also runs the transport check
 of a translation, whose grid flows run a Program on the 1024 points
 between evolve's runs and whose transport_gap is printed to 17 digits), and
 so does one at grid 1001 on PADDED_1001, where the simulator's rows end in
-padding;
+padding, and one at grid 8 on SMALLEST_8, where ghost columns and
+padding are a large share of each row;
 the record holds the file's sha256 ("csv_sha256"), and its stdout names
 the file as CSV_PLACEHOLDER.  Every snapshot value is printed to 17 digits
 there, so a change in the last bit of a simulated value shows even where
@@ -193,8 +195,12 @@ SIGNED = {
 # the translation y1 -> y1 + tau passes the determining equations here
 TRANSPORT_1024 = "intermediate_const_u.json"
 # 1001 points are not a whole number of 64-byte cache lines, so every row of
-# the simulator's arena ends in padding; n = 3 with a curved connection
+# the simulator's ghost block ends in padding; n = 3 with a curved connection
 PADDED_1001 = "constcurv_n3.json"
+# the smallest grid, n = 2 with a complex spectrum of A
+SMALLEST_8 = "heisenberg.json"
+# lengths whose grid spacing squared overflows and underflows at grid 16
+EXTREME_LENGTH = "heat_n1.json"
 
 
 def commands(tmp):
@@ -247,6 +253,16 @@ def commands(tmp):
                 "simulate", path, "--grid", "1001", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
                 "--csv", CSV_PLACEHOLDER,
             ]
+        if name == SMALLEST_8:
+            yield name, [
+                "simulate", path, "--grid", "8", "--dt", "0.001", "--steps", "4", "--initial", smooth,
+                "--csv", CSV_PLACEHOLDER,
+            ]
+        if name == EXTREME_LENGTH:
+            for length in ("1e300", "1e-300"):
+                yield name, [
+                    "simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--length", length
+                ]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
