@@ -55,13 +55,13 @@ from .liefn import (
 from .symmetry import (
     DegenerationReport,
     affine_residual,
+    check_symmetry,
     classify,
     degeneration_bound,
     determining_residuals,
     flat_symmetry_basis,
     flow,
     invariance_suite,
-    is_symmetry,
     linearization,
     pointwise_symmetry_bound,
 )

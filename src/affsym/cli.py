@@ -45,6 +45,7 @@ from .expr import ExprError, ParseError, const, eval_many_shared, parse_expr, to
 from .geometry import (
     Connection,
     DiffusionSystem,
+    _asymmetry,
     _point_values,
     _regular,
     _structure_report,
@@ -64,24 +65,14 @@ from .pdesim import (
 from .symmetry import (
     RankNotConstantError,
     _degeneration,
-    _invariance,
-    determining_residuals,
+    check_symmetry,
     pointwise_symmetry_bound,
     pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, eval_arrays, grad, sym_matrix_inverse
-from .util import _env_seed, as_points, sample_points
+from .util import DEFAULT_TOLERANCES, _env_seed, as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
-
-DEFAULT_TOLERANCES = {
-    "symmetry": 1e-8,
-    "structure": 1e-8,
-    "invariance": 1e-7,
-    "flatten": 1e-5,
-    "gamma_symmetry": 1e-10,
-    "transport": 1e-6,
-}
 
 # simulate's largest --grid: 2**20 points keep each state array of n = 3
 # within 25 MB and are checked before anything is allocated
@@ -233,7 +224,7 @@ class SystemDocument:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
         self._points = self.sample if self.sample is not None else sample_points(n, 20)
         _, g = eval_arrays([self._system.A.comps, self._system.conn.gamma], self._points, checked=True)
-        res = self._gamma_residual = float(np.max(np.abs(g - g.transpose(0, 1, 3, 2))))
+        res = self._gamma_residual = _asymmetry(g)
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")
 
@@ -417,22 +408,7 @@ def cmd_classify(args):
 def cmd_check_symmetry(args):
     doc, sysd, pts = _load(args)
     eta = _parse_eta(args.eta, doc.n, "--eta")
-    res = determining_residuals(sysd, eta, pts)
-    tol = doc.tolerances["symmetry"]
-    out = {
-        "res_A": res["res_A"].max_abs,
-        "res_Gamma": res["res_Gamma"].max_abs,
-        "equation": res["res_Gamma"].details.get("equation", "reduced"),
-        "tolerance": tol,
-        "accepted": res["res_A"].max_abs <= tol and res["res_Gamma"].max_abs <= tol,
-    }
-    if out["accepted"]:
-        # on the reduced equation, res_Gamma is the suite's L_eta Gamma report
-        reduced = out["equation"] == "reduced"
-        suite = _invariance(sysd, eta, pts, res["res_Gamma"] if reduced else None)
-        out["invariance"] = {k: v.max_abs for k, v in suite.items()}
-        itol = doc.tolerances["invariance"]
-        out["accepted"] = not any(v.max_abs > itol for v in suite.values())
+    out = check_symmetry(sysd, eta, pts, doc.tolerances["symmetry"], doc.tolerances["invariance"])
     return out, 0 if out["accepted"] else 2
 
 
@@ -533,7 +509,7 @@ def cmd_simulate(args):
         _spacing(args.grid, args.length)
     except ValueError as exc:
         raise InputError(f"--length {args.length!r} does not fit --grid {args.grid}: {exc}") from exc
-    doc, sysd, _pts = _load(args)
+    doc, sysd, pts = _load(args)
     n, length = doc.n, args.length
     if args.initial:
         profiles = _profiles(args.initial, n)
@@ -565,9 +541,12 @@ def cmd_simulate(args):
     code = 0
     if args.transport:
         eta = _parse_eta(args.transport, n, "--transport")
-        rep = symmetry_transport_check(sysd, eta, args.tau, grid, args.dt, args.steps)
+        tol = doc.tolerances
+        rep = symmetry_transport_check(
+            sysd, eta, args.tau, grid, args.dt, args.steps, pts, tol["symmetry"], tol["invariance"]
+        )
         out["transport_gap"] = rep["max_abs"]
-        if rep["max_abs"] > doc.tolerances["transport"]:
+        if rep["max_abs"] > tol["transport"]:
             code = 2
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fp:

@@ -1467,17 +1467,14 @@ def _odd_lines(n):
     return (-(-n // _LINE) | 1) * _LINE
 
 
-def _aligned_rows(m, n, lead=0):
-    """A new zeroed (m, n) float64 array, a view of one buffer, whose column
-    ``lead`` starts every row on a 64-byte boundary, so a ufunc over the
-    rows from that column on loads no value split across two cache lines.
-    The row stride is the row, with the few values before it that align
-    column ``lead``, rounded up by _odd_lines."""
-    pad = -lead % _LINE
-    stride = _odd_lines(pad + n)
+def _aligned_rows(m, n):
+    """A new zeroed (m, n) float64 array, a view of one buffer, each row on a
+    64-byte boundary, so a ufunc over the rows loads no value split across
+    two cache lines; the row stride is n rounded up by _odd_lines."""
+    stride = _odd_lines(n)
     buf = np.zeros(m * stride + _LINE - 1)
     start = -buf.__array_interface__["data"][0] // 8 % _LINE
-    return buf[start : start + m * stride].reshape(m, stride)[:, pad : pad + n]
+    return buf[start : start + m * stride].reshape(m, stride)[:, :n]
 
 
 class Program(Sequence):

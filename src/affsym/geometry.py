@@ -110,15 +110,8 @@ class Connection:
         return self.field.evaluate_many(points)
 
     def symmetry_residual(self):
-        """max |Gamma^k_rs - Gamma^k_sr| at the 20 sample points.  Two
-        equal entries count 0, and so do two nans: a coefficient undefined
-        at a point in both places is symmetric there.  nan against a number
-        gives nan."""
-        g = self.evaluate_many(sample_points(self.n, 20))
-        gt = g.transpose(0, 1, 3, 2)
-        same = (g == gt) | (np.isnan(g) & np.isnan(gt))
-        with np.errstate(invalid="ignore"):  # inf - inf where both are inf
-            return float(np.max(np.where(same, 0.0, np.abs(g - gt))))
+        """``_asymmetry`` at the 20 sample points."""
+        return _asymmetry(self.evaluate_many(sample_points(self.n, 20)))
 
     def check_symmetric(self):
         """Raise ValueError when symmetry_residual exceeds 1e-12 or is nan."""
@@ -145,6 +138,16 @@ class DiffusionSystem:
         """True when A is regular at every probe point (``as_points``), as
         ``_regular`` judges it."""
         return _regular(self.A.evaluate_many(pts))
+
+
+def _asymmetry(g):
+    """max |Gamma^k_rs - Gamma^k_sr| over Gamma's values g[P, k, r, s]: two
+    equal entries count 0, and so do two nans (a coefficient undefined at a
+    point in both places is symmetric there); nan against a number is nan."""
+    gt = g.transpose(0, 1, 3, 2)
+    same = (g == gt) | (np.isnan(g) & np.isnan(gt))
+    with np.errstate(invalid="ignore"):  # inf - inf where both are inf
+        return float(np.max(np.where(same, 0.0, np.abs(g - gt))))
 
 
 def _ranks(mats, rtol):

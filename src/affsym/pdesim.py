@@ -34,8 +34,9 @@ from .expr import _LINE, _aligned_rows, _odd_lines, compile_exprs, eval_many_sha
 from .geometry import Connection, DiffusionSystem
 from .ode import IntegrationError, solve_ivp
 from .pfaff import _coords
-from .symmetry import is_symmetry
+from .symmetry import check_symmetry
 from .tensor import ADD, MUL, TensorField, bcast
+from .util import DEFAULT_TOLERANCES
 
 __all__ = [
     "SolutionGrid",
@@ -374,16 +375,21 @@ def apply_flow_to_grid(eta, grid, tau):
     return grid.copy(values=sol.y[:, -1].reshape(N, n))
 
 
-def symmetry_transport_check(sys, eta, tau, grid, dt, steps):
-    """Mismatch between evolve-then-map and map-then-evolve.
+def symmetry_transport_check(sys, eta, tau, grid, dt, steps, pts=None, tol=DEFAULT_TOLERANCES["symmetry"],
+                             invariance_tol=DEFAULT_TOLERANCES["invariance"]):
+    """Mismatch between evolve-then-map and map-then-evolve, once eta passes
+    ``symmetry.check_symmetry`` at pts, tol and invariance_tol (else
+    ValueError): a dict with the two final grids and the max-norm gap, which
+    shrinks at the stencil's order as grid and step refine, for a symmetry."""
+    rep = check_symmetry(sys, eta, pts, tol, invariance_tol)
+    if not rep["accepted"]:
+        what = "the invariance suite" if "invariance" in rep else "the determining equations"
+        raise ValueError(f"eta does not pass {what} on this system")
+    return _transport(sys, eta, tau, grid, dt, steps)
 
-    eta must first pass the determining equations (``is_symmetry`` at tol
-    1e-8).  Returns a dict with the two final grids and the max-norm
-    discrepancy; refining the grid (and the step with it) shrinks the
-    mismatch at the order of the spatial stencil for a genuine symmetry.
-    """
-    if not is_symmetry(sys, eta, tol=1e-8):
-        raise ValueError("eta does not pass the determining equations on this system")
+
+def _transport(sys, eta, tau, grid, dt, steps):
+    """``symmetry_transport_check``'s report, with eta not judged."""
     mapped_first = evolve(sys, apply_flow_to_grid(eta, grid, tau), dt, steps)
     mapped_last = apply_flow_to_grid(eta, evolve(sys, grid, dt, steps), tau)
     gap = float(np.max(np.abs(mapped_first.values - mapped_last.values)))
@@ -391,16 +397,14 @@ def symmetry_transport_check(sys, eta, tau, grid, dt, steps):
 
 
 def transport_convergence(sys, eta, tau, profiles, N0, L, dt0, steps0, levels=3):
-    """Transport mismatch across grid refinements (dx halves, dt quarters);
-    returns the list of mismatches, whose successive ratios estimate the
-    convergence order."""
-    gaps = []
+    """Transport mismatch across grid refinements (dx halves, dt quarters),
+    eta judged once; returns the list of mismatches, whose successive ratios
+    estimate the convergence order."""
+    gaps, check = [], symmetry_transport_check
     for lev in range(levels):
-        N = N0 * 2**lev
-        dt = dt0 / 4**lev
-        steps = steps0 * 4**lev
-        grid = make_grid(profiles, N, L)
-        gaps.append(symmetry_transport_check(sys, eta, tau, grid, dt, steps)["max_abs"])
+        grid = make_grid(profiles, N0 * 2**lev, L)
+        gaps.append(check(sys, eta, tau, grid, dt0 / 4**lev, steps0 * 4**lev)["max_abs"])
+        check = _transport
     return gaps
 
 

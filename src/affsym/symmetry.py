@@ -16,7 +16,8 @@ and the connection equation.  For nondegenerate A the latter reduces to
                   + Gamma^i_ks d eta^k/dy^r + Gamma^i_rk d eta^k/dy^s );
 
 when det A vanishes somewhere the full A-weighted form is used instead.
-Acceptance is residual-based at sample points, not a symbolic proof.
+Acceptance is residual-based at sample points, not a symbolic proof, and
+``check_symmetry`` is its one rule, for the CLI and the simulator alike.
 
 The determining residuals and ``classify`` take their values from
 ``geometry._point_values``: the bodies that build the residual, curvature
@@ -77,7 +78,7 @@ from .geometry import (
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
 from .tensor import MUL, SUB, TensorField, bcast, eval_jets, fold
-from .util import as_points, max_report, sample_points
+from .util import DEFAULT_TOLERANCES, as_points, max_report, sample_points
 
 __all__ = [
     "LinearizationMatrix",
@@ -85,7 +86,7 @@ __all__ = [
     "RankNotConstantError",
     "FlowError",
     "determining_residuals",
-    "is_symmetry",
+    "check_symmetry",
     "affine_residual",
     "flow",
     "linearization",
@@ -139,11 +140,25 @@ def determining_residuals(sys, eta, pts=None):
     }
 
 
-def is_symmetry(sys, eta, tol=1e-8):
-    """True when both determining residuals stay within tol at the 20
-    sample points."""
-    res = determining_residuals(sys, eta)
-    return res["res_A"].max_abs <= tol and res["res_Gamma"].max_abs <= tol
+def check_symmetry(sys, eta, pts=None, tol=DEFAULT_TOLERANCES["symmetry"],
+                   invariance_tol=DEFAULT_TOLERANCES["invariance"]):
+    """``affsym check-symmetry``'s report: ``res_A`` and ``res_Gamma``, the
+    maxima of ``determining_residuals``, res_Gamma's ``equation``, ``tolerance``
+    (tol) and ``accepted``, and where both are within tol the maxima of the
+    ``invariance_suite``, ``invariance``, which must be within invariance_tol
+    too.  The tolerances default to a document's; pts pass ``as_points``."""
+    pts = as_points(pts, sys.n)
+    res = determining_residuals(sys, eta, pts)
+    res_a, res_g = res["res_A"].max_abs, res["res_Gamma"].max_abs
+    equation = res["res_Gamma"].details["equation"]
+    out = {"res_A": res_a, "res_Gamma": res_g, "equation": equation, "tolerance": tol}
+    out["accepted"] = res_a <= tol and res_g <= tol
+    if out["accepted"]:
+        # on the reduced equation, res_Gamma is the suite's L_eta Gamma report
+        suite = _invariance(sys, eta, pts, res["res_Gamma"] if equation == "reduced" else None)
+        out["invariance"] = {k: v.max_abs for k, v in suite.items()}
+        out["accepted"] = not any(v > invariance_tol for v in out["invariance"].values())
+    return out
 
 
 def affine_residual(conn, eta):
@@ -427,16 +442,11 @@ def invariance_suite(sys, eta, pts=None):
 def _invariance(sys, eta, pts, lie_gamma=None):
     """``invariance_suite`` at checked points, with lie_gamma the report of
     the reduced connection residual there when the caller has it already
-    (``determining_residuals``' res_Gamma on the reduced equation: the same
+    (``check_symmetry``: res_Gamma on the reduced equation, from the same
     trees, points and checked walk); else it is evaluated here, first.
-
-    One checked walk (``eval_jets``) gives eta, Gamma, R, Ric and S with
-    their first derivatives, and Ric's second ones; nabla Ric and its first
-    derivatives are ``geometry._nabla_terms`` on those, as ``_dual`` arrays
-    under ``_dual_mul``, equal to the jets of its trees in magnitude to the
-    bit.  The walk raises its ExprError where a value or derivative is not
-    finite; where the body overflows, ExprError names nabla_ricci and the
-    point."""
+    nabla Ric and its first derivatives are ``geometry._nabla_terms`` on the
+    ``eval_jets`` walk's ``_dual`` arrays under ``_dual_mul``, equal to the
+    jets of its trees in magnitude to the bit."""
     conn = sys.conn
     n = conn.n
     if lie_gamma is None:

@@ -16,6 +16,12 @@ __all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "sample_points", "as_points", "Residual
 DEFAULT_SEED = 1729
 SAMPLE_BOX = 0.4
 
+# A document's tolerances by check name, and the library's defaults for them
+DEFAULT_TOLERANCES = {
+    "symmetry": 1e-8, "structure": 1e-8, "invariance": 1e-7,
+    "flatten": 1e-5, "gamma_symmetry": 1e-10, "transport": 1e-6,
+}
+
 
 def _env_seed():
     """The sample seed: AFFSYM_SEED where set, else DEFAULT_SEED.  A value

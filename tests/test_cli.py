@@ -269,6 +269,37 @@ def test_simulate_transport_translation(capsys):
     assert data["transport_gap"] <= 1e-10
 
 
+REFUSED = "error: eta does not pass the "
+
+
+def test_simulate_transport_judges_eta_at_the_document_tolerance(tmp_path, capsys):
+    # res_Gamma of 1e-9*y1 is 2e-9: within the default 1e-8, not the document's
+    with open(fixture("intermediate_const_u.json"), encoding="utf-8") as fp:
+        doc = {**json.load(fp), "tolerances": {"symmetry": 1e-30}}
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--grid", "32", "--dt", "1e-3", "--steps", "2"]
+    assert main(argv + ["--transport=1e-9*y1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == REFUSED + "determining equations on this system\n"
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_simulate_transport_accepts_what_check_symmetry_accepts(capsys, name):
+    with open(fixture(name), encoding="utf-8") as fp:
+        doc = json.load(fp)
+    n = doc["n"] if "n" in doc else doc["canonical"]["n"]
+    translation = ",".join(["1"] + ["0"] * (n - 1))
+    rotation = ",".join(["-y2", "y1"] + ["0"] * (n - 2)) if n >= 2 else "y1"
+    for eta in (translation, rotation):
+        code, report = run(capsys, "check-symmetry", fixture(name), "--eta=" + eta)
+        assert code in (0, 2)
+        main(["simulate", fixture(name), "--grid", "16", "--dt", "1e-4", "--steps", "1", "--transport=" + eta])
+        refused = capsys.readouterr().err.startswith(REFUSED)
+        assert refused != report["accepted"], (name, eta)
+
+
 def test_simulate_initial_profiles_are_expressions_in_x(tmp_path, capsys):
     # only the identifier x is the grid coordinate: exp keeps its letter x
     csv = tmp_path / "snaps.csv"

@@ -288,10 +288,10 @@ def assert_cache_rows(rows):
 
 @pytest.mark.parametrize("N", [8, 64, 1001, 1024, 4096])
 def test_aligned_rows_start_on_cache_lines(N):
-    for m, lead in ((1, 0), (7, 0), (21, 1), (3, 7)):
-        block = _aligned_rows(m, N, lead)
+    for m in (1, 7):
+        block = _aligned_rows(m, N)
         assert block.shape == (m, N) and block.dtype == np.float64
-        assert_cache_rows(block[:, lead:])
+        assert_cache_rows(block)
         assert block.strides[0] % 64 == 0 and block.strides[0] % 4096
         block[...] = np.arange(m)[:, None]  # the rows do not overlap
         assert np.array_equal(block, np.broadcast_to(np.arange(m)[:, None], (m, N)))

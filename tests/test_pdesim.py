@@ -258,8 +258,9 @@ def test_row_layout_run_is_bitwise_the_column_route():
 
 def test_padded_rows_run_is_bitwise_the_column_route():
     # N = 1001 is not a multiple of the 8 values in a cache line, so every
-    # row of the arena ends in padding; N = 8 is the smallest grid.  With a
-    # snapshot every step the two state buffers alternate under them
+    # row of the ghost block ends in padding, while each state strip is one
+    # contiguous (n, N) run; N = 8 is the smallest grid.  With a snapshot
+    # every step the two state strips alternate under them
     hexes = np.frompyfunc(float.hex, 1, 1)
     systems = [heat_system(), build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))]
     for sys, N in itertools.product(systems, (8, 1001)):
@@ -494,6 +495,18 @@ def test_transport_rejects_non_symmetry():
     grid = make_grid([np.sin], 16, L)
     with pytest.raises(ValueError):
         symmetry_transport_check(sys, eta, 0.1, grid, 0.004, 2)
+
+
+def test_transport_judges_eta_at_the_given_tolerances():
+    # 1e-9*y1 is no symmetry: res_Gamma is 2e-9 and L_eta nabla Ric 2.4e-8,
+    # within the default tolerances 1e-8 and 1e-7
+    sys = build_system(CanonicalSpec("intermediate_17_19", n=3, a=1.0, m=1, u=("1",)))
+    eta = VectorField.from_strings(3, ["1e-9*y1", "0", "0"])
+    grid = make_grid([np.sin] * 3, 16, L)
+    assert symmetry_transport_check(sys, eta, 0.1, grid, 1e-3, 2)["max_abs"] >= 0.0
+    for kwargs, what in (({"tol": 1e-30}, "determining equations"), ({"invariance_tol": 1e-8}, "invariance suite")):
+        with pytest.raises(ValueError, match=f"^eta does not pass the {what} on this system$"):
+            symmetry_transport_check(sys, eta, 0.1, grid, 1e-3, 2, **kwargs)
 
 
 def test_transport_nonlinear_flow_second_order():

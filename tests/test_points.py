@@ -23,6 +23,7 @@ from affsym import (
     PointMap,
     TensorField,
     build_system,
+    check_symmetry,
     classify,
     determining_residuals,
     flow,
@@ -33,11 +34,13 @@ from affsym import (
     pointwise_symmetry_bound,
     projective_flatten,
     structure_residual,
+    symmetry_transport_check,
     transform_system,
 )
 from affsym.cli import from_diffusional
 from affsym.expr import ZERO
 from affsym.liefn import VectorField, lie_derivative_operator_power
+from affsym.pdesim import make_grid
 from affsym.util import as_points, sample_points
 
 POINT_PARAMS = {"pts", "points", "sample", "p0", "p", "check_points"}
@@ -45,6 +48,7 @@ N = 2
 SYS = build_system(CanonicalSpec("maximal_7_11", n=N))
 ETA = VectorField.from_strings(N, ["-y2", "y1"])
 METRIC = TensorField.from_strings(N, 0, 2, [["1", "0"], ["0", "1"]])
+GRID = make_grid([np.sin, np.cos], 8, 1.0)
 
 # one call per public callable that takes points, as (takes one point, call)
 CALLS = {
@@ -57,6 +61,7 @@ CALLS = {
     "TensorField.evaluate_many": (False, lambda x: SYS.A.evaluate_many(x)),
     "VectorField.evaluate": (False, lambda x: ETA.evaluate(x)),
     "VectorField.evaluate_many": (False, lambda x: ETA.evaluate_many(x)),
+    "check_symmetry": (False, lambda x: check_symmetry(SYS, ETA, x)),
     "classify": (False, lambda x: classify(SYS.conn, x)),
     "determining_residuals": (False, lambda x: determining_residuals(SYS, ETA, x)),
     "flow": (True, lambda x: flow(ETA, x, 0.5)),
@@ -67,6 +72,7 @@ CALLS = {
     "pointwise_symmetry_bound": (True, lambda x: pointwise_symmetry_bound(SYS, x)),
     "projective_flatten": (True, lambda x: projective_flatten(SYS.conn, x, np.zeros(N))),
     "structure_residual": (False, lambda x: structure_residual(SYS.conn, "two_dim_12_1", x)),
+    "symmetry_transport_check": (False, lambda x: symmetry_transport_check(SYS, ETA, 0.1, GRID, 1e-3, 1, x)),
     "transform_system": (False, lambda x: transform_system(SYS, PointMap.identity(N), x)),
 }
 OUTSIDE = {

@@ -5,10 +5,10 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 185 commands and the six demos: 149 commands on fixtures/ (18 on
+It runs 187 commands and the six demos: 149 commands on fixtures/ (18 on
 each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one at the
 smallest grid on SMALLEST_8 and two at extreme grid lengths on
-EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE and 11 on SIGNED.
+EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 11 on SIGNED and 2 on TIGHT.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
@@ -49,8 +49,11 @@ denominator folds to ONE), and a radial 2-D document,
 A = f(y1^2 + y2^2) I with f a sum of exp, sqrt, ln, sin and cos
 (check-symmetry with the rotation, which takes second derivatives through
 pow and every function, and report); the 2-D spec and the radial document
-also sample one point alone, so the second-order walk runs at P = 1.  The
-three sets are written to the
+also sample one point alone, so the second-order walk runs at P = 1.  One
+more (TIGHT) is TRANSPORT_1024's document with a `symmetry` tolerance of
+1e-30, which no residual of the field 1e-9*y1 meets: `check-symmetry` and
+`simulate --transport` must both refuse it.  The
+four sets are written to the
 temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
@@ -194,6 +197,21 @@ SIGNED = {
 
 # the translation y1 -> y1 + tau passes the determining equations here
 TRANSPORT_1024 = "intermediate_const_u.json"
+# TRANSPORT_1024's document with a symmetry tolerance below 1e-9*y1's
+# res_Gamma (2e-9), by which both commands that judge a field refuse it
+TIGHT_ETA = "1e-9*y1,0,0"
+TIGHT = {
+    "tight_const_u.json": (
+        {
+            "canonical": {"kind": "intermediate_17_19", "n": 3, "a": 1.0, "m": 1, "u": ["1"]},
+            "tolerances": {"symmetry": 1e-30},
+        },
+        (
+            ["check-symmetry", "--eta=" + TIGHT_ETA],
+            ["simulate", "--grid", "32", "--dt", "1e-3", "--steps", "2", "--transport=" + TIGHT_ETA],
+        ),
+    ),
+}
 # 1001 points are not a whole number of 64-byte cache lines, so every row of
 # the simulator's ghost block ends in padding; n = 3 with a curved connection
 PADDED_1001 = "constcurv_n3.json"
@@ -263,7 +281,7 @@ def commands(tmp):
                 yield name, [
                     "simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--length", length
                 ]
-    for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED}.items():
+    for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
