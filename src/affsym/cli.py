@@ -54,13 +54,14 @@ from .geometry import (
 )
 from .liefn import VectorField
 from .pdesim import (
+    _judge,
     _spacing,
+    _transport,
     dump_csv,
     evolve_snapshots,
     make_grid,
     pde_residual,
     stability_limit,
-    symmetry_transport_check,
 )
 from .symmetry import (
     RankNotConstantError,
@@ -524,6 +525,10 @@ def cmd_simulate(args):
         # grid is left to fail here
         raise InputError(f"bad profile: {exc}") from exc
     limit = stability_limit(sysd, grid)
+    if args.transport:
+        # judged first: a refused or malformed field costs no evolution
+        eta, tol = _parse_eta(args.transport, n, "--transport"), doc.tolerances
+        _judge(sysd, eta, pts, tol["symmetry"], tol["invariance"])
     every = max(1, args.steps // 4)
     snaps = evolve_snapshots(sysd, grid, args.dt, args.steps, every)
     # the trailing snapshot may be ragged when every does not divide steps;
@@ -540,17 +545,15 @@ def cmd_simulate(args):
     }
     code = 0
     if args.transport:
-        eta = _parse_eta(args.transport, n, "--transport")
-        tol = doc.tolerances
-        rep = symmetry_transport_check(
-            sysd, eta, args.tau, grid, args.dt, args.steps, pts, tol["symmetry"], tol["invariance"]
-        )
-        out["transport_gap"] = rep["max_abs"]
-        if rep["max_abs"] > tol["transport"]:
-            code = 2
+        gap = _transport(sysd, eta, args.tau, grid, snaps[-1], args.dt, args.steps)["max_abs"]
+        out["transport_gap"] = gap
+        code = 2 if gap > tol["transport"] else 0
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fp:
-            dump_csv(snaps, fp)
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fp:
+                dump_csv(snaps, fp)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from exc
         out["csv"] = args.csv
     return out, code
 

@@ -1397,7 +1397,7 @@ def _on_float(f):
 # fast paths (x**0.5 is sqrt, keeping -0.0) that np.power on a float does
 # not, and numpy's pow differs from Python's in the last bit.  The array
 # body writes each value into its name's array with the ufunc's ``out``
-# argument: _add .. _neg are the ufuncs of + - * / and unary -.  Its
+# argument: _add .. _pw are the ufuncs of + - * / unary - and **.  Its
 # constant operands are 0-d float64 arrays, which a ufunc takes as they are
 # where it converts a Python float on every call, with the same bits: _one
 # is the 1.0 of 1.0/x.
@@ -1405,7 +1405,7 @@ _SCALAR_NS = {f"_{name}": _on_float(f) for name, f in _VEC_FUNCS.items()}
 _SCALAR_NS["_pw"] = lambda x, k: float(_pow(x, k))
 _ARRAY_NS = {f"_{name}": f for name, f in _VEC_FUNCS.items()}
 _ARRAY_NS.update(
-    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative, _pw=_pow,
+    _add=np.add, _sub=np.subtract, _mul=np.multiply, _div=np.divide, _neg=np.negative, _pw=np.power,
     _one=np.array(1.0),
 )
 
@@ -1432,9 +1432,9 @@ def _statement(node, a):
 def _array_statement(v, node, a):
     """Source that puts one node's value in the array named ``v``: the ufunc
     of _statement, called with ``v`` as its out argument (``v`` may also be
-    an argument, an exact overlap that elementwise ufuncs allow).  Any other
-    power rebinds ``v``, and its slot in ``names``, to the new array of
-    ``x**k``."""
+    an argument, an exact overlap that elementwise ufuncs allow).  A power
+    of 1/2 is sqrt, which numpy's x**0.5 takes (keeping -0.0) and np.power
+    does not in every supported numpy."""
     op = node.op
     if op == "pow":
         k = node.value
@@ -1442,7 +1442,9 @@ def _array_statement(v, node, a):
             return f"_mul({a[0]}, {a[0]}, {v})"
         if k == -1:
             return f"_div(_one, {a[0]}, {v})"
-        return f"{v} = names[{v[1:]}] = {_statement(node, a)}"
+        if k == Fraction(1, 2):
+            return f"_sqrt({a[0]}, {v})"
+        return f"_pw({a[0]}, {float(k) if isinstance(k, Fraction) else k!r}, {v})"
     return f"_{op}({', '.join(a)}, {v})"
 
 
@@ -1498,16 +1500,12 @@ class Program(Sequence):
     changes, so a Program is not thread-safe; each run returns a new
     ``out``.  A root that is stored once and read by no later step is
     written by its last step straight into its row of ``out``, where the
-    scalar body assigns it and then stores it.  A power other than 2 and -1
-    still allocates, since numpy's ``x**k`` fast paths (sqrt for 0.5, which
-    keeps -0.0) are not taken by np.power with ``out``: it rebinds its name
-    to the new array, which is kept in place of the old row, and a root
-    that is such a power is copied into its row.  The array body is generated and compiled on
-    the first ``run``, in functions of at most _PART steps that share the
-    list of names, bound into one function that runs them under
-    ``np.errstate(all="ignore")``: a program run only through ``at``, as
-    every Pfaff right-hand side is, never pays for it.  Each run hands them
-    the points' coordinate rows as one list, made once.
+    scalar body assigns it and then stores it.  The array body is generated
+    and compiled on the first ``run``, in functions of at most _PART steps
+    that share the list of names, bound into one function that runs them
+    under ``np.errstate(all="ignore")``: a program run only through ``at``,
+    as every Pfaff right-hand side is, never pays for it.  Each run hands
+    them the points' coordinate rows as one list, made once.
     """
 
     def __init__(self, roots, coords, nvars, steps, constants, numpy_calls):
@@ -1668,10 +1666,9 @@ def compile_exprs(roots):
                 text = free.pop()
             else:
                 text, nvars = f"v{nvars}", nvars + 1
-            allocates = op == "pow" and node.value not in (2, -1)
-            numpy_calls = numpy_calls or op in _VEC_FUNCS or allocates
+            numpy_calls = numpy_calls or op in _VEC_FUNCS or op == "pow" and node.value not in (2, -1)
             rows = slots.get(node, ())
-            if uses[node] == 1 and rows and not allocates:
+            if uses[node] == 1 and rows:
                 # the root's one use is its store, which its step makes
                 steps.append((text, node, args, f"out[{rows[0]}]"))
                 free.append(text)

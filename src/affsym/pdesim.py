@@ -1,6 +1,6 @@
 """Method-of-lines integrator for generalized diffusion systems on a
-periodic interval, residual evaluation, symmetry solution-transport checks,
-and the spin-chain example on the sphere.
+periodic interval, residual evaluation, symmetry solution-transport checks
+(eta judged first, each trajectory evolved once) and the spin chain on S^2.
 
 The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
 expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
@@ -377,34 +377,40 @@ def apply_flow_to_grid(eta, grid, tau):
 
 def symmetry_transport_check(sys, eta, tau, grid, dt, steps, pts=None, tol=DEFAULT_TOLERANCES["symmetry"],
                              invariance_tol=DEFAULT_TOLERANCES["invariance"]):
-    """Mismatch between evolve-then-map and map-then-evolve, once eta passes
-    ``symmetry.check_symmetry`` at pts, tol and invariance_tol (else
-    ValueError): a dict with the two final grids and the max-norm gap, which
-    shrinks at the stencil's order as grid and step refine, for a symmetry."""
-    rep = check_symmetry(sys, eta, pts, tol, invariance_tol)
+    """Mismatch between evolve-then-map and map-then-evolve once eta passes
+    ``symmetry.check_symmetry`` at pts, tol and invariance_tol (else a
+    ValueError before any evolution): a dict with the two final grids and the
+    max-norm gap, which shrinks at the stencil's order as grid and step refine."""
+    _judge(sys, eta, pts, tol, invariance_tol)
+    return _transport(sys, eta, tau, grid, evolve(sys, grid, dt, steps), dt, steps)
+
+
+def _judge(sys, eta, *args):
+    """ValueError unless eta passes ``symmetry.check_symmetry(sys, eta, *args)``."""
+    rep = check_symmetry(sys, eta, *args)
     if not rep["accepted"]:
         what = "the invariance suite" if "invariance" in rep else "the determining equations"
         raise ValueError(f"eta does not pass {what} on this system")
-    return _transport(sys, eta, tau, grid, dt, steps)
 
 
-def _transport(sys, eta, tau, grid, dt, steps):
-    """``symmetry_transport_check``'s report, with eta not judged."""
+def _transport(sys, eta, tau, grid, evolved, dt, steps):
+    """``symmetry_transport_check``'s report, eta not judged: ``evolved`` is
+    grid advanced by dt and steps (mapped_evolve keeps its t)."""
     mapped_first = evolve(sys, apply_flow_to_grid(eta, grid, tau), dt, steps)
-    mapped_last = apply_flow_to_grid(eta, evolve(sys, grid, dt, steps), tau)
+    mapped_last = apply_flow_to_grid(eta, evolved, tau)
     gap = float(np.max(np.abs(mapped_first.values - mapped_last.values)))
     return {"evolve_of_mapped": mapped_first, "mapped_evolve": mapped_last, "max_abs": gap}
 
 
 def transport_convergence(sys, eta, tau, profiles, N0, L, dt0, steps0, levels=3):
     """Transport mismatch across grid refinements (dx halves, dt quarters),
-    eta judged once; returns the list of mismatches, whose successive ratios
+    eta judged once, first; returns the mismatches, whose successive ratios
     estimate the convergence order."""
-    gaps, check = [], symmetry_transport_check
+    _judge(sys, eta)
+    gaps = []
     for lev in range(levels):
-        grid = make_grid(profiles, N0 * 2**lev, L)
-        gaps.append(check(sys, eta, tau, grid, dt0 / 4**lev, steps0 * 4**lev)["max_abs"])
-        check = _transport
+        grid, dt, steps = make_grid(profiles, N0 * 2**lev, L), dt0 / 4**lev, steps0 * 4**lev
+        gaps.append(_transport(sys, eta, tau, grid, evolve(sys, grid, dt, steps), dt, steps)["max_abs"])
     return gaps
 
 

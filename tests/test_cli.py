@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from affsym import cli, geometry
+from affsym import cli, geometry, pdesim
 from affsym.canonical import CANONICAL_KINDS
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
 from affsym.expr import ZERO, DomainError, parse_expr
@@ -17,7 +17,7 @@ from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
 from affsym.symmetry import flow, pointwise_symmetry_bound
 from affsym.tensor import TensorField
-from affsym.pdesim import evolve, make_grid
+from affsym.pdesim import evolve, evolve_snapshots, make_grid, symmetry_transport_check
 from affsym.util import sample_points
 
 from test_point_values import assert_trees_refuse
@@ -285,6 +285,75 @@ def test_simulate_transport_judges_eta_at_the_document_tolerance(tmp_path, capsy
     assert captured.err == REFUSED + "determining equations on this system\n"
 
 
+def counting_evolutions(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return evolve_snapshots(*args)
+
+    monkeypatch.setattr(pdesim, "evolve_snapshots", counted)
+    monkeypatch.setattr(cli, "evolve_snapshots", counted)
+    return calls
+
+
+def test_simulate_transport_evolves_each_trajectory_once(monkeypatch, capsys):
+    # the document's evolution gives the gap its evolved grid; only the
+    # flowed grid is evolved again
+    path = fixture("intermediate_const_u.json")
+    calls = counting_evolutions(monkeypatch)
+    code, data = run(capsys, "simulate", path, "--grid", "16", "--dt", "1e-3", "--steps", "8", "--transport=1,0,0")
+    assert code == 0 and len(calls) == 2
+    monkeypatch.undo()
+    doc = SystemDocument.load(path)
+    profiles = [lambda x, k=k: 0.2 * np.sin(2 * np.pi * x / (2 * np.pi) + k) for k in range(3)]
+    grid = make_grid(profiles, 16, 2 * np.pi)
+    eta = VectorField.from_strings(3, ["1", "0", "0"])
+    rep = symmetry_transport_check(doc.to_system(), eta, 0.1, grid, 1e-3, 8, doc._points)
+    assert data["transport_gap"] == rep["max_abs"]
+
+
+@pytest.mark.parametrize(
+    "eta, code, line",
+    [
+        ("1e-9*y1,0,0", 2, REFUSED + "determining equations on this system"),
+        ("1,0", 1, "error: --transport needs 3 comma-separated components"),
+    ],
+    ids=["refused", "malformed"],
+)
+def test_simulate_transport_evolves_nothing_for_a_bad_field(tmp_path, monkeypatch, capsys, eta, code, line):
+    with open(fixture("intermediate_const_u.json"), encoding="utf-8") as fp:
+        doc = {**json.load(fp), "tolerances": {"symmetry": 1e-30}}
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(doc))
+    calls = counting_evolutions(monkeypatch)
+    argv = ["simulate", str(path), "--grid", "32", "--dt", "1e-3", "--steps", "2", "--transport=" + eta]
+    assert main(argv) == code and calls == []
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_simulate_judges_eta_before_an_evolution_that_blows_up(capsys):
+    # dt = 0.2 exceeds the stability heuristic and the evolution blows up;
+    # the translation is refused first, with no warning
+    argv = ["simulate", fixture("constcurv_n3.json"), "--grid", "32", "--dt", "0.2", "--steps", "100"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--transport=1,0,0"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == REFUSED + "determining equations on this system\n"
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing_directory", "directory"])
+def test_simulate_csv_that_cannot_be_written_exits_1(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    argv = ["simulate", fixture("heat_n1.json"), "--grid", "16", "--dt", "1e-3", "--steps", "2"]
+    assert main(argv + ["--csv", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: [Errno ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
 def test_simulate_transport_accepts_what_check_symmetry_accepts(capsys, name):
     with open(fixture(name), encoding="utf-8") as fp:
@@ -384,8 +453,8 @@ def _blow_up_transport(*_args):
 )
 def test_integration_blow_up_exits_2(monkeypatch, capsys, fail, message):
     # no fixture drives a flow or transport to the blow-up guard, so the
-    # transport check of `simulate` is replaced by one that does
-    monkeypatch.setattr(cli, "symmetry_transport_check", fail)
+    # transport gap of `simulate` is replaced by one that does
+    monkeypatch.setattr(cli, "_transport", fail)
     argv = ["simulate", fixture("flat_n2.json"), "--grid", "16", "--dt", "0.01", "--steps", "2"]
     assert main(argv + ["--transport=1,0"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -190,21 +190,21 @@ def test_array_body_writes_each_unshared_root_into_its_row():
     assert not re.search(r"^ +out\[\d+\] = ", array_source, flags=re.M)
     assert "_neg(v5, out[0])" in array_source
     assert re.findall(r"^ +out\[\d+\] = ", prog.source, flags=re.M) == ["    out[0] = ", "    out[1] = "]
-    # a repeated root, a root read later and a root x**k other than k = 2
-    # and -1 (which allocates) are computed into a name and copied
+    # a repeated root and a root read later are computed into a name and
+    # copied; a root x**k other than k = 2 and -1 is written into its row
     x = parse_expr("sin(y1) + y2", 2)
     k = powi(x, Fraction(5, 2))
     roots = [x, x * x, k, parse_expr("exp(y2)", 2), x]
     prog = compile_exprs(roots)
     copies = re.findall(r"^ +(out\[\d+\]) = ", "".join(prog._array_sources()), flags=re.M)
-    assert copies == ["out[0]", "out[4]", "out[2]"]
+    assert copies == ["out[0]", "out[4]"]
     assert_same_everywhere(roots, sample_points(2, 5))
 
 
 def test_in_place_program_is_stateless_and_leaves_its_points_alone():
-    # the array body writes each value into its name's array; a name bound
-    # to x**(5/2)'s new array is written into once its value is used up, and
-    # one such array is used after 100 more steps, in a later part
+    # the array body writes each value into its name's array; a name that
+    # held x**(5/2) is written into once its value is used up, and one such
+    # value is used after 100 more steps, in a later part
     n = 2
     y2 = coord(2)
     half = powi(parse_expr("1 + y1^2", n), Fraction(5, 2))
@@ -238,8 +238,8 @@ def float_literals(source):
 
 
 def test_program_keeps_its_names_per_point_count():
-    # the array body's names are kept between runs at one point count, all
-    # but the one that x**(5/2) rebinds, and made anew when it changes;
+    # the array body's names are kept between runs at one point count, the
+    # one x**(5/2) is written into too, and made anew when it changes;
     # every run returns a new out, which shares no memory with another
     # result or with a kept name
     n = 2
@@ -253,7 +253,6 @@ def test_program_keeps_its_names_per_point_count():
     without_names = [coord(2), parse_expr("3", n), coord(1)]
     for roots in (with_names, without_names):
         prog = compile_exprs(roots)
-        rebound = prog.source.count("_pw(")
         results, kept = [], []
         for npts in (1, 15, 4096, 15, 1):
             pts = sample_points(n, npts, seed=npts)
@@ -265,13 +264,13 @@ def test_program_keeps_its_names_per_point_count():
                 assert [a.shape for a in prog._names] == [(npts,)] * prog._nvars
                 if points is not pts:  # the second run at this count
                     same = sum(a is b for a, b in zip(names, prog._names))
-                    assert same == prog._nvars - rebound, npts
+                    assert same == prog._nvars, npts
                 results.append(got)
                 kept.extend(prog._names)
         for i, a in enumerate(results):
             assert not any(np.shares_memory(a, b) for b in results[i + 1 :] + kept)
         # constants are operands bound as 0-d arrays; an exponent is part of
-        # its power's operation and stays a Python number, for numpy's x**k
+        # its power's operation and stays a Python number, for np.power
         operands = re.sub(r"_pw\(\w+, [^)]+\)", "_pw()", "".join(prog._array_sources()))
         assert float_literals(operands) == []
     assert prog._nvars == 0 and "_k0" in operands
@@ -308,6 +307,14 @@ def test_program_names_start_on_cache_lines(N):
     got = eval_many_shared(prog, np.ascontiguousarray(rows.T))
     assert got.T.tobytes() == want.tobytes()
     assert_cache_rows(prog._names)
+    # a power other than 2 and -1 is written into its name's row, which
+    # stays on its cache line
+    roots = [powi(parse_expr("1 + y1^2", 2), Fraction(5, 2)) * coord(2) + coord(1)]
+    prog = compile_exprs(roots)
+    pts = sample_points(2, N, seed=N)
+    for _ in range(2):
+        assert eval_many_shared(prog, pts).tobytes() == np.array(eval_many_shared(roots, pts)).tobytes()
+        assert_cache_rows(prog._names)
 
 
 def counting_compiles(monkeypatch, module):

@@ -509,6 +509,20 @@ def test_transport_judges_eta_at_the_given_tolerances():
             symmetry_transport_check(sys, eta, 0.1, grid, 1e-3, 2, **kwargs)
 
 
+def test_transport_report_is_both_trajectories_from_the_public_functions():
+    # the quadratic sphere symmetry, whose flow is nonlinear: the two grids
+    # differ, and the report holds them and their gap bit for bit
+    sys = build_system(CanonicalSpec("constcurv_22_13", n=2, a=1.0))
+    eta = VectorField.from_strings(2, ["(1 + y1^2 - y2^2)/2", "y1*y2"])
+    grid = make_grid([lambda x: 0.25 * np.sin(x) + 0.05, lambda x: 0.2 * np.cos(x) - 0.03], 16, L)
+    rep = symmetry_transport_check(sys, eta, 0.1, grid, 0.01, 5)
+    first = evolve(sys, apply_flow_to_grid(eta, grid, 0.1), 0.01, 5)
+    last = apply_flow_to_grid(eta, evolve(sys, grid, 0.01, 5), 0.1)
+    for got, want in ((rep["evolve_of_mapped"], first), (rep["mapped_evolve"], last)):
+        assert got.t == want.t and got.values.tobytes() == want.values.tobytes()
+    assert rep["max_abs"] == float(np.max(np.abs(first.values - last.values))) > 0.0
+
+
 def test_transport_nonlinear_flow_second_order():
     # quadratic sphere symmetry on the n=2 constant-curvature system: the
     # flow is nonlinear, so the discrete mismatch is a genuine O(dx^2)

@@ -5,9 +5,10 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 187 commands and the six demos: 149 commands on fixtures/ (18 on
-each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one at the
-smallest grid on SMALLEST_8 and two at extreme grid lengths on
+It runs 189 commands and the six demos: 151 commands on fixtures/ (18 on
+each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one on
+REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
+extreme grid lengths and one whose --csv cannot be written on
 EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 11 on SIGNED and 2 on TIGHT.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
@@ -215,6 +216,9 @@ TIGHT = {
 # 1001 points are not a whole number of 64-byte cache lines, so every row of
 # the simulator's ghost block ends in padding; n = 3 with a curved connection
 PADDED_1001 = "constcurv_n3.json"
+# the translation is no symmetry there and the per-fixture step 0.2 blows
+# up: simulate --transport judges the field before it evolves anything
+REFUSED_BLOW_UP = "constcurv_n3.json"
 # the smallest grid, n = 2 with a complex spectrum of A
 SMALLEST_8 = "heisenberg.json"
 # lengths whose grid spacing squared overflows and underflows at grid 16
@@ -276,11 +280,18 @@ def commands(tmp):
                 "simulate", path, "--grid", "8", "--dt", "0.001", "--steps", "4", "--initial", smooth,
                 "--csv", CSV_PLACEHOLDER,
             ]
+        if name == REFUSED_BLOW_UP:
+            yield name, [
+                "simulate", path, "--grid", "32", "--dt", "0.2", "--steps", "100", "--transport=" + trans
+            ]
         if name == EXTREME_LENGTH:
             for length in ("1e300", "1e-300"):
                 yield name, [
                     "simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--length", length
                 ]
+            # a directory is no file to write: the error line names "." in
+            # every run, where a temporary path would differ
+            yield name, ["simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--csv", "."]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
