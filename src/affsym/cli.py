@@ -55,10 +55,11 @@ from .geometry import (
 from .liefn import VectorField
 from .pdesim import (
     _judge,
+    _operator,
+    _rk4,
     _spacing,
     _transport,
     dump_csv,
-    evolve_snapshots,
     make_grid,
     pde_residual,
     stability_limit,
@@ -530,7 +531,8 @@ def cmd_simulate(args):
         eta, tol = _parse_eta(args.transport, n, "--transport"), doc.tolerances
         _judge(sysd, eta, pts, tol["symmetry"], tol["invariance"])
     every = max(1, args.steps // 4)
-    snaps = evolve_snapshots(sysd, grid, args.dt, args.steps, every)
+    # the evolution's operator takes the report's limit: A's eigenvalues once
+    snaps = _rk4(_operator(sysd, grid, limit), grid, args.dt, args.steps, every)
     # the trailing snapshot may be ragged when every does not divide steps;
     # the residual needs equal spacing
     regular = snaps if args.steps % every == 0 else snaps[:-1]

@@ -129,6 +129,7 @@ class DiffusionSystem:
         self.A = a_field
         self.conn = conn
         self.coeff_program = None  # pdesim's compiled right-hand side, built on first use
+        self.a_radius = None  # pdesim's max|eig A| of a constant A, taken on first use
         if a_field.valence != (1, 1) or a_field.n != n or conn.n != n:
             raise ValueError("operator field must be (1,1) on the same chart as the connection")
         if check:

@@ -5,18 +5,19 @@ periodic interval, residual evaluation, symmetry solution-transport checks
 The right-hand side F^i = A^i_j (u_xx^j + Gamma^j_rs u_x^r u_x^s) is one
 expression over y1..y3n = (u, u_x, u_xx), compiled once per system and fed
 2nd-order central differences; classic fixed-step RK4 in time, periodic
-wrap throughout.  An evolve keeps its data in one zeroed buffer (see
-_buffer).  Each right-hand side reads a ghost block of 3n padded rows whose
-first n hold u between two ghost columns (the periodic wrap): the stencil
-writes u_x and u_xx into the rows below, one ufunc call per operation over
-the flat strip of those rows, padding included, and the compiled program
-reads the N interior columns.  Four contiguous (n, N) strips follow: two
-states that alternate, the stage increment and the weighted sum, so every
-RK4 operation that does not write the block is one loop.  Each stage input
-is written straight into the block's u rows, and the program keeps its name
-arrays between stages at the same N (see Program), so a stage allocates
-only the program's result.  Nothing reads the values left in padding.
-Snapshots are C-ordered (N, n) copies.
+wrap throughout.  F on one grid is one operator (_Operator: a zeroed
+buffer, the stencil, the coefficients and the stability limit), made once
+per evolution or residual.  Each call reads the buffer's ghost block of 3n
+padded rows whose first n hold u between two ghost columns (the periodic
+wrap): the stencil writes u_x and u_xx into the rows below, one ufunc call
+per operation over the flat strip of those rows, padding included, and the
+compiled program reads the N interior columns.  An evolution's four
+contiguous (n, N) strips follow: two states that alternate, the stage
+increment and the weighted sum, so every RK4 operation that does not write
+the block is one loop.  Each stage input is written straight into the u
+rows, and the program keeps its name arrays between stages at the same N
+(see Program), so a stage allocates only its result.  Nothing reads the
+values left in padding.  Snapshots are C-ordered (N, n) copies.
 Correctness anchors are external: the heat kernel for the decoupled case,
 Richardson refinement for the residual order, and for the spin chain the
 embedding equation S_t = S x S_xx itself (the stereographic coefficients are
@@ -59,14 +60,12 @@ class SolutionGrid:
     """Periodic grid snapshot: N points on [0, L), values (N, n) at time t."""
 
     def __init__(self, N, L, t, values):
-        self.N = int(N)
+        self.N = int(_count("N", N, 8))
         self.L = _length(L)
         self.t = float(t)
         # C-ordered whatever the caller's layout, so reductions over the
         # grid (values.mean(axis=0)) sum in one fixed order
         self.values = np.ascontiguousarray(values, dtype=float)
-        if self.N < 8:
-            raise ValueError("grid needs at least 8 points")
         _spacing(self.N, self.L)
         if self.values.shape[0] != self.N or self.values.ndim != 2:
             raise ValueError("values must have shape (N, n)")
@@ -86,12 +85,8 @@ class SolutionGrid:
         return self.L / self.N
 
     def copy(self, t=None, values=None):
-        return SolutionGrid(
-            self.N,
-            self.L,
-            self.t if t is None else t,
-            self.values.copy() if values is None else values,
-        )
+        values = self.values.copy() if values is None else values
+        return SolutionGrid(self.N, self.L, self.t if t is None else t, values)
 
 
 def _spacing(N, L):
@@ -112,7 +107,7 @@ def _length(L):
 def make_grid(profiles, N, L):
     """Sample callables x -> value (one per component) on the periodic grid
     at t = 0."""
-    x = np.arange(N) * (_length(L) / N)
+    x = np.arange(_count("N", N, 8)) * (_length(L) / N)
     vals = np.stack([np.asarray(p(x), dtype=float) for p in profiles], axis=-1)
     return SolutionGrid(N, L, 0.0, vals)
 
@@ -188,32 +183,53 @@ def _stencil(rows, n, N, dx):
     return fill
 
 
+class _Operator:
+    """The semi-discrete operator of ``coeffs``, a callable of the (3n, N)
+    rows (u, u_x, u_xx), on N points of spacing dx: one new buffer's ghost
+    block and ``strips`` strips (_buffer), the block's u rows ``u``, its
+    stencil ``fill`` (_stencil) and an evolution's ``limit`` (_operator)."""
+
+    def __init__(self, coeffs, n, N, dx, strips=0, limit=None):
+        rows, self.strips = _buffer(n, N, strips)
+        self.u, self.fill = rows[:n, 1 : N + 1], _stencil(rows, n, N, dx)
+        self.coeffs, self.limit = coeffs, limit
+
+    def __call__(self, values):
+        """coeffs of the stencil at the grid values (N, n), written into the
+        u rows, under evolve's error state (the stencil computes in padding)."""
+        self.u[...] = values.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.coeffs(self.fill())
+
+
+def _operator(sys, grid, limit):
+    """sys's _Operator for an evolution of grid: four strips and ``limit``."""
+    return _Operator(_coeff_evaluators(sys), sys.n, grid.N, grid.dx, 4, limit)
+
+
 def _rhs(coeffs, values, dx):
-    """coeffs of the stencil at the grid values (N, n), written into the u
-    rows of a new ghost block from _buffer, under evolve's error state as
-    the stencil also computes in padding; with _coeff_evaluators' coeffs, F
-    (N, n)."""
-    N, n = values.shape
-    rows, _ = _buffer(n, N, 0)
-    rows[:n, 1 : N + 1] = values.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        return coeffs(_stencil(rows, n, N, dx)())
+    """A new _Operator of coeffs called at the grid values (N, n)."""
+    return _Operator(coeffs, values.shape[1], values.shape[0], dx)(values)
 
 
 def stability_limit(sys, grid):
     """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values.
 
-    An A whose components are all constant nodes is the same matrix at every
-    point, with the same eigenvalues from LAPACK at each, so it is evaluated
-    at the first point only; any other A at every point.  An A that is not
-    finite there raises the checked walk's DomainError."""
-    pts = grid.values
-    if all(c.op == "const" for c in sys.A.comps.flat):
-        pts = pts[:1]
-    vals = sys.A.evaluate_many(pts)
-    if not np.isfinite(vals).all():
-        sys.A.evaluate(pts)
-    lam = float(np.max(np.abs(np.linalg.eigvals(vals))))
+    A constant A (all its components constant nodes) is read once per system
+    from the nodes' values, its radius kept on it (``sys.a_radius``; A must
+    not change after first use).  Any other A is evaluated at every point;
+    one that is not finite there raises the checked walk's DomainError."""
+    if sys.n != grid.n:
+        raise ValueError("system and grid dimensions differ")
+    if sys.a_radius is None and all(c.op == "const" for c in sys.A.comps.flat):
+        vals = np.array([[c.value for c in row] for row in sys.A.comps])
+        sys.a_radius = float(np.max(np.abs(np.linalg.eigvals(vals))))
+    lam = sys.a_radius
+    if lam is None:
+        vals = sys.A.evaluate_many(grid.values)
+        if not np.isfinite(vals).all():
+            sys.A.evaluate(grid.values)
+        lam = float(np.max(np.abs(np.linalg.eigvals(vals))))
     if lam == 0.0:
         return np.inf
     return 0.4 * grid.dx**2 / lam
@@ -226,8 +242,7 @@ def evolve(sys, grid, dt, steps):
 
 
 def _count(name, value, least):
-    """value, refused unless it is an int (a bool is not) of at least
-    ``least``."""
+    """value, refused unless it is an int (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < least:
@@ -244,11 +259,6 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     counted from the start.  A dt that is not finite, or a steps or every
     that is not an int (bools included) or is out of range, is refused (a
     negative finite dt steps backwards).
-
-    Every buffer is part of one from _buffer, held for the whole evolve
-    (see the module docstring).  The stages are computed with the
-    operations, operands and order of ``y + 0.5*dt*k1`` and the other sums,
-    so the values are those of the expressions.
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
@@ -256,20 +266,21 @@ def evolve_snapshots(sys, grid, dt, steps, every):
         raise ValueError(f"dt must be finite, got {dt!r}")
     _count("steps", steps, 0)
     _count("every", every, 1)
-    coeffs = _coeff_evaluators(sys)
-    limit = stability_limit(sys, grid)
-    if abs(dt) > limit:
+    return _rk4(_operator(sys, grid, stability_limit(sys, grid)), grid, dt, steps, every, 3)
+
+
+def _rk4(op, grid, dt, steps, every, stacklevel=2):
+    """evolve_snapshots of grid on op (_operator), warning for the frame
+    ``stacklevel`` calls up.  Each stage takes the operations, operands and
+    order of ``y + 0.5*dt*k1`` and the other sums, so its values are theirs."""
+    if abs(dt) > op.limit:
         warnings.warn(
-            f"time step {dt:.3e} exceeds the stability heuristic {limit:.3e}",
+            f"time step {dt:.3e} exceeds the stability heuristic {op.limit:.3e}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    # the ghost block, then the state, the spare state, the stage increment
-    # and the weighted sum
-    n, N = grid.n, grid.N
-    rows, (y, spare, stage, total) = _buffer(n, N, 4)
-    u = rows[:n, 1 : N + 1]
-    fill = _stencil(rows, n, N, grid.dx)
+    # the state, the spare state, the stage increment and the weighted sum
+    (y, spare, stage, total), u, fill, coeffs = op.strips, op.u, op.fill, op.coeffs
     np.copyto(y, grid.values.T)
     # 0-d arrays, where a ufunc converts a Python number on every call
     half, whole, sixth, two = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
@@ -333,14 +344,12 @@ def pde_residual(sys, snapshots, exclude_boundary=0):
     if isinstance(edge, bool) or not isinstance(edge, (int, np.integer)) or not 0 <= 2 * edge < N:
         raise ValueError(f"exclude_boundary must be an int k with 0 <= 2k < N = {N}, got {edge!r}")
     keep = np.ones(N, dtype=bool)
-    if edge:
-        keep[:edge] = False
-        keep[-edge:] = False
-    coeffs = _coeff_evaluators(sys)
+    keep[:edge] = keep[N - edge :] = False
+    op = _Operator(_coeff_evaluators(sys), sys.n, N, snapshots[0].dx)
     worst = []
     for k in range(1, len(snapshots) - 1):
         ydot = (snapshots[k + 1].values - snapshots[k - 1].values) / (2.0 * dt)
-        rhs = _rhs(coeffs, snapshots[k].values, snapshots[k].dx)
+        rhs = op(snapshots[k].values)
         worst.append(np.max(np.abs((ydot - rhs)[keep])))
     # np.max, unlike max(), is nan where any defect is (as inf where any is)
     return float(np.max(worst))
@@ -355,9 +364,8 @@ def apply_flow_to_grid(eta, grid, tau):
     """Map every grid point by the time-tau flow of eta: one stacked ODE,
     integrated with the Dormand-Prince 5(4) pair of ``affsym.ode`` at rtol
     1e-10 and atol 1e-12, with eta's components compiled once for all
-    stages.  Leaving |y| <= ode.BLOWUP
-    (the integrator's blow-up guard) or a step underflow raises
-    IntegrationError."""
+    stages.  Leaving |y| <= ode.BLOWUP (the integrator's blow-up guard) or
+    a step underflow raises IntegrationError."""
     if tau == 0.0:
         return grid.copy()
     N, n = grid.values.shape
@@ -487,7 +495,5 @@ def dump_csv(snapshots, fp):
     for snap in snapshots:
         xs = snap.x
         for k in range(snap.N):
-            row = [f"{snap.t:.17g}", f"{xs[k]:.17g}"] + [
-                f"{v:.17g}" for v in snap.values[k]
-            ]
+            row = [f"{snap.t:.17g}", f"{xs[k]:.17g}"] + [f"{v:.17g}" for v in snap.values[k]]
             fp.write(",".join(row) + "\n")

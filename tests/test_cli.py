@@ -17,7 +17,7 @@ from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
 from affsym.symmetry import flow, pointwise_symmetry_bound
 from affsym.tensor import TensorField
-from affsym.pdesim import evolve, evolve_snapshots, make_grid, symmetry_transport_check
+from affsym.pdesim import evolve, make_grid, stability_limit, symmetry_transport_check
 from affsym.util import sample_points
 
 from test_point_values import assert_trees_refuse
@@ -286,14 +286,17 @@ def test_simulate_transport_judges_eta_at_the_document_tolerance(tmp_path, capsy
 
 
 def counting_evolutions(monkeypatch):
+    # every evolution runs pdesim's RK4 stepper, through evolve_snapshots or
+    # straight from cmd_simulate
     calls = []
+    stepper = pdesim._rk4
 
     def counted(*args):
         calls.append(args[2:])
-        return evolve_snapshots(*args)
+        return stepper(*args)
 
-    monkeypatch.setattr(pdesim, "evolve_snapshots", counted)
-    monkeypatch.setattr(cli, "evolve_snapshots", counted)
+    monkeypatch.setattr(pdesim, "_rk4", counted)
+    monkeypatch.setattr(cli, "_rk4", counted)
     return calls
 
 
@@ -311,6 +314,30 @@ def test_simulate_transport_evolves_each_trajectory_once(monkeypatch, capsys):
     eta = VectorField.from_strings(3, ["1", "0", "0"])
     rep = symmetry_transport_check(doc.to_system(), eta, 0.1, grid, 1e-3, 8, doc._points)
     assert data["transport_gap"] == rep["max_abs"]
+
+
+def test_simulate_takes_a_varying_a_spectrum_once_per_evolution(monkeypatch, capsys):
+    # A is not constant on constcurv_2d.json: its eigenvalues are taken once
+    # at the initial grid, for the report and the evolution's operator, and
+    # with --transport once more, for the flowed grid's evolution
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return eigvals(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    argv = ["simulate", fixture("constcurv_2d.json"), "--grid", "64", "--dt", "1e-4", "--steps", "4"]
+    code, data = run(capsys, *argv)
+    assert code == 0 and calls == [(64, 2, 2)]
+    monkeypatch.undo()
+    profiles = [lambda x, k=k: 0.2 * np.sin(2 * np.pi * x / (2 * np.pi) + k) for k in range(2)]
+    limit = stability_limit(SystemDocument.load(argv[1]).to_system(), make_grid(profiles, 64, 2 * np.pi))
+    assert data["stability_limit"] == limit
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    calls.clear()
+    assert run(capsys, *argv, "--transport=-y2,y1")[0] == 0 and calls == [(64, 2, 2)] * 2
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from affsym import pdesim
 from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument
 from affsym.expr import eval_many_shared
-from affsym.geometry import Connection, DiffusionSystem, scalar_operator
+from affsym.geometry import Connection, DiffusionSystem, scalar_operator, transform_system
 from affsym.liefn import VectorField
 from affsym.pdesim import (
     SolutionGrid,
@@ -32,7 +32,7 @@ from affsym.pdesim import (
     symmetry_transport_check,
     transport_convergence,
 )
-from affsym.tensor import TensorField
+from affsym.tensor import PointMap, TensorField
 from test_compile import assert_cache_rows
 
 L = 2 * np.pi
@@ -364,8 +364,9 @@ def test_every_stage_reads_one_ghost_block_from_cache_lines(monkeypatch, N):
 
 
 def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
-    # a constant A is evaluated at one point, any other A at every point;
-    # either way the limit is bitwise that of A's eigenvalues at all points
+    # a constant A is read from its nodes, not evaluated, and any other A is
+    # evaluated at every point; either way the limit is bitwise that of A's
+    # eigenvalues at all points
     seen = []
     evaluate_many = TensorField.evaluate_many
 
@@ -374,11 +375,11 @@ def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
         return evaluate_many(field, points)
 
     systems = [
-        (heisenberg_system(), 1),
-        (build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0)), 1),
-        (transcendental_system(), None),
+        (heisenberg_system(), True),
+        (build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0)), True),
+        (transcendental_system(), False),
     ]
-    for sys, rows in systems:
+    for sys, constant in systems:
         profiles = [lambda x, k=k: 0.3 * np.sin(x + k) + 0.1 * np.cos(2 * x) for k in range(sys.n)]
         for N in (64, 4096):
             grid = make_grid(profiles, N, L)
@@ -387,7 +388,96 @@ def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
             limit = stability_limit(sys, grid)
             monkeypatch.undo()
             assert limit.hex() == (0.4 * grid.dx**2 / lam).hex(), N
-            assert seen.pop() == (rows or N) and not seen
+            assert seen == ([] if constant else [N]), N
+            seen.clear()
+
+
+def test_constant_a_radius_is_taken_once_per_system(monkeypatch):
+    # across evolves and stability_limit calls at two grid sizes, A's
+    # eigenvalues are taken once, from its nodes, with the limit's bits
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return eigvals(mats)
+
+    for sys in (heisenberg_system(), build_system(CanonicalSpec("constcurv_22_13", n=3, a=1.0))):
+        profiles = [lambda x, k=k: 0.3 * np.sin(x + k) for k in range(sys.n)]
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for N in (64, 4096, 64):
+            grid = make_grid(profiles, N, L)
+            limit = stability_limit(sys, grid)
+            evolve(sys, grid, 0.5 * limit, 2)
+            evolve_snapshots(sys, grid, -0.5 * limit, 2, 1)
+            lam = np.max(np.abs(eigvals(sys.A.evaluate_many(grid.values))))
+            assert stability_limit(sys, grid).hex() == limit.hex() == (0.4 * grid.dx**2 / lam).hex(), N
+        monkeypatch.undo()
+        assert calls == [(sys.n, sys.n)]
+        calls.clear()
+
+
+def test_stability_limit_refuses_a_grid_of_another_dimension():
+    # a constant A is read from its nodes, not at the grid's values; the
+    # grid's dimension is checked all the same
+    for sys in (heisenberg_system(), transcendental_system()):
+        with pytest.raises(ValueError, match="system and grid dimensions differ"):
+            stability_limit(sys, make_grid([np.sin], 16, L))
+
+
+def chart_covariance_errors(flip):
+    """Max errors at T = 0.05, at N = 32, 64 and 128 and dt near 0.2 dx^2, of
+    the flat system A = [[1, 0.3], [0, 0.5]], Gamma = 0 moved by
+    phi(y) = (y1 + y2^2/2, exp(y2) - 1), from phi(0.3 sin x, 0.2 cos 2x),
+    against phi of the flat solution sin x expm(-At)(0.3, 0) +
+    cos 2x expm(-4At)(0, 0.2); with Gamma's sign flipped if ``flip``."""
+    flat = DiffusionSystem(2, TensorField.from_strings(2, 1, 1, [["1", "0.3"], ["0", "0.5"]]), Connection.zeros(2))
+    phi = PointMap.from_strings(2, ["y1 + y2^2/2", "exp(y2) - 1"], ["y1 - ln(1 + y2)^2/2", "ln(1 + y2)"])
+    sys = transform_system(flat, phi)
+    if flip:
+        sys = DiffusionSystem(2, sys.A, Connection(2, sys.conn.field.scale(-1.0).comps), check=False)
+
+    def moved(u):
+        return np.stack([u[:, 0] + u[:, 1] ** 2 / 2, np.exp(u[:, 1]) - 1], axis=-1)
+
+    def expm(s):
+        # exp(-s A) for the upper triangular A, eigenvalues 1 and 0.5
+        return np.array([[np.exp(-s), 0.6 * (np.exp(-s) - np.exp(-s / 2))], [0.0, np.exp(-s / 2)]])
+
+    errors = []
+    for N in (32, 64, 128):
+        steps = int(np.ceil(0.05 / (0.2 * (L / N) ** 2)))
+        grid = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(2 * x)], N, L)
+        out = evolve(sys, grid.copy(values=moved(grid.values)), 0.05 / steps, steps)
+        x, t = out.x[:, None], out.t
+        exact = np.sin(x) * (expm(t) @ [0.3, 0.0]) + np.cos(2 * x) * (expm(4 * t) @ [0.0, 0.2])
+        errors.append(float(np.max(np.abs(out.values - moved(exact)))))
+    return errors
+
+
+def test_curved_chart_solution_converges_to_the_moved_closed_form():
+    # the system is covariant under a point map: phi of the flat solution
+    # solves the moved system, whose A and Gamma vary with u; the error
+    # shrinks at second order (criterion 8's bounds), and a wrong Gamma
+    # misses by an amount that does not shrink
+    errors = chart_covariance_errors(flip=False)
+    assert 1e-4 < errors[1] < 2e-4
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.4 <= coarse / fine <= 4.6
+    wrong = chart_covariance_errors(flip=True)
+    assert min(wrong) > 10 * errors[0]
+    assert all(coarse / fine < 1.5 for coarse, fine in zip(wrong, wrong[1:]))
+
+
+@pytest.mark.parametrize("N", [64.5, "64", True, np.float64(64.0)])
+def test_grid_size_must_be_an_int(N):
+    # an N that is not an int was truncated or met a misleading error
+    message = f"N must be an int, got {N!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolutionGrid(N, L, 0.0, np.zeros((64, 1)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_grid([np.sin], N, L)
+    assert make_grid([np.sin], np.int64(64), L).N == 64
 
 
 def test_pde_residual_zero_for_linear_profile():

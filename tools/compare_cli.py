@@ -5,11 +5,11 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 189 commands and the six demos: 151 commands on fixtures/ (18 on
+It runs 190 commands and the six demos: 151 commands on fixtures/ (18 on
 each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
 extreme grid lengths and one whose --csv cannot be written on
-EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 11 on SIGNED and 2 on TIGHT.
+EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 12 on SIGNED and 2 on TIGHT.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
@@ -49,7 +49,10 @@ written -y2 as y2/(-1), a quotient by the constant -1, whose squared
 denominator folds to ONE), and a radial 2-D document,
 A = f(y1^2 + y2^2) I with f a sum of exp, sqrt, ln, sin and cos
 (check-symmetry with the rotation, which takes second derivatives through
-pow and every function, and report); the 2-D spec and the radial document
+pow and every function, report, and a grid-64 `simulate` with --csv, whose
+A is not constant, so the stability limit in its stdout and the values
+of the coefficient program's function nodes in its CSV are pinned to 17
+digits); the 2-D spec and the radial document
 also sample one point alone, so the second-order walk runs at P = 1.  One
 more (TIGHT) is TRANSPORT_1024's document with a `symmetry` tolerance of
 1e-30, which no residual of the field 1e-9*y1 meets: `check-symmetry` and
@@ -183,7 +186,13 @@ SIGNED = {
     ),
     "signed_radial.json": (
         {**RADIAL, "sample": [[0.0, -0.0], [-0.0, 0.0], [0.1, -0.2]]},
-        (["check-symmetry", "--eta=-y2,y1"], ["report"]),
+        (
+            ["check-symmetry", "--eta=-y2,y1"],
+            ["report"],
+            # A is not constant: the stability limit is taken at the grid,
+            # and the CSV holds the program's function nodes' values
+            ["simulate", "--grid", "64", "--dt", "5e-4", "--steps", "8", "--csv", CSV_PLACEHOLDER],
+        ),
     ),
     "signed_constcurv_2d_one_point.json": (
         {"canonical": {"kind": "constcurv_2d_22_14", "n": 2}, "sample": [[-0.0, 0.0]]},
