@@ -125,10 +125,8 @@ class CanonicalSpec:
             raise ValueError("scalar_23_1 requires n = 1")
 
     def u_exprs(self):
-        out = []
-        for t in self.u:
-            out.append(parse_expr(t, self.n) if isinstance(t, str) else t)
-        return out
+        groups = {}
+        return [parse_expr(t, self.n, groups=groups) if isinstance(t, str) else t for t in self.u]
 
     def psi_expr(self):
         if self.psi is None:

@@ -191,11 +191,12 @@ class SystemDocument:
         n = self.n
         a = None
         gamma = TensorField.zeros(n, 1, 2).comps
+        groups = {}  # the parenthesised groups parsed so far, shared by A and Gamma
         if self.a_rows is not None:
             arr = np.asarray(self.a_rows, dtype=object)
             if arr.shape != (n, n):
                 raise InputError(f"A must be {n}x{n} expression strings")
-            a = self._parse_all(arr)
+            a = self._parse_all(arr, groups)
         if self.gamma_rows is not None:
             if not isinstance(self.gamma_rows, dict):
                 raise InputError("Gamma must map upper indices to lower matrices")
@@ -213,7 +214,7 @@ class SystemDocument:
                 m = np.asarray(mat, dtype=object)
                 if m.shape != (n, n):
                     raise InputError(f"Gamma[{k}] must be {n}x{n}")
-                gamma[k - 1] = self._parse_all(m)
+                gamma[k - 1] = self._parse_all(m, groups)
         if a is not None:
             A = TensorField(n, 1, 1, a)
             self._system = DiffusionSystem(n, A, Connection(n, gamma), check=False)
@@ -230,14 +231,15 @@ class SystemDocument:
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")
 
-    def _parse_all(self, arr):
-        """The array of expression strings parsed, entry by entry."""
+    def _parse_all(self, arr, groups):
+        """The array of expression strings parsed, entry by entry, sharing
+        ``groups`` (parse_expr's) with the document's other arrays."""
         out = np.empty(arr.shape, dtype=object)
         for idx, t in np.ndenumerate(arr):
             if not isinstance(t, str):
                 raise InputError(f"coefficient entries must be strings, got {t!r}")
             try:
-                out[idx] = parse_expr(t, self.n)
+                out[idx] = parse_expr(t, self.n, groups=groups)
             except ParseError as exc:
                 raise InputError(f"bad expression {t!r}: {exc}") from exc
         return out
@@ -357,8 +359,9 @@ def _parse_eta(text, n, what):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise InputError(f"{what} needs {n} comma-separated components")
+    groups = {}
     try:
-        return VectorField(n, [parse_expr(p, n) for p in parts])
+        return VectorField(n, [parse_expr(p, n, groups=groups) for p in parts])
     except ParseError as exc:
         raise InputError(f"bad component in {what}: {exc}") from exc
 

@@ -21,7 +21,11 @@ callers report.  No walk recurses: all run over the iterative
 ``_postorder`` or, for derivatives, an explicit stack, so depth is
 limited by memory alone.  Parsing does not recurse
 either: ``parse_expr`` is one loop over regular-expression tokens with an
-explicit operand and operator stack.
+explicit operand and operator stack.  Text printed by ``to_string`` spells
+each shared subtree out at every use; given a ``groups`` dict shared by the
+texts of one document, ``parse_expr`` parses each repeated parenthesised
+group once and pushes the same node at its later uses, so loading follows
+the DAG rather than its printed tree, in time linear in the text.
 
 Derivatives of higher order at one point come from a third walk,
 ``taylor_coefficients``: it carries each node's Taylor polynomial in
@@ -1823,40 +1827,64 @@ def _fragment(node, parts):
 # unary minus (-y1^2 parses as -(y1^2)).  Whitespace is insignificant and
 # digits are decimal (str.isdecimal).
 #
-# _TOKEN splits the text into (whitespace, token) pairs that cover it.  A
+# _TOKEN matches one (whitespace, token) pair at a character position.  A
 # token is a number, a name (str.isalnum characters, the first no decimal
 # digit), '^' with its integer, any other character, or the empty end.
-# parse_expr reads them in one loop by precedence climbing over an operand
+# parse_expr scans them in one loop by precedence climbing over an operand
 # and an operator stack (Dijkstra's shunting-yard), so nesting is limited by
 # memory alone.  An operator is applied once its right operand is complete,
 # so constants fold, and fail, in the order the grammar's recursive descent
-# would fold them.
+# would fold them.  Every error offset is the scanner's position of the
+# offending token.
+#
+# Text printed by to_string spells a shared subtree out at each use, so the
+# same parenthesised group recurs many times across the coefficients of one
+# document.  Given a ``groups`` dict, parse_expr keeps each group it closes,
+# '(...)' or 'f(...)', with its text and node, and where that text recurs at
+# an operand it pushes the kept node and scans on past the group.  A group's
+# node depends on its text and n alone (its first '(' closes at its last
+# ')' wherever the text stands), so the dict is keyed on n first, and only
+# groups that parsed are kept, so a hit never hides an error.  The groups
+# are filed by their first _GROUP_MIN characters, at most _BUCKET texts to
+# a prefix, and only groups of _GROUP_MIN to _GROUP_LIMIT characters are
+# kept: a lookup is one short slice, one dict lookup and at most _BUCKET
+# comparisons of at most _GROUP_LIMIT characters, so parsing stays linear
+# in the text however deep it nests.
 
 _TOKEN = re.compile(
     r"(\s*)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\W\d_][^\W_]*|\^\s*-?\d*|\Z|.)", re.DOTALL
 )
+_GROUP_MIN, _GROUP_LIMIT, _BUCKET = 8, 1024, 8
 _BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, div)}
 
 
-def _offset(tokens, k):
-    """Offset of token k, past its leading whitespace."""
-    return sum(len(ws) + len(tok) for ws, tok in tokens[:k]) + len(tokens[k][0])
-
-
-def _fold(tokens, k, build, *args):
+def _fold(at, build, *args):
     """Apply a smart constructor; a constant it cannot represent (a
-    non-finite literal, or overflow while folding) is a parse error at token k."""
+    non-finite literal, or overflow while folding) is a parse error at
+    offset ``at``."""
     try:
         return build(*args)
     except ExprError as exc:
-        raise ParseError(str(exc), _offset(tokens, k)) from None
+        raise ParseError(str(exc), at) from None
 
 
-def parse_expr(text, n):
+def _recall(memo, text, start):
+    """The kept group that text spells out from ``start`` on, as its node and
+    the offset past its ')', or None."""
+    for key, node in memo.get(text[start : start + _GROUP_MIN], ()):
+        if text.startswith(key, start):
+            return node, start + len(key)
+    return None
+
+
+def parse_expr(text, n, *, groups=None):
     """Parse ``text`` into an Expr over an n-dimensional chart.
 
     Coordinate references outside 1..n and syntax errors raise ParseError
     with the offset of the offending token.  n must be an integer >= 1.
+    ``groups``, a dict the caller shares across the texts of one document,
+    keeps the parenthesised groups parsed so far, so each distinct group is
+    parsed once; the result is the same node with or without it.
     """
     try:
         dim = operator.index(n)
@@ -1864,49 +1892,55 @@ def parse_expr(text, n):
         dim = 0
     if dim < 1:
         raise ParseError(f"chart dimension must be >= 1, got {n!r}", 0)
-    tokens = _TOKEN.findall(text)
-    # values: operands; ops: (precedence, constructor, token index), where an
-    # open parenthesis has precedence 0 and a function's name or None in place
+    memo = None if groups is None else groups.setdefault(dim, {})
+    scan = _TOKEN.scanner(text).match  # each call matches where the last one ended
+    # values: operands; ops: (precedence, constructor, offset of its token),
+    # where a group has precedence 0 and a function's name or None in place
     # of the constructor.  operand: an operand comes next; powered: the last
     # factor has taken its exponent
     values, ops = [], []
-    k, operand, powered = 0, True, False
+    operand, powered = True, False
     while True:
-        tok = tokens[k][1]
+        m = scan()
+        tok = m[2]
         if operand:
             if tok == "-":  # prefix minus as 0 - x, which sub builds as neg(x)
                 values.append(ZERO)
-                ops.append((3, sub, k))
-            elif tok == "(":
-                ops.append((0, None, k))
-            elif tok in FUNCS:
-                if tokens[k + 1][1] != "(":
-                    raise ParseError("expected '('", _offset(tokens, k + 1))
-                ops.append((0, tok, k))
-                k += 1
+                ops.append((3, sub, m.start(2)))
+            elif tok == "(" or tok in FUNCS:
+                start = m.start(2)
+                if tok != "(":
+                    m = scan()
+                    if m[2] != "(":
+                        raise ParseError("expected '('", m.start(2))
+                hit = memo and _recall(memo, text, start)
+                if hit:
+                    values.append(hit[0])
+                    scan = _TOKEN.scanner(text, hit[1]).match
+                    operand = powered = False
+                else:
+                    ops.append((0, None if tok == "(" else tok, start))
             elif tok[:1].isdecimal() or tok[:1] == ".":
                 if tok == ".":
-                    raise ParseError("malformed number", _offset(tokens, k))
-                values.append(_fold(tokens, k, const, float(tok)))
+                    raise ParseError("malformed number", m.start(2))
+                values.append(_fold(m.start(2), const, float(tok)))
                 operand = powered = False
             elif tok[:1].isalpha():
                 if tok[0] != "y" or not tok[1:].isdecimal():
-                    raise ParseError(f"unknown identifier {tok!r}", _offset(tokens, k))
+                    raise ParseError(f"unknown identifier {tok!r}", m.start(2))
                 try:
                     idx = int(tok[1:])
                 except ValueError:  # beyond Python's limit on int() digits
-                    raise ParseError(
-                        "coordinate index has too many digits", _offset(tokens, k)
-                    ) from None
+                    raise ParseError("coordinate index has too many digits", m.start(2)) from None
                 if not 1 <= idx <= dim:
                     raise ParseError(
-                        f"coordinate y{idx} out of range for dimension {dim}", _offset(tokens, k)
+                        f"coordinate y{idx} out of range for dimension {dim}", m.start(2)
                     )
                 values.append(coord(idx))
                 operand = powered = False
             else:
                 message = f"unexpected character {tok[0]!r}" if tok else "unexpected end of input"
-                raise ParseError(message, _offset(tokens, k))
+                raise ParseError(message, m.start(2))
         elif tok[:1] == "^" and (not powered or ops and ops[-1][0] == 3):
             if powered:  # '-' factor is an atom, so -y1^2^3 is (-(y1^2))^3
                 ops.pop()
@@ -1917,26 +1951,30 @@ def parse_expr(text, n):
             except ValueError:  # no digits, or beyond Python's limit on int() digits
                 digits = body[-1:].isdecimal()
                 message = "exponent has too many digits" if digits else "expected integer exponent"
-                raise ParseError(message, _offset(tokens, k) + len(tok) - len(body)) from None
-            values[-1] = _fold(tokens, k, powi, values[-1], exponent)
+                raise ParseError(message, m.end() - len(body)) from None
+            values[-1] = _fold(m.start(2), powi, values[-1], exponent)
             powered = True
         else:
             prec, build = _BINARY.get(tok, (1, None))
             while ops and ops[-1][0] >= prec:
                 _, op, at = ops.pop()
                 b = values.pop()
-                values[-1] = _fold(tokens, at, op, values[-1], b)
+                values[-1] = _fold(at, op, values[-1], b)
             if build:
-                ops.append((prec, build, k))
+                ops.append((prec, build, m.start(2)))
                 operand = True
             elif tok == ")" and ops:
                 _, name, at = ops.pop()
                 if name:
-                    values[-1] = _fold(tokens, at, func, name, values[-1])
+                    values[-1] = _fold(at, func, name, values[-1])
+                end = m.end()
+                if memo is not None and _GROUP_MIN <= end - at <= _GROUP_LIMIT:
+                    bucket = memo.setdefault(text[at : at + _GROUP_MIN], [])
+                    if len(bucket) < _BUCKET:
+                        bucket.append((text[at:end], values[-1]))
                 powered = False
             elif tok or ops:
                 message = "expected ')'" if ops else "unexpected trailing input"
-                raise ParseError(message, _offset(tokens, k))
+                raise ParseError(message, m.start(2))
             else:
                 return values[0]
-        k += 1

@@ -63,6 +63,8 @@ class SolutionGrid:
         self.N = int(_count("N", N, 8))
         self.L = _length(L)
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {t!r}")
         # C-ordered whatever the caller's layout, so reductions over the
         # grid (values.mean(axis=0)) sum in one fixed order
         self.values = np.ascontiguousarray(values, dtype=float)
@@ -238,7 +240,7 @@ def stability_limit(sys, grid):
 def evolve(sys, grid, dt, steps):
     """The grid advanced by RK4 with fixed step dt: evolve_snapshots' last
     snapshot."""
-    return evolve_snapshots(sys, grid, dt, steps, max(1, _count("steps", steps, 0)))[-1]
+    return _evolve(sys, grid, dt, steps, max(1, _count("steps", steps, 0)))[-1]
 
 
 def _count(name, value, least):
@@ -260,13 +262,18 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     that is not an int (bools included) or is out of range, is refused (a
     negative finite dt steps backwards).
     """
+    return _evolve(sys, grid, dt, steps, every)
+
+
+def _evolve(sys, grid, dt, steps, every):
+    """evolve_snapshots, warning for the caller of evolve or evolve_snapshots."""
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
     _count("steps", steps, 0)
     _count("every", every, 1)
-    return _rk4(_operator(sys, grid, stability_limit(sys, grid)), grid, dt, steps, every, 3)
+    return _rk4(_operator(sys, grid, stability_limit(sys, grid)), grid, dt, steps, every, 4)
 
 
 def _rk4(op, grid, dt, steps, every, stacklevel=2):

@@ -217,9 +217,11 @@ class TensorField:
 
     @classmethod
     def from_strings(cls, n, r, s, entries):
-        """Field from nested expression strings (numbers and Exprs pass)."""
+        """Field from nested expression strings (numbers and Exprs pass),
+        each repeated parenthesised group parsed once."""
         flat = np.asarray(entries, dtype=object).reshape(-1)
-        return cls(n, r, s, [parse_expr(t, n) if isinstance(t, str) else t for t in flat])
+        groups = {}
+        return cls(n, r, s, [parse_expr(t, n, groups=groups) if isinstance(t, str) else t for t in flat])
 
     def map(self, f):
         return TensorField(self.n, self.r, self.s, np.frompyfunc(f, 1, 1)(self.comps))
@@ -485,7 +487,9 @@ class PointMap:
 
     @classmethod
     def from_strings(cls, n, forward, inverse):
-        return cls(n, [parse_expr(t, n) for t in forward], [parse_expr(t, n) for t in inverse])
+        groups = {}  # shared by forward and inverse
+        forward = [parse_expr(t, n, groups=groups) for t in forward]
+        return cls(n, forward, [parse_expr(t, n, groups=groups) for t in inverse])
 
     @classmethod
     def identity(cls, n):

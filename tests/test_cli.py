@@ -20,6 +20,7 @@ from affsym.tensor import TensorField
 from affsym.pdesim import evolve, make_grid, stability_limit, symmetry_transport_check
 from affsym.util import sample_points
 
+from test_expr import mapped_texts
 from test_point_values import assert_trees_refuse
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -522,6 +523,72 @@ def test_exit_code_1_on_bad_input(tmp_path, capsys):
     badexpr.write_text(json.dumps({"n": 1, "A": [["y7"]]}))
     assert main(["inspect", str(badexpr)]) == 1
     capsys.readouterr()
+
+
+def _mapped_document(spec, seed):
+    """A point-mapped document of the canonical ``spec``, as a dict."""
+    n = spec["n"]
+    texts = mapped_texts(spec, (0, n - 1), np.random.default_rng(seed))
+    rows = [texts[i : i + n] for i in range(0, len(texts), n)]
+    return {"n": n, "A": rows[:n], "Gamma": {str(k + 1): rows[n * (k + 1) : n * (k + 2)] for k in range(n)}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5},
+        {"kind": "constcurv_22_13", "n": 3},
+        {"kind": "intermediate_17_19", "n": 4, "m": 2, "u": ["y1", "y2"]},
+    ],
+    ids=["constcurv_2d", "constcurv_n3", "intermediate_n4"],
+)
+def test_document_parses_each_string_once_into_fresh_nodes(monkeypatch, spec):
+    # A and Gamma share one dict of parsed groups; every string still goes
+    # through parse_expr, and every node is the one a fresh parse gives
+    doc = _mapped_document(spec, 7)
+    n = doc["n"]
+    calls = []
+    monkeypatch.setattr(cli, "parse_expr", lambda *a, **kw: calls.append(kw) or parse_expr(*a, **kw))
+    sysd = SystemDocument.from_dict(doc).to_system()
+    texts = [t for m in [doc["A"], *doc["Gamma"].values()] for row in m for t in row]
+    assert len(calls) == len(texts) == n * n * (n + 1)
+    assert len({id(kw["groups"]) for kw in calls}) == 1
+    nodes = list(sysd.A.comps.flat) + [sysd.conn.gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)]
+    assert all(node is parse_expr(t, n) for node, t in zip(nodes, texts))
+
+
+def test_bad_entry_of_a_mapped_document_names_its_offset(tmp_path, capsys):
+    # the entry's groups were parsed in the entries before it; the error
+    # is the one a fresh parse of the entry gives
+    doc = _mapped_document({"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}, 7)
+    entry = doc["Gamma"]["2"][1][1]
+    at = entry.rindex("y1")
+    bad = entry[:at] + "y3" + entry[at + 2 :]
+    doc["Gamma"]["2"][1][1] = bad
+    path = tmp_path / "mapped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad expression {bad!r}: coordinate y3 out of range for dimension 2 (at offset {at})\n"
+
+
+def test_check_symmetry_accepts_a_pushed_forward_rotation_on_a_mapped_document(tmp_path, capsys):
+    # the --eta components repeat groups too, and share one dict
+    spec = {"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}
+    doc = _mapped_document(spec, 7)
+    path = tmp_path / "mapped.json"
+    path.write_text(json.dumps(doc))
+    rng = np.random.default_rng(7)
+    c = float(rng.uniform(0.1, 0.3) * rng.choice((-1.0, 1.0)))
+    e = float(rng.uniform(-0.2, 0.2))
+    # the shear y1 -> y1 + c*y2^2 + e*y2 moves the rotation (-y2, y1) to
+    # (-y2 + (2c*y2 + e)*(y1 - c*y2^2 - e*y2), y1 - c*y2^2 - e*y2)
+    y1 = f"(y1 - ({c!r}*y2^2 + {e!r}*y2))"
+    eta = f"--eta=-y2 + (2*{c!r}*y2 + {e!r})*{y1},{y1}"
+    code, data = run(capsys, "check-symmetry", str(path), eta)
+    assert code == 0 and data["accepted"] is True
+    code, data = run(capsys, "check-symmetry", str(path), "--eta=1,0")
+    assert code == 2 and data["accepted"] is False
 
 
 @pytest.mark.parametrize("command", ["inspect", "curvature", "classify", "report", "bound"])

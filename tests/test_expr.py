@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import glob
+import json
 import os
+import time
 
 from affsym import canonical, expr, pfaff
 from affsym.cli import SystemDocument
@@ -40,8 +42,8 @@ from affsym.expr import (
     subst,
     to_string,
 )
-from affsym.geometry import covariant_differential, curvature, ricci_and_s
-from affsym.tensor import TensorField, eval_jets
+from affsym.geometry import covariant_differential, curvature, ricci_and_s, transform_system
+from affsym.tensor import PointMap, TensorField, eval_jets
 from affsym.util import sample_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -223,6 +225,158 @@ def test_parse_outcomes_on_a_seeded_corpus_are_pinned():
             outcome = str(exc)
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == PARSE_CORPUS_DIGEST
+
+
+def mapped_texts(spec, pair, rng):
+    """A's and Gamma's entries of the canonical system ``spec`` carried through
+    the seeded shear y_a -> y_a + c*y_b^2 + e*y_b, (a, b) = pair, printed by
+    to_string as a point-mapped document is: each shared subtree is spelled
+    out at every use."""
+    n = spec["n"]
+    a, b = pair
+    c = float(rng.uniform(0.1, 0.3) * rng.choice((-1.0, 1.0)))
+    e = float(rng.uniform(-0.2, 0.2))
+    y = [coord(i + 1) for i in range(n)]
+    shear = add(mul(const(c), powi(y[b], 2)), mul(const(e), y[b]))
+    forward, inverse = list(y), list(y)
+    forward[a], inverse[a] = add(y[a], shear), sub(y[a], shear)
+    sysd = transform_system(canonical.build_system(canonical.CanonicalSpec(**spec)), PointMap(n, forward, inverse))
+    return [to_string(x) for x in sysd.A.comps.flat] + [to_string(x) for x in sysd.conn.gamma.flat]
+
+
+MAPPED_SPECS = (
+    {"kind": "maximal_7_11", "n": 2},
+    {"kind": "constcurv_22_13", "n": 2},
+    {"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5},
+    {"kind": "constcurv_22_13", "n": 3},
+    {"kind": "intermediate_17_19", "n": 3, "m": 1, "u": ["y1"]},
+    {"kind": "constcurv_22_13", "n": 4},
+    {"kind": "intermediate_17_19", "n": 4, "m": 2, "u": ["y1", "y2"]},
+)
+
+
+def _documents():
+    """(n, strings, mapped) of every fixture, and of seeded point-mapped
+    documents at n = 2, 3 and 4, two shears each."""
+    docs = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path, encoding="utf-8") as fp:
+            doc = json.load(fp)
+        spec = doc.get("canonical", {})
+        matrices = [doc.get("A", [])] + list(doc.get("Gamma", {}).values())
+        texts = [t for m in matrices for row in m for t in row] + list(spec.get("u", []))
+        docs.append((doc.get("n", spec.get("n")), texts, False))
+    rng = np.random.default_rng(48)
+    for spec in MAPPED_SPECS:
+        n = spec["n"]
+        for pair in ((0, 1), (n - 1, 0)):
+            docs.append((n, mapped_texts(spec, pair, rng), True))
+    return docs
+
+
+def test_shared_groups_give_the_nodes_of_fresh_parses():
+    # one dict per document, as SystemDocument shares it over A and Gamma
+    for n, texts, mapped in _documents():
+        groups = {}
+        for _ in range(2):  # the second pass finds every group kept
+            for t in texts:
+                assert parse_expr(t, n, groups=groups) is parse_expr(t, n)
+        assert groups.get(n) or not mapped, "a point-mapped document repeats groups"
+
+
+_MALFORMED = (
+    ("y3", 2),
+    ("y1 + @", 2),
+    ("1e999", 1),
+    ("1e308*10", 1),
+    ("10^999", 1),
+    ("y1 ^ " + "9" * 5000, 1),
+    ("1 + 2\u00b2", 2),
+    ("\u00b2", 2),
+    ("y1 * y2\u00b2", 2),
+    ("y1^\u00b2", 2),
+    ("1 + y" + "1" * 5000, 2),
+    ("y1^2^3", 1),
+    ("sin y1", 1),
+    ("(y1 + 1", 1),
+    ("y1)", 1),
+    ("", 2),
+    ("exp(1000)^2", 1),
+)
+
+
+def _outcome(text, n, **kw):
+    try:
+        return parse_expr(text, n, **kw)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@pytest.mark.parametrize("text, n", _MALFORMED, ids=range(len(_MALFORMED)))
+def test_parse_errors_are_unchanged_by_filled_groups(text, n):
+    # the dict holds every group of a valid document; the bad text on its
+    # own, and inside and beside groups the dict holds, fails as it does
+    # with no dict, at the same offset
+    groups = {}
+    spec = {"kind": "constcurv_22_13", "n": 2} if n == 2 else {"kind": "scalar_23_1", "n": 1}
+    valid = mapped_texts(spec, (0, 1), np.random.default_rng(1)) if n == 2 else ["(y1 + exp(y1))*sin(y1 + exp(y1))"]
+    for t in valid:
+        parse_expr(t, n, groups=groups)
+    kept = [key for bucket in groups[n].values() for key, _ in bucket]
+    assert kept
+    for g in kept[:3]:
+        for t in (text, f"{g} * {text}", f"{g} + ({text})", f"sin({g} - {text})", f"{text} - {g}"):
+            assert _outcome(t, n, groups=groups) == _outcome(t, n)
+
+
+def test_seeded_corpus_outcomes_are_unchanged_by_shared_groups():
+    # one dict over all 23,000 strings of every dimension: the mutants
+    # repeat their sources' groups, next to malformed text
+    _, texts = _parse_corpus()
+    groups = {}
+    digest = hashlib.sha256()
+    for text, n in texts:
+        outcome = _outcome(text, n, groups=groups)
+        if isinstance(outcome, Expr):
+            assert outcome is parse_expr(text, n)
+            outcome = _NUMBER.sub(lambda m: f"{float(m[0]):.12g}", to_string(outcome))
+        else:
+            outcome = outcome[0]
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == PARSE_CORPUS_DIGEST
+
+
+def test_groups_are_kept_per_dimension():
+    # y2 is a coordinate at n = 2 and an error at n = 1
+    groups = {}
+    text = "sin(y1 + y2*y2) + 1"
+    parse_expr(text, 2, groups=groups)
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, 1, groups=groups)
+    assert str(err.value) == "coordinate y2 out of range for dimension 1 (at offset 9)"
+    assert parse_expr(text, 2, groups=groups) is parse_expr(text, 2)
+
+
+def test_shared_groups_parse_a_deep_nest_in_linear_time():
+    # a key for each enclosing group would copy and hash about 3e10
+    # characters here
+    deep = 100_000
+    groups = {}
+    start = time.perf_counter()
+    e = parse_expr("(y1 + " * deep + "y1" + ")" * deep, 1, groups=groups)
+    assert time.perf_counter() - start < 10.0
+    for _ in range(deep):
+        assert e.op == "add" and e.args[0] is coord(1)
+        e = e.args[1]
+    assert e is coord(1)
+    # groups longer than the limit are neither sliced nor kept, whatever
+    # their first characters
+    deep = 3_000
+    text = "".join(f"({k}*y1 + " for k in range(deep)) + "y1" + ")" * deep
+    groups = {}
+    assert parse_expr(text, 1, groups=groups) is parse_expr(text, 1)
+    kept = [key for bucket in groups[1].values() for key, _ in bucket]
+    assert kept and max(map(len, kept)) <= 1024
 
 
 def test_exponent_without_a_float_value_is_an_expression_error():

@@ -66,6 +66,17 @@ def test_stability_warning():
         evolve(sys, grid, dt=10 * stability_limit(sys, grid), steps=1)
 
 
+def test_stability_warning_names_the_caller():
+    # the warning points at the line that asked for the evolution, not at a
+    # line of pdesim's own
+    sysd = heisenberg_system()
+    grid = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(2 * x)], 8, 1.0)
+    with pytest.warns(RuntimeWarning, match="exceeds the stability heuristic") as caught:
+        evolve(sysd, grid, 0.05, 1)
+        evolve_snapshots(sysd, grid, 0.05, 1, 1)
+    assert [w.filename for w in caught] == [__file__] * 2
+
+
 def test_backward_step_beyond_the_limit_warns():
     sys = heisenberg_system()
     grid = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(2 * x)], 64, L)
@@ -478,6 +489,17 @@ def test_grid_size_must_be_an_int(N):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_grid([np.sin], N, L)
     assert make_grid([np.sin], np.int64(64), L).N == 64
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_grid_time_must_be_finite(t):
+    # a nan time passed pde_residual's spacing checks and made its residual nan
+    values = make_grid([np.sin, np.cos], 8, 1.0).values
+    message = f"t must be finite, got {t!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolutionGrid(8, 1.0, t, values)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolutionGrid(8, 1.0, 0.0, values).copy(t=t)
 
 
 def test_pde_residual_zero_for_linear_profile():

@@ -5,19 +5,22 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 190 commands and the six demos: 151 commands on fixtures/ (18 on
+It runs 193 commands and the six demos: 151 commands on fixtures/ (18 on
 each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
 extreme grid lengths and one whose --csv cannot be written on
-EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 12 on SIGNED and 2 on TIGHT.
+EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 12 on SIGNED, 2 on TIGHT and 3
+on MAPPED.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
 ("strict_json": no NaN or Infinity).  The other stderr lines (warnings,
 usage) are recorded as their count and a sha256 ("stderr_lines",
 "stderr_sha256"), a warning's location in SRC_DIR written as
-SRC_PLACEHOLDER and its file without the line number, so a new warning
-shows as a difference and a moved one does not.  The grid-1024 `simulate`
+SRC_PLACEHOLDER and its file without the line number, and without the
+source line that a warning echoes under its first line: a new warning, or
+one with another text or file, shows as a difference, and a moved one, or
+a reworded call that emits it, does not.  The grid-1024 `simulate`
 commands also write their snapshots with `--csv` into a temporary
 directory (one of them, on TRANSPORT_1024, also runs the transport check
 of a translation, whose grid flows run a Program on the 1024 points
@@ -56,8 +59,13 @@ digits); the 2-D spec and the radial document
 also sample one point alone, so the second-order walk runs at P = 1.  One
 more (TIGHT) is TRANSPORT_1024's document with a `symmetry` tolerance of
 1e-30, which no residual of the field 1e-9*y1 meets: `check-symmetry` and
-`simulate --transport` must both refuse it.  The
-four sets are written to the
+`simulate --transport` must both refuse it.  The last one (MAPPED) is the
+2-D constant-curvature spec carried through a shear of y1 along y2, its
+coefficients printed by to_string as a point-mapped document is, so each
+Gamma entry spells the same parenthesised groups out many times (report,
+check-symmetry with the pushed-forward rotation, bound --depth 2); the
+checkout under test builds it.  The
+five sets are written to the
 temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
 PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
 can be compared from one place.  The demos are those of the
@@ -205,6 +213,28 @@ SIGNED = {
 }
 
 
+# constcurv_2d_22_14 carried through y1 -> y1 + 0.2*y2^2 - 0.17*y2, printed as
+# JSON: the document, with to_string's coefficients, and the pushed-forward
+# rotation as a --eta value
+MAPPED = "mapped_constcurv_2d.json"
+MAPPED_SCRIPT = """
+import json
+from affsym import canonical, expr, geometry, liefn, tensor
+sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_2d_22_14", n=2, a=1.0, b=0.5))
+shear = "0.2*y2^2 - 0.17*y2"
+pm = tensor.PointMap.from_strings(2, ["y1 + " + shear, "y2"], ["y1 - (" + shear + ")", "y2"])
+new = geometry.transform_system(sysd, pm)
+eta = tensor.pushforward(liefn.VectorField.from_strings(2, ["-y2", "y1"]).to_tensor(), pm)
+text = lambda comps: [expr.to_string(e) for e in comps]
+doc = {
+    "n": 2,
+    "A": [text(row) for row in new.A.comps],
+    "Gamma": {str(k + 1): [text(row) for row in new.conn.gamma[k]] for k in range(2)},
+}
+print(json.dumps({"doc": doc, "eta": ",".join(text(eta.comps))}))
+"""
+
+
 # the translation y1 -> y1 + tau passes the determining equations here
 TRANSPORT_1024 = "intermediate_const_u.json"
 # TRANSPORT_1024's document with a symmetry tolerance below 1e-9*y1's
@@ -234,7 +264,7 @@ SMALLEST_8 = "heisenberg.json"
 EXTREME_LENGTH = "heat_n1.json"
 
 
-def commands(tmp):
+def commands(tmp, env):
     for name in sorted(os.listdir(FIXTURES)):
         path = os.path.join(FIXTURES, name)
         with open(path, encoding="utf-8") as fp:
@@ -307,6 +337,15 @@ def commands(tmp):
             json.dump(doc, fp)
         for argv in argvs:
             yield name, [argv[0], path] + argv[1:]
+    proc = subprocess.run(
+        [sys.executable, "-c", MAPPED_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    mapped = json.loads(proc.stdout)
+    path = os.path.join(tmp, MAPPED)
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(mapped["doc"], fp)
+    for argv in (["report"], ["check-symmetry", "--eta=" + mapped["eta"]], ["bound", "--depth", "2"]):
+        yield MAPPED, [argv[0], path] + argv[1:]
 
 
 def demos(src):
@@ -329,6 +368,21 @@ def strict_json(text):
     return True
 
 
+# a warning's first line, "FILE.py:LINE: CATEGORY: TEXT"; the source line it
+# echoes follows, indented by two spaces
+WARNING = re.compile(r"\.py:\d+: \w+: ")
+
+
+def _without_echoes(lines):
+    """stderr's lines without the source line that each warning echoes."""
+    out, echo = [], False
+    for line in lines:
+        if not (echo and line.startswith("  ")):
+            out.append(line)
+        echo = WARNING.search(line) is not None
+    return out
+
+
 def run(src, out_path):
     src = os.path.abspath(src)
     env = dict(os.environ, PYTHONPATH=src)
@@ -338,7 +392,7 @@ def run(src, out_path):
     with tempfile.TemporaryDirectory() as tmp:
         cli = (
             (" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv)
-            for name, argv in commands(tmp)
+            for name, argv in commands(tmp, env)
         )
         csv = os.path.join(tmp, "snapshots.csv")
         for key, args in [*cli, *demos(src)]:
@@ -353,7 +407,7 @@ def run(src, out_path):
             errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
             other = [
                 location.sub(SRC_PLACEHOLDER + r"\1:", line)
-                for line in proc.stderr.splitlines()
+                for line in _without_echoes(proc.stderr.splitlines())
                 if not line.startswith("error:")
             ]
             record[key] = {
