@@ -1839,22 +1839,24 @@ def _fragment(node, parts):
 #
 # Text printed by to_string spells a shared subtree out at each use, so the
 # same parenthesised group recurs many times across the coefficients of one
-# document.  Given a ``groups`` dict, parse_expr keeps each group it closes,
-# '(...)' or 'f(...)', with its text and node, and where that text recurs at
-# an operand it pushes the kept node and scans on past the group.  A group's
-# node depends on its text and n alone (its first '(' closes at its last
-# ')' wherever the text stands), so the dict is keyed on n first, and only
-# groups that parsed are kept, so a hit never hides an error.  The groups
-# are filed by their first _GROUP_MIN characters, at most _BUCKET texts to
-# a prefix, and only groups of _GROUP_MIN to _GROUP_LIMIT characters are
-# kept: a lookup is one short slice, one dict lookup and at most _BUCKET
-# comparisons of at most _GROUP_LIMIT characters, so parsing stays linear
-# in the text however deep it nests.
+# document.  parse_expr keeps each group it closes, '(...)' or 'f(...)', in a
+# dict from its text to its node, and where a kept text recurs at an operand
+# it pushes the kept node and scans on past the group; the caller may share
+# the dict across the texts of one document.  One pass over the text's
+# parentheses first finds where each '(' closes, so the group that starts at
+# an operand is one slice and one lookup away.  A group's node depends on its
+# text and n alone (its first '(' closes at its last ')' wherever the text
+# stands), so the dict is keyed on n first, and only groups that parsed are
+# kept, so a hit never hides an error.  Only groups of at most _GROUP_LIMIT
+# characters are sliced, looked up or kept: each '(' costs at most two
+# slices of that length, so parsing stays linear in the text however deep
+# it nests.
 
 _TOKEN = re.compile(
     r"(\s*)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\W\d_][^\W_]*|\^\s*-?\d*|\Z|.)", re.DOTALL
 )
-_GROUP_MIN, _GROUP_LIMIT, _BUCKET = 8, 1024, 8
+_PAREN = re.compile(r"[()]")
+_GROUP_LIMIT = 1024
 _BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, div)}
 
 
@@ -1868,13 +1870,16 @@ def _fold(at, build, *args):
         raise ParseError(str(exc), at) from None
 
 
-def _recall(memo, text, start):
-    """The kept group that text spells out from ``start`` on, as its node and
-    the offset past its ')', or None."""
-    for key, node in memo.get(text[start : start + _GROUP_MIN], ()):
-        if text.startswith(key, start):
-            return node, start + len(key)
-    return None
+def _closers(text):
+    """The offset past the ')' that closes each '(' of text, by the '('s
+    offset."""
+    close, opens = {}, []
+    for m in _PAREN.finditer(text):
+        if m[0] == "(":
+            opens.append(m.start())
+        elif opens:
+            close[opens.pop()] = m.end()
+    return close
 
 
 def parse_expr(text, n, *, groups=None):
@@ -1882,9 +1887,10 @@ def parse_expr(text, n, *, groups=None):
 
     Coordinate references outside 1..n and syntax errors raise ParseError
     with the offset of the offending token.  n must be an integer >= 1.
-    ``groups``, a dict the caller shares across the texts of one document,
-    keeps the parenthesised groups parsed so far, so each distinct group is
-    parsed once; the result is the same node with or without it.
+    Each distinct parenthesised group is parsed once; ``groups``, a dict
+    the caller shares across the texts of one document, keeps the groups
+    parsed so far for the next text.  The result is the same node with or
+    without it.
     """
     try:
         dim = operator.index(n)
@@ -1892,17 +1898,17 @@ def parse_expr(text, n, *, groups=None):
         dim = 0
     if dim < 1:
         raise ParseError(f"chart dimension must be >= 1, got {n!r}", 0)
-    memo = None if groups is None else groups.setdefault(dim, {})
-    scan = _TOKEN.scanner(text).match  # each call matches where the last one ended
+    memo = ({} if groups is None else groups).setdefault(dim, {})
+    close = _closers(text)
     # values: operands; ops: (precedence, constructor, offset of its token),
     # where a group has precedence 0 and a function's name or None in place
     # of the constructor.  operand: an operand comes next; powered: the last
     # factor has taken its exponent
     values, ops = [], []
-    operand, powered = True, False
+    pos, operand, powered = 0, True, False
     while True:
-        m = scan()
-        tok = m[2]
+        m = _TOKEN.match(text, pos)
+        tok, pos = m[2], m.end()
         if operand:
             if tok == "-":  # prefix minus as 0 - x, which sub builds as neg(x)
                 values.append(ZERO)
@@ -1910,13 +1916,15 @@ def parse_expr(text, n, *, groups=None):
             elif tok == "(" or tok in FUNCS:
                 start = m.start(2)
                 if tok != "(":
-                    m = scan()
+                    m = _TOKEN.match(text, pos)
                     if m[2] != "(":
                         raise ParseError("expected '('", m.start(2))
-                hit = memo and _recall(memo, text, start)
-                if hit:
-                    values.append(hit[0])
-                    scan = _TOKEN.scanner(text, hit[1]).match
+                    pos = m.end()
+                end = close.get(m.start(2), start)  # no ')' closes it: no group
+                node = memo.get(text[start:end]) if end - start <= _GROUP_LIMIT else None
+                if node is not None:
+                    values.append(node)
+                    pos = end
                     operand = powered = False
                 else:
                     ops.append((0, None if tok == "(" else tok, start))
@@ -1951,7 +1959,7 @@ def parse_expr(text, n, *, groups=None):
             except ValueError:  # no digits, or beyond Python's limit on int() digits
                 digits = body[-1:].isdecimal()
                 message = "exponent has too many digits" if digits else "expected integer exponent"
-                raise ParseError(message, m.end() - len(body)) from None
+                raise ParseError(message, pos - len(body)) from None
             values[-1] = _fold(m.start(2), powi, values[-1], exponent)
             powered = True
         else:
@@ -1967,11 +1975,8 @@ def parse_expr(text, n, *, groups=None):
                 _, name, at = ops.pop()
                 if name:
                     values[-1] = _fold(at, func, name, values[-1])
-                end = m.end()
-                if memo is not None and _GROUP_MIN <= end - at <= _GROUP_LIMIT:
-                    bucket = memo.setdefault(text[at : at + _GROUP_MIN], [])
-                    if len(bucket) < _BUCKET:
-                        bucket.append((text[at:end], values[-1]))
+                if pos - at <= _GROUP_LIMIT:
+                    memo[text[at:pos]] = values[-1]
                 powered = False
             elif tok or ops:
                 message = "expected ')'" if ops else "unexpected trailing input"
