@@ -49,8 +49,6 @@ from .geometry import (
     _point_values,
     _regular,
     _structure_report,
-    curvature,
-    ricci_and_s,
 )
 from .liefn import VectorField
 from .pdesim import (
@@ -359,9 +357,8 @@ def _parse_eta(text, n, what):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise InputError(f"{what} needs {n} comma-separated components")
-    groups = {}
     try:
-        return VectorField(n, [parse_expr(p, n, groups=groups) for p in parts])
+        return VectorField.from_strings(n, parts)
     except ParseError as exc:
         raise InputError(f"bad component in {what}: {exc}") from exc
 
@@ -397,11 +394,8 @@ def cmd_inspect(args):
 
 def cmd_curvature(args):
     _doc, sysd, pts = _load(args)
-    parts = ricci_and_s(sysd.conn)
-    keys = ("ricci", "s", "ricci_sym", "ricci_skew")
-    fields = [curvature(sysd.conn)] + [parts[k] for k in keys]
-    values = eval_arrays([f.comps for f in fields], pts, checked=True)
-    return {"points": pts, **dict(zip(("curvature",) + keys, values))}, 0
+    keys = ("curvature", "ricci", "s", "ricci_sym", "ricci_skew")
+    return {"points": pts, **dict(zip(keys, _point_values(sysd.conn, pts)(keys)))}, 0
 
 
 def cmd_classify(args):
@@ -508,6 +502,9 @@ def cmd_simulate(args):
         raise InputError(f"--tau must be finite, got {args.tau!r}")
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
+    # a count beyond the float range cannot be multiplied: Python raises
+    if args.steps > sys.float_info.max or not math.isfinite(args.dt * args.steps):
+        raise InputError(f"--dt {args.dt!r} times --steps {args.steps} is beyond the float range")
     if not 8 <= args.grid <= GRID_MAX:
         raise InputError(f"--grid must be between 8 and {GRID_MAX} points, got {args.grid}")
     try:

@@ -24,14 +24,16 @@ where nabla Ric or the connection equation needs them, which equal the
 trees' walk in magnitude to the bit: ``structure_residual``,
 ``symmetry.classify``, ``symmetry.determining_residuals`` and the CLI's
 report, classify and canonical checks take their numbers so, and that is
-their one path.  A fault of the walk raises its DomainError naming its
-node ("non-finite derivative: sqrt(y1)"), and a checked field whose body
-overflows raises ExprError naming the field and the point ("curvature is
-not finite at y = [...]").  The CLI's ``curvature`` walks the trees,
-since it prints signed values and a body's exact zero may have the other
-sign; the invariance suite walks R, Ric and S with Ric's second
-derivatives and forms nabla Ric and its derivatives with ``_nabla_terms``
-on first-order duals (``symmetry.invariance_suite``).
+their one path.  So do the signed values the CLI's ``curvature`` prints:
+an exact zero of a body could carry the other sign than the trees', and
+the tests compare the two, signs included, on every fixture and on
+sample points at 0.0 and -0.0.  A fault of the walk raises its
+DomainError naming its node ("non-finite derivative: sqrt(y1)"), and a
+checked field whose body overflows raises ExprError naming the field and
+the point ("curvature is not finite at y = [...]").  The invariance
+suite walks R, Ric and S with Ric's second derivatives and forms nabla
+Ric and its derivatives with ``_nabla_terms`` on first-order duals
+(``symmetry.invariance_suite``).
 """
 
 from __future__ import annotations
@@ -393,8 +395,9 @@ def _undual(x, n):
 
 
 def _dual_mul(n):
-    """The product of ``_dual`` arrays as _diff_node takes the derivative
-    of a product a*b: d(a*b) = (da*b) + (a*db)."""
+    """The product of ``_dual`` arrays, or of Taylor polynomials of order 1
+    (``_undual``), as _diff_node takes the derivative of a product a*b:
+    d(a*b) = (da*b) + (a*db)."""
 
     def mul(x, y):
         x = x.reshape((n + 1, -1) + x.shape[1:])

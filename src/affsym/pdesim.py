@@ -26,6 +26,7 @@ never trusted by fiat).
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 
@@ -209,11 +210,6 @@ def _operator(sys, grid, limit):
     return _Operator(_coeff_evaluators(sys), sys.n, grid.N, grid.dx, 4, limit)
 
 
-def _rhs(coeffs, values, dx):
-    """A new _Operator of coeffs called at the grid values (N, n)."""
-    return _Operator(coeffs, values.shape[1], values.shape[0], dx)(values)
-
-
 def stability_limit(sys, grid):
     """Explicit-step heuristic 0.4 dx^2 / max|eig A| on the current values.
 
@@ -240,7 +236,7 @@ def stability_limit(sys, grid):
 def evolve(sys, grid, dt, steps):
     """The grid advanced by RK4 with fixed step dt: evolve_snapshots' last
     snapshot."""
-    return _evolve(sys, grid, dt, steps, max(1, _count("steps", steps, 0)))[-1]
+    return evolve_snapshots(sys, grid, dt, steps, max(1, _count("steps", steps, 0)))[-1]
 
 
 def _count(name, value, least):
@@ -257,34 +253,36 @@ def evolve_snapshots(sys, grid, dt, steps, every):
     a snapshot every ``every`` (at least 1) steps and the final state.
 
     Violating the explicit-stability heuristic with a step of either sign
-    warns (not an error); non-finite values abort with the step index,
-    counted from the start.  A dt that is not finite, or a steps or every
-    that is not an int (bools included) or is out of range, is refused (a
-    negative finite dt steps backwards).
+    warns (not an error) for the innermost caller outside this module;
+    non-finite values abort with the step index, counted from the start.  A
+    dt that is not finite or takes t + dt*steps beyond the float range, or a
+    steps or every that is not an int (bools included) or is out of range,
+    is refused before anything is evolved (a negative finite dt steps
+    backwards).
     """
-    return _evolve(sys, grid, dt, steps, every)
-
-
-def _evolve(sys, grid, dt, steps, every):
-    """evolve_snapshots, warning for the caller of evolve or evolve_snapshots."""
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
     _count("steps", steps, 0)
     _count("every", every, 1)
-    return _rk4(_operator(sys, grid, stability_limit(sys, grid)), grid, dt, steps, every, 4)
+    if not math.isfinite(grid.t + float(dt) * int(steps)):  # Python floats: no numpy warning
+        raise ValueError(f"t + dt*steps is beyond the float range: t = {grid.t!r}, dt = {dt!r}, steps = {steps}")
+    return _rk4(_operator(sys, grid, stability_limit(sys, grid)), grid, dt, steps, every)
 
 
-def _rk4(op, grid, dt, steps, every, stacklevel=2):
-    """evolve_snapshots of grid on op (_operator), warning for the frame
-    ``stacklevel`` calls up.  Each stage takes the operations, operands and
+def _rk4(op, grid, dt, steps, every):
+    """evolve_snapshots of grid on op (_operator), warning for the innermost
+    caller outside this module.  Each stage takes the operations, operands and
     order of ``y + 0.5*dt*k1`` and the other sums, so its values are theirs."""
     if abs(dt) > op.limit:
+        frame, level = inspect.currentframe().f_back, 2
+        while frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"time step {dt:.3e} exceeds the stability heuristic {op.limit:.3e}",
             RuntimeWarning,
-            stacklevel=stacklevel,
+            stacklevel=level,
         )
     # the state, the spare state, the stage increment and the weighted sum
     (y, spare, stage, total), u, fill, coeffs = op.strips, op.u, op.fill, op.coeffs
@@ -485,7 +483,7 @@ def heisenberg_embedding_residual(grid, dt, sys=None):
     s_now = stereo_to_sphere(grid.values)
     s_dot = (stereo_to_sphere(fw.values) - stereo_to_sphere(bw.values)) / (2.0 * dt)
     # the stencil's u_xx rows of the three components of S
-    s_xx = _rhs(lambda rows: rows[6:].T, s_now, grid.dx)
+    s_xx = _Operator(lambda rows: rows[6:].T, 3, grid.N, grid.dx)(s_now)
     return float(np.max(np.abs(s_dot - np.cross(s_now, s_xx))))
 
 

@@ -381,15 +381,16 @@ def _taylor_rows(sys, p0, depth):
     from which geometry's bodies give R to order depth
     (``_curvature_comps``), then Ric (``_ricci_contractions``) and nabla
     Ric to order 1 (``_nabla_terms``), with numpy's add and subtract and
-    the truncated product as mul.  Each field's rows are formed before the
-    next is computed.  Raises ExprError where ``_taylor`` does, where a
-    body overflows and where a row does."""
+    the truncated product as mul, at order 1 the dual product
+    (``_dual_mul``).  Each field's rows are formed before the next is
+    computed.  Raises ExprError where ``_taylor`` does, where a body
+    overflows and where a row does."""
     n = sys.n
     rows = [_lie_rows(*_undual(_taylor(sys.A.comps, p0, 1, "A")[: n + 1], n), 1)]
     if depth < 1:
         return rows
     g = _taylor(sys.conn.gamma, p0, depth + 1, "Gamma")
-    low, one = taylor_tables(n, depth), taylor_tables(n, 1)
+    low = taylor_tables(n, depth)
     ops = (np.add, np.subtract)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -397,7 +398,7 @@ def _taylor_rows(sys, p0, depth):
             rows.append(_lie_rows(*_undual(curv[: n + 1], n), 1))
             if depth == 2:
                 ric = _ricci_contractions(curv, np.add)[0]
-                nabla = _nabla_terms(g[: one.size], ric[: one.size], low.grad(ric), 0, *ops, one.mul)
+                nabla = _nabla_terms(g[: n + 1], ric[: n + 1], low.grad(ric), 0, *ops, _dual_mul(n))
                 rows.append(_lie_rows(*_undual(nabla[: n + 1], n), 0))
     except FloatingPointError:
         raise ExprError(f"the curvature's Taylor coefficients overflow at {_at(p0)}") from None

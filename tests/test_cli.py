@@ -372,6 +372,29 @@ def test_simulate_judges_eta_before_an_evolution_that_blows_up(capsys):
     assert captured.out == "" and captured.err == REFUSED + "determining equations on this system\n"
 
 
+def test_simulate_transport_warns_for_cli_from_both_evolutions(capsys):
+    # the flowed grid's evolution warned for pdesim's own line
+    argv = ["simulate", fixture("intermediate_const_u.json"), "--grid", "32", "--dt", "0.02", "--steps", "2"]
+    with pytest.warns(RuntimeWarning, match="exceeds the stability heuristic") as caught:
+        assert main(argv + ["--transport=1,0,0"]) == 0
+    capsys.readouterr()
+    assert [w.filename for w in caught] == [cli.__file__] * 2
+
+
+def test_simulate_refuses_a_dt_whose_product_with_steps_overflows(capsys):
+    # the whole evolution ran and warned, and the last snapshot's t = inf
+    # was refused with exit 2
+    argv = ["simulate", fixture("heat_n1.json"), "--grid", "16", "--initial", "1", "--steps", "2", "--dt"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["1e308"]) == 1
+    assert caught == []
+    assert capsys.readouterr() == ("", "error: --dt 1e+308 times --steps 2 is beyond the float range\n")
+    huge = 10**400  # beyond the float range itself, which a product would raise on
+    assert main(argv[:-3] + ["--steps", str(huge), "--dt", "1e-3"]) == 1
+    assert capsys.readouterr().err == f"error: --dt 0.001 times --steps {huge} is beyond the float range\n"
+
+
 @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing_directory", "directory"])
 def test_simulate_csv_that_cannot_be_written_exits_1(tmp_path, capsys, target):
     path = str(tmp_path / target)
@@ -609,11 +632,8 @@ def test_derivative_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, comma
     path.write_text(json.dumps(doc))
     extra = {"check-symmetry": ["--eta=1,0"]}.get(command, [])
     assert main([command, str(path), *extra]) == 1
-    if command == "curvature":  # curvature walks the trees
-        assert capsys.readouterr() == ("", "error: division by zero: 1/(2*sqrt(y1))\n")
-    else:
-        assert capsys.readouterr() == ("", "error: non-finite derivative: sqrt(y1)\n")
-        assert_trees_refuse(path, [command, *extra])
+    assert capsys.readouterr() == ("", "error: non-finite derivative: sqrt(y1)\n")
+    assert_trees_refuse(path, [command, *extra])
 
 
 @pytest.mark.parametrize(

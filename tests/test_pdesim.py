@@ -4,6 +4,7 @@ chain on the sphere."""
 import itertools
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from affsym.liefn import VectorField
 from affsym.pdesim import (
     SolutionGrid,
     _coeff_evaluators,
-    _rhs,
+    _Operator,
     apply_flow_to_grid,
     dump_csv,
     evolve,
@@ -75,6 +76,35 @@ def test_stability_warning_names_the_caller():
         evolve(sysd, grid, 0.05, 1)
         evolve_snapshots(sysd, grid, 0.05, 1, 1)
     assert [w.filename for w in caught] == [__file__] * 2
+
+
+def test_every_evolving_function_warns_for_its_caller():
+    # a function that evolves through evolve warns for the line that called
+    # it, not for a line of pdesim's own
+    heat, eta = heat_system(), VectorField.from_strings(1, ["1"])
+    grid = make_grid([np.sin], 16, L)
+    dt = 1.25 * stability_limit(heat, grid)  # beyond the heuristic, below RK4's limit
+    spin = make_grid([lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(2 * x)], 8, 1.0)
+    with pytest.warns(RuntimeWarning, match="exceeds the stability heuristic") as caught:
+        symmetry_transport_check(heat, eta, 0.1, grid, dt, 2)
+        transport_convergence(heat, eta, 0.1, [np.sin], 16, L, dt, 1, levels=1)
+        heisenberg_embedding_residual(spin, 0.05)
+    assert [w.filename for w in caught] == [__file__] * 6
+
+
+def test_a_time_beyond_the_float_range_is_refused_before_the_evolution():
+    # dt*steps overflowed only in the last snapshot's t, after the whole
+    # evolution and its stability warning
+    sys = heat_system()
+    grid = make_grid([np.sin], 16, L)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for call in (lambda: evolve(sys, grid, 1e308, 2), lambda: evolve_snapshots(sys, grid, -1e308, 4, 2)):
+            with pytest.raises(ValueError, match="^t \\+ dt\\*steps is beyond the float range"):
+                call()
+        with pytest.raises(ValueError, match="beyond the float range"):
+            evolve(sys, grid.copy(t=1.7e308), 1e307, 2)
+    assert caught == []
 
 
 def test_backward_step_beyond_the_limit_warns():
@@ -184,7 +214,7 @@ def test_compiled_rhs_is_bitwise_the_einsum_contraction():
         coeffs = _coeff_evaluators(sys)
         for N in (64, 1024, 4096):
             values = rng.uniform(-0.4, 0.4, size=(N, sys.n))
-            got = _rhs(coeffs, values, L / N)
+            got = _Operator(coeffs, sys.n, N, L / N)(values)
             want = einsum_rhs(sys, values, L / N)
             assert got.shape == want.shape, name
             assert np.array_equal(hexes(got), hexes(want)), (name, N)
@@ -478,6 +508,45 @@ def test_curved_chart_solution_converges_to_the_moved_closed_form():
     wrong = chart_covariance_errors(flip=True)
     assert min(wrong) > 10 * errors[0]
     assert all(coarse / fine < 1.5 for coarse, fine in zip(wrong, wrong[1:]))
+
+
+def geodesic_errors(n, flip):
+    """Max errors at T = 0.05, at N = 32, 64 and 128 and dt near 0.2 dx^2, of
+    constcurv_22_13 (a = 1, every epsilon +1), whose Gamma is the
+    Levi-Civita connection of delta/f^2, f = 1/(2(n-1)) + |y|^2/2, from
+    gamma(sin x), against gamma(e^-t sin x): gamma(s) = v c tan(c s/2),
+    c = sqrt(1/(n-1)), is its radial geodesic through 0 with unit velocity
+    v = (1, ..., 1)/sqrt(n), and e^-t sin x solves the heat equation; with
+    Gamma's sign flipped if ``flip``."""
+    sys = build_system(CanonicalSpec("constcurv_22_13", n=n, a=1.0))
+    if flip:
+        sys = DiffusionSystem(n, sys.A, Connection(n, sys.conn.field.scale(-1.0).comps), check=False)
+    c, v = np.sqrt(1.0 / (n - 1)), np.full(n, 1.0 / np.sqrt(n))
+
+    def geodesic(s):
+        return v * (c * np.tan(c * s / 2))[:, None]
+
+    errors = []
+    for N in (32, 64, 128):
+        steps = int(np.ceil(0.05 / (0.2 * (L / N) ** 2)))
+        grid = make_grid([np.sin], N, L)
+        out = evolve(sys, grid.copy(values=geodesic(np.sin(grid.x))), 0.05 / steps, steps)
+        errors.append(float(np.max(np.abs(out.values - geodesic(np.exp(-out.t) * np.sin(out.x))))))
+    return errors
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesic_solution_converges_to_the_closed_form(n):
+    # a geodesic of Gamma composed with a solution of the heat equation
+    # solves the system (A = I); the error shrinks at second order
+    # (criterion 8's bounds), and a wrong Gamma misses by an amount that
+    # does not shrink
+    errors = geodesic_errors(n, flip=False)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.4 <= coarse / fine <= 4.6
+    wrong = geodesic_errors(n, flip=True)
+    assert min(wrong) >= 1e-3
+    assert all(coarse / fine < 1.1 for coarse, fine in zip(wrong, wrong[1:]))
 
 
 @pytest.mark.parametrize("N", [64.5, "64", True, np.float64(64.0)])

@@ -5,6 +5,7 @@ with no derivative tree built; and where the walk or a body faults, the
 CLI prints the walk's error or names the field and the point, on documents
 whose trees' checked walk refuses them too."""
 
+import importlib.util
 import json
 import os
 
@@ -13,9 +14,9 @@ import pytest
 
 from affsym import geometry
 from affsym.canonical import CanonicalSpec, build_system, constcurv_metric
-from affsym.cli import SystemDocument, main
+from affsym.cli import SystemDocument, main, render_json
 from affsym.expr import DomainError, ExprError
-from affsym.geometry import _field_tree, _point_values, transform_system
+from affsym.geometry import _field_tree, _point_values, curvature, ricci_and_s, transform_system
 from affsym.liefn import VectorField
 from affsym.tensor import PointMap, TensorField, eval_arrays, grad
 from affsym.util import sample_points
@@ -145,6 +146,7 @@ FAULTS = {
     "report_sqrt": (
         {"n": 2, "A": ONE, "Gamma": SQRT, "sample": SAMPLE}, ["report"], 1, "non-finite derivative: sqrt(y1)",
     ),
+    "curvature_big": ({"n": 2, "A": ONE, "Gamma": BIG}, ["curvature"], 1, f"curvature is not finite {AT}"),
     "classify_big": ({"n": 2, "A": ONE, "Gamma": BIG}, ["classify"], 1, f"ricci_sym is not finite {AT}"),
     "canonical_big": (
         {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 1, "u": ["1e200*y1"]}},
@@ -176,6 +178,7 @@ FAULTS = {
 
 # the checked fields each command takes from _point_values
 CHECKED = {
+    "curvature": ("curvature", "ricci", "s", "ricci_sym", "ricci_skew"),
     "report": ("curvature", "ricci", "s", "ricci_sym"),
     "classify": ("ricci_sym",),
     "canonical": ("ricci_sym", "ricci"),  # the intermediate kinds'
@@ -206,3 +209,31 @@ def test_faults_print_the_walks_error(tmp_path, capsys, case):
     assert main([argv[0], str(path), *argv[1:]]) == code
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert_trees_refuse(path, argv)
+
+
+def _compare_cli():
+    """tools/compare_cli.py as a module, for its documents."""
+    path = os.path.join(FIXTURES, "..", "tools", "compare_cli.py")
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# compare_cli's documents sampled at coordinates 0.0 and -0.0, where an
+# exact zero of a body and of a tree could carry different signs
+SIGNED = {name: doc for name, (doc, _argvs) in _compare_cli().SIGNED.items()}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SIGNED))
+def test_curvature_prints_the_trees_values_signs_included(tmp_path, capsys, name):
+    path = os.path.join(FIXTURES, name)
+    if name in SIGNED:
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(SIGNED[name]))
+    doc = SystemDocument.load(str(path))
+    conn, keys = doc.to_system().conn, ("ricci", "s", "ricci_sym", "ricci_skew")
+    trees = [curvature(conn).comps] + [ricci_and_s(conn)[k].comps for k in keys]
+    want = dict(zip(("curvature",) + keys, eval_arrays(trees, doc._points, checked=True)))
+    assert main(["curvature", str(path)]) == 0
+    assert capsys.readouterr() == (render_json({"points": doc._points, **want}) + "\n", "")

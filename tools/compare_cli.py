@@ -5,12 +5,14 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 193 commands and the six demos: 151 commands on fixtures/ (18 on
-each fixture, one more on TRANSPORT_1024, one on PADDED_1001, one on
+It runs 195 commands and the six demos: 153 commands on fixtures/ (18 on
+each fixture, two more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
-extreme grid lengths and one whose --csv cannot be written on
-EXTREME_LENGTH), 19 on HOSTILE, 6 on WIDE, 12 on SIGNED, 2 on TIGHT and 3
-on MAPPED.
+extreme grid lengths, one whose --csv cannot be written and one whose
+--dt times --steps overflows on EXTREME_LENGTH), 19 on HOSTILE, 6 on
+WIDE, 12 on SIGNED, 2 on TIGHT and 3 on MAPPED.  The second command on
+TRANSPORT_1024 takes a step beyond the stability heuristic at grid 32, so
+both of its evolutions, the flowed grid's too, warn for the CLI's line.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed and, for a command with output, whether its stdout is strict JSON
@@ -294,6 +296,8 @@ def commands(tmp):
                 "simulate", path, "--grid", "1024", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
                 "--transport=" + trans, "--csv", CSV_PLACEHOLDER,
             ]
+            # both evolutions warn, the flowed grid's too, for cmd_simulate
+            yield name, ["simulate", path, "--grid", "32", "--dt", "0.02", "--steps", "2", "--transport=" + trans]
         if name == PADDED_1001:
             yield name, [
                 "simulate", path, "--grid", "1001", "--dt", "5e-6", "--steps", "4", "--initial", smooth,
@@ -316,6 +320,8 @@ def commands(tmp):
             # a directory is no file to write: the error line names "." in
             # every run, where a temporary path would differ
             yield name, ["simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--csv", "."]
+            # t = dt*steps overflows: refused before the evolution (exit 1)
+            yield name, ["simulate", path, "--dt", "1e308", "--steps", "2", "--grid", "16", "--initial", "1"]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
