@@ -97,9 +97,9 @@ class SystemDocument:
     """A checked system definition and the system it builds.
 
     The constructor parses every coefficient once, builds the system and
-    evaluates A and Gamma, checked, at the document's points: a coefficient
-    that is not finite there raises DomainError, and Gamma must be symmetric
-    in its lower indices there.
+    evaluates A and Gamma, checked, at the document's points, keeping A's
+    values: a coefficient that is not finite there raises DomainError, and
+    Gamma must be symmetric in its lower indices there.
     """
 
     def __init__(self, n, a_rows=None, gamma=None, canonical=None, sample=None, tolerances=None):
@@ -224,7 +224,8 @@ class SystemDocument:
         else:
             raise InputError("document needs either A (+ Gamma) or a canonical spec")
         self._points = self.sample if self.sample is not None else sample_points(n, 20)
-        _, g = eval_arrays([self._system.A.comps, self._system.conn.gamma], self._points, checked=True)
+        arrays = [self._system.A.comps, self._system.conn.gamma]
+        self._a_values, g = eval_arrays(arrays, self._points, checked=True)
         res = self._gamma_residual = _asymmetry(g)
         if res > self.tolerances["gamma_symmetry"]:
             raise InputError(f"Gamma lower-index matrices are not symmetric: residual {res:.3e}")
@@ -376,9 +377,9 @@ def _parse_point(text, n, what):
 
 
 def cmd_inspect(args):
-    doc, sysd, pts = _load(args)
+    doc, _sysd, pts = _load(args)
     with np.errstate(over="ignore", invalid="ignore"):
-        det_min = float(np.min(np.abs(np.linalg.det(sysd.A.evaluate_many(pts)))))
+        det_min = float(np.min(np.abs(np.linalg.det(doc._a_values))))
     out = {
         "n": doc.n,
         "valid": True,

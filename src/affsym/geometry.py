@@ -31,9 +31,9 @@ sample points at 0.0 and -0.0.  A fault of the walk raises its
 DomainError naming its node ("non-finite derivative: sqrt(y1)"), and a
 checked field whose body overflows raises ExprError naming the field and
 the point ("curvature is not finite at y = [...]").  The invariance
-suite walks R, Ric and S with Ric's second derivatives and forms nabla
-Ric and its derivatives with ``_nabla_terms`` on first-order duals
-(``symmetry.invariance_suite``).
+suite walks R and Ric with Ric's second derivatives, and forms nabla Ric,
+S and their derivatives on first-order duals with ``_nabla_terms`` and
+``_ricci_contractions`` (``symmetry.invariance_suite``).
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ coefficients of A and Gamma at the point (``expr.taylor_coefficients``),
 with the curvature and nabla Ric formed as numbers by the same bodies.
 The invariance suite and ``linearization`` take W and dW/dy from the
 forward-mode walk of the trees of W (``tensor.eval_jets``), which their
-reports pin to the bit.  The suite walks eta, Gamma, R, Ric and S once,
+reports pin to the bit.  The suite walks eta, Gamma, R and Ric once,
 with Ric's second derivatives (``second`` in ``expr.eval_many_shared``),
-and forms nabla Ric and its first derivatives by
-``geometry._nabla_terms`` on first-order duals, with no tree of nabla Ric
-or of Ric's derivatives.  (Nested duals on all of geometry's bodies give
+and forms nabla Ric and S with their first derivatives on first-order
+duals (``geometry._nabla_terms``, R's contraction), with no tree of nabla
+Ric or of Ric's derivatives.  (Nested duals on all of geometry's bodies give
 the same numbers but ran slower than the trees' jets at n = 4; forward
 mode on the trees keeps their sparsity.)
 
@@ -420,11 +420,11 @@ def invariance_suite(sys, eta, pts=None):
     ``lie_derivative``) on eta, d eta, W and dW/dy from one checked
     forward-mode walk, which builds no derivative tree: for nabla Ric, W
     and dW/dy are the body of ``covariant_differential`` on the walk's
-    Gamma, Ric and their derivatives, Ric's second ones included (see
-    ``_invariance``).  The L_eta Gamma residual is evaluated, checked,
-    before that walk.  Where the walk faults it raises DomainError naming
-    its node ("non-finite derivative: y1^-29"); where the body overflows,
-    ExprError names nabla_ricci and the point.
+    Gamma, Ric and their derivatives, Ric's second ones included, and S is
+    R's contraction (see ``_invariance``).  The L_eta Gamma residual is
+    evaluated, checked, before that walk.  Where the walk faults it raises
+    DomainError naming its node ("non-finite derivative: y1^-29"); where a
+    body overflows, ExprError names nabla_ricci or s and the point.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -445,21 +445,22 @@ def _invariance(sys, eta, pts, lie_gamma=None):
     the reduced connection residual there when the caller has it already
     (``check_symmetry``: res_Gamma on the reduced equation, from the same
     trees, points and checked walk); else it is evaluated here, first.
-    nabla Ric and its first derivatives are ``geometry._nabla_terms`` on the
-    ``eval_jets`` walk's ``_dual`` arrays under ``_dual_mul``, equal to the
-    jets of its trees in magnitude to the bit."""
+    nabla Ric and S with their first derivatives are ``geometry._nabla_terms``
+    (under ``_dual_mul``) and ``_ricci_contractions`` on the ``eval_jets``
+    walk's ``_dual`` arrays, as ``_point_values`` forms them, equal to their
+    trees' jets in magnitude to the bit."""
     conn = sys.conn
     n = conn.n
     if lie_gamma is None:
         lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
-    parts = ricci_and_s(conn)
-    roots = (parts["ricci"], conn.field, eta, curvature(conn), parts["s"])
-    walked = eval_jets([f.comps for f in roots], pts, second=1)
-    (ric, dric, ddric), (g, dg), (e, de), (r, dr), (s, ds) = walked
+    roots = (ricci_and_s(conn)["ricci"], conn.field, eta, curvature(conn))
+    (ric, dric, ddric), (g, dg), (e, de), (r, dr) = eval_jets([f.comps for f in roots], pts, second=1)
     with np.errstate(all="ignore"):
         duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
         nabla = _undual(_nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n)), n)
+        s, ds = _undual(_ricci_contractions(_dual(r, dr), np.add)[1], n)
     _require_finite("nabla_ricci", pts, *nabla)
+    _require_finite("s", pts, s, ds)
     jets = ((r, dr, 1), (ric, dric, 0), (s, ds, 0), (*nabla, 0))  # W, dW/dy, W's upper slots
     lies = [lie_terms(w, dw, e, de, upper) for w, dw, upper in jets]
     keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")

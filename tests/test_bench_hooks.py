@@ -28,6 +28,9 @@ def test_tracer_patches_counts_and_restores():
     tracer.install()
     try:
         sysd = canonical.build_system(canonical.CanonicalSpec("constcurv_22_13", n=2))
+        # build_system walks nothing; a library system that checks its
+        # Gamma's symmetry reaches Connection.evaluate_many
+        pdesim.heisenberg_system()
         prob = pfaff.named_system("covector_14", conn=sysd.conn)
         pfaff.transport_to(prob, [0.05, -0.05])
         grid = pdesim.make_grid([np.sin, np.cos], 8, 2 * np.pi)

@@ -1,6 +1,8 @@
 """Canonical geometry constructors, deformation identity, and the
 projective-flattening pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,45 @@ def test_spec_validation():
         CanonicalSpec("intermediate_17_19", n=2, m=1, u=(1.0,))
     with pytest.raises(ValueError, match="expression strings"):
         CanonicalSpec("intermediate_potential_17_24", n=2, m=1, psi=3)
+
+
+# covector entries and potentials in y_j: a pole at the first sample point
+# (c its j-th coordinate), a term that overflows to inf, nan where y_j < 0,
+# and inf where y_j > 0.071
+U_TERMS = ("1/(y{j} - {c!r})", "1e308*(y{j} + 2)^2", "ln(y{j})", "exp(1e4*y{j})")
+PSI_TERMS = ("1/(y{j} - {c!r})", "1e308*y{j}*(y{j} + 1)", "y{j}*ln(y{j})", "exp(1e4*y{j})")
+
+
+def canonical_specs(n):
+    """Every kind at n: u and psi of U_TERMS and PSI_TERMS at each m and
+    rotation of the terms, and each sign pattern of epsilons."""
+    c = sample_points(n, 20)[0].tolist()
+    specs = [CanonicalSpec("maximal_7_11", n=n)]
+    if n == 1:
+        specs += [CanonicalSpec("scalar_23_1", n=1, u=(t.format(j=1, c=c[0]),)) for t in U_TERMS]
+    for m, shift in itertools.product(range(1, n + 1), range(4)):
+        terms = [(U_TERMS[(j + shift) % 4], PSI_TERMS[(j + shift) % 4], j + 1) for j in range(m)]
+        u = tuple(t.format(j=j, c=c[j - 1]) for t, _p, j in terms)
+        psi = " + ".join(p.format(j=j, c=c[j - 1]) for _t, p, j in terms)
+        specs.append(CanonicalSpec("intermediate_17_19", n=n, m=m, u=u))
+        specs.append(CanonicalSpec("intermediate_potential_17_24", n=n, m=m, psi=psi))
+    for eps in itertools.product((1, -1), repeat=n) if n >= 2 else ():
+        specs.append(CanonicalSpec("constcurv_22_13", n=n, epsilons=eps))
+        if n == 2:
+            specs.append(CanonicalSpec("constcurv_2d_22_14", n=2, b=0.5, epsilons=eps))
+    return specs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_gamma_is_symmetric_to_the_bit(n):
+    # build_system builds without the symmetry walk: each kind's Gamma^k_rs
+    # and Gamma^k_sr are the same operations on commuted operands, so they
+    # are equal to the bit, or both nan, at poles and overflows too
+    for spec in canonical_specs(n):
+        conn = build_system(spec).conn
+        assert conn.symmetry_residual() == 0.0, spec
+        if spec.u or spec.psi is not None:
+            assert not np.isfinite(conn.evaluate_many(sample_points(n, 20))).all(), spec
 
 
 def test_classification_of_built_systems():

@@ -4,18 +4,19 @@ divergence-form expansion."""
 import glob
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from affsym import cli, geometry, pdesim
+from affsym import cli, expr, geometry, pdesim
 from affsym.canonical import CANONICAL_KINDS
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
-from affsym.expr import ZERO, DomainError, parse_expr
+from affsym.expr import ZERO, DomainError, ExprError, parse_expr
 from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
-from affsym.symmetry import flow, pointwise_symmetry_bound
+from affsym.symmetry import flow, invariance_suite, pointwise_symmetry_bound
 from affsym.tensor import TensorField
 from affsym.pdesim import evolve, make_grid, stability_limit, symmetry_transport_check
 from affsym.util import sample_points
@@ -203,6 +204,21 @@ def test_flatten_with_an_infinite_start_slope_exits_2(tmp_path, capsys):
         "error: transport failed: Required step size is less than spacing between numbers."
         f" on the path to probe y = [{probe}]\n"
     )
+
+
+def test_flatten_precondition_overflow_warns_of_nothing(tmp_path, capsys):
+    # heisenberg's A and Gamma but Gamma^2_11 = 1e200*y1*y1: nabla(beta)'s
+    # unchecked walk is inf, and its asymmetry inf - inf; the check reports
+    # it and exits 2, with no numpy warning (an error in tier-1) on the way
+    with open(fixture("heisenberg.json"), encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["Gamma"]["2"][0][0] = "1e200*y1*y1"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code = main(["flatten", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"].endswith("nabla(beta) symmetry inf")
 
 
 def test_flatten_rejects_generic(tmp_path, capsys):
@@ -705,6 +721,44 @@ def test_fault_only_in_the_second_derivatives_of_ricci(tmp_path, capsys):
         assert main(["check-symmetry", str(path), "--eta=0,1"]) == 1
     assert capsys.readouterr() == ("", "error: non-finite derivative: y1^-29\n")
     assert_trees_refuse(path, ["check-symmetry", "--eta=0,1"], jets=("nabla_ricci",))
+
+
+def test_overflowing_derivative_of_s_is_named(tmp_path, capsys):
+    # at y = 0, Gamma, dGamma, R, Ric and nabla Ric are 0 and their
+    # derivatives finite, but dS_12/dy2 = dR^1_112/dy2 + dR^2_212/dy2 =
+    # 0.9e308 + 0.9e308 overflows: the invariance suite contracts R's jets
+    # to S's and refuses it naming s and the point
+    gamma = {"1": [["-0.45e308*y2^2", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0.9e308*y1*y2"]]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_flat_doc(Gamma=gamma, sample=[[0.0, 0.0]])))
+    assert main(["check-symmetry", str(path), "--eta=0,0"]) == 1
+    assert capsys.readouterr() == ("", "error: s is not finite at y = [0, 0]\n")
+    sysd = SystemDocument.load(str(path)).to_system()
+    with pytest.raises(ExprError, match=re.escape("s is not finite at y = [0, 0]")):
+        invariance_suite(sysd, VectorField.from_strings(2, ["0", "0"]), [[0.0, 0.0]])
+
+
+def test_folded_derivative_constant_that_overflows_exits_1(monkeypatch, tmp_path, capsys):
+    # Gamma^1_11 = 1e200*(1e200*y1) is 1e100 at y1 = 1e-300, and its
+    # derivative, the constant 1e200*1e200, overflows where the jets walk
+    # folds it (expr._folded), which refuses it as a non-finite constant
+    path = tmp_path / "folded.json"
+    doc = {"n": 1, "A": [["1"]], "Gamma": {"1": [["1e200*(1e200*y1)"]]}, "sample": [[1e-300]]}
+    path.write_text(json.dumps(doc))
+    raised = []
+    folded = expr._folded
+
+    def spy(*args):
+        try:
+            return folded(*args)
+        except ExprError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(expr, "_folded", spy)
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: non-finite constant inf\n")
+    assert raised == ["non-finite constant inf"]
 
 
 @pytest.mark.parametrize("depth", ["0", "1", "2"])

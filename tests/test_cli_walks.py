@@ -1,7 +1,8 @@
-"""The CLI's shared walks: report, canonical, check-symmetry, curvature and
-classify evaluate what they report in one interpreted walk at the
-document's points, and every number they print is, to the bit, the one the
-library's separate calls give."""
+"""The CLI's shared walks: every document, canonical specs included, is
+walked once at its points to load; inspect reports from that load alone,
+and report, canonical, check-symmetry, curvature and classify evaluate what
+they report in one more interpreted walk there.  Every number they print
+is, to the bit, the one the library's separate calls give."""
 
 import json
 import os
@@ -83,9 +84,11 @@ def _walks(monkeypatch, capsys, argv, pts):
 def test_walks_at_the_document_points(monkeypatch, capsys, document):
     doc = SystemDocument.load(document)
     pts = doc._points
-    # the document's own: its checked load, after build_system's symmetry
-    # check of Gamma (at the same sample points) for a canonical spec
-    base = 1 + (doc.a_rows is None)
+    # the document's own checked load of A and Gamma; build_system walks
+    # nothing, as a canonical Gamma is symmetric by construction
+    base = 1
+    # inspect's det A comes from the load's values of A
+    assert _walks(monkeypatch, capsys, ["inspect", document], pts)[2] == base
     for command in ("report", "curvature", "classify"):
         # report: R, Ric, S and Ricci_sym; curvature: R and the Ricci split
         assert _walks(monkeypatch, capsys, [command, document], pts)[2] == base + 1, command

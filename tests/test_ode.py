@@ -265,6 +265,29 @@ def test_flow_blowup_guard_raises_typed_error():
     assert exc.nfev > 2 and 0.0 < exc.last_step < 1.0
 
 
+def test_flow_step_underflow_raises_typed_error():
+    # y1' = -1/y1 from 0.1 reaches the pole y1 = 0 at t = 0.005, where the
+    # slope is infinite and the step underflows
+    eta = VectorField.from_strings(1, ["-1/y1"])
+    with pytest.raises(FlowError) as err:
+        flow(eta, np.array([0.1]), 1.0)
+    exc = err.value
+    assert str(exc) == (
+        "integration failed: Required step size is less than spacing between numbers. (reached t = 0.005)"
+    )
+    assert exc.status == -1 and 0.0049 < exc.t_reached < 0.0051
+
+
+def test_grid_flow_step_underflow_raises_typed_error():
+    eta = VectorField.from_strings(1, ["-1/y1"])
+    grid = pdesim.make_grid([lambda x: 0.1 + 0.0 * x], 8, 1.0)
+    with pytest.raises(IntegrationError) as err:
+        pdesim.apply_flow_to_grid(eta, grid, 1.0)
+    exc = err.value
+    assert str(exc) == "grid flow failed: Required step size is less than spacing between numbers."
+    assert exc.status == -1 and 0.0049 < exc.t_reached < 0.0051
+
+
 @pytest.mark.parametrize("tau", [1.0, 0.5])
 def test_flow_started_beyond_the_guard_ends_at_once(tau):
     # y1 = 2e8 exp(-t) is back inside at t = ln 2; the start is already beyond

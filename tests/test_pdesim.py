@@ -15,6 +15,7 @@ from affsym.cli import SystemDocument
 from affsym.expr import eval_many_shared
 from affsym.geometry import Connection, DiffusionSystem, scalar_operator, transform_system
 from affsym.liefn import VectorField
+from affsym.ode import solve_ivp
 from affsym.pdesim import (
     SolutionGrid,
     _coeff_evaluators,
@@ -510,22 +511,15 @@ def test_curved_chart_solution_converges_to_the_moved_closed_form():
     assert all(coarse / fine < 1.5 for coarse, fine in zip(wrong, wrong[1:]))
 
 
-def geodesic_errors(n, flip):
+def composed_errors(sys, geodesic, flip):
     """Max errors at T = 0.05, at N = 32, 64 and 128 and dt near 0.2 dx^2, of
-    constcurv_22_13 (a = 1, every epsilon +1), whose Gamma is the
-    Levi-Civita connection of delta/f^2, f = 1/(2(n-1)) + |y|^2/2, from
-    gamma(sin x), against gamma(e^-t sin x): gamma(s) = v c tan(c s/2),
-    c = sqrt(1/(n-1)), is its radial geodesic through 0 with unit velocity
-    v = (1, ..., 1)/sqrt(n), and e^-t sin x solves the heat equation; with
-    Gamma's sign flipped if ``flip``."""
-    sys = build_system(CanonicalSpec("constcurv_22_13", n=n, a=1.0))
+    a system with A = I from geodesic(sin x), against geodesic(e^-t sin x):
+    geodesic maps s (N,) to the points (N, n) of a geodesic of sys's Gamma,
+    and e^-t sin x solves the heat equation; with Gamma's sign flipped if
+    ``flip``."""
+    n = sys.n
     if flip:
         sys = DiffusionSystem(n, sys.A, Connection(n, sys.conn.field.scale(-1.0).comps), check=False)
-    c, v = np.sqrt(1.0 / (n - 1)), np.full(n, 1.0 / np.sqrt(n))
-
-    def geodesic(s):
-        return v * (c * np.tan(c * s / 2))[:, None]
-
     errors = []
     for N in (32, 64, 128):
         steps = int(np.ceil(0.05 / (0.2 * (L / N) ** 2)))
@@ -533,6 +527,19 @@ def geodesic_errors(n, flip):
         out = evolve(sys, grid.copy(values=geodesic(np.sin(grid.x))), 0.05 / steps, steps)
         errors.append(float(np.max(np.abs(out.values - geodesic(np.exp(-out.t) * np.sin(out.x))))))
     return errors
+
+
+def geodesic_errors(n, flip):
+    """``composed_errors`` of constcurv_22_13 (a = 1, every epsilon +1),
+    whose Gamma is the Levi-Civita connection of delta/f^2, f = 1/(2(n-1))
+    + |y|^2/2: gamma(s) = v c tan(c s/2), c = sqrt(1/(n-1)), is its radial
+    geodesic through 0 with unit velocity v = (1, ..., 1)/sqrt(n)."""
+    c, v = np.sqrt(1.0 / (n - 1)), np.full(n, 1.0 / np.sqrt(n))
+
+    def geodesic(s):
+        return v * (c * np.tan(c * s / 2))[:, None]
+
+    return composed_errors(build_system(CanonicalSpec("constcurv_22_13", n=n, a=1.0)), geodesic, flip)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -546,6 +553,37 @@ def test_geodesic_solution_converges_to_the_closed_form(n):
         assert 3.4 <= coarse / fine <= 4.6
     wrong = geodesic_errors(n, flip=True)
     assert min(wrong) >= 1e-3
+    assert all(coarse / fine < 1.1 for coarse, fine in zip(wrong, wrong[1:]))
+
+
+def intermediate_geodesic():
+    """The geodesic of intermediate_17_19 (n = 3, m = 1, u = y1) with
+    gamma(-1) = (0.1, -0.2, 0.15) and gamma'(-1) = (0.3, 0.3, -0.4), over
+    s in [-1, 1], from ode.solve_ivp at rtol 1e-12 with dense output: its
+    Gamma^k_rs = -(u_r d^k_s + u_s d^k_r) makes the geodesic equation
+    gamma'' = 2 gamma^1 (gamma^1)' gamma'."""
+
+    def rhs(_s, z):
+        y1, v = z[0], z[3:]
+        return np.concatenate([v, 2.0 * y1 * v[0] * v])
+
+    z0 = np.array([0.1, -0.2, 0.15, 0.3, 0.3, -0.4])
+    sol = solve_ivp(rhs, (-1.0, 1.0), z0, rtol=1e-12, atol=1e-12, dense_output=True)
+    assert sol.status == 0
+    return lambda s: np.array([sol.sol(v)[:3] for v in s])
+
+
+def test_intermediate_geodesic_solution_converges():
+    # as above, with a geodesic that has no closed form at hand: the error
+    # shrinks at second order, and a wrong Gamma misses by an amount that
+    # does not shrink
+    sys = build_system(CanonicalSpec("intermediate_17_19", n=3, a=1.0, m=1, u=("y1",)))
+    geodesic = intermediate_geodesic()
+    errors = composed_errors(sys, geodesic, flip=False)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.4 <= coarse / fine <= 4.6
+    wrong = composed_errors(sys, geodesic, flip=True)
+    assert min(wrong) > 10 * errors[0]
     assert all(coarse / fine < 1.1 for coarse, fine in zip(wrong, wrong[1:]))
 
 

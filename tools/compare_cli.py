@@ -5,18 +5,20 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 195 commands and the six demos: 153 commands on fixtures/ (18 on
+It runs 196 commands and the six demos: 153 commands on fixtures/ (18 on
 each fixture, two more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
 extreme grid lengths, one whose --csv cannot be written and one whose
---dt times --steps overflows on EXTREME_LENGTH), 19 on HOSTILE, 6 on
+--dt times --steps overflows on EXTREME_LENGTH), 20 on HOSTILE, 6 on
 WIDE, 12 on SIGNED, 2 on TIGHT and 3 on MAPPED.  The second command on
 TRANSPORT_1024 takes a step beyond the stability heuristic at grid 32, so
 both of its evolutions, the flowed grid's too, warn for the CLI's line.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
-was printed and, for a command with output, whether its stdout is strict JSON
-("strict_json": no NaN or Infinity).  The other stderr lines (warnings,
+was printed, each warning other than the stability heuristic's ("warnings",
+as the digest below has them: none is expected) and, for a command with
+output, whether its stdout is strict JSON ("strict_json": no NaN or
+Infinity).  The other stderr lines (warnings,
 usage) are recorded as their count and a sha256 ("stderr_lines",
 "stderr_sha256"), a warning's location in SRC_DIR written as
 SRC_PLACEHOLDER and its file without the line number, and without the
@@ -37,7 +39,9 @@ the summaries in stdout (pde_residual, mean_drift) hide it.  Hostile documents (
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, an operator field
-whose determinant overflows, an intermediate canonical spec at n = 1, a
+whose determinant overflows, heisenberg's connection with Gamma^2_11 =
+1e200*y1*y1, whose nabla(beta) overflows in flatten's precondition, an
+intermediate canonical spec at n = 1, a
 connection whose Taylor coefficients cancel at the bound's point, one whose
 derivative is not finite at a sample point, one whose curvature
 overflows, a constant-curvature spec whose epsilons are JSON
@@ -94,7 +98,9 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # puts on a grid point.  'y²' must be a bad expression (exit 1), the nest
 # must parse (exit 0), and flatten's transport from y1 = 0, where the first
 # slope is infinite, must end in a step underflow (exit 2), not a traceback,
-# and print no warning.  det A overflows on the constant-curvature spec with
+# and print no warning.  On heisenberg's A and Gamma with Gamma^2_11 =
+# 1e200*y1*y1, nabla(beta) is inf, and flatten must report its precondition
+# failed (exit 2) and print no warning.  det A overflows on the constant-curvature spec with
 # a = b = 1e300, which must not warn; the intermediate spec at n = 1 has no
 # structure check, which is an input error (exit 1).  At y1 = 1e-100 the
 # chain rule of cos(sqrt(1e-80 + y1)) sums terms of 1.25e79 that cancel, and
@@ -109,6 +115,11 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # would not fit in memory and numpy would refuse a canonical array's size.
 BRANCH_GAMMA = {"1": [["sqrt(y1)", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "0"]]}
 OVERFLOW_GAMMA = {"1": [["1e200*y1", "0"], ["0", "0"]], "2": [["0", "1e200*y2"], ["1e200*y2", "0"]]}
+D = "(1 + y1^2 + y2^2)"
+HEISENBERG_OVERFLOW_GAMMA = {
+    "1": [[f"-2*y1/{D}", f"-2*y2/{D}"], [f"-2*y2/{D}", f"2*y1/{D}"]],
+    "2": [["1e200*y1*y1", f"-2*y1/{D}"], [f"-2*y1/{D}", f"-2*y2/{D}"]],
+}
 HOSTILE = {
     "hostile_inverse.json": ({"n": 2, "A": [["1", "1/y1"], ["0", "1"]]}, INSPECT_SIMULATE),
     "hostile_negative_power.json": ({"n": 1, "A": [["y1^-3"]]}, INSPECT_SIMULATE),
@@ -119,6 +130,9 @@ HOSTILE = {
     "hostile_pole.json": (
         {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": {"2": [["1/y1", "0"], ["0", "0"]]}},
         (["flatten", "--at", "0,0.1", "--u0", "0.5,0.5"],),
+    ),
+    "hostile_flatten_overflow.json": (
+        {"n": 2, "A": [["0", "-1"], ["1", "0"]], "Gamma": HEISENBERG_OVERFLOW_GAMMA}, (["flatten"],)
     ),
     "hostile_det_overflow.json": (
         {"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}},
@@ -352,9 +366,14 @@ def strict_json(text):
     return True
 
 
-# a warning's first line, "FILE.py:LINE: CATEGORY: TEXT"; the source line it
+# a warning's first line, "FILE.py:LINE: CATEGORY: TEXT" (with no LINE where
+# FILE is in SRC_DIR, once written as SRC_PLACEHOLDER); the source line it
 # echoes follows, indented by two spaces
-WARNING = re.compile(r"\.py:\d+: \w+: ")
+WARNING = re.compile(r"\.py(:\d+)?: \w+: ")
+# the one warning a command may print: an evolution's step beyond the
+# stability heuristic (the --dt 0.2 commands, and both evolutions of the
+# second TRANSPORT_1024 one)
+STABILITY = re.compile(r"time step \S+ exceeds the stability heuristic")
 
 
 def _without_echoes(lines):
@@ -403,6 +422,7 @@ def run(src, out_path):
                 "stderr_lines": len(other),
                 "stderr_sha256": hashlib.sha256("\n".join(other).encode()).hexdigest(),
                 "traceback": "Traceback" in proc.stderr,
+                "warnings": [w for w in other if WARNING.search(w) and not STABILITY.search(w)],
                 # a CLI report must be JSON without NaN or Infinity; demos print text
                 "strict_json": (
                     strict_json(proc.stdout) if proc.stdout and not key.startswith("demo ") else None
@@ -448,8 +468,12 @@ def diff(before_path, after_path):
             print(f"  other stderr lines: {b['stderr_lines']} before, {a['stderr_lines']} after")
     for label, rec in (("before", before), ("after", after)):
         tracebacks = [k for k, v in rec.items() if v["traceback"]]
+        warned = [k for k, v in rec.items() if v.get("warnings")]  # older records have none
         total = sum(v["seconds"] for v in rec.values())
-        print(f"{label}: {total:.1f} s in total, tracebacks: {tracebacks or 'none'}")
+        print(
+            f"{label}: {total:.1f} s in total, tracebacks: {tracebacks or 'none'}, "
+            f"unexpected warnings: {warned or 'none'}"
+        )
     return 1 if differ else 0
 
 
