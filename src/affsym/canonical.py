@@ -32,11 +32,14 @@ from .geometry import (
     DiffusionSystem,
     _add_quadratic,
     _at,
+    _check_form,
     _curvature_comps,
+    _point_values,
+    _ricci_halves,
+    _structure_report,
     covariant_differential,
     curvature,
     scalar_operator,
-    structure_residual,
 )
 from .pfaff import (
     TransportError,
@@ -318,11 +321,17 @@ def projective_flatten(conn, p0, u0):
     n = conn.n
     p0 = as_points(p0, n, one=True)
     u0 = _initial_data(u0, n)
-    pre_structure = structure_residual(conn, "beta_14_1")
-    beta = TensorField(n, 0, 2, _beta_from_connection(conn))
+    _check_form("beta_14_1", n)
     pts = sample_points(n, 20)
-    nbv = covariant_differential(conn, beta).evaluate_many(pts)
-    with np.errstate(all="ignore"):  # the unchecked walk's state: inf - inf reads nan
+    fields = ("curvature", "ricci_sym", "ricci_skew", "nabla_ricci")
+    R, rh, rt, nabla_ricci = _point_values(conn, pts, nabla=True)((), fields)
+    pre_structure = _structure_report("beta_14_1", R, rh, rt, pts)
+    beta = TensorField(n, 0, 2, _beta_from_connection(conn))
+    with np.errstate(all="ignore"):  # unchecked values: inf - inf reads nan
+        # nabla beta = sym(nabla Ric)/(n-1) - skew(nabla Ric)/(n+1), the
+        # halves taken over Ric's slots, the last two
+        sym, skew = _ricci_halves(nabla_ricci, np.add, np.subtract, np.multiply, 0.5)
+        nbv = (1.0 / (n - 1)) * sym - (1.0 / (n + 1)) * skew
         pre_symmetry = max_report(nbv - nbv.transpose(0, 2, 1, 3), pts)
     report = {
         "precondition_structure": pre_structure,

@@ -718,18 +718,18 @@ def _rows(roots, table, lay, kit):
     """The roots' derivatives from ``table`` (node -> masked block of layout
     lay, see the note above _entry) as one float array of shape (R, P) +
     lay.entries: (R, P, n) for first derivatives, (R, P, n, n) for second,
-    a ZERO entry being +0.  Each distinct root's rows are written once,
-    then indexed out to every root."""
+    a ZERO entry being +0.  Each distinct root's block is written once into
+    one stack (R', entries..., P), whose point axis is moved once, as the
+    stack is indexed out to every root."""
     rows = {}
     index = [rows.setdefault(e, len(rows)) for e in roots]
-    out = np.empty((len(rows), kit.npts) + lay.entries)
+    out = np.empty((len(rows),) + lay.entries + (kit.npts,))
     for e, r in rows.items():
         x = table[e]
-        v = _values(x, lay)
-        out[r] = np.moveaxis(v, -1, 0)
+        out[r] = _values(x, lay)
         if x[2] and x[0] is not None:
-            np.copyto(out[r], 0.0, where=_where(x[2], lay).reshape(lay.entries))
-    return out[index]
+            np.copyto(out[r], 0.0, where=_where(x[2], lay))
+    return np.moveaxis(out, -1, 1)[index]
 
 
 def _pow(x, k):
@@ -779,6 +779,12 @@ def _pow(x, k):
 # comes from a node the trees have or, rarely, from a term they fold away,
 # and the walk raises it as a DomainError naming the node whose derivative
 # it computes.
+# Where no block an add, sub, mul or div reads holds a constant entry (m ==
+# 0, at points of dimension n > 0), _plain applies the rule to the arrays:
+# the same ufuncs in the same order, without the masks' bookkeeping.  The
+# quotient rule's terms over a denominator node b that depend on b alone,
+# b**2, its square and the derivatives (2 * b) * d b of b**2, are made once
+# per walk and kept for every quotient over b (_held).
 
 
 def _entry(node, vals):
@@ -821,15 +827,29 @@ class _Layout:
 
 class _Kit:
     """What one walk's masked blocks share: the dimension n, the number of
-    points, ``full`` (see _walk), and the layouts of first (``vec``) and
-    second derivatives (``mat``)."""
+    points, ``full`` (see _walk), the layouts of first (``vec``) and second
+    derivatives (``mat``), and ``held``, the quotient rule's terms over each
+    denominator node (see _held)."""
 
-    __slots__ = ("n", "npts", "full", "vec", "mat")
+    __slots__ = ("n", "npts", "full", "vec", "mat", "held")
 
     def __init__(self, n, npts, full):
         self.n, self.npts, self.full = n, npts, full
         self.vec = _Layout((n,))
         self.mat = _Layout((n, n))
+        self.held = {}
+
+
+def _held(kit, key, make, *args):
+    """make(*args), made the first time a walk asks for ``key`` and kept
+    for the rest of it.  The keys are (b, k) for a div's denominator node
+    b: k = 2 for b**2, 4 for (b**2)**2 and 1 for the derivatives of b**2,
+    (2 * b) * d b, which depend on b alone and so are the same at every
+    quotient over b."""
+    out = kit.held.get(key)
+    if out is None:
+        out = kit.held[key] = make(*args)
+    return out
 
 
 def _keep(memo, key, value):
@@ -1026,9 +1046,14 @@ def _forward(node, vals, grads, hess, kit):
     if op == "add" or op == "sub" or op == "mul" or op == "div":
         b = node.args[1]
         fb = grads[b]
+        hb = None if ha is None else hess[b]
+        # blocks without a constant entry (m == 0) hold arrays, except at
+        # points of dimension 0, where every block has m == 0 and most none
+        if kit.n and not (fa[1] or fb[1] or ha is not None and (ha[1] or hb[1])):
+            return _plain(op, b, vals[a], vals[b], fa, fb, ha, hb, kit)
         if op == "add" or op == "sub":
             sub = op == "sub"
-            return _madd(fa, fb, vec, sub), None if ha is None else _madd(ha, hess[b], mat, sub)
+            return _madd(fa, fb, vec, sub), None if ha is None else _madd(ha, hb, mat, sub)
         # the arguments' constants that meet values are made arrays once
         x, y = _entry(a, vals), _entry(b, vals)
         if not isinstance(x, Expr):
@@ -1041,16 +1066,15 @@ def _forward(node, vals, grads, hess, kit):
             # a constant denominator is squared first, as building the tree
             # folds powi; a value only where some numerator is not ZERO, as
             # the trees' div(ZERO, b**2) folds to ZERO unevaluated
-            den = _jpowi(y, 2) if isinstance(y, Expr) else None
+            den = _held(kit, (b, 2), _jpowi, y, 2) if isinstance(y, Expr) else None
             num = _madd(_mscale(fa, y, vec), _mscale(fb, x, vec), vec, True)
             if den is None:
                 if num[2] == vec.every:
                     return vec.zero, None if ha is None else mat.zero
-                den = _jpowi(y, 2)
+                den = _held(kit, (b, 2), _jpowi, y, 2)
             f = _mscale(num, den, vec, kit.full)
         if ha is None:
             return f, None
-        hb = hess[b]
         if not isinstance(x, Expr):
             hess[b] = hb = _filled(hb, mat)
         if not isinstance(y, Expr):
@@ -1066,8 +1090,8 @@ def _forward(node, vals, grads, hess, kit):
         q = _madd(_transpose(outer, kit), _mscale(hb, x, mat), mat)
         if op == "mul":
             return f, _madd(p, q, mat)
-        dden = vec.zero if isinstance(y, Expr) else _mscale(fb, 2.0 * y, vec)
-        return f, _quotient2(num, _madd(p, q, mat, True), den, dden, kit)
+        dden = vec.zero if isinstance(y, Expr) else _held(kit, (b, 1), _dsquare, fb, y, vec)
+        return f, _quotient2(num, _madd(p, q, mat, True), den, dden, kit, b)
     if op == "neg":
         return _mneg(fa), None if ha is None else _mneg(ha)
     if op == "pow":
@@ -1120,14 +1144,51 @@ def _forward(node, vals, grads, hess, kit):
     return (_mneg(f), _mneg(h)) if op == "cos" else (f, h)
 
 
-def _quotient2(num, dnum, den, dden, kit):
+def _plain(op, b, x, y, fa, fb, ha, hb, kit):
+    """_forward's rule for an add, sub, mul or div whose arguments' blocks
+    (fa, fb and, given the second derivatives, ha, hb) hold no constant
+    entry: the ufuncs of the masked path, in its order, on their arrays,
+    with x and y the arguments' values and b the second argument.  The
+    results hold no constant entry either."""
+    ga, gb = fa[0], fb[0]
+    if op == "add" or op == "sub":
+        sum_ = operator.add if op == "add" else operator.sub
+        return (sum_(ga, gb), 0, 0, _NONE), None if ha is None else (sum_(ha[0], hb[0]), 0, 0, _NONE)
+    if op == "mul":
+        f = ga * y + gb * x
+    else:
+        num = ga * y - gb * x
+        den = _held(kit, (b, 2), _jpowi, y, 2)
+        f = num / den
+    if ha is None:
+        return (f, 0, 0, _NONE), None
+    outer = ga[:, None] * gb[None]
+    p = ha[0] * y + outer
+    q = outer.swapaxes(0, 1) + hb[0] * x
+    if op == "mul":
+        return (f, 0, 0, _NONE), (p + q, 0, 0, _NONE)
+    dnum = p - q
+    dden = _held(kit, (b, 1), _dsquare, fb, y, kit.vec)[0]
+    den2 = _held(kit, (b, 4), _jpowi, den, 2)
+    return (f, 0, 0, _NONE), ((dnum * den - num[:, None] * dden[None]) / den2, 0, 0, _NONE)
+
+
+def _dsquare(fb, y, vec):
+    """The derivatives of b**2, (2 * b) * d b, from b's values y and first
+    derivatives fb."""
+    return _mscale(fb, 2.0 * y, vec)
+
+
+def _quotient2(num, dnum, den, dden, kit, key=None):
     """The second derivatives of a node whose first derivatives are num_k
     over den (an entry), from the derivatives dnum of the numerators num
     and dden of the denominator: row k is the derivatives of num_k / den,
     (dnum_k * den - num_k * dden) / den**2.  Where num_k / den folds, as
     div folds it, row k is the derivatives of the node it folds to: num_k
     itself by a denominator ONE, else a constant, whose row is ZERO.
-    den**2 is built, as in the trees, where some row does not fold."""
+    den**2 is built, as in the trees, where some row does not fold; for a
+    div, whose denominator node is ``key``, it is kept for the walk with
+    den and dden (see _held), as every quotient over that node has them."""
     mat = kit.mat
     if den is ONE:
         return dnum
@@ -1136,7 +1197,7 @@ def _quotient2(num, dnum, den, dden, kit):
     folded = num[2] if not isinstance(den, Expr) else 0 if den is ZERO else num[1]
     if folded == kit.vec.every:
         return mat.zero
-    den2 = _jpowi(den, 2)
+    den2 = _jpowi(den, 2) if key is None else _held(kit, (key, 4), _jpowi, den, 2)
     top = _madd(_mscale(dnum, den, mat), _mmul(_spread(num, 0, kit), _spread(dden, 1, kit), mat), mat, True)
     v, m, z, c = _mscale(top, den2, mat, kit.full)
     if not folded:

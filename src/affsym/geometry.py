@@ -559,8 +559,15 @@ def structure_residual(conn, form, pts=None):
     - const_curv_19_14:  R^k_sij = (g_sj d^k_i - g_si d^k_j)/(n-1), g = Rh
       (at n=2 the prefactor is 1, which is the planar special case).
     """
-    n = conn.n
-    pts = as_points(pts, n)
+    pts = as_points(pts, conn.n)
+    _check_form(form, conn.n)
+    fields = ("curvature", "ricci_sym", "ricci_skew")
+    return _structure_report(form, *_point_values(conn, pts)((), fields), pts)
+
+
+def _check_form(form, n):
+    """Raise ValueError unless ``form`` is a structure form that applies
+    at dimension n."""
     if form not in STRUCTURE_FORMS:
         raise ValueError(f"unknown structure form {form!r}; pick one of {STRUCTURE_FORMS}")
     if form == "intermediate_10_15" and n < 3:
@@ -571,13 +578,12 @@ def structure_residual(conn, form, pts=None):
         raise ValueError("beta_14_1 requires n >= 2")
     if form == "const_curv_19_14" and n < 2:
         raise ValueError("const_curv_19_14 requires n >= 2")
-    fields = ("curvature", "ricci_sym", "ricci_skew")
-    return _structure_report(form, *_point_values(conn, pts)((), fields), pts)
 
 
 def _structure_report(form, Rv, rh, rt, pts):
     """structure_residual's report from the values of R, Ricci_sym and
-    Ricci_skew at the points, for a form that applies at their n."""
+    Ricci_skew at the points, for a form that applies at their n
+    (``_check_form``)."""
     n = rh.shape[-1]
 
     def at(arr, src):  # a (P, n, n) array or the delta on the axes (p, k, s, i, j)

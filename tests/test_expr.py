@@ -1056,6 +1056,31 @@ def test_jets_name_the_node_whose_derivative_is_not_finite():
         eval_many_shared([e, diff_expr(e, 1)], [0.0], checked=True)
 
 
+def test_blocks_without_constant_entries_name_their_faults():
+    # y1*y2 + y2*y1 at (1.5e308, 1e-300): the sum's arguments hold values
+    # in every entry, its value is finite and its d/dy^2, y1 + y1,
+    # overflows; the walk names the sum, with second derivatives or without
+    y1, y2 = coord(1), coord(2)
+    e = add(mul(y1, y2), mul(y2, y1))
+    pt = [1.5e308, 1e-300]
+    assert np.isfinite(eval_many_shared([e], pt, checked=True)).all()
+    for second in (0, 1):
+        with pytest.raises(DomainError, match="non-finite derivative") as info:
+            eval_many_shared([e], pt, checked=True, jets=True, second=second)
+        assert info.value.subexpr is e
+    # at points of dimension 0 no block has a constant bit: 1/0's holds an
+    # array without entries and a constant's none, and a sum or a product
+    # of the two gives derivatives without entries
+    inf = div(ONE, expr.ZERO)
+    two = const(2.0)
+    roots = [add(inf, two), add(two, inf), mul(inf, two), mul(two, inf), div(inf, two), sub(two, inf)]
+    for npts in (1, 3):
+        pts = np.zeros((npts, 0))
+        vals, grads, hess = eval_many_shared(roots, pts, second=len(roots))
+        assert vals.tobytes() == eval_many_shared(roots, pts).tobytes()
+        assert grads.shape == (len(roots), npts, 0) and hess.shape == (len(roots), npts, 0, 0)
+
+
 def _second_corpus(case):
     """_jet_corpus's random DAGs and points, or the components of A, Gamma,
     R, Ric and S of a fixture or of a JET_SPECS system at 5 sample points

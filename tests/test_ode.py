@@ -1,9 +1,10 @@
 """The Dormand-Prince integrator: accuracy against closed forms, dense
 output, the terminal event, step underflow, step counts, the rejection of
 non-finite intervals, that a list y0 (integrated on Python floats) gives
-the bits of an array y0 and of scipy's RK45, the typed errors of transport
-and flows, that flows run their compiled fields bitwise as interpreted, and
-that the library runs with scipy unimportable."""
+the bits of an array y0 and of scipy's RK45, the simulator tests' geodesic
+against scipy's DOP853, the typed errors of transport and flows, that flows
+run their compiled fields bitwise as interpreted, and that the library runs
+with scipy unimportable."""
 
 import contextlib
 import os
@@ -21,6 +22,7 @@ from affsym.liefn import VectorField
 from affsym.ode import IntegrationError, solve_ivp
 from affsym.pfaff import PfaffProblem, TransportError, transport_to
 from affsym.symmetry import FlowError, flow
+from test_pdesim import INTERMEDIATE_START, intermediate_geodesic, intermediate_geodesic_rhs
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 UNDERFLOW = "Required step size is less than spacing between numbers."
@@ -208,6 +210,19 @@ def test_matches_scipy_rk45_bitwise_on_python_floats(monkeypatch):
 
     monkeypatch.setitem(globals(), "solve_ivp", on_floats)
     test_matches_scipy_rk45_bitwise()
+
+
+def test_intermediate_geodesic_matches_scipy_dop853():
+    # the geodesic that the simulator's convergence test composes with a
+    # heat solution, from solve_ivp at rtol 1e-12, against scipy's
+    # eighth-order DOP853 at rtol 1e-13 (about 1e-12 apart); 1e-10 is far
+    # below the 2.9e-5 simulator error that the test resolves
+    integrate = pytest.importorskip("scipy.integrate")
+    s = np.linspace(-1.0, 1.0, 201)
+    rhs, z0 = intermediate_geodesic_rhs, INTERMEDIATE_START
+    want = integrate.solve_ivp(rhs, (-1.0, 1.0), z0, method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True)
+    assert want.status == 0
+    assert np.max(np.abs(intermediate_geodesic()(s) - want.sol(s)[:3].T)) <= 1e-10
 
 
 def nan_stage(t, y):

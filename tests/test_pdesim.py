@@ -556,19 +556,26 @@ def test_geodesic_solution_converges_to_the_closed_form(n):
     assert all(coarse / fine < 1.1 for coarse, fine in zip(wrong, wrong[1:]))
 
 
+# (gamma, gamma') of the intermediate geodesic at s = -1
+INTERMEDIATE_START = np.array([0.1, -0.2, 0.15, 0.3, 0.3, -0.4])
+
+
+def intermediate_geodesic_rhs(_s, z):
+    """The geodesic equation of intermediate_17_19 (n = 3, m = 1, u = y1)
+    on z = (gamma, gamma'): its Gamma^k_rs = -(u_r d^k_s + u_s d^k_r) makes
+    it gamma'' = 2 gamma^1 (gamma^1)' gamma'."""
+    y1, v = z[0], z[3:]
+    return np.concatenate([v, 2.0 * y1 * v[0] * v])
+
+
 def intermediate_geodesic():
     """The geodesic of intermediate_17_19 (n = 3, m = 1, u = y1) with
     gamma(-1) = (0.1, -0.2, 0.15) and gamma'(-1) = (0.3, 0.3, -0.4), over
-    s in [-1, 1], from ode.solve_ivp at rtol 1e-12 with dense output: its
-    Gamma^k_rs = -(u_r d^k_s + u_s d^k_r) makes the geodesic equation
-    gamma'' = 2 gamma^1 (gamma^1)' gamma'."""
-
-    def rhs(_s, z):
-        y1, v = z[0], z[3:]
-        return np.concatenate([v, 2.0 * y1 * v[0] * v])
-
-    z0 = np.array([0.1, -0.2, 0.15, 0.3, 0.3, -0.4])
-    sol = solve_ivp(rhs, (-1.0, 1.0), z0, rtol=1e-12, atol=1e-12, dense_output=True)
+    s in [-1, 1], from ode.solve_ivp at rtol 1e-12 with dense output
+    (``intermediate_geodesic_rhs``)."""
+    sol = solve_ivp(
+        intermediate_geodesic_rhs, (-1.0, 1.0), INTERMEDIATE_START, rtol=1e-12, atol=1e-12, dense_output=True
+    )
     assert sol.status == 0
     return lambda s: np.array([sol.sol(v)[:3] for v in s])
 
