@@ -258,6 +258,9 @@ class SystemDocument:
             out["canonical"] = self.canonical.to_dict()
         if self.sample is not None:
             out["sample"] = [[float(v) for v in p] for p in self.sample]
+        overrides = {k: v for k, v in self.tolerances.items() if v != DEFAULT_TOLERANCES[k]}
+        if overrides:
+            out["tolerances"] = overrides
         return out
 
 
@@ -378,7 +381,8 @@ def _parse_point(text, n, what):
 
 def cmd_inspect(args):
     doc, _sysd, pts = _load(args)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # det's LU may overflow, or divide by a subnormal pivot
+    with np.errstate(all="ignore"):
         det_min = float(np.min(np.abs(np.linalg.det(doc._a_values))))
     out = {
         "n": doc.n,

@@ -22,7 +22,7 @@ from affsym.pdesim import evolve, make_grid, stability_limit, symmetry_transport
 from affsym.util import sample_points
 
 from test_expr import mapped_texts
-from test_point_values import assert_trees_refuse
+from test_point_values import assert_trees_refuse, compare_cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -159,6 +159,16 @@ def test_inspect_reports_an_overflowing_det_a_as_null(tmp_path, capsys):
     assert main(["inspect", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["det_A_min_abs"] is None
+
+
+def test_inspect_with_a_subnormal_pivot_in_det_a_does_not_warn(tmp_path, capsys):
+    # A^2_1 = 1e-320*y1 is subnormal at every sample point: det's LU divides
+    # by it, and numpy's divide warning (an error in this suite) is not raised
+    path = tmp_path / "tiny_det.json"
+    path.write_text(json.dumps({"n": 2, "A": [["0", "-1"], ["1e-320*y1", "0"]]}))
+    assert main(["inspect", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["det_A_min_abs"] == 0
 
 
 def test_flatten_intermediate(capsys):
@@ -1033,6 +1043,7 @@ def test_render_json_is_sorted_and_17g():
     assert s.index('"a"') < s.index('"b"')
     assert "0.33333333333333331" in s
     assert "2.4999999999999999e-17" in s
+    assert render_json({}) == "{}"
 
 
 def _reject_constant(name):
@@ -1374,6 +1385,21 @@ def assert_input_error(capsys, argv, error):
             ["inspect"],
             "invalid canonical spec: intermediate_potential_17_24 needs a potential psi",
         ),
+        (
+            {"canonical": {"kind": "intermediate_17_19", "n": 2, "m": 2, "u": ["y1"]}},
+            ["inspect"],
+            "invalid canonical spec: expected 2 covector components, got 1",
+        ),
+        (
+            {"canonical": {"kind": "maximal_7_11", "n": 0}},
+            ["inspect"],
+            "invalid canonical spec: dimension must be >= 1",
+        ),
+        (
+            {"canonical": {"kind": "constcurv_22_13", "n": 1}},
+            ["inspect"],
+            "invalid canonical spec: constant-curvature construction needs n >= 2",
+        ),
         ({"n": [1], "A": [["1"]]}, ["inspect"], "dimension n must be an integer >= 1, got [1]"),
         ({"n": "abc", "A": [["1"]]}, ["inspect"], "dimension n must be an integer >= 1, got 'abc'"),
         (
@@ -1452,6 +1478,9 @@ def assert_input_error(capsys, argv, error):
         "canonical-not-object",
         "canonical-u-beyond-m",
         "canonical-psi-missing",
+        "canonical-u-short",
+        "canonical-n-zero",
+        "canonical-constcurv-n1",
         "n-list",
         "n-string",
         "n-float",
@@ -1483,6 +1512,26 @@ def test_valid_tolerance_override_is_used(tmp_path, capsys):
     path.write_text(json.dumps(_flat_doc(tolerances={"symmetry": 0, "invariance": 1})))
     code, data = run(capsys, "check-symmetry", str(path), "--eta=1,0")
     assert code == 0 and data["tolerance"] == 0
+
+
+def test_to_dict_round_trip_keeps_tolerances_spec_and_sample(tmp_path, capsys):
+    # compare_cli's TIGHT document: its symmetry tolerance of 1e-30 refuses
+    # the field 1e-9*y1, which the default tolerance accepts
+    (doc, _argvs), = compare_cli().TIGHT.values()
+    tight = SystemDocument.from_dict(doc)
+    again = tight.to_dict()
+    assert again["tolerances"] == {"symmetry": 1e-30}
+    assert SystemDocument.from_dict(again).tolerances == tight.tolerances
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(again))
+    assert run(capsys, "check-symmetry", str(path), "--eta=1e-9*y1,0,0")[0] == 2
+    # a canonical spec with psi, and a sample; no overrides, no "tolerances"
+    spec = {"kind": "intermediate_potential_17_24", "n": 2, "a": 1.5, "m": 1, "psi": "y1^3/3"}
+    doc = SystemDocument.from_dict({"canonical": spec, "sample": [[0.1, -0.2], [0.3, 0.25]]})
+    again = SystemDocument.from_dict(doc.to_dict())
+    assert doc.to_dict() == {"n": 2, "canonical": spec, "sample": [[0.1, -0.2], [0.3, 0.25]]}
+    assert again.to_dict() == doc.to_dict() and again.tolerances == doc.tolerances
+    assert np.array_equal(again._a_values, doc._a_values)
 
 
 SIM = ["--dt", "0.001", "--steps", "4"]

@@ -5,6 +5,7 @@ with no derivative tree built; and where the walk or a body faults, the
 CLI prints the walk's error or names the field and the point, on documents
 whose trees' checked walk refuses them too."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -211,8 +212,10 @@ def test_faults_print_the_walks_error(tmp_path, capsys, case):
     assert_trees_refuse(path, argv)
 
 
-def _compare_cli():
-    """tools/compare_cli.py as a module, for its documents."""
+@functools.cache
+def compare_cli():
+    """tools/compare_cli.py as a module, for its documents, its corpus and
+    its runner; loaded once."""
     path = os.path.join(FIXTURES, "..", "tools", "compare_cli.py")
     spec = importlib.util.spec_from_file_location("compare_cli", path)
     module = importlib.util.module_from_spec(spec)
@@ -222,7 +225,7 @@ def _compare_cli():
 
 # compare_cli's documents sampled at coordinates 0.0 and -0.0, where an
 # exact zero of a body and of a tree could carry different signs
-SIGNED = {name: doc for name, (doc, _argvs) in _compare_cli().SIGNED.items()}
+SIGNED = {name: doc for name, (doc, _argvs) in compare_cli().SIGNED.items()}
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SIGNED))

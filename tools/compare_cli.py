@@ -5,11 +5,11 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 196 commands and the six demos: 153 commands on fixtures/ (18 on
+It runs 197 commands and the six demos: 153 commands on fixtures/ (18 on
 each fixture, two more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
 extreme grid lengths, one whose --csv cannot be written and one whose
---dt times --steps overflows on EXTREME_LENGTH), 20 on HOSTILE, 6 on
+--dt times --steps overflows on EXTREME_LENGTH), 21 on HOSTILE, 6 on
 WIDE, 12 on SIGNED, 2 on TIGHT and 3 on MAPPED.  The second command on
 TRANSPORT_1024 takes a step beyond the stability heuristic at grid 32, so
 both of its evolutions, the flowed grid's too, warn for the CLI's line.
@@ -38,8 +38,9 @@ there, so a change in the last bit of a simulated value shows even where
 the summaries in stdout (pde_residual, mean_drift) hide it.  Hostile documents (HOSTILE)
 also run, each through its own commands: two whose A is not finite at a grid
 value, a coefficient with a digit that is not decimal, a 100,000-deep nest
-of parentheses, a pole where a flatten transport starts, an operator field
-whose determinant overflows, heisenberg's connection with Gamma^2_11 =
+of parentheses, a pole where a flatten transport starts, two operator
+fields whose determinant's LU divides by a subnormal pivot or overflows,
+heisenberg's connection with Gamma^2_11 =
 1e200*y1*y1, whose nabla(beta) overflows in flatten's precondition, an
 intermediate canonical spec at n = 1, a
 connection whose Taylor coefficients cancel at the bound's point, one whose
@@ -72,24 +73,38 @@ Gamma entry spells the same parenthesised groups out many times (report,
 check-symmetry with the pushed-forward rotation, bound --depth 2).  It is
 kept as data beside this tool, tools/mapped_constcurv_2d.json, so both
 checkouts parse the same bytes.  The other four sets are written to the
-temporary directory, not to fixtures/, which the tests iterate over.  Each command and demo runs in a fresh interpreter with
-PYTHONPATH=SRC_DIR, so two checkouts (say the parent commit and a change)
-can be compared from one place.  The demos are those of the
-checkout that holds SRC_DIR, in SRC_DIR/../demos.  `flatten` on
-constcurv_n3.json is slow (minutes) on older trees.
+temporary directory, not to fixtures/, which the tests iterate over.
+
+Every command and demo runs in this interpreter, through `entry`: a
+command through cli.main and a demo through runpy, with stdout and stderr
+captured, under Python's default warning filters, with AFFSYM_SEED unset.
+`run` puts SRC_DIR first on sys.path and refuses to record if affsym was
+imported from anywhere else, so two checkouts (say the parent commit and a
+change) can be compared from one place, one process each.  The demos are
+those of the checkout that holds SRC_DIR, in SRC_DIR/../demos.
+tests/test_cli_corpus.py runs every command through `entry` as well and
+checks what must hold at every commit: the exit code that EXIT_CODES
+(tools/cli_exit_codes.json, one line per command's key) gives it, no
+traceback, strict JSON and no warning but the stability heuristic's.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
-import subprocess
+import runpy
 import sys
 import tempfile
 import time
+import traceback
+import warnings
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
-MAIN = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(HERE, "..", "fixtures")
+# each corpus command's expected exit code by its key, one line each
+EXIT_CODES = os.path.join(HERE, "cli_exit_codes.json")
 CSV_PLACEHOLDER = "<csv>"  # in argv, replaced by a temporary file's path
 SRC_PLACEHOLDER = "<src>"  # SRC_DIR in a warning's location, in the stderr lines hashed
 INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "--steps", "4"])
@@ -100,9 +115,11 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # slope is infinite, must end in a step underflow (exit 2), not a traceback,
 # and print no warning.  On heisenberg's A and Gamma with Gamma^2_11 =
 # 1e200*y1*y1, nabla(beta) is inf, and flatten must report its precondition
-# failed (exit 2) and print no warning.  det A overflows on the constant-curvature spec with
-# a = b = 1e300, which must not warn; the intermediate spec at n = 1 has no
-# structure check, which is an input error (exit 1).  At y1 = 1e-100 the
+# failed (exit 2) and print no warning.  det A's LU divides by a subnormal
+# pivot where A^2_1 = 1e-320*y1 (det 0), and det A overflows on the
+# constant-curvature spec with a = b = 1e300; neither may warn.  The
+# intermediate spec at n = 1 has no structure check, which is an input
+# error (exit 1).  At y1 = 1e-100 the
 # chain rule of cos(sqrt(1e-80 + y1)) sums terms of 1.25e79 that cancel, and
 # the pointwise bound must refuse (exit 1), not print the rounding's rank.
 # sqrt(y1) is finite at the sample point y1 = 0 and its derivative is not,
@@ -134,6 +151,7 @@ HOSTILE = {
     "hostile_flatten_overflow.json": (
         {"n": 2, "A": [["0", "-1"], ["1", "0"]], "Gamma": HEISENBERG_OVERFLOW_GAMMA}, (["flatten"],)
     ),
+    "hostile_det_underflow.json": ({"n": 2, "A": [["0", "-1"], ["1e-320*y1", "0"]]}, (["inspect"],)),
     "hostile_det_overflow.json": (
         {"canonical": {"kind": "constcurv_2d_22_14", "n": 2, "a": 1e300, "epsilons": [-1, -1], "b": 1e300}},
         (["check-symmetry", "--eta=-y2,y1"], ["inspect"]),
@@ -232,7 +250,7 @@ SIGNED = {
 # constcurv_2d_22_14 (a = 1, b = 0.5) carried by transform_system through the
 # point map y1 -> y1 + 0.2*y2^2 - 0.17*y2, its coefficients printed by
 # to_string, and the rotation -y2, y1 pushed forward by that map
-MAPPED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "mapped_constcurv_2d.json")
+MAPPED = os.path.join(HERE, "mapped_constcurv_2d.json")
 MAPPED_ETA = "-y2 + (y1 - (0.2*y2^2 - 0.17*y2))*(0.2*(2*y2) - 0.17),y1 - (0.2*y2^2 - 0.17*y2)"
 
 
@@ -266,6 +284,14 @@ EXTREME_LENGTH = "heat_n1.json"
 
 
 def commands(tmp):
+    """The corpus: each command's argv for cli.main by its key (the
+    subcommand, the document's file name and the other arguments), as the
+    record and EXIT_CODES name it.  The generated documents are written to
+    the directory tmp."""
+    return {" ".join([argv[0], name] + argv[2:]): argv for name, argv in _commands(tmp)}
+
+
+def _commands(tmp):
     for name in sorted(os.listdir(FIXTURES)):
         path = os.path.join(FIXTURES, name)
         with open(path, encoding="utf-8") as fp:
@@ -386,50 +412,100 @@ def _without_echoes(lines):
     return out
 
 
+# a fresh interpreter's warning filters: Python's defaults, without -W or -X dev
+DEFAULT_FILTERS = (
+    ("default", DeprecationWarning, "__main__"),
+    ("ignore", DeprecationWarning, ""),
+    ("ignore", PendingDeprecationWarning, ""),
+    ("ignore", ImportWarning, ""),
+    ("ignore", ResourceWarning, ""),
+)
+
+
+def entry(key, args, csv):
+    """Run one corpus entry in this interpreter and return its record: a
+    command through the imported affsym's cli.main (args is its argv), or
+    a demo through runpy (key "demo NAME", args its path).  It captures
+    stdout and stderr, and runs under Python's default warning filters with
+    each warning written to the captured stderr, as a fresh interpreter
+    would; SystemExit gives the exit code, and any other exception prints
+    its traceback there and exits 1.  A CSV_PLACEHOLDER in args is the path
+    csv, whose file is digested and removed."""
+    import affsym
+    from affsym.cli import main
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affsym.__file__)))
+    location = re.compile(re.escape(src) + r"(\S*?\.py):\d+:")
+    demo = key.startswith("demo ")
+    argv = [csv if a == CSV_PLACEHOLDER else a for a in args]
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.resetwarnings()
+        for action, category, module in DEFAULT_FILTERS:
+            warnings.filterwarnings(action, category=category, module=module, append=True)
+        warnings.showwarning = show
+        try:
+            if demo:
+                runpy.run_path(argv[0], run_name="__main__")
+                code = 0
+            else:
+                code = main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            if not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    seconds = round(time.perf_counter() - t0, 2)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    digest = None
+    if os.path.exists(csv):
+        with open(csv, "rb") as fp:
+            digest = hashlib.sha256(fp.read()).hexdigest()
+        os.remove(csv)
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    other = [
+        location.sub(SRC_PLACEHOLDER + r"\1:", line)
+        for line in _without_echoes(stderr.splitlines())
+        if not line.startswith("error:")
+    ]
+    return {
+        "code": code,
+        # the path is JSON-escaped in a report
+        "stdout": stdout.replace(json.dumps(csv)[1:-1], CSV_PLACEHOLDER),
+        "csv_sha256": digest,
+        "error": errors[-1] if errors else None,
+        "stderr_lines": len(other),
+        "stderr_sha256": hashlib.sha256("\n".join(other).encode()).hexdigest(),
+        "traceback": "Traceback" in stderr,
+        "warnings": [w for w in other if WARNING.search(w) and not STABILITY.search(w)],
+        # a CLI report must be JSON without NaN or Infinity; demos print text
+        "strict_json": strict_json(stdout) if stdout and not demo else None,
+        "seconds": seconds,
+    }
+
+
 def run(src, out_path):
     src = os.path.abspath(src)
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("AFFSYM_SEED", None)
-    location = re.compile(re.escape(src) + r"(\S*?\.py):\d+:")
+    sys.path.insert(0, src)
+    import affsym
+
+    if os.path.dirname(os.path.abspath(affsym.__file__)) != os.path.join(src, "affsym"):
+        sys.exit(f"affsym is imported from {affsym.__file__}, not from {src}: nothing recorded")
+    os.environ.pop("AFFSYM_SEED", None)
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cli = (
-            (" ".join([argv[0], name] + argv[2:]), ["-c", MAIN] + argv)
-            for name, argv in commands(tmp)
-        )
         csv = os.path.join(tmp, "snapshots.csv")
-        for key, args in [*cli, *demos(src)]:
-            t0 = time.perf_counter()
-            argv = [csv if a == CSV_PLACEHOLDER else a for a in args]
-            proc = subprocess.run([sys.executable] + argv, env=env, capture_output=True, text=True)
-            digest = None
-            if os.path.exists(csv):
-                with open(csv, "rb") as fp:
-                    digest = hashlib.sha256(fp.read()).hexdigest()
-                os.remove(csv)
-            errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-            other = [
-                location.sub(SRC_PLACEHOLDER + r"\1:", line)
-                for line in _without_echoes(proc.stderr.splitlines())
-                if not line.startswith("error:")
-            ]
-            record[key] = {
-                "code": proc.returncode,
-                # the path is JSON-escaped in a report
-                "stdout": proc.stdout.replace(json.dumps(csv)[1:-1], CSV_PLACEHOLDER),
-                "csv_sha256": digest,
-                "error": errors[-1] if errors else None,
-                "stderr_lines": len(other),
-                "stderr_sha256": hashlib.sha256("\n".join(other).encode()).hexdigest(),
-                "traceback": "Traceback" in proc.stderr,
-                "warnings": [w for w in other if WARNING.search(w) and not STABILITY.search(w)],
-                # a CLI report must be JSON without NaN or Infinity; demos print text
-                "strict_json": (
-                    strict_json(proc.stdout) if proc.stdout and not key.startswith("demo ") else None
-                ),
-                "seconds": round(time.perf_counter() - t0, 2),
-            }
-            print(key, proc.returncode, record[key]["seconds"], flush=True)
+        for key, args in [*commands(tmp).items(), *demos(src)]:
+            record[key] = entry(key, args, csv)
+            print(key, record[key]["code"], record[key]["seconds"], flush=True)
     with open(out_path, "w", encoding="utf-8") as fp:
         json.dump(record, fp, indent=1)
 
