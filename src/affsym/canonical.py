@@ -324,7 +324,7 @@ def projective_flatten(conn, p0, u0):
     _check_form("beta_14_1", n)
     pts = sample_points(n, 20)
     fields = ("curvature", "ricci_sym", "ricci_skew", "nabla_ricci")
-    R, rh, rt, nabla_ricci = _point_values(conn, pts, nabla=True)((), fields)
+    R, rh, rt, nabla_ricci = _point_values(conn, pts)((), fields)
     pre_structure = _structure_report("beta_14_1", R, rh, rt, pts)
     beta = TensorField(n, 0, 2, _beta_from_connection(conn))
     with np.errstate(all="ignore"):  # unchecked values: inf - inf reads nan

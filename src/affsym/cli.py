@@ -452,7 +452,7 @@ def cmd_canonical(args):
         form, unchecked = "const_curv_19_14", ("metric",)
     if form:
         unchecked += ("curvature", "ricci_sym", "ricci_skew")
-    at_points = _point_values(sysd.conn, pts, nabla=metric is not None, metric=metric)
+    at_points = _point_values(sysd.conn, pts, metric=metric)
     rh, ric, *values = at_points(("ricci_sym", "ricci", *normed.values()), unchecked)
     if intermediate and not form:
         raise InputError(f"canonical has no structure check for {spec.kind} at n = {spec.n}")
@@ -479,7 +479,9 @@ def cmd_flatten(args):
     u0 = _parse_point(args.u0, doc.n, "--u0") if args.u0 else np.zeros(doc.n)
     try:
         res = projective_flatten(sysd.conn, p0, u0)
-    except ValueError as exc:
+    except ExprError:  # a walk's fault is malformed input, as in every subcommand
+        raise
+    except ValueError as exc:  # a failed precondition
         return {"error": str(exc), "passed": False}, 2
     out = {k: v.max_abs for k, v in res.report.items()}
     out["passed"] = max(out["flat_curvature"], out["path_gap"]) <= doc.tolerances["flatten"]

@@ -17,23 +17,27 @@ a shortcut.
 Each formula is one body over arrays (see the note above ``_tree``): on
 Expr arrays it builds the trees that ``curvature``, ``ricci_and_s`` and
 ``covariant_differential`` keep or return; on numbers it gives their
-values.  ``_point_values`` runs the bodies on the values and first
-derivatives from one checked forward-mode walk of Gamma (and of the metric,
-A and eta where asked for), with the second derivatives of Gamma and eta
-where nabla Ric or the connection equation needs them, which equal the
-trees' walk in magnitude to the bit: ``structure_residual``,
-``symmetry.classify``, ``symmetry.determining_residuals`` and the CLI's
-report, classify and canonical checks take their numbers so, and that is
-their one path.  So do the signed values the CLI's ``curvature`` prints:
-an exact zero of a body could carry the other sign than the trees', and
-the tests compare the two, signs included, on every fixture and on
-sample points at 0.0 and -0.0.  A fault of the walk raises its
-DomainError naming its node ("non-finite derivative: sqrt(y1)"), and a
-checked field whose body overflows raises ExprError naming the field and
-the point ("curvature is not finite at y = [...]").  The invariance
-suite walks R and Ric with Ric's second derivatives, and forms nabla Ric,
-S and their derivatives on first-order duals with ``_nabla_terms`` and
-``_ricci_contractions`` (``symmetry.invariance_suite``).
+values.  ``_point_values``, the one engine for numbers at a document's
+points, runs the bodies on values and derivatives from one checked
+forward-mode walk, made at its first request and following the names
+asked for there: Gamma, and the metric, A and eta where given; the second
+derivatives of Gamma where nabla Ric is asked for, and of eta where a name
+outside the invariance suite is; and for a name of the suite (L_eta of R,
+Ric, S and nabla Ric), the Ric and R trees kept on the connection, Ric
+with its second derivatives, from which nabla Ric, S and their
+derivatives are formed on first-order duals.  (Nested duals on Gamma's
+jets give the same numbers but ran slower at n = 4; forward mode on the
+trees keeps their sparsity.)  Its numbers equal the trees' walk in
+magnitude to the bit, and are the one path of ``structure_residual``,
+``symmetry.classify``, the determining residuals, the invariance suite,
+the CLI's report, classify and canonical checks, and the signed values
+the CLI's ``curvature`` prints: an exact zero of a body could carry the
+other sign than the trees', and the tests compare the two, signs
+included, on every fixture and on sample points at 0.0 and -0.0.  A fault
+of the walk raises its DomainError naming its node ("non-finite
+derivative: sqrt(y1)"), and a checked field whose body overflows raises
+ExprError naming the field and the point ("curvature is not finite at y =
+[...]").
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import string
 import numpy as np
 
 from .expr import Expr, ExprError, const
+from .liefn import lie_terms
 from .tensor import (
     ADD,
     MUL,
@@ -411,64 +416,83 @@ def _dual_mul(n):
     return mul
 
 
-def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
+SUITE = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
+
+
+def _point_values(conn, pts, *, metric=None, A=None, eta=None):
     """The values of fields of a connection at checked points pts (P, n),
     equal to the walk of their trees in magnitude, to the bit, from the
     bodies above on numbers; returns ``values(names, unchecked=())``, the
     list of the named fields' values, (P,) + the field's shape, checked
     names first.
 
-    The names are ``ricci_and_s``' keys and "curvature"; "nabla_ricci"
-    (with nabla) and "nabla_metric", by ``covariant_differential``;
-    "metric" and "A" themselves; and the residuals of the determining
-    equations with eta: "lie_a" (L_eta A), "conn_eq" (the reduced
-    connection equation) and "conn_eq_full" (A-weighted).
+    The names are ``ricci_and_s``' keys and "curvature"; "nabla_ricci" and
+    "nabla_metric", by ``covariant_differential``; "metric" and "A"
+    themselves; with eta, the determining residuals "lie_a" (L_eta A),
+    "conn_eq" (the reduced connection equation, -L_eta Gamma) and
+    "conn_eq_full" (A-weighted), and the invariance suite ``SUITE``.
 
-    One checked forward-mode walk (``eval_jets``) gives Gamma, the metric,
-    A and eta, each where given, with their first derivatives, and the
-    second derivatives of Gamma (with nabla) and of eta, which are bitwise
-    the derivatives of grad(Gamma) and grad(eta) without their trees.  It
-    raises its ExprError where a value or derivative is not finite
-    ("non-finite derivative: sqrt(y1)").  The bodies run on those with
-    numpy's add and subtract, and the derivatives of R and Ricci that
-    nabla Ric needs come from ``_dual_mul``.  Grouped as the trees are,
-    each number is the trees' value: the smart constructors drop only
-    identity operations (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in
-    the same floats, so the two differ at most in the sign of an exact
-    zero.  The bodies only add, subtract and multiply finite numbers, so a
-    checked name that is not finite overflowed, and raises ExprError
-    naming it and its first such point ("curvature is not finite at y =
-    [...]"); unchecked names keep their IEEE values."""
+    The first request makes the one checked walk (``eval_jets``) of what
+    its names need (see the module docstring; Ric and R walk first and
+    last), and later requests read it.  Its second derivatives are bitwise
+    those of the grad trees, and it raises its ExprError where a value or
+    derivative is not finite.  The bodies run on those with numpy's add
+    and subtract, on ``_dual_mul``'s duals where a derivative of R, Ric,
+    nabla Ric or S is needed.  Grouped as the trees are, each number is
+    the trees' value: the smart constructors drop only identity operations
+    (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in the same floats, so
+    the two differ at most in the sign of an exact zero.  The bodies only
+    add, subtract and multiply finite numbers, so a checked name that is
+    not finite overflowed, and raises ExprError naming it and its first
+    such point ("curvature is not finite at y = [...]"); the first checked
+    suite name so names nabla_ricci, then s, with their derivatives.
+    Unchecked names keep their IEEE values."""
     n = conn.n
-    fields = {"gamma": conn.gamma}
-    fields.update((k, f.comps) for k, f in (("metric", metric), ("A", A), ("eta", eta)) if f is not None)
-    twice = [k for k, on in (("gamma", nabla), ("eta", eta is not None)) if on]
-    names = twice + [k for k in fields if k not in twice]
-    # name -> (values, first derivatives[, second derivatives])
-    jets = dict(zip(names, eval_jets([fields[k] for k in names], pts, second=len(twice))))
     ops = (np.add, np.subtract, np.multiply)
-    memo = {}
+    jets, memo = {}, {}  # jets: root -> (values, first derivatives[, second derivatives])
 
-    def ricci():  # Ric and S, and where nabla their derivatives, as _dual arrays
+    def walk(asked):
+        suite = not set(SUITE).isdisjoint(asked)
+        twice = {"ricci": suite, "gamma": "nabla_ricci" in asked, "eta": not set(asked) <= set(SUITE)}
+        roots = {"ricci": ricci_and_s(conn)["ricci"] if suite else None, "gamma": conn.field, "eta": eta}
+        roots.update(curvature=curvature(conn) if suite else None, metric=metric, A=A)
+        first = [k for k, f in roots.items() if f is not None and twice.get(k)]
+        keys = first + [k for k, f in roots.items() if f is not None and k not in first]
+        jets.update(zip(keys, eval_jets([roots[k].comps for k in keys], pts, second=len(first))))
+
+    def ricci():  # Ric and S, as _dual arrays with their derivatives where Gamma's second ones were walked
         if "ricci" not in memo:
-            g, dg = jets["gamma"][:2]
-            if nabla:
-                ddg = jets["gamma"][2]
-                R = _curvature_comps(_dual(g, dg), _dual(dg, ddg), np.add, np.subtract, _dual_mul(n))
-            else:
-                R = _curvature_comps(g, dg, *ops)
+            g, dg, *ddg = jets["gamma"]
+            jet = (_dual(g, dg), _dual(dg, *ddg), np.add, np.subtract, _dual_mul(n)) if ddg else (g, dg, *ops)
+            R = _curvature_comps(*jet)
             memo["curvature"] = R[: len(pts)]
             memo["ricci"], memo["s"] = _ricci_contractions(R, np.add)
         return memo["ricci"]
 
+    def lies():  # the suite, and the jets of nabla Ric and S that a checked suite name checks
+        if "lies" not in memo:
+            (ric, dric, ddric), (r, dr) = jets["ricci"], jets["curvature"]
+            (g, dg, *_), (e, de, *_) = jets["gamma"], jets["eta"]
+            duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
+            nabla = _undual(_nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n)), n)
+            s = _undual(_ricci_contractions(_dual(r, dr), np.add)[1], n)
+            memo["checked"] = ("nabla_ricci", nabla), ("s", s)
+            w = ((r, dr, 1), (ric, dric, 0), (*s, 0), (*nabla, 0))  # W, dW/dy, W's upper slots
+            memo["lies"] = dict(zip(SUITE, (lie_terms(v, dv, e, de, upper) for v, dv, upper in w)))
+        return memo["lies"]
+
     def number(name):
-        g, dg = jets["gamma"][:2]
+        g, dg, *ddg = jets["gamma"]
+        if name in SUITE:
+            return lies()[name]
         if name in ("curvature", "ricci", "s"):
             ricci()
             return memo[name][: len(pts)]
         if name in ("ricci_sym", "ricci_skew"):
-            return _ricci_halves(number("ricci"), *ops, 0.5)[name == "ricci_skew"]
+            return _ricci_halves(ricci()[: len(pts)], *ops, 0.5)[name == "ricci_skew"]
         if name == "nabla_ricci":
+            if not ddg:
+                raise ValueError("nabla_ricci needs Gamma's second derivatives: name it at the first request")
             return _nabla_terms(g, *_undual(ricci(), n), 0, *ops)
         if name == "nabla_metric":
             return _nabla_terms(g, *jets["metric"], 0, *ops)
@@ -483,10 +507,13 @@ def _point_values(conn, pts, *, nabla=False, metric=None, A=None, eta=None):
         return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
 
     def values(names, unchecked=()):
+        if not jets:
+            walk((*names, *unchecked))
         with np.errstate(all="ignore"):
             out = [number(x) for x in (*names, *unchecked)]
-        for name, v in zip(names, out):
-            _require_finite(name, pts, v)
+        for name, v in zip(names, out):  # the suite's jets are checked once, at its first checked name
+            for field, arrays in memo.pop("checked", ()) if name in SUITE else ((name, (v,)),):
+                _require_finite(field, pts, *arrays)
         return out
 
     return values

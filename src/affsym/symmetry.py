@@ -19,22 +19,16 @@ when det A vanishes somewhere the full A-weighted form is used instead.
 Acceptance is residual-based at sample points, not a symbolic proof, and
 ``check_symmetry`` is its one rule, for the CLI and the simulator alike.
 
-The determining residuals and ``classify`` take their values from
-``geometry._point_values``: the bodies that build the residual, curvature
-and Ricci trees, run on the values and derivatives of Gamma, A and eta
-from one checked forward-mode walk, equal to the trees' values in
-magnitude to the bit.  The pointwise bounds take their rows from Taylor
-coefficients of A and Gamma at the point (``expr.taylor_coefficients``),
-with the curvature and nabla Ric formed as numbers by the same bodies.
-The invariance suite and ``linearization`` take W and dW/dy from the
-forward-mode walk of the trees of W (``tensor.eval_jets``), which their
-reports pin to the bit.  The suite walks eta, Gamma, R and Ric once,
-with Ric's second derivatives (``second`` in ``expr.eval_many_shared``),
-and forms nabla Ric and S with their first derivatives on first-order
-duals (``geometry._nabla_terms``, R's contraction), with no tree of nabla
-Ric or of Ric's derivatives.  (Nested duals on all of geometry's bodies give
-the same numbers but ran slower than the trees' jets at n = 4; forward
-mode on the trees keeps their sparsity.)
+The determining residuals, ``classify`` and the invariance suite take
+their values from ``geometry._point_values``: the bodies that build the
+residual, curvature and Ricci trees, run on the values and derivatives of
+Gamma, A and eta, and for the suite of the Ric and R trees, from one
+checked forward-mode walk (see ``geometry`` for which walk a request
+makes), equal to the trees' values in magnitude to the bit.  The
+pointwise bounds take their rows from Taylor coefficients of A and Gamma
+at the point (``expr.taylor_coefficients``), with the curvature and nabla
+Ric formed as numbers by the same bodies.  ``linearization`` takes eta and
+d eta/dy from the forward-mode walk of eta (``tensor.eval_jets``).
 
 Each of these is the one path to its numbers, and its errors are the
 error lines: a walk raises DomainError naming the first node whose value
@@ -60,20 +54,18 @@ from .expr import (
     taylor_tables,
 )
 from .geometry import (
+    SUITE,
     _at,
     _curvature_comps,
-    _dual,
     _dual_mul,
     _nabla_terms,
     _point_values,
     _ranks,
     _regular,
-    _require_finite,
     _ricci_contractions,
     _undual,
     covariant_differential,
     curvature,
-    ricci_and_s,
 )
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
@@ -154,9 +146,11 @@ def check_symmetry(sys, eta, pts=None, tol=DEFAULT_TOLERANCES["symmetry"],
     out = {"res_A": res_a, "res_Gamma": res_g, "equation": equation, "tolerance": tol}
     out["accepted"] = res_a <= tol and res_g <= tol
     if out["accepted"]:
-        # on the reduced equation, res_Gamma is the suite's L_eta Gamma report
-        suite = _invariance(sys, eta, pts, res["res_Gamma"] if equation == "reduced" else None)
-        out["invariance"] = {k: v.max_abs for k, v in suite.items()}
+        # L_eta Gamma: res_Gamma on the reduced equation, else conn_eq from the suite's walk
+        reduced = equation == "reduced"
+        lies = _point_values(sys.conn, pts, eta=eta)(SUITE if reduced else ("conn_eq", *SUITE))
+        maxima = ([res_g] if reduced else []) + [max_report(v, pts).max_abs for v in lies]
+        out["invariance"] = dict(zip(("lie_gamma", *SUITE), maxima))
         out["accepted"] = not any(v > invariance_tol for v in out["invariance"].values())
     return out
 
@@ -415,16 +409,17 @@ def invariance_suite(sys, eta, pts=None):
     vanishing Lie derivatives of the curvature tensor, the Ricci tensor, the
     S field and nabla(Ricci), and of the connection itself.
 
-    The curvature is the one kept on sys.conn (``curvature``).  The four
-    tensor keys are max |L_eta W| by ``liefn.lie_terms`` (the formula of
-    ``lie_derivative``) on eta, d eta, W and dW/dy from one checked
-    forward-mode walk, which builds no derivative tree: for nabla Ric, W
-    and dW/dy are the body of ``covariant_differential`` on the walk's
-    Gamma, Ric and their derivatives, Ric's second ones included, and S is
-    R's contraction (see ``_invariance``).  The L_eta Gamma residual is
-    evaluated, checked, before that walk.  Where the walk faults it raises
-    DomainError naming its node ("non-finite derivative: y1^-29"); where a
-    body overflows, ExprError names nabla_ricci or s and the point.
+    The curvature is the one kept on sys.conn (``curvature``).  Every
+    number comes from one ``geometry._point_values`` request with eta, of
+    "conn_eq" and the suite's names: the four tensor keys are max |L_eta W|
+    by ``liefn.lie_terms`` (the formula of ``lie_derivative``) on eta, d
+    eta, W and dW/dy from one checked forward-mode walk, which builds no
+    derivative tree: for nabla Ric, W and dW/dy are the body of
+    ``covariant_differential`` on the walk's Gamma, Ric and their
+    derivatives, Ric's second ones included, and S is R's contraction.
+    Where the walk faults it raises DomainError naming its node
+    ("non-finite derivative: y1^-29"); where a body overflows, ExprError
+    names conn_eq, nabla_ricci or s, in that order, and the point.
 
     For a torsion-free connection the commutator of the Lie derivative with
     the covariant differential is a contraction with L_eta Gamma,
@@ -437,31 +432,6 @@ def invariance_suite(sys, eta, pts=None):
     nondegenerate A it equals ``determining_residuals``' res_Gamma; with
     degenerate A that is the A-weighted residual, which does not bound
     |L_eta Gamma|.  The points pass ``as_points``."""
-    return _invariance(sys, eta, as_points(pts, sys.n))
-
-
-def _invariance(sys, eta, pts, lie_gamma=None):
-    """``invariance_suite`` at checked points, with lie_gamma the report of
-    the reduced connection residual there when the caller has it already
-    (``check_symmetry``: res_Gamma on the reduced equation, from the same
-    trees, points and checked walk); else it is evaluated here, first.
-    nabla Ric and S with their first derivatives are ``geometry._nabla_terms``
-    (under ``_dual_mul``) and ``_ricci_contractions`` on the ``eval_jets``
-    walk's ``_dual`` arrays, as ``_point_values`` forms them, equal to their
-    trees' jets in magnitude to the bit."""
-    conn = sys.conn
-    n = conn.n
-    if lie_gamma is None:
-        lie_gamma = max_report(_point_values(conn, pts, eta=eta)(("conn_eq",))[0], pts)
-    roots = (ricci_and_s(conn)["ricci"], conn.field, eta, curvature(conn))
-    (ric, dric, ddric), (g, dg), (e, de), (r, dr) = eval_jets([f.comps for f in roots], pts, second=1)
-    with np.errstate(all="ignore"):
-        duals = _dual(g, dg), _dual(ric, dric), _dual(dric, ddric)
-        nabla = _undual(_nabla_terms(*duals, 0, np.add, np.subtract, _dual_mul(n)), n)
-        s, ds = _undual(_ricci_contractions(_dual(r, dr), np.add)[1], n)
-    _require_finite("nabla_ricci", pts, *nabla)
-    _require_finite("s", pts, s, ds)
-    jets = ((r, dr, 1), (ric, dric, 0), (s, ds, 0), (*nabla, 0))  # W, dW/dy, W's upper slots
-    lies = [lie_terms(w, dw, e, de, upper) for w, dw, upper in jets]
-    keys = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
-    return {**{key: max_report(v, pts) for key, v in zip(keys, lies)}, "lie_gamma": lie_gamma}
+    pts = as_points(pts, sys.n)
+    conn_eq, *lies = _point_values(sys.conn, pts, eta=eta)(("conn_eq", *SUITE))
+    return {**{k: max_report(v, pts) for k, v in zip(SUITE, lies)}, "lie_gamma": max_report(conn_eq, pts)}

@@ -104,10 +104,10 @@ def test_walks_at_the_document_points(monkeypatch, capsys, document):
         argv = ["check-symmetry", document, "--eta=" + eta]
         _code, out, walks = _walks(monkeypatch, capsys, argv, pts)
         # res_A, det A and res_Gamma from one jets walk; an accepted field's
-        # jets, and its L_eta Gamma only where res_Gamma was the A-weighted
-        # equation
+        # suite from one more, its L_eta Gamma too where res_Gamma was the
+        # A-weighted equation
         accepted = "invariance" in out
-        assert walks == base + 1 + accepted + (accepted and out["equation"] == "full"), eta
+        assert walks == base + 1 + accepted, eta
 
 
 def _hex(obj):

@@ -6,6 +6,7 @@ CLI prints the walk's error or names the field and the point, on documents
 whose trees' checked walk refuses them too."""
 
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -19,6 +20,7 @@ from affsym.cli import SystemDocument, main, render_json
 from affsym.expr import DomainError, ExprError
 from affsym.geometry import _field_tree, _point_values, curvature, ricci_and_s, transform_system
 from affsym.liefn import VectorField
+from affsym.symmetry import check_symmetry, invariance_suite
 from affsym.tensor import PointMap, TensorField, eval_arrays, grad
 from affsym.util import sample_points
 
@@ -83,7 +85,7 @@ def test_point_values_are_the_trees_values(monkeypatch, name):
     sysd = _system(name)
     n = sysd.n
     pts = sample_points(n, 20)
-    kw = dict(nabla=True, metric=_metric(n), A=sysd.A, eta=_eta(n))
+    kw = dict(metric=_metric(n), A=sysd.A, eta=_eta(n))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a derivative tree was built")
@@ -240,3 +242,59 @@ def test_curvature_prints_the_trees_values_signs_included(tmp_path, capsys, name
     want = dict(zip(("curvature",) + keys, eval_arrays(trees, doc._points, checked=True)))
     assert main(["curvature", str(path)]) == 0
     assert capsys.readouterr() == (render_json({"points": doc._points, **want}) + "\n", "")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a curvature or Ricci tree was built")
+
+
+@pytest.mark.parametrize("name", ["constcurv_n3.json", "heisenberg.json", "maximal_7_11_n2", "constcurv_22_13_n3"])
+def test_no_curvature_or_ricci_tree_outside_the_suite(monkeypatch, name):
+    # the names that curvature, classify, canonical and the determining
+    # residuals ask for walk Gamma, the metric, A and eta only
+    sysd = _system(name)
+    n, conn = sysd.n, sysd.conn
+    pts = sample_points(n, 5)
+    monkeypatch.setattr(geometry, "curvature", _raise)
+    monkeypatch.setattr(geometry, "ricci_and_s", _raise)
+    _point_values(conn, pts)(("curvature", "ricci", "s", "ricci_sym", "ricci_skew"))
+    _point_values(conn, pts)(("ricci_sym",))
+    canonical = ("ricci_sym", "ricci", "curvature", "s", "nabla_metric", "nabla_ricci")
+    _point_values(conn, pts, metric=_metric(n))(canonical, ("metric", "ricci_skew"))
+    values = _point_values(conn, pts, A=sysd.A, eta=_eta(n))
+    values(("lie_a",), ("A",))
+    values(("conn_eq", "conn_eq_full"))
+
+
+def test_point_values_leave_nothing_to_the_cyclic_gc():
+    # the closures hold no reference cycle: the walk's jets are freed when
+    # the last reference to the closure goes, not by the cyclic GC
+    sysd = _system("constcurv_n3.json")
+    pts, eta = sample_points(3, 5), VectorField.from_strings(3, ["-y2", "y1", "0"])
+    names = ("nabla_ricci", *geometry.SUITE)
+    _point_values(sysd.conn, pts, eta=eta)(names)  # builds the trees kept on the connection
+    gc.collect()
+    gc.disable()
+    try:
+        values = _point_values(sysd.conn, pts, eta=eta)
+        values(names)
+        values(("ricci_sym",))
+        del values
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_check_symmetry_on_the_weighted_equation_reads_the_suite():
+    # on the A-weighted equation the suite's walk also gives L_eta Gamma, as
+    # max |conn_eq|; every number is invariance_suite's, to the bit
+    (doc, _argvs), = compare_cli().DEGENERATE.values()
+    doc = SystemDocument.from_dict(doc)
+    sysd, pts = doc.to_system(), doc._points
+    eta = VectorField.from_strings(2, ["-y2", "y1"])
+    out = check_symmetry(sysd, eta, pts)
+    assert out["equation"] == "full" and out["accepted"]
+    suite = {k: v.max_abs for k, v in invariance_suite(sysd, eta, pts).items()}
+    assert {k: float(v).hex() for k, v in out["invariance"].items()} == {k: v.hex() for k, v in suite.items()}
+    (conn_eq,) = _point_values(sysd.conn, pts, eta=eta)(("conn_eq",))
+    assert out["invariance"]["lie_gamma"] == float(np.max(np.abs(conn_eq)))

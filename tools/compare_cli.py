@@ -5,14 +5,15 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 197 commands and the six demos: 153 commands on fixtures/ (18 on
+It runs 200 commands and the six demos: 153 commands on fixtures/ (18 on
 each fixture, two more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
 extreme grid lengths, one whose --csv cannot be written and one whose
---dt times --steps overflows on EXTREME_LENGTH), 21 on HOSTILE, 6 on
-WIDE, 12 on SIGNED, 2 on TIGHT and 3 on MAPPED.  The second command on
-TRANSPORT_1024 takes a step beyond the stability heuristic at grid 32, so
-both of its evolutions, the flowed grid's too, warn for the CLI's line.
+--dt times --steps overflows on EXTREME_LENGTH), 22 on HOSTILE, 6 on
+WIDE, 12 on SIGNED, 2 on TIGHT, 2 on DEGENERATE and 3 on MAPPED.  The
+second command on TRANSPORT_1024 takes a step beyond the stability
+heuristic at grid 32, so both of its evolutions, the flowed grid's too,
+warn for the CLI's line.
 
 Each record holds the exit code, stdout, last error line, whether a traceback
 was printed, each warning other than the stability heuristic's ("warnings",
@@ -66,13 +67,17 @@ digits); the 2-D spec and the radial document
 also sample one point alone, so the second-order walk runs at P = 1.  One
 more (TIGHT) is TRANSPORT_1024's document with a `symmetry` tolerance of
 1e-30, which no residual of the field 1e-9*y1 meets: `check-symmetry` and
-`simulate --transport` must both refuse it.  The last one (MAPPED) is the
+`simulate --transport` must both refuse it.  One more (MAPPED) is the
 2-D constant-curvature spec carried through a shear of y1 along y2, its
 coefficients printed by to_string as a point-mapped document is, so each
 Gamma entry spells the same parenthesised groups out many times (report,
 check-symmetry with the pushed-forward rotation, bound --depth 2).  It is
 kept as data beside this tool, tools/mapped_constcurv_2d.json, so both
-checkouts parse the same bytes.  The other four sets are written to the
+checkouts parse the same bytes.  DEGENERATE has A = (y1^2 + y2^2) I, which
+vanishes at its first sample point, with the radial document's Gamma:
+check-symmetry takes the A-weighted connection equation there, accepts
+the rotation (the suite's L_eta Gamma is then the reduced residual) and
+refuses the translation.  The other five sets are written to the
 temporary directory, not to fixtures/, which the tests iterate over.
 
 Every command and demo runs in this interpreter, through `entry`: a
@@ -124,7 +129,8 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # the pointwise bound must refuse (exit 1), not print the rounding's rank.
 # sqrt(y1) is finite at the sample point y1 = 0 and its derivative is not,
 # which report, classify and check-symmetry must refuse naming the node
-# (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
+# (exit 1), and flatten, whose preconditions take sample points with y1 <
+# 0, naming the node where sqrt's argument is negative (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
 # finite and R's products overflow, which report must refuse naming the
 # field and the point (exit 1).  JSON booleans are no epsilons, although
 # True == 1 in Python (exit 1).  A dimension beyond the ceiling is refused
@@ -171,7 +177,7 @@ HOSTILE = {
     ),
     "hostile_branch.json": (
         {"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": BRANCH_GAMMA, "sample": [[0.0, 0.1], [0.2, 0.3]]},
-        (["report"], ["classify"], ["check-symmetry", "--eta=1,0"]),
+        (["report"], ["classify"], ["check-symmetry", "--eta=1,0"], ["flatten"]),
     ),
     "hostile_overflow.json": ({"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": OVERFLOW_GAMMA}, (["report"],)),
     "hostile_epsilons_bool.json": (
@@ -246,6 +252,15 @@ SIGNED = {
     ),
 }
 
+# A = (y1^2 + y2^2) I is singular at the first sample point, so
+# check-symmetry takes the A-weighted connection equation: the rotation is
+# accepted, and the translation refused
+DEGENERATE = {
+    "degenerate_radial.json": (
+        {**RADIAL, "A": [[RADIAL_S, "0"], ["0", RADIAL_S]], "sample": [[0, 0], [0.1, -0.2], [-0.3, 0.25]]},
+        (["check-symmetry", "--eta=-y2,y1"], ["check-symmetry", "--eta=1,0"]),
+    ),
+}
 
 # constcurv_2d_22_14 (a = 1, b = 0.5) carried by transform_system through the
 # point map y1 -> y1 + 0.2*y2^2 - 0.17*y2, its coefficients printed by
@@ -362,7 +377,7 @@ def _commands(tmp):
             yield name, ["simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--csv", "."]
             # t = dt*steps overflows: refused before the evolution (exit 1)
             yield name, ["simulate", path, "--dt", "1e308", "--steps", "2", "--grid", "16", "--initial", "1"]
-    for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT}.items():
+    for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT, **DEGENERATE}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
