@@ -35,6 +35,7 @@ from .geometry import (
     _check_form,
     _curvature_comps,
     _point_values,
+    _quadratic_plan,
     _ricci_halves,
     _structure_report,
     covariant_differential,
@@ -271,7 +272,8 @@ def deformed_curvature(conn, T):
     R = curvature(conn)
     nt = covariant_differential(conn, T).comps  # [i, deriv, k, s]
     first = SUB(ADD(R.comps, bcast(nt, "irks", "isrk")), bcast(nt, "ikrs", "isrk"))
-    return TensorField(conn.n, 1, 3, _add_quadratic(first[None], T.comps[None], ADD, SUB, MUL)[0])
+    quadratic = _add_quadratic(first[None], T.comps[None], ADD, SUB, MUL, _quadratic_plan(T.comps))
+    return TensorField(conn.n, 1, 3, quadratic[0])
 
 
 def deformation_from_covector(n, epsilons):
@@ -296,11 +298,12 @@ class FlattenResult:
     report: dict
 
 
-def projective_flatten(conn, p0, u0):
+def projective_flatten(conn, p0, u0, pts=None):
     """Deform a projectively-euclidean connection to a flat one.
 
     Checks the curvature structure and the symmetry of nabla(beta) first
-    (beta extracted from the Ricci split; each must stay within 1e-7), then
+    at the points pts (``as_points``: None gives the 20 sample points;
+    beta extracted from the Ricci split; each must stay within 1e-7), then
     transports the covector equation from (p0, u0) to the 5 points
     ``sample_points(n, 5, seed=11)`` and reports, as max-norms over them:
 
@@ -322,7 +325,7 @@ def projective_flatten(conn, p0, u0):
     p0 = as_points(p0, n, one=True)
     u0 = _initial_data(u0, n)
     _check_form("beta_14_1", n)
-    pts = sample_points(n, 20)
+    pts = as_points(pts, n)
     fields = ("curvature", "ricci_sym", "ricci_skew", "nabla_ricci")
     R, rh, rt, nabla_ricci = _point_values(conn, pts)((), fields)
     pre_structure = _structure_report("beta_14_1", R, rh, rt, pts)
@@ -349,7 +352,7 @@ def projective_flatten(conn, p0, u0):
     shift = MUL(bcast(u, "r", "krs"), bcast(delta, "ks", "krs"))
     gbar = ADD(ADD(_lift(conn.gamma, n, n), shift), bcast(shift, "ksr", "krs"))
     dgbar = _total_derivative(prob, gbar)
-    rbar = _curvature_comps(gbar[None], dgbar[None], ADD, SUB, MUL).reshape(-1)
+    rbar = _curvature_comps(gbar[None], dgbar[None], ADD, SUB, MUL, _quadratic_plan(gbar)).reshape(-1)
 
     probe = sample_points(n, 5, seed=11)
     straight, corner = [], []

@@ -78,6 +78,12 @@ __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 # within 25 MB and are checked before anything is allocated
 GRID_MAX = 2**20
 
+# simulate's largest |--tau|: the transport's flow takes steps in proportion
+# to |tau| (the rotation on constcurv_n3.json at grid 32 took 0.55 s at
+# tau = 100 and 4.3 s at 1000), so 1e308 would never end; checked before
+# anything is built
+TAU_MAX = 1e3
+
 # the largest dimension a document may declare: at n = 32 the curvature's
 # (20, n, n, n, n) float array at the sample points takes 168 MB, and n is
 # checked before anything is built
@@ -472,13 +478,13 @@ def cmd_canonical(args):
 
 
 def cmd_flatten(args):
-    doc, sysd, _pts = _load(args)
+    doc, sysd, pts = _load(args)
     if doc.n < 2:
         raise InputError("flatten needs a chart of dimension n >= 2")
     p0 = _parse_point(args.at, doc.n, "--at") if args.at else np.zeros(doc.n)
     u0 = _parse_point(args.u0, doc.n, "--u0") if args.u0 else np.zeros(doc.n)
     try:
-        res = projective_flatten(sysd.conn, p0, u0)
+        res = projective_flatten(sysd.conn, p0, u0, pts)
     except ExprError:  # a walk's fault is malformed input, as in every subcommand
         raise
     except ValueError as exc:  # a failed precondition
@@ -507,6 +513,8 @@ def cmd_simulate(args):
             raise InputError(f"{flag} must be a finite number > 0, got {val!r}")
     if not math.isfinite(args.tau):
         raise InputError(f"--tau must be finite, got {args.tau!r}")
+    if abs(args.tau) > TAU_MAX:
+        raise InputError(f"--tau must be at most {TAU_MAX:g} in magnitude, got {args.tau!r}")
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
     # a count beyond the float range cannot be multiplied: Python raises
@@ -619,7 +627,7 @@ COMMANDS = {
             help="symmetry field for the transport check, comma-separated; "
             "write --transport=-y2,y1 when the first component starts with '-'"
         ),
-        "--tau": dict(type=float, default=0.1),
+        "--tau": dict(type=float, default=0.1, help=f"flow time of the transport check, |tau| <= {TAU_MAX:g}"),
         "--csv": dict(help="write snapshots as CSV"),
     }),
     "report": (cmd_report, "full analysis pipeline", {}),

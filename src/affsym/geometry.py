@@ -17,15 +17,19 @@ a shortcut.
 Each formula is one body over arrays (see the note above ``_tree``): on
 Expr arrays it builds the trees that ``curvature``, ``ricci_and_s`` and
 ``covariant_differential`` keep or return; on numbers it gives their
-values.  ``_point_values``, the one engine for numbers at a document's
-points, runs the bodies on values and derivatives from one checked
-forward-mode walk, made at its first request and following the names
-asked for there: Gamma, and the metric, A and eta where given; the second
-derivatives of Gamma where nabla Ric is asked for, and of eta where a name
-outside the invariance suite is; and for a name of the suite (L_eta of R,
-Ric, S and nabla Ric), the Ric and R trees kept on the connection, Ric
-with its second derivatives, from which nabla Ric, S and their
-derivatives are formed on first-order duals.  (Nested duals on Gamma's
+values.  The curvature's quadratic part forms only the products whose two
+Gamma entries are not ZERO nodes (``_quadratic_plan``, read once per
+connection from its trees and kept on it): the trees fold the others
+away, and their values would add only zeros.  ``_point_values``, the one
+engine for numbers at a document's points, runs the bodies on values and
+derivatives from one checked forward-mode walk, made at its first
+request and following the names asked for there: Gamma, and the metric,
+A and eta where given; the second derivatives of Gamma where nabla Ric is
+asked for, and of eta where a name outside the invariance suite is; and
+for a name of the suite (L_eta of R, Ric, S and nabla Ric), the Ric and R
+trees kept on the connection, Ric with its second derivatives, from
+which nabla Ric, S and their derivatives are formed on first-order
+duals.  (Nested duals on Gamma's
 jets give the same numbers but ran slower at n = 4; forward mode on the
 trees keeps their sparsity.)  Its numbers equal the trees' walk in
 magnitude to the bit, and are the one path of ``structure_residual``,
@@ -46,7 +50,7 @@ import string
 
 import numpy as np
 
-from .expr import Expr, ExprError, const
+from .expr import ZERO, Expr, ExprError, const
 from .liefn import lie_terms
 from .tensor import (
     ADD,
@@ -95,6 +99,7 @@ class Connection:
         self.field = TensorField(n, 1, 2, gamma)
         self.curv = None  # the curvature tensor, built by curvature() on first use
         self.ricci = None  # ricci_and_s's fields, built on first use
+        self._plan = None  # _quadratic_plan(gamma), built on first use
 
     @property
     def n(self):
@@ -103,6 +108,14 @@ class Connection:
     @property
     def gamma(self):
         return self.field.comps
+
+    @property
+    def plan(self):
+        """``_quadratic_plan`` of gamma: the products of the curvature
+        formula's quadratic part that no ZERO coefficient folds away."""
+        if self._plan is None:
+            self._plan = _quadratic_plan(self.gamma)
+        return self._plan
 
     @classmethod
     def zeros(cls, n):
@@ -191,7 +204,8 @@ def curvature(conn):
     every later call returns that same field."""
     if conn.curv is None:
         G = conn.gamma
-        conn.curv = TensorField(conn.n, 1, 3, _tree(_curvature_comps, G, grad(G, conn.n)))
+        comps = _curvature_comps(G[None], grad(G, conn.n)[None], ADD, SUB, MUL, conn.plan)[0]
+        conn.curv = TensorField(conn.n, 1, 3, comps)
     return conn.curv
 
 
@@ -217,22 +231,58 @@ def _tree(body, *arrays):
     return body(*(a[None] for a in arrays), ADD, SUB, MUL)[0]
 
 
-def _curvature_comps(G, dG, add, sub, mul):
+def _curvature_comps(G, dG, add, sub, mul, plan):
     """The curvature formula on coefficients G[p, i, r, s] = Gamma^i_rs and
     their derivatives dG[p, i, r, s, k] = d Gamma^i_rs / dy^k, whatever
-    derivative produced them; comps[p, i, s, r, k] = R^i_srk."""
+    derivative produced them; comps[p, i, s, r, k] = R^i_srk.  plan is
+    ``_quadratic_plan`` of the Expr array whose values or trees G holds."""
     first = sub(bcast(dG, "piksr", "pisrk"), bcast(dG, "pirsk", "pisrk"))
-    return _add_quadratic(first, G, add, sub, mul)
+    return _add_quadratic(first, G, add, sub, mul, plan)
 
 
-def _add_quadratic(total, G, add, sub, mul):
+def _quadratic_plan(G):
+    """The products of the quadratic part of the curvature formula that
+    the trees keep, read from the ZERO entries of the Expr array G[i, r, s]
+    = Gamma^i_rs, never from its values: for each q in order, the add
+    G^q_ks G^i_rq, then the subtract G^q_rs G^i_kq, as (q, minus, kept)
+    with kept None where every (i, s, r, k) has two nonzero factors, else
+    the flat (i, s, r, k) entries that do and the flat G entries of their
+    factors; a product with no such entry is left out."""
+    n = G.shape[-1]
+    live = np.array([e is not ZERO for e in G.flat])
+    if live.all():  # every product on the whole arrays, without the index arithmetic below
+        return [(q, minus, None) for q in range(n) for minus in (0, 1)]
+    i, s, r, k = np.unravel_index(np.arange(n**4), (n,) * 4)  # the flat (i, s, r, k) entries
+    ks, rs, ir, ik = k * n + s, r * n + s, (i * n + r) * n, (i * n + k) * n
+    plan = []
+    for q in range(n):
+        # the flat G entries of G^q_ks and G^i_rq, then of G^q_rs and G^i_kq
+        for minus, (a, b) in enumerate(((q * n * n + ks, ir + q), (q * n * n + rs, ik + q))):
+            kept = np.flatnonzero(live[a] & live[b])
+            if len(kept):
+                plan.append((q, minus, None if len(kept) == len(a) else (kept, a[kept], b[kept])))
+    return plan
+
+
+def _add_quadratic(total, G, add, sub, mul, plan):
     """total^i_srk + sum_q (G^q_ks G^i_rq - G^q_rs G^i_kq), folded over q in
     that order: the quadratic part of the curvature formula, shared by
-    curvature and the deformation identity."""
+    curvature and the deformation identity.  Only the products that plan
+    (``_quadratic_plan`` of G's Expr array) keeps are formed, on the whole
+    arrays where it keeps every entry, else gathered.  A left-out product
+    has a ZERO factor: the trees fold it away (x + ZERO*y is x), and on
+    finite numbers it is a zero, which the sum skips as the trees do."""
     ks, rq = bcast(G, "pqks", "pisrkq"), bcast(G, "pirq", "pisrkq")
     rs, kq = bcast(G, "pqrs", "pisrkq"), bcast(G, "pikq", "pisrkq")
-    for q in range(G.shape[-1]):  # one q at a time: no array over all q
-        total = sub(add(total, mul(ks[..., q], rq[..., q])), mul(rs[..., q], kq[..., q]))
+    g, total = G.reshape(len(G), -1), total.copy()
+    for q, minus, kept in plan:  # one q at a time: no array over all q
+        op, a, b = (sub, rs, kq) if minus else (add, ks, rq)
+        if kept is None:
+            total = op(total, mul(a[..., q], b[..., q]))
+        else:
+            out, ia, ib = kept
+            flat = total.reshape(len(total), -1)  # a view: total is contiguous
+            flat[:, out] = op(flat[:, out], mul(g[:, ia], g[:, ib]))
     return total
 
 
@@ -464,7 +514,7 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
         if "ricci" not in memo:
             g, dg, *ddg = jets["gamma"]
             jet = (_dual(g, dg), _dual(dg, *ddg), np.add, np.subtract, _dual_mul(n)) if ddg else (g, dg, *ops)
-            R = _curvature_comps(*jet)
+            R = _curvature_comps(*jet, conn.plan)
             memo["curvature"] = R[: len(pts)]
             memo["ricci"], memo["s"] = _ricci_contractions(R, np.add)
         return memo["ricci"]

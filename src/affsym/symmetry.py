@@ -388,7 +388,8 @@ def _taylor_rows(sys, p0, depth):
     ops = (np.add, np.subtract)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            curv = _curvature_comps(g[: low.size], taylor_tables(n, depth + 1).grad(g), *ops, low.mul)
+            dg = taylor_tables(n, depth + 1).grad(g)
+            curv = _curvature_comps(g[: low.size], dg, *ops, low.mul, sys.conn.plan)
             rows.append(_lie_rows(*_undual(curv[: n + 1], n), 1))
             if depth == 2:
                 ric = _ricci_contractions(curv, np.add)[0]

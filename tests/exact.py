@@ -192,7 +192,8 @@ def exact_bounds(sysd, p0, depth=2):
     if depth >= 1:
         g = _array(taylor(sysd.conn.gamma.flat, p0, depth + 1), sysd.conn.gamma.shape)
         low = np.frompyfunc(lambda p: p.truncate(depth), 1, 1)(g)
-        curv = _curvature_comps(low[None], _grad(g, n)[None], np.add, np.subtract, np.multiply)
+        ops = np.add, np.subtract, np.multiply
+        curv = _curvature_comps(low[None], _grad(g, n)[None], *ops, sysd.conn.plan)
         blocks.append(_rows(*_jet(curv[0], n), 1, n))
     if depth >= 2:
         ric = _ricci_contractions(curv, np.add)[0]

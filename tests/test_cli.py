@@ -245,6 +245,25 @@ def test_flatten_names_a_gamma_whose_second_derivatives_are_not_finite(tmp_path,
     assert (code, capsys.readouterr()) == (1, ("", "error: non-finite constant inf\n"))
 
 
+def test_flatten_judges_its_preconditions_at_the_documents_points(tmp_path, capsys):
+    # Gamma^1_11 = sqrt(y1 + 0.36) is flat and defined where y1 >= -0.36:
+    # at the document's sample, not at the 20 sample points (the first has
+    # y1 = -0.375), and on every transport path from y = 0 to the probes
+    # (y1 >= -0.344)
+    doc = {
+        "n": 2,
+        "A": [["1", "0"], ["0", "1"]],
+        "Gamma": {"1": [["sqrt(y1 + 0.36)", "0"], ["0", "0"]]},
+        "sample": [[0.1, 0.2], [-0.2, 0.3]],
+    }
+    assert sample_points(2, 20)[:, 0].min() < -0.36 < sample_points(2, 5, seed=11)[:, 0].min()
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps(doc))
+    code, data = run(capsys, "flatten", str(path))
+    assert code == 0
+    assert data["precondition_structure"] == data["precondition_nabla_beta"] == 0
+
+
 def test_flatten_rejects_generic(tmp_path, capsys):
     doc = {
         "n": 2,
@@ -1586,6 +1605,15 @@ SIM = ["--dt", "0.001", "--steps", "4"]
             ["simulate", fixture("flat_n2.json"), *SIM, "--tau", "inf"],
             "--tau must be finite, got inf",
         ),
+        # the transport's work grows with |tau|: refused before any is done
+        (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--transport=1,0", "--tau", "1e308"],
+            "--tau must be at most 1000 in magnitude, got 1e+308",
+        ),
+        (
+            ["simulate", fixture("flat_n2.json"), *SIM, "--transport=1,0", "--tau=-1000.5"],
+            "--tau must be at most 1000 in magnitude, got -1000.5",
+        ),
         (
             ["check-symmetry", fixture("flat_n2.json"), "--eta=1"],
             "--eta needs 2 comma-separated components",
@@ -1627,6 +1655,8 @@ SIM = ["--dt", "0.001", "--steps", "4"]
         "steps-zero",
         "tau-nan",
         "tau-inf",
+        "tau-beyond",
+        "tau-beyond-negative",
         "eta-count",
         "eta-component",
         "transport-count",

@@ -20,8 +20,8 @@ from affsym.cli import SystemDocument, main, render_json
 from affsym.expr import DomainError, ExprError
 from affsym.geometry import _field_tree, _point_values, curvature, ricci_and_s, transform_system
 from affsym.liefn import VectorField
-from affsym.symmetry import check_symmetry, invariance_suite
-from affsym.tensor import PointMap, TensorField, eval_arrays, grad
+from affsym.symmetry import _taylor_rows, check_symmetry, invariance_suite
+from affsym.tensor import PointMap, TensorField, bcast, eval_arrays, grad
 from affsym.util import sample_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -298,3 +298,113 @@ def test_check_symmetry_on_the_weighted_equation_reads_the_suite():
     assert {k: float(v).hex() for k, v in out["invariance"].items()} == {k: v.hex() for k, v in suite.items()}
     (conn_eq,) = _point_values(sysd.conn, pts, eta=eta)(("conn_eq",))
     assert out["invariance"]["lie_gamma"] == float(np.max(np.abs(conn_eq)))
+
+
+# The quadratic part of the curvature formula over the products that
+# Gamma's ZERO entries leave (geometry._quadratic_plan), against every pair
+# as the formula reads: the same trees, and the same bits at the points.
+PLAN_SPECS = {
+    f"{kind}_n{n}{tag}": CanonicalSpec(kind, n=n, **kw)
+    for n in (1, 2, 3, 4)
+    for kind, tag, kw in (
+        ("maximal_7_11", "", {}),
+        ("intermediate_17_19", "_m1", {"m": 1, "u": ("1.2 + y1",)}),
+        ("intermediate_17_19", "_m2", {"m": 2, "u": ("y1*y2", "y2^2 - y1")}),
+        ("constcurv_22_13", "", {}),
+        ("constcurv_22_13", "_split", {"epsilons": (1, -1) * (n // 2)}),
+        ("constcurv_2d_22_14", "", {"b": 0.5}),
+        ("scalar_23_1", "", {"u": ("sin(y1)",)}),
+    )
+    if (kind in ("maximal_7_11", "scalar_23_1") or n >= 2)
+    and (kind != "constcurv_2d_22_14" or n == 2)
+    and (kind != "scalar_23_1" or n == 1)
+    and not (tag == "_split" and n % 2)
+}
+# Gamma^1_11 = y1 - y1 is zero at every point but no ZERO node: its
+# products stay, so every pair is formed
+ZERO_VALUED = {"1": [["y1 - y1", "y2"], ["y2", "y1*y2"]], "2": [["y1", "1 + y2"], ["1 + y2", "y1^2"]]}
+
+
+def _plan_case(name):
+    """A system and points: a fixture's, a canonical kind's or the
+    zero-valued Gamma's at the 20 sample points; compare_cli's n = 4
+    point-mapped intermediate document's, or a SIGNED document's at its
+    own points."""
+    if name in SIGNED or name == "mapped_intermediate_n4.json":
+        doc = SIGNED.get(name)
+        doc = SystemDocument.from_dict(doc) if doc else SystemDocument.load(compare_cli().MAPPED_N4)
+        return doc.to_system(), doc._points
+    if name == "zero_valued":
+        sysd = SystemDocument.from_dict({"n": 2, "A": [["1", "0"], ["0", "1"]], "Gamma": ZERO_VALUED}).to_system()
+    else:
+        sysd = _system(name) if name.endswith(".json") else build_system(PLAN_SPECS[name])
+    return sysd, sample_points(sysd.n, 20)
+
+
+def _dense_quadratic(total, G, add, sub, mul, plan):
+    ks, rq = bcast(G, "pqks", "pisrkq"), bcast(G, "pirq", "pisrkq")
+    rs, kq = bcast(G, "pqrs", "pisrkq"), bcast(G, "pikq", "pisrkq")
+    for q in range(G.shape[-1]):
+        total = sub(add(total, mul(ks[..., q], rq[..., q])), mul(rs[..., q], kq[..., q]))
+    return total
+
+
+def _curvature_outputs(name):
+    """R's trees, the values of R, the Ricci split and nabla Ric at the
+    points, and the bound's Taylor rows at the first point (or the error
+    that refuses them), from a new system."""
+    sysd, pts = _plan_case(name)
+    names = ("curvature", "ricci", "s", "ricci_sym", "ricci_skew", "nabla_ricci")
+    values = _point_values(sysd.conn, pts)(names)
+    try:
+        rows = _taylor_rows(sysd, pts[0], 2)
+    except ExprError as exc:
+        rows = str(exc)
+    return curvature(sysd.conn).comps, values, rows
+
+
+PLAN_CASES = sorted(os.listdir(FIXTURES)) + sorted(PLAN_SPECS) + sorted(SIGNED)
+PLAN_CASES += ["mapped_intermediate_n4.json", "zero_valued"]
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+def test_curvature_over_the_plan_is_the_dense_formula(monkeypatch, name):
+    tree, values, rows = _curvature_outputs(name)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_add_quadratic", _dense_quadratic)
+        want_tree, want_values, want_rows = _curvature_outputs(name)
+    assert all(a is b for a, b in zip(tree.flat, want_tree.flat))
+    for a, b in zip(values, want_values):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(want_rows, str):
+        assert rows == want_rows
+    else:
+        assert [a.tobytes() for a in rows] == [b.tobytes() for b in want_rows]
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [
+        ("maximal_7_11_n4", 0),  # Gamma is ZERO throughout
+        ("constcurv_22_13_n4", 800),
+        ("constcurv_22_13_n4_split", 800),
+        ("mapped_intermediate_n4.json", 36),
+        ("constcurv_22_13_n2", 64),  # in 2-D every pair, on the whole arrays
+        ("constcurv_2d_22_14_n2", 64),
+        ("zero_valued", 64),
+    ],
+)
+def test_the_quadratic_part_multiplies_the_pairs_with_no_zero_factor(name, count):
+    # of the 2 n^5 products, those with no ZERO factor
+    conn = _plan_case(name)[0].conn
+    n, made = conn.n, []
+
+    def mul(a, b):
+        out = np.multiply(a, b)
+        made.append(out.size)
+        return out
+
+    total, G = np.zeros((1,) + (n,) * 4), np.ones((1,) + (n,) * 3)
+    geometry._add_quadratic(total, G, np.add, np.subtract, mul, conn.plan)
+    assert sum(made) == count
+    assert (count == 2 * n**5) == ([kept for *_, kept in conn.plan] == [None] * 2 * n)

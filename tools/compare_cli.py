@@ -5,12 +5,13 @@ show that a change leaves the answers unchanged.
     python tools/compare_cli.py run SRC_DIR OUT.json     # SRC_DIR holds affsym/
     python tools/compare_cli.py diff BEFORE.json AFTER.json
 
-It runs 200 commands and the six demos: 153 commands on fixtures/ (18 on
+It runs 207 commands and the six demos: 154 commands on fixtures/ (18 on
 each fixture, two more on TRANSPORT_1024, one on PADDED_1001, one on
 REFUSED_BLOW_UP, one at the smallest grid on SMALLEST_8, and two at
-extreme grid lengths, one whose --csv cannot be written and one whose
---dt times --steps overflows on EXTREME_LENGTH), 22 on HOSTILE, 6 on
-WIDE, 12 on SIGNED, 2 on TIGHT, 2 on DEGENERATE and 3 on MAPPED.  The
+extreme grid lengths, one whose --csv cannot be written, one whose
+--dt times --steps overflows and one whose --tau is beyond TAU_MAX on
+EXTREME_LENGTH), 22 on HOSTILE, 9 on WIDE, 12 on SIGNED, 2 on TIGHT, 2 on
+DEGENERATE, 3 on MAPPED and 3 on MAPPED_N4.  The
 second command on TRANSPORT_1024 takes a step beyond the stability
 heuristic at grid 32, so both of its evolutions, the flowed grid's too,
 warn for the CLI's line.
@@ -48,11 +49,14 @@ connection whose Taylor coefficients cancel at the bound's point, one whose
 derivative is not finite at a sample point, one whose curvature
 overflows, a constant-curvature spec whose epsilons are JSON
 booleans, and an explicit document and a canonical spec whose dimension n
-is beyond the largest supported.  No fixture has n = 4, so three documents
+is beyond the largest supported.  No fixture has n = 4, so four documents
 there (WIDE) run too: the constant-curvature spec with the default epsilons
 and with [1, 1, -1, -1] (check-symmetry with a rotation, canonical) and an intermediate spec with
 m = 2 (check-symmetry, bound); their invariance values are at rounding
-level, so they pin the suite's bits at n = 4.  Five more (SIGNED) sample
+level, so they pin the suite's bits at n = 4.  The fourth is the maximal
+spec (report, curvature, whose printed zeros pin their signs, and bound
+--depth 2), whose Gamma is ZERO throughout, so the curvature formula's
+quadratic part forms none of its 2,048 products.  Five more (SIGNED) sample
 points with 0.0 and -0.0 coordinates, where the second derivatives' signed
 zeros show: the constant-curvature specs at n = 3 and in 2-D
 (check-symmetry with a rotation, canonical; in 2-D also with the rotation
@@ -73,8 +77,16 @@ coefficients printed by to_string as a point-mapped document is, so each
 Gamma entry spells the same parenthesised groups out many times (report,
 check-symmetry with the pushed-forward rotation, bound --depth 2).  It is
 kept as data beside this tool, tools/mapped_constcurv_2d.json, so both
-checkouts parse the same bytes.  DEGENERATE has A = (y1^2 + y2^2) I, which
-vanishes at its first sample point, with the radial document's Gamma:
+checkouts parse the same bytes.  MAPPED_N4,
+tools/mapped_intermediate_n4.json, is the intermediate spec at n = 4 (a =
+1.3, m = 1, u = 1.2) carried through the shear y3 -> y3 + 0.25*y2^2 -
+0.1*y2 and printed the same way, as the benchmark's point-mapped
+documents are: 36 of the quadratic part's 2,048 products have no ZERO
+factor, and some entries are zero at every point without being ZERO
+(report, check-symmetry with the pushed-forward field 0.3, 0.5 + y3, -y2
++ 0.2*y4, 0.7*y4 - y3, bound --depth 2).  DEGENERATE has A = (y1^2 +
+y2^2) I, which vanishes at its first sample point, with the radial
+document's Gamma:
 check-symmetry takes the A-weighted connection equation there, accepts
 the rotation (the suite's L_eta Gamma is then the reduced residual) and
 refuses the translation.  The other five sets are written to the
@@ -128,11 +140,11 @@ INSPECT_SIMULATE = (["inspect"], ["simulate", "--grid", "16", "--dt", "0.001", "
 # chain rule of cos(sqrt(1e-80 + y1)) sums terms of 1.25e79 that cancel, and
 # the pointwise bound must refuse (exit 1), not print the rounding's rank.
 # sqrt(y1) is finite at the sample point y1 = 0 and its derivative is not,
-# which report, classify and check-symmetry must refuse naming the node
-# (exit 1), and flatten, whose preconditions take sample points with y1 <
-# 0, naming the node where sqrt's argument is negative (exit 1); on the 1e200*y1 connection Gamma and its derivatives are
-# finite and R's products overflow, which report must refuse naming the
-# field and the point (exit 1).  JSON booleans are no epsilons, although
+# which report, classify, check-symmetry and flatten, whose preconditions
+# take the document's points too, must refuse naming the node (exit 1); on
+# the 1e200*y1 connection Gamma and its derivatives are finite and R's
+# products overflow, which report must refuse naming the field and the
+# point (exit 1).  JSON booleans are no epsilons, although
 # True == 1 in Python (exit 1).  A dimension beyond the ceiling is refused
 # before anything of size n is built (exit 1), where Gamma's n^3 entries
 # would not fit in memory and numpy would refuse a canonical array's size.
@@ -198,6 +210,9 @@ WIDE = {
     "n4_intermediate.json": (
         {"canonical": {"kind": "intermediate_17_19", "n": 4, "m": 2, "u": ["y1", "y2"]}},
         (["check-symmetry", "--eta=0,0,y4,-y3"], ["bound"]),
+    ),
+    "n4_maximal.json": (
+        {"canonical": {"kind": "maximal_7_11", "n": 4}}, (["report"], ["curvature"], ["bound", "--depth", "2"])
     ),
 }
 # Sample points with coordinates 0.0 and -0.0, where a term the trees fold
@@ -267,6 +282,16 @@ DEGENERATE = {
 # to_string, and the rotation -y2, y1 pushed forward by that map
 MAPPED = os.path.join(HERE, "mapped_constcurv_2d.json")
 MAPPED_ETA = "-y2 + (y1 - (0.2*y2^2 - 0.17*y2))*(0.2*(2*y2) - 0.17),y1 - (0.2*y2^2 - 0.17*y2)"
+# intermediate_17_19 (n = 4, a = 1.3, m = 1, u = 1.2) carried by
+# transform_system through y3 -> y3 + 0.25*y2^2 - 0.1*y2, printed by
+# to_string, and the symmetry 0.3, 0.5 + y3, -y2 + 0.2*y4, 0.7*y4 - y3
+# pushed forward by that map
+MAPPED_N4 = os.path.join(HERE, "mapped_intermediate_n4.json")
+MAPPED_N4_ETA = (
+    "0.3,0.5 + (y3 - (0.25*y2^2 - 0.1*y2)),"
+    "(0.5 + (y3 - (0.25*y2^2 - 0.1*y2)))*(0.25*(2*y2) - 0.1) + (-y2 + 0.2*y4),"
+    "0.7*y4 - (y3 - (0.25*y2^2 - 0.1*y2))"
+)
 
 
 # the translation y1 -> y1 + tau passes the determining equations here
@@ -377,14 +402,19 @@ def _commands(tmp):
             yield name, ["simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--csv", "."]
             # t = dt*steps overflows: refused before the evolution (exit 1)
             yield name, ["simulate", path, "--dt", "1e308", "--steps", "2", "--grid", "16", "--initial", "1"]
+            # a flow time beyond TAU_MAX: refused before anything is built (exit 1)
+            yield name, [
+                "simulate", path, "--dt", "1e-3", "--steps", "2", "--grid", "16", "--transport=1", "--tau", "1e308"
+            ]
     for name, (doc, argvs) in {**HOSTILE, **WIDE, **SIGNED, **TIGHT, **DEGENERATE}.items():
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp)
         for argv in argvs:
             yield name, [argv[0], path] + argv[1:]
-    for argv in (["report"], ["check-symmetry", "--eta=" + MAPPED_ETA], ["bound", "--depth", "2"]):
-        yield os.path.basename(MAPPED), [argv[0], MAPPED] + argv[1:]
+    for path, eta in ((MAPPED, MAPPED_ETA), (MAPPED_N4, MAPPED_N4_ETA)):
+        for argv in (["report"], ["check-symmetry", "--eta=" + eta], ["bound", "--depth", "2"]):
+            yield os.path.basename(path), [argv[0], path] + argv[1:]
 
 
 def demos(src):
