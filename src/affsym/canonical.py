@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .expr import Expr, ZERO, const, diff_expr, eval_many, eval_many_shared, func, mul, parse_expr
+from .expr import ONE, Expr, ZERO, const, diff_expr, eval_many, eval_many_shared, func, mul, parse_expr
 from .geometry import (
     Connection,
     DiffusionSystem,
@@ -47,13 +47,11 @@ from .pfaff import (
     _beta_from_connection,
     _coords,
     _initial_data,
-    _lift,
-    _total_derivative,
     named_system,
     pfaff_integrate,
     transport_to,
 )
-from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant
+from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant, split_rows
 from .util import as_points, max_report, sample_points
 
 __all__ = [
@@ -309,8 +307,8 @@ def projective_flatten(conn, p0, u0, pts=None):
 
     - flat_curvature: the curvature of the deformed connection
       Gamma + u (x) id + id (x) u, by the formula of ``geometry.curvature``
-      with exact derivatives, dGamma/dy symbolic and du/dy = G(u, y) from the
-      covector equation, evaluated at the transported u;
+      on numbers at the transported u: Gamma and dGamma/dy from one forward-
+      mode walk, du/dy = G(u, y) from the covector equation;
     - path_gap: |U(y) straight - U(y) cornered|, U transported from p0
       along the segment to y and along p0 -> (y^1, p0^2, .., p0^n) -> y.
       Once du/dy = G(u, y) the curvature above vanishes for any u, so this
@@ -347,13 +345,6 @@ def projective_flatten(conn, p0, u0, pts=None):
             f"nabla(beta) symmetry {pre_symmetry.max_abs:.3e}"
         )
     prob = named_system("covector_14", conn=conn, beta=beta, p0=p0, u0=u0)
-    # Gammabar^k_rs = Gamma^k_rs + u_r d^k_s + u_s d^k_r over the (u, y) block
-    u, delta = _coords(1, n), TensorField.identity(n).comps
-    shift = MUL(bcast(u, "r", "krs"), bcast(delta, "ks", "krs"))
-    gbar = ADD(ADD(_lift(conn.gamma, n, n), shift), bcast(shift, "ksr", "krs"))
-    dgbar = _total_derivative(prob, gbar)
-    rbar = _curvature_comps(gbar[None], dgbar[None], ADD, SUB, MUL, _quadratic_plan(gbar)).reshape(-1)
-
     probe = sample_points(n, 5, seed=11)
     straight, corner = [], []
     for y in probe:
@@ -363,7 +354,16 @@ def projective_flatten(conn, p0, u0, pts=None):
         except TransportError as exc:
             exc.args = (f"{exc} on the path to probe {_at(y)}",)
             raise
-    block = np.concatenate([straight, probe], axis=1)
-    report["flat_curvature"] = max_report(eval_many_shared(rbar, block).T, probe)
+    # Gammabar^k_rs = Gamma^k_rs + u_r d^k_s + u_s d^k_r and its derivatives, du_r/dy^q = G^r_q
+    jets = eval_many_shared(conn.gamma.reshape(-1), probe, jets=True)
+    g, dg = (split_rows(rows, [conn.gamma])[0] for rows in jets)
+    du, delta = np.array([prob.rhs_values(u, y) for u, y in zip(straight, probe)]), np.eye(n)
+    with np.errstate(all="ignore"):  # unchecked values: an overflow reads inf
+        shift = bcast(np.asarray(straight), "pr", "pkrs") * bcast(delta, "ks", "pkrs")
+        dshift = bcast(du, "prq", "pkrsq") * bcast(delta, "ks", "pkrsq")
+        gbar, dgbar = (g + shift) + shift.swapaxes(2, 3), dg + (dshift + dshift.swapaxes(2, 3))
+        plan = _quadratic_plan(np.where(delta[:, None] + delta[:, :, None] > 0, ONE, conn.gamma))
+        rbar = _curvature_comps(gbar, dgbar, np.add, np.subtract, np.multiply, plan)
+        report["flat_curvature"] = max_report(rbar.reshape(len(probe), -1), probe)
     report["path_gap"] = max_report(np.subtract(straight, corner), probe)
     return FlattenResult(u=partial(transport_to, prob), report=report)

@@ -25,13 +25,12 @@ engine for numbers at a document's points, runs the bodies on values and
 derivatives from one checked forward-mode walk, made at its first
 request and following the names asked for there: Gamma, and the metric,
 A and eta where given; the second derivatives of Gamma where nabla Ric is
-asked for, and of eta where a name outside the invariance suite is; and
-for a name of the suite (L_eta of R, Ric, S and nabla Ric), the Ric and R
-trees kept on the connection, Ric with its second derivatives, from
-which nabla Ric, S and their derivatives are formed on first-order
-duals.  (Nested duals on Gamma's
-jets give the same numbers but ran slower at n = 4; forward mode on the
-trees keeps their sparsity.)  Its numbers equal the trees' walk in
+asked for, and of eta where a determining residual is; and for a name of
+the suite (L_eta of R, Ric, S and nabla Ric), the Ric and R trees kept on
+the connection, Ric with its second derivatives, from which nabla Ric, S
+and their derivatives are formed on first-order duals.  (Nested duals on
+Gamma's jets give the same numbers but ran slower at n = 4; forward mode
+on the trees keeps their sparsity.)  Its numbers equal the trees' walk in
 magnitude to the bit, and are the one path of ``structure_residual``,
 ``symmetry.classify``, the determining residuals, the invariance suite,
 the CLI's report, classify and canonical checks, and the signed values
@@ -467,6 +466,7 @@ def _dual_mul(n):
 
 
 SUITE = ("lie_curvature", "lie_ricci", "lie_s", "lie_nabla_ricci")
+DETERMINING = ("lie_a", "conn_eq", "conn_eq_full")
 
 
 def _point_values(conn, pts, *, metric=None, A=None, eta=None):
@@ -484,31 +484,41 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
 
     The first request makes the one checked walk (``eval_jets``) of what
     its names need (see the module docstring; Ric and R walk first and
-    last), and later requests read it.  Its second derivatives are bitwise
-    those of the grad trees, and it raises its ExprError where a value or
-    derivative is not finite.  The bodies run on those with numpy's add
-    and subtract, on ``_dual_mul``'s duals where a derivative of R, Ric,
-    nabla Ric or S is needed.  Grouped as the trees are, each number is
-    the trees' value: the smart constructors drop only identity operations
-    (x*0, x*1, x+0, 0-x, -(-x)) and fold constants in the same floats, so
-    the two differ at most in the sign of an exact zero.  The bodies only
-    add, subtract and multiply finite numbers, so a checked name that is
-    not finite overflowed, and raises ExprError naming it and its first
-    such point ("curvature is not finite at y = [...]"); the first checked
-    suite name so names nabla_ricci, then s, with their derivatives.
-    Unchecked names keep their IEEE values."""
+    last), and later requests read it: a later name that needs jets it did
+    not take raises ValueError ("... name it at the first request").  Its
+    second derivatives are bitwise those of the grad trees, and it raises
+    its ExprError where a value or derivative is not finite.  The bodies
+    run on those with numpy's add and subtract, on ``_dual_mul``'s duals
+    where a derivative of R, Ric, nabla Ric or S is needed.  Grouped as
+    the trees are, each number is the trees' value: the smart constructors
+    drop only identity operations (x*0, x*1, x+0, 0-x, -(-x)) and fold
+    constants in the same floats, so the two differ at most in the sign of
+    an exact zero.  The bodies only add, subtract and multiply finite
+    numbers, so a checked name that is not finite overflowed, and raises
+    ExprError naming it and its first such point ("curvature is not finite
+    at y = [...]"); the first checked suite name checks the jets of
+    nabla_ricci, then of s, before itself.  Unchecked names keep their
+    IEEE values."""
     n = conn.n
     ops = (np.add, np.subtract, np.multiply)
     jets, memo = {}, {}  # jets: root -> (values, first derivatives[, second derivatives])
 
-    def walk(asked):
+    def needs(asked):
+        """The roots a walk for the names asked takes (see the module
+        docstring), each with whether its second derivatives too."""
         suite = not set(SUITE).isdisjoint(asked)
-        twice = {"ricci": suite, "gamma": "nabla_ricci" in asked, "eta": not set(asked) <= set(SUITE)}
-        roots = {"ricci": ricci_and_s(conn)["ricci"] if suite else None, "gamma": conn.field, "eta": eta}
-        roots.update(curvature=curvature(conn) if suite else None, metric=metric, A=A)
-        first = [k for k, f in roots.items() if f is not None and twice.get(k)]
-        keys = first + [k for k, f in roots.items() if f is not None and k not in first]
-        jets.update(zip(keys, eval_jets([roots[k].comps for k in keys], pts, second=len(first))))
+        roots = {"ricci": suite, "gamma": True, "eta": eta is not None, "curvature": suite}
+        roots.update(metric=metric is not None, A=A is not None)
+        twice = {"ricci": suite, "gamma": "nabla_ricci" in asked, "eta": bool(set(DETERMINING) & set(asked))}
+        return {k: twice.get(k, False) for k, walked in roots.items() if walked}
+
+    def walk(asked):
+        need = needs(asked)
+        keys = sorted(need, key=lambda k: not need[k])  # those with second derivatives first
+        roots = {"gamma": conn.field, "eta": eta, "metric": metric, "A": A}
+        if "ricci" in need:
+            roots.update(ricci=ricci_and_s(conn)["ricci"], curvature=curvature(conn))
+        jets.update(zip(keys, eval_jets([roots[k].comps for k in keys], pts, second=sum(need.values()))))
 
     def ricci():  # Ric and S, as _dual arrays with their derivatives where Gamma's second ones were walked
         if "ricci" not in memo:
@@ -532,7 +542,7 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
         return memo["lies"]
 
     def number(name):
-        g, dg, *ddg = jets["gamma"]
+        g, dg, *_ = jets["gamma"]
         if name in SUITE:
             return lies()[name]
         if name in ("curvature", "ricci", "s"):
@@ -541,8 +551,6 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
         if name in ("ricci_sym", "ricci_skew"):
             return _ricci_halves(ricci()[: len(pts)], *ops, 0.5)[name == "ricci_skew"]
         if name == "nabla_ricci":
-            if not ddg:
-                raise ValueError("nabla_ricci needs Gamma's second derivatives: name it at the first request")
             return _nabla_terms(g, *_undual(ricci(), n), 0, *ops)
         if name == "nabla_metric":
             return _nabla_terms(g, *jets["metric"], 0, *ops)
@@ -557,12 +565,19 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
         return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
 
     def values(names, unchecked=()):
+        asked = (*names, *unchecked)
         if not jets:
-            walk((*names, *unchecked))
+            walk(asked)
+        else:  # a later request reads the first one's walk: each name's jets must be in it
+            for name in asked:
+                if any(len(jets.get(k, ())) < 2 + t for k, t in needs((name,)).items()):
+                    msg = "needs jets the first walk did not take: name it at the first request"
+                    raise ValueError(f"{name} {msg}")
         with np.errstate(all="ignore"):
-            out = [number(x) for x in (*names, *unchecked)]
-        for name, v in zip(names, out):  # the suite's jets are checked once, at its first checked name
-            for field, arrays in memo.pop("checked", ()) if name in SUITE else ((name, (v,)),):
+            out = [number(x) for x in asked]
+        for name, v in zip(names, out):  # the suite's jets are checked once, before its first checked name
+            checks = memo.pop("checked", ()) if name in SUITE else ()
+            for field, arrays in (*checks, (name, (v,))):
                 _require_finite(field, pts, *arrays)
         return out
 
@@ -577,9 +592,10 @@ def _at(p):
 def _require_finite(name, pts, *arrays):
     """Raise ExprError naming the field ``name`` and the first of the
     points pts (P, n) where an entry of an array (P, ...) is not finite."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
     finite = np.logical_and.reduce([np.isfinite(a.reshape(len(pts), -1)).all(axis=1) for a in arrays])
-    if not finite.all():
-        raise ExprError(f"{name} is not finite at {_at(pts[np.argmin(finite)])}")
+    raise ExprError(f"{name} is not finite at {_at(pts[np.argmin(finite)])}")
 
 
 def metric_connection(g, pts=None):

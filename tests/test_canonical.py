@@ -2,6 +2,7 @@
 projective-flattening pipeline."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,21 +17,27 @@ from affsym.canonical import (
     projective_flatten,
     rotation_field,
 )
-from affsym.expr import ZERO, const, coord, diff_expr, eval_expr, parse_expr
+from affsym.cli import SystemDocument
+from affsym.expr import ZERO, const, coord, diff_expr, eval_expr, eval_many_shared, parse_expr
 from affsym.geometry import (
     Connection,
+    _curvature_comps,
+    _quadratic_plan,
     covariant_differential,
     curvature,
     ricci_and_s,
     structure_residual,
 )
-from affsym.pfaff import TransportError
+from affsym.pfaff import TransportError, _coords, _lift, transport_to
 from affsym.symmetry import classify
-from affsym.tensor import TensorField
-from affsym.util import sample_points
+from affsym.tensor import ADD, MUL, SUB, TensorField, bcast, fold, grad
+from affsym.util import max_report, sample_points
 
 from test_geometry import conformal_metric as independent_metric
 from test_geometry import constcurv_connection as independent_connection
+from test_ode import _hex
+from test_pfaff import count_diffs
+from test_point_values import FIXTURES, SPECS
 
 
 def test_maximal_build():
@@ -348,3 +355,44 @@ def test_flatten_curvature_is_the_limit_of_finite_differences():
     # mutation: a covector off by a constant is not flattening, at every h
     off = [np.max(np.abs(_fd_curvature(_deformed_sampler(conn, res.u, 0.01), y, h))) for h in hs]
     assert min(off) > 1e-2 and max(off) < 2 * min(off)
+
+
+def _tree_flat_curvature(conn, prob):
+    """The oracle: flat_curvature by the derivative trees of the (u, y)
+    block, Gammabar = Gamma + u (x) id + id (x) u over it and D_p Gammabar
+    by grad over all 2n coordinates and the chain rule through u built as
+    Exprs, walked at the straight transport's u at the 5 probes."""
+    n = conn.n
+    u, delta = _coords(1, n), TensorField.identity(n).comps
+    shift = MUL(bcast(u, "r", "krs"), bcast(delta, "ks", "krs"))
+    gbar = ADD(ADD(_lift(conn.gamma, n, n), shift), bcast(shift, "ksr", "krs"))
+    dX = grad(gbar, 2 * n)
+    dgbar = fold(dX[..., n:], (ADD, MUL(np.expand_dims(dX[..., :n], -2), prob.rhs.T)))
+    rbar = _curvature_comps(gbar[None], dgbar[None], ADD, SUB, MUL, _quadratic_plan(gbar)).reshape(-1)
+    probe = sample_points(n, 5, seed=11)
+    block = np.concatenate([[transport_to(prob, y) for y in probe], probe], axis=1)
+    return max_report(eval_many_shared(rbar, block).T, probe)
+
+
+FLATTEN_CASES = [f for f in sorted(os.listdir(FIXTURES)) if f != "heat_n1.json"]  # n >= 2
+FLATTEN_CASES += [name for name, spec in SPECS.items() if spec.n in (2, 3)]
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.1])
+@pytest.mark.parametrize("name", FLATTEN_CASES)
+def test_flat_curvature_is_the_trees_report(monkeypatch, name, p0):
+    # max_abs, argmax point and component to the bit, from numbers alone:
+    # once the Ricci trees that beta is read from exist, no derivative tree
+    # is built
+    if name.endswith(".json"):
+        conn = SystemDocument.load(os.path.join(FIXTURES, name)).to_system().conn
+    else:
+        conn = build_system(SPECS[name]).conn
+    ricci_and_s(conn)
+    calls = count_diffs(monkeypatch)
+    res = projective_flatten(conn, np.full(conn.n, p0), np.zeros(conn.n))
+    assert calls == []
+    got, want = res.report["flat_curvature"], _tree_flat_curvature(conn, res.u.args[0])
+    assert got.max_abs.hex() == want.max_abs.hex()
+    assert _hex(got.argmax_point) == _hex(want.argmax_point)
+    assert got.argmax_component == want.argmax_component

@@ -933,7 +933,8 @@ def test_overflow_in_the_bound_rows_exits_1(tmp_path, capsys):
 def test_overflow_in_the_invariance_suite_exits_1(tmp_path, capsys):
     # dGamma^1_22/dy1 = 2*y1*exp(y2) vanishes at y1 = 0, so the translation
     # eta = (1e308, 0) passes both determining equations; dR/dy1 does not
-    # vanish, and eta^1 dR/dy1 overflows in L_eta R
+    # vanish, and eta^1 dR/dy1 overflows in L_eta R: the suite's field is
+    # checked, and the error names it and the point
     doc = _flat_doc(
         Gamma={"1": [["0", "0"], ["0", "y1^2*exp(y2)"]], "2": [["0", "0"], ["0", "0"]]},
         sample=[[0.0, 0.1]],
@@ -943,7 +944,7 @@ def test_overflow_in_the_invariance_suite_exits_1(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["check-symmetry", str(path), "--eta=1e308,0"]) == 1
-    assert capsys.readouterr() == ("", "error: report value inf is not finite\n")
+    assert capsys.readouterr() == ("", "error: lie_curvature is not finite at y = [0, 0.1]\n")
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from affsym import canonical, pfaff
+from affsym import canonical, expr, pfaff, tensor
 from affsym.expr import ZERO, const, coord, div, eval_many_shared, parse_expr, powi
 from affsym.geometry import Connection, metric_connection, ricci_and_s
 from affsym.ode import solve_ivp
@@ -20,7 +20,7 @@ from affsym.pfaff import (
 )
 from affsym.tensor import PointMap, TensorField
 from affsym.geometry import transform_connection
-from affsym.util import sample_points
+from affsym.util import max_report, sample_points
 
 from test_geometry import (
     conformal_metric,
@@ -315,6 +315,61 @@ def test_compatibility_residual_fixed_probe_is_pinned(monkeypatch, kind, n, max_
     probe = np.concatenate([u, sample_points(n, 20)], axis=1)
     assert _hex(rep.argmax_point) == _hex(probe[row])
     assert rep.argmax_component == comp
+
+
+def count_diffs(monkeypatch):
+    """The coordinate indices of every ``diff_expr`` call from now on, by
+    the names the library calls it through (``grad`` looks it up in
+    ``affsym.tensor`` at each call)."""
+    calls, diff = [], expr.diff_expr
+
+    def counted(e, i):
+        calls.append(i)
+        return diff(e, i)
+
+    for module in (expr, tensor, canonical):
+        monkeypatch.setattr(module, "diff_expr", counted)
+    return calls
+
+
+def _tree_compatibility(prob):
+    """The oracle: compatibility_residual by the derivative trees of the
+    (U, y) block, D_p G = grad over all k + n coordinates and the chain rule
+    through U built as Exprs, walked at the same probe."""
+    n, k = prob.n, prob.k
+    y = sample_points(n, 20)
+    u = np.random.default_rng(101).uniform(-0.4, 0.4, size=(len(y), k))
+    probe = np.concatenate([u, y], axis=1)
+    dG = tensor.grad(prob.rhs, k + n)
+    total = tensor.fold(dG[..., k:], (tensor.ADD, tensor.MUL(np.expand_dims(dG[..., :k], -2), prob.rhs.T)))
+    r, p = np.triu_indices(n, 1)
+    residual = tensor.SUB(total[:, r, p], total[:, p, r]).reshape(-1)
+    return max_report(eval_many_shared(residual, probe).T, probe)
+
+
+def _named(kind, geometry, n):
+    """A named system on a canonical geometry, with the fields its kind needs."""
+    spec = canonical.CanonicalSpec(geometry, n=n, m=1, u=("y1*y1",)) if geometry.startswith("inter") else None
+    conn = canonical.build_system(spec or canonical.CanonicalSpec(geometry, n=n)).conn
+    u_field = [parse_expr(f"0.3*y{i + 1}*y{(i + 1) % n + 1}", n) for i in range(n)]
+    kw = {"g": canonical.constcurv_metric(n)[0]} if kind == "constcurv_22" else {}
+    return named_system(kind, conn=conn, u_field=u_field, **kw)
+
+
+@pytest.mark.parametrize("geometry", ["constcurv_22_13", "intermediate_17_19", "maximal_7_11"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", pfaff.NAMED_KINDS)
+def test_compatibility_residual_is_the_trees_report(monkeypatch, kind, n, geometry):
+    # max_abs, argmax point and component to the bit, and no derivative tree
+    # built: the symmetry_6 right-hand side's dGamma is built with the problem
+    prob = _named(kind, geometry, n)
+    want = _tree_compatibility(prob)
+    calls = count_diffs(monkeypatch)
+    got = compatibility_residual(prob)
+    assert calls == []
+    assert got.max_abs.hex() == want.max_abs.hex()
+    assert _hex(got.argmax_point) == _hex(want.argmax_point)
+    assert got.argmax_component == want.argmax_component
 
 
 def test_covector_system_compatible_on_intermediate_geometry():

@@ -266,6 +266,25 @@ def test_no_curvature_or_ricci_tree_outside_the_suite(monkeypatch, name):
     values(("conn_eq", "conn_eq_full"))
 
 
+@pytest.mark.parametrize(
+    "first, later",
+    [(("curvature",), "nabla_ricci"), (("ricci_sym", "lie_a"), "lie_ricci"), (geometry.SUITE, "conn_eq")],
+)
+def test_a_name_outside_the_first_walk_is_refused_by_name(first, later):
+    # nabla_ricci needs Gamma's second derivatives, a suite name the Ric and
+    # R jets, conn_eq eta's second derivatives: each only from a first request
+    sysd = _system("constcurv_n3.json")
+    pts = sample_points(3, 5)
+    values = _point_values(sysd.conn, pts, A=sysd.A, eta=_eta(3))
+    values(first)
+    msg = f"{later} needs jets the first walk did not take: name it at the first request"
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        values((later,))
+    # a name the first walk covers reads it, as a first request of its own gives it
+    (got,), (want,) = values((), ("ricci_sym",)), _point_values(sysd.conn, pts)((), ("ricci_sym",))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_point_values_leave_nothing_to_the_cyclic_gc():
     # the closures hold no reference cycle: the walk's jets are freed when
     # the last reference to the closure goes, not by the cyclic GC
