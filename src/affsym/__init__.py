@@ -87,6 +87,6 @@ from .pdesim import (
     pde_residual,
     symmetry_transport_check,
 )
-from .util import ResidualReport, sample_points
+from .util import CheckFailed, ResidualReport, sample_points
 
 __version__ = "0.1.0"

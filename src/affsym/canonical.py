@@ -52,7 +52,7 @@ from .pfaff import (
     transport_to,
 )
 from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant, split_rows
-from .util import as_points, max_report, sample_points
+from .util import CheckFailed, as_points, max_report, sample_points
 
 __all__ = [
     "CanonicalSpec",
@@ -65,6 +65,7 @@ __all__ = [
     "deformation_from_covector",
     "projective_flatten",
     "FlattenResult",
+    "PreconditionError",
 ]
 
 CANONICAL_KINDS = (
@@ -287,6 +288,10 @@ def deformation_from_covector(n, epsilons):
 # ---------------------------------------------------------------------------
 
 
+class PreconditionError(ValueError, CheckFailed):
+    """A connection that ``projective_flatten`` finds not projectively euclidean."""
+
+
 @dataclass
 class FlattenResult:
     """The transported covector as a point sampler, u(y) = U(y), plus the
@@ -316,8 +321,8 @@ def projective_flatten(conn, p0, u0, pts=None):
 
     p0 is one point (``as_points``) and u0 its n covector values, which must
     be finite (else ValueError naming u0).  Every stage lands in the report;
-    a failed precondition raises ValueError, and a failed transport a
-    TransportError naming its probe.
+    a failed precondition raises PreconditionError, and a failed transport
+    a TransportError naming its probe.
     """
     n = conn.n
     p0 = as_points(p0, n, one=True)
@@ -339,7 +344,7 @@ def projective_flatten(conn, p0, u0, pts=None):
         "precondition_nabla_beta": pre_symmetry,
     }
     if pre_structure.max_abs > 1e-7 or pre_symmetry.max_abs > 1e-7:
-        raise ValueError(
+        raise PreconditionError(
             "connection is not projectively-euclidean within tolerance: "
             f"structure {pre_structure.max_abs:.3e}, "
             f"nabla(beta) symmetry {pre_symmetry.max_abs:.3e}"

@@ -18,8 +18,9 @@ Component lists on the command line are comma-separated; when the first
 component starts with '-', attach the value with '=' (``--eta=-y2,y1``,
 ``--transport=-y2,y1``), since argparse reads a separate ``-y2,y1`` as an
 option.
-Exit codes: 0 when every requested check passes its tolerance, 2 on a
-tolerance failure, 1 on any input error.  Reports are deterministic for a
+Exit codes: 0 when every requested check passes its tolerance, 2 when one
+fails or raises CheckFailed, 1 on any input error.  Any other exception is
+a fault of the program and propagates.  Reports are deterministic for a
 fixed input: keys are emitted sorted and floats with 17 significant digits.
 The sample seed can be overridden with the AFFSYM_SEED environment variable.
 """
@@ -37,6 +38,7 @@ import numpy as np
 from .canonical import (
     CANONICAL_KINDS,
     CanonicalSpec,
+    PreconditionError,
     build_system,
     constcurv_metric,
     projective_flatten,
@@ -70,7 +72,7 @@ from .symmetry import (
     pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, eval_arrays, grad, sym_matrix_inverse
-from .util import DEFAULT_TOLERANCES, _env_seed, as_points, sample_points
+from .util import DEFAULT_TOLERANCES, CheckFailed, InputError, _env_seed, as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 
@@ -88,10 +90,6 @@ TAU_MAX = 1e3
 # (20, n, n, n, n) float array at the sample points takes 168 MB, and n is
 # checked before anything is built
 N_MAX = 32
-
-
-class InputError(ValueError):
-    """Malformed document / flags; maps to exit code 1."""
 
 
 def _is_real(v):
@@ -485,9 +483,7 @@ def cmd_flatten(args):
     u0 = _parse_point(args.u0, doc.n, "--u0") if args.u0 else np.zeros(doc.n)
     try:
         res = projective_flatten(sysd.conn, p0, u0, pts)
-    except ExprError:  # a walk's fault is malformed input, as in every subcommand
-        raise
-    except ValueError as exc:  # a failed precondition
+    except PreconditionError as exc:
         return {"error": str(exc), "passed": False}, 2
     out = {k: v.max_abs for k, v in res.report.items()}
     out["passed"] = max(out["flat_curvature"], out["path_gap"]) <= doc.tolerances["flatten"]
@@ -661,10 +657,6 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         _env_seed()  # a malformed AFFSYM_SEED is input, refused before any work
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
         report, code = args.func(args)
         text = render_json(report)
     except (InputError, ExprError) as exc:
@@ -673,7 +665,7 @@ def main(argv=None):
         # the input is at fault: the JSON decoder recurses per nested array
         # or object
         error, code = "input nested too deeply to process", 1
-    except (ValueError, RuntimeError) as exc:
+    except CheckFailed as exc:
         error, code = str(exc), 2
     else:
         sys.stdout.write(text + "\n")

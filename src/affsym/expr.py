@@ -170,7 +170,7 @@ class Expr:
     def __new__(cls, op, args=(), value=None, index=None):
         return _intern(op, tuple(args), value, index)
 
-    def __setattr__(self, name, val):  # pragma: no cover - guard
+    def __setattr__(self, name, val):
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
@@ -198,35 +198,14 @@ class Expr:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __truediv__(self, other):
         return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def diff(self, i):
-        return diff_expr(self, i)
-
-    def __call__(self, point):
-        return eval_expr(self, point)
 
     @property
     def max_index(self):
@@ -377,8 +356,6 @@ def neg(a):
 
 def powi(a, k):
     """a ** k with a constant integer (or Fraction) exponent."""
-    if isinstance(k, float) and k.is_integer():
-        k = int(k)
     if not isinstance(k, (int, Fraction)):
         raise ExprError(f"exponent must be an integer or Fraction, got {k!r}")
     if isinstance(k, Fraction) and k.denominator == 1:

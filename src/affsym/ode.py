@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import CheckFailed
+
 __all__ = ["IntegrationError", "OdeResult", "solve_ivp"]
 
 C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
@@ -157,7 +159,7 @@ class OdeResult:
     n_rejected: int
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(RuntimeError, CheckFailed):
     """An integration that stopped short of its end: the blow-up guard fired
     (status 1) or the step underflowed (status -1).  Carries the status, the
     time reached, the number of right-hand side calls and the size of the

@@ -38,9 +38,11 @@ from .ode import IntegrationError, solve_ivp
 from .pfaff import _coords
 from .symmetry import check_symmetry
 from .tensor import ADD, MUL, TensorField, bcast
-from .util import DEFAULT_TOLERANCES
+from .util import DEFAULT_TOLERANCES, CheckFailed
 
 __all__ = [
+    "BlowUpError",
+    "RefusedFieldError",
     "SolutionGrid",
     "make_grid",
     "evolve",
@@ -55,6 +57,14 @@ __all__ = [
     "stability_limit",
     "dump_csv",
 ]
+
+
+class BlowUpError(RuntimeError, CheckFailed):
+    """An RK4 evolution whose state stopped being finite; names the step."""
+
+
+class RefusedFieldError(ValueError, CheckFailed):
+    """A transport's field that ``symmetry.check_symmetry`` does not accept."""
 
 
 class SolutionGrid:
@@ -254,11 +264,11 @@ def evolve_snapshots(sys, grid, dt, steps, every):
 
     Violating the explicit-stability heuristic with a step of either sign
     warns (not an error) for the innermost caller outside this module;
-    non-finite values abort with the step index, counted from the start.  A
-    dt that is not finite or takes t + dt*steps beyond the float range, or a
-    steps or every that is not an int (bools included) or is out of range,
-    is refused before anything is evolved (a negative finite dt steps
-    backwards).
+    non-finite values raise BlowUpError naming the step, counted from the
+    start.  A dt that is not finite or takes t + dt*steps beyond the float
+    range, or a steps or every that is not an int (bools included) or is out
+    of range, is refused before anything is evolved (a negative finite dt
+    steps backwards).
     """
     if sys.n != grid.n:
         raise ValueError("system and grid dimensions differ")
@@ -314,7 +324,7 @@ def _rk4(op, grid, dt, steps, every):
             np.multiply(sixth, total, total)
             y, spare = np.add(y, total, spare), y
             if not np.all(np.isfinite(y)):
-                raise RuntimeError(f"solution blew up at step {step}")
+                raise BlowUpError(f"solution blew up at step {step}")
             if step % every == 0 or step == steps:
                 # t = previous t + chunk * dt, the spacing pde_residual checks
                 out.append(grid.copy(t=out[-1].t + (step - done) * dt, values=y.T.copy()))
@@ -392,18 +402,19 @@ def symmetry_transport_check(sys, eta, tau, grid, dt, steps, pts=None, tol=DEFAU
                              invariance_tol=DEFAULT_TOLERANCES["invariance"]):
     """Mismatch between evolve-then-map and map-then-evolve once eta passes
     ``symmetry.check_symmetry`` at pts, tol and invariance_tol (else a
-    ValueError before any evolution): a dict with the two final grids and the
-    max-norm gap, which shrinks at the stencil's order as grid and step refine."""
+    RefusedFieldError before any evolution): a dict with the two final grids
+    and the max-norm gap, which shrinks at the stencil's order as grid and
+    step refine."""
     _judge(sys, eta, pts, tol, invariance_tol)
     return _transport(sys, eta, tau, grid, evolve(sys, grid, dt, steps), dt, steps)
 
 
 def _judge(sys, eta, *args):
-    """ValueError unless eta passes ``symmetry.check_symmetry(sys, eta, *args)``."""
+    """RefusedFieldError unless eta passes ``symmetry.check_symmetry(sys, eta, *args)``."""
     rep = check_symmetry(sys, eta, *args)
     if not rep["accepted"]:
         what = "the invariance suite" if "invariance" in rep else "the determining equations"
-        raise ValueError(f"eta does not pass {what} on this system")
+        raise RefusedFieldError(f"eta does not pass {what} on this system")
 
 
 def _transport(sys, eta, tau, grid, evolved, dt, steps):

@@ -35,7 +35,7 @@ from .tensor import (
     split_rows,
     sym_matrix_inverse,
 )
-from .util import as_points, max_report, sample_points
+from .util import CheckFailed, as_points, max_report, sample_points
 
 __all__ = [
     "PfaffProblem",
@@ -63,7 +63,7 @@ class TransportError(IntegrationError):
     status, t_reached, nfev and last_step."""
 
 
-class RestrictionDriftError(RuntimeError):
+class RestrictionDriftError(RuntimeError, CheckFailed):
     """An algebraic restriction drifted beyond tolerance during transport."""
 
     def __init__(self, drift, tol):

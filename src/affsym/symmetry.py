@@ -70,7 +70,7 @@ from .geometry import (
 from .liefn import VectorField, lie_terms
 from .ode import IntegrationError, solve_ivp
 from .tensor import MUL, SUB, TensorField, bcast, eval_jets, fold
-from .util import DEFAULT_TOLERANCES, as_points, max_report, sample_points
+from .util import DEFAULT_TOLERANCES, CheckFailed, as_points, max_report, sample_points
 
 __all__ = [
     "LinearizationMatrix",
@@ -101,7 +101,7 @@ class FlowError(IntegrationError):
         super().__init__(f"{message} (reached t = {result.t[-1]:.6g})", result)
 
 
-class RankNotConstantError(ValueError):
+class RankNotConstantError(ValueError, CheckFailed):
     """The rank of the symmetric Ricci part varies over the sample set."""
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "sample_points", "as_points", "ResidualReport", "max_report"]
+__all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "CheckFailed", "InputError", "sample_points", "as_points",
+           "ResidualReport", "max_report"]
 
 # Residual checks draw sample points uniformly from [-SAMPLE_BOX, SAMPLE_BOX]^n,
 # which keeps the canonical conformal factors strictly positive.  The seed is
@@ -23,16 +24,25 @@ DEFAULT_TOLERANCES = {
 }
 
 
+class CheckFailed(Exception):
+    """A check that ran and failed (a blow-up, a refused field, a failed flow);
+    each such error keeps its base class too.  The CLI exits 2 on it."""
+
+
+class InputError(ValueError):
+    """Malformed document, flags or environment; the CLI exits 1 on it."""
+
+
 def _env_seed():
     """The sample seed: AFFSYM_SEED where set, else DEFAULT_SEED.  A value
-    that is not a non-negative integer raises ValueError naming it."""
+    that is not a non-negative integer raises InputError naming it."""
     text = os.environ.get("AFFSYM_SEED", str(DEFAULT_SEED))
     try:
         seed = int(text)
     except ValueError:
         seed = -1
     if seed < 0:
-        raise ValueError(f"AFFSYM_SEED must be a non-negative integer, got {text!r}")
+        raise InputError(f"AFFSYM_SEED must be a non-negative integer, got {text!r}")
     return seed
 
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from affsym import cli, expr, geometry, pdesim
+from affsym import CheckFailed, cli, expr, geometry, pdesim
 from affsym.canonical import CANONICAL_KINDS
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
 from affsym.expr import ZERO, DomainError, ExprError, parse_expr
@@ -568,6 +568,33 @@ def test_integration_blow_up_exits_2(monkeypatch, capsys, fail, message):
     argv = ["simulate", fixture("flat_n2.json"), "--grid", "16", "--dt", "0.01", "--steps", "2"]
     assert main(argv + ["--transport=1,0"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("operands could not be broadcast"), RuntimeError("needs jets"), np.linalg.LinAlgError("Singular matrix")],
+    ids=["ValueError", "RuntimeError", "LinAlgError"],
+)
+def test_an_error_that_is_no_failed_check_propagates(monkeypatch, capsys, error):
+    # exit 2 is a failed check's, so a bare error is a fault of the program,
+    # shown as a traceback rather than read as a tolerance that failed
+    def fail(_args):
+        raise error
+
+    monkeypatch.setattr(cli, "_load", fail)
+    with pytest.raises(type(error)) as err:
+        main(["report", fixture("flat_n2.json")])
+    assert err.value is error
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failed_check_exits_2_with_its_message(monkeypatch, capsys):
+    def fail(_args):
+        raise CheckFailed("the check failed")
+
+    monkeypatch.setattr(cli, "_load", fail)
+    assert main(["report", fixture("flat_n2.json")]) == 2
+    assert capsys.readouterr() == ("", "error: the check failed\n")
 
 
 def test_report_runs_and_is_deterministic(capsys):
@@ -1148,13 +1175,14 @@ def test_seed_env_var_changes_samples(monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
 def test_malformed_seed_env_var_is_an_input_error(monkeypatch, capsys, value):
     # refused before the subcommand runs, as input (exit 1), not as a
-    # failed check; the library raises ValueError naming the value
+    # failed check; the library raises InputError, a ValueError, naming the
+    # value
     monkeypatch.setenv("AFFSYM_SEED", value)
     assert main(["report", fixture("flat_n2.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: AFFSYM_SEED must be a non-negative integer, got {value!r}\n"
-    with pytest.raises(ValueError, match="AFFSYM_SEED must be a non-negative integer"):
+    with pytest.raises(InputError, match="AFFSYM_SEED must be a non-negative integer"):
         sample_points(2, 5)
 
 

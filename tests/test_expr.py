@@ -432,6 +432,16 @@ def test_const_rejects_non_finite_values():
             const(v)
 
 
+def test_operators_take_a_number_as_a_constant():
+    # Expr's operators put a number through const: folded as the smart
+    # constructors fold, and refused where const refuses
+    y = coord(1)
+    assert y + 2 is add(y, const(2.0)) and y * 1 is y and y - 0.0 is y
+    assert y / 4 is div(y, const(4.0))
+    with pytest.raises(ExprError):
+        y + float("nan")
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ParseError):
         parse_expr("tan(y1)", 1)

@@ -326,6 +326,11 @@ def test_operator_power_lie_derivative_matches_the_einsum_route():
         ref = _operator_power_einsum(eta, moved.A, q, pts)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
         assert got > 1.0 if q % 2 else got < 1e-15
+    # A^0 = id, whose Lie derivative is 0 along any field; the points are
+    # still checked
+    assert lie_derivative_operator_power(eta, moved.A, 0, pts) == 0.0
+    with pytest.raises(ValueError, match=r"^expected points of shape \(P, 2\) for n = 2, got shape \(10, 3\)$"):
+        lie_derivative_operator_power(eta, moved.A, 0, np.zeros((10, 3)))
 
 
 def test_bracket_rejects_non_skew_input():

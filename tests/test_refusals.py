@@ -1,18 +1,29 @@
 """Refusals of malformed input across the library: each call raises its
 typed error with a message naming what is wrong (``tools/never_run.py``
-lists the refusals that no other test reaches)."""
+lists the refusals that no other test reaches).  And failed checks: each
+raises a CheckFailed that keeps its own base class, ValueError or
+RuntimeError."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from affsym.canonical import deformed_curvature, rotation_field
-from affsym.expr import DomainError, ExprError, coord, diff_expr, func, powi, taylor_coefficients
+from affsym import CheckFailed
+from affsym.canonical import deformed_curvature, projective_flatten, rotation_field
+from affsym.expr import DomainError, ExprError, coord, diff_expr, func, parse_expr, powi, taylor_coefficients
 from affsym.geometry import Connection, DiffusionSystem, metric_connection, scalar_operator, structure_residual
 from affsym.liefn import VectorField, fn_bracket, lie_derivative, vf_commutator
-from affsym.pdesim import SolutionGrid, evolve_snapshots
-from affsym.pfaff import PfaffProblem, named_system, pfaff_integrate
+from affsym.pdesim import (
+    SolutionGrid,
+    apply_flow_to_grid,
+    evolve,
+    evolve_snapshots,
+    make_grid,
+    symmetry_transport_check,
+)
+from affsym.pfaff import PfaffProblem, named_system, pfaff_integrate, transport_to
+from affsym.symmetry import classify, flow
 from affsym.tensor import (
     PointMap,
     TensorField,
@@ -48,6 +59,8 @@ REFUSALS = [
     # expr
     (lambda: coord(0), ExprError, "coordinate index must be a positive integer, got 0"),
     (lambda: powi(coord(1), 0.5), ExprError, "exponent must be an integer or Fraction, got 0.5"),
+    (lambda: powi(coord(1), 2.0), ExprError, "exponent must be an integer or Fraction, got 2.0"),
+    (lambda: setattr(coord(1), "index", 2), AttributeError, "Expr is immutable"),
     (lambda: func("tan", coord(1)), ExprError, "unknown function 'tan'"),
     (lambda: diff_expr(coord(1), 0), ExprError, "differentiation index must be >= 1, got 0"),
     (lambda: taylor_coefficients([coord(1)], [[0.1, 0.2]], 2), ValueError,
@@ -108,3 +121,49 @@ REFUSALS = [
 def test_malformed_input_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+def _evolve_beyond_stability():
+    grid = make_grid([np.sin], 32, 2 * np.pi)
+    with pytest.warns(RuntimeWarning, match="stability heuristic"):
+        evolve(_heat(1), grid, 0.2, 100)
+
+
+def _transport(rhs, u0, restrictions=()):
+    """transport_to [1.5] of du/dy = rhs, rhs a text over (u, y) = (y1, y2)."""
+    transport_to(PfaffProblem(1, 1, [[parse_expr(rhs, 2)]], [0.0], [u0], restrictions), [1.5])
+
+
+FAILED_CHECKS = [
+    # pdesim
+    (_evolve_beyond_stability, RuntimeError, "solution blew up at step 86"),
+    (lambda: symmetry_transport_check(_heat(1), VectorField.from_strings(1, ["y1^2"]), 0.1,
+                                      make_grid([np.sin], 16, 1.0), 1e-4, 2),
+     ValueError, "eta does not pass the determining equations on this system"),
+    (lambda: apply_flow_to_grid(VectorField.from_strings(1, ["y1^2"]), make_grid([lambda x: 1.0 + 0.0 * x], 8, 1.0),
+                                5.0),
+     RuntimeError, r"grid flow left the working region \(blow-up guard\)"),
+    # pfaff: du/dy = u^2 has a pole at y = 1; -1/u reaches u = 0 at y = 0.005;
+    # du/dy = 1 leaves the restriction u = 0
+    (lambda: _transport("y1^2", 1.0), RuntimeError, "transport blew up at segment parameter t = 0.6667"),
+    (lambda: _transport("-1/y1", 0.1), RuntimeError,
+     "transport failed: Required step size is less than spacing between numbers."),
+    (lambda: _transport("1", 0.0, [coord(1)]), RuntimeError, "restriction drift .* exceeds 1.0e-07; .*"),
+    # symmetry
+    (lambda: flow(VectorField.from_strings(1, ["y1^2"]), np.array([2.0]), 1.0), RuntimeError,
+     r"flow left the working region \(blow-up guard\) \(reached t = 0.5\)"),
+    (lambda: classify(Connection.from_strings(2, [[["-2*y1^2", "0"], ["0", "0"]], [["0", "-y1^2"], ["-y1^2", "0"]]]),
+                      np.array([[0.0, 0.0], [0.3, 0.1]])),
+     ValueError, r"rank not constant over the sample: observed \[0, 1\]"),
+    # canonical: a connection whose curvature has no projectively-euclidean structure
+    (lambda: projective_flatten(Connection.from_strings(2, [[["y2", "0"], ["0", "y1"]], [["0", "y1"], ["y1", "0"]]]),
+                                np.zeros(2), np.zeros(2)),
+     ValueError, "connection is not projectively-euclidean within tolerance: .*"),
+]
+
+
+@pytest.mark.parametrize("call, base, message", FAILED_CHECKS)
+def test_a_failed_check_is_check_failed_and_keeps_its_base_class(call, base, message):
+    with pytest.raises(base, match=f"^{message}$") as err:
+        call()
+    assert isinstance(err.value, CheckFailed)

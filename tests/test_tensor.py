@@ -50,6 +50,11 @@ def dy(n, i):
     return one_form(n, comps)
 
 
+def test_repr_names_dimension_and_valence():
+    assert repr(TensorField.identity(3)) == "TensorField(n=3, valence=(1,1))"
+    assert repr(dy(2, 1)) == "TensorField(n=2, valence=(0,1))"
+
+
 def test_trace_of_identity_is_n():
     for n in (1, 2, 3, 4):
         tr = contract(TensorField.identity(n), 0, 0)

@@ -8,21 +8,33 @@ of src/affsym, then prints, module by module, the statements none of whose
 own lines ran: a compound statement's own lines are those before its body,
 with a decorated definition's decorators; docstrings are not statements.
 No coverage package is needed.  The last line counts the statements never
-run against all of them, and the exit code is pytest's.
+run against all of them.
+
+Each statement never run must be in the allowlist, tools/never_run_allowed.json:
+a list of {"module", "statement", "reason"}, keyed by the module's file name
+and the statement's first line, stripped, so that moving code does not
+change it; a text that two statements share is listed once for each.  A
+statement never run that is not listed is marked NEW, and an entry that no
+statement never run matches is printed as STALE.  The exit
+code is pytest's where that is not 0, else 1 if anything is NEW or STALE
+(the allowlist is for the whole suite: a subset of it leaves more unrun).
 
 ``test_point_values_leave_nothing_to_the_cyclic_gc`` is deselected: the
 tracer holds frames alive, so the cyclic GC finds what the test says it
 must not.  Tracing every line makes the suite several times slower, so
-this is a tool to run by hand, not a gate.
+this runs in a CI job of its own, not in tier-1.
 """
 
 import ast
+import json
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "affsym")
 DESELECT = "tests/test_point_values.py::test_point_values_leave_nothing_to_the_cyclic_gc"
+ALLOWED = os.path.join(ROOT, "tools", "never_run_allowed.json")
 
 
 def statements(source):
@@ -67,6 +79,9 @@ def main(argv):
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--deselect", DESELECT, *(argv or ["tests"])])
     finally:
         sys.settrace(None)
+    with open(ALLOWED) as f:
+        unmatched = Counter((e["module"], e["statement"]) for e in json.load(f))
+    new = 0
     total = missed = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -81,9 +96,16 @@ def main(argv):
         if never:
             print(f"\n{name}: {len(never)} of {len(stmts)} statements never run")
             for first in never:
-                print(f"  {first:5d}  {lines[first - 1].strip()}")
-    print(f"\n{missed} of {total} statements never run")
-    return int(code)
+                key = (name, lines[first - 1].strip())
+                listed = unmatched[key] > 0
+                unmatched[key] -= listed
+                new += not listed
+                print(f"  {'     ' if listed else 'NEW  '}{first:5d}  {key[1]}")
+    stale = sorted((+unmatched).elements())
+    for name, text in stale:
+        print(f"STALE  {name}: {text}")
+    print(f"\n{missed} of {total} statements never run: {new} new, {len(stale)} allowlist entries stale")
+    return int(code) or int(bool(new or stale))
 
 
 if __name__ == "__main__":
