@@ -43,12 +43,14 @@ first node whose magnitude is not finite.
 Nodes are interned (hash-consed, after Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing", 2006): every node is built by ``_intern``, the one
 builder of the interning table's keys, which returns the live node equal to
-the one asked for when there is one.  The smart constructors call it
-directly, and ``Expr(...)`` (unpickling) goes through it.  Structurally
-equal trees are therefore the same object, and ``Expr`` keeps ``object``'s
-identity hash and equality, so a node is its own dictionary key: the
-postorder walk's use counts, the evaluator's values, the compiler's tables
-and the memos are all dicts keyed by node, and share every equal subtree.
+the one asked for when there is one.  Only the smart constructors call it.
+``Expr(...)`` (unpickling, copying) and ``subst`` build through them, by
+``_build``, which refuses every other kind of node, so the walks meet only
+the kinds the constructors make.  Structurally equal trees are therefore
+the same object, and ``Expr`` keeps ``object``'s identity hash and
+equality, so a node is its own dictionary key: the postorder walk's use
+counts, the evaluator's values, the compiler's tables and the memos are all
+dicts keyed by node, and share every equal subtree.
 The smart constructors test for the identity operands (ZERO, ONE, -1)
 before they fold two constants, so 0*c, 0+c, c-0 and the like return an
 existing node, the one the fold would build, without calling ``const``.
@@ -72,7 +74,7 @@ import re
 import weakref
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -149,13 +151,16 @@ class Expr:
 
     ``op`` is one of: "const" (value: float), "coord" (index: int, 1-based),
     "neg", "add", "sub", "mul", "div", "pow" (value: int or Fraction
-    exponent), or a function name from FUNCS.  Use the module-level smart
-    constructors rather than instantiating directly; they apply light
-    simplification (constant folding, x*0, x*1, x+0) so derivative trees
-    stay small.  The identity operands ZERO, ONE and -1 are tested before
-    two constants are folded: the node returned is the one the fold would
-    build (``const`` maps -0.0 to 0.0 and constants are interned), and no
-    constant is built for it.
+    exponent), or a function name from FUNCS.  The module-level smart
+    constructors build every node, and apply light simplification (constant
+    folding, x*0, x*1, x+0) so derivative trees stay small.
+    ``Expr(op, args, value, index)`` builds through them (see _build): it
+    returns the node the constructor of ``op`` returns for those arguments,
+    and refuses with an ExprError any op, arity, argument, value or index
+    that no constructor takes.  The identity operands ZERO, ONE and -1 are
+    tested before two constants are folded: the node returned is the one
+    the fold would build (``const`` maps -0.0 to 0.0 and constants are
+    interned), and no constant is built for it.
 
     Nodes are hash-consed: constructing a node equal to a live one, by op,
     value, index and (already interned) children, returns that node.  So
@@ -168,7 +173,7 @@ class Expr:
     __slots__ = ("op", "args", "value", "index", "_dmemo", "__weakref__")
 
     def __new__(cls, op, args=(), value=None, index=None):
-        return _intern(op, tuple(args), value, index)
+        return _build(op, args, value, index)
 
     def __setattr__(self, name, val):
         raise AttributeError("Expr is immutable")
@@ -176,7 +181,7 @@ class Expr:
     def __reduce__(self):
         # One flat table of (op, value, index, child positions) in postorder,
         # so pickling does not recurse once per level; rebuilding through
-        # Expr returns the interned nodes.
+        # the smart constructors returns the interned nodes.
         order, _ = _postorder([self])
         pos = {node: i for i, node in enumerate(order)}
         table = [
@@ -224,13 +229,14 @@ _set_dmemo = Expr._dmemo.__set__
 
 def _intern(op, args, value=None, index=None):
     """The live node with this op, tuple of (interned) children, value and
-    index, created if there is none.  The one builder of table keys.
+    index, created if there is none.  The one builder of table keys, called
+    by the smart constructors alone.
 
     Children are interned, so their identities stand for their structure.
     Keying on ids rather than the children themselves keeps the table from
     holding nodes alive: a node whose derivative memo refers back to it (exp,
-    sqrt) would otherwise never be freed.  The key is spelled out for the
-    arities that occur, and a new node's slots are set through their
+    sqrt) would otherwise never be freed.  The key is spelled out for each
+    arity, 0, 1 or 2, and a new node's slots are set through their
     descriptors, since this runs once per node the smart constructors build.
     """
     n = len(args)
@@ -238,10 +244,8 @@ def _intern(op, args, value=None, index=None):
         key = (op, value, index, id(args[0]), id(args[1]))
     elif n == 1:
         key = (op, value, index, id(args[0]))
-    elif n == 0:
-        key = (op, value, index)
     else:
-        key = (op, value, index, *map(id, args))
+        key = (op, value, index)
     ref = _TABLE.get(key)
     if ref is not None:
         node = ref()
@@ -262,7 +266,7 @@ def _rebuild(table):
     """The root of a postorder table written by Expr.__reduce__."""
     nodes = []
     for op, value, index, args in table:
-        nodes.append(Expr(op, [nodes[i] for i in args], value, index))
+        nodes.append(_build(op, [nodes[i] for i in args], value, index))
     return nodes[-1]
 
 
@@ -294,7 +298,7 @@ _TWO = const(2.0)
 
 
 def coord(i):
-    if not isinstance(i, int) or i < 1:
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
         raise ExprError(f"coordinate index must be a positive integer, got {i!r}")
     return _intern("coord", (), None, i)
 
@@ -397,6 +401,34 @@ def func(name, a):
     return _intern(name, (a,))
 
 
+# Each op's arity, and whether it takes a value and an index.
+_KINDS = {
+    "const": (0, True, False), "coord": (0, False, True), "pow": (1, True, False),
+    **dict.fromkeys(("neg", *FUNCS), (1, False, False)), **dict.fromkeys(_BINOPS, (2, False, False)),
+}
+_SMART = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, **{f: partial(func, f) for f in FUNCS}}
+
+
+def _build(op, args, value=None, index=None):
+    """The node of ``op`` on the Exprs ``args`` from its smart constructor:
+    const(value), coord(index), powi(a, value), add, sub, mul or div on two
+    Exprs, neg or func(op, a).  A node built by one of them rebuilds to
+    itself.  Any other op, a wrong arity, an argument that is not an Expr,
+    or a value or index the op does not take raises ExprError."""
+    args = tuple(args)
+    if _KINDS.get(op) != (len(args), value is not None, index is not None):
+        raise ExprError(f"no node {op!r} of arity {len(args)} with value {value!r} and index {index!r}")
+    if not all(isinstance(a, Expr) for a in args):
+        raise ExprError(f"arguments of a node {op!r} must be Exprs, got {args!r}")
+    if op == "const":
+        return const(value)
+    if op == "coord":
+        return coord(index)
+    if op == "pow":
+        return powi(args[0], value)
+    return _SMART[op](*args)
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
@@ -410,7 +442,7 @@ def diff_expr(e, i):
     linear in the number of distinct nodes.  The walk keeps its own stack
     and descends only into children whose memo lacks ``i``.
     """
-    if not isinstance(i, int) or i < 1:
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
         raise ExprError(f"differentiation index must be >= 1, got {i!r}")
     memo = e._dmemo
     if memo is not None and i in memo:
@@ -476,9 +508,7 @@ def _diff_node(e, i, d):
         return neg(mul(func("sin", e.args[0]), d[0]))
     if op == "const":
         return ZERO
-    if op == "coord":
-        return ONE if e.index == i else ZERO
-    raise ExprError(f"cannot differentiate node {op!r}")
+    return ONE if e.index == i else ZERO  # a coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +735,7 @@ def _rows(roots, table, lay, kit):
         x = table[e]
         out[r] = _values(x, lay)
         if x[2] and x[0] is not None:
-            np.copyto(out[r], 0.0, where=_where(x[2], lay))
+            np.copyto(out[r], 0.0, where=_where(x[2], lay.shape))
     return np.moveaxis(out, -1, 1)[index]
 
 
@@ -781,9 +811,6 @@ def _jpowi(x, k):
 
 
 _NONE = {}  # the constants of a block that has none other than ZERO; never written to
-# Memos of _bits, _where and _moved, kept across walks: a walk meets a few
-# dozen patterns of constant entries, the same in every walk of a system.
-_BITS, _MASKS, _MOVED = {}, {}, {}
 
 
 class _Layout:
@@ -829,47 +856,34 @@ def _held(kit, key, make, *args):
     return out
 
 
-def _keep(memo, key, value):
-    if len(memo) > 1 << 16:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
+# _bits, _where and _moved are memoized across walks: a walk meets a few
+# dozen patterns of constant entries, the same in every walk of a system.
+@lru_cache(maxsize=1 << 16)
 def _bits(b):
     """The set bits of ``b``, lowest first."""
-    out = _BITS.get(b)
-    if out is None:
-        out = _keep(_BITS, b, tuple(i for i in range(b.bit_length()) if b >> i & 1))
-    return out
+    return tuple(i for i in range(b.bit_length()) if b >> i & 1)
 
 
-def _where(bits, lay):
-    """A bool array of the layout's ``shape``, true at the entries whose
-    bits are set."""
-    out = _MASKS.get((bits, lay.shape))
-    if out is None:
-        out = np.zeros(lay.size, dtype=bool)
-        out[list(_bits(bits))] = True
-        out.flags.writeable = False
-        out = _keep(_MASKS, (bits, lay.shape), out.reshape(lay.shape))
-    return out
+@lru_cache(maxsize=1 << 16)
+def _where(bits, shape):
+    """A read-only bool array of a layout's ``shape``, true at the entries
+    whose bits are set."""
+    out = np.zeros(math.prod(shape), dtype=bool)
+    out[list(_bits(bits))] = True
+    out.flags.writeable = False
+    return out.reshape(shape)
 
 
+@lru_cache(maxsize=1 << 16)
 def _moved(b, how, n):
     """The bits of the (n, n) block made from a block with the bits b:
     ``how`` 0 or 1 spreads n entries along that axis (see _spread), 2
     transposes an (n, n) block."""
-    out = _MOVED.get((b, how, n))
-    if out is None:
-        if how == 0:
-            out = sum(((1 << n) - 1) << i * n for i in _bits(b))
-        elif how == 1:
-            out = sum(1 << k * n + i for i in _bits(b) for k in range(n))
-        else:
-            out = sum(1 << (i % n) * n + i // n for i in _bits(b))
-        _keep(_MOVED, (b, how, n), out)
-    return out
+    if how == 0:
+        return sum(((1 << n) - 1) << i * n for i in _bits(b))
+    if how == 1:
+        return sum(1 << k * n + i for i in _bits(b) for k in range(n))
+    return sum(1 << (i % n) * n + i // n for i in _bits(b))
 
 
 def _values(x, lay):
@@ -915,12 +929,12 @@ def _madd(x, y, lay, sub=False):
     vx, vy = _values(x, lay), _values(y, lay)
     v = op(vx, vy)
     if zy & ~zx:
-        np.copyto(v, vx, where=_where(zy & ~zx, lay))
+        np.copyto(v, vx, where=_where(zy & ~zx, lay.shape))
     if zx & ~zy:  # ZERO + u is u, ZERO - u is -u
         if sub:
-            np.negative(vy, out=v, where=_where(zx & ~zy, lay))
+            np.negative(vy, out=v, where=_where(zx & ~zy, lay.shape))
         else:
-            np.copyto(v, vy, where=_where(zx & ~zy, lay))
+            np.copyto(v, vy, where=_where(zx & ~zy, lay.shape))
     return v, m, z, c
 
 
@@ -1094,10 +1108,8 @@ def _forward(node, vals, grads, hess, kit):
         factor = -p if kc is _MINUS_ONE else kc.value * p  # kc * a**(k - 1)
     elif op == "exp":
         factor = out
-    elif op == "sin" or op == "cos":
+    else:  # sin or cos
         factor = np.cos(x) if op == "sin" else np.sin(x)
-    else:
-        raise ExprError(f"cannot differentiate node {op!r}")
     f = _mscale(fa, factor, vec)
     if ha is None:
         return (_mneg(f) if op == "cos" else f), None
@@ -1187,7 +1199,6 @@ def _quotient2(num, dnum, den, dden, kit, key=None):
 # Taylor coefficients at one point
 # ---------------------------------------------------------------------------
 
-_TAYLOR_TABLES = {}
 _FLIP = np.array([-1.0, 1.0])  # on a (coefficient, magnitude) pair: negates the coefficient
 
 
@@ -1271,12 +1282,10 @@ class TaylorTables:
         return np.moveaxis(d, 0, -1)
 
 
+@cache
 def taylor_tables(n, k):
     """The TaylorTables of order k on n coordinates, built on first use."""
-    tables = _TAYLOR_TABLES.get((n, k))
-    if tables is None:
-        tables = _TAYLOR_TABLES[(n, k)] = TaylorTables(n, k)
-    return tables
+    return TaylorTables(n, k)
 
 
 def taylor_coefficients(exprs, point, k):
@@ -1377,7 +1386,7 @@ def _series(node, u0, k):
     elif op == "sqrt":
         s = np.sqrt(u0)
         g = [s] + [float(_binomial(Fraction(1, 2), j)) * s / u0**j for j in range(1, k + 1)]
-    elif op == "pow":
+    else:  # a power
         p = node.value
         g = []
         try:
@@ -1386,8 +1395,6 @@ def _series(node, u0, k):
                 g.append(0.0 if beyond else float(_binomial(p, j)) * _pow(u0, p - j))
         except (OverflowError, ValueError):
             raise DomainError("power out of floating-point range", node) from None
-    else:
-        raise ExprError(f"cannot expand node {op!r}")
     g = np.array(g, dtype=float)
     if not np.isfinite(g).all():
         raise DomainError("non-finite Taylor coefficient", node)
@@ -1746,25 +1753,10 @@ def subst(e, mapping):
     order, _ = _postorder(roots)
     new = {}
     for node in order:
-        op = node.op
-        args = node.args
-        if not args:
-            out = mapping.get(node.index, node) if op == "coord" else node
-        elif op == "add":
-            out = add(new[args[0]], new[args[1]])
-        elif op == "mul":
-            out = mul(new[args[0]], new[args[1]])
-        elif op == "sub":
-            out = sub(new[args[0]], new[args[1]])
-        elif op == "div":
-            out = div(new[args[0]], new[args[1]])
-        elif op == "neg":
-            out = neg(new[args[0]])
-        elif op == "pow":
-            out = powi(new[args[0]], node.value)
+        if node.op == "coord":
+            new[node] = mapping.get(node.index, node)
         else:
-            out = func(op, new[args[0]])
-        new[node] = out
+            new[node] = _build(node.op, [new[a] for a in node.args], node.value, node.index)
     if not is_array:
         return new[e]
     # out= keeps a 0-d array an array

@@ -1522,6 +1522,15 @@ def test_intern_table_forgets_dead_nodes():
     assert len(expr._TABLE) == before
 
 
+def test_a_bool_index_is_refused_and_leaves_the_coordinates_as_they_print():
+    # True == 1 and hash(True) == hash(1): a node coord(True) would be the
+    # interned coord(1) while it lived, and print as yTrue
+    with pytest.raises(ExprError, match="got True$"):
+        coord(True)
+    assert to_string(coord(1)) == "y1"
+    assert to_string(parse_expr("y1 + 2", 1)) == "y1 + 2"
+
+
 def test_nodes_hash_and_compare_by_identity():
     # the walks and memos key dicts by the node itself
     assert Expr.__hash__ is object.__hash__
@@ -1594,11 +1603,30 @@ def test_postorder_emits_children_first_and_counts_every_use():
     assert uses == want
 
 
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(FIXTURES, "*.json"))))
-def test_copies_and_pickles_keep_identity(path):
-    _, roots = _fixture_roots(path)
+def _canonical_roots(kind, n):
+    # the intermediate kinds at m = 1, with a covector or a potential in y1
+    extra = {"intermediate_17_19": {"u": ("y1",)}, "intermediate_potential_17_24": {"psi": "y1^2/2"}}
+    sysd = canonical.build_system(canonical.CanonicalSpec(kind, n, m=1, **extra.get(kind, {})))
+    return list(sysd.A.comps.flat) + list(sysd.conn.gamma.flat)
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+    + [
+        pytest.param((kind, n), id=f"{kind}-n{n}")
+        for kind in canonical.CANONICAL_KINDS
+        for n in (2, 3, 4)
+        if kind != "scalar_23_1" and (n == 2 or kind != "constcurv_2d_22_14")
+    ],
+)
+def test_copies_and_pickles_keep_identity(case):
+    # each rebuilds through the smart constructors, which return a node
+    # they built unchanged
+    roots = _fixture_roots(case)[1] if isinstance(case, str) else _canonical_roots(*case)
     for e in roots:
         assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert subst(e, {}) is e
     back = pickle.loads(pickle.dumps(roots))
     assert all(b is e for b, e in zip(back, roots))
 

@@ -16,7 +16,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from affsym import pdesim, symmetry
+from affsym import ode, pdesim, symmetry
 from affsym.expr import parse_expr
 from affsym.liefn import VectorField
 from affsym.ode import IntegrationError, solve_ivp
@@ -63,6 +63,14 @@ def test_terminal_event_stops_at_its_crossing():
     assert sol.status == 1 and sol.message == "A termination event occurred."
     assert abs(sol.t[-1] - (0.5 - 1e-8)) <= 1e-9
     assert abs(sol.y[0, -1] / 1e8 - 1.0) <= 1e-6  # the dense output at the crossing
+
+
+def test_the_guards_bisection_stops_at_a_midpoint_on_the_crossing():
+    # a forged linear step from BLOWUP - 0.5 to BLOWUP + 0.5, whose first
+    # midpoint is exactly BLOWUP
+    step = (0.0, 1.0, np.array([ode.BLOWUP - 0.5]), np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert ode._interpolate(step, 0.5)[0] == ode.BLOWUP
+    assert ode._crossing(step) == 0.5
 
 
 def test_nan_right_hand_side_stops_with_step_underflow():

@@ -11,7 +11,7 @@ import pytest
 
 from affsym import CheckFailed
 from affsym.canonical import deformed_curvature, projective_flatten, rotation_field
-from affsym.expr import DomainError, ExprError, coord, diff_expr, func, parse_expr, powi, taylor_coefficients
+from affsym.expr import DomainError, Expr, ExprError, coord, diff_expr, func, parse_expr, powi, taylor_coefficients
 from affsym.geometry import Connection, DiffusionSystem, metric_connection, scalar_operator, structure_residual
 from affsym.liefn import VectorField, fn_bracket, lie_derivative, vf_commutator
 from affsym.pdesim import (
@@ -58,11 +58,22 @@ REFUSALS = [
      r"deformation tensor must be \(1,2\)"),
     # expr
     (lambda: coord(0), ExprError, "coordinate index must be a positive integer, got 0"),
+    (lambda: coord(True), ExprError, "coordinate index must be a positive integer, got True"),
+    (lambda: Expr("foo", (coord(1),)), ExprError, "no node 'foo' of arity 1 with value None and index None"),
+    (lambda: Expr("add", (coord(1),)), ExprError, "no node 'add' of arity 1 with value None and index None"),
+    (lambda: Expr("add", (coord(1), 2.0)), ExprError,
+     r"arguments of a node 'add' must be Exprs, got \(Expr\('y1'\), 2.0\)"),
+    (lambda: Expr("const", (), float("inf")), ExprError, "non-finite constant inf"),
+    (lambda: Expr("coord", (), None, 0), ExprError, "coordinate index must be a positive integer, got 0"),
+    (lambda: Expr("coord", (), None, True), ExprError, "coordinate index must be a positive integer, got True"),
+    (lambda: Expr("add", (coord(1), coord(2)), 3.0), ExprError,
+     "no node 'add' of arity 2 with value 3.0 and index None"),
     (lambda: powi(coord(1), 0.5), ExprError, "exponent must be an integer or Fraction, got 0.5"),
     (lambda: powi(coord(1), 2.0), ExprError, "exponent must be an integer or Fraction, got 2.0"),
     (lambda: setattr(coord(1), "index", 2), AttributeError, "Expr is immutable"),
     (lambda: func("tan", coord(1)), ExprError, "unknown function 'tan'"),
     (lambda: diff_expr(coord(1), 0), ExprError, "differentiation index must be >= 1, got 0"),
+    (lambda: diff_expr(coord(1), True), ExprError, "differentiation index must be >= 1, got True"),
     (lambda: taylor_coefficients([coord(1)], [[0.1, 0.2]], 2), ValueError,
      r"expected one point of shape \(n,\), got shape \(1, 2\)"),
     (lambda: taylor_coefficients([coord(3)], [0.1, 0.2], 2), ExprError,
