@@ -359,8 +359,9 @@ def neg(a):
 
 
 def powi(a, k):
-    """a ** k with a constant integer (or Fraction) exponent."""
-    if not isinstance(k, (int, Fraction)):
+    """a ** k with a constant integer (or Fraction) exponent; a bool is
+    neither."""
+    if isinstance(k, bool) or not isinstance(k, (int, Fraction)):
         raise ExprError(f"exponent must be an integer or Fraction, got {k!r}")
     if isinstance(k, Fraction) and k.denominator == 1:
         k = int(k)
@@ -414,13 +415,16 @@ def _build(op, args, value=None, index=None):
     const(value), coord(index), powi(a, value), add, sub, mul or div on two
     Exprs, neg or func(op, a).  A node built by one of them rebuilds to
     itself.  Any other op, a wrong arity, an argument that is not an Expr,
-    or a value or index the op does not take raises ExprError."""
+    or a value or index the op does not take raises ExprError: a const's
+    value is an int or a float, not a bool or a string."""
     args = tuple(args)
-    if _KINDS.get(op) != (len(args), value is not None, index is not None):
+    if not isinstance(op, str) or _KINDS.get(op) != (len(args), value is not None, index is not None):
         raise ExprError(f"no node {op!r} of arity {len(args)} with value {value!r} and index {index!r}")
     if not all(isinstance(a, Expr) for a in args):
         raise ExprError(f"arguments of a node {op!r} must be Exprs, got {args!r}")
     if op == "const":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExprError(f"a const's value must be an int or a float, got {value!r}")
         return const(value)
     if op == "coord":
         return coord(index)

@@ -55,6 +55,8 @@ from affsym.tensor import (
 )
 from affsym.util import sample_points
 
+import charts
+
 L = 2 * np.pi
 
 
@@ -272,10 +274,7 @@ def test_criterion_6_pfaff_correctness():
     )
     # Lemma 7.1 dichotomy
     flat_fixtures = [Connection.zeros(2)]
-    pm = PointMap.from_strings(2, ["y1 + 0.2*y2^2", "y2"], ["y1 - 0.2*y2^2", "y2"])
-    flat_fixtures.append(
-        transform_system(flat_system_for_transform(), pm).conn
-    )
+    flat_fixtures.append(transform_system(flat_system_for_transform(), charts.shear(2, 0, 1, 0.2)).conn)
     for conn in flat_fixtures:
         res = compatibility_residual(named_system("symmetry_6", conn=conn))
         ok &= res.max_abs <= 1e-9

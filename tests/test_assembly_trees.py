@@ -19,7 +19,9 @@ from affsym.canonical import CanonicalSpec, build_system
 from affsym.cli import SystemDocument, from_diffusional
 from affsym.expr import Expr, ONE, ZERO, add, coord, mul, parse_expr, sub
 from affsym.liefn import VectorField
-from affsym.tensor import PointMap, TensorField
+from affsym.tensor import TensorField
+
+import charts
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -76,12 +78,6 @@ def _eta(n):
     return VectorField.from_strings(n, texts)
 
 
-def _shear(n):
-    fw = ["y1 + 0.3*y2^2"] + [f"y{i}" for i in range(2, n + 1)]
-    inv = ["y1 - 0.3*y2^2"] + [f"y{i}" for i in range(2, n + 1)]
-    return PointMap.from_strings(n, fw, inv)
-
-
 def _heisenberg():
     return SystemDocument.load(os.path.join(FIXTURES, "heisenberg.json")).to_system()
 
@@ -133,7 +129,7 @@ def case_lie(n):
 
 
 def case_transform(n):
-    pmap = _shear(n)
+    pmap = charts.shear(n, 0, 1, 0.3)
     sysd = _system("constcurv_22_13", n)
     return {
         "pushforward_11": tensor.pushforward(_field(n, 1, 1, 7), pmap).comps,

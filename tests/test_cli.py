@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from affsym import CheckFailed, cli, expr, geometry, pdesim
-from affsym.canonical import CANONICAL_KINDS
+from affsym.canonical import CANONICAL_KINDS, CanonicalSpec, build_system
 from affsym.cli import InputError, SystemDocument, from_diffusional, main, render_json
-from affsym.expr import ZERO, DomainError, ExprError, parse_expr
+from affsym.expr import ZERO, DomainError, ExprError, parse_expr, to_string
+from affsym.geometry import transform_system
 from affsym.liefn import VectorField
 from affsym.pfaff import PfaffProblem, transport_to
 from affsym.symmetry import flow, invariance_suite, pointwise_symmetry_bound
@@ -21,7 +22,7 @@ from affsym.tensor import TensorField
 from affsym.pdesim import evolve, make_grid, stability_limit, symmetry_transport_check
 from affsym.util import sample_points
 
-from test_expr import mapped_texts
+import charts
 from test_point_values import assert_trees_refuse, compare_cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -635,11 +636,11 @@ def test_exit_code_1_on_bad_input(tmp_path, capsys):
 
 
 def _mapped_document(spec, seed):
-    """A point-mapped document of the canonical ``spec``, as a dict."""
+    """A point-mapped document of the canonical ``spec``, as a dict, and the
+    seeded shear y1 -> y1 + c*y_n^2 + e*y_n that moved it."""
     n = spec["n"]
-    texts = mapped_texts(spec, (0, n - 1), np.random.default_rng(seed))
-    rows = [texts[i : i + n] for i in range(0, len(texts), n)]
-    return {"n": n, "A": rows[:n], "Gamma": {str(k + 1): rows[n * (k + 1) : n * (k + 2)] for k in range(n)}}
+    pm = charts.seeded_shear(n, (0, n - 1), np.random.default_rng(seed))
+    return charts.document(transform_system(build_system(CanonicalSpec(**spec)), pm)), pm
 
 
 @pytest.mark.parametrize(
@@ -654,7 +655,7 @@ def _mapped_document(spec, seed):
 def test_document_parses_each_string_once_into_fresh_nodes(monkeypatch, spec):
     # A and Gamma share one dict of parsed groups; every string still goes
     # through parse_expr, and every node is the one a fresh parse gives
-    doc = _mapped_document(spec, 7)
+    doc, _ = _mapped_document(spec, 7)
     n = doc["n"]
     calls = []
     monkeypatch.setattr(cli, "parse_expr", lambda *a, **kw: calls.append(kw) or parse_expr(*a, **kw))
@@ -669,7 +670,7 @@ def test_document_parses_each_string_once_into_fresh_nodes(monkeypatch, spec):
 def test_bad_entry_of_a_mapped_document_names_its_offset(tmp_path, capsys):
     # the entry's groups were parsed in the entries before it; the error
     # is the one a fresh parse of the entry gives
-    doc = _mapped_document({"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}, 7)
+    doc, _ = _mapped_document({"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}, 7)
     entry = doc["Gamma"]["2"][1][1]
     at = entry.rindex("y1")
     bad = entry[:at] + "y3" + entry[at + 2 :]
@@ -683,21 +684,22 @@ def test_bad_entry_of_a_mapped_document_names_its_offset(tmp_path, capsys):
 
 def test_check_symmetry_accepts_a_pushed_forward_rotation_on_a_mapped_document(tmp_path, capsys):
     # the --eta components repeat groups too, and share one dict
-    spec = {"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}
-    doc = _mapped_document(spec, 7)
+    doc, pm = _mapped_document({"kind": "constcurv_2d_22_14", "n": 2, "b": 0.5}, 7)
     path = tmp_path / "mapped.json"
     path.write_text(json.dumps(doc))
-    rng = np.random.default_rng(7)
-    c = float(rng.uniform(0.1, 0.3) * rng.choice((-1.0, 1.0)))
-    e = float(rng.uniform(-0.2, 0.2))
-    # the shear y1 -> y1 + c*y2^2 + e*y2 moves the rotation (-y2, y1) to
-    # (-y2 + (2c*y2 + e)*(y1 - c*y2^2 - e*y2), y1 - c*y2^2 - e*y2)
-    y1 = f"(y1 - ({c!r}*y2^2 + {e!r}*y2))"
-    eta = f"--eta=-y2 + (2*{c!r}*y2 + {e!r})*{y1},{y1}"
+    rotation = charts.pushed(VectorField.from_strings(2, ["-y2", "y1"]), pm)
+    eta = "--eta=" + ",".join(to_string(c) for c in rotation.comps)
     code, data = run(capsys, "check-symmetry", str(path), eta)
     assert code == 0 and data["accepted"] is True
     code, data = run(capsys, "check-symmetry", str(path), "--eta=1,0")
     assert code == 2 and data["accepted"] is False
+
+
+@pytest.mark.parametrize("eps, code", [("4e-8", 2), ("5e-10", 0)])
+def test_check_symmetry_pins_the_acceptance_tolerance_from_both_sides(capsys, eps, code):
+    # res_Gamma = 2*eps against the document's default tolerance 1e-8
+    got, data = run(capsys, "check-symmetry", os.path.join(FIXTURES, "flat_n2.json"), f"--eta={eps}*y1^2,0")
+    assert (got, data["accepted"], data["res_Gamma"]) == (code, code == 0, 2 * float(eps))
 
 
 @pytest.mark.parametrize("command", ["inspect", "curvature", "classify", "report", "bound"])

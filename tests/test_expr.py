@@ -43,8 +43,10 @@ from affsym.expr import (
     to_string,
 )
 from affsym.geometry import covariant_differential, curvature, ricci_and_s, transform_system
-from affsym.tensor import PointMap, TensorField, eval_jets
+from affsym.tensor import TensorField, eval_jets
 from affsym.util import sample_points
+
+import charts
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -227,21 +229,16 @@ def test_parse_outcomes_on_a_seeded_corpus_are_pinned():
     assert digest.hexdigest() == PARSE_CORPUS_DIGEST
 
 
-def mapped_texts(spec, pair, rng):
-    """A's and Gamma's entries of the canonical system ``spec`` carried through
-    the seeded shear y_a -> y_a + c*y_b^2 + e*y_b, (a, b) = pair, printed by
-    to_string as a point-mapped document is: each shared subtree is spelled
-    out at every use."""
-    n = spec["n"]
-    a, b = pair
-    c = float(rng.uniform(0.1, 0.3) * rng.choice((-1.0, 1.0)))
-    e = float(rng.uniform(-0.2, 0.2))
-    y = [coord(i + 1) for i in range(n)]
-    shear = add(mul(const(c), powi(y[b], 2)), mul(const(e), y[b]))
-    forward, inverse = list(y), list(y)
-    forward[a], inverse[a] = add(y[a], shear), sub(y[a], shear)
-    sysd = transform_system(canonical.build_system(canonical.CanonicalSpec(**spec)), PointMap(n, forward, inverse))
-    return [to_string(x) for x in sysd.A.comps.flat] + [to_string(x) for x in sysd.conn.gamma.flat]
+def _texts(doc):
+    """A's and Gamma's entries of a document, row by row."""
+    return [t for m in [doc.get("A", []), *doc.get("Gamma", {}).values()] for row in m for t in row]
+
+
+def _sheared_texts(spec, pair, rng):
+    """_texts of the canonical system ``spec`` carried through
+    ``charts.seeded_shear(n, pair, rng)``."""
+    sysd = canonical.build_system(canonical.CanonicalSpec(**spec))
+    return _texts(charts.document(transform_system(sysd, charts.seeded_shear(spec["n"], pair, rng))))
 
 
 MAPPED_SPECS = (
@@ -263,14 +260,12 @@ def _documents():
         with open(path, encoding="utf-8") as fp:
             doc = json.load(fp)
         spec = doc.get("canonical", {})
-        matrices = [doc.get("A", [])] + list(doc.get("Gamma", {}).values())
-        texts = [t for m in matrices for row in m for t in row] + list(spec.get("u", []))
-        docs.append((doc.get("n", spec.get("n")), texts, False))
+        docs.append((doc.get("n", spec.get("n")), _texts(doc) + list(spec.get("u", [])), False))
     rng = np.random.default_rng(48)
     for spec in MAPPED_SPECS:
         n = spec["n"]
         for pair in ((0, 1), (n - 1, 0)):
-            docs.append((n, mapped_texts(spec, pair, rng), True))
+            docs.append((n, _sheared_texts(spec, pair, rng), True))
     return docs
 
 
@@ -319,7 +314,7 @@ def test_parse_errors_are_unchanged_by_filled_groups(text, n):
     # with no dict, at the same offset
     groups = {}
     spec = {"kind": "constcurv_22_13", "n": 2} if n == 2 else {"kind": "scalar_23_1", "n": 1}
-    valid = mapped_texts(spec, (0, 1), np.random.default_rng(1)) if n == 2 else ["(y1 + exp(y1))*sin(y1 + exp(y1))"]
+    valid = _sheared_texts(spec, (0, 1), np.random.default_rng(1)) if n == 2 else ["(y1 + exp(y1))*sin(y1 + exp(y1))"]
     for t in valid:
         parse_expr(t, n, groups=groups)
     kept = list(groups[n])

@@ -15,6 +15,8 @@ from affsym.liefn import (
 from affsym.tensor import TensorField, alternate, tensor_product
 from affsym.util import sample_points
 
+import charts
+
 
 def vf(n, *texts):
     return VectorField.from_strings(n, list(texts))
@@ -260,7 +262,6 @@ def test_operator_powers_invariant_along_symmetry():
     from affsym.liefn import lie_derivative_operator_power, nijenhuis
     from affsym.pdesim import heisenberg_system
     from affsym.symmetry import check_symmetry
-    from affsym.tensor import PointMap, pushforward
     from affsym.geometry import transform_system
 
     sysd = heisenberg_system()
@@ -272,11 +273,9 @@ def test_operator_powers_invariant_along_symmetry():
     nij = nijenhuis(sysd.A)
     assert np.max(np.abs(lie_derivative(eta, nij).evaluate_many(pts))) <= 1e-8
 
-    pm = PointMap.from_strings(
-        2, ["y1 + 0.3*y2^2", "y2"], ["y1 - 0.3*y2^2", "y2"]
-    )
+    pm = charts.shear(2, 0, 1, 0.3)
     moved = transform_system(sysd, pm)
-    eta_t = VectorField(2, list(pushforward(eta.to_tensor(), pm).comps))
+    eta_t = charts.pushed(eta, pm)
     assert check_symmetry(moved, eta_t, tol=1e-8)["accepted"]
     for q in (1, 2, -1):
         assert lie_derivative_operator_power(eta_t, moved.A, q, pts * 0.5) <= 1e-8
@@ -315,10 +314,8 @@ def test_operator_power_lie_derivative_matches_the_einsum_route():
     from affsym.geometry import transform_system
     from affsym.liefn import lie_derivative_operator_power
     from affsym.pdesim import heisenberg_system
-    from affsym.tensor import PointMap
 
-    pm = PointMap.from_strings(2, ["y1 + 0.3*y2^2", "y2"], ["y1 - 0.3*y2^2", "y2"])
-    moved = transform_system(heisenberg_system(), pm)
+    moved = transform_system(heisenberg_system(), charts.shear(2, 0, 1, 0.3))
     eta = vf(2, "y1^2", "y2")
     pts = sample_points(2, 10) * 0.5
     for q in (1, 2, 3, -1, -2):

@@ -18,10 +18,11 @@ from affsym.pfaff import (
     pfaff_integrate,
     transport_to,
 )
-from affsym.tensor import PointMap, TensorField
+from affsym.tensor import TensorField
 from affsym.geometry import transform_connection
 from affsym.util import max_report, sample_points
 
+import charts
 from test_geometry import (
     conformal_metric,
     constcurv_connection,
@@ -278,8 +279,7 @@ def test_symmetry_system_compatibility_dichotomy():
     flat = named_system("symmetry_6", conn=Connection.zeros(2))
     assert compatibility_residual(flat).max_abs <= 1e-9
 
-    pm = PointMap.from_strings(2, ["y1 + 0.2*y2^2", "y2"], ["y1 - 0.2*y2^2", "y2"])
-    curved_flat = transform_connection(Connection.zeros(2), pm)
+    curved_flat = transform_connection(Connection.zeros(2), charts.shear(2, 0, 1, 0.2))
     prob2 = named_system("symmetry_6", conn=curved_flat)
     assert compatibility_residual(prob2).max_abs <= 1e-9
 

@@ -21,8 +21,10 @@ from affsym.expr import DomainError, ExprError
 from affsym.geometry import _field_tree, _point_values, curvature, ricci_and_s, transform_system
 from affsym.liefn import VectorField
 from affsym.symmetry import _taylor_rows, check_symmetry, invariance_suite
-from affsym.tensor import PointMap, TensorField, bcast, eval_arrays, grad
+from affsym.tensor import TensorField, bcast, eval_arrays, grad
 from affsym.util import sample_points
+
+import charts
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -48,9 +50,7 @@ def _system(name):
         return SystemDocument.load(os.path.join(FIXTURES, name)).to_system()
     if name.startswith("mapped_"):
         sysd = build_system(SPECS[name.removeprefix("mapped_")])
-        ys = [f"y{i + 1}" for i in range(sysd.n)]
-        shear = PointMap.from_strings(sysd.n, ["y1 + 0.2*y2^2"] + ys[1:], ["y1 - 0.2*y2^2"] + ys[1:])
-        return transform_system(sysd, shear)
+        return transform_system(sysd, charts.shear(sysd.n, 0, 1, 0.2))
     return build_system(SPECS[name])
 
 

@@ -68,8 +68,15 @@ REFUSALS = [
     (lambda: Expr("coord", (), None, True), ExprError, "coordinate index must be a positive integer, got True"),
     (lambda: Expr("add", (coord(1), coord(2)), 3.0), ExprError,
      "no node 'add' of arity 2 with value 3.0 and index None"),
+    (lambda: Expr(["add"], ()), ExprError, r"no node \['add'\] of arity 0 with value None and index None"),
+    (lambda: Expr("const", (), "abc"), ExprError, "a const's value must be an int or a float, got 'abc'"),
+    (lambda: Expr("const", (), [1.0]), ExprError, r"a const's value must be an int or a float, got \[1.0\]"),
+    (lambda: Expr("const", (), "2.5"), ExprError, "a const's value must be an int or a float, got '2.5'"),
+    (lambda: Expr("const", (), True), ExprError, "a const's value must be an int or a float, got True"),
     (lambda: powi(coord(1), 0.5), ExprError, "exponent must be an integer or Fraction, got 0.5"),
     (lambda: powi(coord(1), 2.0), ExprError, "exponent must be an integer or Fraction, got 2.0"),
+    (lambda: powi(coord(1), True), ExprError, "exponent must be an integer or Fraction, got True"),
+    (lambda: powi(coord(1), False), ExprError, "exponent must be an integer or Fraction, got False"),
     (lambda: setattr(coord(1), "index", 2), AttributeError, "Expr is immutable"),
     (lambda: func("tan", coord(1)), ExprError, "unknown function 'tan'"),
     (lambda: diff_expr(coord(1), 0), ExprError, "differentiation index must be >= 1, got 0"),

@@ -1,7 +1,6 @@
 """Determining equations, flows, linearization, flat basis, classification
 and pointwise bounds."""
 
-import json
 import os
 import re
 
@@ -21,7 +20,6 @@ from affsym.geometry import (
     curvature,
     ricci_and_s,
     scalar_operator,
-    transform_system,
 )
 from affsym.liefn import VectorField, lie_derivative, lie_terms
 from affsym.symmetry import (
@@ -42,10 +40,12 @@ from affsym.symmetry import (
     _lie_rows,
     _taylor_rows,
 )
-from affsym.tensor import PointMap, TensorField, eval_arrays, eval_jets, grad, partial_differential
+from affsym.tensor import TensorField, eval_arrays, eval_jets, grad, partial_differential
 from affsym.util import max_report, sample_points
 
+import charts
 from exact import exact_bounds
+from test_charts import load_system
 from test_geometry import constcurv_connection, intermediate_connection
 
 
@@ -382,60 +382,13 @@ def test_pointwise_bound_monotone_in_depth():
         assert b[0] >= b[1] >= b[2]
 
 
-def _chart_maps(n):
-    """A cyclic permutation of the coordinates, a linear shear and a
-    quadratic shear, each with its explicit inverse.  Only the last has a
-    varying Jacobian, which mixes eta(p0) into the transformed F(p0)."""
-    ys = [f"y{i + 1}" for i in range(n)]
-    cyclic = PointMap.from_strings(n, ys[1:] + ys[:1], ys[-1:] + ys[:-1])
-    shear = PointMap.from_strings(n, ["y1 + 0.3*y2"] + ys[1:], ["y1 - 0.3*y2"] + ys[1:])
-    bent = PointMap.from_strings(n, ["y1 + 0.2*y2^2"] + ys[1:], ["y1 - 0.2*y2^2"] + ys[1:])
-    return cyclic, shear, bent
-
-
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-CHART_SPECS = {
-    "constcurv_22_13": CanonicalSpec("constcurv_22_13", n=3, epsilons=(1, -1, 1)),
-    "intermediate_17_19": CanonicalSpec("intermediate_17_19", n=3, m=2, u=("y1", "y2^2")),
-}
 
 
-def _chart_cases():
-    """Every fixture of dimension n >= 2, then the canonical specs above."""
-    names = []
-    for name in sorted(os.listdir(FIXTURES)):
-        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fp:
-            doc = json.load(fp)
-        if doc.get("n", doc.get("canonical", {}).get("n")) >= 2:
-            names.append(name)
-    return names + sorted(CHART_SPECS)
-
-
-def _chart_system(name):
-    if name in CHART_SPECS:
-        return build_system(CHART_SPECS[name])
-    return SystemDocument.load(os.path.join(FIXTURES, name)).to_system()
-
-
-@pytest.mark.parametrize("name", _chart_cases())
-def test_degeneration_and_pointwise_bound_are_chart_invariant(name):
-    sysd = _chart_system(name)
-    n = sysd.n
-    p0 = np.array([0.1, -0.2, 0.15][:n])
-    m = classify(sysd.conn).m
-    bounds = [pointwise_symmetry_bound(sysd, p0, d) for d in (0, 1, 2)]
-    for pm in _chart_maps(n):
-        assert pm.roundtrip_residual() <= 1e-12
-        moved = transform_system(sysd, pm)
-        q0 = pm.apply(p0)
-        assert classify(moved.conn).m == m
-        assert [pointwise_symmetry_bound(moved, q0, d) for d in (0, 1, 2)] == bounds
-
-
-@pytest.mark.parametrize("name", ["heisenberg.json", "intermediate_n3_m1.json", "constcurv_22_13"])
+@pytest.mark.parametrize("name", ["heisenberg.json", "intermediate_n3_m1.json", "constcurv_22_13_n3_signed"])
 def test_lie_rows_apply_the_lie_derivative_to_the_one_jet(name):
     # row . (eta(p0), d eta(p0)) is (L_eta W)(p0) for any field eta
-    sysd = _chart_system(name)
+    sysd = load_system(name)
     n = sysd.n
     rng = np.random.default_rng(5)
     c = rng.uniform(-1, 1, size=(n, 3)).tolist()
@@ -485,13 +438,27 @@ def test_invariance_suite_flat_scaling():
 
 
 def test_lie_gamma_is_res_gamma_for_nondegenerate_a():
-    sysd = _chart_system("constcurv_n3.json")
+    sysd = load_system("constcurv_n3.json")
     rot = VectorField.from_strings(3, ["-y2", "y1", "0"])
     suite = invariance_suite(sysd, rot)
     assert suite["lie_gamma"].max_abs == determining_residuals(sysd, rot)["res_Gamma"].max_abs
     # a field that is no symmetry drags the connection by O(1)
     eta = VectorField.from_strings(3, ["y1^2", "y2*y3", "sin(y1)"])
     assert invariance_suite(sysd, eta)["lie_gamma"].max_abs > 0.1
+
+
+@pytest.mark.parametrize("eps, accepted", [(4e-8, False), (5e-10, True)])
+def test_the_acceptance_tolerance_is_pinned_from_both_sides(eps, accepted):
+    # on a flat chart eta = eps*(y1^2, 0) has res_Gamma = 2*eps and an
+    # invariance suite of zeros but lie_gamma, which repeats res_Gamma: 8e-8
+    # is refused by the default tolerance 1e-8 but not by 100 times it (nor
+    # by the suite's 1e-7), and 1e-9 is accepted but not by a hundredth of it
+    sysd = load_system("flat_n2.json")
+    report = check_symmetry(sysd, VectorField.from_strings(2, [f"{eps!r}*y1^2", "0"]))
+    assert report["res_Gamma"] == 2 * eps and report["tolerance"] == 1e-8
+    assert report["accepted"] is accepted
+    if accepted:
+        assert report["invariance"] == dict.fromkeys(report["invariance"], 0.0) | {"lie_gamma": 2 * eps}
 
 
 SUITE_SPECS = {
@@ -534,7 +501,7 @@ def _tree_rows(W, p0):
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)) + sorted(SUITE_SPECS))
 def test_lie_rows_equal_the_rows_of_the_derivative_trees(name):
     # the forward-mode rows against the trees they replace, to the bit
-    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else _chart_system(name)
+    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else load_system(name)
     n, conn = sysd.n, sysd.conn
     p0 = np.array([0.1, -0.2, 0.15][:n])
     curv = curvature(conn)
@@ -577,17 +544,16 @@ def _random_polynomial_system(n, seed):
 
 def _bound_case(name):
     """A system and a point: a fixture, a canonical kind, either moved by a
-    shear, or a random polynomial Gamma."""
+    linear shear, or a random polynomial Gamma."""
     p0 = [0.1, -0.2, 0.15, 0.05]
     if name.startswith("random_n"):
         n = int(name[len("random_n")])
         return _random_polynomial_system(n, 2600 + n), np.array(p0[:n])
     base = name.removeprefix("sheared_")
-    sysd = build_system(BOUND_SPECS[base]) if base in BOUND_SPECS else _chart_system(base)
+    sysd = build_system(BOUND_SPECS[base]) if base in BOUND_SPECS else load_system(base)
     p0 = np.array(p0[: sysd.n])
     if base != name:
-        shear = _chart_maps(sysd.n)[1]
-        return transform_system(sysd, shear), shear.apply(p0)
+        return charts.move(sysd, charts.shear(sysd.n, 0, 1, 0.0, 0.3), p0)
     return sysd, p0
 
 
@@ -677,7 +643,7 @@ def test_the_bound_builds_no_curvature_or_nabla_ricci_tree(monkeypatch):
     monkeypatch.setattr(symmetry, "curvature", refuse)
     monkeypatch.setattr(symmetry, "covariant_differential", refuse)
     for name in ("constcurv_n3.json", "heisenberg.json", "intermediate_n3_m1.json"):
-        sysd = _chart_system(name)
+        sysd = load_system(name)
         p0 = np.array([0.1, -0.2, 0.15][: sysd.n])
         assert len(pointwise_symmetry_bounds(sysd, p0)) == 3
         assert sysd.conn.curv is None
@@ -750,7 +716,7 @@ def test_invariance_suite_equals_the_lie_derivative_trees(name):
     # the suite evaluates liefn.lie_terms on values; the trees of
     # lie_derivative are its oracle, to the bit where it matters: the
     # maximum and where it sits
-    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else _chart_system(name)
+    sysd = build_system(SUITE_SPECS[name]) if name in SUITE_SPECS else load_system(name)
     n, conn = sysd.n, sysd.conn
     pts = sample_points(n, 20)
     curv = curvature(conn)
