@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .expr import ONE, Expr, ZERO, const, diff_expr, eval_many, eval_many_shared, func, mul, parse_expr
+from .expr import ONE, Expr, ZERO, const, diff_expr, eval_many, func, mul, parse_expr
 from .geometry import (
     Connection,
     DiffusionSystem,
@@ -51,7 +51,7 @@ from .pfaff import (
     pfaff_integrate,
     transport_to,
 )
-from .tensor import ADD, MUL, SUB, TensorField, bcast, fold, matrix_determinant, split_rows
+from .tensor import ADD, MUL, SUB, TensorField, bcast, eval_jets, fold, matrix_determinant
 from .util import CheckFailed, as_points, max_report, sample_points
 
 __all__ = [
@@ -312,8 +312,9 @@ def projective_flatten(conn, p0, u0, pts=None):
 
     - flat_curvature: the curvature of the deformed connection
       Gamma + u (x) id + id (x) u, by the formula of ``geometry.curvature``
-      on numbers at the transported u: Gamma and dGamma/dy from one forward-
-      mode walk, du/dy = G(u, y) from the covector equation;
+      on numbers at the transported u: Gamma and dGamma/dy from one checked
+      forward-mode walk (``eval_jets``), du/dy = G(u, y) from the covector
+      equation;
     - path_gap: |U(y) straight - U(y) cornered|, U transported from p0
       along the segment to y and along p0 -> (y^1, p0^2, .., p0^n) -> y.
       Once du/dy = G(u, y) the curvature above vanishes for any u, so this
@@ -322,7 +323,10 @@ def projective_flatten(conn, p0, u0, pts=None):
     p0 is one point (``as_points``) and u0 its n covector values, which must
     be finite (else ValueError naming u0).  Every stage lands in the report;
     a failed precondition raises PreconditionError, and a failed transport
-    a TransportError naming its probe.
+    a TransportError naming its probe.  The preconditions' fields come from
+    ``geometry._point_values``: one that is not finite at a point of pts
+    raises ExprError naming the field and the point, as a value of Gamma
+    that is not finite at a probe raises the walk's DomainError.
     """
     n = conn.n
     p0 = as_points(p0, n, one=True)
@@ -330,10 +334,10 @@ def projective_flatten(conn, p0, u0, pts=None):
     _check_form("beta_14_1", n)
     pts = as_points(pts, n)
     fields = ("curvature", "ricci_sym", "ricci_skew", "nabla_ricci")
-    R, rh, rt, nabla_ricci = _point_values(conn, pts)((), fields)
+    R, rh, rt, nabla_ricci = _point_values(conn, pts)(fields)
     pre_structure = _structure_report("beta_14_1", R, rh, rt, pts)
     beta = TensorField(n, 0, 2, _beta_from_connection(conn))
-    with np.errstate(all="ignore"):  # unchecked values: inf - inf reads nan
+    with np.errstate(all="ignore"):  # finite values whose combination may overflow
         # nabla beta = sym(nabla Ric)/(n-1) - skew(nabla Ric)/(n+1), the
         # halves taken over Ric's slots, the last two
         sym, skew = _ricci_halves(nabla_ricci, np.add, np.subtract, np.multiply, 0.5)
@@ -360,10 +364,9 @@ def projective_flatten(conn, p0, u0, pts=None):
             exc.args = (f"{exc} on the path to probe {_at(y)}",)
             raise
     # Gammabar^k_rs = Gamma^k_rs + u_r d^k_s + u_s d^k_r and its derivatives, du_r/dy^q = G^r_q
-    jets = eval_many_shared(conn.gamma.reshape(-1), probe, jets=True)
-    g, dg = (split_rows(rows, [conn.gamma])[0] for rows in jets)
+    ((g, dg),) = eval_jets([conn.gamma], probe)
     du, delta = np.array([prob.rhs_values(u, y) for u, y in zip(straight, probe)]), np.eye(n)
-    with np.errstate(all="ignore"):  # unchecked values: an overflow reads inf
+    with np.errstate(all="ignore"):  # an overflow reads inf
         shift = bcast(np.asarray(straight), "pr", "pkrs") * bcast(delta, "ks", "pkrs")
         dshift = bcast(du, "prq", "pkrsq") * bcast(delta, "ks", "pkrsq")
         gbar, dgbar = (g + shift) + shift.swapaxes(2, 3), dg + (dshift + dshift.swapaxes(2, 3))

@@ -12,8 +12,8 @@ Document schema (UTF-8 JSON):
       "tolerances": {"symmetry": 1e-8, ...}     # optional overrides
     }
 
-Expressions use coordinates y1..yn.  A document may carry either explicit
-coefficients, a canonical specification, or both (explicit entries win).
+Expressions use coordinates y1..yn.  A document gives either explicit
+coefficients (A, optionally Gamma) or a canonical specification, not both.
 Component lists on the command line are comma-separated; when the first
 component starts with '-', attach the value with '=' (``--eta=-y2,y1``,
 ``--transport=-y2,y1``), since argparse reads a separate ``-y2,y1`` as an
@@ -22,7 +22,6 @@ Exit codes: 0 when every requested check passes its tolerance, 2 when one
 fails or raises CheckFailed, 1 on any input error.  Any other exception is
 a fault of the program and propagates.  Reports are deterministic for a
 fixed input: keys are emitted sorted and floats with 17 significant digits.
-The sample seed can be overridden with the AFFSYM_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .symmetry import (
     pointwise_symmetry_bounds,
 )
 from .tensor import ADD, MUL, TensorField, bcast, eval_arrays, grad, sym_matrix_inverse
-from .util import DEFAULT_TOLERANCES, CheckFailed, InputError, _env_seed, as_points, sample_points
+from .util import DEFAULT_TOLERANCES, CheckFailed, InputError, as_points, sample_points
 
 __all__ = ["SystemDocument", "from_diffusional", "main", "render_json"]
 
@@ -191,6 +190,8 @@ class SystemDocument:
 
     def _build(self):
         n = self.n
+        if self.canonical is not None and (self.a_rows is not None or self.gamma_rows is not None):
+            raise InputError("document gives a canonical spec and explicit A or Gamma: give one or the other")
         a = None
         gamma = TensorField.zeros(n, 1, 2).comps
         groups = {}  # the parenthesised groups parsed so far, shared by A and Gamma
@@ -428,7 +429,7 @@ def cmd_bound(args):
 
 
 def cmd_canonical(args):
-    doc, loaded, pts = _load(args)
+    doc, sysd, pts = _load(args)
     spec = doc.canonical
     if spec is None:
         raise InputError("canonical subcommand needs a document with a canonical spec")
@@ -436,8 +437,6 @@ def cmd_canonical(args):
     form = None
     if intermediate and spec.n >= 2:
         form = "intermediate_10_15" if spec.n >= 3 else "two_dim_12_1"
-    # without an explicit A the document's system is the spec's
-    sysd = loaded if doc.a_rows is None else build_system(spec)
     tol = doc.tolerances["structure"]
     expected_m = {
         "maximal_7_11": 0,
@@ -445,29 +444,32 @@ def cmd_canonical(args):
         "constcurv_22_13": spec.n,
         "constcurv_2d_22_14": 2,
     }.get(spec.kind)
-    # check -> the field whose max |value| it is, after Ricci_sym and Ricci
+    # check -> the field whose max |value| it is
     normed = {}
     if spec.kind in ("maximal_7_11", "scalar_23_1"):
         normed["curvature"] = "curvature"
-    metric, unchecked = None, ()
+    metric = None
     if spec.kind.startswith("constcurv"):
         metric, _f = constcurv_metric(spec.n, spec.epsilons)
         normed.update(s_field="s", nabla_metric="nabla_metric", nabla_ricci="nabla_ricci")
-        form, unchecked = "const_curv_19_14", ("metric",)
+        form = "const_curv_19_14"
+    names = ["ricci_sym", "ricci", *normed.values()]
+    if metric is not None:
+        names.append("metric")
     if form:
-        unchecked += ("curvature", "ricci_sym", "ricci_skew")
-    at_points = _point_values(sysd.conn, pts, metric=metric)
-    rh, ric, *values = at_points(("ricci_sym", "ricci", *normed.values()), unchecked)
+        names += ["curvature", "ricci_skew"]
+    at = dict(zip(names, _point_values(sysd.conn, pts, metric=metric)(tuple(names))))
     if intermediate and not form:
         raise InputError(f"canonical has no structure check for {spec.kind} at n = {spec.n}")
-    out_classify, m_ok = _classified(rh)
+    out_classify, m_ok = _classified(at["ricci_sym"])
     m_ok = m_ok and (expected_m is None or out_classify["m"] == expected_m)
-    checks = {k: _max_abs(v) for k, v in zip(normed, values)}
+    checks = {k: _max_abs(at[f]) for k, f in normed.items()}
     if metric is not None:
-        checks["ricci_minus_metric"] = _max_abs(ric - values[len(normed)])
+        checks["ricci_minus_metric"] = _max_abs(at["ricci"] - at["metric"])
     if form:
         key = "structure_19_14" if metric is not None else f"structure_{form}"
-        checks[key] = _structure_report(form, *values[-3:], pts).max_abs
+        rvals = (at[f] for f in ("curvature", "ricci_sym", "ricci_skew"))
+        checks[key] = _structure_report(form, *rvals, pts).max_abs
     ok = m_ok and all(v <= tol for v in checks.values())
     return {
         "kind": spec.kind, "n": spec.n, "classify": out_classify,
@@ -656,7 +658,6 @@ _PARSER = build_parser()
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        _env_seed()  # a malformed AFFSYM_SEED is input, refused before any work
         report, code = args.func(args)
         text = render_json(report)
     except (InputError, ExprError) as exc:

@@ -38,7 +38,7 @@ the CLI's ``curvature`` prints: an exact zero of a body could carry the
 other sign than the trees', and the tests compare the two, signs
 included, on every fixture and on sample points at 0.0 and -0.0.  A fault
 of the walk raises its DomainError naming its node ("non-finite
-derivative: sqrt(y1)"), and a checked field whose body overflows raises
+derivative: sqrt(y1)"), and a field whose body overflows raises
 ExprError naming the field and the point ("curvature is not finite at y =
 [...]").
 """
@@ -472,9 +472,8 @@ DETERMINING = ("lie_a", "conn_eq", "conn_eq_full")
 def _point_values(conn, pts, *, metric=None, A=None, eta=None):
     """The values of fields of a connection at checked points pts (P, n),
     equal to the walk of their trees in magnitude, to the bit, from the
-    bodies above on numbers; returns ``values(names, unchecked=())``, the
-    list of the named fields' values, (P,) + the field's shape, checked
-    names first.
+    bodies above on numbers; returns ``values(names)``, the list of the
+    named fields' values, (P,) + the field's shape.
 
     The names are ``ricci_and_s``' keys and "curvature"; "nabla_ricci" and
     "nabla_metric", by ``covariant_differential``; "metric" and "A"
@@ -494,11 +493,10 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
     drop only identity operations (x*0, x*1, x+0, 0-x, -(-x)) and fold
     constants in the same floats, so the two differ at most in the sign of
     an exact zero.  The bodies only add, subtract and multiply finite
-    numbers, so a checked name that is not finite overflowed, and raises
-    ExprError naming it and its first such point ("curvature is not finite
-    at y = [...]"); the first checked suite name checks the jets of
-    nabla_ricci, then of s, before itself.  Unchecked names keep their
-    IEEE values."""
+    numbers, so a name that is not finite overflowed, and raises ExprError
+    naming it and its first such point ("curvature is not finite at y =
+    [...]"); the first suite name checks the jets of nabla_ricci, then of
+    s, before itself."""
     n = conn.n
     ops = (np.add, np.subtract, np.multiply)
     jets, memo = {}, {}  # jets: root -> (values, first derivatives[, second derivatives])
@@ -529,7 +527,7 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
             memo["ricci"], memo["s"] = _ricci_contractions(R, np.add)
         return memo["ricci"]
 
-    def lies():  # the suite, and the jets of nabla Ric and S that a checked suite name checks
+    def lies():  # the suite, and the jets of nabla Ric and S that the first suite name checks
         if "lies" not in memo:
             (ric, dric, ddric), (r, dr) = jets["ricci"], jets["curvature"]
             (g, dg, *_), (e, de, *_) = jets["gamma"], jets["eta"]
@@ -564,18 +562,17 @@ def _point_values(conn, pts, *, metric=None, A=None, eta=None):
             return _conn_eq_terms(g, dg, e, de, dde, *ops)
         return _conn_eq_full_terms(a, da, g, dg, e, de, dde, *ops)
 
-    def values(names, unchecked=()):
-        asked = (*names, *unchecked)
+    def values(names):
         if not jets:
-            walk(asked)
+            walk(names)
         else:  # a later request reads the first one's walk: each name's jets must be in it
-            for name in asked:
+            for name in names:
                 if any(len(jets.get(k, ())) < 2 + t for k, t in needs((name,)).items()):
                     msg = "needs jets the first walk did not take: name it at the first request"
                     raise ValueError(f"{name} {msg}")
         with np.errstate(all="ignore"):
-            out = [number(x) for x in asked]
-        for name, v in zip(names, out):  # the suite's jets are checked once, before its first checked name
+            out = [number(x) for x in names]
+        for name, v in zip(names, out):  # the suite's jets are checked once, before its first name
             checks = memo.pop("checked", ()) if name in SUITE else ()
             for field, arrays in (*checks, (name, (v,))):
                 _require_finite(field, pts, *arrays)
@@ -638,8 +635,8 @@ def structure_residual(conn, form, pts=None):
     points (``as_points``: None gives the 20 sample points).  R and the
     Ricci split come from the checked walk of Gamma (``_point_values``):
     a probe point where Gamma or its first derivatives are not finite
-    raises DomainError naming the node; R and the Ricci split themselves
-    are unchecked, so a product that overflows reads inf.
+    raises DomainError naming the node, and one where R or the Ricci split
+    overflows raises ExprError naming the field and the point.
 
     The right-hand side is assembled numerically from the Ricci split:
 
@@ -655,7 +652,7 @@ def structure_residual(conn, form, pts=None):
     pts = as_points(pts, conn.n)
     _check_form(form, conn.n)
     fields = ("curvature", "ricci_sym", "ricci_skew")
-    return _structure_report(form, *_point_values(conn, pts)((), fields), pts)
+    return _structure_report(form, *_point_values(conn, pts)(fields), pts)
 
 
 def _check_form(form, n):

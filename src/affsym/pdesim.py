@@ -234,9 +234,7 @@ def stability_limit(sys, grid):
         sys.a_radius = float(np.max(np.abs(np.linalg.eigvals(vals))))
     lam = sys.a_radius
     if lam is None:
-        vals = sys.A.evaluate_many(grid.values)
-        if not np.isfinite(vals).all():
-            sys.A.evaluate(grid.values)
+        vals = sys.A.evaluate(grid.values)
         lam = float(np.max(np.abs(np.linalg.eigvals(vals))))
     if lam == 0.0:
         return np.inf

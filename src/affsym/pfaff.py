@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import ZERO, compile_exprs, const, coord, eval_many_shared, mul, subst
+from .expr import ZERO, compile_exprs, const, coord, mul, subst
 from .geometry import ricci_and_s
 from .ode import IntegrationError, solve_ivp
 from .tensor import (
@@ -30,9 +30,9 @@ from .tensor import (
     MUL,
     SUB,
     bcast,
+    eval_jets,
     fold,
     partial_differential,
-    split_rows,
     sym_matrix_inverse,
 )
 from .util import CheckFailed, as_points, max_report, sample_points
@@ -211,17 +211,18 @@ def compatibility_residual(prob):
     the (U, y) block: y the base sample points ``sample_points(n, 20)``, U
     drawn uniformly from [-0.4, 0.4]^k by ``default_rng(101)``.  The report's
     argmax point is a (U, y) point.  A vanishing residual means the system
-    is completely compatible and transport is path-independent.
+    is completely compatible and transport is path-independent.  G and its
+    derivatives come from one checked walk (``eval_jets``): a value that is
+    not finite at a probe raises its DomainError naming the node.
     """
     n, k = prob.n, prob.k
     y = sample_points(n, 20)
     u = np.random.default_rng(101).uniform(-0.4, 0.4, size=(len(y), k))
     probe = np.concatenate([u, y], axis=1)
 
-    jets = eval_many_shared(prob.rhs.reshape(-1), probe, jets=True)  # unchecked
-    g, dg = (split_rows(rows, [prob.rhs])[0] for rows in jets)
+    ((g, dg),) = eval_jets([prob.rhs], probe)
     r, p = np.triu_indices(n, 1)
-    with np.errstate(all="ignore"):  # unchecked values: an overflow reads inf
+    with np.errstate(all="ignore"):  # an overflow reads inf
         total = _total_derivative(dg, g)  # [P, a, r, p] = D_p G^a_r
         return max_report((total[:, :, r, p] - total[:, :, p, r]).reshape(len(probe), -1), probe)
 

@@ -123,7 +123,7 @@ def determining_residuals(sys, eta, pts=None):
     ``as_points`` (None gives the 20 sample points)."""
     pts = as_points(pts, sys.n)
     values = _point_values(sys.conn, pts, A=sys.A, eta=eta)
-    lie_a, a = values(("lie_a",), ("A",))
+    lie_a, a = values(("lie_a", "A"))
     which = "reduced" if _regular(a) else "full"
     (res,) = values(("conn_eq" if which == "reduced" else "conn_eq_full",))
     return {

@@ -3,7 +3,6 @@ reports."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +12,7 @@ __all__ = ["DEFAULT_SEED", "SAMPLE_BOX", "CheckFailed", "InputError", "sample_po
 
 # Residual checks draw sample points uniformly from [-SAMPLE_BOX, SAMPLE_BOX]^n,
 # which keeps the canonical conformal factors strictly positive.  The seed is
-# fixed for reproducibility; AFFSYM_SEED overrides it.
+# fixed for reproducibility.
 DEFAULT_SEED = 1729
 SAMPLE_BOX = 0.4
 
@@ -30,25 +29,12 @@ class CheckFailed(Exception):
 
 
 class InputError(ValueError):
-    """Malformed document, flags or environment; the CLI exits 1 on it."""
+    """Malformed document or flags; the CLI exits 1 on it."""
 
 
-def _env_seed():
-    """The sample seed: AFFSYM_SEED where set, else DEFAULT_SEED.  A value
-    that is not a non-negative integer raises InputError naming it."""
-    text = os.environ.get("AFFSYM_SEED", str(DEFAULT_SEED))
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise InputError(f"AFFSYM_SEED must be a non-negative integer, got {text!r}")
-    return seed
-
-
-def sample_points(n, count=20, seed=None):
+def sample_points(n, count=20, seed=DEFAULT_SEED):
     """count points uniform in [-0.4, 0.4]^n as an array of shape (count, n)."""
-    rng = np.random.default_rng(_env_seed() if seed is None else seed)
+    rng = np.random.default_rng(seed)
     return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, n))
 
 

@@ -5,7 +5,6 @@ tolerance, printing a PASS/FAIL line (run with -s or -rP to see them all).
 import time
 
 import numpy as np
-import pytest
 
 from affsym.canonical import (
     CanonicalSpec,
@@ -13,7 +12,7 @@ from affsym.canonical import (
     constcurv_metric,
     projective_flatten,
 )
-from affsym.expr import ZERO, const, coord, parse_expr
+from affsym.expr import ZERO, const, coord
 from affsym.geometry import (
     Connection,
     DiffusionSystem,

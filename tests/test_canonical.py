@@ -18,7 +18,7 @@ from affsym.canonical import (
     rotation_field,
 )
 from affsym.cli import SystemDocument
-from affsym.expr import ZERO, const, coord, diff_expr, eval_expr, eval_many_shared, parse_expr
+from affsym.expr import ZERO, const, coord, diff_expr, eval_expr, eval_many_shared
 from affsym.geometry import (
     Connection,
     _curvature_comps,

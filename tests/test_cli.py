@@ -218,18 +218,18 @@ def test_flatten_with_an_infinite_start_slope_exits_2(tmp_path, capsys):
 
 
 def test_flatten_precondition_overflow_warns_of_nothing(tmp_path, capsys):
-    # heisenberg's A and Gamma but Gamma^2_11 = 1e200*y1*y1: nabla(beta)'s
-    # unchecked walk is inf, and its asymmetry inf - inf; the check reports
-    # it and exits 2, with no numpy warning (an error in tier-1) on the way
+    # heisenberg's A and Gamma but Gamma^2_11 = 1e200*y1*y1: nabla Ric, which
+    # nabla(beta) is formed from, overflows at the first sample point, which
+    # is malformed input (exit 1) naming the field and the point, with no
+    # numpy warning (an error in tier-1) on the way
     with open(fixture("heisenberg.json"), encoding="utf-8") as fp:
         doc = json.load(fp)
     doc["Gamma"]["2"][0][0] = "1e200*y1*y1"
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     code = main(["flatten", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2 and err == ""
-    assert json.loads(out)["error"].endswith("nabla(beta) symmetry inf")
+    error = "error: nabla_ricci is not finite at y = [-0.375406, -0.265234]\n"
+    assert (code, capsys.readouterr()) == (1, ("", error))
 
 
 def test_flatten_names_a_gamma_whose_second_derivatives_are_not_finite(tmp_path, capsys):
@@ -702,6 +702,34 @@ def test_check_symmetry_pins_the_acceptance_tolerance_from_both_sides(capsys, ep
     assert (got, data["accepted"], data["res_Gamma"]) == (code, code == 0, 2 * float(eps))
 
 
+# a document tolerance, the command judged against it, and the judged value
+# in that command's report
+JUDGED = {
+    "structure": (["canonical"], lambda data: max(data["checks"].values())),
+    "flatten": (["flatten"], lambda data: max(data["flat_curvature"], data["path_gap"])),
+    "transport": (
+        ["simulate", "--grid", "32", "--dt", "0.001", "--steps", "8", "--transport=-y2,y1,0"],
+        lambda data: data["transport_gap"],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(JUDGED))
+def test_document_tolerances_are_pinned_from_both_sides(tmp_path, capsys, key):
+    # the judged value on constcurv_n3.json, measured here at the default
+    # tolerances, passes an override at 10 times it and fails one at a tenth
+    (command, *flags), judged = JUDGED[key]
+    with open(fixture("constcurv_n3.json"), encoding="utf-8") as fp:
+        doc = json.load(fp)
+    code, data = run(capsys, command, fixture("constcurv_n3.json"), *flags)
+    value = judged(data)
+    assert code == 0 and value > 0
+    path = tmp_path / "doc.json"
+    for scale, want in ((10, 0), (0.1, 2)):
+        path.write_text(json.dumps({**doc, "tolerances": {key: scale * value}}))
+        assert run(capsys, command, str(path), *flags)[0] == want, scale
+
+
 @pytest.mark.parametrize("command", ["inspect", "curvature", "classify", "report", "bound"])
 def test_coefficient_not_finite_at_a_sample_point_exits_1(tmp_path, capsys, command):
     # 1/y1 is infinite at the document's own point y1 = 0
@@ -1166,26 +1194,16 @@ def test_dimension_ceiling_is_checked_before_building(tmp_path, monkeypatch, cap
         SystemDocument(cli.N_MAX)
 
 
-def test_seed_env_var_changes_samples(monkeypatch):
+def test_no_environment_variable_moves_the_default_points(monkeypatch, capsys):
+    # the default points come from DEFAULT_SEED alone: a document's sample
+    # and a function's pts or seed are the ways to choose others
     base = sample_points(2, 5)
-    monkeypatch.setenv("AFFSYM_SEED", "99")
-    changed = sample_points(2, 5)
-    monkeypatch.delenv("AFFSYM_SEED")
-    assert not np.allclose(base, changed)
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
-def test_malformed_seed_env_var_is_an_input_error(monkeypatch, capsys, value):
-    # refused before the subcommand runs, as input (exit 1), not as a
-    # failed check; the library raises InputError, a ValueError, naming the
-    # value
-    monkeypatch.setenv("AFFSYM_SEED", value)
-    assert main(["report", fixture("flat_n2.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: AFFSYM_SEED must be a non-negative integer, got {value!r}\n"
-    with pytest.raises(InputError, match="AFFSYM_SEED must be a non-negative integer"):
-        sample_points(2, 5)
+    assert main(["report", fixture("flat_n2.json")]) == 0
+    report = capsys.readouterr()
+    for value in ("99", "abc"):
+        monkeypatch.setenv("AFFSYM_SEED", value)
+        assert sample_points(2, 5).tobytes() == base.tobytes()
+        assert (main(["report", fixture("flat_n2.json")]), capsys.readouterr()) == (0, report)
 
 
 # ---------------------------------------------------------------------------
@@ -1326,6 +1344,7 @@ def _flat_doc(**extra):
 
 
 SAMPLE_ERROR = "sample must be a list of points of dimension n, given as numbers"
+BOTH_ERROR = "document gives a canonical spec and explicit A or Gamma: give one or the other"
 
 
 def assert_input_error(capsys, argv, error):
@@ -1502,6 +1521,16 @@ def assert_input_error(capsys, argv, error):
             ["canonical"],
             "canonical subcommand needs a document with a canonical spec",
         ),
+        (
+            _flat_doc(canonical={"kind": "constcurv_22_13", "n": 2}),
+            ["report"],
+            BOTH_ERROR,
+        ),
+        (
+            {"n": 2, "Gamma": {"1": [["y1", "0"], ["0", "0"]]}, "canonical": {"kind": "maximal_7_11", "n": 2}},
+            ["curvature"],
+            BOTH_ERROR,
+        ),
     ],
     ids=[
         "tolerance-string",
@@ -1547,6 +1576,8 @@ def assert_input_error(capsys, argv, error):
         "gamma-matrix-not-square",
         "coefficient-not-string",
         "canonical-without-spec",
+        "canonical-with-a",
+        "canonical-with-gamma",
     ],
 )
 def test_malformed_document_fields_exit_1(tmp_path, capsys, doc, argv, error):

@@ -16,8 +16,7 @@ from test_point_values import compare_cli
 CLI = compare_cli()
 
 
-def test_every_corpus_command_exits_as_the_code_map_says(tmp_path, monkeypatch):
-    monkeypatch.delenv("AFFSYM_SEED", raising=False)
+def test_every_corpus_command_exits_as_the_code_map_says(tmp_path):
     with open(CLI.EXIT_CODES, encoding="utf-8") as fp:
         pairs = json.load(fp, object_pairs_hook=list)
     codes = dict(pairs)

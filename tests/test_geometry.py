@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from affsym import geometry
-from affsym.expr import DomainError, const, coord, parse_expr
+from affsym.expr import DomainError, ExprError, const, coord, parse_expr
 from affsym.geometry import (
     Connection,
     DiffusionSystem,
@@ -297,11 +297,12 @@ def test_structure_residual_refuses_a_pole_of_gamma():
     assert np.isfinite(structure_residual(conn, "two_dim_12_1", [[0.2, 0.3]]).max_abs)
 
 
-def test_structure_residual_of_an_overflowing_curvature_is_inf():
-    # Gamma and its derivatives are finite, R's products overflow: R is
-    # unchecked, so the residual reads inf
+def test_structure_residual_of_an_overflowing_curvature_is_refused():
+    # Gamma and its derivatives are finite, R's products overflow: the
+    # error names the field and the first sample point
     conn = Connection.from_strings(2, [[["1e200*y1", "0"], ["0", "0"]], [["0", "1e200*y2"], ["1e200*y2", "0"]]])
-    assert structure_residual(conn, "two_dim_12_1").max_abs == float("inf")
+    with pytest.raises(ExprError, match=r"^curvature is not finite at y = \[-0.375406, -0.265234\]$"):
+        structure_residual(conn, "two_dim_12_1")
 
 
 def test_structure_residual_dimension_checks():

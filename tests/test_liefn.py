@@ -12,7 +12,7 @@ from affsym.liefn import (
     nijenhuis_classical,
     vf_commutator,
 )
-from affsym.tensor import TensorField, alternate, tensor_product
+from affsym.tensor import TensorField, alternate
 from affsym.util import sample_points
 
 import charts

@@ -407,14 +407,14 @@ def test_every_stage_reads_one_ghost_block_from_cache_lines(monkeypatch, N):
 
 def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
     # a constant A is read from its nodes, not evaluated, and any other A is
-    # evaluated at every point; either way the limit is bitwise that of A's
-    # eigenvalues at all points
+    # evaluated at every point in one checked walk; either way the limit is
+    # bitwise that of A's eigenvalues at all points
     seen = []
-    evaluate_many = TensorField.evaluate_many
+    evaluate, evaluate_many = TensorField.evaluate, TensorField.evaluate_many
 
     def spy(field, points):
         seen.append(len(points))
-        return evaluate_many(field, points)
+        return evaluate(field, points)
 
     systems = [
         (heisenberg_system(), True),
@@ -426,7 +426,7 @@ def test_stability_limit_is_the_max_eigenvalue_over_all_points(monkeypatch):
         for N in (64, 4096):
             grid = make_grid(profiles, N, L)
             lam = np.max(np.abs(np.linalg.eigvals(evaluate_many(sys.A, grid.values))))
-            monkeypatch.setattr(TensorField, "evaluate_many", spy)
+            monkeypatch.setattr(TensorField, "evaluate", spy)
             limit = stability_limit(sys, grid)
             monkeypatch.undo()
             assert limit.hex() == (0.4 * grid.dx**2 / lam).hex(), N

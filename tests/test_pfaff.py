@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from affsym import canonical, expr, pfaff, tensor
-from affsym.expr import ZERO, const, coord, div, eval_many_shared, parse_expr, powi
-from affsym.geometry import Connection, metric_connection, ricci_and_s
+from affsym.expr import ZERO, DomainError, coord, div, eval_many_shared, parse_expr, powi
+from affsym.geometry import Connection, ricci_and_s
 from affsym.ode import solve_ivp
 from affsym.pfaff import (
     PfaffProblem,
@@ -295,6 +295,22 @@ def test_compatibility_residual_at_n_1_has_no_mixed_pairs():
     assert rep.argmax_point == () and rep.argmax_component == ()
 
 
+def test_compatibility_residual_walks_g_checked_and_reads_an_overflow_as_inf():
+    # on the block (U, y1, y2): G = 1e200*U in both slots is finite with its
+    # derivatives at the probes, but the chain rule's G * dG/dU overflows, so
+    # the residual (inf - inf) reads inf at the first probe; a G that is not
+    # finite at a probe is refused by the checked walk, naming its node
+    def problem(g1, g2):
+        rhs = np.array([[parse_expr(g1, 3), parse_expr(g2, 3)]], dtype=object)
+        return PfaffProblem(2, 1, rhs, p0=[0.0, 0.0], u0=[0.0])
+
+    rep = compatibility_residual(problem("1e200*y1", "1e200*y1"))
+    assert rep.max_abs == np.inf
+    assert rep.argmax_point[1:] == tuple(sample_points(2, 20)[0])
+    with pytest.raises(DomainError, match=r"^sqrt of negative argument: sqrt\(y2 - 1\)$"):
+        compatibility_residual(problem("sqrt(y2 - 1)", "0"))
+
+
 # kind, n, max_abs.hex(), probe row of the argmax, argmax component
 COMPATIBILITY_PINS = [
     ("symmetry_6", 2, "0x1.a30a956fa4d52p+1", 10, (1,)),
@@ -305,9 +321,8 @@ COMPATIBILITY_PINS = [
 
 
 @pytest.mark.parametrize("kind, n, max_hex, row, comp", COMPATIBILITY_PINS)
-def test_compatibility_residual_fixed_probe_is_pinned(monkeypatch, kind, n, max_hex, row, comp):
+def test_compatibility_residual_fixed_probe_is_pinned(kind, n, max_hex, row, comp):
     # the probe: U by default_rng(101) next to the 20 base sample points
-    monkeypatch.delenv("AFFSYM_SEED", raising=False)
     prob = deck_problem(kind, n)
     rep = compatibility_residual(prob)
     assert rep.max_abs.hex() == max_hex

@@ -43,7 +43,7 @@ value, a coefficient with a digit that is not decimal, a 100,000-deep nest
 of parentheses, a pole where a flatten transport starts, two operator
 fields whose determinant's LU divides by a subnormal pivot or overflows,
 heisenberg's connection with Gamma^2_11 =
-1e200*y1*y1, whose nabla(beta) overflows in flatten's precondition, an
+1e200*y1*y1, whose nabla Ric overflows in flatten's preconditions, an
 intermediate canonical spec at n = 1, a
 connection whose Taylor coefficients cancel at the bound's point, one whose
 derivative is not finite at a sample point, one whose curvature
@@ -94,7 +94,8 @@ temporary directory, not to fixtures/, which the tests iterate over.
 
 Every command and demo runs in this interpreter, through `entry`: a
 command through cli.main and a demo through runpy, with stdout and stderr
-captured, under Python's default warning filters, with AFFSYM_SEED unset.
+captured, under Python's default warning filters, with AFFSYM_SEED unset
+(checkouts before its removal read it for their default points).
 `run` puts SRC_DIR first on sys.path and refuses to record if affsym was
 imported from anywhere else, so two checkouts (say the parent commit and a
 change) can be compared from one place, one process each.  The demos are
